@@ -58,32 +58,6 @@ type captureKey struct {
 	seed     uint64
 }
 
-// sharedCapture captures once on first demand; later requests in the
-// group wait for (or reuse) the same artifact.
-type sharedCapture struct {
-	once sync.Once
-	cap  *core.Capture
-	paid bool // the capturing call actually emulated (capture-cache miss)
-	err  error
-}
-
-// get returns the group's capture, running it if nobody has yet. The
-// capture itself goes through captureFor, so a predictor-level
-// CaptureCache is consulted first (cross-call reuse) while the
-// batch-local group still guarantees at most one capture per
-// identical workload even under cache eviction pressure. paid
-// reports whether THIS call performed the emulation — at most one
-// request per group, and none on a cache hit — and only its report
-// carries the capture's emulate/collate stage timings.
-func (sc *sharedCapture) get(ctx context.Context, p *Predictor, w Workload, s predictSettings) (cap *core.Capture, paid bool, err error) {
-	ran := false
-	sc.once.Do(func() {
-		ran = true
-		sc.cap, sc.paid, sc.err = p.captureFor(ctx, p.capturePipeline(s), w, s)
-	})
-	return sc.cap, ran && sc.paid, sc.err
-}
-
 // batchCaptureKey builds the sharing key for a request, reporting
 // ok=false for workload values that cannot be map keys. The check is
 // on the value, not just the type: an otherwise-comparable workload
@@ -155,21 +129,11 @@ func (p *Predictor) PredictBatch(ctx context.Context, reqs []Request, opts ...Ba
 		break
 	}
 
-	// Group requests that can reuse one capture. Building an entry per
-	// distinct (workload, capture-settings) key costs nothing for
-	// singletons — their capture path equals Predict's — and turns
-	// repeated workloads into a single emulate+collate.
-	shared := make(map[captureKey]*sharedCapture)
-	for _, r := range reqs {
-		if r.Workload == nil {
-			continue
-		}
-		if k, ok := p.batchCaptureKey(r.Workload, applyPredictOptions(r.Options)); ok {
-			if shared[k] == nil {
-				shared[k] = &sharedCapture{}
-			}
-		}
-	}
+	// Requests that can reuse one capture meet in a batch-local memo
+	// sized to hold every distinct (workload, capture-settings) key:
+	// repeated workloads become a single emulate+collate, and a
+	// singleton's capture path equals Predict's.
+	shared := core.NewMemo[captureKey, *core.Capture](len(reqs))
 
 	workers := cfg.concurrency
 	if workers > len(reqs) {
@@ -218,16 +182,26 @@ feed:
 	return results, nil
 }
 
-// evalBatchRequest runs one request, reusing the group capture when
-// the workload is shareable (and, through it, the predictor's
-// CaptureCache when one is configured — see sharedCapture.get).
-func (p *Predictor) evalBatchRequest(ctx context.Context, w Workload, s predictSettings, shared map[captureKey]*sharedCapture) BatchResult {
+// evalBatchRequest runs one request, capturing through the batch memo
+// when the workload is shareable. The capture itself goes through
+// captureFor, so a predictor-level CaptureCache is consulted first
+// (cross-call reuse) while the memo still guarantees at most one
+// capture per identical workload even under cache eviction pressure.
+func (p *Predictor) evalBatchRequest(ctx context.Context, w Workload, s predictSettings, shared *core.Memo[captureKey, *core.Capture]) BatchResult {
 	k, ok := p.batchCaptureKey(w, s)
-	if !ok || shared[k] == nil {
+	if !ok {
 		rep, err := p.predict(ctx, w, s)
 		return BatchResult{Report: rep, Err: err}
 	}
-	c, paid, err := shared[k].get(ctx, p, w, s)
+	// paid: THIS request performed the emulation — at most one per
+	// key, and none on a capture-cache hit. Only its report carries
+	// the capture's emulate/collate cost; the rest reused the artifact
+	// and report zero, so stage timings sum correctly across the batch.
+	paid := false
+	c, _, err := shared.Get(ctx, k, func() (c *core.Capture, err error) {
+		c, paid, err = p.captureFor(ctx, p.capturePipeline(s), w, s)
+		return c, err
+	})
 	if err != nil {
 		return BatchResult{Err: err}
 	}
@@ -235,9 +209,6 @@ func (p *Predictor) evalBatchRequest(ctx context.Context, w Workload, s predictS
 	if err != nil {
 		return BatchResult{Err: err}
 	}
-	// Only the request that performed the capture reports its cost;
-	// the rest reused the artifact and report zero emulate/collate,
-	// so stage timings sum correctly across the batch.
 	rep, err := p.simulateCapture(ctx, pipe, c, s, paid)
 	return BatchResult{Report: rep, Err: err}
 }

@@ -10,21 +10,11 @@ import (
 	"maya/internal/workload"
 )
 
-// CaptureCacheStats is a snapshot of CaptureCache accounting.
-type CaptureCacheStats struct {
-	// Hits counts lookups served by a completed (or in-flight)
-	// capture.
-	Hits int64
-	// Misses counts lookups that had to run the capture.
-	Misses int64
-	// Evictions counts entries dropped by the LRU bound or Purge.
-	Evictions int64
-	// Errors counts captures that failed (including cancellations);
-	// failed entries are dropped so later lookups retry.
-	Errors int64
-	// Entries is the number of captures currently cached.
-	Entries int
-}
+// CaptureCacheStats is a snapshot of CaptureCache accounting: hits
+// (lookups served by a completed or in-flight capture), misses,
+// evictions (the LRU bound or Purge), errors (failed or cancelled
+// captures, dropped so later lookups retry) and current entries.
+type CaptureCacheStats = core.CaptureCacheStats
 
 // CaptureCache memoizes Trace captures across calls, keyed by a
 // canonical workload fingerprint (workload.Fingerprinter) plus the
@@ -57,13 +47,7 @@ func NewCaptureCache(maxEntries int) *CaptureCache {
 }
 
 // Stats returns a snapshot of the cache counters.
-func (c *CaptureCache) Stats() CaptureCacheStats {
-	s := c.impl.Stats()
-	return CaptureCacheStats{
-		Hits: s.Hits, Misses: s.Misses, Evictions: s.Evictions,
-		Errors: s.Errors, Entries: s.Entries,
-	}
-}
+func (c *CaptureCache) Stats() CaptureCacheStats { return c.impl.Stats() }
 
 // Purge empties the cache, returning how many captures were dropped.
 // In-flight captures are unaffected (their callers still receive

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"maya/internal/estimator"
+	"maya/internal/lru"
 	"maya/internal/netsim"
 	"maya/internal/sim"
 	"maya/internal/trace"
@@ -73,27 +74,26 @@ type Capture struct {
 	EmulateTime time.Duration
 	CollateTime time.Duration
 
-	// planMu guards plans: lazily built estimate plans keyed by the
-	// suite that resolved them. A plan is the capture's job fully
-	// annotated once — later Simulates against the same suite fill
-	// their overlay by a single copy instead of re-walking forests.
-	// Runtime-only state: plans never serialize and a reloaded
-	// capture rebuilds them on first use. The map is bounded
-	// (maxPlansPerCapture, insertion-order eviction): suite pointers
-	// go stale when the estimator cache retrains, and a long-lived
-	// capture must not pin every suite it ever simulated against.
-	planMu    sync.Mutex
-	plans     map[*estimator.Suite]*planEntry
-	planOrder []*estimator.Suite
+	// plans memoizes lazily built estimate plans keyed by the suite
+	// that resolved them (planOnce creates it on first use). A plan is
+	// the capture's job fully annotated once — later Simulates against
+	// the same suite fill their overlay by a single copy instead of
+	// re-walking forests. Runtime-only state: plans never serialize
+	// and a reloaded capture rebuilds them on first use. The memo is
+	// bounded (maxPlansPerCapture, least recently used out first):
+	// suite pointers go stale when the estimator cache retrains, and a
+	// long-lived capture must not pin every suite it ever simulated
+	// against.
+	planOnce sync.Once
+	plans    *Memo[*estimator.Suite, *estimator.EstimatePlan]
 
 	// congMu guards congs: congestion demand maps keyed by the netsim
 	// model that priced them, memoized like plans (the walk over every
 	// collective call is linear in the trace; one capture feeds many
 	// Simulates). Runtime-only, never serialized, same bound and
 	// eviction policy as plans.
-	congMu    sync.Mutex
-	congs     map[*netsim.Model]*sim.CongestionModel
-	congOrder []*netsim.Model
+	congMu sync.Mutex
+	congs  *lru.Map[*netsim.Model, *sim.CongestionModel]
 }
 
 // maxPlansPerCapture bounds how many suites' plans one capture
@@ -102,77 +102,19 @@ type Capture struct {
 // when estimator-cache evictions mint fresh suites repeatedly.
 const maxPlansPerCapture = 8
 
-// planEntry is one in-flight or completed estimate plan.
-type planEntry struct {
-	ready chan struct{} // closed once the build finished
-	plan  *estimator.EstimatePlan
-	err   error
-}
-
 // planFor returns the capture's estimate plan for the suite, building
-// it on first use. Exactly one caller builds per (capture, suite)
-// pair; concurrent callers wait on the in-flight build but honor
-// their own ctx. A cancelled or failed build is not cached: the entry
-// is dropped, the next lookup retries, and a waiter whose own ctx is
-// still alive when the builder's was cancelled takes over the build.
+// it on first use: single-flight per (capture, suite) pair, and a
+// cancelled or failed build is dropped so the next lookup retries. An
+// evicted plan stays valid for whoever already holds it; a future
+// lookup of that suite just rebuilds.
 func (c *Capture) planFor(ctx context.Context, suite *estimator.Suite) (*estimator.EstimatePlan, error) {
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-
-		c.planMu.Lock()
-		if e, ok := c.plans[suite]; ok {
-			c.planMu.Unlock()
-			select {
-			case <-e.ready:
-				if e.err != nil && ctxError(e.err) && ctx.Err() == nil {
-					continue
-				}
-				return e.plan, e.err
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		}
-		if c.plans == nil {
-			c.plans = make(map[*estimator.Suite]*planEntry)
-		}
-		if len(c.plans) >= maxPlansPerCapture {
-			// Evict the oldest-inserted plan: its suite has likely
-			// been retrained away. Evicted entries stay valid for
-			// whoever already holds them; a future lookup of that
-			// suite just rebuilds.
-			c.dropPlanLocked(c.planOrder[0])
-		}
-		e := &planEntry{ready: make(chan struct{})}
-		c.plans[suite] = e
-		c.planOrder = append(c.planOrder, suite)
-		c.planMu.Unlock()
-
-		e.plan, e.err = suite.BuildEstimatePlan(ctx, c.Job, c.Comms, c.CommSizes)
-
-		if e.err != nil {
-			c.planMu.Lock()
-			if c.plans[suite] == e {
-				c.dropPlanLocked(suite)
-			}
-			c.planMu.Unlock()
-		}
-		close(e.ready)
-		return e.plan, e.err
-	}
-}
-
-// dropPlanLocked removes a suite's plan entry and its insertion-order
-// record. Callers hold planMu.
-func (c *Capture) dropPlanLocked(suite *estimator.Suite) {
-	delete(c.plans, suite)
-	for i, s := range c.planOrder {
-		if s == suite {
-			c.planOrder = append(c.planOrder[:i], c.planOrder[i+1:]...)
-			break
-		}
-	}
+	c.planOnce.Do(func() {
+		c.plans = NewMemo[*estimator.Suite, *estimator.EstimatePlan](maxPlansPerCapture)
+	})
+	plan, _, err := c.plans.Get(ctx, suite, func() (*estimator.EstimatePlan, error) {
+		return suite.BuildEstimatePlan(ctx, c.Job, c.Comms, c.CommSizes)
+	})
+	return plan, err
 }
 
 // congestionFor returns the capture's congestion demand map priced by
@@ -183,19 +125,14 @@ func (c *Capture) dropPlanLocked(suite *estimator.Suite) {
 func (c *Capture) congestionFor(m *netsim.Model) *sim.CongestionModel {
 	c.congMu.Lock()
 	defer c.congMu.Unlock()
-	if cm, ok := c.congs[m]; ok {
-		return cm
-	}
-	cm := c.buildCongestion(m)
 	if c.congs == nil {
-		c.congs = make(map[*netsim.Model]*sim.CongestionModel)
+		c.congs = lru.New[*netsim.Model, *sim.CongestionModel](maxPlansPerCapture, nil)
 	}
-	if len(c.congs) >= maxPlansPerCapture {
-		delete(c.congs, c.congOrder[0])
-		c.congOrder = c.congOrder[1:]
+	cm, ok := c.congs.Get(m)
+	if !ok {
+		cm = c.buildCongestion(m)
+		c.congs.Put(m, cm)
 	}
-	c.congs[m] = cm
-	c.congOrder = append(c.congOrder, m)
 	return cm
 }
 

@@ -1,156 +1,14 @@
 package core
 
-import (
-	"container/list"
-	"context"
-	"sync"
-	"sync/atomic"
-)
-
-// CaptureCacheStats is a snapshot of CaptureLRU accounting.
-type CaptureCacheStats struct {
-	Hits      int64
-	Misses    int64
-	Evictions int64
-	Errors    int64
-	Entries   int
-}
-
-// CaptureLRU is a bounded, single-flight cache of Capture artifacts
+// CaptureLRU is the bounded, single-flight cache of Capture artifacts
 // keyed by canonical capture identity (workload fingerprint, cluster,
 // capture options — the caller builds the key). Captures are
-// immutable, so entries are shared. Exactly one caller captures per
-// key: concurrent lookups of an in-flight key wait on it, honoring
-// their own context; a failed or cancelled capture is dropped so the
-// next lookup retries. Least-recently-used entries are evicted beyond
-// the capacity. The zero value is not usable; call NewCaptureLRU.
-//
-// The accounting counters are atomics, so Stats is lock-free: a
-// metrics endpoint polling it continuously never contends with
-// lookups or in-flight captures.
-type CaptureLRU struct {
-	mu      sync.Mutex
-	max     int
-	entries map[string]*list.Element
-	lru     *list.List // front = most recently used
+// immutable, so entries are shared.
+type CaptureLRU = Memo[string, *Capture]
 
-	hits, misses, evictions, errors atomic.Int64
-	entryCount                      atomic.Int64 // mirrors len(entries)
-}
-
-type captureEntry struct {
-	key   string
-	ready chan struct{} // closed once the capture finished
-	cap   *Capture
-	err   error
-}
+// CaptureCacheStats is a snapshot of CaptureLRU accounting.
+type CaptureCacheStats = MemoStats
 
 // NewCaptureLRU returns an empty cache bounded to maxEntries
 // (minimum 1).
-func NewCaptureLRU(maxEntries int) *CaptureLRU {
-	if maxEntries < 1 {
-		maxEntries = 1
-	}
-	return &CaptureLRU{
-		max:     maxEntries,
-		entries: make(map[string]*list.Element),
-		lru:     list.New(),
-	}
-}
-
-// Get returns the capture for key, running fn if nobody has yet.
-// paid reports whether THIS call ran fn. Waiters observe their own
-// ctx; when the capturing caller fails with a context error while a
-// waiter's ctx is still live, the waiter retries (and likely becomes
-// the capturer).
-func (c *CaptureLRU) Get(ctx context.Context, key string, fn func() (*Capture, error)) (cap *Capture, paid bool, err error) {
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, false, err
-		}
-
-		c.mu.Lock()
-		if el, ok := c.entries[key]; ok {
-			c.lru.MoveToFront(el)
-			e := el.Value.(*captureEntry)
-			c.hits.Add(1)
-			c.mu.Unlock()
-			select {
-			case <-e.ready:
-				if e.err != nil && ctxError(e.err) && ctx.Err() == nil {
-					// The capturer was cancelled, we were not: the
-					// failed entry is already dropped, so retry.
-					continue
-				}
-				return e.cap, false, e.err
-			case <-ctx.Done():
-				return nil, false, ctx.Err()
-			}
-		}
-		e := &captureEntry{key: key, ready: make(chan struct{})}
-		c.entries[key] = c.lru.PushFront(e)
-		c.misses.Add(1)
-		for c.lru.Len() > c.max {
-			c.evictOldest()
-		}
-		c.entryCount.Store(int64(len(c.entries)))
-		c.mu.Unlock()
-
-		e.cap, e.err = fn()
-
-		c.mu.Lock()
-		if e.err != nil {
-			c.errors.Add(1)
-			// Drop the failed entry only if it is still ours (an
-			// eviction racing with the capture may have removed it).
-			if el, ok := c.entries[key]; ok && el.Value.(*captureEntry) == e {
-				c.lru.Remove(el)
-				delete(c.entries, key)
-				c.entryCount.Store(int64(len(c.entries)))
-			}
-		}
-		c.mu.Unlock()
-		close(e.ready)
-		return e.cap, true, e.err
-	}
-}
-
-// evictOldest removes the least-recently-used entry. Waiters already
-// holding the entry still receive its result; the capture is simply
-// no longer cached. Callers must hold c.mu.
-func (c *CaptureLRU) evictOldest() {
-	el := c.lru.Back()
-	if el == nil {
-		return
-	}
-	c.lru.Remove(el)
-	delete(c.entries, el.Value.(*captureEntry).key)
-	c.evictions.Add(1)
-}
-
-// Purge empties the cache and returns how many entries were dropped.
-func (c *CaptureLRU) Purge() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := len(c.entries)
-	c.entries = make(map[string]*list.Element)
-	c.lru.Init()
-	c.entryCount.Store(0)
-	c.evictions.Add(int64(n))
-	return n
-}
-
-// Stats returns a snapshot of the cache counters. It is lock-free —
-// each counter is read atomically — so it is safe (and cheap) to poll
-// from a metrics endpoint while captures are in flight. Counters are
-// loaded individually, so a snapshot taken mid-update may be
-// transiently skewed by one in-flight operation.
-func (c *CaptureLRU) Stats() CaptureCacheStats {
-	return CaptureCacheStats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Evictions: c.evictions.Load(),
-		Errors:    c.errors.Load(),
-		Entries:   int(c.entryCount.Load()),
-	}
-}
+func NewCaptureLRU(maxEntries int) *CaptureLRU { return NewMemo[string, *Capture](maxEntries) }

@@ -60,9 +60,7 @@ func TestSimulateViaPlanDeterministicAndConcurrent(t *testing.T) {
 				i, zeroStages(reports[i]), zeroStages(base))
 		}
 	}
-	c.planMu.Lock()
-	entries := len(c.plans)
-	c.planMu.Unlock()
+	entries := c.plans.Stats().Entries
 	if entries != 1 {
 		t.Fatalf("capture caches %d plans, want 1 (one suite)", entries)
 	}
@@ -93,9 +91,7 @@ func TestPlanForSingleFlightAndPerSuite(t *testing.T) {
 	if p3 == p1 {
 		t.Fatal("distinct suites share one plan entry")
 	}
-	c.planMu.Lock()
-	entries := len(c.plans)
-	c.planMu.Unlock()
+	entries := c.plans.Stats().Entries
 	if entries != 2 {
 		t.Fatalf("capture caches %d plans, want 2", entries)
 	}
@@ -111,9 +107,12 @@ func TestPlanCacheBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c.planMu.Lock()
-	entries, order := len(c.plans), len(c.planOrder)
-	c.planMu.Unlock()
+	c.plans.mu.Lock()
+	entries, order := c.plans.entries.Len(), 0
+	for range c.plans.entries.All() {
+		order++
+	}
+	c.plans.mu.Unlock()
 	if entries > maxPlansPerCapture || order != entries {
 		t.Fatalf("plan cache holds %d entries (%d ordered), want <= %d and equal",
 			entries, order, maxPlansPerCapture)

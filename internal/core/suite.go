@@ -2,8 +2,7 @@ package core
 
 import (
 	"context"
-	"errors"
-	"sync"
+	"math"
 	"sync/atomic"
 
 	"maya/internal/estimator"
@@ -35,19 +34,14 @@ type CacheStats struct {
 // hit/miss/trained counters, eviction, pre-warming — instead of the
 // former unobservable process-global map. The zero value is not
 // usable; call NewSuiteCache.
-//
-// The accounting counters are atomics, so Stats is lock-free: a
-// metrics endpoint polling it continuously never contends with
-// lookups or in-flight trainings.
 type SuiteCache struct {
-	mu      sync.Mutex
-	entries map[string]*cacheEntry
+	// suites is unbounded: there is one entry per (cluster, profile
+	// kind) a process ever asks for.
+	suites *Memo[string, trainedSuite]
 	// trainWorkers bounds the worker pool of trainings this cache
 	// initiates (0 means the estimator default, GOMAXPROCS).
-	trainWorkers int
-
-	hits, misses, trained, evictions, errors atomic.Int64
-	entryCount                               atomic.Int64 // mirrors len(entries)
+	trainWorkers atomic.Int64
+	trained      atomic.Int64
 }
 
 // SetTrainWorkers bounds the worker pool used when this cache trains
@@ -56,25 +50,17 @@ type SuiteCache struct {
 // byte-identical for every worker count, so this is purely a
 // throughput/CPU-footprint knob; it affects subsequent trainings
 // only.
-func (c *SuiteCache) SetTrainWorkers(n int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if n < 0 {
-		n = 0
-	}
-	c.trainWorkers = n
-}
+func (c *SuiteCache) SetTrainWorkers(n int) { c.trainWorkers.Store(int64(max(n, 0))) }
 
-type cacheEntry struct {
-	ready chan struct{} // closed once training finished
+// trainedSuite is what one training produces.
+type trainedSuite struct {
 	suite *estimator.Suite
 	mape  map[string]float64
-	err   error
 }
 
 // NewSuiteCache returns an empty cache.
 func NewSuiteCache() *SuiteCache {
-	return &SuiteCache{entries: make(map[string]*cacheEntry)}
+	return &SuiteCache{suites: NewMemo[string, trainedSuite](math.MaxInt)}
 }
 
 var defaultSuiteCache = NewSuiteCache()
@@ -108,60 +94,14 @@ func suiteKey(cluster hardware.Cluster, kind estimator.ProfileKind) string {
 // the next lookup retries, and a waiter whose own ctx is still alive
 // when the trainer's was cancelled takes over the training itself.
 func (c *SuiteCache) SuiteFor(ctx context.Context, cluster hardware.Cluster, oracle *silicon.Oracle, kind estimator.ProfileKind) (*estimator.Suite, map[string]float64, error) {
-	key := suiteKey(cluster, kind)
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-
-		c.mu.Lock()
-		if e, ok := c.entries[key]; ok {
-			c.hits.Add(1)
-			c.mu.Unlock()
-			select {
-			case <-e.ready:
-				if e.err != nil && ctxError(e.err) && ctx.Err() == nil {
-					// The trainer was cancelled, we were not: the
-					// failed entry is already dropped, so retry (and
-					// likely become the trainer).
-					continue
-				}
-				return e.suite, e.mape, e.err
-			case <-ctx.Done():
-				return nil, nil, ctx.Err()
-			}
-		}
-		e := &cacheEntry{ready: make(chan struct{})}
-		c.entries[key] = e
-		c.entryCount.Store(int64(len(c.entries)))
-		c.misses.Add(1)
-		workers := c.trainWorkers
-		c.mu.Unlock()
-
-		e.suite, e.mape, e.err = trainSuite(ctx, cluster, oracle, kind, workers)
-
-		c.mu.Lock()
-		if e.err != nil {
-			c.errors.Add(1)
-			// Drop the failed entry only if it is still ours (an Evict
-			// racing with training may already have replaced it).
-			if c.entries[key] == e {
-				delete(c.entries, key)
-				c.entryCount.Store(int64(len(c.entries)))
-			}
-		} else {
+	t, _, err := c.suites.Get(ctx, suiteKey(cluster, kind), func() (trainedSuite, error) {
+		suite, mape, err := trainSuite(ctx, cluster, oracle, kind, int(c.trainWorkers.Load()))
+		if err == nil {
 			c.trained.Add(1)
 		}
-		c.mu.Unlock()
-		close(e.ready)
-		return e.suite, e.mape, e.err
-	}
-}
-
-// ctxError reports whether err is a context cancellation/deadline —
-// a transient, caller-scoped failure rather than a training defect.
-func ctxError(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+		return trainedSuite{suite, mape}, err
+	})
+	return t.suite, t.mape, err
 }
 
 // Warm trains (or confirms) the suite for a cluster and profile kind
@@ -176,42 +116,24 @@ func (c *SuiteCache) Warm(ctx context.Context, cluster hardware.Cluster, kind es
 // reporting whether an entry was present. Lookups already waiting on
 // an in-flight training are unaffected; subsequent lookups retrain.
 func (c *SuiteCache) Evict(cluster hardware.Cluster, kind estimator.ProfileKind) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	key := suiteKey(cluster, kind)
-	if _, ok := c.entries[key]; !ok {
-		return false
-	}
-	delete(c.entries, key)
-	c.entryCount.Store(int64(len(c.entries)))
-	c.evictions.Add(1)
-	return true
+	return c.suites.Evict(suiteKey(cluster, kind))
 }
 
 // Purge empties the cache and returns how many entries were dropped.
-func (c *SuiteCache) Purge() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := len(c.entries)
-	c.entries = make(map[string]*cacheEntry)
-	c.entryCount.Store(0)
-	c.evictions.Add(int64(n))
-	return n
-}
+func (c *SuiteCache) Purge() int { return c.suites.Purge() }
 
-// Stats returns a snapshot of the cache counters. It is lock-free —
-// each counter is read atomically — so it is safe (and cheap) to poll
-// from a metrics endpoint while lookups and trainings are in flight.
-// Counters are loaded individually, so a snapshot taken mid-update
-// may be transiently skewed by one in-flight operation.
+// Stats returns a snapshot of the cache counters. It is lock-free, so
+// it is safe (and cheap) to poll from a metrics endpoint while
+// lookups and trainings are in flight.
 func (c *SuiteCache) Stats() CacheStats {
+	s := c.suites.Stats()
 	return CacheStats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
+		Hits:      s.Hits,
+		Misses:    s.Misses,
 		Trained:   c.trained.Load(),
-		Evictions: c.evictions.Load(),
-		Errors:    c.errors.Load(),
-		Entries:   int(c.entryCount.Load()),
+		Evictions: s.Evictions,
+		Errors:    s.Errors,
+		Entries:   s.Entries,
 	}
 }
 

@@ -11,13 +11,12 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"strings"
-	"sync"
 
 	"maya/internal/core"
 	"maya/internal/estimator"
@@ -131,42 +130,22 @@ type Env struct {
 	// process-wide default cache.
 	Suites *core.SuiteCache
 
-	mu    sync.Mutex
-	memos map[string]*memoEntry
-}
-
-type memoEntry struct {
-	once sync.Once
-	val  any
-	err  error
+	// memos is unbounded: one entry per sweep or capture a run names.
+	memos *core.Memo[string, any]
 }
 
 // NewEnv builds an environment at the given scale.
 func NewEnv(scale Scale) *Env {
-	return &Env{Scale: scale, Suites: core.DefaultSuiteCache(), memos: make(map[string]*memoEntry)}
+	return &Env{Scale: scale, Suites: core.DefaultSuiteCache(), memos: core.NewMemo[string, any](math.MaxInt)}
 }
 
-// memo runs fn once per key and caches its result. Context
-// cancellations are transient, not results: an entry that failed
-// with one is dropped so the next Run (with a live ctx) retries
-// instead of replaying the stale cancellation forever.
+// memo runs fn once per key and caches its result. Failures are not
+// results: a failed entry — a cancellation above all — is dropped so
+// the next Run (with a live ctx) retries instead of replaying it
+// forever. fn carries its caller's ctx; waiters just wait for it.
 func (e *Env) memo(key string, fn func() (any, error)) (any, error) {
-	e.mu.Lock()
-	m, ok := e.memos[key]
-	if !ok {
-		m = &memoEntry{}
-		e.memos[key] = m
-	}
-	e.mu.Unlock()
-	m.once.Do(func() { m.val, m.err = fn() })
-	if m.err != nil && (errors.Is(m.err, context.Canceled) || errors.Is(m.err, context.DeadlineExceeded)) {
-		e.mu.Lock()
-		if e.memos[key] == m {
-			delete(e.memos, key)
-		}
-		e.mu.Unlock()
-	}
-	return m.val, m.err
+	v, _, err := e.memos.Get(context.TODO(), key, fn)
+	return v, err
 }
 
 // Predictor returns the Maya pipeline for a cluster (cached suite).

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"sync"
 	"time"
+
+	"maya/internal/lru"
 )
 
 // Admission errors, matchable with errors.Is. The handler layer maps
@@ -17,9 +19,9 @@ var (
 	ErrQueueFull = errors.New("serve: admission queue full")
 )
 
-// maxTenantBuckets bounds the tenant-bucket map; beyond it the
-// longest-idle buckets are pruned. An idle bucket regenerates at full
-// burst, which only ever favors the returning tenant.
+// maxTenantBuckets bounds the tenant-bucket map; a new tenant beyond
+// it pushes out the longest-idle bucket. A dropped bucket regenerates
+// at full burst, which only ever favors the returning tenant.
 const maxTenantBuckets = 4096
 
 // Admission is the front door of the service: a per-tenant token
@@ -37,7 +39,7 @@ type Admission struct {
 	now func() time.Time // injectable clock for tests
 
 	mu      sync.Mutex
-	buckets map[string]*tokenBucket
+	buckets *lru.Map[string, *tokenBucket] // recency order is idle order
 }
 
 // tokenBucket is one tenant's refillable allowance.
@@ -61,7 +63,7 @@ func NewAdmission(capacity int, rate float64, burst int) *Admission {
 		rate:    rate,
 		burst:   float64(burst),
 		now:     time.Now,
-		buckets: make(map[string]*tokenBucket),
+		buckets: lru.New[string, *tokenBucket](maxTenantBuckets, nil),
 	}
 }
 
@@ -95,13 +97,20 @@ func (a *Admission) allow(tenant string, n float64) bool {
 	now := a.now()
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	b, ok := a.buckets[tenant]
+	b, ok := a.buckets.Get(tenant)
 	if !ok {
-		if len(a.buckets) >= maxTenantBuckets {
-			a.pruneLocked(now)
+		// A newcomer first sweeps out the buckets idle long enough to
+		// have refilled to full burst (dropping those changes nothing);
+		// at the bound, Put then evicts the longest-idle one regardless.
+		idle := time.Duration(float64(time.Second) * a.burst / a.rate)
+		for t, old := range a.buckets.All() {
+			if now.Sub(old.last) <= idle {
+				break
+			}
+			a.buckets.Remove(t)
 		}
 		b = &tokenBucket{tokens: a.burst, last: now}
-		a.buckets[tenant] = b
+		a.buckets.Put(tenant, b)
 	}
 	b.tokens = min(a.burst, b.tokens+a.rate*now.Sub(b.last).Seconds())
 	b.last = now
@@ -110,17 +119,6 @@ func (a *Admission) allow(tenant string, n float64) bool {
 	}
 	b.tokens -= n
 	return true
-}
-
-// pruneLocked drops buckets idle long enough to have refilled to full
-// burst — dropping them is behavior-neutral. Callers hold a.mu.
-func (a *Admission) pruneLocked(now time.Time) {
-	idle := time.Duration(float64(time.Second) * a.burst / a.rate)
-	for t, b := range a.buckets {
-		if now.Sub(b.last) > idle {
-			delete(a.buckets, t)
-		}
-	}
 }
 
 // Depth reports how many admitted requests currently hold slots.

@@ -105,15 +105,27 @@ func TestAdmissionBucketPruning(t *testing.T) {
 	for i := 0; i < maxTenantBuckets; i++ {
 		a.allow(tenantName(i), 1)
 	}
-	if got := len(a.buckets); got != maxTenantBuckets {
+	if got := a.buckets.Len(); got != maxTenantBuckets {
 		t.Fatalf("bucket count = %d, want %d", got, maxTenantBuckets)
 	}
 	// After everyone has fully refilled, a new tenant triggers the
 	// prune and the map collapses.
 	clk.advance(time.Hour)
 	a.allow("fresh", 1)
-	if got := len(a.buckets); got > 2 {
+	if got := a.buckets.Len(); got > 2 {
 		t.Fatalf("bucket count after prune = %d, want <= 2", got)
+	}
+}
+
+// TestAdmissionBucketBound: distinct live tenants — none idle long
+// enough to prune — still cannot grow the map past its bound.
+func TestAdmissionBucketBound(t *testing.T) {
+	a := withClock(NewAdmission(10, 1, 1), newFakeClock())
+	for i := 0; i < 10000; i++ {
+		a.allow(tenantName(i), 1)
+	}
+	if got := a.buckets.Len(); got > maxTenantBuckets {
+		t.Fatalf("10000 live tenants hold %d buckets, want <= %d", got, maxTenantBuckets)
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"maya/internal/flight"
 )
 
 // BreakerState is a circuit breaker's position.
@@ -184,9 +186,6 @@ func (b *Breaker) Recoveries() int64 { return b.recoveries.Load() }
 // dependency.
 func (b *Breaker) Rejected() int64 { return b.rejected.Load() }
 
-// ProbeAfter is the open → half-open probe interval.
-func (b *Breaker) ProbeAfter() time.Duration { return b.probeAfter }
-
 // outcomeOf classifies a prediction error for the breaker: nil is
 // success, the caller's own cancellation is aborted, everything else
 // — dependency errors, recovered panics, injected chaos — is failure.
@@ -194,7 +193,7 @@ func outcomeOf(err error) breakerOutcome {
 	switch {
 	case err == nil:
 		return breakerSuccess
-	case isCtxErr(err):
+	case flight.IsCtxErr(err):
 		return breakerAborted
 	default:
 		return breakerFailure

@@ -1,12 +1,12 @@
 package serve
 
 import (
-	"container/list"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"maya"
+	"maya/internal/lru"
 )
 
 // degradeCache is the graceful-degradation layer: a bounded LRU of
@@ -22,18 +22,14 @@ import (
 // incident, not the cache's lifetime.
 type degradeCache struct {
 	mu      sync.Mutex
-	max     int
-	entries map[string]*list.Element
-	lru     *list.List // front = most recently used
+	entries *lru.Map[string, staleEntry]
 	now     func() time.Time
 
 	hits   atomic.Int64
 	misses atomic.Int64
-	serves atomic.Int64
 }
 
 type staleEntry struct {
-	key    string
 	report *maya.Report
 	at     time.Time // when the fresh result was computed
 }
@@ -41,15 +37,7 @@ type staleEntry struct {
 // newDegradeCache returns an empty cache bounded to max entries
 // (minimum 1).
 func newDegradeCache(max int) *degradeCache {
-	if max < 1 {
-		max = 1
-	}
-	return &degradeCache{
-		max:     max,
-		entries: make(map[string]*list.Element),
-		lru:     list.New(),
-		now:     time.Now,
-	}
+	return &degradeCache{entries: lru.New[string, staleEntry](max, nil), now: time.Now}
 }
 
 // put records a fresh successful report for key. Reports are
@@ -61,39 +49,25 @@ func (c *degradeCache) put(key string, r *maya.Report) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		el.Value = &staleEntry{key: key, report: r, at: c.now()}
-		c.lru.MoveToFront(el)
-		return
-	}
-	c.entries[key] = c.lru.PushFront(&staleEntry{key: key, report: r, at: c.now()})
-	for c.lru.Len() > c.max {
-		back := c.lru.Back()
-		c.lru.Remove(back)
-		delete(c.entries, back.Value.(*staleEntry).key)
-	}
+	c.entries.Put(key, staleEntry{report: r, at: c.now()})
 }
 
 // get returns the stale report for key and its age, if one is cached.
 func (c *degradeCache) get(key string) (*maya.Report, time.Duration, bool) {
 	c.mu.Lock()
-	el, ok := c.entries[key]
+	e, ok := c.entries.Get(key)
+	c.mu.Unlock()
 	if !ok {
-		c.mu.Unlock()
 		c.misses.Add(1)
 		return nil, 0, false
 	}
-	c.lru.MoveToFront(el)
-	e := el.Value.(*staleEntry)
-	age := c.now().Sub(e.at)
-	c.mu.Unlock()
 	c.hits.Add(1)
-	return e.report, age, true
+	return e.report, c.now().Sub(e.at), true
 }
 
 // len reports how many identities have a cached result.
 func (c *degradeCache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.entries)
+	return c.entries.Len()
 }

@@ -3,7 +3,6 @@ package serve
 import (
 	"fmt"
 	"io"
-	"math"
 	"sync/atomic"
 )
 
@@ -20,8 +19,8 @@ var latencyBucketsMS = [numLatencyBuckets]float64{
 }
 
 // histogram is a fixed-bucket latency histogram with atomic counters:
-// recording is lock-free and wait-free, and snapshots for /metrics or
-// quantile estimates never block request threads.
+// recording is lock-free and wait-free, and snapshots for /metrics
+// never block request threads.
 type histogram struct {
 	counts [numLatencyBuckets + 1]atomic.Int64
 	sumUS  atomic.Int64 // sum in microseconds: integer, so atomically addable
@@ -37,45 +36,6 @@ func (h *histogram) observe(ms float64) {
 	h.counts[i].Add(1)
 	h.sumUS.Add(int64(ms * 1000))
 	h.total.Add(1)
-}
-
-// quantile estimates the q-th latency quantile (0 < q < 1) in
-// milliseconds by linear interpolation inside the target bucket.
-// Samples beyond the last finite bound report that bound. Zero
-// samples report 0.
-func (h *histogram) quantile(q float64) float64 {
-	total := h.total.Load()
-	if total == 0 {
-		return 0
-	}
-	target := q * float64(total)
-	var cum float64
-	for i := range h.counts {
-		n := float64(h.counts[i].Load())
-		if cum+n >= target && n > 0 {
-			lo := 0.0
-			if i > 0 {
-				lo = latencyBucketsMS[i-1]
-			}
-			if i >= len(latencyBucketsMS) {
-				return latencyBucketsMS[len(latencyBucketsMS)-1]
-			}
-			hi := latencyBucketsMS[i]
-			frac := (target - cum) / n
-			return lo + (hi-lo)*math.Min(1, math.Max(0, frac))
-		}
-		cum += n
-	}
-	return latencyBucketsMS[len(latencyBucketsMS)-1]
-}
-
-// mean returns the average recorded latency in milliseconds.
-func (h *histogram) mean() float64 {
-	n := h.total.Load()
-	if n == 0 {
-		return 0
-	}
-	return float64(h.sumUS.Load()) / 1000 / float64(n)
 }
 
 // writeProm renders the histogram in Prometheus text exposition
@@ -103,7 +63,7 @@ type Metrics struct {
 	// Request outcomes, by disposition.
 	Requests  atomic.Int64 // everything that reached the service layer
 	OK        atomic.Int64 // 200s
-	BadInput  atomic.Int64 // 400s
+	BadInput  atomic.Int64 // 400s and 404s (client errors)
 	Throttled atomic.Int64 // 429s (tenant token bucket or overload shed)
 	Rejected  atomic.Int64 // 503s (queue full, breaker open or draining)
 	Deadline  atomic.Int64 // 504s (request deadline exceeded)

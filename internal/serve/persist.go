@@ -65,8 +65,7 @@ func (s *traceStore) snapshot(w io.Writer) error {
 		_, err := w.Write(b)
 		return err
 	}
-	for el := s.lru.Back(); el != nil; el = el.Prev() {
-		st := el.Value.(*storedTrace)
+	for _, st := range s.entries.All() {
 		meta, err := json.Marshal(st.meta)
 		if err != nil {
 			return err

@@ -92,12 +92,11 @@ func TestSnapshotRoundtrip(t *testing.T) {
 
 	// Recency order survived: capacity pressure evicts B (the LRU
 	// tail), not the recently touched A.
-	restored2, _, err := restoreTraceStore(path, 8)
+	restored2, _, err := restoreTraceStore(path, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	blobC, metaC := testTraceBlob(t, 8)
-	restored2.max = 2
 	restored2.put(blobC, metaC)
 	if _, ok := restored2.get(metaB.Fingerprint); ok {
 		t.Error("LRU tail (B) survived capacity pressure; recency order lost in the snapshot")

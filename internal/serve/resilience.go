@@ -11,14 +11,15 @@ import (
 )
 
 // ResilienceConfig shapes one deterministic chaos run: a virtual-time
-// discrete-event walk of the service control plane — the real
-// Shedder, Breaker and degradeCache implementations on an injected
-// clock — against a modeled predictor dependency whose behavior comes
-// from the ChaosPlan. Predictions are modeled as a fixed service time
-// (the emulate-the-node/model-the-boundary split: the policy layer is
-// exercised for real, the dependency is modeled), so the whole run is
-// a pure function of the config and plan seed — bit-identical across
-// reruns, per the repo's determinism discipline.
+// discrete-event walk of the service control plane — the server's own
+// decide/settle path (decide.go) on an injected clock — against a
+// modeled predictor dependency whose behavior comes from the
+// ChaosPlan. Only arrivals, workers and the dependency are modeled
+// here (the emulate-the-node/model-the-boundary split: the policy
+// layer is the code that ships, the dependency is a fixed service
+// time), so the whole run is a pure function of the config and plan
+// seed — bit-identical across reruns, per the repo's determinism
+// discipline.
 type ResilienceConfig struct {
 	// Plan is the chaos scenario (required; predict-target events
 	// apply).
@@ -168,16 +169,11 @@ func RunResilience(cfg ResilienceConfig) (*ResilienceReport, error) {
 		cfg.FailFast = time.Millisecond
 	}
 
-	// The real control-plane components on a virtual clock.
+	// The server's control plane on a virtual clock.
 	base := time.Unix(0, 0).UTC()
 	var vnow time.Duration
-	clock := func() time.Time { return base.Add(vnow) }
-	shed := NewShedder(cfg.ShedTarget, cfg.ShedInterval)
-	shed.now = clock
-	br := NewBreaker("predict", cfg.BreakerThreshold, cfg.BreakerProbe)
-	br.now = clock
-	stale := newDegradeCache(cfg.Keys)
-	stale.now = clock
+	ctl := newControl(cfg.ShedTarget, cfg.ShedInterval, cfg.BreakerThreshold, cfg.BreakerProbe,
+		cfg.Keys, func() time.Time { return base.Add(vnow) })
 	staleReport := &maya.Report{} // counted, never inspected
 
 	workers := make([]time.Duration, cfg.Workers) // per-worker free-at
@@ -210,11 +206,8 @@ func RunResilience(cfg ResilienceConfig) (*ResilienceReport, error) {
 			c := heap.Pop(&pending).(completion)
 			vnow = c.at
 			inSystem--
-			shed.Observe(c.service)
-			br.Observe(c.outcome)
-			if c.outcome == breakerSuccess {
-				stale.put(c.key, staleReport)
-			}
+			ctl.shed.Observe(c.service)
+			ctl.settle(c.key, staleReport, c.outcome)
 		}
 		vnow = t
 	}
@@ -228,32 +221,24 @@ func RunResilience(cfg ResilienceConfig) (*ResilienceReport, error) {
 		rep.Requests++
 		key := fmt.Sprintf("k%d", seq%cfg.Keys)
 
-		// Stage 1: shedding (queue-delay + deadline-aware).
-		est := shed.EstimateWait(inSystem, cfg.Workers)
-		if v := shed.Decide(est, cfg.Deadline); v != ShedAdmit {
-			if _, _, ok := stale.get(key); ok {
-				rep.Degraded++
-				bucketOf(t).Degraded++
-				accepted = append(accepted, 0)
-			} else {
-				rep.Shed++
-				bucketOf(t).Shed++
-			}
+		// The decision the live server would make; the arrival counts
+		// toward its own queue depth, as it does past Admit there.
+		switch ctl.decide(key, inSystem+1, cfg.Workers, cfg.Deadline).verdict {
+		case verdictDegraded:
+			rep.Degraded++
+			bucketOf(t).Degraded++
+			accepted = append(accepted, 0)
+			continue
+		case verdictShed:
+			rep.Shed++
+			bucketOf(t).Shed++
+			continue
+		case verdictRejected:
+			rep.Rejected++
+			bucketOf(t).Rejected++
 			continue
 		}
-		// Stage 2: circuit breaker, degrading when open.
-		if !br.Allow() {
-			if _, _, ok := stale.get(key); ok {
-				rep.Degraded++
-				bucketOf(t).Degraded++
-				accepted = append(accepted, 0)
-			} else {
-				rep.Rejected++
-				bucketOf(t).Rejected++
-			}
-			continue
-		}
-		// Stage 3: the modeled dependency call on the earliest-free
+		// Admitted: the modeled dependency call on the earliest-free
 		// worker (ties to the lowest index — deterministic).
 		w := 0
 		for i := 1; i < cfg.Workers; i++ {
@@ -308,14 +293,14 @@ func RunResilience(cfg ResilienceConfig) (*ResilienceReport, error) {
 	}
 	drain(cfg.Duration + cfg.Deadline + time.Second) // flush everything
 
-	rep.BreakerTrips = br.Trips()
-	rep.BreakerProbes = br.Probes()
-	rep.BreakerRecoveries = br.Recoveries()
+	rep.BreakerTrips = ctl.pbreaker.Trips()
+	rep.BreakerProbes = ctl.pbreaker.Probes()
+	rep.BreakerRecoveries = ctl.pbreaker.Recoveries()
 
 	sort.Slice(accepted, func(i, j int) bool { return accepted[i] < accepted[j] })
 	if n := len(accepted); n > 0 {
 		i := int(0.99 * float64(n-1))
-		rep.P99ResponseMS = float64(accepted[i].Nanoseconds()) / 1e6
+		rep.P99ResponseMS = millis(accepted[i])
 	}
 
 	// Pre-fault goodput and recovery, against the plan's fault span.

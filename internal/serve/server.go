@@ -1,20 +1,30 @@
 // Package serve is Maya's multi-tenant prediction service layer: an
 // HTTP/JSON front over one shared maya.Predictor, built for heavy
-// interactive what-if traffic. A request flows admission → coalesce →
-// pool → predict:
+// interactive what-if traffic. Every prediction takes one path,
+// admit → decide → coalesce → pool → predict → settle:
 //
-//   - Admission: a per-tenant token bucket (X-Maya-Tenant) in front of
-//     a bounded service-wide queue — fairness first, then load-shedding
-//     instead of unbounded queueing.
-//   - Coalescing: concurrent identical predictions single-flight into
-//     one execution, on top of the predictor's fingerprinted capture
-//     cache — N identical in-flight requests pay one capture and one
-//     simulate.
-//   - Pool: a bounded worker count executes predictions, keeping the
-//     process-wide simulation-engine pool hot.
+//   - Admit (Server.admit, shared with /v1/capture): drain check,
+//     bounded body, then a per-tenant token bucket (X-Maya-Tenant) in
+//     front of a bounded service-wide queue — fairness first, then
+//     load-shedding instead of unbounded queueing.
+//   - Decide (control.decide): queue-delay shedding, then the predict
+//     circuit breaker, each falling back to a stale answer before
+//     refusing with 429 / 503.
+//   - Coalesce: concurrent identical predictions single-flight into
+//     one execution (flight.Group), on top of the predictor's
+//     fingerprinted capture cache — N identical in-flight requests
+//     pay one capture and one simulate.
+//   - Pool (Server.onPool): a bounded worker count executes
+//     predictions, keeping the process-wide simulation-engine pool
+//     hot; a panic on a worker becomes an error.
 //   - Predict: the ordinary maya.Predictor pipeline, with the request
 //     deadline mapped onto the context cancellation every layer
 //     already observes.
+//   - Settle (control.settle): the breaker observes the outcome and a
+//     success refreshes the stale answer.
+//
+// RunResilience, the deterministic chaos harness, drives the same
+// decide/settle pair on a virtual clock.
 //
 // Endpoints: POST /v1/predict (single or batch), POST /v1/capture,
 // GET /v1/traces/{fingerprint}, POST /v1/traces, GET /metrics
@@ -38,6 +48,7 @@ import (
 
 	"maya"
 	"maya/internal/buildinfo"
+	"maya/internal/flight"
 )
 
 // Config shapes a Server. The zero value of every optional field
@@ -120,19 +131,18 @@ type Server struct {
 	chaos   *chaosBackend
 	adm     *Admission
 	pool    *Pool
-	co      *coalescer
+	co      flight.Group[string, predictOutcome] // coalesces identical in-flight predictions
 	metrics *Metrics
 	store   *traceStore
 	mux     *http.ServeMux
 	build   buildinfo.Info
 	started time.Time
 
-	// Resilience layer: queue-delay shedding, per-dependency circuit
-	// breakers and the stale-result degradation cache.
-	shed      *Shedder
-	pbreaker  *Breaker // guards Predict
+	// Resilience layer: the prediction control plane (queue-delay
+	// shedding, the predict breaker, the stale-result cache) and the
+	// capture dependency's own breaker.
+	*control
 	cbreaker  *Breaker // guards Capture
-	degrade   *degradeCache
 	snapStats SnapshotStats
 	stateMu   sync.Mutex // serializes snapshot writes
 
@@ -222,32 +232,30 @@ func New(cfg Config) (*Server, error) {
 	if cfg.StatePath != "" {
 		var err error
 		store, snapStats, err = restoreTraceStore(cfg.StatePath, cfg.TraceStoreSize)
+		if err == nil {
+			err = snapStats.EntryErr
+		}
 		if err != nil {
 			// A broken snapshot must never keep the service down:
 			// serve with whatever recovered, and say so.
 			logfTo(cfg.Logf, "serve: trace-store snapshot %s: %v (recovered %d, skipped %d)",
 				cfg.StatePath, err, snapStats.Loaded, snapStats.Skipped)
-		} else if snapStats.EntryErr != nil {
-			logfTo(cfg.Logf, "serve: trace-store snapshot %s: %v (recovered %d, skipped %d)",
-				cfg.StatePath, snapStats.EntryErr, snapStats.Loaded, snapStats.Skipped)
 		}
 	}
 	s := &Server{
-		cfg:      cfg,
-		pred:     pred,
-		backend:  pred,
-		adm:      NewAdmission(cfg.Queue, cfg.TenantRate, cfg.TenantBurst),
-		pool:     NewPool(cfg.Workers),
-		co:       newCoalescer(),
-		metrics:  &Metrics{},
-		store:    store,
-		mux:      http.NewServeMux(),
-		build:    buildinfo.Get(),
-		started:  time.Now(),
-		shed:     NewShedder(cfg.ShedTarget, cfg.ShedInterval),
-		pbreaker: NewBreaker("predict", cfg.BreakerThreshold, cfg.BreakerProbe),
+		cfg:     cfg,
+		pred:    pred,
+		backend: pred,
+		adm:     NewAdmission(cfg.Queue, cfg.TenantRate, cfg.TenantBurst),
+		pool:    NewPool(cfg.Workers),
+		metrics: &Metrics{},
+		store:   store,
+		mux:     http.NewServeMux(),
+		build:   buildinfo.Get(),
+		started: time.Now(),
+		control: newControl(cfg.ShedTarget, cfg.ShedInterval, cfg.BreakerThreshold,
+			cfg.BreakerProbe, cfg.DegradeCacheSize, time.Now),
 		cbreaker: NewBreaker("capture", cfg.BreakerThreshold, cfg.BreakerProbe),
-		degrade:  newDegradeCache(cfg.DegradeCacheSize),
 	}
 	s.snapStats = snapStats
 	s.store.onEvict = func(meta TraceMeta) {
@@ -381,6 +389,15 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorBody{Error: fmt.Sprintf(format, args...)})
 }
 
+// fail answers with a JSON error and counts its status.
+func (s *Server) fail(w http.ResponseWriter, status int, format string, args ...any) {
+	s.countStatus(status)
+	writeError(w, status, format, args...)
+}
+
+// millis renders a duration as fractional milliseconds.
+func millis(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
+
 // statusFor maps a prediction error to its HTTP status.
 func statusFor(err error) int {
 	switch {
@@ -398,7 +415,7 @@ func (s *Server) countStatus(status int) {
 	switch status {
 	case http.StatusOK:
 		s.metrics.OK.Add(1)
-	case http.StatusBadRequest:
+	case http.StatusBadRequest, http.StatusNotFound:
 		s.metrics.BadInput.Add(1)
 	case http.StatusTooManyRequests:
 		s.metrics.Throttled.Add(1)
@@ -452,11 +469,17 @@ func parsePredictBody(body []byte) ([]PredictSpec, bool, error) {
 		}
 		return env.Requests, true, nil
 	}
+	specs, err := parseSpec(body)
+	return specs, false, err
+}
+
+// parseSpec parses a body holding exactly one PredictSpec object.
+func parseSpec(body []byte) ([]PredictSpec, error) {
 	var one PredictSpec
 	if err := json.Unmarshal(body, &one); err != nil {
-		return nil, false, fmt.Errorf("malformed request body: %v", err)
+		return nil, fmt.Errorf("malformed request body: %v", err)
 	}
-	return []PredictSpec{one}, false, nil
+	return []PredictSpec{one}, nil
 }
 
 // requestCtx derives the request's deadline context: the largest
@@ -486,29 +509,27 @@ type predictOutcome struct {
 	queueWaitMS float64
 }
 
-// handlePredict serves POST /v1/predict: admission, then each spec
-// through coalesce → pool → predict. Batch items are isolated — one
-// failing spec reports its own error, its neighbors still answer.
-func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
+// admit is the front door /v1/predict and /v1/capture share: refuse
+// while draining, read the bounded body and parse it into specs,
+// charge the tenant and claim a queue slot, start the in-flight and
+// latency accounting, and derive the deadline context. On refusal it
+// has already answered and ok is false; otherwise the handler defers
+// done.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, parse func([]byte) ([]PredictSpec, error)) (specs []PredictSpec, ctx context.Context, done func(), ok bool) {
 	s.metrics.Requests.Add(1)
 	if s.draining.Load() {
-		s.countStatus(http.StatusServiceUnavailable)
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
+		s.fail(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
 	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
 	if err != nil {
-		s.countStatus(http.StatusBadRequest)
-		writeError(w, http.StatusBadRequest, "reading body: %v", err)
+		s.fail(w, http.StatusBadRequest, "reading body: %v", err)
 		return
 	}
-	specs, batch, err := parsePredictBody(body)
-	if err != nil {
-		s.countStatus(http.StatusBadRequest)
-		writeError(w, http.StatusBadRequest, "%v", err)
+	if specs, err = parse(body); err != nil {
+		s.fail(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-
 	release, err := s.adm.Admit(tenantOf(r), len(specs))
 	if err != nil {
 		status := http.StatusServiceUnavailable
@@ -516,18 +537,33 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 			status = http.StatusTooManyRequests
 			w.Header().Set("Retry-After", "1")
 		}
-		s.countStatus(status)
-		writeError(w, status, "%v", err)
+		s.fail(w, status, "%v", err)
 		return
 	}
-	defer release()
 	s.metrics.InFlight.Add(1)
-	defer s.metrics.InFlight.Add(-1)
 	start := time.Now()
-	defer func() { s.metrics.Latency.observe(float64(time.Since(start).Nanoseconds()) / 1e6) }()
-
 	ctx, cancel := s.requestCtx(r, specs)
-	defer cancel()
+	return specs, ctx, func() {
+		cancel()
+		s.metrics.Latency.observe(millis(time.Since(start)))
+		s.metrics.InFlight.Add(-1)
+		release()
+	}, true
+}
+
+// handlePredict serves POST /v1/predict: the shared front door, then
+// each spec through predictOne. Batch items are isolated — one
+// failing spec reports its own error, its neighbors still answer.
+func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
+	var batch bool
+	specs, ctx, done, ok := s.admit(w, r, func(body []byte) (specs []PredictSpec, err error) {
+		specs, batch, err = parsePredictBody(body)
+		return specs, err
+	})
+	if !ok {
+		return
+	}
+	defer done()
 
 	results := make([]PredictResult, len(specs))
 	if len(specs) == 1 {
@@ -571,32 +607,32 @@ func (s *Server) recovered(v any) error {
 	return fmt.Errorf("internal error: prediction panicked: %v", v)
 }
 
-// degradedResult answers with the stale cached report for key, marked
-// degraded, when one exists — the graceful path behind an open
-// breaker or an overloaded queue.
-func (s *Server) degradedResult(key string) (PredictResult, bool) {
-	rep, age, ok := s.degrade.get(key)
-	if !ok {
-		return PredictResult{}, false
+// onPool runs fn on a pool worker and returns its error, or the
+// pool's when ctx ends before a worker frees up. A panic in fn is
+// recovered into an error on the worker, so whoever waits on the
+// result — a coalescing flight's followers included — gets an answer
+// instead of a flight that never finishes.
+func (s *Server) onPool(ctx context.Context, fn func() error) (err error) {
+	if runErr := s.pool.Run(ctx, func() {
+		defer func() {
+			if v := recover(); v != nil {
+				err = s.recovered(v)
+			}
+		}()
+		err = fn()
+	}); runErr != nil {
+		return runErr
 	}
-	s.metrics.Degraded.Add(1)
-	s.degrade.serves.Add(1)
-	return PredictResult{
-		Report:   rep,
-		Degraded: true,
-		StaleMS:  float64(age.Nanoseconds()) / 1e6,
-		status:   http.StatusOK,
-	}, true
+	return err
 }
 
-// predictOne runs one spec through shed → breaker → coalesce → pool →
-// predict. Panics are recovered into 500s at two layers: inside the
-// pool closure, so a crashing leader still completes its coalescing
-// flight (followers get the error instead of waiting on a flight that
-// never finishes), and around the whole path, because batch items run
-// on their own goroutines where an unrecovered panic kills the
-// process. Shed and breaker rejections fall back to the stale-result
-// cache before answering 429/503.
+// predictOne runs one spec down the request path: decide (shed →
+// breaker, each falling back to a stale answer before refusing) →
+// coalesce → pool → predict → settle. Panics are recovered into 500s
+// at two layers: on the pool worker (onPool), so a crashing leader
+// still completes its coalescing flight, and around the whole path,
+// because batch items run on their own goroutines where an
+// unrecovered panic kills the process.
 func (s *Server) predictOne(ctx context.Context, spec *PredictSpec) (res PredictResult) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -610,80 +646,59 @@ func (s *Server) predictOne(ctx context.Context, spec *PredictSpec) (res Predict
 	}
 	key := spec.predictKey(s.cfg.Cluster, w)
 
-	// Overload shedding: estimate the queue wait this request would
-	// face and refuse early — stale answer if we have one, 429 with a
-	// Retry-After hint otherwise — rather than let it rot in the queue.
-	est := s.shed.EstimateWait(s.adm.Depth(), s.pool.Workers())
 	var remaining time.Duration
 	if dl, ok := ctx.Deadline(); ok {
 		remaining = time.Until(dl)
 	}
-	if v := s.shed.Decide(est, remaining); v != ShedAdmit {
+	d := s.decide(key, s.adm.Depth(), s.pool.Workers(), remaining)
+	if d.shed != ShedAdmit {
 		s.metrics.Shed.Add(1)
-		s.metrics.QueueWaitAtReject.observe(float64(est.Nanoseconds()) / 1e6)
-		if res, ok := s.degradedResult(key); ok {
-			res.shed = v.String()
-			return res
-		}
-		msg := fmt.Sprintf("overloaded: estimated queue wait %v above target %v",
-			est.Round(time.Millisecond), s.shed.Target())
-		if v == ShedDeadline {
-			msg = fmt.Sprintf("estimated queue wait %v exceeds remaining deadline %v",
-				est.Round(time.Millisecond), remaining.Round(time.Millisecond))
-		}
-		return PredictResult{
-			Error:       msg,
-			status:      http.StatusTooManyRequests,
-			shed:        v.String(),
-			retryAfterS: retryAfterS(est),
-		}
+		s.metrics.QueueWaitAtReject.observe(millis(d.est))
+		res.shed = d.shed.String()
 	}
-
-	// Circuit breaker: a broken predictor fails fast into the stale
-	// cache instead of burning pool slots on doomed calls.
-	if !s.pbreaker.Allow() {
-		if res, ok := s.degradedResult(key); ok {
-			return res
+	switch d.verdict {
+	case verdictDegraded:
+		s.metrics.Degraded.Add(1)
+		res.Report, res.Degraded, res.StaleMS, res.status = d.report, true, millis(d.age), http.StatusOK
+		return res
+	case verdictShed:
+		// Refused early, with a Retry-After hint, rather than left to
+		// rot in the queue.
+		res.Error = fmt.Sprintf("overloaded: estimated queue wait %v above target %v",
+			d.est.Round(time.Millisecond), s.shed.Target())
+		if d.shed == ShedDeadline {
+			res.Error = fmt.Sprintf("estimated queue wait %v exceeds remaining deadline %v",
+				d.est.Round(time.Millisecond), remaining.Round(time.Millisecond))
 		}
+		res.status, res.retryAfterS = http.StatusTooManyRequests, retryAfterS(d.est)
+		return res
+	case verdictRejected:
 		return PredictResult{Error: "predictor circuit open", status: http.StatusServiceUnavailable}
 	}
-	out, shared, err := s.co.do(ctx, key, func() (*predictOutcome, error) {
-		o := &predictOutcome{}
-		var perr error
+
+	out, shared, err := s.co.Do(ctx, key, func() (o predictOutcome, err error) {
 		queued := time.Now()
-		runErr := s.pool.Run(ctx, func() {
-			defer func() {
-				if v := recover(); v != nil {
-					perr = s.recovered(v)
-				}
-			}()
-			o.queueWaitMS = float64(time.Since(queued).Nanoseconds()) / 1e6
+		err = s.onPool(ctx, func() (err error) {
+			o.queueWaitMS = millis(time.Since(queued))
 			s.metrics.QueueWait.observe(o.queueWaitMS)
 			if s.testGate != nil {
 				s.testGate()
 			}
 			s.metrics.Executed.Add(1)
 			execStart := time.Now()
-			o.report, perr = s.backend.Predict(ctx, w, opts...)
+			o.report, err = s.backend.Predict(ctx, w, opts...)
 			s.shed.Observe(time.Since(execStart))
+			return err
 		})
-		if runErr != nil {
-			return nil, runErr
-		}
-		return o, perr
+		return o, err
 	})
-	// Every Allow()ed caller observes — including coalescing followers,
-	// whose shared error is evidence too, and crucially a half-open
-	// probe whose caller got cancelled (aborted releases the probe slot
-	// so the breaker cannot wedge half-open).
-	s.pbreaker.Observe(outcomeOf(err))
+	s.settle(key, out.report, outcomeOf(err))
 	if shared {
 		s.metrics.Coalesced.Add(1)
 	}
 	if err != nil {
 		return PredictResult{Error: err.Error(), Coalesced: shared, status: statusFor(err)}
 	}
-	s.degrade.put(key, out.report)
 	return PredictResult{
 		Report:      out.report,
 		Coalesced:   shared,
@@ -696,94 +711,41 @@ func (s *Server) predictOne(ctx context.Context, spec *PredictSpec) (res Predict
 // for a spec, archive its serialized form in the trace store, and
 // answer with the fingerprint handle GET /v1/traces accepts.
 func (s *Server) handleCapture(w http.ResponseWriter, r *http.Request) {
-	s.metrics.Requests.Add(1)
-	if s.draining.Load() {
-		s.countStatus(http.StatusServiceUnavailable)
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
+	specs, ctx, done, ok := s.admit(w, r, parseSpec)
+	if !ok {
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err != nil {
-		s.countStatus(http.StatusBadRequest)
-		writeError(w, http.StatusBadRequest, "reading body: %v", err)
-		return
-	}
-	var spec PredictSpec
-	if err := json.Unmarshal(body, &spec); err != nil {
-		s.countStatus(http.StatusBadRequest)
-		writeError(w, http.StatusBadRequest, "malformed request body: %v", err)
-		return
-	}
-	release, err := s.adm.Admit(tenantOf(r), 1)
-	if err != nil {
-		status := http.StatusServiceUnavailable
-		if errors.Is(err, ErrThrottled) {
-			status = http.StatusTooManyRequests
-			w.Header().Set("Retry-After", "1")
-		}
-		s.countStatus(status)
-		writeError(w, status, "%v", err)
-		return
-	}
-	defer release()
-	s.metrics.InFlight.Add(1)
-	defer s.metrics.InFlight.Add(-1)
-	start := time.Now()
-	defer func() { s.metrics.Latency.observe(float64(time.Since(start).Nanoseconds()) / 1e6) }()
-
-	ctx, cancel := s.requestCtx(r, []PredictSpec{spec})
-	defer cancel()
-
+	defer done()
+	spec := &specs[0]
 	wl, _, err := spec.build(s.cfg.Cluster)
 	if err != nil {
-		s.countStatus(http.StatusBadRequest)
-		writeError(w, http.StatusBadRequest, "%v", err)
+		s.fail(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if !s.cbreaker.Allow() {
-		s.countStatus(http.StatusServiceUnavailable)
-		writeError(w, http.StatusServiceUnavailable, "capture circuit open")
+		s.fail(w, http.StatusServiceUnavailable, "capture circuit open")
 		return
 	}
-	var tr *maya.Trace
-	var capErr error
 	var capOpts []maya.PredictOption
 	if spec.Seed != 0 {
 		capOpts = append(capOpts, maya.WithSeed(spec.Seed))
 	}
-	if runErr := s.pool.Run(ctx, func() {
-		defer func() {
-			if v := recover(); v != nil {
-				capErr = s.recovered(v)
-			}
-		}()
-		tr, capErr = s.backend.Capture(ctx, wl, capOpts...)
-	}); runErr != nil {
-		capErr = runErr
-	}
-	s.cbreaker.Observe(outcomeOf(capErr))
-	if capErr != nil {
-		status := statusFor(capErr)
-		s.countStatus(status)
-		writeError(w, status, "%v", capErr)
+	var tr *maya.Trace
+	err = s.onPool(ctx, func() (err error) {
+		tr, err = s.backend.Capture(ctx, wl, capOpts...)
+		return err
+	})
+	s.cbreaker.Observe(outcomeOf(err))
+	if err != nil {
+		s.fail(w, statusFor(err), "%v", err)
 		return
 	}
 	var buf bytes.Buffer
 	if _, err := tr.WriteTo(&buf); err != nil {
-		s.countStatus(http.StatusInternalServerError)
-		writeError(w, http.StatusInternalServerError, "serializing trace: %v", err)
+		s.fail(w, http.StatusInternalServerError, "serializing trace: %v", err)
 		return
 	}
-	meta := TraceMeta{
-		Fingerprint:   fingerprintOf([]byte(spec.captureKey(s.cfg.Cluster, wl))),
-		Workload:      tr.Workload(),
-		Cluster:       tr.Cluster(),
-		TotalWorkers:  tr.TotalWorkers(),
-		UniqueWorkers: tr.UniqueWorkers(),
-		PeakMemBytes:  tr.PeakMemBytes(),
-		OOM:           tr.OOM(),
-		SizeBytes:     buf.Len(),
-	}
+	meta := metaOf(fingerprintOf([]byte(spec.captureKey(s.cfg.Cluster, wl))), tr, buf.Len())
 	s.store.put(buf.Bytes(), meta)
 	s.persistState()
 	s.metrics.Captures.Add(1)
@@ -799,8 +761,7 @@ func (s *Server) handleTraceGet(w http.ResponseWriter, r *http.Request) {
 	fp := r.PathValue("fingerprint")
 	st, ok := s.store.get(fp)
 	if !ok {
-		s.countStatus(http.StatusNotFound)
-		writeError(w, http.StatusNotFound, "no trace with fingerprint %q", fp)
+		s.fail(w, http.StatusNotFound, "no trace with fingerprint %q", fp)
 		return
 	}
 	s.metrics.TraceServes.Add(1)
@@ -818,33 +779,22 @@ func (s *Server) handleTraceUpload(w http.ResponseWriter, r *http.Request) {
 	s.metrics.Requests.Add(1)
 	raw, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
 	if err != nil {
-		s.countStatus(http.StatusBadRequest)
-		writeError(w, http.StatusBadRequest, "reading body: %v", err)
+		s.fail(w, http.StatusBadRequest, "reading body: %v", err)
 		return
 	}
 	tr, err := maya.ReadTrace(bytes.NewReader(raw))
 	if err != nil {
-		s.countStatus(http.StatusBadRequest)
 		switch {
 		case errors.Is(err, maya.ErrTraceVersion):
-			writeError(w, http.StatusBadRequest, "unsupported trace version: %v", err)
+			s.fail(w, http.StatusBadRequest, "unsupported trace version: %v", err)
 		case errors.Is(err, io.ErrUnexpectedEOF):
-			writeError(w, http.StatusBadRequest, "truncated trace: %v", err)
+			s.fail(w, http.StatusBadRequest, "truncated trace: %v", err)
 		default:
-			writeError(w, http.StatusBadRequest, "invalid trace: %v", err)
+			s.fail(w, http.StatusBadRequest, "invalid trace: %v", err)
 		}
 		return
 	}
-	meta := TraceMeta{
-		Fingerprint:   fingerprintOf(raw),
-		Workload:      tr.Workload(),
-		Cluster:       tr.Cluster(),
-		TotalWorkers:  tr.TotalWorkers(),
-		UniqueWorkers: tr.UniqueWorkers(),
-		PeakMemBytes:  tr.PeakMemBytes(),
-		OOM:           tr.OOM(),
-		SizeBytes:     len(raw),
-	}
+	meta := metaOf(fingerprintOf(raw), tr, len(raw))
 	s.store.put(raw, meta)
 	s.persistState()
 	s.metrics.TraceUploads.Add(1)

@@ -190,9 +190,9 @@ func TestPredictCoalescing(t *testing.T) {
 		go post()
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for s.co.joins.Load() < followers {
+	for s.co.Joins() < followers {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d followers joined the flight", s.co.joins.Load(), followers)
+			t.Fatalf("only %d/%d followers joined the flight", s.co.Joins(), followers)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -348,6 +348,9 @@ func TestCaptureAndTraceRoundtrip(t *testing.T) {
 	get404.Body.Close()
 	if get404.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown fingerprint: status %d, want 404", get404.StatusCode)
+	}
+	if m := s.Metrics(); m.Failed.Load() != 0 || m.BadInput.Load() != 1 {
+		t.Errorf("a client's 404 counted as failed=%d bad_input=%d, want 0 and 1", m.Failed.Load(), m.BadInput.Load())
 	}
 
 	// Upload: the same blob re-imports under a content fingerprint.

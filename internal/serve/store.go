@@ -1,11 +1,13 @@
 package serve
 
 import (
-	"container/list"
 	"hash/fnv"
 	"strconv"
 	"sync"
 	"sync/atomic"
+
+	"maya"
+	"maya/internal/lru"
 )
 
 // TraceMeta describes one stored trace, the JSON shape /v1/capture
@@ -28,6 +30,21 @@ type TraceMeta struct {
 	SizeBytes int `json:"size_bytes"`
 }
 
+// metaOf describes a trace stored under fingerprint fp in size
+// serialized bytes.
+func metaOf(fp string, tr *maya.Trace, size int) TraceMeta {
+	return TraceMeta{
+		Fingerprint:   fp,
+		Workload:      tr.Workload(),
+		Cluster:       tr.Cluster(),
+		TotalWorkers:  tr.TotalWorkers(),
+		UniqueWorkers: tr.UniqueWorkers(),
+		PeakMemBytes:  tr.PeakMemBytes(),
+		OOM:           tr.OOM(),
+		SizeBytes:     size,
+	}
+}
+
 // traceStore is a bounded LRU of serialized traces keyed by
 // fingerprint: captures made through /v1/capture and uploads accepted
 // by POST /v1/traces, served back by GET /v1/traces/{fingerprint}.
@@ -35,9 +52,7 @@ type TraceMeta struct {
 // is one map lookup and one write.
 type traceStore struct {
 	mu      sync.Mutex
-	max     int
-	entries map[string]*list.Element
-	lru     *list.List // front = most recently used
+	entries *lru.Map[string, *storedTrace]
 
 	// evictions counts entries dropped at capacity; onEvict, when
 	// set, observes each one (metrics + logging — it must not
@@ -54,14 +69,14 @@ type storedTrace struct {
 // newTraceStore returns an empty store bounded to maxEntries
 // (minimum 1).
 func newTraceStore(maxEntries int) *traceStore {
-	if maxEntries < 1 {
-		maxEntries = 1
-	}
-	return &traceStore{
-		max:     maxEntries,
-		entries: make(map[string]*list.Element),
-		lru:     list.New(),
-	}
+	s := &traceStore{}
+	s.entries = lru.New(maxEntries, func(_ string, st *storedTrace) {
+		s.evictions.Add(1)
+		if s.onEvict != nil {
+			s.onEvict(st.meta)
+		}
+	})
+	return s
 }
 
 // put stores a serialized trace under its fingerprint, evicting the
@@ -70,22 +85,7 @@ func newTraceStore(maxEntries int) *traceStore {
 func (s *traceStore) put(raw []byte, meta TraceMeta) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.entries[meta.Fingerprint]; ok {
-		el.Value = &storedTrace{raw: raw, meta: meta}
-		s.lru.MoveToFront(el)
-		return
-	}
-	s.entries[meta.Fingerprint] = s.lru.PushFront(&storedTrace{raw: raw, meta: meta})
-	for s.lru.Len() > s.max {
-		back := s.lru.Back()
-		s.lru.Remove(back)
-		evicted := back.Value.(*storedTrace).meta
-		delete(s.entries, evicted.Fingerprint)
-		s.evictions.Add(1)
-		if s.onEvict != nil {
-			s.onEvict(evicted)
-		}
-	}
+	s.entries.Put(meta.Fingerprint, &storedTrace{raw: raw, meta: meta})
 }
 
 // Evictions counts entries dropped at capacity since boot.
@@ -96,19 +96,14 @@ func (s *traceStore) Evictions() int64 { return s.evictions.Load() }
 func (s *traceStore) get(fp string) (*storedTrace, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	el, ok := s.entries[fp]
-	if !ok {
-		return nil, false
-	}
-	s.lru.MoveToFront(el)
-	return el.Value.(*storedTrace), true
+	return s.entries.Get(fp)
 }
 
 // len reports how many traces are stored.
 func (s *traceStore) len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.entries)
+	return s.entries.Len()
 }
 
 // fingerprintOf derives the opaque store handle from any canonical

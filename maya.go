@@ -332,26 +332,6 @@ func NewPredictor(cluster Cluster, kind ProfileKind, opts ...PredictorOption) (*
 	}, nil
 }
 
-// WithNetworkSimulator returns a predictor whose collective times
-// come from the built-in hierarchical network simulator instead of
-// profiled curves.
-//
-// Deprecated: pass WithNetSim() to NewPredictor, or per call to
-// Predict/Simulate.
-func (p *Predictor) WithNetworkSimulator() *Predictor {
-	return &Predictor{
-		cluster:    p.cluster,
-		kind:       p.kind,
-		opts:       p.opts,
-		cache:      p.cache,
-		captures:   p.captures,
-		netsim:     true,
-		congestion: p.congestion,
-		netModel:   p.netModel,
-		oracle:     p.oracle,
-	}
-}
-
 // Cluster returns the predictor's target cluster.
 func (p *Predictor) Cluster() Cluster { return p.cluster }
 

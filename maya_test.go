@@ -126,8 +126,7 @@ func TestNetworkSimulatorPlugIn(t *testing.T) {
 		t.Fatalf("hyperscale prediction failed: %+v", rep)
 	}
 
-	// The per-call option and the deprecated copy-returning method
-	// select the same machinery.
+	// The per-call option selects the same machinery.
 	plain, err := maya.NewPredictor(cluster, maya.ProfileLLM)
 	if err != nil {
 		t.Fatal(err)
@@ -137,14 +136,8 @@ func TestNetworkSimulatorPlugIn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deprecated, err := plain.WithNetworkSimulator().Predict(ctx, w,
-		maya.WithModelFLOPs(model.TrainFLOPsPerIter(256)), maya.WithDType(maya.BF16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if perCall.IterTime != rep.IterTime || deprecated.IterTime != rep.IterTime {
-		t.Fatalf("WithNetSim variants disagree: ctor %v, per-call %v, deprecated %v",
-			rep.IterTime, perCall.IterTime, deprecated.IterTime)
+	if perCall.IterTime != rep.IterTime {
+		t.Fatalf("WithNetSim variants disagree: ctor %v, per-call %v", rep.IterTime, perCall.IterTime)
 	}
 }
 
