@@ -1,0 +1,140 @@
+package core
+
+import (
+	"context"
+	"runtime"
+	"runtime/debug"
+	"testing"
+	"unsafe"
+
+	"maya/internal/emulator"
+	"maya/internal/framework"
+	"maya/internal/hardware"
+	"maya/internal/models"
+	"maya/internal/trace"
+	"maya/internal/workload"
+)
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// budgetRecipe is one recipe of the benchmark's predict-cold workload.
+type budgetRecipe struct {
+	name    string
+	cluster hardware.Cluster
+	w       workload.Workload
+}
+
+// budgetRecipes are one recipe per predict-cold cluster.
+func budgetRecipes(t *testing.T) []budgetRecipe {
+	t.Helper()
+	cnn := models.ResNet152()
+	vision, err := framework.NewDataParallel(framework.DataParallelConfig{
+		CNN: &cnn, NGPUs: 8, GlobalBatch: 256, Strategy: framework.DDP, DType: "fp16",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []budgetRecipe{
+		{"gpt3-2.7b@8xV100 tp2 pp2", hardware.DGXV100(1), megatron(t, framework.MegatronConfig{
+			Model: models.GPT3_2_7B(), NGPUs: 8, GlobalBatch: 64, TP: 2, PP: 2, MicroBatches: 8, ActRecompute: true,
+		})},
+		{"gpt3-18.4b@64xH100 tp8 pp4", hardware.DGXH100(8), megatron(t, framework.MegatronConfig{
+			Model: models.GPT3_18_4B(), NGPUs: 64, GlobalBatch: 128, TP: 8, PP: 4, MicroBatches: 16, ActRecompute: true,
+		})},
+		{"resnet152@8xA40 ddp", hardware.A40Node(), vision},
+	}
+}
+
+// retainedBytes is what a capture's job keeps of the emulation: the
+// sealed op arrays and the slabs their Dims and Coll live in.
+func retainedBytes(c *Capture) uint64 {
+	var n uintptr
+	for _, w := range c.Job.Workers {
+		n += uintptr(len(w.Ops)) * unsafe.Sizeof(trace.Op{})
+		for i := range w.Ops {
+			n += uintptr(len(w.Ops[i].Dims)) * unsafe.Sizeof(int(0))
+			if w.Ops[i].Coll != nil {
+				n += unsafe.Sizeof(trace.Collective{})
+			}
+		}
+	}
+	return uint64(n)
+}
+
+// captureAllocs returns the bytes one Capture allocates and the bytes
+// its job retains.
+func captureAllocs(t *testing.T, p *Pipeline, w workload.Workload) (allocated, retained uint64) {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c, err := p.Capture(context.Background(), w)
+	runtime.ReadMemStats(&after)
+	if err != nil || c.OOM {
+		t.Fatalf("Capture: %v (oom %t)", err, c != nil && c.OOM)
+	}
+	return after.TotalAlloc - before.TotalAlloc, retainedBytes(c)
+}
+
+// TestAllocBudgetCapture bounds what the front half of a cold
+// prediction allocates against what it keeps. With the recording
+// scratch warm, a capture allocates its sealed traces once plus the
+// workload's own descriptors (the emulator that grew every trace from
+// nil was above 5x on every capture). With the pool empty each
+// emulation goroutine also grows a scratch by doubling, which
+// allocates under 4x the rank that grew it (under 2x its final
+// capacity, itself under 2x the rank): 5.5x bounds the worst case of
+// every rank starting cold. Allocation counts do not depend on
+// timing, so the bounds are tight.
+func TestAllocBudgetCapture(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops Puts at random: no pool stays warm")
+	}
+	// No collection between the captures of a pair: a collection ages
+	// the pool, and the warm bound is about a warm pool. One processor,
+	// because sync.Pool parks a Put in a per-P slot other Ps cannot
+	// take from: on several, whether the second capture finds the
+	// first's scratch is up to the scheduler.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, r := range budgetRecipes(t) {
+		p := oraclePipeline(r.cluster, Options{SelectiveLaunch: true})
+		// Two collections empty a sync.Pool (primary, then victim).
+		runtime.GC()
+		runtime.GC()
+		coldBytes, retained := captureAllocs(t, p, r.w)
+		warmBytes, _ := captureAllocs(t, p, r.w)
+		cold, warm := float64(coldBytes)/float64(retained), float64(warmBytes)/float64(retained)
+		t.Logf("%s: retains %.2f MB; allocates %.2fx cold, %.2fx warm", r.name, float64(retained)/1e6, cold, warm)
+		if warm > 2 {
+			t.Errorf("%s: warm capture allocates %.2fx the %d B it retains, want at most 2x", r.name, warm, retained)
+		}
+		if cold > 5.5 {
+			t.Errorf("%s: cold-pool capture allocates %.2fx the %d B it retains, want at most 5.5x", r.name, cold, retained)
+		}
+	}
+}
+
+// TestAllocBudgetEmulateRank pins the objects one emulated rank
+// allocates on BenchmarkEmulateMegatronRank's fixture. Recording
+// Dims and Collective into slabs took it from 8282 to about 3950;
+// the bound is the 40% cut. What remains is the workload's own
+// descriptors in framework and cublas.
+func TestAllocBudgetEmulateRank(t *testing.T) {
+	m := megatron(t, framework.MegatronConfig{
+		Model: models.GPT3_2_7B(), NGPUs: 8, GlobalBatch: 32, TP: 2, PP: 2, MicroBatches: 4, ActRecompute: true,
+	})
+	cluster := hardware.DGXV100(1)
+	allocs := testing.AllocsPerRun(5, func() {
+		em := emulator.New(emulator.Config{Rank: 0, World: 8, GPU: cluster.Node.GPU, Host: cluster.Host})
+		if err := m.Run(0, em); err != nil {
+			t.Fatal(err)
+		}
+		em.Trace()
+	})
+	const before = 8282
+	t.Logf("%.0f allocs per emulated rank (%d before the recording scratch)", allocs, before)
+	if allocs > 0.6*before {
+		t.Errorf("%.0f allocs per emulated rank, want at most %.0f", allocs, 0.6*before)
+	}
+}

@@ -351,10 +351,34 @@ func ReadCapture(r io.Reader) (*Capture, error) {
 			if w == nil {
 				return nil, fmt.Errorf("core: %w: null worker at index %d", ErrTraceFormat, i)
 			}
+			if err := validateOps(w); err != nil {
+				return nil, fmt.Errorf("core: %w: worker at index %d: %v", ErrTraceFormat, i, err)
+			}
 		}
 		c.Participants = trace.Participation(c.Job)
 	}
 	return c, nil
+}
+
+// validateOps checks what every consumer of a loaded trace assumes of
+// its ops without looking: a collective carries its metadata, and its
+// rank and peer index the communicator (the emulator and nccl layer
+// guarantee both for a recorded trace).
+func validateOps(w *trace.Worker) error {
+	for i := range w.Ops {
+		op := &w.Ops[i]
+		if op.Kind != trace.KindCollective {
+			continue
+		}
+		c := op.Coll
+		if c == nil {
+			return fmt.Errorf("op %d: collective without coll", i)
+		}
+		if c.Rank < 0 || c.Rank >= c.NRanks || c.Peer < -1 || c.Peer >= c.NRanks {
+			return fmt.Errorf("op %d: rank %d, peer %d outside a communicator of %d", i, c.Rank, c.Peer, c.NRanks)
+		}
+	}
+	return nil
 }
 
 func payloadSum(payload []byte) uint64 {

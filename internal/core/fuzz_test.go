@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"io"
 	"testing"
 	"time"
 
@@ -63,12 +65,47 @@ func envelope(payload []byte) []byte {
 	return buf.Bytes()
 }
 
+// malformedOps are single ops that break what the trace's consumers
+// assume: each would index or dereference its way into a panic (the
+// first in trace.Participation, inside ReadCapture itself) if the
+// reader let it through.
+var malformedOps = []struct{ name, op string }{
+	{"collective without coll", `{"seq":0,"kind":"collective"}`},
+	{"null coll", `{"seq":0,"kind":"collective","coll":null}`},
+	{"negative comm rank", `{"seq":0,"kind":"collective","coll":{"op":"ncclSend","comm":1,"seq":0,"nranks":2,"rank":-1,"peer":1}}`},
+	{"comm rank past the communicator", `{"seq":0,"kind":"collective","coll":{"op":"ncclAllReduce","comm":1,"seq":0,"nranks":2,"rank":2,"peer":-1}}`},
+	{"peer below -1", `{"seq":0,"kind":"collective","coll":{"op":"ncclRecv","comm":1,"seq":0,"nranks":2,"rank":0,"peer":-2}}`},
+	{"peer past the communicator", `{"seq":0,"kind":"collective","coll":{"op":"ncclSend","comm":1,"seq":0,"nranks":2,"rank":0,"peer":2}}`},
+	{"empty communicator", `{"seq":0,"kind":"collective","coll":{"op":"ncclAllReduce","comm":1,"seq":0,"peer":-1}}`},
+}
+
+// oneOpCapture is a checksummed capture whose job is one worker
+// holding the given op.
+func oneOpCapture(op string) []byte {
+	return envelope([]byte(`{"job":{"workers":[{"rank":0,"world":2,"ops":[` + op + `]}]}}`))
+}
+
+func TestReadCaptureRejectsMalformedOps(t *testing.T) {
+	for _, c := range malformedOps {
+		got, err := ReadCapture(bytes.NewReader(oneOpCapture(c.op)))
+		if !errors.Is(err, ErrTraceFormat) {
+			t.Errorf("%s: capture %v, err = %v, want ErrTraceFormat", c.name, got != nil, err)
+		}
+	}
+	// The same shape with its metadata in place loads.
+	ok := `{"seq":0,"kind":"collective","coll":{"op":"ncclSend","comm":1,"seq":0,"nranks":2,"rank":0,"peer":1}}`
+	if _, err := ReadCapture(bytes.NewReader(oneOpCapture(ok))); err != nil {
+		t.Errorf("well-formed collective rejected: %v", err)
+	}
+}
+
 // FuzzReadTrace feeds the trace reader hostile bytes two ways: the
 // raw input as-is (header, length and checksum handling) and wrapped
 // in a valid envelope (JSON payload and semantic validation, e.g.
-// null workers). Whatever arrives, ReadCapture must reject with an
-// error or return a capture consistent enough to re-serialize —
-// never panic, never over-allocate on a crafted length field.
+// null workers, collectives without metadata). Whatever arrives,
+// ReadCapture must reject with one of its typed errors or return a
+// capture consistent enough to re-serialize — never panic, never
+// over-allocate on a crafted length field.
 func FuzzReadTrace(f *testing.F) {
 	valid := fuzzCaptureBytes(f)
 	f.Add(valid)
@@ -85,12 +122,18 @@ func FuzzReadTrace(f *testing.F) {
 	f.Add(envelope([]byte(`{}`)))
 	f.Add(envelope([]byte(`{"job":{"Workers":[null]}}`)))
 	f.Add(envelope([]byte(`{"total_workers":-1,"job":{"Workers":[]}}`)))
+	for _, c := range malformedOps {
+		f.Add(oneOpCapture(c.op))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, blob := range [][]byte{data, envelope(data)} {
 			c, err := ReadCapture(bytes.NewReader(blob))
 			if err != nil {
-				continue // rejected: fine, as long as it didn't panic
+				if !errors.Is(err, ErrTraceFormat) && !errors.Is(err, ErrTraceVersion) && !errors.Is(err, io.ErrUnexpectedEOF) {
+					t.Fatalf("untyped rejection: %v", err)
+				}
+				continue
 			}
 			var out bytes.Buffer
 			if _, err := c.WriteTo(&out); err != nil {

@@ -9,6 +9,7 @@ package emulator
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"maya/internal/cuda"
@@ -37,7 +38,11 @@ type Config struct {
 // owns exactly one.
 type Emulator struct {
 	cfg Config
+	// tr is the trace so far: while rec is set its Ops live in rec's
+	// pooled buffer; after Trace sealed it, it is the exact-size worker
+	// Trace returned and rec is nil.
 	tr  *trace.Worker
+	rec *recording
 	rng *prand.SplitMix64
 
 	mem        allocator
@@ -49,14 +54,29 @@ type Emulator struct {
 
 var _ cuda.Device = (*Emulator)(nil)
 
+// recording is the scratch one rank records into: the op buffer
+// behind the unsealed trace plus the slabs its Dims and Coll point
+// into. Capacity survives from rank to rank through the pool, so a
+// warm capture allocates only the sealed copies it keeps.
+type recording struct {
+	ops   []trace.Op // zero over its full capacity while pooled
+	dims  []int
+	colls []trace.Collective // zero over its full capacity while pooled
+}
+
+var recordings = sync.Pool{New: func() any { return new(recording) }}
+
 // New returns an emulator for one worker.
 func New(cfg Config) *Emulator {
+	rec := recordings.Get().(*recording)
 	e := &Emulator{
 		cfg: cfg,
+		rec: rec,
 		tr: &trace.Worker{
 			Rank:   cfg.Rank,
 			World:  cfg.World,
 			Device: cfg.GPU.Name,
+			Ops:    rec.ops[:0],
 		},
 		rng:     prand.New(prand.HashInts(cfg.Seed, int64(cfg.Rank), 0x5eed)),
 		streams: map[cuda.Stream]struct{}{cuda.DefaultStream: {}},
@@ -67,11 +87,48 @@ func New(cfg Config) *Emulator {
 	return e
 }
 
-// Trace returns the captured worker trace. The emulator can continue
-// to be used afterwards; the returned value reflects ops so far.
+// Trace returns the captured worker trace, sealed: a copy in storage
+// sized exactly to the ops recorded (trace.Worker.Compact) that
+// shares nothing with the recording scratch, which is cleared and
+// pooled for the next rank. Calling it again returns the same worker.
+// The emulator can continue to be used afterwards: ops launched after
+// a seal are in the worker the next call returns.
 func (e *Emulator) Trace() *trace.Worker {
 	e.tr.PeakBytes = e.mem.peak
+	if r := e.rec; r != nil {
+		sealed := e.tr.Compact()
+		// Clear what was used before pooling, so the scratch pins no
+		// Name, Extra or Coll of a finished trace.
+		clear(e.tr.Ops)
+		clear(r.colls)
+		r.ops, r.dims, r.colls = e.tr.Ops[:0], r.dims[:0], r.colls[:0]
+		recordings.Put(r)
+		e.tr, e.rec = sealed, nil
+	}
 	return e.tr
+}
+
+// scratch returns the recording scratch. After a seal it takes a new
+// one and records the sealed ops back into it, so the next Trace
+// seals the whole trace again.
+func (e *Emulator) scratch() *recording {
+	if e.rec == nil {
+		e.rec = recordings.Get().(*recording)
+		sealed := e.tr
+		w := *sealed
+		w.Ops = e.rec.ops[:0]
+		for i := range sealed.Ops {
+			w.Append(sealed.Ops[i])
+		}
+		e.tr = &w
+	}
+	return e.rec
+}
+
+// record appends op to the trace.
+func (e *Emulator) record(op trace.Op) {
+	e.scratch()
+	e.tr.Append(op)
 }
 
 // hostDelay appends the modeled CPU time preceding an API call. The
@@ -91,7 +148,7 @@ func (e *Emulator) hostDelay(kernelPrep bool) {
 	if d <= 0 {
 		return
 	}
-	e.tr.Append(trace.Op{Kind: trace.KindHostDelay, Dur: d})
+	e.record(trace.Op{Kind: trace.KindHostDelay, Dur: d})
 }
 
 // Ordinal implements cuda.Device.
@@ -117,7 +174,7 @@ func (e *Emulator) Malloc(bytes int64) (cuda.DevicePtr, error) {
 		e.tr.OOM = true
 		return 0, err
 	}
-	e.tr.Append(trace.Op{Kind: trace.KindMalloc, Bytes: bytes, Ptr: uint64(ptr)})
+	e.record(trace.Op{Kind: trace.KindMalloc, Bytes: bytes, Ptr: uint64(ptr)})
 	return ptr, nil
 }
 
@@ -128,7 +185,7 @@ func (e *Emulator) Free(ptr cuda.DevicePtr) error {
 	if err != nil {
 		return err
 	}
-	e.tr.Append(trace.Op{Kind: trace.KindFree, Bytes: n, Ptr: uint64(ptr)})
+	e.record(trace.Op{Kind: trace.KindFree, Bytes: n, Ptr: uint64(ptr)})
 	return nil
 }
 
@@ -186,7 +243,7 @@ func (e *Emulator) EventRecord(ev cuda.Event, s cuda.Stream) error {
 	}
 	ver++
 	e.events[ev] = ver
-	e.tr.Append(trace.Op{
+	e.record(trace.Op{
 		Kind:     trace.KindEventRecord,
 		Stream:   int64(s),
 		Event:    int64(ev),
@@ -206,7 +263,7 @@ func (e *Emulator) StreamWaitEvent(s cuda.Stream, ev cuda.Event) error {
 	if err := e.checkStream(s); err != nil {
 		return err
 	}
-	e.tr.Append(trace.Op{
+	e.record(trace.Op{
 		Kind:     trace.KindStreamWait,
 		Stream:   int64(s),
 		Event:    int64(ev),
@@ -222,7 +279,7 @@ func (e *Emulator) EventSynchronize(ev cuda.Event) error {
 	if !ok {
 		return fmt.Errorf("%w: event %d", cuda.ErrInvalidHandle, ev)
 	}
-	e.tr.Append(trace.Op{Kind: trace.KindEventSync, Event: int64(ev), EventVer: ver})
+	e.record(trace.Op{Kind: trace.KindEventSync, Event: int64(ev), EventVer: ver})
 	return nil
 }
 
@@ -232,14 +289,14 @@ func (e *Emulator) StreamSynchronize(s cuda.Stream) error {
 	if err := e.checkStream(s); err != nil {
 		return err
 	}
-	e.tr.Append(trace.Op{Kind: trace.KindStreamSync, Stream: int64(s)})
+	e.record(trace.Op{Kind: trace.KindStreamSync, Stream: int64(s)})
 	return nil
 }
 
 // DeviceSynchronize implements cuda.Device (host-blocking).
 func (e *Emulator) DeviceSynchronize() error {
 	e.hostDelay(false)
-	e.tr.Append(trace.Op{Kind: trace.KindDeviceSync})
+	e.record(trace.Op{Kind: trace.KindDeviceSync})
 	return nil
 }
 
@@ -272,7 +329,7 @@ func (e *Emulator) MemcpyAsync(dst, src cuda.DevicePtr, bytes int64, kind cuda.M
 			return err
 		}
 	}
-	e.tr.Append(trace.Op{
+	e.record(trace.Op{
 		Kind:    trace.KindMemcpy,
 		Name:    "Memcpy" + kind.String(),
 		Stream:  int64(s),
@@ -291,7 +348,7 @@ func (e *Emulator) MemsetAsync(dst cuda.DevicePtr, bytes int64, s cuda.Stream) e
 	if err := e.mem.check(dst, bytes); err != nil {
 		return err
 	}
-	e.tr.Append(trace.Op{Kind: trace.KindMemset, Name: "Memset", Stream: int64(s), Bytes: bytes})
+	e.record(trace.Op{Kind: trace.KindMemset, Name: "Memset", Stream: int64(s), Bytes: bytes})
 	return nil
 }
 
@@ -305,11 +362,18 @@ func (e *Emulator) LaunchKernel(k cuda.KernelDesc, s cuda.Stream) error {
 	if err := e.checkStream(s); err != nil {
 		return err
 	}
-	e.tr.Append(trace.Op{
+	var dims []int
+	if len(k.Dims) > 0 {
+		r := e.scratch()
+		n := len(r.dims)
+		r.dims = append(r.dims, k.Dims...)
+		dims = r.dims[n:len(r.dims):len(r.dims)]
+	}
+	e.record(trace.Op{
 		Kind:   trace.KindKernel,
 		Name:   k.Name,
 		Stream: int64(s),
-		Dims:   append([]int(nil), k.Dims...),
+		Dims:   dims,
 		Bytes:  k.Bytes,
 		FLOPs:  k.FLOPs,
 		DType:  k.DType,
@@ -327,27 +391,29 @@ func (e *Emulator) LaunchCollective(c cuda.CollectiveDesc, s cuda.Stream) error 
 	if err := e.checkStream(s); err != nil {
 		return err
 	}
-	e.tr.Append(trace.Op{
+	r := e.scratch()
+	r.colls = append(r.colls, trace.Collective{
+		Op:     c.Op,
+		CommID: c.CommID,
+		Seq:    c.Seq,
+		NRanks: c.NRanks,
+		Rank:   c.Rank,
+		Peer:   c.Peer,
+		Bytes:  c.Bytes,
+	})
+	e.record(trace.Op{
 		Kind:   trace.KindCollective,
 		Name:   c.Op,
 		Stream: int64(s),
 		Bytes:  c.Bytes,
-		Coll: &trace.Collective{
-			Op:     c.Op,
-			CommID: c.CommID,
-			Seq:    c.Seq,
-			NRanks: c.NRanks,
-			Rank:   c.Rank,
-			Peer:   c.Peer,
-			Bytes:  c.Bytes,
-		},
+		Coll:   &r.colls[len(r.colls)-1],
 	})
 	return nil
 }
 
 // Mark implements cuda.Device, inserting an annotation op.
 func (e *Emulator) Mark(label string) error {
-	e.tr.Append(trace.Op{Kind: trace.KindMark, Name: label})
+	e.record(trace.Op{Kind: trace.KindMark, Name: label})
 	return nil
 }
 

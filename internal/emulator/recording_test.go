@@ -1,0 +1,231 @@
+package emulator
+
+import (
+	"errors"
+	"reflect"
+	"sync"
+	"testing"
+
+	"maya/internal/cuda"
+	"maya/internal/framework"
+	"maya/internal/hardware"
+	"maya/internal/models"
+	"maya/internal/trace"
+)
+
+// rankCase is one rank of one recipe: what a capture emulates.
+type rankCase struct {
+	name string
+	w    *framework.Megatron
+	rank int
+	gpu  hardware.GPU
+	oom  bool
+}
+
+func megatronCase(t *testing.T, name string, m models.Transformer, gpu hardware.GPU, ngpus, batch, tp, pp, mb, rank int, oom bool) rankCase {
+	t.Helper()
+	w, err := framework.NewMegatron(framework.MegatronConfig{
+		Model: m, NGPUs: ngpus, GlobalBatch: batch, TP: tp, PP: pp, MicroBatches: mb, ActRecompute: !oom,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rankCase{name: name, w: w, rank: rank, gpu: gpu, oom: oom}
+}
+
+// recordingCases are a long rank, a short one and one that aborts on
+// out-of-memory part-way through its setup.
+func recordingCases(t *testing.T) []rankCase {
+	return []rankCase{
+		megatronCase(t, "long", models.GPT3_18_4B(), hardware.H100(), 64, 128, 8, 4, 16, 0, false),
+		megatronCase(t, "short", models.GPT3_2_7B(), hardware.V100(), 8, 64, 2, 4, 8, 6, false),
+		megatronCase(t, "oom", models.GPT3_18_4B(), hardware.H100(), 64, 128, 1, 1, 2, 0, true),
+	}
+}
+
+// emulate runs the case and seals it, reporting the scratch it
+// recorded into and whether that scratch had been used before.
+func (c rankCase) emulate(t testing.TB) (w *trace.Worker, r *recording, recycled bool) {
+	em := New(Config{Rank: c.rank, World: c.w.World(), GPU: c.gpu, Host: hardware.EpycHost(), Seed: 7})
+	r, recycled = em.rec, cap(em.rec.ops) > 0
+	err := c.w.Run(c.rank, em)
+	if c.oom != errors.Is(err, cuda.ErrOutOfMemory) || (err != nil && !c.oom) {
+		t.Errorf("%s: Run = %v, want oom %t", c.name, err, c.oom)
+	}
+	return em.Trace(), r, recycled
+}
+
+// reference emulates the case on an empty pool: nothing it records
+// into has held another trace.
+func (c rankCase) reference(t *testing.T) *trace.Worker {
+	t.Helper()
+	recordings = sync.Pool{New: recordings.New}
+	w, _, recycled := c.emulate(t)
+	if recycled {
+		t.Fatalf("%s: reference ran on a recycled scratch", c.name)
+	}
+	if w.OOM != c.oom || len(w.Ops) == 0 {
+		t.Fatalf("%s: reference has %d ops, oom %t", c.name, len(w.Ops), w.OOM)
+	}
+	return w
+}
+
+// checkSealed asserts the seal invariant on w and that it is the
+// trace ref is.
+func checkSealed(t testing.TB, name string, w, ref *trace.Worker) {
+	t.Helper()
+	if !reflect.DeepEqual(w, ref) {
+		t.Errorf("%s: sealed trace differs from the never-recycled reference (%d vs %d ops)", name, len(w.Ops), len(ref.Ops))
+	}
+	if cap(w.Ops) != len(w.Ops) {
+		t.Errorf("%s: cap(Ops) %d != len %d", name, cap(w.Ops), len(w.Ops))
+	}
+	for i := range w.Ops {
+		if d := w.Ops[i].Dims; cap(d) != len(d) {
+			t.Errorf("%s: op %d Dims cap %d != len %d", name, i, cap(d), len(d))
+			return
+		}
+	}
+}
+
+// checkPooled asserts a scratch that went back to the pool is empty
+// and all-zero over its full capacity.
+func checkPooled(t testing.TB, name string, r *recording) {
+	t.Helper()
+	if len(r.ops) != 0 || len(r.dims) != 0 || len(r.colls) != 0 {
+		t.Errorf("%s: pooled scratch has lengths %d/%d/%d", name, len(r.ops), len(r.dims), len(r.colls))
+	}
+	for i, op := range r.ops[:cap(r.ops)] {
+		if !reflect.ValueOf(op).IsZero() {
+			t.Errorf("%s: pooled op buffer not zero at %d of %d: %+v", name, i, cap(r.ops), op)
+			return
+		}
+	}
+	for i, c := range r.colls[:cap(r.colls)] {
+		if c != (trace.Collective{}) {
+			t.Errorf("%s: pooled collective slab not zero at %d of %d: %+v", name, i, cap(r.colls), c)
+			return
+		}
+	}
+}
+
+func TestRecordingScratchDoesNotLeakBetweenRanks(t *testing.T) {
+	cases := recordingCases(t)
+	refs := make([]*trace.Worker, len(cases))
+	for i, c := range cases {
+		refs[i] = c.reference(t)
+	}
+	if long, short := len(refs[0].Ops), len(refs[1].Ops); long < 2*short {
+		t.Fatalf("long rank has %d ops, short %d: the cases no longer differ enough", long, short)
+	}
+	// Long, then short, then the aborted one, on one goroutine, until
+	// a round ran entirely on recycled scratch (sync.Pool may drop a
+	// Put, under -race on purpose).
+	var kept, keptRef []*trace.Worker
+	reused := false
+	for round := 0; round < 100 && !reused; round++ {
+		reused = true
+		for i, c := range cases {
+			w, r, recycled := c.emulate(t)
+			checkSealed(t, c.name, w, refs[i])
+			checkPooled(t, c.name, r)
+			reused = reused && recycled
+			kept, keptRef = append(kept, w), append(keptRef, refs[i])
+		}
+	}
+	if !reused {
+		t.Fatal("no round ran on recycled scratch")
+	}
+	// The scratch every kept trace was recorded into has since held
+	// other ranks; a sealed trace shares nothing with it.
+	for i, w := range kept {
+		checkSealed(t, "kept", w, keptRef[i])
+	}
+
+	// One op's Dims can be changed or grown without touching another's.
+	w := kept[0]
+	var kernels []int
+	for i := range w.Ops {
+		if len(w.Ops[i].Dims) > 0 {
+			kernels = append(kernels, i)
+		}
+	}
+	if len(kernels) < 3 {
+		t.Fatalf("only %d ops with dims", len(kernels))
+	}
+	mid := kernels[len(kernels)/2]
+	w.Ops[mid].Dims[0] = -1
+	w.Ops[mid].Dims = append(w.Ops[mid].Dims, -2, -3)
+	for _, i := range kernels {
+		if i != mid && !reflect.DeepEqual(w.Ops[i].Dims, refs[0].Ops[i].Dims) {
+			t.Fatalf("changing op %d's dims changed op %d's: %v, want %v", mid, i, w.Ops[i].Dims, refs[0].Ops[i].Dims)
+		}
+	}
+}
+
+func TestRecordingScratchConcurrentCaptures(t *testing.T) {
+	cases := recordingCases(t)
+	refs := make([]*trace.Worker, len(cases))
+	for i, c := range cases {
+		refs[i] = c.reference(t)
+	}
+	const goroutines, captures = 8, 20
+	kept := make([][]*trace.Worker, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; n < captures; n++ {
+				i := (g + n) % len(cases)
+				w, _, _ := cases[i].emulate(t)
+				checkSealed(t, cases[i].name, w, refs[i])
+				kept[g] = append(kept[g], w)
+			}
+		}()
+	}
+	wg.Wait()
+	for g := range kept {
+		for n, w := range kept[g] {
+			checkSealed(t, "kept", w, refs[(g+n)%len(cases)])
+		}
+	}
+}
+
+func TestTraceIsIdempotentAndResumable(t *testing.T) {
+	e := testEmulator()
+	k := cuda.KernelDesc{Name: "gemm", Dims: []int{8, 16, 32}, FLOPs: 1, Bytes: 1, DType: "bf16"}
+	if err := e.LaunchKernel(k, cuda.DefaultStream); err != nil {
+		t.Fatal(err)
+	}
+	first := e.Trace()
+	snapshot := first.Compact()
+	if again := e.Trace(); again != first || !reflect.DeepEqual(again, snapshot) {
+		t.Fatal("second Trace() is not the first's worker")
+	}
+
+	coll := cuda.CollectiveDesc{Op: "ncclAllReduce", CommID: 9, NRanks: 2, Peer: -1, Bytes: 64}
+	if err := e.LaunchCollective(coll, cuda.DefaultStream); err != nil {
+		t.Fatal(err)
+	}
+	r := e.rec
+	next := e.Trace()
+	checkPooled(t, "resumed", r)
+	n := len(first.Ops)
+	if len(next.Ops) != n+2 || cap(next.Ops) != len(next.Ops) {
+		t.Fatalf("after a launch past the seal: %d ops (cap %d), want %d", len(next.Ops), cap(next.Ops), n+2)
+	}
+	if !reflect.DeepEqual(next.Ops[:n], snapshot.Ops) {
+		t.Fatal("resumed trace lost or changed the sealed ops")
+	}
+	if last := next.Ops[n+1]; last.Seq != n+1 || last.Kind != trace.KindCollective || last.Coll.CommID != 9 {
+		t.Fatalf("last op = %+v", last)
+	}
+	if !reflect.DeepEqual(first, snapshot) {
+		t.Fatal("resuming changed the worker the first Trace() returned")
+	}
+	next.Ops[0].Dur, next.Ops[1].Dims[0] = 0, -1
+	if !reflect.DeepEqual(first, snapshot) {
+		t.Fatal("the resumed seal shares storage with the first")
+	}
+}

@@ -2,7 +2,9 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"hash/fnv"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +14,7 @@ import (
 	"time"
 
 	"maya"
+	"maya/internal/core"
 )
 
 // smallSpec is the fast test recipe: 8 ranks, 2 unique after dedup,
@@ -371,10 +374,19 @@ func TestCaptureAndTraceRoundtrip(t *testing.T) {
 		t.Errorf("upload meta mismatch: %+v vs %+v", upMeta, meta)
 	}
 
-	// Garbage and truncated uploads are 400s, not 500s.
+	// Garbage and truncated uploads are 400s, not 500s, and so is a
+	// checksummed envelope whose collective carries no metadata: it
+	// must be refused by the reader, not recovered from a panic.
+	payload := []byte(`{"job":{"workers":[{"rank":0,"world":2,"ops":[{"seq":0,"kind":"collective"}]}]}}`)
+	sum := fnv.New64a()
+	sum.Write(payload)
+	hostile := binary.BigEndian.AppendUint16([]byte("MAYATR"), core.TraceFormatVersion)
+	hostile = binary.BigEndian.AppendUint64(hostile, uint64(len(payload)))
+	hostile = binary.BigEndian.AppendUint64(append(hostile, payload...), sum.Sum64())
 	for name, body := range map[string][]byte{
-		"garbage":   []byte("not a maya trace"),
-		"truncated": blob[:len(blob)/2],
+		"garbage":                 []byte("not a maya trace"),
+		"truncated":               blob[:len(blob)/2],
+		"collective without coll": hostile,
 	} {
 		up, err := http.Post(ts.URL+"/v1/traces", "application/octet-stream", bytes.NewReader(body))
 		if err != nil {
@@ -387,6 +399,9 @@ func TestCaptureAndTraceRoundtrip(t *testing.T) {
 	}
 	if got := s.Metrics().TraceUploads.Load(); got != 1 {
 		t.Errorf("trace uploads = %d, want 1 (rejects must not count)", got)
+	}
+	if got := s.Metrics().Panics.Load(); got != 0 {
+		t.Errorf("maya_panics_total = %d after hostile uploads, want 0", got)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"sort"
 	"time"
 )
@@ -151,44 +152,66 @@ type Worker struct {
 	Dedup     int    `json:"dedup,omitempty"` // rank this trace was cloned from (when reconstructed)
 }
 
-// Append adds an op, assigning its per-worker sequence number.
+// minOpsCap is the op capacity a worker's first Append allocates.
+const minOpsCap = 64
+
+// Append adds an op, assigning its per-worker sequence number. A full
+// buffer doubles: an Op is 160 bytes and holds pointers, so the
+// runtime's 1.25x growth past 256 elements would allocate, clear and
+// copy a long trace several times over on its way to full size.
 func (w *Worker) Append(op Op) {
-	op.Seq = len(w.Ops)
-	w.Ops = append(w.Ops, op)
+	n := len(w.Ops)
+	if n == cap(w.Ops) {
+		grown := make([]Op, n, max(2*n, minOpsCap))
+		copy(grown, w.Ops)
+		w.Ops = grown
+	}
+	op.Seq = n
+	w.Ops = w.Ops[:n+1]
+	w.Ops[n] = op
+}
+
+// Compact returns a deep copy of w in storage sized exactly to it: one
+// []Op with cap == len, one []int slab every Dims sub-slices (capped,
+// so appending to one op's Dims cannot reach its neighbour's) and one
+// []Collective slab every Coll points into. Extra maps are copied one
+// by one. The copy shares nothing with w.
+func (w *Worker) Compact() *Worker {
+	var ndims, ncolls int
+	for i := range w.Ops {
+		ndims += len(w.Ops[i].Dims)
+		if w.Ops[i].Coll != nil {
+			ncolls++
+		}
+	}
+	ops := make([]Op, len(w.Ops))
+	copy(ops, w.Ops)
+	dims := make([]int, 0, ndims)
+	colls := make([]Collective, 0, ncolls)
+	for i := range ops {
+		op := &ops[i]
+		if op.Dims != nil {
+			n := len(dims)
+			dims = append(dims, op.Dims...)
+			op.Dims = dims[n:len(dims):len(dims)]
+		}
+		if op.Coll != nil {
+			colls = append(colls, *op.Coll)
+			op.Coll = &colls[len(colls)-1]
+		}
+		op.Extra = maps.Clone(op.Extra)
+	}
+	c := *w
+	c.Ops = ops
+	return &c
 }
 
 // Clone deep-copies the worker trace, remapping it to a new rank.
 // Collective rank fields inside communicators are remapped by the
 // caller (the collator knows the group layouts).
 func (w *Worker) Clone(newRank int) *Worker {
-	c := &Worker{
-		Rank:      newRank,
-		Device:    w.Device,
-		World:     w.World,
-		PeakBytes: w.PeakBytes,
-		OOM:       w.OOM,
-		Dedup:     w.Rank,
-		Ops:       make([]Op, len(w.Ops)),
-	}
-	copy(c.Ops, w.Ops)
-	for i := range c.Ops {
-		if c.Ops[i].Coll != nil {
-			cc := *c.Ops[i].Coll
-			c.Ops[i].Coll = &cc
-		}
-		if c.Ops[i].Dims != nil {
-			d := make([]int, len(c.Ops[i].Dims))
-			copy(d, c.Ops[i].Dims)
-			c.Ops[i].Dims = d
-		}
-		if c.Ops[i].Extra != nil {
-			m := make(map[string]float64, len(c.Ops[i].Extra))
-			for k, v := range c.Ops[i].Extra {
-				m[k] = v
-			}
-			c.Ops[i].Extra = m
-		}
-	}
+	c := w.Compact()
+	c.Rank, c.Dedup = newRank, w.Rank
 	return c
 }
 
@@ -280,9 +303,7 @@ func (j *Job) Clone() *Job {
 	c := &Job{UniqueRanks: append([]int(nil), j.UniqueRanks...)}
 	c.Workers = make([]*Worker, len(j.Workers))
 	for i, w := range j.Workers {
-		cw := w.Clone(w.Rank)
-		cw.Dedup = w.Dedup
-		c.Workers[i] = cw
+		c.Workers[i] = w.Compact()
 	}
 	return c
 }
