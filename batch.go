@@ -5,9 +5,9 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
-	"sync"
 
 	"maya/internal/core"
+	"maya/internal/pool"
 )
 
 // Request is one workload evaluation in a PredictBatch call.
@@ -102,9 +102,6 @@ func (p *Predictor) PredictBatch(ctx context.Context, reqs []Request, opts ...Ba
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	if cfg.concurrency < 1 {
-		cfg.concurrency = 1
-	}
 
 	results := make([]BatchResult, len(reqs))
 	if len(reqs) == 0 {
@@ -135,51 +132,29 @@ func (p *Predictor) PredictBatch(ctx context.Context, reqs []Request, opts ...Ba
 	// singleton's capture path equals Predict's.
 	shared := core.NewMemo[captureKey, *core.Capture](len(reqs))
 
-	workers := cfg.concurrency
-	if workers > len(reqs) {
-		workers = len(reqs)
-	}
 	// Estimate sharing needs no batch-local layer: requests that share
 	// a capture share its capture-attached estimate plan, so the first
 	// simulate of each (capture, suite) pair resolves every unique
 	// kernel shape once and the rest fill their overlays by copy.
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for n := 0; n < workers; n++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				r := reqs[i]
-				if r.Workload == nil {
-					results[i] = BatchResult{Err: errors.New("maya: batch request with nil workload")}
-					continue
-				}
-				results[i] = p.evalBatchRequest(ctx, r.Workload, applyPredictOptions(r.Options), shared)
-			}
-		}()
-	}
-
-feed:
-	for i := range reqs {
-		select {
-		case idx <- i:
-		case <-ctx.Done():
-			break feed
+	err := pool.Each(ctx, len(reqs), cfg.concurrency, func(_, i int) error {
+		r := reqs[i]
+		if r.Workload == nil {
+			results[i] = BatchResult{Err: errors.New("maya: batch request with nil workload")}
+			return nil
 		}
-	}
-	close(idx)
-	wg.Wait()
-
-	if err := ctx.Err(); err != nil {
+		results[i] = p.evalBatchRequest(ctx, r.Workload, applyPredictOptions(r.Options), shared)
+		return nil
+	})
+	if err != nil {
+		// A slot is still empty when its request never started (ctx
+		// was done) or panicked on the batch worker itself.
 		for i := range results {
 			if results[i].Report == nil && results[i].Err == nil {
 				results[i].Err = err
 			}
 		}
-		return results, err
 	}
-	return results, nil
+	return results, ctx.Err()
 }
 
 // evalBatchRequest runs one request, capturing through the batch memo

@@ -10,6 +10,7 @@ import (
 
 	"maya"
 	"maya/internal/cuda"
+	"maya/internal/pool"
 	"maya/internal/workload"
 )
 
@@ -79,6 +80,52 @@ func TestPredictBatchOrdering(t *testing.T) {
 		want := fmt.Sprintf("job-%02d", i)
 		if res.Report.Workload != want {
 			t.Errorf("results[%d] answers %q, want %q (ordering broken)", i, res.Report.Workload, want)
+		}
+	}
+}
+
+// panicsOnRankOne is a two-rank workload whose second rank panics
+// inside Run — on a goroutine of the emulation fan-out, where no
+// recover of the caller's can reach it.
+func panicsOnRankOne() maya.Request {
+	w := workload.Func{
+		JobName: "panics-on-rank-1",
+		Ranks:   2,
+		Body: func(rank int, dev cuda.Device) error {
+			if rank == 1 {
+				panic("boom")
+			}
+			return dev.DeviceSynchronize()
+		},
+	}
+	return maya.Request{Workload: w, Options: []maya.PredictOption{maya.WithOracleAnnotation()}}
+}
+
+func TestPredictPanickingRankIsAnError(t *testing.T) {
+	req := panicsOnRankOne()
+	_, err := testPredictor(t).Predict(context.Background(), req.Workload, req.Options...)
+	var pe *pool.PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("err = %v, want one wrapping *pool.PanicError", err)
+	}
+	if pe.Value != "boom" || len(pe.Stack) == 0 {
+		t.Fatalf("panic error %+v: want the panic value and a stack", pe)
+	}
+}
+
+func TestPredictBatchPanicIsolation(t *testing.T) {
+	reqs := []maya.Request{stubJob("ok-one", 4, nil), panicsOnRankOne(), stubJob("ok-two", 4, nil)}
+	results, err := testPredictor(t).PredictBatch(context.Background(), reqs)
+	if err != nil {
+		t.Fatalf("batch-level error despite per-request isolation: %v", err)
+	}
+	var pe *pool.PanicError
+	if !errors.As(results[1].Err, &pe) || results[1].Report != nil {
+		t.Fatalf("panicking request: %+v, want an error wrapping *pool.PanicError", results[1])
+	}
+	for _, i := range []int{0, 2} {
+		if results[i].Err != nil || results[i].Report.Workload != reqs[i].Workload.Name() {
+			t.Fatalf("neighbour %d of the panicking request: %+v", i, results[i])
 		}
 	}
 }

@@ -1,25 +1,14 @@
 package maya_test
 
-// The benchmark harness regenerates every table and figure of the
-// paper's evaluation (see DESIGN.md's experiment index). Each
-// Benchmark prints the experiment's rows once — running
-//
-//	go test -bench=. -benchmem
-//
-// reproduces the full evaluation at MAYA_EXP_SCALE=quick (default;
-// set MAYA_EXP_SCALE=full for the paper-sized sweeps). Experiment
-// state (trained estimator suites, accuracy sweeps, searches) is
-// memoized in a shared environment, so repeated benchmark iterations
-// measure cache-hit cost while the first iteration does the work.
-//
-// Micro-benchmarks at the bottom measure the core engines themselves
-// (emulation, simulation, forest inference, CMA-ES) for -benchmem.
+// Micro-benchmarks of the core engines (emulation, simulation, forest
+// inference, annotation, capture, batch, search) for a before/after
+// row under -benchmem. The end-to-end benchmark is bench/ (see
+// bench/README.md); the paper's tables and figures are regenerated by
+// `go run ./cmd/maya-experiments -exp ID|all`.
 
 import (
 	"context"
 	"fmt"
-	"os"
-	"sync"
 	"testing"
 	"time"
 
@@ -28,7 +17,6 @@ import (
 	"maya/internal/cuda"
 	"maya/internal/emulator"
 	"maya/internal/estimator"
-	"maya/internal/experiments"
 	"maya/internal/faults"
 	"maya/internal/forest"
 	"maya/internal/framework"
@@ -40,67 +28,6 @@ import (
 	"maya/internal/trace"
 	"maya/internal/workload"
 )
-
-var (
-	benchEnvOnce sync.Once
-	benchEnv     *experiments.Env
-	printedMu    sync.Mutex
-	printed      = map[string]bool{}
-)
-
-func env() *experiments.Env {
-	benchEnvOnce.Do(func() {
-		benchEnv = experiments.NewEnv(experiments.ScaleFromEnv())
-	})
-	return benchEnv
-}
-
-// runExperiment executes one registered experiment, printing its
-// table the first time.
-func runExperiment(b *testing.B, id string) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		tbl, err := experiments.Run(context.Background(), id, env())
-		if err != nil {
-			b.Fatalf("%s: %v", id, err)
-		}
-		printedMu.Lock()
-		if !printed[id] {
-			printed[id] = true
-			fmt.Fprintln(os.Stdout)
-			tbl.Render(os.Stdout)
-		}
-		printedMu.Unlock()
-	}
-}
-
-// --- One benchmark per paper artifact (DESIGN.md experiment index) ---
-
-func BenchmarkFig2CrossDeployment(b *testing.B)    { runExperiment(b, "fig2") }
-func BenchmarkTable1Capabilities(b *testing.B)     { runExperiment(b, "table1") }
-func BenchmarkTable2KnobEffects(b *testing.B)      { runExperiment(b, "table2") }
-func BenchmarkFig7PredictionAccuracy(b *testing.B) { runExperiment(b, "fig7") }
-func BenchmarkFig8CostOfSelection(b *testing.B)    { runExperiment(b, "fig8") }
-func BenchmarkFig9ErrorCDF(b *testing.B)           { runExperiment(b, "fig9") }
-func BenchmarkTable3OracleBreakdown(b *testing.B)  { runExperiment(b, "table3") }
-func BenchmarkTable4Generality(b *testing.B)       { runExperiment(b, "table4") }
-func BenchmarkFig10ResNet(b *testing.B)            { runExperiment(b, "fig10") }
-func BenchmarkFig11Search(b *testing.B)            { runExperiment(b, "fig11") }
-func BenchmarkFig12HyperscaleMFU(b *testing.B)     { runExperiment(b, "fig12") }
-func BenchmarkFig13StackRuntime(b *testing.B)      { runExperiment(b, "fig13") }
-func BenchmarkFig14DedupAblation(b *testing.B)     { runExperiment(b, "fig14") }
-func BenchmarkFig15TrialBreakdown(b *testing.B)    { runExperiment(b, "fig15") }
-func BenchmarkTable6SearchStages(b *testing.B)     { runExperiment(b, "table6") }
-func BenchmarkTable7KernelMAPEH100(b *testing.B)   { runExperiment(b, "table7") }
-func BenchmarkTable8KernelMAPEV100(b *testing.B)   { runExperiment(b, "table8") }
-func BenchmarkTable9KernelMAPEA40(b *testing.B)    { runExperiment(b, "table9") }
-func BenchmarkFig16SearchAlgorithms(b *testing.B)  { runExperiment(b, "fig16") }
-func BenchmarkTable10PruningTactics(b *testing.B)  { runExperiment(b, "table10") }
-func BenchmarkFig17StallBreakdown(b *testing.B)    { runExperiment(b, "fig17") }
-func BenchmarkNetsimValidation(b *testing.B)       { runExperiment(b, "netsim") }
-func BenchmarkFig18FaultSweep(b *testing.B)        { runExperiment(b, "fig18") }
-
-// --- Engine micro-benchmarks ---
 
 // BenchmarkEmulateMegatronRank measures transparent-emulation
 // throughput: one GPT-3 2.7B rank, tp2/pp2, 4 microbatches.
@@ -343,36 +270,6 @@ func BenchmarkForestPredict(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f.Predict(probe)
-	}
-}
-
-// BenchmarkEstimatorAnnotate measures trace annotation end to end.
-func BenchmarkEstimatorAnnotate(b *testing.B) {
-	cluster := hardware.DGXV100(1)
-	m, err := framework.NewMegatron(framework.MegatronConfig{
-		Model: models.GPT3_1_3B(), NGPUs: 8, GlobalBatch: 32, TP: 2, PP: 2, MicroBatches: 4,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	em := emulator.New(emulator.Config{Rank: 0, World: 8, GPU: cluster.Node.GPU, Host: cluster.Host})
-	if err := m.Run(0, em); err != nil {
-		b.Fatal(err)
-	}
-	job, err := trace.NewJob([]*trace.Worker{em.Trace()})
-	if err != nil {
-		b.Fatal(err)
-	}
-	suite, _, err := core.DefaultSuiteCache().SuiteFor(context.Background(), cluster, core.DefaultOracle(cluster), estimator.ProfileLLM)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := suite.Annotate(context.Background(), job, nil, nil); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

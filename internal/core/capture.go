@@ -361,12 +361,16 @@ func ReadCapture(r io.Reader) (*Capture, error) {
 }
 
 // validateOps checks what every consumer of a loaded trace assumes of
-// its ops without looking: a collective carries its metadata, and its
+// its ops without looking: an op's seq is its index (what duration
+// overlays address ops by), a collective carries its metadata, and its
 // rank and peer index the communicator (the emulator and nccl layer
-// guarantee both for a recorded trace).
+// guarantee all three for a recorded trace).
 func validateOps(w *trace.Worker) error {
 	for i := range w.Ops {
 		op := &w.Ops[i]
+		if op.Seq != i {
+			return fmt.Errorf("op %d: seq %d is not its index", i, op.Seq)
+		}
 		if op.Kind != trace.KindCollective {
 			continue
 		}

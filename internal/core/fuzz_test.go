@@ -67,8 +67,8 @@ func envelope(payload []byte) []byte {
 
 // malformedOps are single ops that break what the trace's consumers
 // assume: each would index or dereference its way into a panic (the
-// first in trace.Participation, inside ReadCapture itself) if the
-// reader let it through.
+// first in trace.Participation, inside ReadCapture itself; the last
+// past the end of a duration overlay) if the reader let it through.
 var malformedOps = []struct{ name, op string }{
 	{"collective without coll", `{"seq":0,"kind":"collective"}`},
 	{"null coll", `{"seq":0,"kind":"collective","coll":null}`},
@@ -77,6 +77,7 @@ var malformedOps = []struct{ name, op string }{
 	{"peer below -1", `{"seq":0,"kind":"collective","coll":{"op":"ncclRecv","comm":1,"seq":0,"nranks":2,"rank":0,"peer":-2}}`},
 	{"peer past the communicator", `{"seq":0,"kind":"collective","coll":{"op":"ncclSend","comm":1,"seq":0,"nranks":2,"rank":0,"peer":2}}`},
 	{"empty communicator", `{"seq":0,"kind":"collective","coll":{"op":"ncclAllReduce","comm":1,"seq":0,"peer":-1}}`},
+	{"seq that is not the op's index", `{"seq":1,"kind":"kernel","name":"gemm"}`},
 }
 
 // oneOpCapture is a checksummed capture whose job is one worker

@@ -18,7 +18,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"maya/internal/collator"
@@ -27,6 +26,7 @@ import (
 	"maya/internal/faults"
 	"maya/internal/hardware"
 	"maya/internal/netsim"
+	"maya/internal/pool"
 	"maya/internal/silicon"
 	"maya/internal/sim"
 	"maya/internal/trace"
@@ -234,8 +234,7 @@ func (p *Pipeline) Capture(ctx context.Context, w workload.Workload) (*Capture, 
 // ground-truth oracle when Opts.Oracle is set, otherwise with the
 // learned suite — and replays it in prediction mode. The capture is
 // never mutated: annotations land in a pooled duration overlay the
-// simulator reads through (falling back to a deep copy for jobs the
-// overlay cannot index), so any number of concurrent Simulate calls
+// simulator reads through, so any number of concurrent Simulate calls
 // can reuse one capture; the report's Emulate/Collate stage timings
 // are zero because those stages did not run.
 //
@@ -251,11 +250,10 @@ func (p *Pipeline) Simulate(ctx context.Context, c *Capture, modelFLOPs float64,
 // SimScratch is caller-owned simulation scratch: a persistent engine
 // and annotation overlay that one goroutine reuses across many
 // Simulate calls. A search worker evaluating thousands of trials owns
-// one SimScratch for its lifetime, so trial evaluation skips the
-// process-wide engine and overlay pools entirely (no cross-goroutine
-// pool churn, storage stays hot in one worker's hands). Not safe for
-// concurrent use; zero value is not usable — construct with
-// NewSimScratch.
+// one SimScratch for its lifetime, so trial evaluation re-acquires
+// nothing per trial (no cross-goroutine pool churn, storage stays hot
+// in one worker's hands). Not safe for concurrent use; zero value is
+// not usable — construct with NewSimScratch.
 type SimScratch struct {
 	engine *sim.Engine
 	ann    *trace.Annotations
@@ -284,12 +282,13 @@ func (s *SimScratch) Release() {
 	simScratchPool.Put(s)
 }
 
-// SimulateScratch is Simulate with two search-loop extensions: when
-// scratch is non-nil the run reuses the caller's persistent engine
-// and overlay instead of the process-wide pools, and when limit is
-// positive the simulation stops at that simulated-clock horizon,
-// returning a report with Truncated set (see sim.Options.TimeLimit).
-// A nil scratch with zero limit is exactly Simulate.
+// SimulateScratch is Simulate with two search-loop extensions: a
+// non-nil scratch is the caller's persistent engine and overlay (nil
+// borrows one from the process-wide pool for the call), and when
+// limit is positive the simulation stops at that simulated-clock
+// horizon, returning a report with Truncated set (see
+// sim.Options.TimeLimit). A nil scratch with zero limit is exactly
+// Simulate.
 func (p *Pipeline) SimulateScratch(ctx context.Context, c *Capture, modelFLOPs float64, dtype hardware.DType, scratch *SimScratch, limit time.Duration) (*Report, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -298,19 +297,16 @@ func (p *Pipeline) SimulateScratch(ctx context.Context, c *Capture, modelFLOPs f
 	if c.OOM {
 		return rep, nil
 	}
-	t0 := time.Now()
-	job := c.Job
-	var ann *trace.Annotations
-	if scratch != nil {
-		if scratch.ann.Rebind(job) {
-			ann = scratch.ann
-		}
-	} else {
-		ann = trace.AcquireAnnotations(job)
-		defer ann.Release()
+	if scratch == nil {
+		scratch = AcquireSimScratch()
+		defer scratch.Release()
 	}
-	if ann == nil {
-		job = c.Job.Clone()
+	t0 := time.Now()
+	job, ann := c.Job, scratch.ann
+	if !ann.Rebind(job) {
+		// ReadCapture rejects such traces and the emulator never builds
+		// one, so this is a Capture assembled by hand.
+		return nil, fmt.Errorf("core: capture of %s is not positionally indexed (an op's seq is not its index)", c.Workload)
 	}
 	var err error
 	if p.Opts.Oracle != nil {
@@ -319,17 +315,10 @@ func (p *Pipeline) SimulateScratch(ctx context.Context, c *Capture, modelFLOPs f
 		if p.Suite == nil {
 			return nil, errors.New("core: Simulate needs a trained Suite or an Oracle")
 		}
-		if ann != nil {
-			var plan *estimator.EstimatePlan
-			plan, err = c.planFor(ctx, p.Suite)
-			if err == nil && !plan.Fill(ann) {
-				// The plan was built for this capture's job, so a
-				// layout mismatch cannot happen; annotate directly if
-				// it somehow does.
-				err = p.Suite.AnnotateInto(ctx, job, c.Comms, c.CommSizes, nil, ann)
-			}
-		} else {
-			err = p.Suite.AnnotateInto(ctx, job, c.Comms, c.CommSizes, nil, nil)
+		var plan *estimator.EstimatePlan
+		plan, err = c.planFor(ctx, p.Suite)
+		if err == nil && !plan.Fill(ann) {
+			err = fmt.Errorf("core: capture of %s: job changed after its estimate plan was built", c.Workload)
 		}
 	}
 	if err != nil {
@@ -356,31 +345,23 @@ func (p *Pipeline) SimulateScratch(ctx context.Context, c *Capture, modelFLOPs f
 		}
 		simOpts.Faults = inj
 	}
-	var sr *sim.Report
-	if scratch != nil {
-		scratch.engine.Reset(job, simOpts)
-		sr, err = scratch.engine.Run(ctx)
-	} else {
-		sr, err = sim.RunPooled(ctx, job, simOpts)
-	}
+	scratch.engine.Reset(job, simOpts)
+	sr, err := scratch.engine.Run(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("core: simulating %s: %w", c.Workload, err)
 	}
 	if p.Opts.Faults != nil && !sr.Truncated {
 		// The main run above is the straggler-perturbed baseline; the
 		// walk re-runs the job per failure (and once cleanly when
-		// stragglers skew the baseline), reusing this call's engine
-		// strategy. Per-run observers are Evaluate's own — the
-		// caller's observer saw exactly one run, the main one.
+		// stragglers skew the baseline) on the same engine. Per-run
+		// observers are Evaluate's own — the caller's observer saw
+		// exactly one run, the main one.
 		runner := func(rctx context.Context, inj *sim.Injection, robs sim.Observer) (*sim.Report, error) {
 			o := simOpts
 			o.Faults = inj
 			o.Observer = robs
-			if scratch != nil {
-				scratch.engine.Reset(job, o)
-				return scratch.engine.Run(rctx)
-			}
-			return sim.RunPooled(rctx, job, o)
+			scratch.engine.Reset(job, o)
+			return scratch.engine.Run(rctx)
 		}
 		rec, ferr := faults.Evaluate(ctx, p.Opts.Faults, job, sr, runner)
 		if ferr != nil {
@@ -416,7 +397,7 @@ func attachStalls(rep *Report, bd *sim.Breakdown, sr *sim.Report) {
 
 // Measure replays the capture against the silicon ground truth in
 // physical mode — "deploy the job on the cluster and time it". The
-// capture is never mutated (the oracle annotates a deep copy), so
+// capture is never mutated (the oracle annotates an overlay), so
 // measurement and any number of predictions share one capture. It
 // needs no trained suite.
 func (p *Pipeline) Measure(ctx context.Context, c *Capture, oracle *silicon.Oracle, modelFLOPs float64, dtype hardware.DType) (*Report, error) {
@@ -724,67 +705,38 @@ func (p *Pipeline) membership(w workload.Workload, workers []*trace.Worker) (map
 	return comms, sizes, nil
 }
 
-// emulateRanks runs the given ranks through a bounded worker pool,
-// one emulator per rank — a 4096-rank probe keeps GOMAXPROCS
-// goroutines busy instead of spawning 4096 up front. Cancellation is
-// observed at rank granularity: queued ranks never start after ctx is
-// done, so a large emulation (the expensive stage at hyperscale)
-// aborts after at most one in-flight rank per pool slot. Each call
+// emulateRanks runs the given ranks through the bounded fan-out, one
+// emulator per rank — a 4096-rank probe keeps GOMAXPROCS goroutines
+// busy instead of spawning 4096 up front. Cancellation is observed at
+// rank granularity: queued ranks never start after ctx is done, so a
+// large emulation (the expensive stage at hyperscale) aborts after at
+// most one in-flight rank per pool slot. A rank that panics is an
+// error (*pool.PanicError), not the end of the process. Each call
 // adds its rank count to the capture's emulation accounting.
 func (p *Pipeline) emulateRanks(ctx context.Context, w workload.Workload, ranks []int, c *Capture) ([]*trace.Worker, error) {
 	if c != nil {
 		c.RankEmulations += len(ranks)
 	}
 	workers := make([]*trace.Worker, len(ranks))
-	errs := make([]error, len(ranks))
-	pool := min(runtime.GOMAXPROCS(0), len(ranks))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for g := 0; g < pool; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(ranks) {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					errs[i] = err
-					continue
-				}
-				rank := ranks[i]
-				em := emulator.New(emulator.Config{
-					Rank:  rank,
-					World: w.World(),
-					GPU:   p.Cluster.Node.GPU,
-					Host:  p.Cluster.Host,
-					Seed:  p.Opts.Seed,
-				})
-				err := w.Run(rank, em)
-				tr := em.Trace()
-				if err != nil && !tr.OOM {
-					errs[i] = fmt.Errorf("core: emulating rank %d: %w", rank, err)
-					continue
-				}
-				workers[i] = tr
-			}
-		}()
-	}
-	wg.Wait()
-	// A genuine emulation failure outranks the cancellations that
-	// follow it; report ctx.Err() only when every error is one.
-	var first error
-	for _, err := range errs {
-		if err == nil {
-			continue
+	err := pool.Each(ctx, len(ranks), runtime.GOMAXPROCS(0), func(_, i int) error {
+		rank := ranks[i]
+		em := emulator.New(emulator.Config{
+			Rank:  rank,
+			World: w.World(),
+			GPU:   p.Cluster.Node.GPU,
+			Host:  p.Cluster.Host,
+			Seed:  p.Opts.Seed,
+		})
+		err := w.Run(rank, em)
+		tr := em.Trace()
+		if err != nil && !tr.OOM {
+			return fmt.Errorf("core: emulating rank %d: %w", rank, err)
 		}
-		if first == nil || errors.Is(first, context.Canceled) || errors.Is(first, context.DeadlineExceeded) {
-			first = err
-		}
-	}
-	if first != nil {
-		return nil, first
+		workers[i] = tr
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return workers, nil
 }

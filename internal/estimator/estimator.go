@@ -202,35 +202,16 @@ func kernelKey(op *trace.Op) (uint64, bool) {
 	return h, true
 }
 
-// Annotate writes predicted durations into every device op of the
-// job. comms provides communicator membership from the collator;
-// incomplete groups are extrapolated by stride (Megatron process
-// groups are uniform-stride, so deduplicated jobs still get correct
-// topology classification). Cancellation of ctx is observed between
-// workers; a cancelled annotation returns ctx.Err() with the job
-// partially annotated.
-func (s *Suite) Annotate(ctx context.Context, job *trace.Job, comms map[uint64][]int, sizes map[uint64]int) error {
-	return s.AnnotateMemo(ctx, job, comms, sizes, nil)
-}
-
-// AnnotateMemo is Annotate with an optional shared estimate memo
-// (nil behaves like Annotate).
-func (s *Suite) AnnotateMemo(ctx context.Context, job *trace.Job, comms map[uint64][]int, sizes map[uint64]int, memo *KernelMemo) error {
-	return s.annotate(ctx, job, comms, sizes, memo, nil)
-}
-
-// AnnotateInto is AnnotateMemo writing predicted durations into the
-// overlay instead of the ops themselves, leaving the job immutable:
-// the capture-reuse path, where the simulator reads through the
-// overlay and the trace is never deep-copied. The overlay must be
-// bound to this job.
+// AnnotateInto computes every device op's predicted duration and
+// writes it into the overlay the simulator reads through, leaving the
+// job immutable; the overlay must be bound to this job. comms provides
+// communicator membership from the collator; incomplete groups are
+// extrapolated by stride (Megatron process groups are uniform-stride,
+// so deduplicated jobs still get correct topology classification).
+// memo, when non-nil, shares kernel estimates by shape. Cancellation
+// of ctx is observed between workers; a cancelled annotation returns
+// ctx.Err() with the overlay partially filled.
 func (s *Suite) AnnotateInto(ctx context.Context, job *trace.Job, comms map[uint64][]int, sizes map[uint64]int, memo *KernelMemo, ann *trace.Annotations) error {
-	return s.annotate(ctx, job, comms, sizes, memo, ann)
-}
-
-// annotate computes every device op's predicted duration, writing
-// either into the ops (ann nil) or the overlay.
-func (s *Suite) annotate(ctx context.Context, job *trace.Job, comms map[uint64][]int, sizes map[uint64]int, memo *KernelMemo, ann *trace.Annotations) error {
 	world := 0
 	for _, w := range job.Workers {
 		if w.World > world {
@@ -267,11 +248,7 @@ func (s *Suite) annotate(ctx context.Context, job *trace.Job, comms map[uint64][
 			default:
 				continue
 			}
-			if ann != nil {
-				ann.Set(wi, op.Seq, d)
-			} else {
-				op.Dur = d
-			}
+			ann.Set(wi, op.Seq, d)
 		}
 	}
 	return nil

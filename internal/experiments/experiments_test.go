@@ -114,3 +114,12 @@ func TestMemoSharesResults(t *testing.T) {
 		t.Fatalf("memo ran %d times", calls)
 	}
 }
+
+// TestNetsimBoundHolds keeps the netsim experiment's per-regime MAPE
+// bound (netsimHierBound) a gate of `go test`: the experiment itself
+// fails when a regime's error exceeds it.
+func TestNetsimBoundHolds(t *testing.T) {
+	if _, err := Run(context.Background(), "netsim", NewEnv(Quick)); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -24,13 +24,13 @@
 package forest
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
 	"sort"
-	"sync"
-	"sync/atomic"
 
+	"maya/internal/pool"
 	"maya/internal/prand"
 )
 
@@ -173,35 +173,20 @@ func TrainForests(jobs []TrainJob, workers int) ([]*Forest, error) {
 	for j := range jobs {
 		trees[j] = make([]*flatTree, data[j].opts.Trees)
 	}
-	if workers < 1 {
-		workers = 1
+	// One builder per worker, rebound when its worker crosses into
+	// another job's tasks.
+	builders := make([]builder, max(workers, 1))
+	err := pool.Each(context.TODO(), len(tasks), workers, func(w, i int) error {
+		tk, b := tasks[i], &builders[w]
+		if b.jd != data[tk.job] {
+			b.bind(data[tk.job])
+		}
+		trees[tk.job][tk.tree] = b.growTree(tk.tree)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for g := 0; g < workers; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var b builder
-			cur := -1
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(tasks) {
-					return
-				}
-				tk := tasks[i]
-				if tk.job != cur {
-					b.bind(data[tk.job])
-					cur = tk.job
-				}
-				trees[tk.job][tk.tree] = b.growTree(tk.tree)
-			}
-		}()
-	}
-	wg.Wait()
 
 	out := make([]*Forest, len(jobs))
 	for j := range jobs {

@@ -4,10 +4,10 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"maya/internal/framework"
+	"maya/internal/pool"
 	"maya/internal/prand"
 )
 
@@ -37,10 +37,10 @@ type EvalResult struct {
 // search's ctx and should abort promptly once it is cancelled.
 type Evaluator func(ctx context.Context, cfg framework.MegatronConfig, bound time.Duration) (EvalResult, error)
 
-// WorkerFactory builds one evaluator per search worker. Each of the
-// Options.Parallel workers calls the factory exactly once at startup
-// and uses the returned evaluator for every trial it runs, so the
-// evaluator may own per-worker scratch (a persistent simulation
+// WorkerFactory builds one evaluator per search worker. The search
+// calls it once per worker index before the first generation, one
+// call at a time, and runs every trial of worker w on evaluator w, so
+// the evaluator may own per-worker scratch (a persistent simulation
 // engine, a reusable annotation overlay) without any locking. The
 // returned evaluators need not be safe for concurrent use with each
 // other's state, but must produce identical results for identical
@@ -220,9 +220,10 @@ func Run(ctx context.Context, p Problem, eval Evaluator, opts Options) (*Outcome
 	return RunWorkers(ctx, p, func(int) Evaluator { return eval }, opts)
 }
 
-// RunWorkers executes a configuration search for the problem over a
-// fixed pool of Options.Parallel workers, each owning the evaluator
-// its factory call returned for the whole run (worker-affine
+// RunWorkers executes a configuration search for the problem with up
+// to Options.Parallel trials in flight per generation (one pool.Each
+// over the generation's unresolved candidates), worker index w always
+// evaluating on the evaluator factory(w) returned (worker-affine
 // evaluation: per-worker scratch stays hot across trials, nothing is
 // re-acquired per trial). Trial results are reduced in canonical
 // generation order, and the domination bound is fixed per generation
@@ -245,8 +246,10 @@ func RunWorkers(ctx context.Context, p Problem, factory WorkerFactory, opts Opti
 		tactics = nil
 	}
 
-	pool := startTrialPool(opts.Parallel, factory)
-	defer pool.stop()
+	evals := make([]Evaluator, opts.Parallel)
+	for w := range evals {
+		evals[w] = factory(w)
+	}
 
 	h := newHistory()
 	out := &Outcome{Stats: Stats{SkippedByTactic: make(map[string]int)}}
@@ -316,9 +319,12 @@ func RunWorkers(ctx context.Context, p Problem, factory WorkerFactory, opts Opti
 			needEval = append(needEval, i)
 		}
 
-		// Concurrent trials for the unresolved candidates, on the
-		// persistent worker pool.
-		if err := pool.run(ctx, results, needEval, bound); err != nil {
+		// Concurrent trials for the unresolved candidates. Results land
+		// at their canonical positions, so reduction order is
+		// independent of scheduling.
+		if err := pool.Each(ctx, len(needEval), len(evals), func(w, n int) error {
+			return runTrial(ctx, evals[w], results[needEval[n]], bound)
+		}); err != nil {
 			if ctx.Err() != nil {
 				out.Stopped = "cancelled"
 				break
@@ -395,77 +401,12 @@ func applyTactics(tactics []Tactic, k Knobs, h *history) (derived, string, bool)
 	return derived{}, "", false
 }
 
-// trialPool is the fixed set of worker goroutines trials run on. Each
-// worker builds its evaluator once (worker-affine scratch) and serves
-// trial jobs for the pool's whole lifetime; generations borrow the
-// pool via run.
-type trialPool struct {
-	work chan trialJob
-	wg   sync.WaitGroup
-}
-
-type trialJob struct {
-	ctx   context.Context
-	r     *Result
-	bound time.Duration
-	err   *error
-	done  *sync.WaitGroup
-}
-
-func startTrialPool(parallel int, factory WorkerFactory) *trialPool {
-	p := &trialPool{work: make(chan trialJob)}
-	for w := 0; w < parallel; w++ {
-		p.wg.Add(1)
-		go func(w int) {
-			defer p.wg.Done()
-			eval := factory(w)
-			for j := range p.work {
-				runTrial(eval, j)
-				j.done.Done()
-			}
-		}(w)
-	}
-	return p
-}
-
-func (p *trialPool) stop() {
-	close(p.work)
-	p.wg.Wait()
-}
-
-// run evaluates results[idx...] on the pool and blocks until the
-// generation drains. Results land at their canonical positions in
-// results, so reduction order is independent of scheduling; errors
-// are reported in idx order.
-func (p *trialPool) run(ctx context.Context, results []*Result, idx []int, bound time.Duration) error {
-	if len(idx) == 0 {
-		return nil
-	}
-	errs := make([]error, len(idx))
-	var done sync.WaitGroup
-	done.Add(len(idx))
-	for n, i := range idx {
-		p.work <- trialJob{r: results[i], bound: bound, err: &errs[n], ctx: ctx, done: &done}
-	}
-	done.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func runTrial(eval Evaluator, j trialJob) {
-	if err := j.ctx.Err(); err != nil {
-		*j.err = err
-		return
-	}
-	r := j.r
-	ev, err := eval(j.ctx, r.Config, j.bound)
+// runTrial evaluates one unresolved candidate and records how the
+// evaluator resolved it.
+func runTrial(ctx context.Context, eval Evaluator, r *Result, bound time.Duration) error {
+	ev, err := eval(ctx, r.Config, bound)
 	if err != nil {
-		*j.err = fmt.Errorf("search: trial %s: %w", r.Knobs, err)
-		return
+		return fmt.Errorf("search: trial %s: %w", r.Knobs, err)
 	}
 	switch {
 	case ev.Truncated:
@@ -482,6 +423,7 @@ func runTrial(eval Evaluator, j trialJob) {
 		r.MFU = ev.MFU
 		r.PeakMem = ev.PeakMem
 	}
+	return nil
 }
 
 // objective is the minimized value: iteration time, with invalid, OOM

@@ -1,12 +1,17 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"maya"
+	"maya/internal/pool"
 )
 
 // TestPredictPanicRecovery injects a panicking predictor through the
@@ -89,5 +94,33 @@ func TestBatchPanicIsolated(t *testing.T) {
 	resp, raw = postJSON(t, ts.URL+"/v1/predict", smallSpec(), nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-panic status = %d, want 200 (body %s)", resp.StatusCode, raw)
+	}
+}
+
+// rankPanicBackend answers every prediction the way the predictor does
+// when a workload's rank panics inside the emulation fan-out: an error
+// wrapping the *pool.PanicError recovered there.
+type rankPanicBackend struct{ backend }
+
+func (rankPanicBackend) Predict(context.Context, maya.Workload, ...maya.PredictOption) (*maya.Report, error) {
+	return nil, fmt.Errorf("core: emulating rank 1: %w", &pool.PanicError{Value: "boom"})
+}
+
+// TestRecoveredRankPanicCounts: a panic the predictor already turned
+// into an error is a panic all the same — 500, and one more on
+// maya_panics_total, exactly like one recovered on the pool worker.
+func TestRecoveredRankPanicCounts(t *testing.T) {
+	s, ts := newTestServer(t, nil)
+	s.backend = rankPanicBackend{s.backend}
+
+	resp, raw := postJSON(t, ts.URL+"/v1/predict", smallSpec(), nil)
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("status = %d, want 500 (body %s)", resp.StatusCode, raw)
+	}
+	if !strings.Contains(string(raw), "panic: boom") {
+		t.Fatalf("body does not report the panic: %s", raw)
+	}
+	if got := s.Metrics().Panics.Load(); got != 1 {
+		t.Fatalf("Panics = %d, want 1", got)
 	}
 }

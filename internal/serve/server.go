@@ -49,6 +49,7 @@ import (
 	"maya"
 	"maya/internal/buildinfo"
 	"maya/internal/flight"
+	"maya/internal/pool"
 )
 
 // Config shapes a Server. The zero value of every optional field
@@ -565,20 +566,14 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	defer done()
 
+	// Every item answers with its own status, an expired deadline
+	// included, so the fan-out itself must not skip items once ctx is
+	// done; predictOne never fails or panics, so neither does Each.
 	results := make([]PredictResult, len(specs))
-	if len(specs) == 1 {
-		results[0] = s.predictOne(ctx, &specs[0])
-	} else {
-		var wg sync.WaitGroup
-		for i := range specs {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				results[i] = s.predictOne(ctx, &specs[i])
-			}()
-		}
-		wg.Wait()
-	}
+	_ = pool.Each(context.WithoutCancel(ctx), len(specs), len(specs), func(_, i int) error {
+		results[i] = s.predictOne(ctx, &specs[i])
+		return nil
+	})
 
 	if batch {
 		// Batch responses are positional and always 200; per-item
@@ -611,7 +606,9 @@ func (s *Server) recovered(v any) error {
 // pool's when ctx ends before a worker frees up. A panic in fn is
 // recovered into an error on the worker, so whoever waits on the
 // result — a coalescing flight's followers included — gets an answer
-// instead of a flight that never finishes.
+// instead of a flight that never finishes. A panic the predictor's own
+// fan-out already recovered (a *pool.PanicError from a workload's
+// rank) arrives as fn's error and is counted the same way.
 func (s *Server) onPool(ctx context.Context, fn func() error) (err error) {
 	if runErr := s.pool.Run(ctx, func() {
 		defer func() {
@@ -620,6 +617,10 @@ func (s *Server) onPool(ctx context.Context, fn func() error) (err error) {
 			}
 		}()
 		err = fn()
+		var pe *pool.PanicError
+		if errors.As(err, &pe) {
+			s.metrics.Panics.Add(1)
+		}
 	}); runErr != nil {
 		return runErr
 	}
@@ -631,8 +632,7 @@ func (s *Server) onPool(ctx context.Context, fn func() error) (err error) {
 // coalesce → pool → predict → settle. Panics are recovered into 500s
 // at two layers: on the pool worker (onPool), so a crashing leader
 // still completes its coalescing flight, and around the whole path,
-// because batch items run on their own goroutines where an
-// unrecovered panic kills the process.
+// so a batch item that panics still answers in its own slot.
 func (s *Server) predictOne(ctx context.Context, spec *PredictSpec) (res PredictResult) {
 	defer func() {
 		if v := recover(); v != nil {

@@ -23,6 +23,7 @@ package silicon
 
 import (
 	"context"
+	"errors"
 	"math"
 	"time"
 
@@ -474,26 +475,15 @@ func (o *Oracle) Measure(op *trace.Op, ranks []int, sampleID int64) time.Duratio
 	return time.Duration(float64(truth) * math.Exp(0.015*z))
 }
 
-// Annotate writes ground-truth durations into every device op of the
-// job. comms maps communicator IDs to the ordered global ranks of
-// their members and sizes to their declared sizes (both from the
-// collator); membership left partial by deduplication is expanded by
-// stride so collective topology stays truthful. Cancellation of ctx
-// is observed between workers.
-func (o *Oracle) Annotate(ctx context.Context, job *trace.Job, comms map[uint64][]int, sizes map[uint64]int) error {
-	return o.annotate(ctx, job, comms, sizes, nil)
-}
-
-// AnnotateInto is Annotate writing ground-truth durations into the
-// overlay instead of the ops themselves, leaving the job immutable —
-// the capture-reuse path. The overlay must be bound to this job.
+// AnnotateInto computes every device op's ground-truth duration and
+// writes it into the overlay the simulator reads through, leaving the
+// job immutable; the overlay must be bound to this job. comms maps
+// communicator IDs to the ordered global ranks of their members and
+// sizes to their declared sizes (both from the collator); membership
+// left partial by deduplication is expanded by stride so collective
+// topology stays truthful. Cancellation of ctx is observed between
+// workers.
 func (o *Oracle) AnnotateInto(ctx context.Context, job *trace.Job, comms map[uint64][]int, sizes map[uint64]int, ann *trace.Annotations) error {
-	return o.annotate(ctx, job, comms, sizes, ann)
-}
-
-// annotate computes every device op's ground-truth duration, writing
-// either into the ops (ann nil) or the overlay.
-func (o *Oracle) annotate(ctx context.Context, job *trace.Job, comms map[uint64][]int, sizes map[uint64]int, ann *trace.Annotations) error {
 	world := 0
 	for _, w := range job.Workers {
 		if w.World > world {
@@ -522,11 +512,7 @@ func (o *Oracle) annotate(ctx context.Context, job *trace.Job, comms map[uint64]
 			default:
 				continue
 			}
-			if ann != nil {
-				ann.Set(wi, op.Seq, d)
-			} else {
-				op.Dur = d
-			}
+			ann.Set(wi, op.Seq, d)
 		}
 	}
 	return nil
@@ -547,22 +533,20 @@ func PhysicalOptions(seed uint64, participants map[trace.CollKey]int) sim.Option
 // MeasureActual is "deploy the job on the cluster and time it": the
 // trace is annotated with ground truth and replayed in physical mode
 // on a pooled engine. The job itself is never mutated: ground truth
-// lands in a pooled duration overlay the simulator reads through
-// (falling back to annotating a deep copy for jobs the overlay cannot
-// index). An optional observer (nil for none) watches the replay.
-// Cancelling ctx aborts both the annotation and the replay.
+// lands in a pooled duration overlay the simulator reads through. An
+// optional observer (nil for none) watches the replay. Cancelling ctx
+// aborts both the annotation and the replay.
 func MeasureActual(ctx context.Context, job *trace.Job, oracle *Oracle, comms map[uint64][]int, sizes map[uint64]int, participants map[trace.CollKey]int, seed uint64, obs sim.Observer) (*sim.Report, error) {
-	opts := PhysicalOptions(seed, participants)
-	opts.Observer = obs
 	ann := trace.AcquireAnnotations(job)
-	defer ann.Release()
-	actual := job
 	if ann == nil {
-		actual = job.Clone()
+		return nil, errors.New("silicon: job is not positionally indexed (an op's seq is not its index)")
 	}
-	if err := oracle.annotate(ctx, actual, comms, sizes, ann); err != nil {
+	defer ann.Release()
+	if err := oracle.AnnotateInto(ctx, job, comms, sizes, ann); err != nil {
 		return nil, err
 	}
+	opts := PhysicalOptions(seed, participants)
+	opts.Observer = obs
 	opts.Annotations = ann
-	return sim.RunPooled(ctx, actual, opts)
+	return sim.RunPooled(ctx, job, opts)
 }

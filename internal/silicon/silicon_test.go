@@ -144,14 +144,17 @@ func TestAnnotateFillsDeviceWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := NewOracle(hardware.DGXH100(1), DefaultSeed)
-	o.Annotate(context.Background(), job, map[uint64][]int{5: {0, 1}}, map[uint64]int{5: 2})
-	if job.Workers[0].Ops[0].Dur == 0 {
+	ann := trace.NewAnnotations(job)
+	if err := o.AnnotateInto(context.Background(), job, map[uint64][]int{5: {0, 1}}, map[uint64]int{5: 2}, ann); err != nil {
+		t.Fatal(err)
+	}
+	if ann.Dur(0, 0) == 0 {
 		t.Fatal("kernel not annotated")
 	}
-	if job.Workers[0].Ops[1].Dur != time.Microsecond {
+	if ann.Dur(0, 1) != time.Microsecond {
 		t.Fatal("host delay must be preserved")
 	}
-	if job.Workers[0].Ops[2].Dur == 0 {
+	if ann.Dur(0, 2) == 0 {
 		t.Fatal("collective not annotated")
 	}
 }
@@ -165,8 +168,11 @@ func TestAnnotateExpandsPartialMembership(t *testing.T) {
 		Op: "ncclAllReduce", CommID: 5, Seq: 0, NRanks: 4, Rank: 0, Peer: -1, Bytes: 1 << 26}})
 	job, _ := trace.NewJob([]*trace.Worker{w})
 	o := NewOracle(hardware.DGXV100(2), DefaultSeed)
-	o.Annotate(context.Background(), job, map[uint64][]int{5: {0}}, map[uint64]int{5: 4})
-	got := job.Workers[0].Ops[0].Dur
+	ann := trace.NewAnnotations(job)
+	if err := o.AnnotateInto(context.Background(), job, map[uint64][]int{5: {0}}, map[uint64]int{5: 4}, ann); err != nil {
+		t.Fatal(err)
+	}
+	got := ann.Dur(0, 0)
 	want := o.CollectiveTime("ncclAllReduce", 1<<26, []int{0, 4, 8, 12})
 	if got != want {
 		t.Fatalf("partial membership time %v, want expanded-group %v", got, want)

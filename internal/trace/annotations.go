@@ -28,8 +28,8 @@ type Annotations struct {
 
 // NewAnnotations builds an overlay for the job, seeded with the base
 // op durations. It returns nil when the job is not positionally
-// indexable (some op's Seq is not its index in Ops) — callers must
-// fall back to deep-copy annotation in that case.
+// indexable (some op's Seq is not its index in Ops): no job the
+// emulator, the collator or ReadCapture produces.
 func NewAnnotations(job *Job) *Annotations {
 	a := &Annotations{}
 	if !a.Rebind(job) {
@@ -121,8 +121,8 @@ func AcquireAnnotations(job *Job) *Annotations {
 }
 
 // Release returns the overlay to the pool. The overlay must not be
-// used after Release; a nil receiver is a no-op so fallback paths can
-// release unconditionally.
+// used after Release; a nil receiver is a no-op so callers can defer
+// it before checking what AcquireAnnotations returned.
 func (a *Annotations) Release() {
 	if a == nil {
 		return

@@ -3,7 +3,6 @@ package maya
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"maya/internal/core"
@@ -69,18 +68,16 @@ func (p *Predictor) FindRecipe(ctx context.Context, problem SearchProblem, opts 
 		return nil, err
 	}
 	flops := problem.Model.TrainFLOPsPerIter(problem.GlobalBatch)
-	var mu sync.Mutex
 	var scratches []*core.SimScratch
 	defer func() {
 		for _, s := range scratches {
 			s.Release()
 		}
 	}()
+	// RunWorkers calls the factory for one worker at a time.
 	factory := func(int) search.Evaluator {
 		scratch := core.AcquireSimScratch()
-		mu.Lock()
 		scratches = append(scratches, scratch)
-		mu.Unlock()
 		return func(ctx context.Context, cfg framework.MegatronConfig, bound time.Duration) (search.EvalResult, error) {
 			w, err := framework.NewMegatron(cfg)
 			if err != nil {
