@@ -106,21 +106,6 @@ func BenchmarkSimRun(b *testing.B) {
 	b.ReportMetric(float64(totalOps)/float64(b.Elapsed().Seconds()/float64(b.N))/1e6, "Mops/s")
 }
 
-// BenchmarkSimRunPooled is BenchmarkSimRun through the engine pool —
-// the steady state of batch sweeps and search trials, where stream,
-// heap and interval storage is reused across runs.
-func BenchmarkSimRunPooled(b *testing.B) {
-	job, totalOps := simBenchJob(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sim.RunPooled(context.Background(), job, sim.Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(totalOps)/float64(b.Elapsed().Seconds()/float64(b.N))/1e6, "Mops/s")
-}
-
 // BenchmarkFaultsRecovery measures the fault-scenario walk on the
 // annotated 8-worker job: a seeded MTBF failure process over a
 // 100-iteration schedule, one wedge simulation per failure to price
@@ -194,11 +179,11 @@ func BenchmarkEstimateKernel(b *testing.B) {
 	}
 }
 
-// BenchmarkAnnotatePlan contrasts the two steady-state annotation
-// paths on the 8-worker megatron fixture: the shape-memo baseline (a
-// hash plus a sync.Map probe per op) versus the capture-attached
-// estimate plan (one table copy into the pooled overlay). "build" is
-// the one-time cost of resolving the plan.
+// BenchmarkAnnotatePlan measures the capture-attached estimate plan on
+// the 8-worker megatron fixture: "build" is the one-time cost of
+// resolving it (one annotate walk behind a shape memo), "via-plan" the
+// steady state of every later replay (one table copy into the pooled
+// overlay).
 func BenchmarkAnnotatePlan(b *testing.B) {
 	ctx := context.Background()
 	cluster := hardware.DGXV100(1)
@@ -214,23 +199,6 @@ func BenchmarkAnnotatePlan(b *testing.B) {
 			if _, err := suite.BuildEstimatePlan(ctx, job, nil, nil); err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
-	b.Run("via-memo", func(b *testing.B) {
-		memo := estimator.NewKernelMemo()
-		ann := trace.NewAnnotations(job)
-		// Warm once: steady state is what sweeps see.
-		if err := suite.AnnotateInto(ctx, job, nil, nil, memo, ann); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ann := trace.AcquireAnnotations(job)
-			if err := suite.AnnotateInto(ctx, job, nil, nil, memo, ann); err != nil {
-				b.Fatal(err)
-			}
-			ann.Release()
 		}
 	})
 	b.Run("via-plan", func(b *testing.B) {

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"maya/internal/estimator"
-	"maya/internal/lru"
 	"maya/internal/netsim"
 	"maya/internal/sim"
 	"maya/internal/trace"
@@ -28,9 +27,9 @@ import (
 //
 // A capture is immutable once built: annotation and simulation read
 // through pooled duration overlays (filled from capture-attached
-// estimate plans on the learned path), so one capture can feed any
-// number of predictions (learned, oracle, netsim, physical replay)
-// without re-paying emulation or collation. Captures serialize with
+// estimate plans), so one capture can feed any number of predictions
+// (learned, oracle, netsim, physical replay) without re-paying
+// emulation or collation. Captures serialize with
 // WriteTo and load with ReadCapture.
 type Capture struct {
 	// Workload and Cluster identify what was captured where.
@@ -74,86 +73,71 @@ type Capture struct {
 	EmulateTime time.Duration
 	CollateTime time.Duration
 
-	// plans memoizes lazily built estimate plans keyed by the suite
-	// that resolved them (planOnce creates it on first use). A plan is
-	// the capture's job fully annotated once — later Simulates against
-	// the same suite fill their overlay by a single copy instead of
-	// re-walking forests. Runtime-only state: plans never serialize
-	// and a reloaded capture rebuilds them on first use. The memo is
-	// bounded (maxPlansPerCapture, least recently used out first):
-	// suite pointers go stale when the estimator cache retrains, and a
-	// long-lived capture must not pin every suite it ever simulated
-	// against.
-	planOnce sync.Once
-	plans    *Memo[*estimator.Suite, *estimator.EstimatePlan]
-
-	// congMu guards congs: congestion demand maps keyed by the netsim
-	// model that priced them, memoized like plans (the walk over every
-	// collective call is linear in the trace; one capture feeds many
-	// Simulates). Runtime-only, never serialized, same bound and
-	// eviction policy as plans.
-	congMu sync.Mutex
-	congs  *lru.Map[*netsim.Model, *sim.CongestionModel]
+	// derived memoizes what is computed from this capture on demand and
+	// reused by every later replay (derivedOnce creates it on first
+	// use): the estimate plan per timer (see planFor) and the
+	// congestion demand map per netsim model (see congestionFor), each
+	// keyed by the identity of what priced it. Runtime-only state: it
+	// never serializes and a reloaded capture rebuilds on first use.
+	// The memo is bounded (maxDerivedPerCapture, least recently used
+	// out first): suite pointers go stale when the estimator cache
+	// retrains, and a long-lived capture must not pin every suite it
+	// ever simulated against.
+	derivedOnce sync.Once
+	derived     *Memo[any, any]
 }
 
-// maxPlansPerCapture bounds how many suites' plans one capture
-// retains. Real callers use one or two suite identities per capture
-// (the learned suite, plus its netsim view); the bound only matters
-// when estimator-cache evictions mint fresh suites repeatedly.
-const maxPlansPerCapture = 8
+// maxDerivedPerCapture bounds how many derived artefacts one capture
+// retains. Real callers use a handful of identities per capture (the
+// learned suite and its netsim view, the oracle, one netsim model);
+// the bound only matters when estimator-cache evictions mint fresh
+// suites repeatedly.
+const maxDerivedPerCapture = 8
 
-// planFor returns the capture's estimate plan for the suite, building
-// it on first use: single-flight per (capture, suite) pair, and a
-// cancelled or failed build is dropped so the next lookup retries. An
-// evicted plan stays valid for whoever already holds it; a future
-// lookup of that suite just rebuilds.
-func (c *Capture) planFor(ctx context.Context, suite *estimator.Suite) (*estimator.EstimatePlan, error) {
-	c.planOnce.Do(func() {
-		c.plans = NewMemo[*estimator.Suite, *estimator.EstimatePlan](maxPlansPerCapture)
+// derive returns the capture's artefact for key, building it on first
+// use: single-flight per (capture, key) pair, and a cancelled or
+// failed build is dropped so the next lookup retries. An evicted
+// artefact stays valid for whoever already holds it; a future lookup
+// of that key just rebuilds.
+func derive[V any](ctx context.Context, c *Capture, key any, build func() (V, error)) (V, error) {
+	c.derivedOnce.Do(func() { c.derived = NewMemo[any, any](maxDerivedPerCapture) })
+	v, _, err := c.derived.Get(ctx, key, func() (any, error) { return build() })
+	out, _ := v.(V) // a failed build leaves v nil: the zero V
+	return out, err
+}
+
+// planFor returns the capture's estimate plan for the timer — a
+// learned suite or the silicon oracle alike: the job fully annotated
+// once, so later replays against the same timer fill their overlay by
+// a single copy instead of re-pricing every op.
+func (c *Capture) planFor(ctx context.Context, t trace.Timer) (*estimator.EstimatePlan, error) {
+	return derive(ctx, c, t, func() (*estimator.EstimatePlan, error) {
+		return estimator.BuildPlan(ctx, c.Job, c.Comms, c.CommSizes, t)
 	})
-	plan, _, err := c.plans.Get(ctx, suite, func() (*estimator.EstimatePlan, error) {
-		return suite.BuildEstimatePlan(ctx, c.Job, c.Comms, c.CommSizes)
-	})
-	return plan, err
 }
 
 // congestionFor returns the capture's congestion demand map priced by
-// the given netsim model, building it on first use. The map assigns
-// every collective call its link footprint and latency split from the
-// model's cheapest-algorithm plan; the sim engine then resolves
+// the given netsim model. The map assigns every collective call its
+// link footprint and latency split from the model's
+// cheapest-algorithm plan; the sim engine then resolves
 // concurrently-active footprints against link widths.
-func (c *Capture) congestionFor(m *netsim.Model) *sim.CongestionModel {
-	c.congMu.Lock()
-	defer c.congMu.Unlock()
-	if c.congs == nil {
-		c.congs = lru.New[*netsim.Model, *sim.CongestionModel](maxPlansPerCapture, nil)
-	}
-	cm, ok := c.congs.Get(m)
-	if !ok {
-		cm = c.buildCongestion(m)
-		c.congs.Put(m, cm)
-	}
-	return cm
+func (c *Capture) congestionFor(ctx context.Context, m *netsim.Model) (*sim.CongestionModel, error) {
+	return derive(ctx, c, m, func() (*sim.CongestionModel, error) { return c.buildCongestion(ctx, m) })
 }
 
 // buildCongestion walks the collated trace once, planning each
 // distinct collective call on the model's topology to record which
 // link domains it occupies and how much of its duration is latency.
-// Calls the model cannot place (unknown membership, empty footprint)
-// are simply left out of the map and replay at their fixed annotated
-// duration.
-func (c *Capture) buildCongestion(m *netsim.Model) *sim.CongestionModel {
+// Calls the model cannot place (empty footprint) are simply left out
+// of the map and replay at their fixed annotated duration.
+// Cancellation of ctx is observed between workers.
+func (c *Capture) buildCongestion(ctx context.Context, m *netsim.Model) (*sim.CongestionModel, error) {
 	demands := make(map[trace.CollKey]sim.CollDemand)
-	if c.Job == nil {
-		return &sim.CongestionModel{Widths: m.Topology().LinkWidths(), Demands: demands}
-	}
-	world := 0
+	resolve := trace.RankResolver(c.Job, c.Comms, c.CommSizes)
 	for _, w := range c.Job.Workers {
-		if w.World > world {
-			world = w.World
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-	}
-	for _, w := range c.Job.Workers {
 		for i := range w.Ops {
 			op := &w.Ops[i]
 			if op.Kind != trace.KindCollective || op.Coll.Seq < 0 {
@@ -164,10 +148,7 @@ func (c *Capture) buildCongestion(m *netsim.Model) *sim.CongestionModel {
 				continue
 			}
 			cl := op.Coll
-			ranks := trace.ExpandRanks(c.Comms[cl.CommID], c.CommSizes[cl.CommID], world)
-			if len(ranks) == 0 {
-				ranks = trace.ExpandRanks([]int{w.Rank}, cl.NRanks, world)
-			}
+			ranks := resolve(w, cl)
 			n := cl.NRanks
 			if cl.Peer >= 0 {
 				// Point-to-point: the footprint is the two endpoints, not
@@ -185,7 +166,7 @@ func (c *Capture) buildCongestion(m *netsim.Model) *sim.CongestionModel {
 			demands[key] = sim.CollDemand{Links: est.Links, Lat: est.Lat.Nanoseconds()}
 		}
 	}
-	return &sim.CongestionModel{Widths: m.Topology().LinkWidths(), Demands: demands}
+	return &sim.CongestionModel{Widths: m.Topology().LinkWidths(), Demands: demands}, nil
 }
 
 // baseReport starts a Report with everything the capture already

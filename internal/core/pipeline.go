@@ -161,15 +161,15 @@ func (r *Report) String() string {
 }
 
 // Pipeline predicts workload performance on one cluster. It is a
-// composition of three stages over the Capture artifact:
+// composition of two halves over the Capture artifact:
 //
 //	Capture  — emulate + collate (the expensive half); yields a
 //	           reusable, immutable Capture
-//	Simulate — annotate a pooled duration overlay (learned suite via
-//	           the capture's estimate plan, or Opts.Oracle) and
+//	Simulate — fill a pooled duration overlay from the capture's
+//	           estimate plan (learned suite, or Opts.Oracle) and
 //	           replay in prediction mode
-//	Measure  — annotate with silicon ground truth and replay in
-//	           physical mode (the deployment stand-in)
+//	Measure  — the same replay, priced by the silicon ground truth
+//	           and run in physical mode (the deployment stand-in)
 //
 // Predict and MeasureActual are thin compositions; callers that
 // evaluate one workload several ways (oracle vs learned, ±netsim,
@@ -230,19 +230,13 @@ func (p *Pipeline) Capture(ctx context.Context, w workload.Workload) (*Capture, 
 	return c, nil
 }
 
-// Simulate annotates a view of the capture's job — with the
-// ground-truth oracle when Opts.Oracle is set, otherwise with the
-// learned suite — and replays it in prediction mode. The capture is
-// never mutated: annotations land in a pooled duration overlay the
-// simulator reads through, so any number of concurrent Simulate calls
-// can reuse one capture; the report's Emulate/Collate stage timings
-// are zero because those stages did not run.
-//
-// Suite annotation goes through the capture-attached estimate plan:
-// the first Simulate of a (capture, suite) pair resolves every unique
-// kernel shape once into a positional duration table, and every later
-// Simulate of the pair — batch sweeps, search trials, repeated
-// per-call annotation — fills the overlay with one copy.
+// Simulate replays the capture in prediction mode, kernels priced by
+// the ground-truth oracle when Opts.Oracle is set and by the learned
+// suite otherwise. The capture is never mutated: durations land in a
+// pooled overlay the simulator reads through, so any number of
+// concurrent Simulate calls can reuse one capture; the report's
+// Emulate/Collate stage timings are zero because those stages did not
+// run.
 func (p *Pipeline) Simulate(ctx context.Context, c *Capture, modelFLOPs float64, dtype hardware.DType) (*Report, error) {
 	return p.SimulateScratch(ctx, c, modelFLOPs, dtype, nil, 0)
 }
@@ -282,6 +276,12 @@ func (s *SimScratch) Release() {
 	simScratchPool.Put(s)
 }
 
+// run is the one place outside internal/sim that drives an engine.
+func (s *SimScratch) run(ctx context.Context, job *trace.Job, o sim.Options) (*sim.Report, error) {
+	s.engine.Reset(job, o)
+	return s.engine.Run(ctx)
+}
+
 // SimulateScratch is Simulate with two search-loop extensions: a
 // non-nil scratch is the caller's persistent engine and overlay (nil
 // borrows one from the process-wide pool for the call), and when
@@ -290,6 +290,35 @@ func (s *SimScratch) Release() {
 // sim.Options.TimeLimit). A nil scratch with zero limit is exactly
 // Simulate.
 func (p *Pipeline) SimulateScratch(ctx context.Context, c *Capture, modelFLOPs float64, dtype hardware.DType, scratch *SimScratch, limit time.Duration) (*Report, error) {
+	var timer trace.Timer
+	switch {
+	case p.Opts.Oracle != nil:
+		timer = p.Opts.Oracle
+	case p.Suite != nil:
+		timer = p.Suite
+	default:
+		return nil, errors.New("core: Simulate needs a trained Suite or an Oracle")
+	}
+	return p.replay(ctx, c, timer, false, modelFLOPs, dtype, scratch, limit)
+}
+
+// Measure replays the capture against the silicon ground truth in
+// physical mode — "deploy the job on the cluster and time it". The
+// capture is never mutated, so measurement and any number of
+// predictions share one capture. It needs no trained suite, and the
+// prediction-only options (Congestion, Faults) do not apply.
+func (p *Pipeline) Measure(ctx context.Context, c *Capture, oracle *silicon.Oracle, modelFLOPs float64, dtype hardware.DType) (*Report, error) {
+	return p.replay(ctx, c, oracle, true, modelFLOPs, dtype, nil, 0)
+}
+
+// replay is the back half of every prediction and every measurement,
+// the only way from a capture into the engine: rebind the scratch
+// overlay to the capture's job, fill it from the capture's plan for
+// the timer (built on the first replay of the pair, a table copy
+// after), build the run's options — prediction, or the silicon's
+// physical mode — run the scratch engine, walk the fault plan on the
+// same engine, and fill the report.
+func (p *Pipeline) replay(ctx context.Context, c *Capture, timer trace.Timer, physical bool, modelFLOPs float64, dtype hardware.DType, scratch *SimScratch, limit time.Duration) (*Report, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -308,49 +337,50 @@ func (p *Pipeline) SimulateScratch(ctx context.Context, c *Capture, modelFLOPs f
 		// one, so this is a Capture assembled by hand.
 		return nil, fmt.Errorf("core: capture of %s is not positionally indexed (an op's seq is not its index)", c.Workload)
 	}
-	var err error
-	if p.Opts.Oracle != nil {
-		err = p.Opts.Oracle.AnnotateInto(ctx, job, c.Comms, c.CommSizes, ann)
-	} else {
-		if p.Suite == nil {
-			return nil, errors.New("core: Simulate needs a trained Suite or an Oracle")
-		}
-		var plan *estimator.EstimatePlan
-		plan, err = c.planFor(ctx, p.Suite)
-		if err == nil && !plan.Fill(ann) {
-			err = fmt.Errorf("core: capture of %s: job changed after its estimate plan was built", c.Workload)
-		}
-	}
+	plan, err := c.planFor(ctx, timer)
 	if err != nil {
 		return nil, err
+	}
+	if !plan.Fill(ann) {
+		return nil, fmt.Errorf("core: capture of %s: job changed after its estimate plan was built", c.Workload)
 	}
 	rep.Stages.Estimate = time.Since(t0)
 
 	t0 = time.Now()
-	obs, bd := p.runObserver()
-	simOpts := sim.Options{Participants: c.Participants, Observer: obs, Annotations: ann, TimeLimit: limit}
-	if p.Opts.Congestion != nil {
-		simOpts.Congestion = c.congestionFor(p.Opts.Congestion)
+	obs := p.Opts.Observer
+	var bd *sim.Breakdown
+	if p.Opts.Breakdown {
+		bd = sim.NewBreakdown()
+		obs = sim.Observers(obs, bd)
 	}
-	if p.Opts.Faults != nil {
+	simOpts := sim.Options{Participants: c.Participants}
+	faultPlan := p.Opts.Faults
+	if physical {
+		// The silicon models contention its own way and knows no
+		// operational faults: the prediction-only options do not apply.
+		simOpts, faultPlan = silicon.PhysicalOptions(p.Opts.Seed, c.Participants), nil
+	} else if p.Opts.Congestion != nil {
+		if simOpts.Congestion, err = c.congestionFor(ctx, p.Opts.Congestion); err != nil {
+			return nil, err
+		}
+	}
+	simOpts.Observer, simOpts.Annotations, simOpts.TimeLimit = obs, ann, limit
+	if faultPlan != nil {
 		// Fault plans address world ranks: a deduplicated or
 		// selectively launched capture is missing potential victims.
 		if len(job.Workers) != c.TotalWorkers {
 			return nil, fmt.Errorf("core: fault scenarios need every rank simulated, capture of %s has %d of %d workers (capture with dedup disabled)",
 				c.Workload, len(job.Workers), c.TotalWorkers)
 		}
-		inj, ferr := p.Opts.Faults.Injection(job)
-		if ferr != nil {
-			return nil, ferr
+		if simOpts.Faults, err = faultPlan.Injection(job); err != nil {
+			return nil, err
 		}
-		simOpts.Faults = inj
 	}
-	scratch.engine.Reset(job, simOpts)
-	sr, err := scratch.engine.Run(ctx)
+	sr, err := scratch.run(ctx, job, simOpts)
 	if err != nil {
 		return nil, fmt.Errorf("core: simulating %s: %w", c.Workload, err)
 	}
-	if p.Opts.Faults != nil && !sr.Truncated {
+	if faultPlan != nil && !sr.Truncated {
 		// The main run above is the straggler-perturbed baseline; the
 		// walk re-runs the job per failure (and once cleanly when
 		// stragglers skew the baseline) on the same engine. Per-run
@@ -358,65 +388,20 @@ func (p *Pipeline) SimulateScratch(ctx context.Context, c *Capture, modelFLOPs f
 		// exactly one run, the main one.
 		runner := func(rctx context.Context, inj *sim.Injection, robs sim.Observer) (*sim.Report, error) {
 			o := simOpts
-			o.Faults = inj
-			o.Observer = robs
-			scratch.engine.Reset(job, o)
-			return scratch.engine.Run(rctx)
+			o.Faults, o.Observer = inj, robs
+			return scratch.run(rctx, job, o)
 		}
-		rec, ferr := faults.Evaluate(ctx, p.Opts.Faults, job, sr, runner)
-		if ferr != nil {
-			return nil, fmt.Errorf("core: fault scenario for %s: %w", c.Workload, ferr)
+		if rep.Recovery, err = faults.Evaluate(ctx, faultPlan, job, sr, runner); err != nil {
+			return nil, fmt.Errorf("core: fault scenario for %s: %w", c.Workload, err)
 		}
-		rep.Recovery = rec
 	}
 	rep.Stages.Simulate = time.Since(t0)
 
 	rep.Truncated = sr.Truncated
 	p.fill(rep, sr, modelFLOPs, dtype)
-	attachStalls(rep, bd, sr)
-	return rep, nil
-}
-
-// runObserver assembles the simulation observer for one run: the
-// caller-supplied one, plus a stall-attribution collector when the
-// pipeline asks for a breakdown.
-func (p *Pipeline) runObserver() (sim.Observer, *sim.Breakdown) {
-	if !p.Opts.Breakdown {
-		return p.Opts.Observer, nil
-	}
-	bd := sim.NewBreakdown()
-	return sim.Observers(p.Opts.Observer, bd), bd
-}
-
-// attachStalls resolves the breakdown collector into the report.
-func attachStalls(rep *Report, bd *sim.Breakdown, sr *sim.Report) {
 	if bd != nil {
 		rep.Stalls = &StallProfile{Workers: bd.Result(sr)}
 	}
-}
-
-// Measure replays the capture against the silicon ground truth in
-// physical mode — "deploy the job on the cluster and time it". The
-// capture is never mutated (the oracle annotates an overlay), so
-// measurement and any number of predictions share one capture. It
-// needs no trained suite.
-func (p *Pipeline) Measure(ctx context.Context, c *Capture, oracle *silicon.Oracle, modelFLOPs float64, dtype hardware.DType) (*Report, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	rep := c.baseReport()
-	if c.OOM {
-		return rep, nil
-	}
-	t0 := time.Now()
-	obs, bd := p.runObserver()
-	sr, err := silicon.MeasureActual(ctx, c.Job, oracle, c.Comms, c.CommSizes, c.Participants, p.Opts.Seed, obs)
-	if err != nil {
-		return nil, fmt.Errorf("core: measuring %s: %w", c.Workload, err)
-	}
-	rep.Stages.Simulate = time.Since(t0)
-	p.fill(rep, sr, modelFLOPs, dtype)
-	attachStalls(rep, bd, sr)
 	return rep, nil
 }
 

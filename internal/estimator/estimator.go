@@ -8,11 +8,9 @@
 package estimator
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"time"
 
 	"maya/internal/forest"
@@ -150,28 +148,10 @@ func (s *Suite) EstimateCollective(opName string, bytes int64, ranks []int, nran
 	return s.coll.Estimate(opName, bytes, ranks, nranks)
 }
 
-// KernelMemo caches kernel-runtime estimates by operation shape.
-// Safe for concurrent use. Collectives are never memoized (their
-// time depends on communicator topology), nor are kernels carrying
-// Extra features.
-//
-// The production annotate paths no longer wire a memo: captures carry
-// an EstimatePlan, which resolves every position of a (capture,
-// suite) pair once and fills overlays by copy — strictly less work
-// per annotate than a hash and sync.Map probe per op. The memo
-// remains as the shape-level layer for callers annotating many
-// distinct jobs without captures, and as the baseline the plan is
-// benchmarked against (BenchmarkAnnotatePlan).
-type KernelMemo struct {
-	m sync.Map // uint64 shape hash -> time.Duration
-}
-
-// NewKernelMemo returns an empty memo.
-func NewKernelMemo() *KernelMemo { return &KernelMemo{} }
-
-// kernelKey hashes the estimate-relevant shape of a kernel op
-// (FNV-1a over name, dtype, dims and work counts), allocation-free.
-// ok is false for ops whose estimate depends on more than the shape.
+// kernelKey hashes the shape of a device op that any timer's answer
+// may depend on (FNV-1a over name, kind, dtype, copy direction, dims
+// and work counts), allocation-free. ok is false for ops whose time
+// depends on more than the shape.
 func kernelKey(op *trace.Op) (uint64, bool) {
 	if op.Extra != nil {
 		return 0, false
@@ -194,64 +174,18 @@ func kernelKey(op *trace.Op) (uint64, bool) {
 		h ^= uint64(op.DType[i])
 		h *= prime
 	}
+	// The copy direction: the silicon prices a memcpy by it, and only
+	// the emulator's op names happen to repeat it.
+	for i := 0; i < len(op.MemKind); i++ {
+		h ^= uint64(op.MemKind[i])
+		h *= prime
+	}
 	for _, d := range op.Dims {
 		mix(uint64(d))
 	}
 	mix(uint64(op.Bytes))
 	mix(uint64(op.FLOPs))
 	return h, true
-}
-
-// AnnotateInto computes every device op's predicted duration and
-// writes it into the overlay the simulator reads through, leaving the
-// job immutable; the overlay must be bound to this job. comms provides
-// communicator membership from the collator; incomplete groups are
-// extrapolated by stride (Megatron process groups are uniform-stride,
-// so deduplicated jobs still get correct topology classification).
-// memo, when non-nil, shares kernel estimates by shape. Cancellation
-// of ctx is observed between workers; a cancelled annotation returns
-// ctx.Err() with the overlay partially filled.
-func (s *Suite) AnnotateInto(ctx context.Context, job *trace.Job, comms map[uint64][]int, sizes map[uint64]int, memo *KernelMemo, ann *trace.Annotations) error {
-	world := 0
-	for _, w := range job.Workers {
-		if w.World > world {
-			world = w.World
-		}
-	}
-	for wi, w := range job.Workers {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		for i := range w.Ops {
-			op := &w.Ops[i]
-			var d time.Duration
-			switch op.Kind {
-			case trace.KindKernel, trace.KindMemcpy, trace.KindMemset:
-				if memo != nil {
-					if key, ok := kernelKey(op); ok {
-						if hit, found := memo.m.Load(key); found {
-							d = hit.(time.Duration)
-						} else {
-							d = s.EstimateKernel(op)
-							memo.m.Store(key, d)
-						}
-						break
-					}
-				}
-				d = s.EstimateKernel(op)
-			case trace.KindCollective:
-				if op.Coll.Seq < 0 {
-					continue
-				}
-				ranks := trace.ExpandRanks(comms[op.Coll.CommID], sizes[op.Coll.CommID], world)
-				d = s.EstimateCollective(op.Coll.Op, op.Coll.Bytes, ranks, op.Coll.NRanks)
-			default:
-				continue
-			}
-			ann.Set(wi, op.Seq, d)
-		}
-	}
-	return nil
 }
 
 // MAPEByKernel evaluates the suite's per-kernel-name mean absolute

@@ -9,6 +9,7 @@ import (
 
 	"maya/internal/hardware"
 	"maya/internal/prand"
+	"maya/internal/silicon"
 	"maya/internal/trace"
 )
 
@@ -129,8 +130,11 @@ func TestTrainSuiteParallelMatchesSerial(t *testing.T) {
 // planFixtureJob builds a two-worker job covering every op class the
 // annotation pass distinguishes: profiled kernels (with a duplicate
 // shape), the analytical fallback, an Extra-carrying fused kernel,
-// memory ops, matched and unmatched collectives, host delays and
-// markers.
+// memory ops (two of them copies equal in everything but direction,
+// as a loaded trace may name them — the silicon prices those apart,
+// see its TestMemcpyTimes), matched and unmatched collectives
+// (one on a communicator with no recorded membership), host delays
+// and markers.
 func planFixtureJob(t *testing.T) (*trace.Job, map[uint64][]int, map[uint64]int) {
 	t.Helper()
 	mk := func(rank int) *trace.Worker {
@@ -146,10 +150,14 @@ func planFixtureJob(t *testing.T) (*trace.Job, map[uint64][]int, map[uint64]int)
 			Dims: []int{1 << 18}, FLOPs: 1 << 22, Bytes: 1 << 20, DType: "fp16",
 			Extra: map[string]float64{"triton_instrs": 8, "triton_loads": 2}})
 		w.Append(trace.Op{Kind: trace.KindMemcpy, Name: "MemcpyHtoD", Bytes: 1 << 20, MemKind: "HtoD"})
+		w.Append(trace.Op{Kind: trace.KindMemcpy, Name: "Memcpy", Bytes: 1 << 24, MemKind: "HtoD"})
+		w.Append(trace.Op{Kind: trace.KindMemcpy, Name: "Memcpy", Bytes: 1 << 24, MemKind: "DtoD"})
 		w.Append(trace.Op{Kind: trace.KindCollective, Name: "ncclAllReduce", Bytes: 1 << 20,
 			Coll: &trace.Collective{Op: "ncclAllReduce", CommID: 1, Seq: 0, NRanks: 2, Rank: rank, Peer: -1, Bytes: 1 << 20}})
 		w.Append(trace.Op{Kind: trace.KindCollective, Name: "ncclAllReduce", Bytes: 1 << 10,
 			Coll: &trace.Collective{Op: "ncclAllReduce", CommID: 1, Seq: -1, NRanks: 2, Rank: rank, Peer: -1, Bytes: 1 << 10}})
+		w.Append(trace.Op{Kind: trace.KindCollective, Name: "ncclAllGather", Bytes: 1 << 16,
+			Coll: &trace.Collective{Op: "ncclAllGather", CommID: 2, Seq: 0, NRanks: 2, Rank: rank, Peer: -1, Bytes: 1 << 16}})
 		w.Append(trace.Op{Kind: trace.KindMark, Name: "iter"})
 		return w
 	}
@@ -169,52 +177,41 @@ func TestEstimatePlanMatchesAnnotateInto(t *testing.T) {
 	job, comms, sizes := planFixtureJob(t)
 	ctx := context.Background()
 
-	direct := trace.NewAnnotations(job)
-	if direct == nil {
-		t.Fatal("fixture job not positionally indexable")
-	}
-	if err := s.AnnotateInto(ctx, job, comms, sizes, nil, direct); err != nil {
-		t.Fatal(err)
-	}
+	for name, timer := range map[string]trace.Timer{"suite": s, "oracle": silicon.NewOracle(cluster, silicon.DefaultSeed)} {
+		// The direct walk prices every op itself, no shape memo.
+		direct := trace.NewAnnotations(job)
+		if direct == nil {
+			t.Fatal("fixture job not positionally indexable")
+		}
+		if err := trace.Annotate(ctx, job, comms, sizes, timer, direct); err != nil {
+			t.Fatal(err)
+		}
 
-	plan, err := s.BuildEstimatePlan(ctx, job, comms, sizes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	planned := trace.NewAnnotations(job)
-	if !plan.Fill(planned) {
-		t.Fatal("plan.Fill rejected an overlay of its own job")
-	}
-	for wi, w := range job.Workers {
-		for i := range w.Ops {
-			if got, want := planned.Dur(wi, i), direct.Dur(wi, i); got != want {
-				t.Fatalf("worker %d op %d (%v %s): plan %v != annotate %v",
-					wi, i, w.Ops[i].Kind, w.Ops[i].Name, got, want)
+		plan, err := BuildPlan(ctx, job, comms, sizes, timer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		planned := trace.NewAnnotations(job)
+		if !plan.Fill(planned) {
+			t.Fatalf("%s: plan.Fill rejected an overlay of its own job", name)
+		}
+		for wi, w := range job.Workers {
+			for i := range w.Ops {
+				if got, want := planned.Dur(wi, i), direct.Dur(wi, i); got != want {
+					t.Fatalf("%s: worker %d op %d (%v %s): plan %v != annotate %v",
+						name, wi, i, w.Ops[i].Kind, w.Ops[i].Name, got, want)
+				}
 			}
 		}
-	}
-	if plan.Ops() != 2*len(job.Workers[0].Ops) {
-		t.Fatalf("plan covers %d ops, want %d", plan.Ops(), 2*len(job.Workers[0].Ops))
-	}
-
-	// The memoized path must agree too (plan subsumes the memo).
-	memo := NewKernelMemo()
-	memoed := trace.NewAnnotations(job)
-	if err := s.AnnotateInto(ctx, job, comms, sizes, memo, memoed); err != nil {
-		t.Fatal(err)
-	}
-	for wi, w := range job.Workers {
-		for i := range w.Ops {
-			if memoed.Dur(wi, i) != planned.Dur(wi, i) {
-				t.Fatalf("worker %d op %d: memo and plan disagree", wi, i)
-			}
+		if plan.Ops() != 2*len(job.Workers[0].Ops) {
+			t.Fatalf("%s: plan covers %d ops, want %d", name, plan.Ops(), 2*len(job.Workers[0].Ops))
 		}
-	}
 
-	// Mismatched layouts are rejected, not silently misapplied.
-	other, _ := trace.NewJob([]*trace.Worker{{Rank: 0, World: 1}})
-	if plan.Fill(trace.NewAnnotations(other)) {
-		t.Fatal("plan.Fill accepted an overlay of a different job")
+		// Mismatched layouts are rejected, not silently misapplied.
+		other, _ := trace.NewJob([]*trace.Worker{{Rank: 0, World: 1}})
+		if plan.Fill(trace.NewAnnotations(other)) {
+			t.Fatalf("%s: plan.Fill accepted an overlay of a different job", name)
+		}
 	}
 }
 

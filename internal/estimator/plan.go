@@ -9,21 +9,14 @@ import (
 )
 
 // EstimatePlan is a capture-attached annotation plan: the resolved
-// duration of every op of one immutable job against one suite, laid
-// out row-major exactly like a trace.Annotations overlay. Building it
-// pays the estimator once — each unique kernel shape (by kernelKey)
-// is one forest walk, every collective one topology lookup — and
-// every later annotate of the same (job, suite) pair is a single
-// array copy into the pooled overlay: no hashing, no map probes, no
-// forest walks.
-//
-// Plans generalize the former batch-local and search-wide KernelMemo
-// layers. A memo cached per-shape estimates keyed by hash and still
-// paid a hash plus a sync.Map probe per op per annotate; a plan
-// resolves every position up front, so batch sweeps, FindRecipe
-// trials and repeated Simulate calls against one capture skip
-// per-op work entirely. Plans are immutable once built and safe for
-// concurrent Fill.
+// duration of every op of one immutable job against one timer (a
+// learned suite or the silicon oracle), laid out row-major exactly
+// like a trace.Annotations overlay. Building it pays the timer once —
+// each unique kernel shape (by kernelKey) is priced once, every
+// collective gets one topology lookup — and every later annotate of
+// the same (job, timer) pair is a single array copy into the pooled
+// overlay: no hashing, no map probes, no forest walks. Plans are
+// immutable once built and safe for concurrent Fill.
 type EstimatePlan struct {
 	durs []time.Duration
 }
@@ -31,27 +24,53 @@ type EstimatePlan struct {
 // Ops returns how many op slots the plan covers.
 func (p *EstimatePlan) Ops() int { return len(p.durs) }
 
-// BuildEstimatePlan resolves every device op of the job against the
-// suite. It is annotation by construction — one AnnotateInto pass
-// (with a build-local shape memo so each unique kernel shape pays one
-// forest walk) into a fresh overlay, snapshotted — so a Fill from the
-// plan reproduces AnnotateInto exactly and cannot drift from it. Ops
-// an annotation pass does not touch — host delays, events, markers,
-// unmatched collectives — keep their base durations through the
-// overlay's seeding. Cancellation of ctx is observed between workers.
+// BuildPlan resolves every device op of the job against the timer. It
+// is annotation by construction — one trace.Annotate walk (behind a
+// build-local shapeMemo) into a fresh overlay whose table the plan
+// then keeps — so a Fill from the plan reproduces the walk exactly and
+// cannot drift from it. Cancellation of ctx is observed between
+// workers.
 //
 // The job must be positionally indexable (op Seq == index), the same
 // invariant overlays require; plans exist to fill overlays, so a job
 // an overlay cannot address has no use for one.
-func (s *Suite) BuildEstimatePlan(ctx context.Context, job *trace.Job, comms map[uint64][]int, sizes map[uint64]int) (*EstimatePlan, error) {
+func BuildPlan(ctx context.Context, job *trace.Job, comms map[uint64][]int, sizes map[uint64]int, t trace.Timer) (*EstimatePlan, error) {
 	ann := trace.NewAnnotations(job)
 	if ann == nil {
 		return nil, errors.New("estimator: job is not positionally indexable, cannot build an estimate plan")
 	}
-	if err := s.AnnotateInto(ctx, job, comms, sizes, NewKernelMemo(), ann); err != nil {
+	memo := &shapeMemo{Timer: t, seen: make(map[uint64]time.Duration)}
+	if err := trace.Annotate(ctx, job, comms, sizes, memo, ann); err != nil {
 		return nil, err
 	}
-	return &EstimatePlan{durs: ann.Snapshot()}, nil
+	return &EstimatePlan{durs: ann.Detach()}, nil
+}
+
+// BuildEstimatePlan is BuildPlan with the suite as the timer.
+func (s *Suite) BuildEstimatePlan(ctx context.Context, job *trace.Job, comms map[uint64][]int, sizes map[uint64]int) (*EstimatePlan, error) {
+	return BuildPlan(ctx, job, comms, sizes, s)
+}
+
+// shapeMemo is the timer one plan build walks with: kernel times are
+// remembered by shape for the length of the build, collectives (whose
+// time depends on communicator topology) and kernels carrying Extra
+// features go straight to the timer behind it.
+type shapeMemo struct {
+	trace.Timer
+	seen map[uint64]time.Duration
+}
+
+func (m *shapeMemo) EstimateKernel(op *trace.Op) time.Duration {
+	key, ok := kernelKey(op)
+	if !ok {
+		return m.Timer.EstimateKernel(op)
+	}
+	d, hit := m.seen[key]
+	if !hit {
+		d = m.Timer.EstimateKernel(op)
+		m.seen[key] = d
+	}
+	return d
 }
 
 // Fill copies the plan into the overlay, reporting false — leaving

@@ -39,6 +39,11 @@ type setupSpec struct {
 	globalBatch int
 }
 
+// problem is the setup as a recipe-search problem.
+func (s setupSpec) problem() search.Problem {
+	return search.Problem{Model: s.model, Cluster: s.cluster, GlobalBatch: s.globalBatch}
+}
+
 func accuracySetups() []setupSpec {
 	return []setupSpec{
 		{"GPT3-2.7B/8xV100", models.GPT3_2_7B(), hardware.DGXV100(1), 64},
@@ -70,7 +75,7 @@ func (e *Env) sweep(ctx context.Context, setup setupSpec, maxConfigs int) ([]poi
 			return nil, err
 		}
 		oracle := e.Oracle(setup.cluster)
-		problem := search.Problem{Model: setup.model, Cluster: setup.cluster, GlobalBatch: setup.globalBatch}
+		problem := setup.problem()
 
 		// Candidate order: plain TP/PP points first (every baseline
 		// supports those, so the comparison has common ground), then a

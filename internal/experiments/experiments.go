@@ -150,8 +150,7 @@ func (e *Env) memo(key string, fn func() (any, error)) (any, error) {
 
 // Predictor returns the Maya pipeline for a cluster (cached suite).
 func (e *Env) Predictor(ctx context.Context, cluster hardware.Cluster, kind estimator.ProfileKind) (*core.Pipeline, error) {
-	oracle := core.DefaultOracle(cluster)
-	suite, _, err := e.Suites.SuiteFor(ctx, cluster, oracle, kind)
+	suite, _, err := e.Suites.SuiteFor(ctx, cluster, e.Oracle(cluster), kind)
 	if err != nil {
 		return nil, err
 	}
@@ -186,14 +185,17 @@ func (e *Env) CaptureOnce(ctx context.Context, pipe *core.Pipeline, key string, 
 
 // MAPE returns the held-out per-kernel error map for a cluster.
 func (e *Env) MAPE(ctx context.Context, cluster hardware.Cluster, kind estimator.ProfileKind) (map[string]float64, error) {
-	oracle := core.DefaultOracle(cluster)
-	_, mape, err := e.Suites.SuiteFor(ctx, cluster, oracle, kind)
+	_, mape, err := e.Suites.SuiteFor(ctx, cluster, e.Oracle(cluster), kind)
 	return mape, err
 }
 
-// Oracle returns the canonical silicon for a cluster.
+// Oracle returns the canonical silicon for a cluster: one instance
+// per cluster for the life of the Env, because a capture keys its
+// oracle plan by the oracle's identity — every measurement and oracle
+// row over one capture then shares a single plan build.
 func (e *Env) Oracle(cluster hardware.Cluster) *silicon.Oracle {
-	return core.DefaultOracle(cluster)
+	v, _ := e.memo("oracle/"+cluster.Name, func() (any, error) { return core.DefaultOracle(cluster), nil })
+	return v.(*silicon.Oracle)
 }
 
 func dur2s(d interface{ Seconds() float64 }) string {

@@ -42,7 +42,7 @@ func hyperscalePipeline(ctx context.Context, e *Env, nodes int) (*core.Pipeline,
 	// kernels do not depend on cluster size, collectives come from
 	// netsim on the actual cluster.
 	ref := hardware.DGXH100(8)
-	suite, _, err := e.Suites.SuiteFor(ctx, ref, core.DefaultOracle(ref), estimator.ProfileLLM)
+	suite, _, err := e.Suites.SuiteFor(ctx, ref, e.Oracle(ref), estimator.ProfileLLM)
 	if err != nil {
 		return nil, err
 	}

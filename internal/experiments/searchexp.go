@@ -14,7 +14,6 @@ import (
 
 	"maya/internal/core"
 	"maya/internal/estimator"
-	"maya/internal/framework"
 	"maya/internal/hardware"
 	"maya/internal/models"
 	"maya/internal/search"
@@ -38,16 +37,16 @@ func searchSetups() []setupSpec {
 }
 
 // evaluatorFor builds the search evaluator backed by Maya's pipeline,
-// with per-search stage-time accounting. ablate restores the
-// simulate-everything path for capture-OOM trials (the Fig. 15
-// verdict-fast-path ablation).
-func (e *Env) evaluatorFor(ctx context.Context, setup setupSpec, opts core.Options, ablate bool, stages *core.StageTimings, mu *sync.Mutex) (search.Evaluator, error) {
+// with per-search stage-time accounting (stages may be nil). ablate
+// restores the simulate-everything path for capture-OOM trials (the
+// Fig. 15 verdict-fast-path ablation).
+func (e *Env) evaluatorFor(ctx context.Context, setup setupSpec, opts core.Options, ablate bool, stages *core.StageTimings) (search.Evaluator, error) {
 	pipe, err := e.Predictor(ctx, setup.cluster, estimator.ProfileLLM)
 	if err != nil {
 		return nil, err
 	}
 	p := &core.Pipeline{Cluster: setup.cluster, Suite: pipe.Suite, Opts: opts}
-	flops := setup.model.TrainFLOPsPerIter(setup.globalBatch)
+	var mu sync.Mutex
 	addStages := func(s core.StageTimings) {
 		if stages == nil {
 			return
@@ -59,84 +58,39 @@ func (e *Env) evaluatorFor(ctx context.Context, setup setupSpec, opts core.Optio
 		stages.Simulate += s.Simulate
 		mu.Unlock()
 	}
-	return func(ctx context.Context, cfg framework.MegatronConfig, bound time.Duration) (search.EvalResult, error) {
-		w, err := framework.NewMegatron(cfg)
-		if err != nil {
-			return search.EvalResult{}, err
-		}
-		c, err := p.Capture(ctx, w)
-		if err != nil {
-			return search.EvalResult{}, err
-		}
-		if c.OOM && !ablate {
-			// Verdict fast path: the emulator's memory accounting
-			// already decided this trial; skip estimation + simulation.
-			addStages(core.StageTimings{Emulate: c.EmulateTime, Collate: c.CollateTime})
-			return search.EvalResult{OOM: true, PeakMem: c.PeakMemBytes, Verdict: true}, nil
-		}
-		rep, err := p.SimulateScratch(ctx, c, flops, hardware.BF16, nil, bound)
-		if err != nil {
-			return search.EvalResult{}, err
-		}
-		rep.Stages.Emulate, rep.Stages.Collate = c.EmulateTime, c.CollateTime
-		addStages(rep.Stages)
-		if rep.Truncated {
-			return search.EvalResult{Truncated: true, PeakMem: rep.PeakMemBytes}, nil
-		}
-		return search.EvalResult{
-			OOM: rep.OOM, IterTime: rep.IterTime, MFU: rep.MFU, PeakMem: rep.PeakMemBytes,
-		}, nil
-	}, nil
+	return p.TrialEvaluator(p.Capture, setup.model.TrainFLOPsPerIter(setup.globalBatch), nil, ablate, addStages), nil
 }
 
-// searchOutcome runs (and memoizes) one CMA-ES search per setup.
-func (e *Env) searchOutcome(ctx context.Context, setup setupSpec) (*search.Outcome, error) {
-	v, err := e.memo("search/"+setup.name, func() (any, error) {
-		eval, err := e.evaluatorFor(ctx, setup, core.Options{SelectiveLaunch: true}, false, nil, nil)
+// memoSearch runs (and memoizes under key) one search of the setup's
+// recipe space through the default pipeline.
+func (e *Env) memoSearch(ctx context.Context, key string, setup setupSpec, sopt search.Options) (*search.Outcome, error) {
+	v, err := e.memo(key, func() (any, error) {
+		eval, err := e.evaluatorFor(ctx, setup, core.Options{SelectiveLaunch: true}, false, nil)
 		if err != nil {
 			return nil, err
 		}
-		return search.Run(
-			ctx,
-			search.Problem{Model: setup.model, Cluster: setup.cluster, GlobalBatch: setup.globalBatch},
-			eval,
-			search.Options{
-				Algorithm: "cma",
-				Budget:    e.Scale.pick(320, 2000),
-				Parallel:  8,
-				Seed:      7,
-			})
+		return search.Run(ctx, setup.problem(), eval, sopt)
 	})
 	if err != nil {
 		return nil, err
 	}
 	return v.(*search.Outcome), nil
+}
+
+// searchOutcome is the setup's (memoized) CMA-ES search.
+func (e *Env) searchOutcome(ctx context.Context, setup setupSpec) (*search.Outcome, error) {
+	return e.memoSearch(ctx, "search/"+setup.name, setup, search.Options{
+		Algorithm: "cma", Budget: e.Scale.pick(320, 2000), Parallel: 8, Seed: 7,
+	})
 }
 
 // gridOptimum finds the true predicted optimum by exhaustive grid
 // (with caching and pruning, like the paper's reference run).
 func (e *Env) gridOptimum(ctx context.Context, setup setupSpec) (*search.Outcome, error) {
-	v, err := e.memo("grid/"+setup.name, func() (any, error) {
-		eval, err := e.evaluatorFor(ctx, setup, core.Options{SelectiveLaunch: true}, false, nil, nil)
-		if err != nil {
-			return nil, err
-		}
-		return search.Run(
-			ctx,
-			search.Problem{Model: setup.model, Cluster: setup.cluster, GlobalBatch: setup.globalBatch},
-			eval,
-			search.Options{
-				Algorithm:       "grid",
-				Budget:          search.MegatronSpace().Size(),
-				Parallel:        8,
-				Seed:            7,
-				EarlyStopWindow: -1, // grid must see everything
-			})
+	return e.memoSearch(ctx, "grid/"+setup.name, setup, search.Options{
+		Algorithm: "grid", Budget: search.MegatronSpace().Size(), Parallel: 8, Seed: 7,
+		EarlyStopWindow: -1, // grid must see everything
 	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*search.Outcome), nil
 }
 
 func fig11(ctx context.Context, e *Env) (*Table, error) {
@@ -214,26 +168,15 @@ func fig16(ctx context.Context, e *Env) (*Table, error) {
 	budget := e.Scale.pick(140, 2000)
 	for _, setup := range setups {
 		for _, algo := range algos {
-			key := fmt.Sprintf("fig16/%s/%s", setup.name, algo)
-			v, err := e.memo(key, func() (any, error) {
-				eval, err := e.evaluatorFor(ctx, setup, core.Options{SelectiveLaunch: true}, false, nil, nil)
-				if err != nil {
-					return nil, err
-				}
-				b := budget
-				if algo == "grid" {
-					b = search.MegatronSpace().Size()
-				}
-				return search.Run(
-					ctx,
-					search.Problem{Model: setup.model, Cluster: setup.cluster, GlobalBatch: setup.globalBatch},
-					eval,
-					search.Options{Algorithm: algo, Budget: b, Parallel: 8, Seed: 11, EarlyStopWindow: -1})
-			})
+			b := budget
+			if algo == "grid" {
+				b = search.MegatronSpace().Size()
+			}
+			out, err := e.memoSearch(ctx, fmt.Sprintf("fig16/%s/%s", setup.name, algo), setup,
+				search.Options{Algorithm: algo, Budget: b, Parallel: 8, Seed: 11, EarlyStopWindow: -1})
 			if err != nil {
 				return nil, err
 			}
-			out := v.(*search.Outcome)
 			row := []string{setup.name, algo}
 			for _, at := range []int{25, 50, 100, 200} {
 				row = append(row, pct(mfuAt(out, at)))
@@ -291,16 +234,12 @@ func table6(ctx context.Context, e *Env) (*Table, error) {
 	}
 	for _, v := range variants {
 		var stages core.StageTimings
-		var mu sync.Mutex
-		eval, err := e.evaluatorFor(ctx, setup, v.opts, v.ablate, &stages, &mu)
+		eval, err := e.evaluatorFor(ctx, setup, v.opts, v.ablate, &stages)
 		if err != nil {
 			return nil, err
 		}
 		start := time.Now()
-		out, err := search.Run(
-			ctx,
-			search.Problem{Model: setup.model, Cluster: setup.cluster, GlobalBatch: setup.globalBatch},
-			eval, v.sopt)
+		out, err := search.Run(ctx, setup.problem(), eval, v.sopt)
 		if err != nil && out == nil {
 			return nil, err
 		}

@@ -11,10 +11,11 @@
 //   - profiler: Measure adds measurement noise on top of the truth,
 //     producing the microbenchmark samples estimators train on
 //     (Maya's transparent profiling mode);
-//   - deployment: Annotate + the simulator's physical mode (launch
-//     jitter, SM contention) realize "run the workload on the real
-//     cluster and time it", the baseline every prediction experiment
-//     compares against.
+//   - deployment: the oracle as the annotate walk's timer plus the
+//     simulator's physical mode (PhysicalOptions: launch jitter, SM
+//     contention) realize "run the workload on the real cluster and
+//     time it", the baseline every prediction experiment compares
+//     against.
 //
 // The oracle is intentionally *not* importable by the estimator
 // training features: estimators see only profiled samples, never the
@@ -23,7 +24,6 @@ package silicon
 
 import (
 	"context"
-	"errors"
 	"math"
 	"time"
 
@@ -475,47 +475,23 @@ func (o *Oracle) Measure(op *trace.Op, ranks []int, sampleID int64) time.Duratio
 	return time.Duration(float64(truth) * math.Exp(0.015*z))
 }
 
-// AnnotateInto computes every device op's ground-truth duration and
-// writes it into the overlay the simulator reads through, leaving the
-// job immutable; the overlay must be bound to this job. comms maps
-// communicator IDs to the ordered global ranks of their members and
-// sizes to their declared sizes (both from the collator); membership
-// left partial by deduplication is expanded by stride so collective
-// topology stays truthful. Cancellation of ctx is observed between
-// workers.
+// EstimateKernel and EstimateCollective make the oracle a trace.Timer
+// — the same seam the learned suite fills, answered with the truth —
+// so one annotate walk and one per-capture plan serve predictions,
+// oracle rows and physical replays alike. The silicon times the ranks
+// it is given; the declared group size is a learned timer's crutch.
+func (o *Oracle) EstimateKernel(op *trace.Op) time.Duration { return o.KernelTime(op) }
+
+func (o *Oracle) EstimateCollective(opName string, bytes int64, ranks []int, _ int) time.Duration {
+	return o.CollectiveTime(opName, bytes, ranks)
+}
+
+// AnnotateInto is trace.Annotate with the oracle as the timer: the
+// direct, un-planned walk. Product code fills from the capture's
+// oracle plan instead; this exists for bench/'s
+// sim.oracle_annotate_ms rung and as the tests' reference.
 func (o *Oracle) AnnotateInto(ctx context.Context, job *trace.Job, comms map[uint64][]int, sizes map[uint64]int, ann *trace.Annotations) error {
-	world := 0
-	for _, w := range job.Workers {
-		if w.World > world {
-			world = w.World
-		}
-	}
-	for wi, w := range job.Workers {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		for i := range w.Ops {
-			op := &w.Ops[i]
-			var d time.Duration
-			switch op.Kind {
-			case trace.KindKernel, trace.KindMemcpy, trace.KindMemset:
-				d = o.KernelTime(op)
-			case trace.KindCollective:
-				if op.Coll.Seq < 0 {
-					continue
-				}
-				ranks := trace.ExpandRanks(comms[op.Coll.CommID], sizes[op.Coll.CommID], world)
-				if len(ranks) == 0 {
-					ranks = trace.ExpandRanks([]int{w.Rank}, op.Coll.NRanks, world)
-				}
-				d = o.CollectiveTime(op.Coll.Op, op.Coll.Bytes, ranks)
-			default:
-				continue
-			}
-			ann.Set(wi, op.Seq, d)
-		}
-	}
-	return nil
+	return trace.Annotate(ctx, job, comms, sizes, o, ann)
 }
 
 // PhysicalOptions returns the simulator options for "actual"
@@ -528,25 +504,4 @@ func PhysicalOptions(seed uint64, participants map[trace.CollKey]int) sim.Option
 		CommContention: 0.06,
 		Seed:           seed,
 	}
-}
-
-// MeasureActual is "deploy the job on the cluster and time it": the
-// trace is annotated with ground truth and replayed in physical mode
-// on a pooled engine. The job itself is never mutated: ground truth
-// lands in a pooled duration overlay the simulator reads through. An
-// optional observer (nil for none) watches the replay. Cancelling ctx
-// aborts both the annotation and the replay.
-func MeasureActual(ctx context.Context, job *trace.Job, oracle *Oracle, comms map[uint64][]int, sizes map[uint64]int, participants map[trace.CollKey]int, seed uint64, obs sim.Observer) (*sim.Report, error) {
-	ann := trace.AcquireAnnotations(job)
-	if ann == nil {
-		return nil, errors.New("silicon: job is not positionally indexed (an op's seq is not its index)")
-	}
-	defer ann.Release()
-	if err := oracle.AnnotateInto(ctx, job, comms, sizes, ann); err != nil {
-		return nil, err
-	}
-	opts := PhysicalOptions(seed, participants)
-	opts.Observer = obs
-	opts.Annotations = ann
-	return sim.RunPooled(ctx, job, opts)
 }

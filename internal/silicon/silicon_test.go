@@ -3,6 +3,7 @@ package silicon
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -159,26 +160,53 @@ func TestAnnotateFillsDeviceWork(t *testing.T) {
 	}
 }
 
+// rankRecorder is a trace.Timer that keeps the rank lists it is handed.
+type rankRecorder struct{ seen [][]int }
+
+func (r *rankRecorder) EstimateKernel(*trace.Op) time.Duration { return 0 }
+func (r *rankRecorder) EstimateCollective(_ string, _ int64, ranks []int, _ int) time.Duration {
+	r.seen = append(r.seen, ranks)
+	return time.Millisecond
+}
+
 func TestAnnotateExpandsPartialMembership(t *testing.T) {
-	// Only one member of a declared 4-rank comm is present (dedup):
-	// the collective must still be timed as a 4-rank group, not a
-	// trivial singleton.
+	// Only one member of a declared 4-rank comm is present (dedup), and
+	// a second comm has no recorded membership at all (a loaded trace
+	// need not carry any): both collectives must still be timed as
+	// 4-rank groups, not trivial singletons — by every timer, since all
+	// are handed the walk's one answer.
 	w := &trace.Worker{Rank: 0, World: 16}
-	w.Append(trace.Op{Kind: trace.KindCollective, Coll: &trace.Collective{
-		Op: "ncclAllReduce", CommID: 5, Seq: 0, NRanks: 4, Rank: 0, Peer: -1, Bytes: 1 << 26}})
+	for _, comm := range []uint64{5, 6} {
+		w.Append(trace.Op{Kind: trace.KindCollective, Coll: &trace.Collective{
+			Op: "ncclAllReduce", CommID: comm, Seq: 0, NRanks: 4, Rank: 0, Peer: -1, Bytes: 1 << 26}})
+	}
 	job, _ := trace.NewJob([]*trace.Worker{w})
+	comms, sizes := map[uint64][]int{5: {0}}, map[uint64]int{5: 4}
+	group := []int{0, 4, 8, 12}
+
 	o := NewOracle(hardware.DGXV100(2), DefaultSeed)
 	ann := trace.NewAnnotations(job)
-	if err := o.AnnotateInto(context.Background(), job, map[uint64][]int{5: {0}}, map[uint64]int{5: 4}, ann); err != nil {
+	if err := o.AnnotateInto(context.Background(), job, comms, sizes, ann); err != nil {
 		t.Fatal(err)
 	}
-	got := ann.Dur(0, 0)
-	want := o.CollectiveTime("ncclAllReduce", 1<<26, []int{0, 4, 8, 12})
-	if got != want {
-		t.Fatalf("partial membership time %v, want expanded-group %v", got, want)
+	want := o.CollectiveTime("ncclAllReduce", 1<<26, group)
+	for i := range w.Ops {
+		got := ann.Dur(0, i)
+		if got != want {
+			t.Fatalf("collective %d: partial membership time %v, want expanded-group %v", i, got, want)
+		}
+		if got < 10*time.Microsecond*2 {
+			t.Fatal("collective degenerated to singleton timing")
+		}
 	}
-	if got < 10*time.Microsecond*2 {
-		t.Fatal("collective degenerated to singleton timing")
+
+	// Any other timer — the learned suite — is handed the same lists.
+	rec := &rankRecorder{}
+	if err := trace.Annotate(context.Background(), job, comms, sizes, rec, ann); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rec.seen, [][]int{group, group}) {
+		t.Fatalf("the walk handed a timer rank lists %v, want %v twice", rec.seen, group)
 	}
 }
 

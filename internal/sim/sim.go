@@ -126,8 +126,9 @@ type Options struct {
 // observes ctx: a cancelled simulation stops promptly and returns
 // ctx.Err().
 //
-// Run builds a fresh Engine per call. Callers that simulate in a
-// loop should prefer RunPooled, which reuses engine storage.
+// Run builds a fresh Engine per call: the reference the reused-engine
+// paths are tested against. Product code reaches the engine only
+// through core.Pipeline's replay, on a core.SimScratch.
 func Run(ctx context.Context, job *trace.Job, opts Options) (*Report, error) {
 	e := NewEngine()
 	e.Reset(job, opts)
@@ -136,12 +137,11 @@ func Run(ctx context.Context, job *trace.Job, opts Options) (*Report, error) {
 
 var enginePool = sync.Pool{New: func() any { return NewEngine() }}
 
-// RunPooled is Run backed by a process-wide engine pool: stream,
-// host, heap and interval storage is reused across calls, so
-// back-to-back simulations (batch sweeps, search trials,
-// annotate-many over one capture) run allocation-free at steady
-// state. Results are identical to Run's. Safe for concurrent use —
-// each call owns its engine for the duration.
+// RunPooled is Run on an engine from a process-wide pool; results are
+// identical to Run's and it is safe for concurrent use. It exists for
+// bench/'s engine rungs, which time the engine without core around
+// it; no product code calls it (CI enforces that), so it and
+// enginePool go when those rungs move onto core.SimScratch.
 func RunPooled(ctx context.Context, job *trace.Job, opts Options) (*Report, error) {
 	e := enginePool.Get().(*Engine)
 	e.Reset(job, opts)

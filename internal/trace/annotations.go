@@ -73,12 +73,15 @@ func (a *Annotations) Rebind(job *Job) bool {
 	return true
 }
 
-// Snapshot returns a copy of the overlay's full duration table in
-// row-major layout — exactly the table FillFrom accepts. Estimate
-// plans are built this way: annotate once into an overlay, snapshot
-// it, replay the snapshot into later overlays by copy.
-func (a *Annotations) Snapshot() []time.Duration {
-	return append([]time.Duration(nil), a.durs...)
+// Detach hands the overlay's duration table — row-major, exactly the
+// table FillFrom accepts — to the caller and leaves the overlay
+// unbound, so the table can never be written through it again.
+// Estimate plans are built this way: annotate once into a fresh
+// overlay, keep its table, replay it into later overlays by copy.
+func (a *Annotations) Detach() []time.Duration {
+	durs := a.durs
+	a.durs = nil
+	return durs
 }
 
 // FillFrom overwrites the whole overlay from a precomputed duration
@@ -107,7 +110,9 @@ var annPool sync.Pool
 
 // AcquireAnnotations returns a pooled overlay bound to the job (nil
 // when the job is not positionally indexable). Release it when the
-// simulation that reads it has finished.
+// simulation that reads it has finished. Like sim.RunPooled it exists
+// for bench/'s ladder rungs only: product code's overlays live in
+// core.SimScratch.
 func AcquireAnnotations(job *Job) *Annotations {
 	a, _ := annPool.Get().(*Annotations)
 	if a == nil {

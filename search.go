@@ -3,10 +3,8 @@ package maya
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"maya/internal/core"
-	"maya/internal/framework"
 	"maya/internal/search"
 )
 
@@ -74,33 +72,15 @@ func (p *Predictor) FindRecipe(ctx context.Context, problem SearchProblem, opts 
 			s.Release()
 		}
 	}()
+	capture := func(ctx context.Context, w Workload) (*core.Capture, error) {
+		c, _, err := p.captureFor(ctx, pipe, w, settings)
+		return c, err
+	}
 	// RunWorkers calls the factory for one worker at a time.
 	factory := func(int) search.Evaluator {
 		scratch := core.AcquireSimScratch()
 		scratches = append(scratches, scratch)
-		return func(ctx context.Context, cfg framework.MegatronConfig, bound time.Duration) (search.EvalResult, error) {
-			w, err := framework.NewMegatron(cfg)
-			if err != nil {
-				return search.EvalResult{}, err
-			}
-			c, _, err := p.captureFor(ctx, pipe, w, settings)
-			if err != nil {
-				return search.EvalResult{}, err
-			}
-			if c.OOM && !opts.DisableVerdictFastPath {
-				return search.EvalResult{OOM: true, PeakMem: c.PeakMemBytes, Verdict: true}, nil
-			}
-			rep, err := pipe.SimulateScratch(ctx, c, flops, BF16, scratch, bound)
-			if err != nil {
-				return search.EvalResult{}, err
-			}
-			if rep.Truncated {
-				return search.EvalResult{Truncated: true, PeakMem: rep.PeakMemBytes}, nil
-			}
-			return search.EvalResult{
-				OOM: rep.OOM, IterTime: rep.IterTime, MFU: rep.MFU, PeakMem: rep.PeakMemBytes,
-			}, nil
-		}
+		return pipe.TrialEvaluator(capture, flops, scratch, opts.DisableVerdictFastPath, nil)
 	}
 	return search.RunWorkers(ctx, problem, factory, opts)
 }

@@ -129,10 +129,11 @@ func (p *Predictor) Capture(ctx context.Context, w Workload, opts ...PredictOpti
 
 // Simulate annotates a pooled overlay view of the trace and
 // simulates it, paying only the estimate and simulate stages — the
-// capture is reused and never mutated, and repeated learned
-// Simulates of one trace reuse its capture-attached estimate plan
-// (each unique kernel shape is resolved once, later calls annotate
-// by table copy). Per-call options select the annotation:
+// capture is reused and never mutated, and repeated Simulates of one
+// trace reuse its capture-attached estimate plan, learned and
+// ground-truth alike (each unique kernel shape is resolved once per
+// timer, later calls annotate by table copy). Per-call options select
+// the annotation:
 // the predictor's learned suite by default, WithOracleAnnotation for
 // ground-truth kernel times, WithNetSim for netsim collectives, and
 // WithPhysicalReplay for the full deployment stand-in (ground truth
