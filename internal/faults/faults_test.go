@@ -3,6 +3,7 @@ package faults
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -16,7 +17,7 @@ import (
 // 2ms setup, then per iteration a 10ms kernel, a 1ms allreduce and a
 // synced iter_end mark. Clean boundaries: setup_end at 2ms, iter ends
 // at 13, 24, 35ms (11ms per iteration).
-func iterJob(t *testing.T) *trace.Job {
+func iterJob(t testing.TB) *trace.Job {
 	t.Helper()
 	mk := func(rank int) *trace.Worker {
 		w := &trace.Worker{Rank: rank, World: 2, Device: "test"}
@@ -366,6 +367,16 @@ func TestPlanJSONRoundTrip(t *testing.T) {
 	}
 	if _, err := ParsePlan(strings.NewReader(`{"stragglers":[{"factor":0}]}`)); err == nil {
 		t.Fatal("ParsePlan accepted zero straggler factor")
+	}
+	// A factor this large used to wrap the stretched duration negative
+	// and make the straggler finish first.
+	if _, err := ParsePlan(strings.NewReader(`{"stragglers":[{"factor":1e12}]}`)); err == nil {
+		t.Fatal("ParsePlan accepted straggler factor 1e12")
+	}
+	for _, f := range []float64{0.5, MaxStragglerFactor + 1, math.Inf(1), math.NaN()} {
+		if err := (&Plan{Stragglers: []Straggler{{Factor: f}}}).Validate(); err == nil {
+			t.Fatalf("Validate accepted straggler factor %v", f)
+		}
 	}
 	if _, err := ParsePlan(strings.NewReader(`{"resizes":[{"at_iteration":0,"new_world":0}]}`)); err == nil {
 		t.Fatal("ParsePlan accepted zero world resize")

@@ -29,9 +29,10 @@ import (
 )
 
 // Straggler selects ranks and slows their device compute by a
-// multiplicative factor, optionally only inside a trace-time window.
-// Selection: the named Ranks, plus every rank r with r % EveryNth ==
-// 0 when EveryNth > 0; with neither selector, every rank straggles.
+// multiplicative factor in [1, MaxStragglerFactor], optionally only
+// inside a trace-time window. Selection: the named Ranks, plus every
+// rank r with r % EveryNth == 0 when EveryNth > 0; with neither
+// selector, every rank straggles.
 type Straggler struct {
 	Ranks    []int         `json:"ranks,omitempty"`
 	EveryNth int           `json:"every_nth,omitempty"`
@@ -39,6 +40,10 @@ type Straggler struct {
 	From     time.Duration `json:"from_ns,omitempty"`
 	Until    time.Duration `json:"until_ns,omitempty"`
 }
+
+// MaxStragglerFactor is the largest slowdown a plan may name: a device
+// a thousand times slow is already a failure in all but name.
+const MaxStragglerFactor = 1000
 
 // FailStop schedules one rank's death at a scenario wall-clock time.
 // Detect and Restore override the plan's defaults when positive.
@@ -116,8 +121,8 @@ func (p *Plan) Validate() error {
 		return fmt.Errorf("faults: max_restarts %d < 0", p.MaxRestarts)
 	}
 	for i, s := range p.Stragglers {
-		if s.Factor <= 0 {
-			return fmt.Errorf("faults: straggler %d: factor %v must be > 0", i, s.Factor)
+		if !(s.Factor >= 1 && s.Factor <= MaxStragglerFactor) { // NaN fails both
+			return fmt.Errorf("faults: straggler %d: factor %v outside [1, %v]", i, s.Factor, MaxStragglerFactor)
 		}
 		if s.EveryNth < 0 {
 			return fmt.Errorf("faults: straggler %d: every_nth %d < 0", i, s.EveryNth)

@@ -2,15 +2,15 @@ package sim
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
 	"maya/internal/trace"
 )
 
-// nopObserver is an observer that records nothing. Its presence
-// disables batched chain dispatch, so runs with it take the
-// one-event-per-op path.
+// nopObserver is an observer that records nothing: what attaching an
+// observer costs, and must not change, with nothing observed.
 type nopObserver struct{}
 
 func (nopObserver) OpStart(int, int64, *trace.Op, int64, int64)                        {}
@@ -83,26 +83,114 @@ func chainFixture(t *testing.T, seed int64) *trace.Job {
 	return job(t, ws...)
 }
 
-// TestChainedDispatchMatchesUnchained pins the batched dispatch fast
-// path to the one-event-per-op semantics: with an observer attached
-// (which disables chaining) and without, every report field must be
-// identical, across randomized traces and with jitter on.
+// TestChainedDispatchMatchesUnchained pins the one dispatch route's
+// property: attaching an observer, an empty fault injection or a
+// congestion model with no demands changes no report field, across
+// randomized traces, with and without jitter. The recorder must hear
+// every timed op exactly once, per stream in op order, and the stall
+// breakdown's busy time must account for every chained op.
 func TestChainedDispatchMatchesUnchained(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		j := chainFixture(t, seed)
-		chained := mustRun(t, j, Options{})
-		unchained := mustRun(t, j, Options{Observer: nopObserver{}})
-		if !reportsEqual(chained, unchained) {
-			t.Fatalf("seed %d: chained dispatch diverged:\n chained %+v\n unchained %+v",
-				seed, chained, unchained)
+		for _, base := range []Options{{}, {JitterFrac: 0.05, Seed: uint64(seed) + 1}} {
+			plain := mustRun(t, j, base)
+			rec, bd := &recorder{}, NewBreakdown()
+			for _, o := range []Options{
+				{Observer: nopObserver{}},
+				{Observer: rec},
+				{Observer: bd},
+				{Observer: NewTimeline()},
+				{Faults: &Injection{}},
+				{Congestion: &CongestionModel{}},
+			} {
+				o.JitterFrac, o.Seed = base.JitterFrac, base.Seed
+				if got := mustRun(t, j, o); !reflect.DeepEqual(got, plain) {
+					t.Fatalf("seed %d jitter %v: %+v changed the report:\n got %+v\nwant %+v",
+						seed, base.JitterFrac, o, got, plain)
+				}
+			}
+			checkOpCallbacks(t, j, rec.events)
+			for w, s := range bd.Result(plain) {
+				if want := plain.ComputeBusy[w] + plain.ExposedComm[w]; s.Busy != want {
+					t.Fatalf("seed %d jitter %v worker %d: breakdown busy %v, report compute+exposed %v",
+						seed, base.JitterFrac, w, s.Busy, want)
+				}
+			}
 		}
+	}
+}
 
-		jopts := Options{JitterFrac: 0.05, Seed: uint64(seed) + 1}
-		jc := mustRun(t, j, jopts)
-		jopts.Observer = nopObserver{}
-		ju := mustRun(t, j, jopts)
-		if !reportsEqual(jc, ju) {
-			t.Fatalf("seed %d: chained dispatch diverged under jitter", seed)
+// checkOpCallbacks asserts the recorder heard one OpStart and one
+// OpEnd per timed op of the job, per stream in op order, both with the
+// same interval, each op starting no earlier than its predecessor on
+// the stream ended.
+func checkOpCallbacks(t *testing.T, j *trace.Job, events []recEvent) {
+	t.Helper()
+	heard := map[streamKey][]recEvent{}
+	for _, ev := range events {
+		if ev.kind == "opStart" || ev.kind == "opEnd" {
+			k := streamKey{ev.w, ev.stream}
+			heard[k] = append(heard[k], ev)
+		}
+	}
+	next := map[streamKey]int{}
+	lastEnd := map[streamKey]int64{}
+	for w, wk := range j.Workers {
+		for _, op := range wk.Ops {
+			if op.Kind != trace.KindKernel && op.Kind != trace.KindMemcpy && op.Kind != trace.KindMemset {
+				continue
+			}
+			k := streamKey{w, op.Stream}
+			i := next[k]
+			next[k] = i + 2
+			if i+1 >= len(heard[k]) {
+				t.Fatalf("worker %d stream %d: op %d never reported", w, op.Stream, op.Seq)
+			}
+			s, e := heard[k][i], heard[k][i+1]
+			if s.kind != "opStart" || e.kind != "opEnd" || s.seq != op.Seq || e.seq != op.Seq {
+				t.Fatalf("worker %d stream %d: op %d heard as %+v, %+v", w, op.Stream, op.Seq, s, e)
+			}
+			if s.a != e.a || s.b != e.b || s.a > s.b {
+				t.Fatalf("worker %d op %d: OpStart [%d, %d) vs OpEnd [%d, %d)", w, op.Seq, s.a, s.b, e.a, e.b)
+			}
+			if s.a < lastEnd[k] {
+				t.Fatalf("worker %d op %d starts at %d, before its predecessor ended at %d", w, op.Seq, s.a, lastEnd[k])
+			}
+			lastEnd[k] = e.b
+		}
+	}
+	for k, evs := range heard {
+		if len(evs) != next[k] {
+			t.Fatalf("worker %d stream %d: %d op callbacks for %d timed ops", k.w, k.s, len(evs), next[k]/2)
+		}
+	}
+}
+
+// TestStragglerNeverSpeedsUp is a metamorphic law: slowing a worker's
+// device never finishes the run sooner, for a mild factor and for one
+// so large a 10ms kernel's stretched duration overflows int64, over
+// the chain fixtures and the two 10ms-kernel jobs.
+func TestStragglerNeverSpeedsUp(t *testing.T) {
+	jobs := []*trace.Job{stragglerJob(t), chainedJob(t)}
+	for seed := int64(0); seed < 25; seed++ {
+		jobs = append(jobs, chainFixture(t, seed))
+	}
+	for i, j := range jobs {
+		clean := mustRun(t, j, Options{})
+		for _, f := range []float64{1.5, 1e12} {
+			one := make([]float64, len(j.Workers))
+			one[i%len(one)] = f
+			all := make([]float64, len(j.Workers))
+			for w := range all {
+				all[w] = f
+			}
+			for _, factors := range [][]float64{one, all} {
+				inj := &Injection{Slowdown: []SlowWindow{{Factor: factors}}}
+				if got := mustRun(t, j, Options{Faults: inj}); got.Makespan < clean.Makespan {
+					t.Fatalf("job %d factors %v: makespan %v below the clean run's %v",
+						i, factors, got.Makespan, clean.Makespan)
+				}
+			}
 		}
 	}
 }

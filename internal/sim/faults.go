@@ -22,17 +22,17 @@ package sim
 //     scenario, and each survivor's HostEnd is the frontier where it
 //     stalled on the dead rank.
 //
-// Injection checks are two nil tests on the dispatch path; a run
-// without an Injection pays nothing. All decisions depend only on
-// (worker, simulated time), so injected runs preserve the engine's
-// determinism bar: bit-identical reports across reruns, pooling and
-// any caller concurrency.
+// Injection checks are nil tests on the dispatch path, made per op
+// inside a dispatch chain; a run without an Injection pays nothing.
+// All decisions depend only on (worker, simulated time), so injected
+// runs preserve the engine's determinism bar: bit-identical reports
+// across reruns, pooling and any caller concurrency.
 
 // SlowWindow is one straggler clause: per-worker multiplicative
 // slowdown factors applied to timed device ops whose start time t
-// satisfies From <= t and (Until == 0 or t < Until). A factor <= 0 or
-// == 1 leaves that worker untouched; workers beyond the slice are
-// untouched.
+// satisfies From <= t and (Until == 0 or t < Until). A factor <= 0,
+// == 1 or NaN leaves that worker untouched; workers beyond the slice
+// are untouched.
 type SlowWindow struct {
 	Factor []float64
 	From   int64
@@ -54,6 +54,10 @@ type Injection struct {
 	FailStop *FailStopAt
 }
 
+// stretchHorizon is where a stretched op's end saturates instead of
+// wrapping; the 2^62 ns above it keep later work off the clock's edge.
+const stretchHorizon = 1 << 62
+
 // stretch applies the matching slowdown windows to a device op of
 // duration d starting at start on worker w.
 func (inj *Injection) stretch(w int, start, d int64) int64 {
@@ -63,13 +67,17 @@ func (inj *Injection) stretch(w int, start, d int64) int64 {
 			continue
 		}
 		f := sw.Factor[w]
-		if f <= 0 || f == 1 {
+		if !(f > 0) || f == 1 { // NaN is identity too
 			continue
 		}
 		if start < sw.From || (sw.Until != 0 && start >= sw.Until) {
 			continue
 		}
-		d = int64(float64(d) * f)
+		if x := float64(d) * f; x < float64(stretchHorizon-start) {
+			d = int64(x)
+		} else {
+			d = max(d, stretchHorizon-start)
+		}
 	}
 	return d
 }

@@ -161,6 +161,97 @@ func TestFailStopAfterCollectiveJoinCompletes(t *testing.T) {
 	}
 }
 
+// chainedJob is one worker enqueuing four 10ms kernels at t=0. The
+// first starts alone; the other three are queued behind it by the
+// time it ends, so they run as one chain over [10ms, 40ms).
+func chainedJob(t *testing.T) *trace.Job {
+	t.Helper()
+	k := kernel(0, 10*time.Millisecond)
+	return job(t, worker(0, 1, k, k, k, k, trace.Op{Kind: trace.KindDeviceSync}))
+}
+
+// runChained runs j with inj, with and without a recorder attached,
+// checks both reports agree, and returns the report and the [start,
+// end) of every op the recorder heard end, in order.
+func runChained(t *testing.T, j *trace.Job, inj *Injection) (*Report, [][2]time.Duration) {
+	t.Helper()
+	rec := &recorder{}
+	r := mustRun(t, j, Options{Faults: inj, Observer: rec})
+	if plain := mustRun(t, j, Options{Faults: inj}); !reflect.DeepEqual(plain, r) {
+		t.Fatalf("observer changed the report:\n got %+v\nwant %+v", r, plain)
+	}
+	var ops [][2]time.Duration
+	for _, ev := range rec.events {
+		if ev.kind == "opEnd" {
+			ops = append(ops, [2]time.Duration{time.Duration(ev.a), time.Duration(ev.b)})
+		}
+	}
+	return r, ops
+}
+
+func ivs(ms ...int) [][2]time.Duration {
+	out := make([][2]time.Duration, 0, len(ms)/2)
+	for i := 0; i+1 < len(ms); i += 2 {
+		out = append(out, [2]time.Duration{time.Duration(ms[i]) * time.Millisecond, time.Duration(ms[i+1]) * time.Millisecond})
+	}
+	return out
+}
+
+// TestFailStopInsideChain kills the worker while its chain of kernels
+// is queued: an op whose start is at or after the death never starts,
+// however the ops were batched.
+func TestFailStopInsideChain(t *testing.T) {
+	j := chainedJob(t)
+	for _, tc := range []struct {
+		at     time.Duration
+		halted bool
+		end    time.Duration
+		ops    [][2]time.Duration
+	}{
+		{25 * time.Millisecond, true, 30 * time.Millisecond, ivs(0, 10, 10, 20, 20, 30)},
+		{30 * time.Millisecond, true, 30 * time.Millisecond, ivs(0, 10, 10, 20, 20, 30)},
+		{10 * time.Millisecond, true, 10 * time.Millisecond, ivs(0, 10)},
+		{30*time.Millisecond + 1, false, 40 * time.Millisecond, ivs(0, 10, 10, 20, 20, 30, 30, 40)},
+	} {
+		r, ops := runChained(t, j, &Injection{FailStop: &FailStopAt{Worker: 0, At: int64(tc.at)}})
+		if r.Halted != tc.halted || r.HostEnd[0] != tc.end || r.ComputeBusy[0] != tc.end {
+			t.Fatalf("death at %v: halted %v, host end %v, compute %v; want %v, %v, %v",
+				tc.at, r.Halted, r.HostEnd[0], r.ComputeBusy[0], tc.halted, tc.end, tc.end)
+		}
+		if !reflect.DeepEqual(ops, tc.ops) {
+			t.Fatalf("death at %v: ops ran %v, want %v", tc.at, ops, tc.ops)
+		}
+	}
+}
+
+// TestStragglerWindowInsideChain opens and closes a 2x slowdown window
+// inside the chain: each op is stretched by whether its own start lies
+// in the window.
+func TestStragglerWindowInsideChain(t *testing.T) {
+	j := chainedJob(t)
+	ms := func(n int) int64 { return int64(n) * int64(time.Millisecond) }
+	for _, tc := range []struct {
+		from, until int64
+		ops         [][2]time.Duration
+	}{
+		// Only the third op starts in [15, 35).
+		{ms(15), ms(35), ivs(0, 10, 10, 20, 20, 40, 40, 50)},
+		// The window opens exactly at the third op's start.
+		{ms(20), 0, ivs(0, 10, 10, 20, 20, 40, 40, 60)},
+		// The window closes between the second op's start and the third's.
+		{0, ms(25), ivs(0, 20, 20, 40, 40, 50, 50, 60)},
+	} {
+		inj := &Injection{Slowdown: []SlowWindow{{Factor: []float64{2}, From: tc.from, Until: tc.until}}}
+		r, ops := runChained(t, j, inj)
+		if !reflect.DeepEqual(ops, tc.ops) {
+			t.Fatalf("window [%v, %v): ops ran %v, want %v", time.Duration(tc.from), time.Duration(tc.until), ops, tc.ops)
+		}
+		if end := tc.ops[len(tc.ops)-1][1]; r.Makespan != end || r.ComputeBusy[0] != end {
+			t.Fatalf("window [%v, %v): makespan %v, compute %v, want %v", time.Duration(tc.from), time.Duration(tc.until), r.Makespan, r.ComputeBusy[0], end)
+		}
+	}
+}
+
 func TestFaultsDeterminismPooledVsFresh(t *testing.T) {
 	j := stragglerJob(t)
 	inj := &Injection{
@@ -216,8 +307,7 @@ func TestNilInjectionMatchesFaultFree(t *testing.T) {
 	if !reflect.DeepEqual(clean, withNil) {
 		t.Fatalf("nil injection diverged from fault-free run")
 	}
-	// An empty (non-nil) injection disables chaining but must produce
-	// the same timings.
+	// An empty (non-nil) injection must produce the same timings.
 	empty := mustRun(t, j, Options{Faults: &Injection{}})
 	if !reflect.DeepEqual(clean, empty) {
 		t.Fatalf("empty injection diverged:\n got %+v\nwant %+v", empty, clean)

@@ -29,13 +29,16 @@ func (k StallKind) String() string {
 //
 // The contract:
 //
-//   - Callbacks are synchronous, from the engine's single goroutine,
-//     in simulation order. Observers must not call back into the
-//     engine and must not retain *trace.Op pointers past the call —
-//     pooled engines rebind to new jobs.
+//   - Callbacks are synchronous, from the engine's single goroutine.
+//     Observers must not call back into the engine and must not
+//     retain *trace.Op pointers past the call — pooled engines rebind
+//     to new jobs.
+//   - Timed ops are reported per stream in op order: an op's OpStart
+//     and OpEnd arrive together, by the event that retires its
+//     dispatch chain, both with its own final [start, end). A run
+//     truncated at its TimeLimit delivers none for a chain retiring
+//     past the horizon. Other callbacks arrive in simulation order.
 //   - Times are simulated nanoseconds since run start.
-//   - OpStart reports the tentative end; SM contention in physical
-//     mode can stretch a running op, so OpEnd's end is authoritative.
 //   - StallEnd's end is when the blocker resolved: for StallEvent the
 //     recorded event's completion, for StallCollective the moment the
 //     last participant arrived (the collective's wire time follows as
@@ -43,10 +46,10 @@ func (k StallKind) String() string {
 //   - CollectiveFired is delivered once per participant, with that
 //     participant's worker/stream.
 type Observer interface {
-	// OpStart: a timed device op (kernel, memcpy, memset) began
-	// executing on a stream.
+	// OpStart: a timed device op (kernel, memcpy, memset) ran on a
+	// stream from start.
 	OpStart(w int, stream int64, op *trace.Op, start, end int64)
-	// OpEnd: the op completed; end accounts for contention stretch.
+	// OpEnd: the op completed at end.
 	OpEnd(w int, stream int64, op *trace.Op, start, end int64)
 	// CollectiveFired: a collective this worker participates in ran
 	// over the wire during [start, end).

@@ -33,6 +33,9 @@
 // because sim.Run is the inner loop of capture-reuse sweeps and
 // recipe searches that replay the same trace thousands of times.
 //
+// A stream dispatches timed work in chains (see kickStream), the one
+// route whatever observer, fault injection or congestion is attached.
+//
 // An Engine is reusable: Reset rebinds it to a new job while keeping
 // every map and slice it has ever grown, and RunPooled draws engines
 // from a sync.Pool so back-to-back simulations reuse storage instead
@@ -179,12 +182,10 @@ type streamState struct {
 	// map's FIFO release order) without allocating waiter slices.
 	nextWait *streamState
 
-	// Running-op bookkeeping for SM-contention stretching and the
-	// OpEnd observer callback.
-	curOp     *trace.Op
-	curStart  int64
-	curEnd    int64
-	curKernel bool
+	// The running chain: ops queue[chainHead:head], their intervals
+	// from intervals[w][curIval] on. epoch voids an end event that a
+	// contention stretch superseded.
+	chainHead int
 	curIval   int
 	epoch     int64
 }
@@ -326,11 +327,6 @@ type Engine struct {
 	ran bool
 	// inj is the bound fault injection; nil on the fault-free path.
 	inj *Injection
-	// chain enables batched dispatch of consecutive timed ops: one
-	// end event per run of kernels/copies instead of one per op. Set
-	// by Reset when nothing can observe or perturb individual ops
-	// (no Observer, no SM contention, no congestion model).
-	chain bool
 }
 
 type jitterSource struct {
@@ -446,8 +442,6 @@ func (e *Engine) Reset(job *trace.Job, opts Options) {
 		e.participants = trace.Participation(job)
 	}
 
-	e.chain = opts.Observer == nil && opts.CommContention == 0 && opts.Congestion == nil &&
-		opts.Faults == nil
 	e.inj = opts.Faults
 
 	e.cong = opts.Congestion
@@ -732,10 +726,7 @@ func (e *Engine) runHost(h *hostState) {
 				h.pos++
 				continue
 			}
-			st := e.stream(h.w, op.Stream)
-			st.queue = append(st.queue, pendingOp{op: op, enq: h.t})
-			h.pos++
-			e.kickStream(st)
+			fallthrough
 		default:
 			st := e.stream(h.w, op.Stream)
 			st.queue = append(st.queue, pendingOp{op: op, enq: h.t})
@@ -811,47 +802,36 @@ func (e *Engine) kickStream(st *streamState) {
 			e.joinCollective(st, op, start)
 			return
 		default:
-			// Timed device work: kernel, memcpy, memset.
+			// Timed device work (kernel, memcpy, memset) starts a chain:
+			// it and the already-enqueued timed ops behind it share one
+			// end event. Event and collective ops end a chain, as does
+			// an op starting at or after a fail-stop. Under SM contention
+			// a chain is one op: a collective firing stretches the
+			// kernel running at that instant.
 			dur := e.duration(op, st.w, start)
-			isKernel := op.Kind == trace.KindKernel
-			if isKernel && e.opts.CommContention > 0 {
+			if op.Kind == trace.KindKernel && e.opts.CommContention > 0 {
 				dur += e.contentionExtra(st.w, start, dur)
 			}
 			end := start + dur
+			st.chainHead = st.head
 			st.head++
 			st.running = true
-			st.curOp = op
-			st.curStart, st.curEnd, st.curKernel = start, end, isKernel
 			st.curIval = len(e.intervals[st.w])
 			e.intervals[st.w] = append(e.intervals[st.w], interval{start: start, end: end})
-			if e.chain {
-				// Batched dispatch: consume the whole run of already
-				// enqueued timed ops and schedule a single end event
-				// at the run's end. Event/collective ops still break
-				// the chain, so cross-stream ordering is untouched;
-				// per-op intervals are recorded exactly as the
-				// one-event-per-op path records them.
-				for st.head < len(st.queue) {
-					p := st.queue[st.head]
-					switch p.op.Kind {
-					case trace.KindEventRecord, trace.KindStreamWait, trace.KindCollective:
-					default:
-						s := max(end, p.enq)
-						end = s + e.duration(p.op, st.w, s)
-						st.head++
-						st.curOp = p.op
-						st.curStart, st.curEnd = s, end
-						st.curKernel = p.op.Kind == trace.KindKernel
-						e.intervals[st.w] = append(e.intervals[st.w], interval{start: s, end: end})
-						continue
-					}
+			for e.opts.CommContention == 0 && st.head < len(st.queue) {
+				p := st.queue[st.head]
+				if k := p.op.Kind; k == trace.KindEventRecord || k == trace.KindStreamWait || k == trace.KindCollective {
 					break
 				}
+				s := max(end, p.enq)
+				if e.inj != nil && e.inj.dead(st.w, s) {
+					break
+				}
+				end = s + e.duration(p.op, st.w, s)
+				st.head++
+				e.intervals[st.w] = append(e.intervals[st.w], interval{start: s, end: end})
 			}
 			st.freeAt = end
-			if e.obs != nil {
-				e.obs.OpStart(st.w, st.id, op, start, end)
-			}
 			e.push(simEvent{t: end, kind: evOpEnd, st: st, arg: st.epoch})
 			return
 		}
@@ -897,17 +877,21 @@ func (e *Engine) duration(op *trace.Op, w int, start int64) int64 {
 	return d
 }
 
-// opEnd completes a timed op; stale epochs identify completions that
-// were superseded by a contention stretch.
+// opEnd retires a chain and reports its ops, in order, to the
+// observer; stale epochs identify completions that were superseded by
+// a contention stretch.
 func (e *Engine) opEnd(st *streamState, epoch int64) {
 	if st.epoch != epoch {
 		return
 	}
 	st.running = false
 	if e.obs != nil {
-		e.obs.OpEnd(st.w, st.id, st.curOp, st.curStart, st.curEnd)
+		ivs := e.intervals[st.w][st.curIval:]
+		for i, p := range st.queue[st.chainHead:st.head] {
+			e.obs.OpStart(st.w, st.id, p.op, ivs[i].start, ivs[i].end)
+			e.obs.OpEnd(st.w, st.id, p.op, ivs[i].start, ivs[i].end)
+		}
 	}
-	st.curOp = nil
 	e.kickStream(st)
 	e.notifyDrain(st.w)
 }
@@ -944,11 +928,12 @@ func (e *Engine) contentionExtra(w int, start, dur int64) int64 {
 // both directions in the physical model.
 func (e *Engine) stretchRunning(w int, cs, ce int64) {
 	for _, st := range e.byWorker[w] {
-		if !st.running || !st.curKernel {
-			continue
+		if !st.running || st.queue[st.chainHead].op.Kind != trace.KindKernel {
+			continue // a chain is one op under contention
 		}
-		lo := max(st.curStart, cs)
-		hi := min(st.curEnd, ce)
+		iv := &e.intervals[w][st.curIval]
+		lo := max(iv.start, cs)
+		hi := min(iv.end, ce)
 		if hi <= lo {
 			continue
 		}
@@ -957,10 +942,9 @@ func (e *Engine) stretchRunning(w int, cs, ce int64) {
 			continue
 		}
 		st.epoch++
-		st.curEnd += extra
-		st.freeAt = st.curEnd
-		e.intervals[w][st.curIval].end = st.curEnd
-		e.push(simEvent{t: st.curEnd, kind: evOpEnd, st: st, arg: st.epoch})
+		iv.end += extra
+		st.freeAt = iv.end
+		e.push(simEvent{t: iv.end, kind: evOpEnd, st: st, arg: st.epoch})
 	}
 }
 

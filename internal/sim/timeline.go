@@ -114,8 +114,8 @@ func (t *Timeline) Mark(w int, label string, at int64) {
 
 // WriteChromeTrace emits the recorded run in Chrome trace-event JSON,
 // prefixed with process/thread metadata naming workers, streams and
-// host tracks. Events appear in simulation order; the output is
-// deterministic for a deterministic run.
+// host tracks. Events appear in the order the observer heard them;
+// the output is deterministic for a deterministic run.
 func (t *Timeline) WriteChromeTrace(w io.Writer) error {
 	type track struct {
 		pid int
