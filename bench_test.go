@@ -169,13 +169,13 @@ func BenchmarkEstimateKernel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	op := &trace.Op{Kind: trace.KindKernel, Name: "cublasGemmEx",
+	op := trace.OpOf(trace.KindKernel, &trace.Shape{Name: "cublasGemmEx",
 		Dims: []int{1, 4096, 4096, 4096}, FLOPs: 2 * 4096 * 4096 * 4096,
-		Bytes: 2 * 3 * 4096 * 4096, DType: "bf16"}
+		Bytes: 2 * 3 * 4096 * 4096, DType: "bf16"})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		suite.EstimateKernel(op)
+		suite.EstimateKernel(&op)
 	}
 }
 

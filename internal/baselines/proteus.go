@@ -45,14 +45,13 @@ func (p *Proteus) Name() string { return "Proteus" }
 func (p *Proteus) kernelTime(name string, batch, m, n, k int, target hardware.GPU) float64 {
 	es := int64(2)
 	b := int64(batch)
-	op := trace.Op{
-		Kind:  trace.KindKernel,
+	op := trace.OpOf(trace.KindKernel, &trace.Shape{
 		Name:  name,
 		Dims:  []int{batch, m, n, k},
 		FLOPs: 2 * b * int64(m) * int64(n) * int64(k),
 		Bytes: b * es * (int64(m)*int64(k) + int64(k)*int64(n) + int64(m)*int64(n)),
 		DType: "bf16",
-	}
+	})
 	t := p.profiled.KernelTime(&op).Seconds()
 	v100 := hardware.V100()
 	if target.Arch == hardware.Volta {

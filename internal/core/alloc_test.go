@@ -47,13 +47,18 @@ func budgetRecipes(t *testing.T) []budgetRecipe {
 }
 
 // retainedBytes is what a capture's job keeps of the emulation: the
-// sealed op arrays and the slabs their Dims and Coll live in.
+// sealed op arrays, the slabs their Coll live in, and each interned
+// shape once, with its dims (Extra maps are not counted).
 func retainedBytes(c *Capture) uint64 {
 	var n uintptr
+	shapes := map[*trace.Shape]bool{}
 	for _, w := range c.Job.Workers {
 		n += uintptr(len(w.Ops)) * unsafe.Sizeof(trace.Op{})
 		for i := range w.Ops {
-			n += uintptr(len(w.Ops[i].Dims)) * unsafe.Sizeof(int(0))
+			if s := w.Ops[i].Shape; s != nil && !shapes[s] {
+				shapes[s] = true
+				n += unsafe.Sizeof(trace.Shape{}) + uintptr(len(s.Dims))*unsafe.Sizeof(int(0))
+			}
 			if w.Ops[i].Coll != nil {
 				n += unsafe.Sizeof(trace.Collective{})
 			}

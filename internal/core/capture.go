@@ -208,7 +208,7 @@ type capturePayload struct {
 	Topology      string           `json:"topology,omitempty"`
 	TotalWorkers  int              `json:"total_workers"`
 	UniqueWorkers int              `json:"unique_workers"`
-	Job           *trace.Job       `json:"job,omitempty"`
+	Job           *trace.JobJSON   `json:"job,omitempty"`
 	Comms         map[uint64][]int `json:"comms,omitempty"`
 	CommSizes     map[uint64]int   `json:"comm_sizes,omitempty"`
 	PeakMemBytes  int64            `json:"peak_mem_bytes"`
@@ -230,7 +230,7 @@ func (c *Capture) WriteTo(w io.Writer) (int64, error) {
 		Topology:      c.Topology,
 		TotalWorkers:  c.TotalWorkers,
 		UniqueWorkers: c.UniqueWorkers,
-		Job:           c.Job,
+		Job:           trace.NewJobJSON(c.Job),
 		Comms:         c.Comms,
 		CommSizes:     c.CommSizes,
 		PeakMemBytes:  c.PeakMemBytes,
@@ -314,7 +314,6 @@ func ReadCapture(r io.Reader) (*Capture, error) {
 		Topology:       p.Topology,
 		TotalWorkers:   p.TotalWorkers,
 		UniqueWorkers:  p.UniqueWorkers,
-		Job:            p.Job,
 		Comms:          p.Comms,
 		CommSizes:      p.CommSizes,
 		PeakMemBytes:   p.PeakMemBytes,
@@ -324,7 +323,8 @@ func ReadCapture(r io.Reader) (*Capture, error) {
 		RankEmulations: p.RankEmuls,
 		ClassHinted:    p.ClassHinted,
 	}
-	if c.Job != nil {
+	if p.Job != nil {
+		c.Job = p.Job.Job()
 		// A well-formed envelope can still carry a hostile payload:
 		// JSON null decodes into a nil worker, which every consumer of
 		// the job (starting with Participation below) would trip over.

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"reflect"
 	"testing"
 	"time"
 
@@ -19,9 +20,19 @@ func fuzzCaptureBytes(f *testing.F) []byte {
 	f.Helper()
 	mk := func(rank int) *trace.Worker {
 		w := &trace.Worker{Rank: rank, Device: "V100", World: 2, PeakBytes: 1 << 20}
+		var shapes trace.Shapes
+		dev := func(k trace.Kind, s *trace.Shape) {
+			op := trace.OpOf(k, shapes.Intern(k, s))
+			op.Stream, op.Dur = 7, time.Millisecond
+			w.Append(op)
+		}
 		w.Append(trace.Op{Kind: trace.KindMark, Name: trace.MarkSetupEnd})
-		w.Append(trace.Op{Kind: trace.KindKernel, Stream: 7, Name: "gemm",
-			Dims: []int{64, 64}, FLOPs: 1 << 18, DType: "bf16", Dur: time.Millisecond})
+		dev(trace.KindKernel, &trace.Shape{Name: "gemm", Dims: []int{64, 64}, FLOPs: 1 << 18, DType: "bf16"})
+		dev(trace.KindKernel, &trace.Shape{Name: "gemm", Dims: []int{64, 64}, FLOPs: 1 << 18, DType: "bf16"})
+		dev(trace.KindKernel, &trace.Shape{Name: "triton", Dims: []int{4096}, Bytes: 1 << 15, FLOPs: 1 << 15, DType: "fp16",
+			Extra: map[string]float64{"triton_instrs": 9, "triton_loads": 3}})
+		dev(trace.KindMemcpy, &trace.Shape{Name: "MemcpyHtoD", Bytes: 1 << 12, MemKind: "HtoD"})
+		dev(trace.KindMemset, &trace.Shape{Name: "Memset", Bytes: 1 << 12})
 		w.Append(trace.Op{Kind: trace.KindCollective, Stream: 7,
 			Coll: &trace.Collective{Op: "ncclAllReduce", Bytes: 1 << 16, CommID: 0xc0, NRanks: 2, Rank: rank, Peer: -1},
 			Dur:  time.Millisecond})
@@ -78,6 +89,9 @@ var malformedOps = []struct{ name, op string }{
 	{"peer past the communicator", `{"seq":0,"kind":"collective","coll":{"op":"ncclSend","comm":1,"seq":0,"nranks":2,"rank":0,"peer":2}}`},
 	{"empty communicator", `{"seq":0,"kind":"collective","coll":{"op":"ncclAllReduce","comm":1,"seq":0,"peer":-1}}`},
 	{"seq that is not the op's index", `{"seq":1,"kind":"kernel","name":"gemm"}`},
+	{"unknown op kind", `{"seq":0,"kind":"warp"}`},
+	{"dims that are not ints", `{"seq":0,"kind":"kernel","name":"gemm","dims":[1.5]}`},
+	{"extra that is not a number map", `{"seq":0,"kind":"kernel","name":"triton","extra":{"triton_instrs":"many"}}`},
 }
 
 // oneOpCapture is a checksummed capture whose job is one worker
@@ -104,9 +118,10 @@ func TestReadCaptureRejectsMalformedOps(t *testing.T) {
 // raw input as-is (header, length and checksum handling) and wrapped
 // in a valid envelope (JSON payload and semantic validation, e.g.
 // null workers, collectives without metadata). Whatever arrives,
-// ReadCapture must reject with one of its typed errors or return a
-// capture consistent enough to re-serialize — never panic, never
-// over-allocate on a crafted length field.
+// ReadCapture must reject with one of its typed errors — never panic,
+// never over-allocate on a crafted length field — or return a capture
+// that round-trips stably: writing it and reading it back gives a
+// deep-equal capture, interned shapes included.
 func FuzzReadTrace(f *testing.F) {
 	valid := fuzzCaptureBytes(f)
 	f.Add(valid)
@@ -126,6 +141,19 @@ func FuzzReadTrace(f *testing.F) {
 	for _, c := range malformedOps {
 		f.Add(oneOpCapture(c.op))
 	}
+	// Device ops whose shapes the reader interns, one field at a time,
+	// a shape repeated, and shape fields on an op that records none.
+	for _, op := range []string{
+		`{"seq":0,"kind":"kernel","name":"gemm","dims":[1,64,64,64],"bytes":24576,"flops":524288,"dtype":"bf16"},` +
+			`{"seq":1,"kind":"kernel","name":"gemm","dims":[1,64,64,64],"bytes":24576,"flops":524288,"dtype":"bf16"}`,
+		`{"seq":0,"kind":"kernel","name":"triton","dims":[4096],"extra":{"triton_instrs":9,"triton_loads":3}}`,
+		`{"seq":0,"kind":"memcpy","stream":2,"name":"MemcpyDtoH","bytes":16384,"memKind":"DtoH"}`,
+		`{"seq":0,"kind":"memset","name":"Memset","bytes":4096}`,
+		`{"seq":0,"kind":"kernel","dims":[]}`,
+		`{"seq":0,"kind":"hostDelay","dims":[3],"memKind":"HtoD","dur":5}`,
+	} {
+		f.Add(oneOpCapture(op))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, blob := range [][]byte{data, envelope(data)} {
@@ -139,6 +167,13 @@ func FuzzReadTrace(f *testing.F) {
 			var out bytes.Buffer
 			if _, err := c.WriteTo(&out); err != nil {
 				t.Fatalf("accepted capture fails to re-serialize: %v", err)
+			}
+			back, err := ReadCapture(&out)
+			if err != nil {
+				t.Fatalf("re-serialized capture is rejected: %v", err)
+			}
+			if !reflect.DeepEqual(back, c) {
+				t.Fatalf("capture does not round-trip:\n got %+v\nwant %+v", back, c)
 			}
 		}
 	})

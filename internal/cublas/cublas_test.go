@@ -42,15 +42,15 @@ func TestGemmExMetadata(t *testing.T) {
 		t.Fatalf("name = %s", k.Name)
 	}
 	wantFLOPs := int64(2 * 256 * 512 * 1024)
-	if k.FLOPs != wantFLOPs {
-		t.Fatalf("flops = %d, want %d", k.FLOPs, wantFLOPs)
+	if k.Shape.FLOPs != wantFLOPs {
+		t.Fatalf("flops = %d, want %d", k.Shape.FLOPs, wantFLOPs)
 	}
 	wantBytes := int64(2 * (256*1024 + 1024*512 + 256*512))
 	if k.Bytes != wantBytes {
 		t.Fatalf("bytes = %d, want %d", k.Bytes, wantBytes)
 	}
-	if len(k.Dims) != 4 || k.Dims[1] != 256 || k.Dims[2] != 512 || k.Dims[3] != 1024 {
-		t.Fatalf("dims = %v", k.Dims)
+	if len(k.Shape.Dims) != 4 || k.Shape.Dims[1] != 256 || k.Shape.Dims[2] != 512 || k.Shape.Dims[3] != 1024 {
+		t.Fatalf("dims = %v", k.Shape.Dims)
 	}
 }
 
@@ -70,11 +70,11 @@ func TestStridedBatchedCarriesBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := lastKernel(t, d)
-	if k.Dims[0] != 16 {
-		t.Fatalf("batch dim = %d", k.Dims[0])
+	if k.Shape.Dims[0] != 16 {
+		t.Fatalf("batch dim = %d", k.Shape.Dims[0])
 	}
-	if k.FLOPs != int64(16)*2*128*64*32 {
-		t.Fatalf("flops = %d", k.FLOPs)
+	if k.Shape.FLOPs != int64(16)*2*128*64*32 {
+		t.Fatalf("flops = %d", k.Shape.FLOPs)
 	}
 }
 
@@ -106,7 +106,7 @@ func TestSetMatrixEmitsHtoD(t *testing.T) {
 	}
 	ops := d.Trace().Ops
 	last := ops[len(ops)-1]
-	if last.Kind != trace.KindMemcpy || last.MemKind != "HtoD" || last.Bytes != 128*128*4 {
+	if last.Kind != trace.KindMemcpy || last.Shape.MemKind != "HtoD" || last.Bytes != 128*128*4 {
 		t.Fatalf("SetMatrix recorded %+v", last)
 	}
 }

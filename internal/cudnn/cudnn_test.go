@@ -67,13 +67,13 @@ func TestConvolutionForwardMetadata(t *testing.T) {
 		t.Fatalf("name = %s", k.Name)
 	}
 	wantFLOPs := int64(2) * 8 * 128 * 56 * 56 * 64 * 3 * 3
-	if k.FLOPs != wantFLOPs {
-		t.Fatalf("flops = %d, want %d", k.FLOPs, wantFLOPs)
+	if k.Shape.FLOPs != wantFLOPs {
+		t.Fatalf("flops = %d, want %d", k.Shape.FLOPs, wantFLOPs)
 	}
 	// Dims layout: n,c,h,w,k,r,s,stride — estimator features depend on
 	// the first 8 staying stable.
-	if len(k.Dims) < 8 || k.Dims[0] != 8 || k.Dims[1] != 64 || k.Dims[4] != 128 || k.Dims[7] != 1 {
-		t.Fatalf("dims = %v", k.Dims)
+	if len(k.Shape.Dims) < 8 || k.Shape.Dims[0] != 8 || k.Shape.Dims[1] != 64 || k.Shape.Dims[4] != 128 || k.Shape.Dims[7] != 1 {
+		t.Fatalf("dims = %v", k.Shape.Dims)
 	}
 }
 

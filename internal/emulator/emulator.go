@@ -44,6 +44,9 @@ type Emulator struct {
 	tr  *trace.Worker
 	rec *recording
 	rng *prand.SplitMix64
+	// shapes interns every kernel, memcpy and memset shape this worker
+	// launches: the trace holds one Shape per distinct shape.
+	shapes trace.Shapes
 
 	mem        allocator
 	streams    map[cuda.Stream]struct{}
@@ -55,12 +58,11 @@ type Emulator struct {
 var _ cuda.Device = (*Emulator)(nil)
 
 // recording is the scratch one rank records into: the op buffer
-// behind the unsealed trace plus the slabs its Dims and Coll point
+// behind the unsealed trace plus the slab its Coll pointers point
 // into. Capacity survives from rank to rank through the pool, so a
 // warm capture allocates only the sealed copies it keeps.
 type recording struct {
-	ops   []trace.Op // zero over its full capacity while pooled
-	dims  []int
+	ops   []trace.Op         // zero over its full capacity while pooled
 	colls []trace.Collective // zero over its full capacity while pooled
 }
 
@@ -90,18 +92,20 @@ func New(cfg Config) *Emulator {
 // Trace returns the captured worker trace, sealed: a copy in storage
 // sized exactly to the ops recorded (trace.Worker.Compact) that
 // shares nothing with the recording scratch, which is cleared and
-// pooled for the next rank. Calling it again returns the same worker.
-// The emulator can continue to be used afterwards: ops launched after
-// a seal are in the worker the next call returns.
+// pooled for the next rank; its device ops point to this emulator's
+// interned shapes, which are immutable and not copied. Calling it
+// again returns the same worker. The emulator can continue to be used
+// afterwards: ops launched after a seal are in the worker the next
+// call returns.
 func (e *Emulator) Trace() *trace.Worker {
 	e.tr.PeakBytes = e.mem.peak
 	if r := e.rec; r != nil {
 		sealed := e.tr.Compact()
 		// Clear what was used before pooling, so the scratch pins no
-		// Name, Extra or Coll of a finished trace.
+		// Name, Shape or Coll of a finished trace.
 		clear(e.tr.Ops)
 		clear(r.colls)
-		r.ops, r.dims, r.colls = e.tr.Ops[:0], r.dims[:0], r.colls[:0]
+		r.ops, r.colls = e.tr.Ops[:0], r.colls[:0]
 		recordings.Put(r)
 		e.tr, e.rec = sealed, nil
 	}
@@ -329,13 +333,8 @@ func (e *Emulator) MemcpyAsync(dst, src cuda.DevicePtr, bytes int64, kind cuda.M
 			return err
 		}
 	}
-	e.record(trace.Op{
-		Kind:    trace.KindMemcpy,
-		Name:    "Memcpy" + kind.String(),
-		Stream:  int64(s),
-		Bytes:   bytes,
-		MemKind: kind.String(),
-	})
+	shape := e.shapes.Intern(trace.KindMemcpy, &trace.Shape{Name: "Memcpy" + kind.String(), Bytes: bytes, MemKind: kind.String()})
+	e.record(trace.Op{Kind: trace.KindMemcpy, Name: shape.Name, Stream: int64(s), Bytes: bytes, Shape: shape})
 	return nil
 }
 
@@ -348,12 +347,15 @@ func (e *Emulator) MemsetAsync(dst cuda.DevicePtr, bytes int64, s cuda.Stream) e
 	if err := e.mem.check(dst, bytes); err != nil {
 		return err
 	}
-	e.record(trace.Op{Kind: trace.KindMemset, Name: "Memset", Stream: int64(s), Bytes: bytes})
+	shape := e.shapes.Intern(trace.KindMemset, &trace.Shape{Name: "Memset", Bytes: bytes})
+	e.record(trace.Op{Kind: trace.KindMemset, Name: shape.Name, Stream: int64(s), Bytes: bytes, Shape: shape})
 	return nil
 }
 
 // LaunchKernel implements cuda.Device: the no-op transformation. The
-// kernel's metadata is recorded, nothing executes.
+// kernel's metadata is recorded, nothing executes. Its shape is
+// interned at the launch, so the caller may reuse and mutate k.Dims
+// and k.Extra afterwards.
 func (e *Emulator) LaunchKernel(k cuda.KernelDesc, s cuda.Stream) error {
 	e.hostDelay(true)
 	if err := k.Validate(); err != nil {
@@ -362,23 +364,10 @@ func (e *Emulator) LaunchKernel(k cuda.KernelDesc, s cuda.Stream) error {
 	if err := e.checkStream(s); err != nil {
 		return err
 	}
-	var dims []int
-	if len(k.Dims) > 0 {
-		r := e.scratch()
-		n := len(r.dims)
-		r.dims = append(r.dims, k.Dims...)
-		dims = r.dims[n:len(r.dims):len(r.dims)]
-	}
-	e.record(trace.Op{
-		Kind:   trace.KindKernel,
-		Name:   k.Name,
-		Stream: int64(s),
-		Dims:   dims,
-		Bytes:  k.Bytes,
-		FLOPs:  k.FLOPs,
-		DType:  k.DType,
-		Extra:  k.Extra,
+	shape := e.shapes.Intern(trace.KindKernel, &trace.Shape{
+		Name: k.Name, Dims: k.Dims, Bytes: k.Bytes, FLOPs: k.FLOPs, DType: k.DType, Extra: k.Extra,
 	})
+	e.record(trace.Op{Kind: trace.KindKernel, Name: shape.Name, Stream: int64(s), Bytes: k.Bytes, Shape: shape})
 	return nil
 }
 

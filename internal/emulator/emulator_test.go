@@ -2,6 +2,7 @@ package emulator
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -173,11 +174,51 @@ func TestKernelMetadataCaptured(t *testing.T) {
 	if k == nil {
 		t.Fatal("no kernel recorded")
 	}
-	if k.Name != desc.Name || k.FLOPs != desc.FLOPs || k.Bytes != desc.Bytes || k.DType != "bf16" {
-		t.Fatalf("metadata lost: %+v", k)
+	s := k.Shape
+	if k.Name != desc.Name || k.Bytes != desc.Bytes || s.Name != desc.Name || s.Bytes != desc.Bytes ||
+		s.FLOPs != desc.FLOPs || s.DType != "bf16" || !reflect.DeepEqual(s.Dims, desc.Dims) {
+		t.Fatalf("metadata lost: %+v, shape %+v", k, s)
 	}
-	if k.Extra["triton_instrs"] != 4 {
-		t.Fatalf("extra lost: %+v", k.Extra)
+	if s.Extra["triton_instrs"] != 4 {
+		t.Fatalf("extra lost: %+v", s.Extra)
+	}
+}
+
+// TestKernelShapeCapturedAtLaunch reuses one descriptor, mutating its
+// Dims and Extra between launches, as a workload building descriptors
+// in a loop would: each recorded kernel keeps the values it was
+// launched with, before and after the trace is sealed.
+func TestKernelShapeCapturedAtLaunch(t *testing.T) {
+	e := testEmulator()
+	desc := cuda.KernelDesc{Name: "triton", Dims: []int{1024}, DType: "fp16",
+		Extra: map[string]float64{"triton_instrs": 4, "triton_loads": 1}}
+	if err := e.LaunchKernel(desc, cuda.DefaultStream); err != nil {
+		t.Fatal(err)
+	}
+	desc.Dims[0], desc.Extra["triton_instrs"] = 2048, 9
+	if err := e.LaunchKernel(desc, cuda.DefaultStream); err != nil {
+		t.Fatal(err)
+	}
+	desc.Dims[0], desc.Extra["triton_instrs"] = -1, -1
+	var got []*trace.Shape
+	for _, op := range e.Trace().Ops {
+		if op.Kind == trace.KindKernel {
+			got = append(got, op.Shape)
+		}
+	}
+	if len(got) != 2 {
+		t.Fatalf("%d kernels recorded, want 2", len(got))
+	}
+	for i, want := range []struct {
+		dim    int
+		instrs float64
+	}{{1024, 4}, {2048, 9}} {
+		if got[i].Dims[0] != want.dim || got[i].Extra["triton_instrs"] != want.instrs || got[i].Extra["triton_loads"] != 1 {
+			t.Errorf("kernel %d recorded dims %v extra %v, want dim %d, triton_instrs %v", i, got[i].Dims, got[i].Extra, want.dim, want.instrs)
+		}
+	}
+	if got[0] == got[1] {
+		t.Error("two different shapes share one Shape")
 	}
 }
 

@@ -2,6 +2,7 @@ package emulator
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -80,20 +81,14 @@ func checkSealed(t testing.TB, name string, w, ref *trace.Worker) {
 	if cap(w.Ops) != len(w.Ops) {
 		t.Errorf("%s: cap(Ops) %d != len %d", name, cap(w.Ops), len(w.Ops))
 	}
-	for i := range w.Ops {
-		if d := w.Ops[i].Dims; cap(d) != len(d) {
-			t.Errorf("%s: op %d Dims cap %d != len %d", name, i, cap(d), len(d))
-			return
-		}
-	}
 }
 
 // checkPooled asserts a scratch that went back to the pool is empty
 // and all-zero over its full capacity.
 func checkPooled(t testing.TB, name string, r *recording) {
 	t.Helper()
-	if len(r.ops) != 0 || len(r.dims) != 0 || len(r.colls) != 0 {
-		t.Errorf("%s: pooled scratch has lengths %d/%d/%d", name, len(r.ops), len(r.dims), len(r.colls))
+	if len(r.ops) != 0 || len(r.colls) != 0 {
+		t.Errorf("%s: pooled scratch has lengths %d/%d", name, len(r.ops), len(r.colls))
 	}
 	for i, op := range r.ops[:cap(r.ops)] {
 		if !reflect.ValueOf(op).IsZero() {
@@ -142,24 +137,29 @@ func TestRecordingScratchDoesNotLeakBetweenRanks(t *testing.T) {
 		checkSealed(t, "kept", w, keptRef[i])
 	}
 
-	// One op's Dims can be changed or grown without touching another's.
+	// Every device op of one shape points to one Shape: the long rank
+	// holds exactly as many Shapes as it has distinct shapes.
 	w := kept[0]
-	var kernels []int
+	pointers := map[*trace.Shape]bool{}
+	distinct := map[string]bool{}
+	kernels := 0
 	for i := range w.Ops {
-		if len(w.Ops[i].Dims) > 0 {
-			kernels = append(kernels, i)
+		op := &w.Ops[i]
+		if op.Kind != trace.KindKernel && op.Kind != trace.KindMemcpy && op.Kind != trace.KindMemset {
+			if op.Shape != nil {
+				t.Fatalf("op %d (%v) has a shape", i, op.Kind)
+			}
+			continue
 		}
-	}
-	if len(kernels) < 3 {
-		t.Fatalf("only %d ops with dims", len(kernels))
-	}
-	mid := kernels[len(kernels)/2]
-	w.Ops[mid].Dims[0] = -1
-	w.Ops[mid].Dims = append(w.Ops[mid].Dims, -2, -3)
-	for _, i := range kernels {
-		if i != mid && !reflect.DeepEqual(w.Ops[i].Dims, refs[0].Ops[i].Dims) {
-			t.Fatalf("changing op %d's dims changed op %d's: %v, want %v", mid, i, w.Ops[i].Dims, refs[0].Ops[i].Dims)
+		if op.Shape == nil || op.Shape.Name != op.Name || op.Shape.Bytes != op.Bytes {
+			t.Fatalf("op %d: shape %+v does not describe %s of %d bytes", i, op.Shape, op.Name, op.Bytes)
 		}
+		kernels++
+		pointers[op.Shape] = true
+		distinct[fmt.Sprintf("%v|%+v", op.Kind, *op.Shape)] = true
+	}
+	if len(pointers) != len(distinct) || 20*len(pointers) > kernels {
+		t.Fatalf("%d device ops point to %d shapes, of %d distinct", kernels, len(pointers), len(distinct))
 	}
 }
 
@@ -224,7 +224,7 @@ func TestTraceIsIdempotentAndResumable(t *testing.T) {
 	if !reflect.DeepEqual(first, snapshot) {
 		t.Fatal("resuming changed the worker the first Trace() returned")
 	}
-	next.Ops[0].Dur, next.Ops[1].Dims[0] = 0, -1
+	next.Ops[0].Dur, next.Ops[1].Stream = 0, -1
 	if !reflect.DeepEqual(first, snapshot) {
 		t.Fatal("the resumed seal shares storage with the first")
 	}

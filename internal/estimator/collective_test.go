@@ -90,14 +90,14 @@ func TestEmptyModelFallsBackToAnalytical(t *testing.T) {
 }
 
 func TestKernelFeatureLength(t *testing.T) {
-	op := &trace.Op{Kind: trace.KindKernel, Name: "k", Dims: []int{1, 2, 3}, DType: "bf16"}
-	if got := len(KernelFeatures(op)); got != featureLen {
+	op := trace.OpOf(trace.KindKernel, &trace.Shape{Name: "k", Dims: []int{1, 2, 3}, DType: "bf16"})
+	if got := len(KernelFeatures(&op)); got != featureLen {
 		t.Fatalf("feature length %d != %d", got, featureLen)
 	}
 	// bf16 and fp16 must be distinguishable (same width, different
 	// tensor-core paths on Volta).
-	a := KernelFeatures(&trace.Op{Kind: trace.KindKernel, Name: "k", DType: "bf16"})
-	b := KernelFeatures(&trace.Op{Kind: trace.KindKernel, Name: "k", DType: "fp16"})
+	a := KernelFeatures(&trace.Op{Kind: trace.KindKernel, Name: "k", Shape: &trace.Shape{Name: "k", DType: "bf16"}})
+	b := KernelFeatures(&trace.Op{Kind: trace.KindKernel, Name: "k", Shape: &trace.Shape{Name: "k", DType: "fp16"}})
 	same := true
 	for i := range a {
 		if a[i] != b[i] {

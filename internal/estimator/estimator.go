@@ -21,9 +21,9 @@ import (
 // featureLen is the fixed kernel feature dimensionality.
 const featureLen = 14
 
-// KernelFeatures maps a traced op to the regressor's feature vector:
-// log-scaled work volumes, up to eight semantic dimensions, element
-// type and compiler-IR features for fused kernels.
+// KernelFeatures maps a traced op's shape to the regressor's feature
+// vector: log-scaled work volumes, up to eight semantic dimensions,
+// element type and compiler-IR features for fused kernels.
 func KernelFeatures(op *trace.Op) []float64 {
 	return AppendKernelFeatures(make([]float64, 0, featureLen), op)
 }
@@ -33,26 +33,27 @@ func KernelFeatures(op *trace.Op) []float64 {
 // pass a stack-backed dst (see EstimateKernel). The layout is
 // identical to KernelFeatures.
 func AppendKernelFeatures(dst []float64, op *trace.Op) []float64 {
+	s := op.ShapeOrZero()
 	dst = append(dst,
-		math.Log2(1+float64(op.FLOPs)),
-		math.Log2(1+float64(op.Bytes)))
+		math.Log2(1+float64(s.FLOPs)),
+		math.Log2(1+float64(s.Bytes)))
 	for i := 0; i < 8; i++ {
-		if i < len(op.Dims) {
-			dst = append(dst, math.Log2(1+float64(op.Dims[i])))
+		if i < len(s.Dims) {
+			dst = append(dst, math.Log2(1+float64(s.Dims[i])))
 		} else {
 			dst = append(dst, 0)
 		}
 	}
-	dst = append(dst, float64(hardware.DType(op.DType).Size()))
-	if op.Extra != nil {
-		dst = append(dst, op.Extra["triton_instrs"], op.Extra["triton_loads"])
+	dst = append(dst, float64(hardware.DType(s.DType).Size()))
+	if s.Extra != nil {
+		dst = append(dst, s.Extra["triton_instrs"], s.Extra["triton_loads"])
 	} else {
 		dst = append(dst, 0, 0)
 	}
 	// The element type identity matters beyond its width: bf16 and
 	// fp16 share a size but can differ 4x in tensor-core throughput
 	// on pre-Ampere parts.
-	return append(dst, dtypeCode(op.DType))
+	return append(dst, dtypeCode(s.DType))
 }
 
 func dtypeCode(dt string) float64 {
@@ -108,13 +109,13 @@ func (s *Suite) KernelNames() []string {
 	return names
 }
 
-// EstimateKernel predicts the duration of a compute/memory op,
-// falling back to an analytical roofline for unprofiled kernels. It
-// performs no heap allocation in steady state: the feature vector
-// lives in a stack buffer and the flattened forest walk allocates
-// nothing.
+// EstimateKernel predicts the duration of a compute/memory op from its
+// shape, falling back to an analytical roofline for unprofiled
+// kernels. It performs no heap allocation in steady state: the feature
+// vector lives in a stack buffer and the flattened forest walk
+// allocates nothing.
 func (s *Suite) EstimateKernel(op *trace.Op) time.Duration {
-	if f, ok := s.kernels[op.Name]; ok {
+	if f, ok := s.kernels[op.ShapeOrZero().Name]; ok {
 		var buf [featureLen]float64
 		logNs := f.Predict(AppendKernelFeatures(buf[:0], op))
 		return time.Duration(math.Exp(logNs))
@@ -124,15 +125,16 @@ func (s *Suite) EstimateKernel(op *trace.Op) time.Duration {
 
 // analyticalKernel is the coarse roofline used when no forest exists.
 func (s *Suite) analyticalKernel(op *trace.Op) time.Duration {
+	sh := op.ShapeOrZero()
 	gpu := s.cluster.Node.GPU
-	peak := gpu.PeakTFLOPS(hardware.DType(op.DType)) * 1e12
+	peak := gpu.PeakTFLOPS(hardware.DType(sh.DType)) * 1e12
 	bw := gpu.MemBWGBps * 1e9
 	var tc, tm float64
-	if op.FLOPs > 0 && peak > 0 {
-		tc = float64(op.FLOPs) / (peak * 0.5)
+	if sh.FLOPs > 0 && peak > 0 {
+		tc = float64(sh.FLOPs) / (peak * 0.5)
 	}
-	if op.Bytes > 0 {
-		tm = float64(op.Bytes) / (bw * 0.6)
+	if sh.Bytes > 0 {
+		tm = float64(sh.Bytes) / (bw * 0.6)
 	}
 	ns := math.Max(tc, tm)*1e9 + 3000
 	return time.Duration(ns)
@@ -146,46 +148,6 @@ func (s *Suite) EstimateCollective(opName string, bytes int64, ranks []int, nran
 		return s.collAlt.EstimateCollective(opName, bytes, ranks, nranks)
 	}
 	return s.coll.Estimate(opName, bytes, ranks, nranks)
-}
-
-// kernelKey hashes the shape of a device op that any timer's answer
-// may depend on (FNV-1a over name, kind, dtype, copy direction, dims
-// and work counts), allocation-free. ok is false for ops whose time
-// depends on more than the shape.
-func kernelKey(op *trace.Op) (uint64, bool) {
-	if op.Extra != nil {
-		return 0, false
-	}
-	const prime = 1099511628211
-	h := uint64(14695981039346656037)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= prime
-			v >>= 8
-		}
-	}
-	for i := 0; i < len(op.Name); i++ {
-		h ^= uint64(op.Name[i])
-		h *= prime
-	}
-	mix(uint64(op.Kind))
-	for i := 0; i < len(op.DType); i++ {
-		h ^= uint64(op.DType[i])
-		h *= prime
-	}
-	// The copy direction: the silicon prices a memcpy by it, and only
-	// the emulator's op names happen to repeat it.
-	for i := 0; i < len(op.MemKind); i++ {
-		h ^= uint64(op.MemKind[i])
-		h *= prime
-	}
-	for _, d := range op.Dims {
-		mix(uint64(d))
-	}
-	mix(uint64(op.Bytes))
-	mix(uint64(op.FLOPs))
-	return h, true
 }
 
 // MAPEByKernel evaluates the suite's per-kernel-name mean absolute

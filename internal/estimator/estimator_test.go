@@ -43,13 +43,13 @@ func TestEstimatorTracksShapeScaling(t *testing.T) {
 	}
 	cluster := hardware.DGXH100(1)
 	s, _ := trainedSuite(t, cluster, ProfileLLM)
-	small := &trace.Op{Kind: trace.KindKernel, Name: "cublasGemmEx",
+	small := trace.OpOf(trace.KindKernel, &trace.Shape{Name: "cublasGemmEx",
 		Dims: []int{1, 512, 512, 512}, FLOPs: 2 * 512 * 512 * 512,
-		Bytes: 2 * 3 * 512 * 512, DType: "bf16"}
-	big := &trace.Op{Kind: trace.KindKernel, Name: "cublasGemmEx",
+		Bytes: 2 * 3 * 512 * 512, DType: "bf16"})
+	big := trace.OpOf(trace.KindKernel, &trace.Shape{Name: "cublasGemmEx",
 		Dims: []int{1, 8192, 8192, 8192}, FLOPs: 2 * 8192 * 8192 * 8192,
-		Bytes: 2 * 3 * 8192 * 8192, DType: "bf16"}
-	ts, tb := s.EstimateKernel(small), s.EstimateKernel(big)
+		Bytes: 2 * 3 * 8192 * 8192, DType: "bf16"})
+	ts, tb := s.EstimateKernel(&small), s.EstimateKernel(&big)
 	if tb < 100*ts {
 		t.Errorf("big gemm %v not ≫ small gemm %v (4096x flops)", tb, ts)
 	}
@@ -128,11 +128,11 @@ func TestUnprofiledKernelFallsBackToAnalytical(t *testing.T) {
 	if err != nil {
 		t.Fatalf("TrainSuite(empty): %v", err)
 	}
-	op := &trace.Op{Kind: trace.KindKernel, Name: "never_profiled", FLOPs: 1 << 30, Bytes: 1 << 20, DType: "bf16"}
-	if d := s.EstimateKernel(op); d <= 0 {
+	op := trace.OpOf(trace.KindKernel, &trace.Shape{Name: "never_profiled", FLOPs: 1 << 30, Bytes: 1 << 20, DType: "bf16"})
+	if d := s.EstimateKernel(&op); d <= 0 {
 		t.Fatalf("fallback estimate = %v, want > 0", d)
 	}
-	if d := s.EstimateKernel(op); d > time.Second {
+	if d := s.EstimateKernel(&op); d > time.Second {
 		t.Fatalf("fallback estimate = %v, implausibly large", d)
 	}
 }

@@ -21,13 +21,13 @@ func tinyProfile(names []string, perName int) []ProfileSample {
 	for _, name := range names {
 		for i := 0; i < perName; i++ {
 			m := int64(64 + rng.Intn(4096))
-			op := trace.Op{
-				Kind: trace.KindKernel, Name: name,
+			op := trace.OpOf(trace.KindKernel, &trace.Shape{
+				Name:  name,
 				Dims:  []int{1, int(m), int(m), int(m)},
 				FLOPs: 2 * m * m * m, Bytes: 3 * 2 * m * m, DType: "bf16",
-			}
+			})
 			// A deterministic, shape-dependent "measurement".
-			dur := time.Duration(op.FLOPs/50000 + op.Bytes/2000 + 3000)
+			dur := time.Duration(op.Shape.FLOPs/50000 + op.Bytes/2000 + 3000)
 			out = append(out, ProfileSample{Op: op, Dur: dur})
 		}
 	}
@@ -56,15 +56,16 @@ func TestSuiteTrainingDefaultsPinned(t *testing.T) {
 
 func TestAppendKernelFeaturesMatchesKernelFeatures(t *testing.T) {
 	ops := []trace.Op{
-		{Kind: trace.KindKernel, Name: "g", Dims: []int{1, 512, 512, 512},
-			FLOPs: 1 << 28, Bytes: 1 << 20, DType: "bf16"},
-		{Kind: trace.KindKernel, Name: "conv", Dims: []int{8, 64, 56, 56, 128, 3, 3, 1, 0, 54, 54},
-			FLOPs: 1 << 30, Bytes: 1 << 22, DType: "fp16"},
-		{Kind: trace.KindKernel, Name: "triton", Dims: []int{1 << 20},
+		trace.OpOf(trace.KindKernel, &trace.Shape{Name: "g", Dims: []int{1, 512, 512, 512},
+			FLOPs: 1 << 28, Bytes: 1 << 20, DType: "bf16"}),
+		trace.OpOf(trace.KindKernel, &trace.Shape{Name: "conv", Dims: []int{8, 64, 56, 56, 128, 3, 3, 1, 0, 54, 54},
+			FLOPs: 1 << 30, Bytes: 1 << 22, DType: "fp16"}),
+		trace.OpOf(trace.KindKernel, &trace.Shape{Name: "triton", Dims: []int{1 << 20},
 			FLOPs: 1 << 24, Bytes: 1 << 22, DType: "fp16",
-			Extra: map[string]float64{"triton_instrs": 12, "triton_loads": 3}},
-		{Kind: trace.KindMemcpy, Name: "MemcpyHtoD", Bytes: 1 << 24, MemKind: "HtoD"},
-		{Kind: trace.KindMemset, Name: "Memset", Bytes: 1 << 16, DType: "weird"},
+			Extra: map[string]float64{"triton_instrs": 12, "triton_loads": 3}}),
+		trace.OpOf(trace.KindMemcpy, &trace.Shape{Name: "MemcpyHtoD", Bytes: 1 << 24, MemKind: "HtoD"}),
+		trace.OpOf(trace.KindMemset, &trace.Shape{Name: "Memset", Bytes: 1 << 16, DType: "weird"}),
+		{Kind: trace.KindKernel, Name: "shapeless"},
 	}
 	for i := range ops {
 		want := KernelFeatures(&ops[i])
@@ -90,17 +91,17 @@ func TestEstimateKernelAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	forested := &trace.Op{Kind: trace.KindKernel, Name: "k0",
-		Dims: []int{1, 1024, 1024, 1024}, FLOPs: 2 << 30, Bytes: 6 << 20, DType: "bf16"}
-	analytical := &trace.Op{Kind: trace.KindKernel, Name: "never_profiled",
-		FLOPs: 1 << 28, Bytes: 1 << 20, DType: "bf16"}
-	if d := s.EstimateKernel(forested); d <= 0 {
+	forested := trace.OpOf(trace.KindKernel, &trace.Shape{Name: "k0",
+		Dims: []int{1, 1024, 1024, 1024}, FLOPs: 2 << 30, Bytes: 6 << 20, DType: "bf16"})
+	analytical := trace.OpOf(trace.KindKernel, &trace.Shape{Name: "never_profiled",
+		FLOPs: 1 << 28, Bytes: 1 << 20, DType: "bf16"})
+	if d := s.EstimateKernel(&forested); d <= 0 {
 		t.Fatalf("forest estimate = %v", d)
 	}
-	if n := testing.AllocsPerRun(200, func() { s.EstimateKernel(forested) }); n != 0 {
+	if n := testing.AllocsPerRun(200, func() { s.EstimateKernel(&forested) }); n != 0 {
 		t.Errorf("EstimateKernel (forest path) allocates %v/op, want 0", n)
 	}
-	if n := testing.AllocsPerRun(200, func() { s.EstimateKernel(analytical) }); n != 0 {
+	if n := testing.AllocsPerRun(200, func() { s.EstimateKernel(&analytical) }); n != 0 {
 		t.Errorf("EstimateKernel (analytical path) allocates %v/op, want 0", n)
 	}
 }
@@ -129,7 +130,8 @@ func TestTrainSuiteParallelMatchesSerial(t *testing.T) {
 
 // planFixtureJob builds a two-worker job covering every op class the
 // annotation pass distinguishes: profiled kernels (with a duplicate
-// shape), the analytical fallback, an Extra-carrying fused kernel,
+// shape, interned per worker as the emulator does), the analytical
+// fallback, Extra-carrying fused kernels, a kernel with no shape,
 // memory ops (two of them copies equal in everything but direction,
 // as a loaded trace may name them — the silicon prices those apart,
 // see its TestMemcpyTimes), matched and unmatched collectives
@@ -139,19 +141,24 @@ func planFixtureJob(t *testing.T) (*trace.Job, map[uint64][]int, map[uint64]int)
 	t.Helper()
 	mk := func(rank int) *trace.Worker {
 		w := &trace.Worker{Rank: rank, World: 2, Device: "test"}
+		var shapes trace.Shapes
+		dev := func(k trace.Kind, s *trace.Shape) { w.Append(trace.OpOf(k, shapes.Intern(k, s))) }
 		w.Append(trace.Op{Kind: trace.KindHostDelay, Dur: 5 * time.Microsecond})
-		w.Append(trace.Op{Kind: trace.KindKernel, Name: "k0",
+		dev(trace.KindKernel, &trace.Shape{Name: "k0",
 			Dims: []int{1, 256, 256, 256}, FLOPs: 2 << 24, Bytes: 3 << 17, DType: "bf16"})
-		w.Append(trace.Op{Kind: trace.KindKernel, Name: "k0",
+		dev(trace.KindKernel, &trace.Shape{Name: "k0",
 			Dims: []int{1, 256, 256, 256}, FLOPs: 2 << 24, Bytes: 3 << 17, DType: "bf16"})
-		w.Append(trace.Op{Kind: trace.KindKernel, Name: "unprofiled",
+		dev(trace.KindKernel, &trace.Shape{Name: "unprofiled",
 			FLOPs: 1 << 22, Bytes: 1 << 18, DType: "fp16"})
-		w.Append(trace.Op{Kind: trace.KindKernel, Name: "fused",
-			Dims: []int{1 << 18}, FLOPs: 1 << 22, Bytes: 1 << 20, DType: "fp16",
-			Extra: map[string]float64{"triton_instrs": 8, "triton_loads": 2}})
-		w.Append(trace.Op{Kind: trace.KindMemcpy, Name: "MemcpyHtoD", Bytes: 1 << 20, MemKind: "HtoD"})
-		w.Append(trace.Op{Kind: trace.KindMemcpy, Name: "Memcpy", Bytes: 1 << 24, MemKind: "HtoD"})
-		w.Append(trace.Op{Kind: trace.KindMemcpy, Name: "Memcpy", Bytes: 1 << 24, MemKind: "DtoD"})
+		for range 2 {
+			dev(trace.KindKernel, &trace.Shape{Name: "fused",
+				Dims: []int{1 << 18}, FLOPs: 1 << 22, Bytes: 1 << 20, DType: "fp16",
+				Extra: map[string]float64{"triton_instrs": 8, "triton_loads": 2}})
+		}
+		w.Append(trace.Op{Kind: trace.KindKernel, Name: "k0"})
+		dev(trace.KindMemcpy, &trace.Shape{Name: "MemcpyHtoD", Bytes: 1 << 20, MemKind: "HtoD"})
+		dev(trace.KindMemcpy, &trace.Shape{Name: "Memcpy", Bytes: 1 << 24, MemKind: "HtoD"})
+		dev(trace.KindMemcpy, &trace.Shape{Name: "Memcpy", Bytes: 1 << 24, MemKind: "DtoD"})
 		w.Append(trace.Op{Kind: trace.KindCollective, Name: "ncclAllReduce", Bytes: 1 << 20,
 			Coll: &trace.Collective{Op: "ncclAllReduce", CommID: 1, Seq: 0, NRanks: 2, Rank: rank, Peer: -1, Bytes: 1 << 20}})
 		w.Append(trace.Op{Kind: trace.KindCollective, Name: "ncclAllReduce", Bytes: 1 << 10,
@@ -207,6 +214,16 @@ func TestEstimatePlanMatchesAnnotateInto(t *testing.T) {
 			t.Fatalf("%s: plan covers %d ops, want %d", name, plan.Ops(), 2*len(job.Workers[0].Ops))
 		}
 
+		// The build paid the timer once per interned shape per worker
+		// (six each) and once per op without a shape (one each).
+		count := &countingTimer{Timer: timer}
+		if _, err := BuildPlan(ctx, job, comms, sizes, count); err != nil {
+			t.Fatal(err)
+		}
+		if count.kernels != 2*7 {
+			t.Errorf("%s: plan build priced %d device ops, want %d", name, count.kernels, 2*7)
+		}
+
 		// Mismatched layouts are rejected, not silently misapplied.
 		other, _ := trace.NewJob([]*trace.Worker{{Rank: 0, World: 1}})
 		if plan.Fill(trace.NewAnnotations(other)) {
@@ -239,14 +256,25 @@ func TestKernelFeaturesPropertyStable(t *testing.T) {
 		for i := range dims {
 			dims[i] = rng.Intn(1 << 16)
 		}
-		op := trace.Op{
-			Kind: trace.KindKernel, Name: "p",
+		op := trace.OpOf(trace.KindKernel, &trace.Shape{
+			Name: "p",
 			Dims: dims, FLOPs: flops & (1<<40 - 1), Bytes: bytes & (1<<40 - 1),
 			DType: dtypes[rng.Intn(len(dtypes))],
-		}
+		})
 		var buf [featureLen]float64
 		return reflect.DeepEqual(KernelFeatures(&op), AppendKernelFeatures(buf[:0], &op))
 	}, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// countingTimer counts the device ops the timer behind it prices.
+type countingTimer struct {
+	trace.Timer
+	kernels int
+}
+
+func (c *countingTimer) EstimateKernel(op *trace.Op) time.Duration {
+	c.kernels++
+	return c.Timer.EstimateKernel(op)
 }

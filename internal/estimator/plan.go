@@ -12,8 +12,8 @@ import (
 // duration of every op of one immutable job against one timer (a
 // learned suite or the silicon oracle), laid out row-major exactly
 // like a trace.Annotations overlay. Building it pays the timer once —
-// each unique kernel shape (by kernelKey) is priced once, every
-// collective gets one topology lookup — and every later annotate of
+// each interned trace.Shape is priced once, every collective gets one
+// topology lookup — and every later annotate of
 // the same (job, timer) pair is a single array copy into the pooled
 // overlay: no hashing, no map probes, no forest walks. Plans are
 // immutable once built and safe for concurrent Fill.
@@ -39,7 +39,7 @@ func BuildPlan(ctx context.Context, job *trace.Job, comms map[uint64][]int, size
 	if ann == nil {
 		return nil, errors.New("estimator: job is not positionally indexable, cannot build an estimate plan")
 	}
-	memo := &shapeMemo{Timer: t, seen: make(map[uint64]time.Duration)}
+	memo := &shapeMemo{Timer: t, seen: make(map[*trace.Shape]time.Duration)}
 	if err := trace.Annotate(ctx, job, comms, sizes, memo, ann); err != nil {
 		return nil, err
 	}
@@ -51,24 +51,27 @@ func (s *Suite) BuildEstimatePlan(ctx context.Context, job *trace.Job, comms map
 	return BuildPlan(ctx, job, comms, sizes, s)
 }
 
-// shapeMemo is the timer one plan build walks with: kernel times are
-// remembered by shape for the length of the build, collectives (whose
-// time depends on communicator topology) and kernels carrying Extra
-// features go straight to the timer behind it.
+// shapeMemo is the timer one plan build walks with: device-op times
+// are remembered by shape identity for the length of the build.
+// Every Timer prices a kernel, memcpy or memset by its kind and its
+// shape's fields, and all ops pointing to one interned shape have the
+// same kind, so the pointer is the whole key: one timer call per shape
+// per worker that interned it, and no hashing of dims or names.
+// Collectives (whose time depends on communicator topology) and ops
+// without a shape go straight to the timer behind it.
 type shapeMemo struct {
 	trace.Timer
-	seen map[uint64]time.Duration
+	seen map[*trace.Shape]time.Duration
 }
 
 func (m *shapeMemo) EstimateKernel(op *trace.Op) time.Duration {
-	key, ok := kernelKey(op)
-	if !ok {
+	if op.Shape == nil {
 		return m.Timer.EstimateKernel(op)
 	}
-	d, hit := m.seen[key]
+	d, hit := m.seen[op.Shape]
 	if !hit {
 		d = m.Timer.EstimateKernel(op)
-		m.seen[key] = d
+		m.seen[op.Shape] = d
 	}
 	return d
 }

@@ -211,14 +211,13 @@ func (g *profileGen) add(op trace.Op, ranks []int) {
 func (g *profileGen) gemmOp(name string, batch, m, n, k int, dtype string) trace.Op {
 	es := int64(hardware.DType(dtype).Size())
 	b := int64(batch)
-	return trace.Op{
-		Kind:  trace.KindKernel,
+	return trace.OpOf(trace.KindKernel, &trace.Shape{
 		Name:  name,
 		Dims:  []int{batch, m, n, k},
 		FLOPs: 2 * b * int64(m) * int64(n) * int64(k),
 		Bytes: b * es * (int64(m)*int64(k) + int64(k)*int64(n) + int64(m)*int64(n)),
 		DType: dtype,
-	}
+	})
 }
 
 // logDim draws a dimension log-uniformly in [lo, hi], snapped to a
@@ -280,14 +279,13 @@ func (g *profileGen) sweepConvs() {
 		es := int64(2)
 		flops := 2 * int64(n) * int64(k) * int64(oh) * int64(oh) * int64(c) * int64(r) * int64(r)
 		bytes := es * (int64(n)*int64(c)*int64(hw)*int64(hw) + int64(k)*int64(c)*int64(r)*int64(r) + int64(n)*int64(k)*int64(oh)*int64(oh))
-		g.add(trace.Op{
-			Kind:  trace.KindKernel,
+		g.add(trace.OpOf(trace.KindKernel, &trace.Shape{
 			Name:  name,
 			Dims:  []int{n, c, hw, hw, k, r, r, stride, 0, oh, oh},
 			FLOPs: flops,
 			Bytes: bytes,
 			DType: "fp16",
-		}, nil)
+		}), nil)
 	}
 }
 
@@ -316,15 +314,14 @@ func (g *profileGen) sweepTriton() {
 		elems := int64(g.logDim(1024, 1<<26))
 		instrs := float64(2 + g.rng.Intn(40))
 		loads := float64(1 + g.rng.Intn(8))
-		g.add(trace.Op{
-			Kind:  trace.KindKernel,
+		g.add(trace.OpOf(trace.KindKernel, &trace.Shape{
 			Name:  "triton",
 			Dims:  []int{int(elems)},
 			Bytes: elems * int64(loads+1) * 2,
 			FLOPs: elems * int64(instrs),
 			DType: "fp16",
 			Extra: map[string]float64{"triton_instrs": instrs, "triton_loads": loads},
-		}, nil)
+		}), nil)
 	}
 }
 
@@ -333,17 +330,16 @@ func (g *profileGen) sweepMemops() {
 	for _, k := range kinds {
 		for i := 0; i < 260; i++ {
 			bytes := int64(g.logDim(4096, 1<<30))
-			g.add(trace.Op{
-				Kind:    trace.KindMemcpy,
+			g.add(trace.OpOf(trace.KindMemcpy, &trace.Shape{
 				Name:    "Memcpy" + k,
 				Bytes:   bytes,
 				MemKind: k,
-			}, nil)
+			}), nil)
 		}
 	}
 	for i := 0; i < 200; i++ {
 		bytes := int64(g.logDim(4096, 1<<30))
-		g.add(trace.Op{Kind: trace.KindMemset, Name: "Memset", Bytes: bytes}, nil)
+		g.add(trace.OpOf(trace.KindMemset, &trace.Shape{Name: "Memset", Bytes: bytes}), nil)
 	}
 }
 

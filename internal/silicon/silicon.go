@@ -222,15 +222,17 @@ func (o *Oracle) quirk(name string, dims []int, baseNS float64) float64 {
 }
 
 // KernelTime returns the true duration of a device op (kernel,
-// memcpy or memset) on this silicon, without measurement noise.
+// memcpy or memset) on this silicon, without measurement noise: a
+// function of the op's kind and shape.
 func (o *Oracle) KernelTime(op *trace.Op) time.Duration {
 	gpu := o.cluster.Node.GPU
+	s := op.ShapeOrZero()
 	switch op.Kind {
 	case trace.KindMemcpy:
-		return o.memcpyTime(op)
+		return o.memcpyTime(s)
 	case trace.KindMemset:
 		bw := gpu.MemBWGBps * 1e9 * 0.85
-		ns := float64(op.Bytes)/bw*1e9 + 1500
+		ns := float64(s.Bytes)/bw*1e9 + 1500
 		return time.Duration(ns)
 	case trace.KindKernel:
 		// handled below
@@ -238,8 +240,8 @@ func (o *Oracle) KernelTime(op *trace.Op) time.Duration {
 		return 0
 	}
 
-	c := classify(op.Name)
-	dt := hardware.DType(op.DType)
+	c := classify(s.Name)
+	dt := hardware.DType(s.DType)
 	if dt == "" {
 		dt = hardware.FP32
 	}
@@ -248,39 +250,39 @@ func (o *Oracle) KernelTime(op *trace.Op) time.Duration {
 
 	ce := o.computeEff(c)
 	if c == classGemm {
-		ce *= tileUtil(op.Dims)
+		ce *= tileUtil(s.Dims)
 	}
-	if c == classTriton && op.Extra != nil {
+	if c == classTriton && s.Extra != nil {
 		// Fused kernels: heavier instruction mixes run slower per
 		// element; the instruction count is the feature the paper
 		// extracts from the compiler IR.
-		if instr, ok := op.Extra["triton_instrs"]; ok && instr > 0 {
+		if instr, ok := s.Extra["triton_instrs"]; ok && instr > 0 {
 			ce /= 1 + 0.04*instr
 		}
 	}
 
 	tc := 0.0
-	if op.FLOPs > 0 && peak > 0 {
-		tc = float64(op.FLOPs) / (peak * ce)
+	if s.FLOPs > 0 && peak > 0 {
+		tc = float64(s.FLOPs) / (peak * ce)
 	}
 	tm := 0.0
-	if op.Bytes > 0 {
-		tm = float64(op.Bytes) / (bw * o.memEff(c))
+	if s.Bytes > 0 {
+		tm = float64(s.Bytes) / (bw * o.memEff(c))
 	}
 	ns := math.Max(tc, tm) * 1e9
 	ns += float64(gpu.LaunchOverhead.Nanoseconds())
-	ns *= o.quirk(op.Name, op.Dims, ns)
+	ns *= o.quirk(s.Name, s.Dims, ns)
 	if ns < 800 {
 		ns = 800 // floor: nothing completes faster than a short kernel
 	}
 	return time.Duration(ns)
 }
 
-func (o *Oracle) memcpyTime(op *trace.Op) time.Duration {
+func (o *Oracle) memcpyTime(s *trace.Shape) time.Duration {
 	node := o.cluster.Node
 	var bwGBps float64
 	var lat float64
-	switch op.MemKind {
+	switch s.MemKind {
 	case "HtoD", "DtoH":
 		bwGBps = node.PCIeGBps * 0.8
 		lat = 8000
@@ -291,8 +293,8 @@ func (o *Oracle) memcpyTime(op *trace.Op) time.Duration {
 		bwGBps = 20
 		lat = 1000
 	}
-	ns := float64(op.Bytes)/(bwGBps*1e9)*1e9 + lat
-	ns *= o.quirk("Memcpy"+op.MemKind, []int{int(op.Bytes >> 12)}, ns)
+	ns := float64(s.Bytes)/(bwGBps*1e9)*1e9 + lat
+	ns *= o.quirk("Memcpy"+s.MemKind, []int{int(s.Bytes >> 12)}, ns)
 	return time.Duration(ns)
 }
 
@@ -470,7 +472,7 @@ func (o *Oracle) Measure(op *trace.Op, ranks []int, sampleID int64) time.Duratio
 		truth = o.KernelTime(op)
 	}
 	h := prand.Hash64("measure", op.Name)
-	h = prand.HashInts(h, int64(op.Bytes), int64(op.FLOPs), sampleID, int64(o.seed))
+	h = prand.HashInts(h, int64(op.Bytes), int64(op.ShapeOrZero().FLOPs), sampleID, int64(o.seed))
 	z := prand.New(h).NormFloat64()
 	return time.Duration(float64(truth) * math.Exp(0.015*z))
 }

@@ -13,13 +13,14 @@ import (
 )
 
 func gemmOp(m, n, k int, dtype string) *trace.Op {
-	return &trace.Op{
-		Kind: trace.KindKernel, Name: "cublasGemmEx",
+	op := trace.OpOf(trace.KindKernel, &trace.Shape{
+		Name:  "cublasGemmEx",
 		Dims:  []int{1, m, n, k},
 		FLOPs: 2 * int64(m) * int64(n) * int64(k),
 		Bytes: 2 * (int64(m)*int64(k) + int64(k)*int64(n) + int64(m)*int64(n)),
 		DType: dtype,
-	}
+	})
+	return &op
 }
 
 func TestKernelTimeDeterministic(t *testing.T) {
@@ -64,8 +65,8 @@ func TestArchitecturesDiffer(t *testing.T) {
 
 func TestShortKernelsFloored(t *testing.T) {
 	o := NewOracle(hardware.DGXH100(1), DefaultSeed)
-	op := &trace.Op{Kind: trace.KindKernel, Name: "elementwise_kernel", Bytes: 64, DType: "bf16"}
-	if d := o.KernelTime(op); d < 500*time.Nanosecond {
+	op := trace.OpOf(trace.KindKernel, &trace.Shape{Name: "elementwise_kernel", Bytes: 64, DType: "bf16"})
+	if d := o.KernelTime(&op); d < 500*time.Nanosecond {
 		t.Fatalf("kernel %v below launch floor", d)
 	}
 }
@@ -127,9 +128,9 @@ func TestMeasurementNoiseSmallAndSeeded(t *testing.T) {
 
 func TestMemcpyTimes(t *testing.T) {
 	o := NewOracle(hardware.DGXH100(1), DefaultSeed)
-	h2d := o.KernelTime(&trace.Op{Kind: trace.KindMemcpy, Name: "MemcpyHtoD", MemKind: "HtoD", Bytes: 1 << 30})
-	d2d := o.KernelTime(&trace.Op{Kind: trace.KindMemcpy, Name: "MemcpyDtoD", MemKind: "DtoD", Bytes: 1 << 30})
-	if h2d < 5*d2d {
+	h2d := trace.OpOf(trace.KindMemcpy, &trace.Shape{Name: "MemcpyHtoD", MemKind: "HtoD", Bytes: 1 << 30})
+	d2d := trace.OpOf(trace.KindMemcpy, &trace.Shape{Name: "MemcpyDtoD", MemKind: "DtoD", Bytes: 1 << 30})
+	if h2d, d2d := o.KernelTime(&h2d), o.KernelTime(&d2d); h2d < 5*d2d {
 		t.Fatalf("PCIe copy %v should be ≫ HBM copy %v", h2d, d2d)
 	}
 }
@@ -221,7 +222,7 @@ func TestQuirkBounded(t *testing.T) {
 		op := gemmOp(m, n, k, "bf16")
 		d := o.KernelTime(op)
 		gpu := hardware.H100()
-		ideal := float64(op.FLOPs) / (gpu.PeakTFLOPS(hardware.BF16) * 1e12)
+		ideal := float64(op.Shape.FLOPs) / (gpu.PeakTFLOPS(hardware.BF16) * 1e12)
 		// Never faster than ideal peak, never 100x slower.
 		return d.Seconds() >= ideal*0.9 && d.Seconds() < ideal*100+1e-3
 	}, &quick.Config{MaxCount: 200}); err != nil {

@@ -17,13 +17,13 @@ func overlayJob(t *testing.T) *trace.Job {
 	mkWorker := func(rank int) *trace.Worker {
 		w := &trace.Worker{Rank: rank, World: 2}
 		w.Append(trace.Op{Kind: trace.KindHostDelay, Dur: 3 * time.Microsecond})
-		w.Append(trace.Op{Kind: trace.KindKernel, Name: "gemm", Stream: 1})
+		w.Append(trace.Op{Kind: trace.KindKernel, Name: "gemm", Stream: 1, Shape: &trace.Shape{Name: "gemm"}})
 		w.Append(trace.Op{Kind: trace.KindEventRecord, Stream: 1, Event: 9, EventVer: 1})
 		w.Append(trace.Op{Kind: trace.KindStreamWait, Stream: 2, Event: 9, EventVer: 1})
 		w.Append(trace.Op{Kind: trace.KindCollective, Stream: 2, Coll: &trace.Collective{
 			Op: "ncclAllReduce", CommID: 7, Seq: 0, NRanks: 2, Rank: rank, Peer: -1, Bytes: 1 << 20,
 		}})
-		w.Append(trace.Op{Kind: trace.KindMemcpy, MemKind: "DtoH", Stream: 1, Bytes: 4096})
+		w.Append(trace.Op{Kind: trace.KindMemcpy, Stream: 1, Bytes: 4096, Shape: &trace.Shape{Bytes: 4096, MemKind: "DtoH"}})
 		w.Append(trace.Op{Kind: trace.KindDeviceSync})
 		return w
 	}

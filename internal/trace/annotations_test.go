@@ -12,7 +12,7 @@ func annJob(t *testing.T) *Job {
 	w0.Append(Op{Kind: KindKernel, Name: "k"})
 	w1 := &Worker{Rank: 1, World: 2}
 	w1.Append(Op{Kind: KindKernel, Name: "k"})
-	w1.Append(Op{Kind: KindMemcpy, MemKind: "HtoD", Bytes: 64})
+	w1.Append(Op{Kind: KindMemcpy, Bytes: 64, Shape: &Shape{Bytes: 64, MemKind: "HtoD"}})
 	w1.Append(Op{Kind: KindHostDelay, Dur: 7 * time.Microsecond})
 	job, err := NewJob([]*Worker{w0, w1})
 	if err != nil {

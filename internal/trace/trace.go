@@ -14,7 +14,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"maps"
 	"sort"
 	"time"
 )
@@ -84,36 +83,36 @@ type Collective struct {
 	Bytes  int64  `json:"bytes"`  // payload size
 }
 
-// Op is one traced device-API operation.
+// Op is one traced device-API operation. It is 96 bytes: a kernel,
+// memcpy or memset keeps its shape behind one pointer (Shape), so the
+// half of every trace that is host delays and events carries no
+// kernel fields at all. Its JSON form is the flat record opJSON
+// describes.
 type Op struct {
-	Seq    int    `json:"seq"`              // per-worker sequence number
-	Kind   Kind   `json:"kind"`             // discriminator
-	Stream int64  `json:"stream,omitempty"` // issuing stream handle
-	Name   string `json:"name,omitempty"`   // kernel or API name
+	Seq    int    // per-worker sequence number
+	Kind   Kind   // discriminator
+	Stream int64  // issuing stream handle
+	Name   string // kernel or API name
+	Bytes  int64  // bytes moved, allocated or communicated
 
-	// Kernel metadata captured by the emulator (shapes, not values).
-	Dims  []int              `json:"dims,omitempty"`
-	Bytes int64              `json:"bytes,omitempty"`
-	FLOPs int64              `json:"flops,omitempty"`
-	DType string             `json:"dtype,omitempty"`
-	Extra map[string]float64 `json:"extra,omitempty"` // e.g. Triton instruction counts
+	// Shape is the interned identity of a kernel, memcpy or memset (see
+	// Shape); nil for every other kind.
+	Shape *Shape
 
-	// Memory-op metadata.
-	MemKind string `json:"memKind,omitempty"` // "HtoD", "DtoH", "DtoD", "HtoH"
-	Ptr     uint64 `json:"ptr,omitempty"`
+	Ptr uint64 // device pointer of a malloc or free
 
 	// Event metadata. EventVer is the record-count of the event at the
 	// time of the call; stream waits capture the version they saw.
-	Event    int64 `json:"event,omitempty"`
-	EventVer int   `json:"eventVer,omitempty"`
+	Event    int64
+	EventVer int
 
-	Coll *Collective `json:"coll,omitempty"`
+	Coll *Collective
 
 	// Dur is the operation's duration: host time for KindHostDelay
 	// (measured during emulation), predicted device time after the
 	// estimation phase, and ground-truth device time in silicon
 	// traces. Zero for ops that are instantaneous in the model.
-	Dur time.Duration `json:"dur,omitempty"`
+	Dur time.Duration
 }
 
 // IsDeviceWork reports whether the op occupies a device stream for a
@@ -137,26 +136,27 @@ func (o *Op) SigString() string {
 		c := o.Coll
 		return fmt.Sprintf("c|%s|%d|%d|%d", c.Op, c.Bytes, c.NRanks, o.Stream)
 	default:
-		return fmt.Sprintf("%d|%s|%v|%d|%d|%s|%d", o.Kind, o.Name, o.Dims, o.Bytes, o.FLOPs, o.DType, o.Stream)
+		s := o.ShapeOrZero()
+		return fmt.Sprintf("%d|%s|%v|%d|%d|%s|%d", o.Kind, o.Name, s.Dims, o.Bytes, s.FLOPs, s.DType, o.Stream)
 	}
 }
 
 // Worker is the trace of one emulated rank.
 type Worker struct {
-	Rank      int    `json:"rank"`
-	Device    string `json:"device"` // GPU model name
-	World     int    `json:"world"`  // total ranks in the job
-	Ops       []Op   `json:"ops"`
-	PeakBytes int64  `json:"peakBytes"`       // allocator high-water mark
-	OOM       bool   `json:"oom,omitempty"`   // allocation exceeded capacity
-	Dedup     int    `json:"dedup,omitempty"` // rank this trace was cloned from (when reconstructed)
+	Rank      int
+	Device    string // GPU model name
+	World     int    // total ranks in the job
+	Ops       []Op
+	PeakBytes int64 // allocator high-water mark
+	OOM       bool  // allocation exceeded capacity
+	Dedup     int   // rank this trace was cloned from (when reconstructed)
 }
 
 // minOpsCap is the op capacity a worker's first Append allocates.
 const minOpsCap = 64
 
 // Append adds an op, assigning its per-worker sequence number. A full
-// buffer doubles: an Op is 160 bytes and holds pointers, so the
+// buffer doubles: an Op is 96 bytes and holds pointers, so the
 // runtime's 1.25x growth past 256 elements would allocate, clear and
 // copy a long trace several times over on its way to full size.
 func (w *Worker) Append(op Op) {
@@ -171,42 +171,32 @@ func (w *Worker) Append(op Op) {
 	w.Ops[n] = op
 }
 
-// Compact returns a deep copy of w in storage sized exactly to it: one
-// []Op with cap == len, one []int slab every Dims sub-slices (capped,
-// so appending to one op's Dims cannot reach its neighbour's) and one
-// []Collective slab every Coll points into. Extra maps are copied one
-// by one. The copy shares nothing with w.
+// Compact returns a copy of w in storage sized exactly to it: one []Op
+// with cap == len and one []Collective slab every Coll points into.
+// Shapes are immutable and stay shared; nothing else is.
 func (w *Worker) Compact() *Worker {
-	var ndims, ncolls int
+	ncolls := 0
 	for i := range w.Ops {
-		ndims += len(w.Ops[i].Dims)
 		if w.Ops[i].Coll != nil {
 			ncolls++
 		}
 	}
 	ops := make([]Op, len(w.Ops))
 	copy(ops, w.Ops)
-	dims := make([]int, 0, ndims)
 	colls := make([]Collective, 0, ncolls)
 	for i := range ops {
-		op := &ops[i]
-		if op.Dims != nil {
-			n := len(dims)
-			dims = append(dims, op.Dims...)
-			op.Dims = dims[n:len(dims):len(dims)]
+		if c := ops[i].Coll; c != nil {
+			colls = append(colls, *c)
+			ops[i].Coll = &colls[len(colls)-1]
 		}
-		if op.Coll != nil {
-			colls = append(colls, *op.Coll)
-			op.Coll = &colls[len(colls)-1]
-		}
-		op.Extra = maps.Clone(op.Extra)
 	}
 	c := *w
 	c.Ops = ops
 	return &c
 }
 
-// Clone deep-copies the worker trace, remapping it to a new rank.
+// Clone copies the worker trace as Compact does, remapping it to a new
+// rank.
 // Collective rank fields inside communicators are remapped by the
 // caller (the collator knows the group layouts).
 func (w *Worker) Clone(newRank int) *Worker {
@@ -241,7 +231,7 @@ func (w *Worker) Stats() Stats {
 			s.ByName[op.Coll.Op]++
 		case KindMemcpy:
 			s.Memcpys++
-			s.ByName["Memcpy"+op.MemKind]++
+			s.ByName["Memcpy"+op.ShapeOrZero().MemKind]++
 		case KindEventSync, KindStreamSync, KindDeviceSync, KindStreamWait:
 			s.Syncs++
 		case KindHostDelay:
@@ -251,12 +241,13 @@ func (w *Worker) Stats() Stats {
 	return s
 }
 
-// Job is the collated, job-level trace: one worker entry per rank.
+// Job is the collated, job-level trace: one worker entry per rank. It
+// serializes through JobJSON (WriteJSON, the capture envelope).
 type Job struct {
-	Workers []*Worker `json:"workers"`
+	Workers []*Worker
 	// UniqueRanks lists the ranks that were actually emulated when
 	// deduplication reconstructed the rest; empty means all were.
-	UniqueRanks []int `json:"uniqueRanks,omitempty"`
+	UniqueRanks []int
 }
 
 // NewJob builds a job trace, sorting workers by rank. Ranks need not
@@ -297,8 +288,8 @@ func (j *Job) PeakBytes() int64 {
 	return p
 }
 
-// Clone deep-copies the job so one copy can be annotated with
-// predictions while another holds ground truth.
+// Clone copies the job (workers as Compact does) so one copy can be
+// annotated with predictions while another holds ground truth.
 func (j *Job) Clone() *Job {
 	c := &Job{UniqueRanks: append([]int(nil), j.UniqueRanks...)}
 	c.Workers = make([]*Worker, len(j.Workers))
@@ -312,14 +303,14 @@ func (j *Job) Clone() *Job {
 func (j *Job) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
-	return enc.Encode(j)
+	return enc.Encode(NewJobJSON(j))
 }
 
 // ReadJSON parses a job trace produced by WriteJSON.
 func ReadJSON(r io.Reader) (*Job, error) {
-	var j Job
+	var j JobJSON
 	if err := json.NewDecoder(r).Decode(&j); err != nil {
 		return nil, fmt.Errorf("trace: decoding job: %w", err)
 	}
-	return &j, nil
+	return j.Job(), nil
 }

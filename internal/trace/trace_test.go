@@ -6,13 +6,17 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func sampleWorker(rank int) *Worker {
 	w := &Worker{Rank: rank, World: 4, Device: "H100"}
 	w.Append(Op{Kind: KindHostDelay, Dur: 5 * time.Microsecond})
-	w.Append(Op{Kind: KindKernel, Name: "cublasGemmEx", Stream: 0,
-		Dims: []int{1, 128, 128, 128}, FLOPs: 2 * 128 * 128 * 128, Bytes: 3 * 2 * 128 * 128, DType: "bf16"})
+	gemm := &Shape{Name: "cublasGemmEx", Dims: []int{1, 128, 128, 128}, FLOPs: 2 * 128 * 128 * 128,
+		Bytes: 3 * 2 * 128 * 128, DType: "bf16", Extra: map[string]float64{"tile": 2}}
+	w.Append(Op{Kind: KindKernel, Name: gemm.Name, Stream: 0, Bytes: gemm.Bytes, Shape: gemm})
+	w.Append(Op{Kind: KindMemcpy, Name: "MemcpyHtoD", Stream: 1, Bytes: 4096,
+		Shape: &Shape{Name: "MemcpyHtoD", Bytes: 4096, MemKind: "HtoD"}})
 	w.Append(Op{Kind: KindCollective, Name: "ncclAllReduce", Stream: 1, Bytes: 1 << 20,
 		Coll: &Collective{Op: "ncclAllReduce", CommID: 0xBEEF, Seq: 0, NRanks: 4, Rank: rank, Peer: -1, Bytes: 1 << 20}})
 	w.Append(Op{Kind: KindEventRecord, Stream: 1, Event: 3, EventVer: 1})
@@ -83,13 +87,80 @@ func TestCloneIsDeep(t *testing.T) {
 	if c.Rank != 2 || c.Dedup != 0 {
 		t.Fatalf("clone rank/dedup = %d/%d", c.Rank, c.Dedup)
 	}
-	c.Ops[1].Dims[0] = 999
-	c.Ops[2].Coll.Bytes = 7
-	if w.Ops[1].Dims[0] == 999 {
-		t.Fatal("clone shares Dims slice")
+	// A clone shares the immutable shapes and nothing else: not the op
+	// array, not a collective.
+	for i := range w.Ops {
+		if c.Ops[i].Shape != w.Ops[i].Shape {
+			t.Fatalf("op %d: clone has its own copy of the shape", i)
+		}
 	}
-	if w.Ops[2].Coll.Bytes == 7 {
+	c.Ops[1].Dur = time.Hour
+	c.Ops[3].Coll.Bytes = 7
+	if w.Ops[1].Dur == time.Hour {
+		t.Fatal("clone shares the op array")
+	}
+	if w.Ops[3].Coll.Bytes == 7 {
 		t.Fatal("clone shares Collective pointer")
+	}
+}
+
+// TestOpLayout pins the size of an op. Half of every trace is host
+// delays and event ops, so each byte of Op is paid on ~87 k ops of a
+// 64-rank GPT-3 trace, at every seal and every replay walk; a kernel's
+// shape lives behind the one Shape pointer for that reason.
+func TestOpLayout(t *testing.T) {
+	if n := unsafe.Sizeof(Op{}); n > 96 {
+		t.Fatalf("trace.Op is %d bytes, want at most 96: kernel-shape data belongs in Shape", n)
+	}
+}
+
+func TestShapesIntern(t *testing.T) {
+	var tab Shapes
+	dims := []int{1, 2, 3}
+	extra := map[string]float64{"triton_instrs": 4}
+	a := tab.Intern(KindKernel, &Shape{Name: "k", Dims: dims, DType: "bf16", Extra: extra})
+	// The table kept copies: the caller's slice and map are free to change.
+	dims[0], extra["triton_instrs"] = -1, 99
+	if a.Dims[0] != 1 || a.Extra["triton_instrs"] != 4 {
+		t.Fatalf("interned shape aliases the caller's dims or extra: %+v", a)
+	}
+	if b := tab.Intern(KindKernel, &Shape{Name: "k", Dims: []int{1, 2, 3}, DType: "bf16", Extra: map[string]float64{"triton_instrs": 4}}); b != a {
+		t.Fatal("an equal shape interned twice")
+	}
+	for _, s := range []*Shape{
+		{Name: "k", Dims: []int{1, 2}, DType: "bf16", Extra: map[string]float64{"triton_instrs": 4}},
+		{Name: "k", Dims: []int{1, 2, 3}, DType: "fp16", Extra: map[string]float64{"triton_instrs": 4}},
+		{Name: "k", Dims: []int{1, 2, 3}, DType: "bf16"},
+		{Name: "k", Dims: []int{1, 2, 3}, DType: "bf16", Extra: map[string]float64{"triton_instrs": 5}},
+	} {
+		if tab.Intern(KindKernel, s) == a {
+			t.Fatalf("%+v interned as %+v", s, a)
+		}
+	}
+	if tab.Intern(KindMemset, &Shape{Name: "k", Dims: []int{1, 2, 3}, DType: "bf16", Extra: map[string]float64{"triton_instrs": 4}}) == a {
+		t.Fatal("one shape shared across op kinds")
+	}
+	if e := tab.Intern(KindKernel, &Shape{Name: "e", Dims: []int{}, Extra: map[string]float64{}}); e.Dims != nil || e.Extra != nil {
+		t.Fatalf("empty dims and extra are not normalized to nil: %#v", e)
+	}
+}
+
+// TestShapesInternProbesPastCollisions plants a different shape in
+// the slot a shape hashes to: a hash hit is verified, never trusted.
+func TestShapesInternProbesPastCollisions(t *testing.T) {
+	s := &Shape{Name: "k", FLOPs: 1}
+	decoy := &Shape{Name: "decoy"}
+	var tab Shapes
+	tab.byKind[KindKernel] = map[uint64]*Shape{s.hash(): decoy}
+	a := tab.Intern(KindKernel, s)
+	if a == decoy || !a.equal(s) {
+		t.Fatalf("Intern(%+v) = %+v", s, a)
+	}
+	if b := tab.Intern(KindKernel, &Shape{Name: "k", FLOPs: 1}); b != a {
+		t.Fatal("a shape past a collision is not found again")
+	}
+	if tab.byKind[KindKernel][s.hash()] != decoy {
+		t.Fatal("interning displaced the shape in the colliding slot")
 	}
 }
 
@@ -113,7 +184,7 @@ func TestStats(t *testing.T) {
 	if st.HostTime != 5*time.Microsecond {
 		t.Fatalf("host time = %v", st.HostTime)
 	}
-	if st.ByName["cublasGemmEx"] != 1 {
+	if st.ByName["cublasGemmEx"] != 1 || st.Memcpys != 1 || st.ByName["MemcpyHtoD"] != 1 {
 		t.Fatalf("byName = %v", st.ByName)
 	}
 }
