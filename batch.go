@@ -47,8 +47,9 @@ func WithBatchConcurrency(n int) BatchOption {
 }
 
 // captureKey identifies requests that can share one capture: same
-// workload value and same capture-relevant settings (collation
-// validation, silicon seed). Annotation and simulation knobs —
+// workload value and same resolved capture options (collation
+// validation, silicon seed, and whether every rank is kept — a
+// per-call fault plan forces that). Annotation and simulation knobs —
 // oracle, netsim, physical replay, FLOPs, timelines, stall
 // breakdowns — do not affect the capture and may differ freely
 // within a group.
@@ -56,25 +57,19 @@ type captureKey struct {
 	w        Workload
 	validate bool
 	seed     uint64
+	noDedup  bool
 }
 
-// batchCaptureKey builds the sharing key for a request, reporting
-// ok=false for workload values that cannot be map keys. The check is
-// on the value, not just the type: an otherwise-comparable workload
-// holding a non-comparable value in an interface field would panic
-// the map insert.
-func (p *Predictor) batchCaptureKey(w Workload, s predictSettings) (captureKey, bool) {
+// batchCaptureKey builds the sharing key for a request from its
+// resolved pipeline options, reporting ok=false for workload values
+// that cannot be map keys. The check is on the value, not just the
+// type: an otherwise-comparable workload holding a non-comparable
+// value in an interface field would panic the map insert.
+func batchCaptureKey(w Workload, opts core.Options) (captureKey, bool) {
 	if v := reflect.ValueOf(w); !v.IsValid() || !v.Comparable() {
 		return captureKey{}, false
 	}
-	k := captureKey{w: w, validate: p.opts.Validate, seed: p.opts.Seed}
-	if s.validate != nil {
-		k.validate = *s.validate
-	}
-	if s.seed != nil {
-		k.seed = *s.seed
-	}
-	return k, true
+	return captureKey{w: w, validate: opts.Validate, seed: opts.Seed, noDedup: opts.NoDedup}, true
 }
 
 // PredictBatch evaluates many workloads through a bounded worker pool
@@ -163,24 +158,24 @@ func (p *Predictor) PredictBatch(ctx context.Context, reqs []Request, opts ...Ba
 // (cross-call reuse) while the memo still guarantees at most one
 // capture per identical workload even under cache eviction pressure.
 func (p *Predictor) evalBatchRequest(ctx context.Context, w Workload, s predictSettings, shared *core.Memo[captureKey, *core.Capture]) BatchResult {
-	k, ok := p.batchCaptureKey(w, s)
-	if !ok {
-		rep, err := p.predict(ctx, w, s)
-		return BatchResult{Report: rep, Err: err}
+	pipe, err := p.pipelineFor(ctx, s)
+	if err != nil {
+		return BatchResult{Err: err}
 	}
 	// paid: THIS request performed the emulation — at most one per
 	// key, and none on a capture-cache hit. Only its report carries
 	// the capture's emulate/collate cost; the rest reused the artifact
 	// and report zero, so stage timings sum correctly across the batch.
+	var c *core.Capture
 	paid := false
-	c, _, err := shared.Get(ctx, k, func() (c *core.Capture, err error) {
-		c, paid, err = p.captureFor(ctx, p.capturePipeline(s), w, s)
-		return c, err
-	})
-	if err != nil {
-		return BatchResult{Err: err}
+	if k, ok := batchCaptureKey(w, pipe.Opts); ok {
+		c, _, err = shared.Get(ctx, k, func() (c *core.Capture, err error) {
+			c, paid, err = p.captureFor(ctx, pipe, w)
+			return c, err
+		})
+	} else {
+		c, paid, err = p.captureFor(ctx, pipe, w)
 	}
-	pipe, err := p.pipelineFor(ctx, s)
 	if err != nil {
 		return BatchResult{Err: err}
 	}

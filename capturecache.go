@@ -63,19 +63,13 @@ func WithCaptureCache(cache *CaptureCache) PredictorOption {
 }
 
 // captureCacheKey builds the cache key for a workload under the
-// call's capture-relevant settings, reporting ok=false for workloads
-// without a canonical fingerprint.
-func (p *Predictor) captureCacheKey(w Workload, s predictSettings) (string, bool) {
+// call's resolved capture options (capturePipeline's, so a per-call
+// fault plan's forced NoDedup is part of the key), reporting ok=false
+// for workloads without a canonical fingerprint.
+func (p *Predictor) captureCacheKey(w Workload, opts core.Options) (string, bool) {
 	fp, ok := w.(workload.Fingerprinter)
 	if !ok {
 		return "", false
-	}
-	opts := p.opts
-	if s.validate != nil {
-		opts.Validate = *s.validate
-	}
-	if s.seed != nil {
-		opts.Seed = *s.seed
 	}
 	return fmt.Sprintf("%s|cluster=%s/%x|validate=%t|seed=%d|nodedup=%t|sel=%t",
 		fp.Fingerprint(), p.cluster.Name, clusterFingerprint(p.cluster), opts.Validate,
@@ -92,17 +86,17 @@ func clusterFingerprint(c hardware.Cluster) uint64 {
 	return h.Sum64()
 }
 
-// captureFor returns the capture for a workload, consulting the
-// predictor's capture cache when one is configured and the workload
-// is fingerprintable. paid reports whether this call performed the
-// emulation (cache misses and uncached paths) — only then should a
-// report carry the capture's emulate/collate stage cost.
-func (p *Predictor) captureFor(ctx context.Context, pipe *core.Pipeline, w Workload, s predictSettings) (c *core.Capture, paid bool, err error) {
+// captureFor returns the capture for a workload under pipe's options,
+// consulting the predictor's capture cache when one is configured and
+// the workload is fingerprintable. paid reports whether this call
+// performed the emulation (cache misses and uncached paths) — only
+// then should a report carry the capture's emulate/collate stage cost.
+func (p *Predictor) captureFor(ctx context.Context, pipe *core.Pipeline, w Workload) (c *core.Capture, paid bool, err error) {
 	if p.captures == nil {
 		c, err = pipe.Capture(ctx, w)
 		return c, true, err
 	}
-	key, ok := p.captureCacheKey(w, s)
+	key, ok := p.captureCacheKey(w, pipe.Opts)
 	if !ok {
 		c, err = pipe.Capture(ctx, w)
 		return c, true, err

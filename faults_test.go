@@ -2,6 +2,7 @@ package maya_test
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -101,6 +102,87 @@ func TestPublicFaultScenario(t *testing.T) {
 	if _, err := pred.MeasureActual(ctx, w, maya.WithFaults(plan)); err == nil {
 		t.Fatal("MeasureActual accepted a fault plan")
 	}
+}
+
+// stragglerPlan slows rank 5, a rank the default capture's selective
+// launch never emulates: only a full capture can carry the plan.
+func stragglerPlan() *maya.FaultPlan {
+	return &maya.FaultPlan{
+		CheckpointEvery: 2,
+		Iterations:      4,
+		Stragglers:      []maya.FaultStraggler{{Ranks: []int{5}, Factor: 1.5}},
+	}
+}
+
+// checkFaultSplit checks a plain and a per-call-fault report of the
+// faultsFixture workload: each must come from its own capture.
+func checkFaultSplit(t *testing.T, plain, faulted *maya.Report) {
+	t.Helper()
+	if plain.UniqueWorkers != 2 || plain.Recovery != nil {
+		t.Errorf("plain report: %d unique workers, recovery %v; want 2 and none", plain.UniqueWorkers, plain.Recovery)
+	}
+	if faulted.UniqueWorkers != 8 || faulted.Recovery == nil {
+		t.Errorf("fault report: %d unique workers, recovery %v; want 8 and a report", faulted.UniqueWorkers, faulted.Recovery)
+	}
+}
+
+// TestCaptureCacheSeparatesPerCallFaults pins that a per-call
+// WithFaults, which forces a full capture, never shares a capture
+// cache entry with a plain call of the same workload — whichever of
+// the two runs first.
+func TestCaptureCacheSeparatesPerCallFaults(t *testing.T) {
+	ctx := context.Background()
+	for _, faultsFirst := range []bool{false, true} {
+		t.Run(fmt.Sprintf("faults-first=%t", faultsFirst), func(t *testing.T) {
+			cc := maya.NewCaptureCache(8)
+			pred, w := cachedPredictor(t, cc)
+			plain := func() (*maya.Report, error) {
+				return pred.Predict(ctx, w, maya.WithOracleAnnotation())
+			}
+			faulted := func() (*maya.Report, error) {
+				return pred.Predict(ctx, w, maya.WithOracleAnnotation(), maya.WithFaults(stragglerPlan()))
+			}
+			first, second := plain, faulted
+			if faultsFirst {
+				first, second = faulted, plain
+			}
+			a, err := first()
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := second()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if faultsFirst {
+				a, b = b, a
+			}
+			checkFaultSplit(t, a, b)
+			if s := cc.Stats(); s.Misses != 2 || s.Entries != 2 {
+				t.Errorf("stats = %+v, want 2 misses / 2 entries", s)
+			}
+		})
+	}
+}
+
+// TestPredictBatchSeparatesPerCallFaults is the batch-local twin: a
+// plain and a per-call-fault request of one workload value must not
+// share the batch's capture.
+func TestPredictBatchSeparatesPerCallFaults(t *testing.T) {
+	pred, w := faultsFixture(t)
+	results, err := pred.PredictBatch(context.Background(), []maya.Request{
+		{Workload: w, Options: []maya.PredictOption{maya.WithOracleAnnotation()}},
+		{Workload: w, Options: []maya.PredictOption{maya.WithOracleAnnotation(), maya.WithFaults(stragglerPlan())}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range results {
+		if r.Err != nil {
+			t.Fatalf("request %d: %v", i, r.Err)
+		}
+	}
+	checkFaultSplit(t, results[0].Report, results[1].Report)
 }
 
 func TestPublicFaultPlanParsing(t *testing.T) {

@@ -41,44 +41,6 @@ func zeroStages(r *Report) Report {
 	return c
 }
 
-func TestPredictEqualsCapturePlusSimulate(t *testing.T) {
-	cluster := hardware.DGXV100(1)
-	p := oraclePipeline(cluster, Options{SelectiveLaunch: true})
-	m := megatron(t, framework.MegatronConfig{
-		Model: models.GPT3_1_3B(), NGPUs: 8, GlobalBatch: 16, TP: 2, PP: 2, MicroBatches: 2,
-	})
-	ctx := context.Background()
-
-	composed, err := p.Predict(ctx, m, 1e15, hardware.BF16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := p.Capture(ctx, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	staged, err := p.Simulate(ctx, c, 1e15, hardware.BF16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := zeroStages(staged), zeroStages(composed); got != want {
-		t.Errorf("Capture+Simulate disagrees with Predict:\n got %+v\nwant %+v", got, want)
-	}
-
-	oracle := DefaultOracle(cluster)
-	actComposed, err := p.MeasureActual(ctx, m, oracle, 1e15, hardware.BF16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	actStaged, err := p.Measure(ctx, c, oracle, 1e15, hardware.BF16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := zeroStages(actStaged), zeroStages(actComposed); got != want {
-		t.Errorf("Capture+Measure disagrees with MeasureActual:\n got %+v\nwant %+v", got, want)
-	}
-}
-
 func TestCaptureIsImmutableUnderSimulate(t *testing.T) {
 	p, c := testCapture(t)
 	before, err := json.Marshal(c.Job)

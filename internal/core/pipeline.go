@@ -171,9 +171,10 @@ func (r *Report) String() string {
 //	Measure  — the same replay, priced by the silicon ground truth
 //	           and run in physical mode (the deployment stand-in)
 //
-// Predict and MeasureActual are thin compositions; callers that
-// evaluate one workload several ways (oracle vs learned, ±netsim,
-// predicted vs actual) should Capture once and fan out.
+// The composed entry points (maya.Predictor's Predict and
+// MeasureActual) live on the facade; callers that evaluate one
+// workload several ways (oracle vs learned, ±netsim, predicted vs
+// actual) Capture once and fan out.
 type Pipeline struct {
 	Cluster hardware.Cluster
 	Suite   *estimator.Suite
@@ -402,41 +403,6 @@ func (p *Pipeline) replay(ctx context.Context, c *Capture, timer trace.Timer, ph
 	if bd != nil {
 		rep.Stalls = &StallProfile{Workers: bd.Result(sr)}
 	}
-	return rep, nil
-}
-
-// Predict runs the full pipeline: Capture then Simulate. modelFLOPs
-// is the workload's per-iteration model FLOP count (for MFU); pass 0
-// to skip MFU. Every stage observes ctx: cancellation aborts
-// emulation between ranks, collation, estimation and the simulator's
-// event loop, so a large multi-rank prediction stops promptly and
-// returns ctx.Err().
-func (p *Pipeline) Predict(ctx context.Context, w workload.Workload, modelFLOPs float64, dtype hardware.DType) (*Report, error) {
-	c, err := p.Capture(ctx, w)
-	if err != nil {
-		return nil, err
-	}
-	rep, err := p.Simulate(ctx, c, modelFLOPs, dtype)
-	if err != nil {
-		return nil, err
-	}
-	rep.Stages.Emulate, rep.Stages.Collate = c.EmulateTime, c.CollateTime
-	return rep, nil
-}
-
-// MeasureActual is the ground-truth path: Capture then Measure —
-// same trace, true kernel times, physical-mode simulation. It stands
-// in for deploying the workload on the cluster.
-func (p *Pipeline) MeasureActual(ctx context.Context, w workload.Workload, oracle *silicon.Oracle, modelFLOPs float64, dtype hardware.DType) (*Report, error) {
-	c, err := p.Capture(ctx, w)
-	if err != nil {
-		return nil, err
-	}
-	rep, err := p.Measure(ctx, c, oracle, modelFLOPs, dtype)
-	if err != nil {
-		return nil, err
-	}
-	rep.Stages.Emulate, rep.Stages.Collate = c.EmulateTime, c.CollateTime
 	return rep, nil
 }
 

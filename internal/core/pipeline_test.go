@@ -13,6 +13,7 @@ import (
 	"maya/internal/framework"
 	"maya/internal/hardware"
 	"maya/internal/models"
+	"maya/internal/silicon"
 	"maya/internal/workload"
 )
 
@@ -25,6 +26,26 @@ func pipelineFor(t *testing.T, cluster hardware.Cluster, opts Options) (*Pipelin
 	}
 	p := &Pipeline{Cluster: cluster, Suite: suite, Opts: opts}
 	return p, p
+}
+
+// predict is Capture then Simulate, the composition maya.Predictor's
+// Predict runs.
+func predict(ctx context.Context, p *Pipeline, w workload.Workload, flops float64) (*Report, error) {
+	c, err := p.Capture(ctx, w)
+	if err != nil {
+		return nil, err
+	}
+	return p.Simulate(ctx, c, flops, hardware.BF16)
+}
+
+// measureActual is Capture then Measure, the composition
+// maya.Predictor's MeasureActual runs.
+func measureActual(ctx context.Context, p *Pipeline, w workload.Workload, oracle *silicon.Oracle, flops float64) (*Report, error) {
+	c, err := p.Capture(ctx, w)
+	if err != nil {
+		return nil, err
+	}
+	return p.Measure(ctx, c, oracle, flops, hardware.BF16)
 }
 
 func megatron(t *testing.T, cfg framework.MegatronConfig) *framework.Megatron {
@@ -57,11 +78,11 @@ func TestEndToEndPredictionAccuracy(t *testing.T) {
 	for _, cfg := range configs {
 		m := megatron(t, cfg)
 		flops := cfg.Model.TrainFLOPsPerIter(cfg.GlobalBatch)
-		pred, err := p.Predict(context.Background(), m, flops, hardware.BF16)
+		pred, err := predict(context.Background(), p, m, flops)
 		if err != nil {
 			t.Fatalf("Predict(%s): %v", cfg, err)
 		}
-		actual, err := p.MeasureActual(context.Background(), m, oracle, flops, hardware.BF16)
+		actual, err := measureActual(context.Background(), p, m, oracle, flops)
 		if err != nil {
 			t.Fatalf("MeasureActual(%s): %v", cfg, err)
 		}
@@ -96,15 +117,15 @@ func TestOraclePredictionBeatsLearnedOnAverage(t *testing.T) {
 	}
 	for _, cfg := range configs {
 		m := megatron(t, cfg)
-		actual, err := p.MeasureActual(context.Background(), m, oracle, 0, hardware.BF16)
+		actual, err := measureActual(context.Background(), p, m, oracle, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pe, err := p.Predict(context.Background(), m, 0, hardware.BF16)
+		pe, err := predict(context.Background(), p, m, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		po, err := pOracle.Predict(context.Background(), m, 0, hardware.BF16)
+		po, err := predict(context.Background(), pOracle, m, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,15 +152,15 @@ func TestDedupPreservesPrediction(t *testing.T) {
 	ded := &Pipeline{Cluster: cluster, Suite: p.Suite, Opts: Options{}}
 	sel := &Pipeline{Cluster: cluster, Suite: p.Suite, Opts: Options{SelectiveLaunch: true}}
 
-	rf, err := full.Predict(context.Background(), m, 0, hardware.BF16)
+	rf, err := predict(context.Background(), full, m, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rd, err := ded.Predict(context.Background(), m, 0, hardware.BF16)
+	rd, err := predict(context.Background(), ded, m, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := sel.Predict(context.Background(), m, 0, hardware.BF16)
+	rs, err := predict(context.Background(), sel, m, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +190,7 @@ func TestOOMDetection(t *testing.T) {
 	// 18.4B on 8 V100-40GB without sharding: hopelessly over capacity.
 	cfg := framework.MegatronConfig{Model: models.GPT3_18_4B(), NGPUs: 8, GlobalBatch: 64, TP: 1, PP: 1, MicroBatches: 1}
 	m := megatron(t, cfg)
-	rep, err := p.Predict(context.Background(), m, 0, hardware.BF16)
+	rep, err := predict(context.Background(), p, m, 0)
 	if err != nil {
 		t.Fatalf("Predict: %v", err)
 	}
@@ -187,7 +208,7 @@ func TestKnobsMoveMemoryTheRightWay(t *testing.T) {
 	base := framework.MegatronConfig{Model: models.GPT3_2_7B(), NGPUs: 8, GlobalBatch: 16, TP: 2, PP: 2, MicroBatches: 4}
 
 	peak := func(cfg framework.MegatronConfig) int64 {
-		rep, err := p.Predict(context.Background(), megatron(t, cfg), 0, hardware.BF16)
+		rep, err := predict(context.Background(), p, megatron(t, cfg), 0)
 		if err != nil {
 			t.Fatalf("Predict(%s): %v", cfg, err)
 		}
@@ -231,11 +252,11 @@ func TestInterleavingReducesIterTime(t *testing.T) {
 	inter := base
 	inter.VirtualStages = 2
 
-	rb, err := p.Predict(context.Background(), megatron(t, base), 0, hardware.BF16)
+	rb, err := predict(context.Background(), p, megatron(t, base), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ri, err := p.Predict(context.Background(), megatron(t, inter), 0, hardware.BF16)
+	ri, err := predict(context.Background(), p, megatron(t, inter), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +284,7 @@ func TestPredictPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	_, err := p.Predict(ctx, m, 0, hardware.BF16)
+	_, err := predict(ctx, p, m, 0)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Predict with pre-cancelled ctx: err = %v, want context.Canceled", err)
 	}
@@ -301,7 +322,7 @@ func TestPredictMidFlightCancel(t *testing.T) {
 	done := make(chan error, 1)
 	start := time.Now()
 	go func() {
-		_, err := p.Predict(ctx, w, 0, hardware.BF16)
+		_, err := predict(ctx, p, w, 0)
 		done <- err
 	}()
 	<-w.started
@@ -324,7 +345,7 @@ func TestMeasureActualPreCancelled(t *testing.T) {
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := p.MeasureActual(ctx, m, DefaultOracle(cluster), 0, hardware.BF16); !errors.Is(err, context.Canceled) {
+	if _, err := measureActual(ctx, p, m, DefaultOracle(cluster), 0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("MeasureActual with pre-cancelled ctx: err = %v, want context.Canceled", err)
 	}
 }

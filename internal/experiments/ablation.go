@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"time"
 
-	"maya/internal/core"
 	"maya/internal/estimator"
 	"maya/internal/framework"
 	"maya/internal/hardware"
@@ -44,7 +43,7 @@ func fig14(ctx context.Context, e *Env) (*Table, error) {
 		scales = append(scales[:2], scales[3:]...)
 	}
 	for _, sc := range scales {
-		pipe, err := e.Predictor(ctx, sc.cluster, estimator.ProfileLLM)
+		noDedup, err := e.predictor(sc.cluster, estimator.ProfileLLM, true)
 		if err != nil {
 			return nil, err
 		}
@@ -64,35 +63,21 @@ func fig14(ctx context.Context, e *Env) (*Table, error) {
 			return nil, err
 		}
 
-		noDedup := &core.Pipeline{Cluster: sc.cluster, Suite: pipe.Suite, Opts: core.Options{NoDedup: true}}
-		dedup := &core.Pipeline{Cluster: sc.cluster, Suite: pipe.Suite, Opts: core.Options{}}
-
 		// The ablation is about what deduplication saves in the
-		// capture (emulate + collate) and downstream stages; the
-		// stage-decomposed pipeline measures each leg explicitly.
-		cf, err := noDedup.Capture(ctx, w)
+		// capture (emulate + collate) and downstream stages: each
+		// report carries all four.
+		rf, err := noDedup.Predict(ctx, w)
 		if err != nil {
 			return nil, err
 		}
-		rf, err := noDedup.Simulate(ctx, cf, 0, hardware.BF16)
+		rd, err := e.predictProbed(ctx, sc.cluster, w)
 		if err != nil {
 			return nil, err
 		}
-		tFull := cf.EmulateTime + cf.CollateTime + rf.Stages.Estimate + rf.Stages.Simulate
-
-		cd, err := dedup.Capture(ctx, w)
-		if err != nil {
-			return nil, err
-		}
-		rd, err := dedup.Simulate(ctx, cd, 0, hardware.BF16)
-		if err != nil {
-			return nil, err
-		}
-		tDedup := cd.EmulateTime + cd.CollateTime + rd.Stages.Estimate + rd.Stages.Simulate
-
 		if rf.OOM || rd.OOM {
 			return nil, fmt.Errorf("fig14 %s: unexpected OOM", sc.name)
 		}
+		tFull, tDedup := rf.Stages.Total(), rd.Stages.Total()
 		reduction := 1 - tDedup.Seconds()/tFull.Seconds()
 		t.Rows = append(t.Rows, []string{
 			sc.name, fmt.Sprint(rf.UniqueWorkers),
@@ -101,6 +86,7 @@ func fig14(ctx context.Context, e *Env) (*Table, error) {
 			fmt.Sprint(rd.UniqueWorkers),
 			pct(reduction),
 		})
+		t.claim("iter_shift/"+sc.name, relErr(rd.IterTime, rf.IterTime))
 	}
 	t.Notes = append(t.Notes, "paper: 74-94% runtime reduction, growing with cluster size")
 	return t, nil

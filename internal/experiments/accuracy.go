@@ -9,11 +9,13 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
+	"maya"
 	"maya/internal/baselines"
-	"maya/internal/core"
 	"maya/internal/estimator"
 	"maya/internal/framework"
 	"maya/internal/hardware"
@@ -44,7 +46,9 @@ func (s setupSpec) problem() search.Problem {
 	return search.Problem{Model: s.model, Cluster: s.cluster, GlobalBatch: s.globalBatch}
 }
 
-func accuracySetups() []setupSpec {
+// setups are the four (model, cluster) scenarios the accuracy and
+// search artifacts evaluate.
+func setups() []setupSpec {
 	return []setupSpec{
 		{"GPT3-2.7B/8xV100", models.GPT3_2_7B(), hardware.DGXV100(1), 64},
 		{"GPT3-2.7B/16xV100", models.GPT3_2_7B(), hardware.DGXV100(2), 64},
@@ -65,16 +69,16 @@ type point struct {
 
 const mayaName = "Maya"
 
-// sweep evaluates up to maxConfigs valid non-OOM configurations for a
-// setup: actual deployment time plus every system's prediction.
-func (e *Env) sweep(ctx context.Context, setup setupSpec, maxConfigs int) ([]point, error) {
-	key := fmt.Sprintf("sweep/%s/%d", setup.name, maxConfigs)
-	v, err := e.memo(key, func() (any, error) {
-		pipe, err := e.Predictor(ctx, setup.cluster, estimator.ProfileLLM)
+// sweep evaluates up to a scale's worth of valid non-OOM
+// configurations for a setup: actual deployment time plus every
+// system's prediction.
+func (e *Env) sweep(ctx context.Context, setup setupSpec) ([]point, error) {
+	maxConfigs := e.Scale.pick(14, 48)
+	v, err := e.memo("sweep/"+setup.name, func() (any, error) {
+		pred, err := e.predictor(setup.cluster, estimator.ProfileLLM, false)
 		if err != nil {
 			return nil, err
 		}
-		oracle := e.Oracle(setup.cluster)
 		problem := setup.problem()
 
 		// Candidate order: plain TP/PP points first (every baseline
@@ -95,6 +99,7 @@ func (e *Env) sweep(ctx context.Context, setup setupSpec, maxConfigs int) ([]poi
 		}
 
 		var pts []point
+		kept := map[search.Knobs]bool{}
 		plainKept := 0
 		flops := setup.model.TrainFLOPsPerIter(setup.globalBatch)
 		sys := baselines.All()
@@ -106,27 +111,28 @@ func (e *Env) sweep(ctx context.Context, setup setupSpec, maxConfigs int) ([]poi
 				continue // keep room for the richer knob combinations
 			}
 			cfg, ok := problem.Build(knobs)
-			if !ok {
+			if !ok || kept[knobs] {
 				continue
 			}
-			if seen(pts, knobs) {
-				continue
+			w, err := framework.NewMegatron(cfg)
+			if err != nil {
+				return nil, err
 			}
 			// Capture once; prediction and ground-truth measurement
-			// both simulate from the same artifact, halving emulation
+			// both simulate from the same trace, halving emulation
 			// cost across the sweep.
-			cap, err := pipe.Capture(ctx, m(cfg))
+			tr, err := pred.Capture(ctx, w)
 			if err != nil {
 				return nil, err
 			}
-			if cap.OOM {
+			if tr.OOM() {
 				continue
 			}
-			pred, err := pipe.Simulate(ctx, cap, flops, hardware.BF16)
+			predicted, err := pred.Simulate(ctx, tr, maya.WithModelFLOPs(flops))
 			if err != nil {
 				return nil, err
 			}
-			actual, err := pipe.Measure(ctx, cap, oracle, flops, hardware.BF16)
+			actual, err := pred.Simulate(ctx, tr, maya.WithModelFLOPs(flops), maya.WithPhysicalReplay())
 			if err != nil {
 				return nil, err
 			}
@@ -134,7 +140,7 @@ func (e *Env) sweep(ctx context.Context, setup setupSpec, maxConfigs int) ([]poi
 				knobs:  knobs,
 				cfg:    cfg,
 				actual: actual.IterTime,
-				preds:  map[string]time.Duration{mayaName: pred.IterTime},
+				preds:  map[string]time.Duration{mayaName: predicted.IterTime},
 			}
 			for _, s := range sys {
 				if t, ok := s.Predict(cfg, setup.cluster); ok {
@@ -144,6 +150,7 @@ func (e *Env) sweep(ctx context.Context, setup setupSpec, maxConfigs int) ([]poi
 			if ci < plain {
 				plainKept++
 			}
+			kept[knobs] = true
 			pts = append(pts, p)
 		}
 		sort.Slice(pts, func(i, j int) bool { return pts[i].actual < pts[j].actual })
@@ -155,28 +162,7 @@ func (e *Env) sweep(ctx context.Context, setup setupSpec, maxConfigs int) ([]poi
 	return v.([]point), nil
 }
 
-func seen(pts []point, k search.Knobs) bool {
-	for _, p := range pts {
-		if p.knobs == k {
-			return true
-		}
-	}
-	return false
-}
-
-// m wraps a validated config into the workload, panicking on the
-// impossible (configs here already passed Build).
-func m(cfg framework.MegatronConfig) *framework.Megatron {
-	w, err := framework.NewMegatron(cfg)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: building validated config: %v", err))
-	}
-	return w
-}
-
-func systemOrder() []string {
-	return []string{mayaName, "Proteus", "Calculon", "AMPeD"}
-}
+var systemOrder = []string{mayaName, "Proteus", "Calculon", "AMPeD"}
 
 func fig7(ctx context.Context, e *Env) (*Table, error) {
 	t := &Table{
@@ -184,15 +170,14 @@ func fig7(ctx context.Context, e *Env) (*Table, error) {
 		Title:  "Predicted vs actual iteration time across configurations",
 		Header: []string{"setup", "cfg", "recipe", "actual", "Maya", "Proteus", "Calculon", "AMPeD"},
 	}
-	n := e.Scale.pick(14, 48)
-	for _, setup := range accuracySetups() {
-		pts, err := e.sweep(ctx, setup, n)
+	for _, setup := range setups() {
+		pts, err := e.sweep(ctx, setup)
 		if err != nil {
 			return nil, err
 		}
 		for i, p := range pts {
 			row := []string{setup.name, fmt.Sprintf("%d", i), p.knobs.String(), dur2s(p.actual)}
-			for _, sysName := range systemOrder() {
+			for _, sysName := range systemOrder {
 				if pt, ok := p.preds[sysName]; ok {
 					row = append(row, dur2s(pt))
 				} else {
@@ -202,6 +187,8 @@ func fig7(ctx context.Context, e *Env) (*Table, error) {
 			t.Rows = append(t.Rows, row)
 		}
 		t.Rows = append(t.Rows, summaryRow(setup.name, pts))
+		mae, _ := meanErr(pts, mayaName)
+		t.claim("mae/"+setup.name, mae)
 	}
 	t.Notes = append(t.Notes,
 		"configs ranked by measured (actual) iteration time, as in the paper",
@@ -211,22 +198,31 @@ func fig7(ctx context.Context, e *Env) (*Table, error) {
 
 func summaryRow(name string, pts []point) []string {
 	row := []string{name, "-", "MEAN ABS ERR", "-"}
-	for _, sysName := range systemOrder() {
-		var sum float64
-		var n int
-		for _, p := range pts {
-			if pred, ok := p.preds[sysName]; ok {
-				sum += relErr(pred, p.actual)
-				n++
-			}
-		}
-		if n == 0 {
+	for _, sysName := range systemOrder {
+		if mae, ok := meanErr(pts, sysName); ok {
+			row = append(row, pct(mae))
+		} else {
 			row = append(row, "n/a")
-			continue
 		}
-		row = append(row, pct(sum/float64(n)))
 	}
 	return row
+}
+
+// meanErr is a system's mean absolute error over the points it
+// supports; ok is false when it supports none.
+func meanErr(pts []point, sysName string) (mae float64, ok bool) {
+	var sum float64
+	var n int
+	for _, p := range pts {
+		if pred, ok := p.preds[sysName]; ok {
+			sum += relErr(pred, p.actual)
+			n++
+		}
+	}
+	if n == 0 {
+		return 0, false
+	}
+	return sum / float64(n), true
 }
 
 func relErr(a, b time.Duration) float64 {
@@ -242,9 +238,8 @@ func fig8(ctx context.Context, e *Env) (*Table, error) {
 		Title:  "Cost of each system's selected configuration, normalized to optimal",
 		Header: []string{"setup", "system", "selected recipe", "actual iter", "normalized cost"},
 	}
-	n := e.Scale.pick(14, 48)
-	for _, setup := range accuracySetups() {
-		pts, err := e.sweep(ctx, setup, n)
+	for _, setup := range setups() {
+		pts, err := e.sweep(ctx, setup)
 		if err != nil {
 			return nil, err
 		}
@@ -256,33 +251,27 @@ func fig8(ctx context.Context, e *Env) (*Table, error) {
 		// Argmin ties break on recipe order, not actual-time order —
 		// a system must not benefit from knowing which config is
 		// really fastest.
-		order := make([]int, len(pts))
-		for i := range order {
-			order[i] = i
-		}
-		sort.Slice(order, func(a, b int) bool {
-			return pts[order[a]].knobs.String() < pts[order[b]].knobs.String()
-		})
-		for _, sysName := range systemOrder() {
-			best := -1
-			for _, i := range order {
-				pred, ok := pts[i].preds[sysName]
-				if !ok {
-					continue
-				}
-				if best < 0 || pred < pts[best].preds[sysName] {
-					best = i
+		byRecipe := slices.Clone(pts)
+		slices.SortFunc(byRecipe, func(a, b point) int { return strings.Compare(a.knobs.String(), b.knobs.String()) })
+		for _, sysName := range systemOrder {
+			var best *point
+			for i, p := range byRecipe {
+				if pred, ok := p.preds[sysName]; ok && (best == nil || pred < best.preds[sysName]) {
+					best = &byRecipe[i]
 				}
 			}
-			if best < 0 {
+			if best == nil {
 				t.Rows = append(t.Rows, []string{setup.name, sysName, "unsupported", "-", "-"})
 				continue
 			}
-			ratio := float64(pts[best].actual) / float64(optimal)
+			ratio := float64(best.actual) / float64(optimal)
 			t.Rows = append(t.Rows, []string{
-				setup.name, sysName, pts[best].knobs.String(),
-				dur2s(pts[best].actual), fmt.Sprintf("%.2f (+%.0f%%)", ratio, (ratio-1)*100),
+				setup.name, sysName, best.knobs.String(),
+				dur2s(best.actual), fmt.Sprintf("%.2f (+%.0f%%)", ratio, (ratio-1)*100),
 			})
+			if sysName == mayaName {
+				t.claim("maya_cost/"+setup.name, ratio)
+			}
 		}
 	}
 	t.Notes = append(t.Notes, "each system picks argmin over its own predictions; cost measured on actual deployment")
@@ -295,13 +284,12 @@ func fig9(ctx context.Context, e *Env) (*Table, error) {
 		Title:  "CDF of absolute prediction error",
 		Header: []string{"setup", "system", "<1%", "<5%", "<10%", "<25%", "median", "p90"},
 	}
-	n := e.Scale.pick(14, 48)
-	for _, setup := range accuracySetups() {
-		pts, err := e.sweep(ctx, setup, n)
+	for _, setup := range setups() {
+		pts, err := e.sweep(ctx, setup)
 		if err != nil {
 			return nil, err
 		}
-		for _, sysName := range systemOrder() {
+		for _, sysName := range systemOrder {
 			var errs []float64
 			for _, p := range pts {
 				if pred, ok := p.preds[sysName]; ok {
@@ -322,6 +310,9 @@ func fig9(ctx context.Context, e *Env) (*Table, error) {
 				frac(0.01), frac(0.05), frac(0.10), frac(0.25),
 				pct(quantile(errs, 0.5)), pct(quantile(errs, 0.9)),
 			})
+			if sysName == mayaName {
+				t.claim("maya_median/"+setup.name, quantile(errs, 0.5))
+			}
 		}
 	}
 	return t, nil
@@ -365,14 +356,9 @@ func table3(ctx context.Context, e *Env) (*Table, error) {
 	}
 	for _, r := range rows {
 		cluster := hardware.DGXV100(r.gpus / 8)
-		pipe, err := e.Predictor(ctx, cluster, estimator.ProfileLLM)
+		pred, err := e.predictor(cluster, estimator.ProfileLLM, false)
 		if err != nil {
 			return nil, err
-		}
-		oracle := e.Oracle(cluster)
-		oraclePipe := &core.Pipeline{
-			Cluster: cluster, Suite: pipe.Suite,
-			Opts: core.Options{SelectiveLaunch: true, Oracle: oracle},
 		}
 		cfg := framework.MegatronConfig{
 			Model: r.model, NGPUs: r.gpus, GlobalBatch: r.bs,
@@ -389,33 +375,33 @@ func table3(ctx context.Context, e *Env) (*Table, error) {
 		// measurement, learned end-to-end prediction, and oracle
 		// prediction — the oracle-vs-learned comparison never
 		// re-emulates.
-		cap, err := pipe.Capture(ctx, w)
+		tr, err := pred.Capture(ctx, w)
 		if err != nil {
 			return nil, err
 		}
-		actual, err := pipe.Measure(ctx, cap, oracle, 0, hardware.BF16)
+		actual, err := pred.Simulate(ctx, tr, maya.WithPhysicalReplay())
 		if err != nil {
 			return nil, err
 		}
-		e2e, err := pipe.Simulate(ctx, cap, 0, hardware.BF16)
+		e2e, err := pred.Simulate(ctx, tr)
 		if err != nil {
 			return nil, err
 		}
-		orc, err := oraclePipe.Simulate(ctx, cap, 0, hardware.BF16)
+		orc, err := pred.Simulate(ctx, tr, maya.WithOracleAnnotation())
 		if err != nil {
 			return nil, err
 		}
+		row := []string{r.model.Name, fmt.Sprint(r.gpus), fmt.Sprint(r.bs), fmt.Sprint(r.tp), fmt.Sprint(r.pp), fmt.Sprint(r.ga)}
 		if actual.OOM {
-			t.Rows = append(t.Rows, []string{r.model.Name, fmt.Sprint(r.gpus), fmt.Sprint(r.bs),
-				fmt.Sprint(r.tp), fmt.Sprint(r.pp), fmt.Sprint(r.ga), "OOM", "OOM"})
+			t.Rows = append(t.Rows, append(row, "OOM", "OOM"))
 			continue
 		}
-		t.Rows = append(t.Rows, []string{
-			r.model.Name, fmt.Sprint(r.gpus), fmt.Sprint(r.bs),
-			fmt.Sprint(r.tp), fmt.Sprint(r.pp), fmt.Sprint(r.ga),
-			pct(relErr(orc.IterTime, actual.IterTime)),
-			pct(relErr(e2e.IterTime, actual.IterTime)),
-		})
+		orcErr, e2eErr := relErr(orc.IterTime, actual.IterTime), relErr(e2e.IterTime, actual.IterTime)
+		t.Rows = append(t.Rows, append(row, pct(orcErr), pct(e2eErr)))
+		// Each claim is its cluster's worst row.
+		orcKey, e2eKey := "oracle_err/"+cluster.Name, "e2e_err/"+cluster.Name
+		t.claim(orcKey, max(t.claims[orcKey], orcErr))
+		t.claim(e2eKey, max(t.claims[e2eKey], e2eErr))
 	}
 	t.Notes = append(t.Notes, "oracle = Maya with ground-truth kernel times: isolates emulation+simulation error from estimator error")
 	return t, nil

@@ -15,7 +15,7 @@ import (
 	"fmt"
 	"time"
 
-	"maya/internal/core"
+	"maya"
 	"maya/internal/estimator"
 	"maya/internal/framework"
 	"maya/internal/hardware"
@@ -32,15 +32,9 @@ func fig17(ctx context.Context, e *Env) (*Table, error) {
 		Title:  "Where workers wait: stall attribution vs microbatch count (GPT-3 1.3B, tp2/pp2)",
 		Header: []string{"microbatches", "iter time", "bubble", "coll-wait", "event-wait", "host-bound", "busy"},
 	}
-	cluster := hardware.DGXV100(1)
-	base, err := e.Predictor(ctx, cluster, estimator.ProfileLLM)
+	pred, err := e.predictor(hardware.DGXV100(1), estimator.ProfileLLM, false)
 	if err != nil {
 		return nil, err
-	}
-	// Same suite, breakdown enabled: the observer is the only delta.
-	pipe := &core.Pipeline{
-		Cluster: base.Cluster, Suite: base.Suite,
-		Opts: core.Options{SelectiveLaunch: true, Breakdown: true},
 	}
 	micros := []int{2, 4, 8}
 	if e.Scale == Quick {
@@ -54,7 +48,7 @@ func fig17(ctx context.Context, e *Env) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		rep, err := pipe.Predict(ctx, w, 0, hardware.BF16)
+		rep, err := pred.Predict(ctx, w, maya.WithStallBreakdown())
 		if err != nil {
 			return nil, err
 		}
@@ -77,6 +71,7 @@ func fig17(ctx context.Context, e *Env) (*Table, error) {
 			frac(tot.Bubble), frac(tot.CollectiveWait), frac(tot.EventWait),
 			frac(tot.HostBound), frac(tot.Busy),
 		})
+		t.claim(fmt.Sprintf("coll_wait/%d", mb), tot.CollectiveWait.Seconds()/span.Seconds())
 	}
 	t.Notes = append(t.Notes,
 		"expectation: the pipeline bubble surfaces as collective (P2P) straggler wait and falls as microbatches grow ((pp-1)/m fill/drain cost)")

@@ -8,6 +8,7 @@ import (
 	"context"
 	"fmt"
 
+	"maya"
 	"maya/internal/baselines"
 	"maya/internal/estimator"
 	"maya/internal/framework"
@@ -72,6 +73,13 @@ func table1(ctx context.Context, e *Env) (*Table, error) {
 	}
 	t.Rows = append(t.Rows, []string{"transparent (no code changes)", "yes", "no", "no", "no"})
 	t.Rows = append(t.Rows, []string{"workload agnostic", "yes", "yes", "no", "no"})
+	gaps := 0
+	for _, row := range t.Rows {
+		if row[1] != "yes" {
+			gaps++
+		}
+	}
+	t.claim("maya_gaps", float64(gaps))
 	return t, nil
 }
 
@@ -81,8 +89,7 @@ func table2(ctx context.Context, e *Env) (*Table, error) {
 		Title:  "Measured effect of each knob on compute time, peak memory and network traffic",
 		Header: []string{"knob", "iter time", "peak memory", "comm busy"},
 	}
-	cluster := hardware.DGXH100(4)
-	pipe, err := e.Predictor(ctx, cluster, estimator.ProfileLLM)
+	pred, err := e.predictor(hardware.DGXH100(4), estimator.ProfileLLM, false)
 	if err != nil {
 		return nil, err
 	}
@@ -92,25 +99,19 @@ func table2(ctx context.Context, e *Env) (*Table, error) {
 		Model: models.GPT3_18_4B(), NGPUs: 32, GlobalBatch: 32,
 		TP: 4, PP: 4, MicroBatches: 8,
 	}
-	measure := func(cfg framework.MegatronConfig) (iterS, mem, comm float64, err error) {
+	measure := func(cfg framework.MegatronConfig) (*maya.Report, error) {
 		w, err := framework.NewMegatron(cfg)
 		if err != nil {
-			return 0, 0, 0, err
+			return nil, err
 		}
-		rep, err := pipe.Predict(ctx, w, 0, hardware.BF16)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		if rep.OOM {
-			return 0, float64(rep.PeakMemBytes), 0, nil
-		}
-		return rep.IterTime.Seconds(), float64(rep.PeakMemBytes), rep.CommTime.Seconds(), nil
+		return pred.Predict(ctx, w)
 	}
-	bi, bm, bc, err := measure(base)
+	b, err := measure(base)
 	if err != nil {
 		return nil, err
 	}
-	if bi == 0 {
+	bi, bm, bc := b.IterTime.Seconds(), float64(b.PeakMemBytes), b.CommTime.Seconds()
+	if b.OOM {
 		return nil, fmt.Errorf("table2: baseline %s does not fit (peak %.1f GiB)", base, bm/(1<<30))
 	}
 	arrow := func(delta float64) string {
@@ -122,20 +123,6 @@ func table2(ctx context.Context, e *Env) (*Table, error) {
 		default:
 			return "~"
 		}
-	}
-	knob := func(name string, mutate func(*framework.MegatronConfig)) error {
-		cfg := base
-		mutate(&cfg)
-		i, m2, c2, err := measure(cfg)
-		if err != nil {
-			return err
-		}
-		if i == 0 {
-			t.Rows = append(t.Rows, []string{name, "OOM", arrow(m2/bm - 1), "-"})
-			return nil
-		}
-		t.Rows = append(t.Rows, []string{name, arrow(i/bi - 1), arrow(m2/bm - 1), arrow(c2/bc - 1)})
-		return nil
 	}
 	steps := []struct {
 		name   string
@@ -149,11 +136,26 @@ func table2(ctx context.Context, e *Env) (*Table, error) {
 		{"distributed optimizer on", func(c *framework.MegatronConfig) { c.DistOptimizer = true }},
 		{"activation recomputation on", func(c *framework.MegatronConfig) { c.ActRecompute = true }},
 	}
+	inert := 0
 	for _, s := range steps {
-		if err := knob(s.name, s.mutate); err != nil {
+		cfg := base
+		s.mutate(&cfg)
+		r, err := measure(cfg)
+		if err != nil {
 			return nil, err
 		}
+		mem := arrow(float64(r.PeakMemBytes)/bm - 1)
+		if r.OOM {
+			t.Rows = append(t.Rows, []string{s.name, "OOM", mem, "-"})
+			continue
+		}
+		row := []string{s.name, arrow(r.IterTime.Seconds()/bi - 1), mem, arrow(r.CommTime.Seconds()/bc - 1)}
+		if row[1] == "~" && row[2] == "~" && row[3] == "~" {
+			inert++
+		}
+		t.Rows = append(t.Rows, row)
 	}
+	t.claim("inert_knobs", float64(inert))
 	t.Notes = append(t.Notes, fmt.Sprintf("baseline: %s, iter %.2fs, peak %.1fGiB, comm %.2fs",
 		base.String(), bi, bm/(1<<30), bc))
 	return t, nil

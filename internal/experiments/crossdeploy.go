@@ -8,8 +8,9 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"time"
 
+	"maya"
+	"maya/internal/estimator"
 	"maya/internal/framework"
 	"maya/internal/hardware"
 	"maya/internal/models"
@@ -21,42 +22,30 @@ func init() {
 	register("fig2", fig2)
 }
 
-type crossBest struct {
-	knobs search.Knobs
-	iter  time.Duration
-	mfu   float64
-}
-
 // crossEval measures the ACTUAL cost of a recipe on a cluster
-// (deploy-and-time, like the paper's Fig. 2), returning ok=false on
-// OOM or structural invalidity. Measurement is trace-driven — one
-// capture, one physical replay — and since only ground truth is
-// needed, no estimator suite is ever trained. Captures are used once
-// and released (the sweep's evals map already deduplicates matrix
+// (deploy-and-time, like the paper's Fig. 2), returning nil on OOM or
+// structural invalidity. MeasureActual needs only ground truth, so no
+// estimator suite is ever trained. Captures are used once and
+// released (the sweep's evals map already deduplicates matrix
 // revisits), so no trace data is retained across the experiment.
-func (e *Env) crossEval(ctx context.Context, cluster hardware.Cluster, mdl models.Transformer, batch int, k search.Knobs) (crossBest, bool, error) {
-	problem := search.Problem{Model: mdl, Cluster: cluster, GlobalBatch: batch}
-	cfg, ok := problem.Build(k)
+func (e *Env) crossEval(ctx context.Context, cluster hardware.Cluster, mdl models.Transformer, batch int, k search.Knobs) (*maya.Report, error) {
+	cfg, ok := search.Problem{Model: mdl, Cluster: cluster, GlobalBatch: batch}.Build(k)
 	if !ok {
-		return crossBest{}, false, nil
+		return nil, nil
 	}
 	w, err := framework.NewMegatron(cfg)
 	if err != nil {
-		return crossBest{}, false, err
+		return nil, err
 	}
-	pipe := e.Measurer(cluster)
-	cap, err := pipe.Capture(ctx, w)
+	pred, err := e.predictor(cluster, estimator.ProfileLLM, false)
 	if err != nil {
-		return crossBest{}, false, err
+		return nil, err
 	}
-	if cap.OOM {
-		return crossBest{}, false, nil
+	rep, err := pred.MeasureActual(ctx, w, maya.WithModelFLOPs(mdl.TrainFLOPsPerIter(batch)))
+	if err != nil || rep.OOM {
+		return nil, err
 	}
-	rep, err := pipe.Measure(ctx, cap, e.Oracle(cluster), mdl.TrainFLOPsPerIter(batch), hardware.BF16)
-	if err != nil {
-		return crossBest{}, false, err
-	}
-	return crossBest{knobs: k, iter: rep.IterTime, mfu: rep.MFU}, true, nil
+	return rep, nil
 }
 
 func fig2(ctx context.Context, e *Env) (*Table, error) {
@@ -72,28 +61,29 @@ func fig2(ctx context.Context, e *Env) (*Table, error) {
 	perm := rng.Perm(len(all))
 	budget := e.Scale.pick(28, 120)
 
-	best := make(map[int]crossBest)
-	evals := make(map[int]map[search.Knobs]crossBest)
+	best := make(map[int]search.Knobs)
+	evals := make(map[int]map[search.Knobs]*maya.Report)
 	for _, n := range sizes {
 		cluster := hardware.DGXH100(n / 8)
-		evals[n] = make(map[search.Knobs]crossBest)
-		found := 0
+		evals[n] = make(map[search.Knobs]*maya.Report)
 		for _, pi := range perm {
-			if found >= budget {
+			if len(evals[n]) >= budget {
 				break
 			}
-			r, ok, err := e.crossEval(ctx, cluster, mdl, batch, all[pi])
+			r, err := e.crossEval(ctx, cluster, mdl, batch, all[pi])
 			if err != nil {
 				return nil, err
 			}
-			if !ok {
+			if r == nil {
 				continue
 			}
-			found++
-			evals[n][all[pi]] = r
-			if b, have := best[n]; !have || r.iter < b.iter {
-				best[n] = r
+			if b := evals[n][best[n]]; b == nil || r.IterTime < b.IterTime {
+				best[n] = all[pi]
 			}
+			evals[n][all[pi]] = r
+		}
+		if len(evals[n]) == 0 {
+			return nil, fmt.Errorf("fig2: no sampled recipe fits %d GPUs", n)
 		}
 	}
 
@@ -103,9 +93,9 @@ func fig2(ctx context.Context, e *Env) (*Table, error) {
 		Header: []string{"gpus", "optimal recipe", "iter", "MFU"},
 	}
 	for _, n := range sizes {
-		b := best[n]
+		b := evals[n][best[n]]
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprint(n), b.knobs.String(), dur2s(b.iter), pct(b.mfu),
+			fmt.Sprint(n), best[n].String(), dur2s(b.IterTime), pct(b.MFU),
 		})
 	}
 
@@ -120,21 +110,21 @@ func fig2(ctx context.Context, e *Env) (*Table, error) {
 	for _, ref := range sizes {
 		row := []string{fmt.Sprint(ref)}
 		for _, dep := range sizes {
-			r, ok := evals[dep][best[ref].knobs]
+			r, ok := evals[dep][best[ref]]
 			if !ok {
 				// Not in the sampled set for that size: evaluate now.
-				cluster := hardware.DGXH100(dep / 8)
 				var err error
-				r, ok, err = e.crossEval(ctx, cluster, mdl, batch, best[ref].knobs)
-				if err != nil {
+				if r, err = e.crossEval(ctx, hardware.DGXH100(dep/8), mdl, batch, best[ref]); err != nil {
 					return nil, err
 				}
 			}
-			if !ok {
+			if r == nil {
 				row = append(row, "OOM")
 				continue
 			}
-			row = append(row, fmt.Sprintf("%.2f", float64(r.iter)/float64(best[dep].iter)))
+			cost := float64(r.IterTime) / float64(evals[dep][best[dep]].IterTime)
+			row = append(row, fmt.Sprintf("%.2f", cost))
+			t.claim("worst_cross_cost", max(t.claims["worst_cross_cost"], cost))
 		}
 		t.Rows = append(t.Rows, row)
 	}

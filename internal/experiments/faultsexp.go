@@ -5,8 +5,8 @@ package experiments
 // checkpoint intervals: goodput falls as failures grow more frequent,
 // and tighter checkpointing trades write overhead against lost work.
 // Deterministic: the seeded plan makes every cell bit-identical
-// across reruns. Published as BENCH_faults.json by the CI bench
-// smoke.
+// across reruns; TestClaims bounds the per-iteration-checkpoint
+// goodput at the most and least frequent failures.
 
 import (
 	"context"
@@ -14,13 +14,12 @@ import (
 	"fmt"
 	"time"
 
-	"maya/internal/core"
+	"maya"
 	"maya/internal/estimator"
 	"maya/internal/faults"
 	"maya/internal/framework"
 	"maya/internal/hardware"
 	"maya/internal/models"
-	"maya/internal/workload"
 )
 
 func init() {
@@ -29,23 +28,24 @@ func init() {
 
 func fig18(ctx context.Context, e *Env) (*Table, error) {
 	cluster := hardware.DGXV100(1)
-	pipe, err := e.Predictor(ctx, cluster, estimator.ProfileLLM)
+	// Fault scenarios address world ranks, so the capture keeps every
+	// worker (no dedup). One capture serves the whole grid.
+	pred, err := e.predictor(cluster, estimator.ProfileLLM, true)
 	if err != nil {
 		return nil, err
 	}
-	// Fault scenarios address world ranks, so the capture keeps every
-	// worker (no dedup). One capture serves the whole grid.
-	noDedup := &core.Pipeline{Cluster: cluster, Suite: pipe.Suite, Opts: core.Options{NoDedup: true}}
-	c, err := e.CaptureOnce(ctx, noDedup, "fig18-nodedup", func() (workload.Workload, error) {
-		return framework.NewMegatron(framework.MegatronConfig{
-			Model: models.GPT3_1_3B(), NGPUs: cluster.TotalGPUs(), GlobalBatch: 16,
-			TP: 2, PP: 2, MicroBatches: 2,
-		})
+	w, err := framework.NewMegatron(framework.MegatronConfig{
+		Model: models.GPT3_1_3B(), NGPUs: cluster.TotalGPUs(), GlobalBatch: 16,
+		TP: 2, PP: 2, MicroBatches: 2,
 	})
 	if err != nil {
 		return nil, err
 	}
-	base, err := noDedup.Simulate(ctx, c, 0, hardware.BF16)
+	tr, err := pred.Capture(ctx, w)
+	if err != nil {
+		return nil, err
+	}
+	base, err := pred.Simulate(ctx, tr)
 	if err != nil {
 		return nil, err
 	}
@@ -77,8 +77,7 @@ func fig18(ctx context.Context, e *Env) (*Table, error) {
 				Restore:         base.IterTime / 4,
 				Iterations:      iterations,
 			}
-			pf := &core.Pipeline{Cluster: cluster, Suite: pipe.Suite, Opts: core.Options{NoDedup: true, Faults: plan}}
-			rep, err := pf.Simulate(ctx, c, 0, hardware.BF16)
+			rep, err := pred.Simulate(ctx, tr, maya.WithFaults(plan))
 			if errors.Is(err, faults.ErrDiverged) {
 				// Failures outrun recovery at this interval: the run
 				// never finishes. Goodput is effectively zero — a
@@ -100,6 +99,7 @@ func fig18(ctx context.Context, e *Env) (*Table, error) {
 				dur2s(rec.LostWork), dur2s(rec.CheckpointOverhead),
 				fmt.Sprintf("%.3f", rec.Goodput),
 			})
+			t.claim(fmt.Sprintf("goodput/%d/%d", m, k), rec.Goodput)
 		}
 	}
 	t.Notes = append(t.Notes,

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"time"
 
+	"maya"
 	"maya/internal/collator"
 	"maya/internal/emulator"
 	"maya/internal/estimator"
@@ -89,6 +90,7 @@ func table4(ctx context.Context, e *Env) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	failures := 0
 	for _, w := range ws {
 		em := emulator.New(emulator.Config{
 			Rank: 0, World: w.World(), GPU: cluster.Node.GPU, Host: cluster.Host,
@@ -110,7 +112,11 @@ func table4(ctx context.Context, e *Env) (*Table, error) {
 			fmt.Sprint(st.Kernels), fmt.Sprint(st.Collectives), fmt.Sprint(st.Memcpys),
 			fmt.Sprintf("%.1fGiB", float64(tr.PeakBytes)/(1<<30)), status,
 		})
+		if status != "ok" && status != "oom" {
+			failures++
+		}
 	}
+	t.claim("failures", float64(failures))
 	t.Notes = append(t.Notes,
 		"offload variants produce HtoD/DtoH memcpys with faithful shapes, per §7.2 Framework Generality")
 	return t, nil
@@ -122,12 +128,10 @@ func fig10(ctx context.Context, e *Env) (*Table, error) {
 		Title:  "ResNet-152 prediction accuracy on 8xA40 (heterogeneous links, torch.compile)",
 		Header: []string{"cfg", "batch", "accum", "compile", "actual", "maya", "err"},
 	}
-	cluster := hardware.A40Node()
-	pipe, err := e.Predictor(ctx, cluster, estimator.ProfileVision)
+	pred, err := e.predictor(hardware.A40Node(), estimator.ProfileVision, false)
 	if err != nil {
 		return nil, err
 	}
-	oracle := e.Oracle(cluster)
 	mdl := models.ResNet152()
 
 	var within5, total int
@@ -148,26 +152,26 @@ func fig10(ctx context.Context, e *Env) (*Table, error) {
 				if err != nil {
 					return nil, err
 				}
-				flops := mdl.TrainFLOPsPerIter(batch)
-				pred, err := pipe.Predict(ctx, w, flops, hardware.FP16)
+				opts := []maya.PredictOption{maya.WithModelFLOPs(mdl.TrainFLOPsPerIter(batch)), maya.WithDType(maya.FP16)}
+				predicted, err := pred.Predict(ctx, w, opts...)
 				if err != nil {
 					return nil, err
 				}
-				actual, err := pipe.MeasureActual(ctx, w, oracle, flops, hardware.FP16)
+				actual, err := pred.MeasureActual(ctx, w, opts...)
 				if err != nil {
 					return nil, err
 				}
-				if pred.OOM || actual.OOM {
+				if predicted.OOM || actual.OOM {
 					continue
 				}
-				errFrac := relErr(pred.IterTime, actual.IterTime)
+				errFrac := relErr(predicted.IterTime, actual.IterTime)
 				total++
 				if errFrac < 0.05 {
 					within5++
 				}
 				t.Rows = append(t.Rows, []string{
 					fmt.Sprint(id), fmt.Sprint(batch), fmt.Sprint(accum), fmt.Sprint(compile),
-					fmtMS(actual.IterTime), fmtMS(pred.IterTime), pct(errFrac),
+					fmtMS(actual.IterTime), fmtMS(predicted.IterTime), pct(errFrac),
 				})
 				id++
 			}
@@ -175,6 +179,7 @@ func fig10(ctx context.Context, e *Env) (*Table, error) {
 	}
 	if total > 0 {
 		t.Notes = append(t.Notes, fmt.Sprintf("%d/%d configurations within 5%% error (paper: over half)", within5, total))
+		t.claim("within5_frac", float64(within5)/float64(total))
 	}
 	return t, nil
 }

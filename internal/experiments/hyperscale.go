@@ -12,12 +12,9 @@ import (
 	"fmt"
 	"time"
 
-	"maya/internal/core"
-	"maya/internal/estimator"
 	"maya/internal/framework"
 	"maya/internal/hardware"
 	"maya/internal/models"
-	"maya/internal/netsim"
 )
 
 func init() {
@@ -36,23 +33,9 @@ func hyperscaleModel(e *Env) models.Transformer {
 	return mdl
 }
 
-func hyperscalePipeline(ctx context.Context, e *Env, nodes int) (*core.Pipeline, error) {
-	cluster := hardware.DGXH100(nodes)
-	// The estimator suite is trained once on a reference H100 cluster;
-	// kernels do not depend on cluster size, collectives come from
-	// netsim on the actual cluster.
-	ref := hardware.DGXH100(8)
-	suite, _, err := e.Suites.SuiteFor(ctx, ref, e.Oracle(ref), estimator.ProfileLLM)
-	if err != nil {
-		return nil, err
-	}
-	suite = suite.WithCollectiveEstimator(netsim.New(cluster))
-	return &core.Pipeline{
-		Cluster: cluster,
-		Suite:   suite,
-		Opts:    core.Options{SelectiveLaunch: true},
-	}, nil
-}
+// hyperscaleRef is the H100 cluster whose trained suite prices
+// kernels at every scale: kernels do not depend on cluster size.
+var hyperscaleRef = hardware.DGXH100(8)
 
 func fig12(ctx context.Context, e *Env) (*Table, error) {
 	t := &Table{
@@ -67,12 +50,9 @@ func fig12(ctx context.Context, e *Env) (*Table, error) {
 	}
 	const globalBatch = 12288
 	const microbatches = 64
+	var mfus []float64
 	for _, dp := range dps {
 		ngpus := 8 * 8 * dp
-		pipe, err := hyperscalePipeline(ctx, e, ngpus/8)
-		if err != nil {
-			return nil, err
-		}
 		cfg := framework.MegatronConfig{
 			Model: mdl, NGPUs: ngpus, GlobalBatch: globalBatch,
 			TP: 8, PP: 8, MicroBatches: microbatches,
@@ -82,7 +62,7 @@ func fig12(ctx context.Context, e *Env) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		rep, err := pipe.Predict(ctx, w, mdl.TrainFLOPsPerIter(globalBatch), hardware.BF16)
+		rep, err := e.predictOnReference(ctx, hardware.DGXH100(ngpus/8), hyperscaleRef, w, mdl.TrainFLOPsPerIter(globalBatch))
 		if err != nil {
 			return nil, err
 		}
@@ -95,6 +75,12 @@ func fig12(ctx context.Context, e *Env) (*Table, error) {
 			dur2s(rep.IterTime), pct(rep.MFU),
 			dur2s(rep.CommTime), dur2s(rep.ExposedComm),
 		})
+		mfus = append(mfus, rep.MFU)
+	}
+	if len(mfus) > 0 {
+		// Scaling efficiency: MFU at the widest data parallelism over
+		// MFU at the narrowest — below 1 is sublinear scaling.
+		t.claim("scaling_efficiency", mfus[len(mfus)-1]/mfus[0])
 	}
 	t.Notes = append(t.Notes,
 		"expected sublinear scaling: iteration time drops with DP while communication overhead erodes MFU",
@@ -114,10 +100,6 @@ func fig13(ctx context.Context, e *Env) (*Table, error) {
 		scales = []int{1024, 4096, 16384}
 	}
 	for _, ngpus := range scales {
-		pipe, err := hyperscalePipeline(ctx, e, ngpus/8)
-		if err != nil {
-			return nil, err
-		}
 		dp := ngpus / 64
 		cfg := framework.MegatronConfig{
 			Model: mdl, NGPUs: ngpus, GlobalBatch: 12 * dp, // batch scales with cluster
@@ -127,7 +109,7 @@ func fig13(ctx context.Context, e *Env) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		rep, err := pipe.Predict(ctx, w, mdl.TrainFLOPsPerIter(cfg.GlobalBatch), hardware.BF16)
+		rep, err := e.predictOnReference(ctx, hardware.DGXH100(ngpus/8), hyperscaleRef, w, mdl.TrainFLOPsPerIter(cfg.GlobalBatch))
 		if err != nil {
 			return nil, err
 		}
@@ -139,6 +121,7 @@ func fig13(ctx context.Context, e *Env) (*Table, error) {
 			rep.Stages.Simulate.Round(time.Millisecond).String(),
 			rep.Stages.Total().Round(time.Millisecond).String(),
 		})
+		t.claim(fmt.Sprintf("unique_workers/%d", ngpus), float64(rep.UniqueWorkers))
 	}
 	t.Notes = append(t.Notes, "paper: 16K GPUs in ~25 minutes with 8 unique workers; runtime grows with trace size, not GPU count")
 	return t, nil

@@ -15,7 +15,6 @@ import (
 	"maya/internal/framework"
 	"maya/internal/hardware"
 	"maya/internal/models"
-	"maya/internal/trace"
 	"maya/internal/workload"
 )
 
@@ -31,58 +30,21 @@ func init() {
 	})
 }
 
-// coverageProbe captures a small representative workload for the
-// profile kind and reports how many of its kernel launches are
-// covered by trained estimators. The capture is memoized in the Env
-// and shared across tables targeting the same cluster.
-func coverageProbe(ctx context.Context, e *Env, cluster hardware.Cluster, kind estimator.ProfileKind, mape map[string]float64) (string, error) {
-	var key string
-	var build func() (workload.Workload, error)
+// coverageWorkload is the small representative workload of a profile
+// kind whose captured kernel launches the coverage probe checks
+// against the trained estimator set.
+func coverageWorkload(kind estimator.ProfileKind) (workload.Workload, error) {
 	if kind == estimator.ProfileVision {
-		key = "coverage/resnet152"
-		build = func() (workload.Workload, error) {
-			mdl := models.ResNet152()
-			return framework.NewDataParallel(framework.DataParallelConfig{
-				CNN: &mdl, NGPUs: 8, GlobalBatch: 64,
-			})
-		}
-	} else {
-		key = "coverage/gpt3-1.3b"
-		build = func() (workload.Workload, error) {
-			return framework.NewMegatron(framework.MegatronConfig{
-				Model: models.GPT3_1_3B(), NGPUs: 8, GlobalBatch: 16,
-				TP: 2, PP: 2, MicroBatches: 2,
-			})
-		}
+		mdl := models.ResNet152()
+		return framework.NewDataParallel(framework.DataParallelConfig{CNN: &mdl, NGPUs: 8, GlobalBatch: 64})
 	}
-	cap, err := e.CaptureOnce(ctx, e.Measurer(cluster), key, build)
-	if err != nil {
-		return "", err
-	}
-	if cap.OOM {
-		return "capture probe: representative workload OOMs on this cluster", nil
-	}
-	var launches, covered int
-	names := map[string]bool{}
-	for _, w := range cap.Job.Workers {
-		for i := range w.Ops {
-			op := &w.Ops[i]
-			if op.Kind != trace.KindKernel {
-				continue
-			}
-			launches++
-			names[op.Name] = true
-			if _, ok := mape[op.Name]; ok {
-				covered++
-			}
-		}
-	}
-	return fmt.Sprintf("capture probe: %d/%d kernel launches (%d distinct names) of a captured %s trace have trained estimators",
-		covered, launches, len(names), cap.Workload), nil
+	return framework.NewMegatron(framework.MegatronConfig{
+		Model: models.GPT3_1_3B(), NGPUs: 8, GlobalBatch: 16, TP: 2, PP: 2, MicroBatches: 2,
+	})
 }
 
 func kernelMAPETable(ctx context.Context, e *Env, id string, cluster hardware.Cluster, kind estimator.ProfileKind) (*Table, error) {
-	mape, err := e.MAPE(ctx, cluster, kind)
+	mape, err := e.heldOutMAPE(ctx, cluster, kind)
 	if err != nil {
 		return nil, err
 	}
@@ -111,10 +73,28 @@ func kernelMAPETable(ctx context.Context, e *Env, id string, cluster hardware.Cl
 	if heavyN > 0 {
 		t.Notes = append(t.Notes, fmt.Sprintf(
 			"heavy-hitter kernels (GEMM/conv/triton) mean MAPE: %s — these dominate end-to-end time", pct(heavySum/float64(heavyN))))
+		t.claim("heavy_mape", heavySum/float64(heavyN))
 	}
-	cover, err := coverageProbe(ctx, e, cluster, kind, mape)
+	w, err := coverageWorkload(kind)
 	if err != nil {
 		return nil, err
+	}
+	launches, oom, err := e.kernelLaunches(ctx, cluster, w)
+	if err != nil {
+		return nil, err
+	}
+	cover := "capture probe: representative workload OOMs on this cluster"
+	if !oom {
+		covered, names := 0, map[string]bool{}
+		for _, n := range launches {
+			names[n] = true
+			if _, ok := mape[n]; ok {
+				covered++
+			}
+		}
+		cover = fmt.Sprintf("capture probe: %d/%d kernel launches (%d distinct names) of a captured %s trace have trained estimators",
+			covered, len(launches), len(names), w.Name())
+		t.claim("coverage", float64(covered)/float64(len(launches)))
 	}
 	t.Notes = append(t.Notes, cover,
 		"large percentage errors concentrate in very short kernels, which do not affect end-to-end accuracy (paper's observation)")

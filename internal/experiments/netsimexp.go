@@ -3,8 +3,8 @@ package experiments
 // Validation of the topology-aware network fabric: the hierarchical
 // netsim model (per-collective algorithm selection on the declarative
 // topology) versus the synthetic silicon's ground-truth collective
-// times, with a flat single-fabric model as the ablation. Published
-// as BENCH_netsim.json by the CI bench smoke.
+// times, with a flat single-fabric model as the ablation. TestClaims
+// holds the worst regime to netsimHierBound.
 
 import (
 	"context"
@@ -13,6 +13,7 @@ import (
 
 	"maya/internal/hardware"
 	"maya/internal/netsim"
+	"maya/internal/silicon"
 	"maya/internal/topo"
 )
 
@@ -24,19 +25,12 @@ func init() {
 // hierarchical model against the collective benchmarks: the silicon's
 // protocol-switch quirks wiggle truth by up to ±6%, and the model's
 // algorithm selection may legitimately undercut the truth's fixed
-// algorithm choice by a few percent more. The experiment fails if any
-// regime's MAPE exceeds this bound.
+// algorithm choice by a few percent more.
 const netsimHierBound = 0.15
-
-// netsimGroup is one communicator shape of the validation sweep.
-type netsimGroup struct {
-	name  string
-	ranks []int
-}
 
 func netsimValidation(ctx context.Context, e *Env) (*Table, error) {
 	cluster := hardware.DGXH100(4) // 32 GPUs, 4 NVSwitch islands
-	oracle := e.Oracle(cluster)
+	oracle := silicon.NewOracle(cluster, silicon.DefaultSeed)
 	hier := netsim.New(cluster)
 	flatTopo, err := topo.ByName("flat", cluster)
 	if err != nil {
@@ -51,7 +45,11 @@ func netsimValidation(ctx context.Context, e *Env) (*Table, error) {
 		}
 		return out
 	}
-	groups := []netsimGroup{
+	// The communicator shapes of the validation sweep.
+	groups := []struct {
+		name  string
+		ranks []int
+	}{
 		{"intra-island (8)", contiguous(8)},
 		{"cross-node pair", []int{0, 8}},
 		{"one-per-node (4)", []int{0, 8, 16, 24}},
@@ -61,11 +59,9 @@ func netsimValidation(ctx context.Context, e *Env) (*Table, error) {
 		"ncclAllReduce", "ncclAllGather", "ncclReduceScatter",
 		"ncclBroadcast", "ncclAllToAll", "ncclSend",
 	}
-	var sizes []int64
+	sizes := []int64{1 << 20, 1 << 26}
 	if e.Scale == Full {
 		sizes = []int64{1 << 18, 1 << 20, 1 << 22, 1 << 24, 1 << 26, 1 << 28}
-	} else {
-		sizes = []int64{1 << 20, 1 << 26}
 	}
 
 	t := &Table{
@@ -106,11 +102,8 @@ func netsimValidation(ctx context.Context, e *Env) (*Table, error) {
 			g.name, fmt.Sprint(points),
 			pct(hierMAPE), pct(hierMax), pct(flatMAPE), pct(flatMax),
 		})
-		if hierMAPE > netsimHierBound {
-			return nil, fmt.Errorf("experiments: netsim hierarchical model MAPE %.1f%% on %s exceeds the %.0f%% bound",
-				hierMAPE*100, g.name, netsimHierBound*100)
-		}
 	}
+	t.claim("worst_hier_mape", worstMAPE)
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("hierarchical model holds a %.0f%% per-regime MAPE bound (worst regime %.1f%%); truth includes the silicon's ±6%% protocol-switch quirks", netsimHierBound*100, worstMAPE*100),
 		"flat ablation collapses the fabric to one level: its cross-node error is the fidelity the hierarchy buys",

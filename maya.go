@@ -627,7 +627,7 @@ func (p *Predictor) predict(ctx context.Context, w Workload, s predictSettings) 
 	if err != nil {
 		return nil, err
 	}
-	c, paid, err := p.captureFor(ctx, pipe, w, s)
+	c, paid, err := p.captureFor(ctx, pipe, w)
 	if err != nil {
 		return nil, err
 	}

@@ -60,8 +60,7 @@ func (p *Predictor) FindRecipe(ctx context.Context, problem SearchProblem, opts 
 		return nil, fmt.Errorf("maya: FindRecipe problem targets %s but the predictor models %s",
 			problem.Cluster.Name, p.cluster.Name)
 	}
-	settings := applyPredictOptions(nil)
-	pipe, err := p.pipelineFor(ctx, settings)
+	pipe, err := p.pipelineFor(ctx, applyPredictOptions(nil))
 	if err != nil {
 		return nil, err
 	}
@@ -73,7 +72,7 @@ func (p *Predictor) FindRecipe(ctx context.Context, problem SearchProblem, opts 
 		}
 	}()
 	capture := func(ctx context.Context, w Workload) (*core.Capture, error) {
-		c, _, err := p.captureFor(ctx, pipe, w, settings)
+		c, _, err := p.captureFor(ctx, pipe, w)
 		return c, err
 	}
 	// RunWorkers calls the factory for one worker at a time.

@@ -120,7 +120,7 @@ func (p *Predictor) Capture(ctx context.Context, w Workload, opts ...PredictOpti
 		return nil, errors.New("maya: Capture of a nil workload")
 	}
 	s := applyPredictOptions(opts)
-	c, _, err := p.captureFor(ctx, p.capturePipeline(s), w, s)
+	c, _, err := p.captureFor(ctx, p.capturePipeline(s), w)
 	if err != nil {
 		return nil, err
 	}
