@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"maps"
+	"slices"
 	"sync"
 	"time"
 
@@ -182,9 +184,16 @@ func (c *Capture) baseReport() *Report {
 	}
 }
 
-// TraceFormatVersion is the serialization version WriteTo emits and
-// ReadCapture accepts. Bump it on any incompatible payload change.
-const TraceFormatVersion = 1
+// TraceFormatVersion is the serialization version WriteTo emits: a
+// binary payload. ReadCapture reads it and version 1, the JSON payload
+// earlier builds wrote. Bump it on any incompatible payload change.
+const TraceFormatVersion = 2
+
+// traceFormatJSON is the version whose payload is capturePayload's JSON.
+const traceFormatJSON = 1
+
+// traceHeaderLen is the envelope's header: magic, version and length.
+const traceHeaderLen = len(traceMagic) + 2 + 8
 
 // Serialization errors, matchable with errors.Is.
 var (
@@ -199,7 +208,7 @@ var (
 // traceMagic opens every serialized capture.
 var traceMagic = [6]byte{'M', 'A', 'Y', 'A', 'T', 'R'}
 
-// capturePayload is the JSON body of a serialized capture.
+// capturePayload is the JSON body of a version-1 capture.
 // Participants is recomputed from the job on load (it is a pure
 // function of the trace), so it is not stored.
 type capturePayload struct {
@@ -219,51 +228,80 @@ type capturePayload struct {
 	ClassHinted   bool             `json:"class_hinted,omitempty"`
 }
 
+// Flags of a binary capture payload.
+const (
+	captureOOM = 1 << iota
+	captureClassHinted
+	captureHasJob
+)
+
 // WriteTo serializes the capture: a fixed header (magic, big-endian
-// uint16 format version, uint64 payload length), a JSON payload, and
-// a trailing FNV-1a checksum of the payload. It implements
-// io.WriterTo.
+// uint16 format version, uint64 payload length), the binary payload,
+// and a trailing FNV-1a checksum of the payload. The payload is the
+// capture's scalar fields as varints and length-prefixed strings, its
+// flags, Comms and CommSizes in key order, then the job in
+// trace.Encoder's form; its bytes are a function of the capture's
+// content. It implements io.WriterTo.
 func (c *Capture) WriteTo(w io.Writer) (int64, error) {
-	payload, err := json.Marshal(capturePayload{
-		Workload:      c.Workload,
-		Cluster:       c.Cluster,
-		Topology:      c.Topology,
-		TotalWorkers:  c.TotalWorkers,
-		UniqueWorkers: c.UniqueWorkers,
-		Job:           trace.NewJobJSON(c.Job),
-		Comms:         c.Comms,
-		CommSizes:     c.CommSizes,
-		PeakMemBytes:  c.PeakMemBytes,
-		OOM:           c.OOM,
-		EmulateNS:     c.EmulateTime.Nanoseconds(),
-		CollateNS:     c.CollateTime.Nanoseconds(),
-		RankEmuls:     c.RankEmulations,
-		ClassHinted:   c.ClassHinted,
-	})
-	if err != nil {
+	e := trace.Encoder{B: make([]byte, traceHeaderLen)}
+	if err := c.encode(&e); err != nil {
 		return 0, fmt.Errorf("core: encoding capture: %w", err)
 	}
-	var buf bytes.Buffer
-	buf.Grow(len(traceMagic) + 2 + 8 + len(payload) + 8)
-	buf.Write(traceMagic[:])
-	var u16 [2]byte
-	binary.BigEndian.PutUint16(u16[:], TraceFormatVersion)
-	buf.Write(u16[:])
-	var u64 [8]byte
-	binary.BigEndian.PutUint64(u64[:], uint64(len(payload)))
-	buf.Write(u64[:])
-	buf.Write(payload)
-	binary.BigEndian.PutUint64(u64[:], payloadSum(payload))
-	buf.Write(u64[:])
-	n, err := w.Write(buf.Bytes())
+	b := e.B
+	payload := b[traceHeaderLen:]
+	copy(b, traceMagic[:])
+	binary.BigEndian.PutUint16(b[len(traceMagic):], TraceFormatVersion)
+	binary.BigEndian.PutUint64(b[len(traceMagic)+2:], uint64(len(payload)))
+	b = binary.BigEndian.AppendUint64(b, payloadSum(payload))
+	n, err := w.Write(b)
 	return int64(n), err
 }
 
-// ReadCapture parses a capture produced by WriteTo. It rejects
-// non-trace input (ErrTraceFormat), incompatible versions
-// (ErrTraceVersion), and reports truncation as io.ErrUnexpectedEOF.
+func (c *Capture) encode(e *trace.Encoder) error {
+	e.Str(c.Workload)
+	e.Str(c.Cluster)
+	e.Str(c.Topology)
+	for _, v := range [...]int64{int64(c.TotalWorkers), int64(c.UniqueWorkers), c.PeakMemBytes,
+		int64(c.EmulateTime), int64(c.CollateTime), int64(c.RankEmulations)} {
+		e.Varint(v)
+	}
+	var flags byte
+	if c.OOM {
+		flags |= captureOOM
+	}
+	if c.ClassHinted {
+		flags |= captureClassHinted
+	}
+	if c.Job != nil {
+		flags |= captureHasJob
+	}
+	e.Byte(flags)
+	e.Len(len(c.Comms), c.Comms == nil)
+	for _, id := range slices.Sorted(maps.Keys(c.Comms)) {
+		members := c.Comms[id]
+		e.Uvarint(id)
+		e.Len(len(members), members == nil)
+		for _, r := range members {
+			e.Varint(int64(r))
+		}
+	}
+	e.Len(len(c.CommSizes), c.CommSizes == nil)
+	for _, id := range slices.Sorted(maps.Keys(c.CommSizes)) {
+		e.Uvarint(id)
+		e.Varint(int64(c.CommSizes[id]))
+	}
+	if c.Job == nil {
+		return nil
+	}
+	return e.Job(c.Job)
+}
+
+// ReadCapture parses a capture produced by WriteTo, or by an earlier
+// build's version-1 WriteTo. It rejects non-trace input
+// (ErrTraceFormat), other versions (ErrTraceVersion), and reports
+// truncation as io.ErrUnexpectedEOF.
 func ReadCapture(r io.Reader) (*Capture, error) {
-	var header [len(traceMagic) + 2 + 8]byte
+	var header [traceHeaderLen]byte
 	if _, err := io.ReadFull(r, header[:]); err != nil {
 		if errors.Is(err, io.EOF) {
 			err = io.ErrUnexpectedEOF
@@ -274,9 +312,9 @@ func ReadCapture(r io.Reader) (*Capture, error) {
 		return nil, fmt.Errorf("core: %w: bad magic", ErrTraceFormat)
 	}
 	version := binary.BigEndian.Uint16(header[len(traceMagic):])
-	if version != TraceFormatVersion {
-		return nil, fmt.Errorf("core: %w: trace is v%d, this build reads v%d",
-			ErrTraceVersion, version, TraceFormatVersion)
+	if version != TraceFormatVersion && version != traceFormatJSON {
+		return nil, fmt.Errorf("core: %w: trace is v%d, this build reads v%d and v%d",
+			ErrTraceVersion, version, traceFormatJSON, TraceFormatVersion)
 	}
 	size := binary.BigEndian.Uint64(header[len(traceMagic)+2:])
 	const maxPayload = 1 << 34 // 16 GiB: far beyond any real trace
@@ -304,9 +342,87 @@ func ReadCapture(r io.Reader) (*Capture, error) {
 	if got, want := binary.BigEndian.Uint64(sumBuf[:]), payloadSum(payload); got != want {
 		return nil, fmt.Errorf("core: %w: checksum mismatch", ErrTraceFormat)
 	}
+	decode := decodeCapture
+	if version == traceFormatJSON {
+		decode = decodeCaptureJSON
+	}
+	c, err := decode(payload)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w: %v", ErrTraceFormat, err)
+	}
+	if c.Job != nil {
+		// A well-formed envelope can still carry a hostile payload:
+		// JSON null decodes into a nil worker, and either form can hold
+		// a collective without its metadata, which every consumer of the
+		// job (starting with Participation below) would trip over.
+		for i, w := range c.Job.Workers {
+			if w == nil {
+				return nil, fmt.Errorf("core: %w: null worker at index %d", ErrTraceFormat, i)
+			}
+			if err := validateOps(w); err != nil {
+				return nil, fmt.Errorf("core: %w: worker at index %d: %v", ErrTraceFormat, i, err)
+			}
+		}
+		c.Participants = trace.Participation(c.Job)
+	}
+	return c, nil
+}
+
+// decodeCapture decodes the binary payload WriteTo writes. Every count
+// is bounded by the bytes left before anything is allocated for it.
+func decodeCapture(payload []byte) (*Capture, error) {
+	d := trace.NewDecoder(payload)
+	c := &Capture{
+		Workload:       d.Str(),
+		Cluster:        d.Str(),
+		Topology:       d.Str(),
+		TotalWorkers:   d.Int(),
+		UniqueWorkers:  d.Int(),
+		PeakMemBytes:   d.Varint(),
+		EmulateTime:    time.Duration(d.Varint()),
+		CollateTime:    time.Duration(d.Varint()),
+		RankEmulations: d.Int(),
+	}
+	flags := d.Byte()
+	if flags&^(captureOOM|captureClassHinted|captureHasJob) != 0 {
+		return nil, fmt.Errorf("unknown capture flags %#x", flags)
+	}
+	c.OOM, c.ClassHinted = flags&captureOOM != 0, flags&captureClassHinted != 0
+	if n, isNil := d.Len(2); !isNil {
+		c.Comms = make(map[uint64][]int, n)
+		for ; n > 0; n-- {
+			id := d.Uvarint()
+			var members []int
+			if m, isNil := d.Len(1); !isNil {
+				members = make([]int, m)
+				for i := range members {
+					members[i] = d.Int()
+				}
+			}
+			c.Comms[id] = members
+		}
+	}
+	if n, isNil := d.Len(2); !isNil {
+		c.CommSizes = make(map[uint64]int, n)
+		for ; n > 0; n-- {
+			id := d.Uvarint()
+			c.CommSizes[id] = d.Int()
+		}
+	}
+	if flags&captureHasJob != 0 {
+		c.Job = d.Job()
+	}
+	if err := d.End(); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// decodeCaptureJSON decodes a version-1 payload.
+func decodeCaptureJSON(payload []byte) (*Capture, error) {
 	var p capturePayload
 	if err := json.Unmarshal(payload, &p); err != nil {
-		return nil, fmt.Errorf("core: %w: %v", ErrTraceFormat, err)
+		return nil, err
 	}
 	c := &Capture{
 		Workload:       p.Workload,
@@ -325,18 +441,6 @@ func ReadCapture(r io.Reader) (*Capture, error) {
 	}
 	if p.Job != nil {
 		c.Job = p.Job.Job()
-		// A well-formed envelope can still carry a hostile payload:
-		// JSON null decodes into a nil worker, which every consumer of
-		// the job (starting with Participation below) would trip over.
-		for i, w := range c.Job.Workers {
-			if w == nil {
-				return nil, fmt.Errorf("core: %w: null worker at index %d", ErrTraceFormat, i)
-			}
-			if err := validateOps(w); err != nil {
-				return nil, fmt.Errorf("core: %w: worker at index %d: %v", ErrTraceFormat, i, err)
-			}
-		}
-		c.Participants = trace.Participation(c.Job)
 	}
 	return c, nil
 }

@@ -58,14 +58,15 @@ func fuzzCaptureBytes(f *testing.F) []byte {
 	return buf.Bytes()
 }
 
-// envelope wraps raw bytes as a trace payload with a correct header
-// and checksum, so mutations reach the JSON and semantic layers
-// instead of dying on the checksum.
-func envelope(payload []byte) []byte {
+// envelope wraps raw bytes as a trace payload of the given format
+// version with a correct header and checksum, so mutations reach the
+// payload decoders and the semantic layers instead of dying on the
+// checksum.
+func envelope(version uint16, payload []byte) []byte {
 	var buf bytes.Buffer
 	buf.Write(traceMagic[:])
 	var u16 [2]byte
-	binary.BigEndian.PutUint16(u16[:], TraceFormatVersion)
+	binary.BigEndian.PutUint16(u16[:], version)
 	buf.Write(u16[:])
 	var u64 [8]byte
 	binary.BigEndian.PutUint64(u64[:], uint64(len(payload)))
@@ -94,10 +95,126 @@ var malformedOps = []struct{ name, op string }{
 	{"extra that is not a number map", `{"seq":0,"kind":"kernel","name":"triton","extra":{"triton_instrs":"many"}}`},
 }
 
-// oneOpCapture is a checksummed capture whose job is one worker
-// holding the given op.
+// oneOpCapture is a checksummed version-1 capture whose job is one
+// worker holding the given op.
 func oneOpCapture(op string) []byte {
-	return envelope([]byte(`{"job":{"workers":[{"rank":0,"world":2,"ops":[` + op + `]}]}}`))
+	return envelope(traceFormatJSON, []byte(`{"job":{"workers":[{"rank":0,"world":2,"ops":[`+op+`]}]}}`))
+}
+
+// Op presence flags of the binary form (see trace.Encoder).
+const wireShape, wireColl = 1 << 1, 1 << 6
+
+// binaryCapture is a checksummed binary capture whose job is one
+// worker; body writes the worker's tables, counts and ops.
+func binaryCapture(body func(e *trace.Encoder)) []byte {
+	var e trace.Encoder
+	e.Str("w")
+	e.Str("8xV100")
+	e.Str("")
+	for range 6 { // worker counts, peak memory, stage times, rank emulations
+		e.Varint(0)
+	}
+	e.Byte(captureHasJob)
+	e.Len(0, true) // Comms
+	e.Len(0, true) // CommSizes
+	e.Len(0, true) // UniqueRanks
+	e.Len(1, false)
+	e.Varint(0) // rank
+	e.Str("V100")
+	e.Varint(2) // world
+	e.Varint(0) // peak bytes
+	e.Varint(0) // dedup
+	e.Byte(0)   // oom
+	body(&e)
+	return envelope(TraceFormatVersion, e.B)
+}
+
+// gemmTables writes a string table ("gemm", "") and a shape table of
+// one kernel shape named gemm.
+func gemmTables(e *trace.Encoder) {
+	e.Uvarint(2)
+	e.Str("gemm")
+	e.Str("")
+	e.Uvarint(1)
+	e.Byte(byte(trace.KindKernel))
+	e.Uvarint(0) // name
+	e.Uvarint(0) // dims
+	e.Varint(0)  // bytes
+	e.Varint(0)  // flops
+	e.Uvarint(1) // dtype
+	e.Uvarint(0) // extra
+	e.Uvarint(1) // memKind
+}
+
+// malformedBinary are binary captures that break the table, kind and
+// count checks the binary reader makes, or that it leaves to the
+// collective validation both readers share.
+var malformedBinary = []struct {
+	name string
+	blob []byte
+}{
+	{"shape index past the table", binaryCapture(func(e *trace.Encoder) {
+		gemmTables(e)
+		e.Uvarint(0)
+		e.Len(1, false)
+		e.Byte(byte(trace.KindKernel))
+		e.Byte(wireShape)
+		e.Uvarint(1)
+	})},
+	{"string index past the table", binaryCapture(func(e *trace.Encoder) {
+		e.Uvarint(1)
+		e.Str("gemm")
+		e.Uvarint(1)
+		e.Byte(byte(trace.KindKernel))
+		e.Uvarint(5) // name
+		for range 7 {
+			e.Uvarint(0)
+		}
+		e.Uvarint(0)
+		e.Len(0, false)
+	})},
+	{"op kind that is not its shape's", binaryCapture(func(e *trace.Encoder) {
+		gemmTables(e)
+		e.Uvarint(0)
+		e.Len(1, false)
+		e.Byte(byte(trace.KindMemcpy))
+		e.Byte(wireShape)
+		e.Uvarint(0)
+	})},
+	{"unknown op kind", binaryCapture(func(e *trace.Encoder) {
+		e.Uvarint(0)
+		e.Uvarint(0)
+		e.Uvarint(0)
+		e.Len(1, false)
+		e.Byte(200)
+		e.Byte(0)
+	})},
+	{"huge count", binaryCapture(func(e *trace.Encoder) {
+		e.Uvarint(0)
+		e.Uvarint(0)
+		e.Uvarint(0)
+		e.Len(1<<40, false)
+	})},
+	{"collective without its metadata", binaryCapture(func(e *trace.Encoder) {
+		e.Uvarint(0)
+		e.Uvarint(0)
+		e.Uvarint(0)
+		e.Len(1, false)
+		e.Byte(byte(trace.KindCollective))
+		e.Byte(0)
+	})},
+	{"collective beyond the count", binaryCapture(func(e *trace.Encoder) {
+		e.Uvarint(1)
+		e.Str("ncclSend")
+		e.Uvarint(0)
+		e.Uvarint(0)
+		e.Len(1, false)
+		e.Byte(byte(trace.KindCollective))
+		e.Byte(wireColl)
+		for _, v := range []int64{0, 1, 0, 2, 0, 1, 8} { // op, comm, seq, nranks, rank, peer, bytes
+			e.Uvarint(uint64(v))
+		}
+	})},
 }
 
 func TestReadCaptureRejectsMalformedOps(t *testing.T) {
@@ -107,6 +224,12 @@ func TestReadCaptureRejectsMalformedOps(t *testing.T) {
 			t.Errorf("%s: capture %v, err = %v, want ErrTraceFormat", c.name, got != nil, err)
 		}
 	}
+	for _, c := range malformedBinary {
+		got, err := ReadCapture(bytes.NewReader(c.blob))
+		if !errors.Is(err, ErrTraceFormat) {
+			t.Errorf("binary %s: capture %v, err = %v, want ErrTraceFormat", c.name, got != nil, err)
+		}
+	}
 	// The same shape with its metadata in place loads.
 	ok := `{"seq":0,"kind":"collective","coll":{"op":"ncclSend","comm":1,"seq":0,"nranks":2,"rank":0,"peer":1}}`
 	if _, err := ReadCapture(bytes.NewReader(oneOpCapture(ok))); err != nil {
@@ -114,14 +237,16 @@ func TestReadCaptureRejectsMalformedOps(t *testing.T) {
 	}
 }
 
-// FuzzReadTrace feeds the trace reader hostile bytes two ways: the
+// FuzzReadTrace feeds the trace reader hostile bytes three ways: the
 // raw input as-is (header, length and checksum handling) and wrapped
-// in a valid envelope (JSON payload and semantic validation, e.g.
-// null workers, collectives without metadata). Whatever arrives,
-// ReadCapture must reject with one of its typed errors — never panic,
-// never over-allocate on a crafted length field — or return a capture
-// that round-trips stably: writing it and reading it back gives a
-// deep-equal capture, interned shapes included.
+// in a valid envelope of either version (the JSON and binary payload
+// decoders and semantic validation, e.g. null workers, collectives
+// without metadata, table indexes). Whatever arrives, ReadCapture must
+// reject with one of its typed errors — never panic, never
+// over-allocate on a crafted length field — or return a capture that
+// round-trips stably: writing it and reading it back gives a
+// deep-equal capture, interned shapes included, which writes the same
+// bytes again.
 func FuzzReadTrace(f *testing.F) {
 	valid := fuzzCaptureBytes(f)
 	f.Add(valid)
@@ -135,9 +260,9 @@ func FuzzReadTrace(f *testing.F) {
 	badver := append([]byte(nil), valid...)
 	badver[len(traceMagic)] ^= 0xff // version bump: ErrTraceVersion
 	f.Add(badver)
-	f.Add(envelope([]byte(`{}`)))
-	f.Add(envelope([]byte(`{"job":{"Workers":[null]}}`)))
-	f.Add(envelope([]byte(`{"total_workers":-1,"job":{"Workers":[]}}`)))
+	f.Add(envelope(traceFormatJSON, []byte(`{}`)))
+	f.Add(envelope(traceFormatJSON, []byte(`{"job":{"Workers":[null]}}`)))
+	f.Add(envelope(traceFormatJSON, []byte(`{"total_workers":-1,"job":{"Workers":[]}}`)))
 	for _, c := range malformedOps {
 		f.Add(oneOpCapture(c.op))
 	}
@@ -154,9 +279,12 @@ func FuzzReadTrace(f *testing.F) {
 	} {
 		f.Add(oneOpCapture(op))
 	}
+	for _, c := range malformedBinary {
+		f.Add(c.blob)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, blob := range [][]byte{data, envelope(data)} {
+		for _, blob := range [][]byte{data, envelope(traceFormatJSON, data), envelope(TraceFormatVersion, data)} {
 			c, err := ReadCapture(bytes.NewReader(blob))
 			if err != nil {
 				if !errors.Is(err, ErrTraceFormat) && !errors.Is(err, ErrTraceVersion) && !errors.Is(err, io.ErrUnexpectedEOF) {
@@ -168,12 +296,19 @@ func FuzzReadTrace(f *testing.F) {
 			if _, err := c.WriteTo(&out); err != nil {
 				t.Fatalf("accepted capture fails to re-serialize: %v", err)
 			}
-			back, err := ReadCapture(&out)
+			back, err := ReadCapture(bytes.NewReader(out.Bytes()))
 			if err != nil {
 				t.Fatalf("re-serialized capture is rejected: %v", err)
 			}
 			if !reflect.DeepEqual(back, c) {
 				t.Fatalf("capture does not round-trip:\n got %+v\nwant %+v", back, c)
+			}
+			var again bytes.Buffer
+			if _, err := back.WriteTo(&again); err != nil {
+				t.Fatalf("round-tripped capture fails to re-serialize: %v", err)
+			}
+			if !bytes.Equal(again.Bytes(), out.Bytes()) {
+				t.Fatalf("round-tripped capture writes %d bytes that differ from the %d it was read from", again.Len(), out.Len())
 			}
 		}
 	})

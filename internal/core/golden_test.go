@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"os"
+	"reflect"
 	"testing"
 
 	"maya/internal/framework"
@@ -18,6 +19,11 @@ import (
 // with zero stage timings. Do not regenerate it with the current
 // encoder: it pins that the format did not move.
 const goldenTrace = "testdata/capture-v1.mtrace"
+
+// goldenTraceV2 is the same capture as written by the first binary
+// encoder (format version 2). Do not regenerate it either: it pins that
+// the binary format did not move.
+const goldenTraceV2 = "testdata/capture-v2.mtrace"
 
 // goldenCapture captures a tiny CNN under DDP on two A40s with
 // torch.compile (Triton kernels carry extra) and activation offload
@@ -60,16 +66,28 @@ func TestGoldenTraceStillLoads(t *testing.T) {
 	}
 	p, fresh := goldenCapture(t)
 
-	// Today's encoder writes the old bytes, for the loaded capture and
-	// for the same capture made in process.
+	// The loaded file and the same capture made in process write the
+	// same binary bytes, and they are the bytes of the binary golden,
+	// which loads to the capture the JSON golden does.
+	goldenV2, err := os.ReadFile(goldenTraceV2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for name, c := range map[string]*Capture{"loaded": loaded, "in-process": fresh} {
 		var buf bytes.Buffer
 		if _, err := c.WriteTo(&buf); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(buf.Bytes(), golden) {
-			t.Errorf("%s capture writes %d bytes that differ from the %d of %s", name, buf.Len(), len(golden), goldenTrace)
+		if !bytes.Equal(buf.Bytes(), goldenV2) {
+			t.Errorf("%s capture writes %d bytes that differ from the %d of %s", name, buf.Len(), len(goldenV2), goldenTraceV2)
 		}
+	}
+	loadedV2, err := ReadCapture(bytes.NewReader(goldenV2))
+	if err != nil {
+		t.Fatalf("ReadCapture(%s): %v", goldenTraceV2, err)
+	}
+	if !reflect.DeepEqual(loadedV2, loaded) {
+		t.Errorf("%s and %s load to different captures", goldenTraceV2, goldenTrace)
 	}
 	// WriteJSON writes the same job record, indented.
 	var payload struct{ Job json.RawMessage }

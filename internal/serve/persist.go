@@ -152,11 +152,29 @@ func restoreTraceStore(path string, maxEntries int) (*traceStore, SnapshotStats,
 		if int(n) > bound {
 			return nil, fmt.Errorf("%w: frame length %d exceeds bound %d", ErrSnapshotFormat, n, bound)
 		}
-		b := make([]byte, n)
-		if _, err := io.ReadFull(r, b); err != nil {
+		// Grow the buffer as bytes arrive rather than trusting the
+		// length field: a crafted one must fail at EOF, not allocate
+		// the bound first.
+		var b bytes.Buffer
+		if _, err := io.CopyN(&b, r, int64(n)); err != nil {
+			if errors.Is(err, io.EOF) {
+				err = io.ErrUnexpectedEOF // a file may end only between frames
+			}
 			return nil, err
 		}
-		return b, nil
+		return b.Bytes(), nil
+	}
+	// Truncation or corrupt framing ends the walk: what loaded so far
+	// still serves; the tail is lost and reported as such.
+	broken := func(err error) error {
+		stats.Skipped++
+		if errors.Is(err, ErrSnapshotFormat) {
+			return err
+		}
+		if errors.Is(err, io.EOF) {
+			err = io.ErrUnexpectedEOF
+		}
+		return fmt.Errorf("%w: truncated snapshot: %w", ErrSnapshotFormat, err)
 	}
 	for {
 		metaRaw, err := readFrame(maxSnapMetaLen)
@@ -164,21 +182,11 @@ func restoreTraceStore(path string, maxEntries int) (*traceStore, SnapshotStats,
 			return store, stats, nil // clean end of snapshot
 		}
 		if err != nil {
-			// Truncation or corrupt framing: what loaded so far still
-			// serves; the tail is lost and reported as such.
-			stats.Skipped++
-			if !errors.Is(err, ErrSnapshotFormat) {
-				err = fmt.Errorf("%w: truncated snapshot: %v", ErrSnapshotFormat, err)
-			}
-			return store, stats, err
+			return store, stats, broken(err)
 		}
 		raw, err := readFrame(maxSnapTraceLen)
 		if err != nil {
-			stats.Skipped++
-			if !errors.Is(err, ErrSnapshotFormat) {
-				err = fmt.Errorf("%w: truncated snapshot: %v", ErrSnapshotFormat, err)
-			}
-			return store, stats, err
+			return store, stats, broken(err)
 		}
 		var meta TraceMeta
 		if err := json.Unmarshal(metaRaw, &meta); err != nil {

@@ -5,10 +5,13 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"hash/fnv"
 	"io"
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"maya"
@@ -322,4 +325,114 @@ func TestServerStateRecovery(t *testing.T) {
 	if presp.StatusCode != http.StatusOK {
 		t.Fatalf("boot 3 predict: %d (%s)", presp.StatusCode, praw)
 	}
+}
+
+// snapshotOf frames (meta, raw trace) pairs as a snapshot file.
+func snapshotOf(frames ...[]byte) []byte {
+	b := append([]byte(nil), snapMagic...)
+	for _, f := range frames {
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(f)))
+		b = append(b, f...)
+	}
+	return b
+}
+
+// TestSnapshotLyingFrameLength restores a 19-byte snapshot whose one
+// entry claims a 256 MiB trace: the restore must fail as truncation
+// without allocating what the length field claims.
+func TestSnapshotLyingFrameLength(t *testing.T) {
+	raw := snapshotOf([]byte("{}"))
+	raw = binary.LittleEndian.AppendUint32(raw, maxSnapTraceLen)
+	if len(raw) != 19 {
+		t.Fatalf("snapshot is %d bytes, want 19", len(raw))
+	}
+	path := filepath.Join(t.TempDir(), "traces.snap")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := restoreTraceStore(path, 8)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrSnapshotFormat) || !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("err = %v, want ErrSnapshotFormat wrapping io.ErrUnexpectedEOF", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Errorf("restoring 19 bytes allocated %d bytes", got)
+	}
+}
+
+// FuzzRestoreSnapshot feeds the snapshot reader hostile state files.
+// Whatever arrives, restoreTraceStore must not panic, must report
+// broken framing only as ErrSnapshotFormat and a skipped entry only as
+// ErrSnapshotEntry, and what it restored must come back entry for
+// entry, in recency order, from a second snapshot. Seeds are
+// hand-framed around traces with no job, so they cost no emulation.
+func FuzzRestoreSnapshot(f *testing.F) {
+	sum := fnv.New64a()
+	payload := []byte(`{"workload":"w","total_workers":1}`)
+	sum.Write(payload)
+	v1 := binary.BigEndian.AppendUint16([]byte("MAYATR"), 1)
+	v1 = binary.BigEndian.AppendUint64(v1, uint64(len(payload)))
+	v1 = binary.BigEndian.AppendUint64(append(v1, payload...), sum.Sum64())
+	tr, err := maya.ReadTrace(bytes.NewReader(v1))
+	if err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := tr.WriteTo(&buf); err != nil {
+		f.Fatal(err)
+	}
+	v2 := buf.Bytes()
+	meta := func(fp, workload string) []byte {
+		b, err := json.Marshal(TraceMeta{Fingerprint: fp, Workload: workload, TotalWorkers: 1})
+		if err != nil {
+			f.Fatal(err)
+		}
+		return b
+	}
+	valid := snapshotOf(meta("a", "w"), v1, meta("b", "w"), v2)
+	f.Add(valid)
+	f.Add(valid[:len(valid)-3])
+	f.Add(snapshotOf(meta("a", "w"), v2[:len(v2)-1], meta("b", "w"), v2))
+	f.Add(snapshotOf([]byte("{"), v1))
+	f.Add(snapshotOf(meta("", "w"), v1))
+	f.Add(snapshotOf(meta("a", "other"), v1))
+	f.Add(snapshotOf(meta("a", "w"), v1, meta("a", "w"), v2))
+	f.Add(binary.LittleEndian.AppendUint32(snapshotOf([]byte("{}")), maxSnapTraceLen))
+	f.Add(binary.LittleEndian.AppendUint32(snapshotOf(), maxSnapMetaLen+1))
+	f.Add([]byte("not a snapshot"))
+
+	entries := func(s *traceStore) []storedTrace {
+		var out []storedTrace
+		for _, st := range s.entries.All() {
+			out = append(out, *st)
+		}
+		return out
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "traces.snap")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		store, stats, err := restoreTraceStore(path, 4)
+		if err != nil && !errors.Is(err, ErrSnapshotFormat) {
+			t.Fatalf("untyped restore error: %v", err)
+		}
+		if stats.EntryErr != nil && !errors.Is(stats.EntryErr, ErrSnapshotEntry) {
+			t.Fatalf("untyped entry error: %v", stats.EntryErr)
+		}
+		again := filepath.Join(dir, "again.snap")
+		if err := store.persist(again); err != nil {
+			t.Fatal(err)
+		}
+		back, stats, err := restoreTraceStore(again, 4)
+		if err != nil || stats.Skipped != 0 {
+			t.Fatalf("restored entries snapshot to a file that restores with %+v, %v", stats, err)
+		}
+		if got, want := entries(back), entries(store); !reflect.DeepEqual(got, want) {
+			t.Fatalf("restored entries do not survive a second snapshot:\n got %+v\nwant %+v", got, want)
+		}
+	})
 }

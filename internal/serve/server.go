@@ -416,7 +416,7 @@ func (s *Server) countStatus(status int) {
 	switch status {
 	case http.StatusOK:
 		s.metrics.OK.Add(1)
-	case http.StatusBadRequest, http.StatusNotFound:
+	case http.StatusBadRequest, http.StatusNotFound, http.StatusRequestEntityTooLarge:
 		s.metrics.BadInput.Add(1)
 	case http.StatusTooManyRequests:
 		s.metrics.Throttled.Add(1)
@@ -510,6 +510,30 @@ type predictOutcome struct {
 	queueWaitMS float64
 }
 
+// Request body limits: a larger body is refused whole, never cut short
+// and parsed.
+const (
+	maxSpecBody  = 1 << 20  // a /v1/predict or /v1/capture request
+	maxTraceBody = 64 << 20 // a POST /v1/traces upload
+)
+
+// readBody reads the request body, up to limit bytes. On failure it has
+// answered — 413 naming the limit for a larger body, 400 otherwise —
+// and ok is false.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request, limit int64) (body []byte, ok bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		s.fail(w, http.StatusRequestEntityTooLarge, "request body exceeds the %d MiB limit", tooBig.Limit>>20)
+		return nil, false
+	case err != nil:
+		s.fail(w, http.StatusBadRequest, "reading body: %v", err)
+		return nil, false
+	}
+	return body, true
+}
+
 // admit is the front door /v1/predict and /v1/capture share: refuse
 // while draining, read the bounded body and parse it into specs,
 // charge the tenant and claim a queue slot, start the in-flight and
@@ -522,12 +546,12 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, parse func([]byte
 		s.fail(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, "reading body: %v", err)
+	body, read := s.readBody(w, r, maxSpecBody)
+	if !read {
 		return
 	}
-	if specs, err = parse(body); err != nil {
+	specs, err := parse(body)
+	if err != nil {
 		s.fail(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -777,9 +801,8 @@ func (s *Server) handleTraceGet(w http.ResponseWriter, r *http.Request) {
 // archive it under a content fingerprint.
 func (s *Server) handleTraceUpload(w http.ResponseWriter, r *http.Request) {
 	s.metrics.Requests.Add(1)
-	raw, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, "reading body: %v", err)
+	raw, ok := s.readBody(w, r, maxTraceBody)
+	if !ok {
 		return
 	}
 	tr, err := maya.ReadTrace(bytes.NewReader(raw))

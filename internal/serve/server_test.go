@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"hash/fnv"
 	"io"
 	"net/http"
@@ -14,7 +15,6 @@ import (
 	"time"
 
 	"maya"
-	"maya/internal/core"
 )
 
 // smallSpec is the fast test recipe: 8 ranks, 2 unique after dedup,
@@ -374,19 +374,23 @@ func TestCaptureAndTraceRoundtrip(t *testing.T) {
 		t.Errorf("upload meta mismatch: %+v vs %+v", upMeta, meta)
 	}
 
-	// Garbage and truncated uploads are 400s, not 500s, and so is a
-	// checksummed envelope whose collective carries no metadata: it
-	// must be refused by the reader, not recovered from a panic.
+	// Garbage and truncated uploads are 400s, not 500s, and so are
+	// checksummed envelopes whose payload the reader must refuse rather
+	// than recover from a panic: a JSON collective carrying no metadata,
+	// and a binary payload one byte short.
+	envelope := func(version uint16, payload []byte) []byte {
+		sum := fnv.New64a()
+		sum.Write(payload)
+		b := binary.BigEndian.AppendUint16([]byte("MAYATR"), version)
+		b = binary.BigEndian.AppendUint64(b, uint64(len(payload)))
+		return binary.BigEndian.AppendUint64(append(b, payload...), sum.Sum64())
+	}
 	payload := []byte(`{"job":{"workers":[{"rank":0,"world":2,"ops":[{"seq":0,"kind":"collective"}]}]}}`)
-	sum := fnv.New64a()
-	sum.Write(payload)
-	hostile := binary.BigEndian.AppendUint16([]byte("MAYATR"), core.TraceFormatVersion)
-	hostile = binary.BigEndian.AppendUint64(hostile, uint64(len(payload)))
-	hostile = binary.BigEndian.AppendUint64(append(hostile, payload...), sum.Sum64())
 	for name, body := range map[string][]byte{
-		"garbage":                 []byte("not a maya trace"),
-		"truncated":               blob[:len(blob)/2],
-		"collective without coll": hostile,
+		"garbage":                  []byte("not a maya trace"),
+		"truncated":                blob[:len(blob)/2],
+		"collective without coll":  envelope(1, payload),
+		"binary payload cut short": envelope(2, blob[16:len(blob)-9]),
 	} {
 		up, err := http.Post(ts.URL+"/v1/traces", "application/octet-stream", bytes.NewReader(body))
 		if err != nil {
@@ -607,5 +611,48 @@ func TestTopologyAndCongestionSurfaced(t *testing.T) {
 	// An unparseable fabric spec fails at construction, not first use.
 	if _, err := New(Config{Cluster: maya.DGXV100(1), Topology: "mesh:banana"}); err == nil {
 		t.Error("New accepted an invalid topology spec")
+	}
+}
+
+// zeros is an endless stream of zero bytes.
+type zeros struct{}
+
+func (zeros) Read(p []byte) (int, error) {
+	clear(p)
+	return len(p), nil
+}
+
+// TestOversizedBodiesAre413 sends each endpoint one byte past its body
+// limit, streamed with no declared length so only reading finds the
+// excess: the answer is a 413 naming the limit, not a 400 about
+// whatever a body cut at the limit failed to parse as.
+func TestOversizedBodiesAre413(t *testing.T) {
+	s, ts := newTestServer(t, nil)
+	for _, c := range []struct {
+		path  string
+		limit int64
+	}{
+		{"/v1/predict", maxSpecBody},
+		{"/v1/traces", maxTraceBody},
+	} {
+		req, err := http.NewRequest(http.MethodPost, ts.URL+c.path, io.LimitReader(zeros{}, c.limit+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status %d (%s), want 413", c.path, resp.StatusCode, raw)
+		}
+		if want := fmt.Sprintf("%d MiB", c.limit>>20); !strings.Contains(string(raw), want) {
+			t.Errorf("%s: answer %q does not name the %s limit", c.path, raw, want)
+		}
+	}
+	if m := s.Metrics(); m.BadInput.Load() != 2 || m.Failed.Load() != 0 {
+		t.Errorf("413s counted as bad_input=%d failed=%d, want 2 and 0", m.BadInput.Load(), m.Failed.Load())
 	}
 }

@@ -1,0 +1,548 @@
+package trace
+
+import (
+	"encoding/binary"
+	"fmt"
+	"maps"
+	"math"
+	"slices"
+	"time"
+)
+
+// The binary form of a Job, the payload of a version-2 capture. Its
+// bytes are a function of the job's content, not of how it is held in
+// memory: every worker carries its own string and shape tables, one
+// entry per distinct value in first-use order, maps are written in key
+// order, and an op's Seq is its index. A slice or map whose nil-ness a
+// decoded job must reproduce has its length written as n+1, 0 meaning
+// nil, so a job decodes deep-equal to the one written.
+//
+//	job    = len uniqueRanks (varint rank)..., len workers (worker)...
+//	worker = varint rank, string device, varint world, varint peakBytes,
+//	         varint dedup, byte oom (0 or 1),
+//	         uvarint n (string)...   the string table
+//	         uvarint n (shape)...    the shape table
+//	         uvarint collectives, len ops (op)...
+//	shape  = byte kind, ref name, uvarint n (varint dim)..., varint bytes,
+//	         varint flops, ref dtype, uvarint n (ref key, 8-byte
+//	         little-endian float bits)... in key order, ref memKind
+//	op     = byte kind, byte flags, then the field of each set flag in
+//	         bit order: varint stream, uvarint shape, ref name, varint
+//	         bytes, uvarint ptr, varint event and varint eventVer, coll,
+//	         varint dur
+//	coll   = ref op, uvarint comm, varint seq, varint nranks, varint
+//	         rank, varint peer, varint bytes
+//
+// A string is a uvarint length and its bytes; a ref is a uvarint index
+// into the worker's string table. An op with a shape takes its name and
+// bytes from it; the name and bytes flags are set only where the op's
+// own differ.
+
+// Op presence flags: which of an op's fields its record carries.
+const (
+	opStream = 1 << iota
+	opShape
+	opName
+	opBytes
+	opPtr
+	opEvent
+	opColl
+	opDur
+)
+
+// The fewest bytes each record can take: a count read from the input is
+// bounded by the bytes left to back it before anything is allocated.
+const (
+	minWorkerBytes = 10 // rank, device, world, peak, dedup, oom and four counts
+	minShapeBytes  = 8  // kind and seven fields
+	minExtraBytes  = 9  // key and float bits
+	minOpBytes     = 2  // kind and flags
+	minCollBytes   = 9  // an op record holding a collective's seven fields
+)
+
+// Encoder appends values in the binary form to B. The zero value is
+// ready to use; its tables are reused from one worker to the next.
+type Encoder struct {
+	B []byte
+
+	strIdx   map[string]uint64
+	strs     []string
+	shapeIdx map[*Shape]shapeRef // an op's shape pointer to its kind and table index
+	canonIdx map[*Shape]uint64   // canon's shape to its table index
+	canon    Shapes              // dedupes shapes by value
+	shapes   []byte              // the shape table being built
+	ops      []byte              // the op records being built
+}
+
+type shapeRef struct {
+	kind Kind
+	idx  uint64
+}
+
+// Uvarint appends v as a uvarint.
+func (e *Encoder) Uvarint(v uint64) { e.B = binary.AppendUvarint(e.B, v) }
+
+// Varint appends v as a zigzag varint.
+func (e *Encoder) Varint(v int64) { e.B = binary.AppendVarint(e.B, v) }
+
+// Byte appends one byte.
+func (e *Encoder) Byte(b byte) { e.B = append(e.B, b) }
+
+// Str appends s as a uvarint length and its bytes.
+func (e *Encoder) Str(s string) {
+	e.Uvarint(uint64(len(s)))
+	e.B = append(e.B, s...)
+}
+
+// Len appends the length of a slice or map that may be nil: n+1, or 0
+// for nil.
+func (e *Encoder) Len(n int, isNil bool) {
+	if isNil {
+		e.Uvarint(0)
+		return
+	}
+	e.Uvarint(uint64(n) + 1)
+}
+
+// Job appends j, which must not be nil. It fails on what no trace can
+// hold: a nil worker, an unknown op kind, a non-finite Extra value.
+func (e *Encoder) Job(j *Job) error {
+	e.Len(len(j.UniqueRanks), j.UniqueRanks == nil)
+	for _, r := range j.UniqueRanks {
+		e.Varint(int64(r))
+	}
+	e.Len(len(j.Workers), j.Workers == nil)
+	for i, w := range j.Workers {
+		if w == nil {
+			return fmt.Errorf("trace: nil worker at index %d", i)
+		}
+		if err := e.worker(w); err != nil {
+			return fmt.Errorf("trace: worker at index %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
+func (e *Encoder) worker(w *Worker) error {
+	if e.strIdx == nil {
+		e.strIdx = make(map[string]uint64)
+		e.shapeIdx = make(map[*Shape]shapeRef)
+		e.canonIdx = make(map[*Shape]uint64)
+	}
+	clear(e.strIdx)
+	clear(e.shapeIdx)
+	clear(e.canonIdx)
+	e.strs, e.canon, e.shapes = e.strs[:0], Shapes{}, e.shapes[:0]
+
+	// The op records go first to a buffer of their own: the tables they
+	// fill precede them in the output.
+	b := e.ops[:0]
+	colls := 0
+	for i := range w.Ops {
+		op := &w.Ops[i]
+		if int(op.Kind) >= len(kindNames) {
+			return fmt.Errorf("op %d: unknown kind %d", i, op.Kind)
+		}
+		// The flags byte is filled in once the fields present are
+		// written, in flag bit order.
+		at := len(b) + 1
+		b = append(b, byte(op.Kind), 0)
+		var flags byte
+		var name string
+		var bytes int64
+		if op.Stream != 0 {
+			flags |= opStream
+			b = binary.AppendVarint(b, op.Stream)
+		}
+		if s := op.Shape; s != nil {
+			k, err := e.shape(op.Kind, s)
+			if err != nil {
+				return fmt.Errorf("op %d: %w", i, err)
+			}
+			flags |= opShape
+			b = binary.AppendUvarint(b, k)
+			name, bytes = s.Name, s.Bytes
+		}
+		if op.Name != name {
+			flags |= opName
+			b = binary.AppendUvarint(b, e.ref(op.Name))
+		}
+		if op.Bytes != bytes {
+			flags |= opBytes
+			b = binary.AppendVarint(b, op.Bytes)
+		}
+		if op.Ptr != 0 {
+			flags |= opPtr
+			b = binary.AppendUvarint(b, op.Ptr)
+		}
+		if op.Event != 0 || op.EventVer != 0 {
+			flags |= opEvent
+			b = binary.AppendVarint(b, op.Event)
+			b = binary.AppendVarint(b, int64(op.EventVer))
+		}
+		if c := op.Coll; c != nil {
+			flags |= opColl
+			colls++
+			b = binary.AppendUvarint(b, e.ref(c.Op))
+			b = binary.AppendUvarint(b, c.CommID)
+			for _, v := range [...]int64{int64(c.Seq), int64(c.NRanks), int64(c.Rank), int64(c.Peer), c.Bytes} {
+				b = binary.AppendVarint(b, v)
+			}
+		}
+		if op.Dur != 0 {
+			flags |= opDur
+			b = binary.AppendVarint(b, int64(op.Dur))
+		}
+		b[at] = flags
+	}
+	e.ops = b
+
+	e.Varint(int64(w.Rank))
+	e.Str(w.Device)
+	e.Varint(int64(w.World))
+	e.Varint(w.PeakBytes)
+	e.Varint(int64(w.Dedup))
+	var oom byte
+	if w.OOM {
+		oom = 1
+	}
+	e.Byte(oom)
+	e.Uvarint(uint64(len(e.strs)))
+	for _, s := range e.strs {
+		e.Str(s)
+	}
+	e.Uvarint(uint64(len(e.canonIdx)))
+	e.B = append(e.B, e.shapes...)
+	e.Uvarint(uint64(colls))
+	e.Len(len(w.Ops), w.Ops == nil)
+	e.B = append(e.B, e.ops...)
+	return nil
+}
+
+// shape returns the worker's table index of (k, s), adding a shape
+// equal to none before it to the table.
+func (e *Encoder) shape(k Kind, s *Shape) (uint64, error) {
+	if ref, ok := e.shapeIdx[s]; ok && ref.kind == k {
+		return ref.idx, nil
+	}
+	for key, v := range s.Extra {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return 0, fmt.Errorf("shape %s: extra %q is %v", s.Name, key, v)
+		}
+	}
+	c := e.canon.Intern(k, s)
+	i, ok := e.canonIdx[c]
+	if !ok {
+		i = uint64(len(e.canonIdx))
+		e.canonIdx[c] = i
+		b := append(e.shapes, byte(k))
+		b = binary.AppendUvarint(b, e.ref(s.Name))
+		b = binary.AppendUvarint(b, uint64(len(s.Dims)))
+		for _, d := range s.Dims {
+			b = binary.AppendVarint(b, int64(d))
+		}
+		b = binary.AppendVarint(b, s.Bytes)
+		b = binary.AppendVarint(b, s.FLOPs)
+		b = binary.AppendUvarint(b, e.ref(s.DType))
+		b = binary.AppendUvarint(b, uint64(len(s.Extra)))
+		for _, key := range slices.Sorted(maps.Keys(s.Extra)) {
+			b = binary.AppendUvarint(b, e.ref(key))
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(s.Extra[key]))
+		}
+		b = binary.AppendUvarint(b, e.ref(s.MemKind))
+		e.shapes = b
+	}
+	e.shapeIdx[s] = shapeRef{k, i}
+	return i, nil
+}
+
+// ref returns s's index in the worker's string table, adding it.
+func (e *Encoder) ref(s string) uint64 {
+	i, ok := e.strIdx[s]
+	if !ok {
+		i = uint64(len(e.strs))
+		e.strIdx[s] = i
+		e.strs = append(e.strs, s)
+	}
+	return i
+}
+
+// Decoder reads values in the binary form. Its first error sticks:
+// every later read returns a zero value, and End reports the error.
+type Decoder struct {
+	b   []byte
+	err error
+
+	strs  map[string]string // every distinct string read so far, so each is allocated once
+	tab   []string          // the current worker's string table
+	kinds []Kind            // the kinds of the current worker's shapes
+}
+
+// NewDecoder returns a decoder reading b.
+func NewDecoder(b []byte) *Decoder { return &Decoder{b: b} }
+
+func (d *Decoder) fail(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf("trace: "+format, args...)
+	}
+	d.b = nil
+}
+
+// End returns the first error met, or one when input is left unread.
+func (d *Decoder) End() error {
+	if d.err == nil && len(d.b) > 0 {
+		d.fail("%d trailing bytes", len(d.b))
+	}
+	return d.err
+}
+
+// Byte reads one byte.
+func (d *Decoder) Byte() byte {
+	if len(d.b) == 0 {
+		d.fail("unexpected end of input")
+		return 0
+	}
+	v := d.b[0]
+	d.b = d.b[1:]
+	return v
+}
+
+// Uvarint reads a uvarint.
+func (d *Decoder) Uvarint() uint64 {
+	if len(d.b) > 0 && d.b[0] < 0x80 {
+		v := d.b[0]
+		d.b = d.b[1:]
+		return uint64(v)
+	}
+	v, n := binary.Uvarint(d.b)
+	if n <= 0 {
+		d.fail("bad varint")
+		return 0
+	}
+	d.b = d.b[n:]
+	return v
+}
+
+// Varint reads a zigzag varint.
+func (d *Decoder) Varint() int64 {
+	u := d.Uvarint()
+	v := int64(u >> 1)
+	if u&1 != 0 {
+		v = ^v
+	}
+	return v
+}
+
+// Int reads a varint that must fit an int.
+func (d *Decoder) Int() int {
+	v := d.Varint()
+	if int64(int(v)) != v {
+		d.fail("%d overflows int", v)
+		return 0
+	}
+	return int(v)
+}
+
+// Str reads a string written by Encoder.Str.
+func (d *Decoder) Str() string {
+	n := d.Uvarint()
+	if n > uint64(len(d.b)) {
+		d.fail("string of %d bytes past the end", n)
+		return ""
+	}
+	raw := d.b[:n]
+	d.b = d.b[n:]
+	if s, ok := d.strs[string(raw)]; ok {
+		return s
+	}
+	if d.strs == nil {
+		d.strs = make(map[string]string)
+	}
+	s := string(raw)
+	d.strs[s] = s
+	return s
+}
+
+// count reads a count of records that take at least min bytes each,
+// failing when fewer bytes are left than they need.
+func (d *Decoder) count(min int) int {
+	n := d.Uvarint()
+	if n > uint64(len(d.b)/min) {
+		d.fail("count %d exceeds the %d bytes left", n, len(d.b))
+		return 0
+	}
+	return int(n)
+}
+
+// Len reads a length written by Encoder.Len of records that take at
+// least min bytes each, bounded by the bytes left as count bounds it;
+// isNil reports a nil slice or map.
+func (d *Decoder) Len(min int) (n int, isNil bool) {
+	v := d.Uvarint()
+	if v == 0 {
+		return 0, true
+	}
+	if v-1 > uint64(len(d.b)/min) {
+		d.fail("length %d exceeds the %d bytes left", v-1, len(d.b))
+		return 0, true
+	}
+	return int(v - 1), false
+}
+
+// Job reads a job written by Encoder.Job. It checks every table index
+// and kind, and that an op's kind is its shape's, the invariant plan
+// memos key on; collective metadata is the caller's to validate. Each
+// worker's ops and collectives are one exact-size slice each, the
+// layout Worker.Compact makes.
+func (d *Decoder) Job() *Job {
+	j := &Job{}
+	if n, isNil := d.Len(1); !isNil {
+		j.UniqueRanks = make([]int, n)
+		for i := range j.UniqueRanks {
+			j.UniqueRanks[i] = d.Int()
+		}
+	}
+	if n, isNil := d.Len(minWorkerBytes); !isNil {
+		j.Workers = make([]*Worker, n)
+		for i := range j.Workers {
+			if d.err != nil {
+				break
+			}
+			j.Workers[i] = d.worker()
+		}
+	}
+	return j
+}
+
+func (d *Decoder) worker() *Worker {
+	w := &Worker{Rank: d.Int(), Device: d.Str(), World: d.Int(), PeakBytes: d.Varint(), Dedup: d.Int()}
+	switch d.Byte() {
+	case 0:
+	case 1:
+		w.OOM = true
+	default:
+		d.fail("oom flag is not 0 or 1")
+	}
+
+	d.tab = d.tab[:0]
+	for n := d.count(1); n > 0; n-- {
+		d.tab = append(d.tab, d.Str())
+	}
+	shapes := make([]Shape, d.count(minShapeBytes))
+	d.kinds = d.kinds[:0]
+	for i := range shapes {
+		s := &shapes[i]
+		d.kinds = append(d.kinds, d.kind())
+		s.Name = d.ref()
+		if n := d.count(1); n > 0 {
+			s.Dims = make([]int, n)
+			for k := range s.Dims {
+				s.Dims[k] = d.Int()
+			}
+		}
+		s.Bytes, s.FLOPs, s.DType = d.Varint(), d.Varint(), d.ref()
+		if n := d.count(minExtraBytes); n > 0 {
+			s.Extra = make(map[string]float64, n)
+			for ; n > 0 && d.err == nil; n-- {
+				key := d.ref()
+				if len(d.b) < 8 {
+					d.fail("shape %d: extra %q past the end", i, key)
+					break
+				}
+				v := math.Float64frombits(binary.LittleEndian.Uint64(d.b))
+				d.b = d.b[8:]
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					d.fail("shape %d: extra %q is %v", i, key, v)
+				}
+				s.Extra[key] = v
+			}
+		}
+		s.MemKind = d.ref()
+	}
+
+	ncolls := d.count(minCollBytes)
+	nops, isNil := d.Len(minOpBytes)
+	if ncolls > nops {
+		d.fail("%d collectives among %d ops", ncolls, nops)
+		return w
+	}
+	if isNil {
+		return w
+	}
+	ops := make([]Op, nops)
+	colls := make([]Collective, ncolls)
+	nc := 0
+	for i := range ops {
+		if d.err != nil {
+			return w
+		}
+		op := &ops[i]
+		op.Seq, op.Kind = i, d.kind()
+		flags := d.Byte()
+		if flags&opStream != 0 {
+			op.Stream = d.Varint()
+		}
+		if flags&opShape != 0 {
+			k := d.Uvarint()
+			if k >= uint64(len(shapes)) {
+				d.fail("op %d: shape %d of %d", i, k, len(shapes))
+				return w
+			}
+			if d.kinds[k] != op.Kind {
+				d.fail("op %d: a %v with a %v's shape", i, op.Kind, d.kinds[k])
+				return w
+			}
+			op.Shape = &shapes[k]
+			op.Name, op.Bytes = op.Shape.Name, op.Shape.Bytes
+		}
+		if flags&opName != 0 {
+			op.Name = d.ref()
+		}
+		if flags&opBytes != 0 {
+			op.Bytes = d.Varint()
+		}
+		if flags&opPtr != 0 {
+			op.Ptr = d.Uvarint()
+		}
+		if flags&opEvent != 0 {
+			op.Event, op.EventVer = d.Varint(), d.Int()
+		}
+		if flags&opColl != 0 {
+			if nc == len(colls) {
+				d.fail("op %d: more collectives than the %d counted", i, len(colls))
+				return w
+			}
+			c := &colls[nc]
+			nc++
+			*c = Collective{Op: d.ref(), CommID: d.Uvarint(), Seq: d.Int(), NRanks: d.Int(), Rank: d.Int(), Peer: d.Int(), Bytes: d.Varint()}
+			op.Coll = c
+		}
+		if flags&opDur != 0 {
+			op.Dur = time.Duration(d.Varint())
+		}
+	}
+	if nc != len(colls) {
+		d.fail("%d collectives, %d counted", nc, len(colls))
+	}
+	w.Ops = ops
+	return w
+}
+
+// kind reads an op kind.
+func (d *Decoder) kind() Kind {
+	k := d.Byte()
+	if int(k) >= len(kindNames) {
+		d.fail("unknown op kind %d", k)
+	}
+	return Kind(k)
+}
+
+// ref reads an index into the worker's string table.
+func (d *Decoder) ref() string {
+	i := d.Uvarint()
+	if i >= uint64(len(d.tab)) {
+		d.fail("string %d of %d", i, len(d.tab))
+		return ""
+	}
+	return d.tab[i]
+}

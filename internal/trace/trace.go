@@ -5,9 +5,12 @@
 // A trace is the contract between every stage of the pipeline. The
 // emulator produces per-worker traces; the collator merges and
 // deduplicates them; the estimator annotates kernel durations; the
-// simulator replays the result. Traces serialize to JSON so they can
-// be inspected, diffed and archived, matching the paper's example
-// `{"events":[{"dev":"gpu0-stream0","op":"cublasSgemm_v2"}, ...]}`.
+// simulator replays the result. A job serializes two ways: to a compact
+// binary form (Encoder, Decoder) that captures are archived and shipped
+// in, and to JSON (WriteJSON, JobJSON) to be inspected and diffed,
+// matching the paper's example
+// `{"events":[{"dev":"gpu0-stream0","op":"cublasSgemm_v2"}, ...]}`;
+// JobJSON also reads the captures earlier releases wrote.
 package trace
 
 import (
@@ -242,7 +245,8 @@ func (w *Worker) Stats() Stats {
 }
 
 // Job is the collated, job-level trace: one worker entry per rank. It
-// serializes through JobJSON (WriteJSON, the capture envelope).
+// serializes through Encoder (the capture envelope) and JobJSON
+// (WriteJSON, version-1 captures).
 type Job struct {
 	Workers []*Worker
 	// UniqueRanks lists the ranks that were actually emulated when

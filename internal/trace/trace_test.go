@@ -51,6 +51,57 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// binaryJob encodes j in the binary form.
+func binaryJob(t *testing.T, j *Job) []byte {
+	t.Helper()
+	var e Encoder
+	if err := e.Job(j); err != nil {
+		t.Fatal(err)
+	}
+	return e.B
+}
+
+// TestBinaryRoundTrip decodes an encoded job deep-equal to the original,
+// and checks its bytes depend only on content: ops pointing at two
+// equal shapes write what ops sharing one shape do.
+func TestBinaryRoundTrip(t *testing.T) {
+	shared, copied := sampleWorker(0), sampleWorker(0)
+	for _, w := range []*Worker{shared, copied} {
+		gemm := w.Ops[1].Shape
+		if w == copied {
+			c := *gemm
+			c.Dims, c.Extra = []int{1, 128, 128, 128}, map[string]float64{"tile": 2}
+			gemm = &c
+		}
+		w.Append(OpOf(KindKernel, gemm))
+		// An op whose name and bytes are not its shape's keeps its own.
+		op := OpOf(KindKernel, gemm)
+		op.Name, op.Bytes, op.Dur = "renamed", 7, time.Millisecond
+		w.Append(op)
+	}
+	j, err := NewJob([]*Worker{shared, sampleWorker(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.UniqueRanks = []int{0, 1}
+	b := binaryJob(t, j)
+	d := NewDecoder(b)
+	back := d.Job()
+	if err := d.End(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, j) {
+		t.Fatalf("round trip mismatch:\n%+v\nvs\n%+v", back.Workers[0].Ops, j.Workers[0].Ops)
+	}
+	if again := binaryJob(t, back); !bytes.Equal(again, b) {
+		t.Error("the decoded job writes different bytes")
+	}
+	j.Workers[0] = copied
+	if !bytes.Equal(binaryJob(t, j), b) {
+		t.Error("equal shapes behind distinct pointers write different bytes")
+	}
+}
+
 func TestKindJSONNames(t *testing.T) {
 	var k Kind
 	if err := k.UnmarshalJSON([]byte(`"collective"`)); err != nil {

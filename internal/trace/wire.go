@@ -2,11 +2,10 @@ package trace
 
 import "time"
 
-// JobJSON is a Job in its serialized form: what WriteJSON writes and
-// the capture envelope embeds. Every op is one flat record with its
-// shape's fields inline, exactly as traces were written before shapes
-// were interned, so old trace files load and new ones are
-// byte-identical. It is a plain struct, not a json.Marshaler on Job:
+// JobJSON is a Job in its JSON form: what WriteJSON writes and a
+// version-1 capture envelope embeds. Every op is one flat record with
+// its shape's fields inline, exactly as traces were written before
+// shapes were interned, so old trace files load. It is a plain struct, not a json.Marshaler on Job:
 // encoding/json re-scans whatever a Marshaler returns, which would
 // cost a trace write a second pass over its bytes.
 type JobJSON struct {

@@ -30,8 +30,9 @@ type Trace struct {
 	cap *core.Capture
 }
 
-// TraceFormatVersion is the on-disk format version WriteTo emits and
-// ReadTrace accepts.
+// TraceFormatVersion is the on-disk format version WriteTo emits, a
+// compact binary payload. ReadTrace reads it and also version 1, the
+// JSON payload earlier releases wrote.
 const TraceFormatVersion = core.TraceFormatVersion
 
 // Serialization errors, matchable with errors.Is.
@@ -89,13 +90,15 @@ func (t *Trace) String() string {
 }
 
 // WriteTo serializes the trace in Maya's versioned format (magic,
-// format version, JSON payload, checksum). It implements
+// format version TraceFormatVersion, binary payload, checksum). Its
+// bytes are a function of the trace's content. It implements
 // io.WriterTo.
 func (t *Trace) WriteTo(w io.Writer) (int64, error) { return t.cap.WriteTo(w) }
 
-// ReadTrace parses a trace produced by WriteTo. It rejects non-trace
-// input (ErrTraceFormat) and incompatible versions (ErrTraceVersion),
-// and reports truncation as io.ErrUnexpectedEOF.
+// ReadTrace parses a trace produced by WriteTo, of this or an earlier
+// release. It rejects non-trace input (ErrTraceFormat) and
+// incompatible versions (ErrTraceVersion), and reports truncation as
+// io.ErrUnexpectedEOF.
 func ReadTrace(r io.Reader) (*Trace, error) {
 	cap, err := core.ReadCapture(r)
 	if err != nil {
