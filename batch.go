@@ -130,7 +130,7 @@ func (p *Predictor) PredictBatch(ctx context.Context, reqs []Request, opts ...Ba
 	// Estimate sharing needs no batch-local layer: requests that share
 	// a capture share its capture-attached estimate plan, so the first
 	// simulate of each (capture, suite) pair resolves every unique
-	// kernel shape once and the rest fill their overlays by copy.
+	// kernel shape once and the rest read the plan in place.
 	err := pool.Each(ctx, len(reqs), cfg.concurrency, func(_, i int) error {
 		r := reqs[i]
 		if r.Workload == nil {

@@ -181,9 +181,9 @@ func BenchmarkEstimateKernel(b *testing.B) {
 
 // BenchmarkAnnotatePlan measures the capture-attached estimate plan on
 // the 8-worker megatron fixture: "build" is the one-time cost of
-// resolving it (one annotate walk behind a shape memo), "via-plan" the
-// steady state of every later replay (one table copy into the pooled
-// overlay).
+// resolving it (one annotate walk behind a shape memo), "via-plan" one
+// copy of it into a pooled overlay, what bench/'s engine rungs pay
+// (product replays read the plan's own overlay in place).
 func BenchmarkAnnotatePlan(b *testing.B) {
 	ctx := context.Background()
 	cluster := hardware.DGXV100(1)
@@ -323,10 +323,10 @@ func BenchmarkCaptureReuse(b *testing.B) {
 			}
 		}
 	})
-	// The Simulate stage in isolation: annotation lands in a pooled
-	// duration overlay and the engine comes from the process pool, so
-	// the per-simulation cost no longer includes deep-copying the
-	// captured job.
+	// The Simulate stage in isolation: durations come from the
+	// capture's estimate plan, read in place, and the engine from the
+	// process pool, so the per-simulation cost no longer includes
+	// deep-copying the captured job.
 	b.Run("simulate-only", func(b *testing.B) {
 		tr, err := pred.Capture(ctx, w)
 		if err != nil {

@@ -11,6 +11,7 @@ import (
 	"maya/internal/framework"
 	"maya/internal/hardware"
 	"maya/internal/models"
+	"maya/internal/sim"
 	"maya/internal/trace"
 	"maya/internal/workload"
 )
@@ -64,7 +65,56 @@ func retainedBytes(c *Capture) uint64 {
 			}
 		}
 	}
+	if c.index != nil {
+		n += uintptr(c.index.Bytes())
+	}
 	return uint64(n)
+}
+
+// maxReplayObjects bounds the objects a warm replay allocates: the
+// reports and their per-worker slices, nothing per op.
+const maxReplayObjects = 64
+
+// TestAllocBudgetIndex bounds what compiling a capture's job for the
+// engine allocates per op on the benchmark's three recipes — beside
+// the ~100 B/op a capture retains — and pins that a warm replay on
+// held scratch allocates a fixed number of objects however long the
+// trace: the index and the plan are read in place.
+func TestAllocBudgetIndex(t *testing.T) {
+	ctx := context.Background()
+	for _, r := range budgetRecipes(t) {
+		p := oraclePipeline(r.cluster, Options{SelectiveLaunch: true})
+		c, err := p.Capture(ctx, r.w)
+		if err != nil || c.OOM {
+			t.Fatalf("%s: Capture: %v (oom %t)", r.name, err, c != nil && c.OOM)
+		}
+		ops := 0
+		for _, w := range c.Job.Workers {
+			ops += len(w.Ops)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		x := sim.Compile(c.Job, c.Participants)
+		runtime.ReadMemStats(&after)
+		perOp := float64(after.TotalAlloc-before.TotalAlloc) / float64(ops)
+
+		scratch := NewSimScratch()
+		replay := func() {
+			if _, err := p.SimulateScratch(ctx, c, 0, hardware.BF16, scratch, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		replay() // builds the plan and the capture's index
+		objects := testing.AllocsPerRun(3, replay)
+		t.Logf("%s: %d ops, %d workers; compiling allocates %.2f B/op, the index retains %.2f B/op (the capture %.0f); a warm replay allocates %.0f objects",
+			r.name, ops, len(c.Job.Workers), perOp, float64(x.Bytes())/float64(ops), float64(retainedBytes(c))/float64(ops), objects)
+		if perOp > 6 {
+			t.Errorf("%s: compiling the index allocates %.2f B/op, want at most 6", r.name, perOp)
+		}
+		if objects > maxReplayObjects {
+			t.Errorf("%s: a warm replay allocates %.0f objects, want at most %d", r.name, objects, maxReplayObjects)
+		}
+	}
 }
 
 // captureAllocs returns the bytes one Capture allocates and the bytes

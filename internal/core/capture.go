@@ -27,12 +27,12 @@ import (
 // participation counts the simulator's wait map needs, the dedup
 // accounting, and the peak-memory / OOM verdict.
 //
-// A capture is immutable once built: annotation and simulation read
-// through pooled duration overlays (filled from capture-attached
-// estimate plans), so one capture can feed any number of predictions
-// (learned, oracle, netsim, physical replay) without re-paying
-// emulation or collation. Captures serialize with
-// WriteTo and load with ReadCapture.
+// A capture is immutable once built: a replay reads durations from a
+// capture-attached estimate plan and addresses the engine's wait maps
+// through the capture's compiled index, both shared read-only, so one
+// capture can feed any number of predictions (learned, oracle, netsim,
+// physical replay) without re-paying emulation or collation. Captures
+// serialize with WriteTo and load with ReadCapture.
 type Capture struct {
 	// Workload and Cluster identify what was captured where.
 	Workload string
@@ -87,6 +87,21 @@ type Capture struct {
 	// ever simulated against.
 	derivedOnce sync.Once
 	derived     *Memo[any, any]
+
+	// indexOnce builds index, the job compiled for the engine
+	// (sim.Compile over Job and Participants), on the first replay;
+	// every later replay shares it. Runtime-only like derived, but not
+	// in it: it depends on nothing a replay chooses, so it is never
+	// evicted.
+	indexOnce sync.Once
+	index     *sim.Index
+}
+
+// simIndex returns the capture's job compiled for the engine, built
+// on first use.
+func (c *Capture) simIndex() *sim.Index {
+	c.indexOnce.Do(func() { c.index = sim.Compile(c.Job, c.Participants) })
+	return c.index
 }
 
 // maxDerivedPerCapture bounds how many derived artefacts one capture
@@ -110,8 +125,8 @@ func derive[V any](ctx context.Context, c *Capture, key any, build func() (V, er
 
 // planFor returns the capture's estimate plan for the timer — a
 // learned suite or the silicon oracle alike: the job fully annotated
-// once, so later replays against the same timer fill their overlay by
-// a single copy instead of re-pricing every op.
+// once, so later replays against the same timer read its overlay in
+// place instead of re-pricing every op.
 func (c *Capture) planFor(ctx context.Context, t trace.Timer) (*estimator.EstimatePlan, error) {
 	return derive(ctx, c, t, func() (*estimator.EstimatePlan, error) {
 		return estimator.BuildPlan(ctx, c.Job, c.Comms, c.CommSizes, t)

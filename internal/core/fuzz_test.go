@@ -2,13 +2,18 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
+	"maya/internal/sim"
 	"maya/internal/trace"
 )
 
@@ -217,6 +222,75 @@ var malformedBinary = []struct {
 	})},
 }
 
+// workersCapture is a checksummed version-1 capture whose job holds
+// one worker per op list, ranks 0..n-1 of an n-rank world.
+func workersCapture(ops ...string) []byte {
+	ws := make([]string, len(ops))
+	for r, o := range ops {
+		ws[r] = fmt.Sprintf(`{"rank":%d,"world":%d,"ops":[%s]}`, r, len(ops), o)
+	}
+	return envelope(traceFormatJSON, []byte(`{"job":{"workers":[`+strings.Join(ws, ",")+`]}}`))
+}
+
+// extremeTraces are accepted captures whose values, not their sizes,
+// are extreme: what the engine's compiler must still index in O(ops).
+// deadlock marks the ones that block for good.
+var extremeTraces = []struct {
+	name     string
+	blob     []byte
+	deadlock bool
+}{
+	{"event version 1<<62", workersCapture(
+		`{"seq":0,"kind":"kernel","stream":1,"name":"gemm","dur":1000},` +
+			`{"seq":1,"kind":"eventRecord","stream":1,"event":3,"eventVer":4611686018427387904},` +
+			`{"seq":2,"kind":"streamWaitEvent","stream":2,"event":3,"eventVer":4611686018427387904},` +
+			`{"seq":3,"kind":"eventSync","event":3,"eventVer":4611686018427387904},` +
+			`{"seq":4,"kind":"deviceSync"}`), false},
+	{"wait on a version never recorded", workersCapture(
+		`{"seq":0,"kind":"eventRecord","stream":1,"event":3,"eventVer":1},` +
+			`{"seq":1,"kind":"streamWaitEvent","stream":2,"event":3,"eventVer":2},` +
+			`{"seq":2,"kind":"kernel","stream":2,"name":"gemm","dur":1000},` +
+			`{"seq":3,"kind":"deviceSync"}`), true},
+	{"collective with fewer arrivals than expected", workersCapture(
+		`{"seq":0,"kind":"collective","stream":1,"coll":{"op":"ncclAllReduce","comm":1,"seq":0,"nranks":2,"rank":0,"peer":-1}},`+
+			`{"seq":1,"kind":"deviceSync"}`,
+		`{"seq":0,"kind":"eventSync","event":5,"eventVer":1},`+
+			`{"seq":1,"kind":"collective","stream":1,"coll":{"op":"ncclAllReduce","comm":1,"seq":0,"nranks":2,"rank":1,"peer":-1}},`+
+			`{"seq":2,"kind":"deviceSync"}`), true},
+	{"call index 1<<62 on stream -1<<62", workersCapture(
+		`{"seq":0,"kind":"collective","stream":-4611686018427387904,"coll":{"op":"ncclSend","comm":1,"seq":4611686018427387904,"nranks":2,"rank":0,"peer":1}},`+
+			`{"seq":1,"kind":"deviceSync"}`,
+		`{"seq":0,"kind":"collective","stream":9,"coll":{"op":"ncclRecv","comm":1,"seq":4611686018427387904,"nranks":2,"rank":1,"peer":0}},`+
+			`{"seq":1,"kind":"deviceSync"}`), false},
+}
+
+// fuzzHorizon bounds the simulated time an accepted capture replays.
+const fuzzHorizon = time.Second
+
+// TestExtremeTracesCompileInOpsAndSimulate holds the engine's compiler
+// to O(ops) on traces whose values are extreme — an event version of
+// 2^62 compiles in under 1 MiB — and requires each to simulate to a
+// report or a typed deadlock.
+func TestExtremeTracesCompileInOpsAndSimulate(t *testing.T) {
+	for _, c := range extremeTraces {
+		capt, err := ReadCapture(bytes.NewReader(c.blob))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		x := sim.Compile(capt.Job, capt.Participants)
+		runtime.ReadMemStats(&after)
+		if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+			t.Errorf("%s: compiling allocated %d bytes, want under 1 MiB", c.name, n)
+		}
+		_, err = sim.Run(context.Background(), capt.Job, sim.Options{Participants: capt.Participants, Index: x, TimeLimit: fuzzHorizon})
+		if c.deadlock != errors.Is(err, sim.ErrDeadlock) || (!c.deadlock && err != nil) {
+			t.Errorf("%s: simulating gave %v, want a deadlock: %t", c.name, err, c.deadlock)
+		}
+	}
+}
+
 func TestReadCaptureRejectsMalformedOps(t *testing.T) {
 	for _, c := range malformedOps {
 		got, err := ReadCapture(bytes.NewReader(oneOpCapture(c.op)))
@@ -246,7 +320,9 @@ func TestReadCaptureRejectsMalformedOps(t *testing.T) {
 // over-allocate on a crafted length field — or return a capture that
 // round-trips stably: writing it and reading it back gives a
 // deep-equal capture, interned shapes included, which writes the same
-// bytes again.
+// bytes again. An accepted capture's job then compiles for the engine
+// and simulates, under a one-second horizon, to a report or
+// sim.ErrDeadlock.
 func FuzzReadTrace(f *testing.F) {
 	valid := fuzzCaptureBytes(f)
 	f.Add(valid)
@@ -282,6 +358,9 @@ func FuzzReadTrace(f *testing.F) {
 	for _, c := range malformedBinary {
 		f.Add(c.blob)
 	}
+	for _, c := range extremeTraces {
+		f.Add(c.blob)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, blob := range [][]byte{data, envelope(traceFormatJSON, data), envelope(TraceFormatVersion, data)} {
@@ -309,6 +388,13 @@ func FuzzReadTrace(f *testing.F) {
 			}
 			if !bytes.Equal(again.Bytes(), out.Bytes()) {
 				t.Fatalf("round-tripped capture writes %d bytes that differ from the %d it was read from", again.Len(), out.Len())
+			}
+			if c.Job == nil {
+				continue
+			}
+			o := sim.Options{Participants: c.Participants, Index: sim.Compile(c.Job, c.Participants), TimeLimit: fuzzHorizon}
+			if _, err := sim.Run(context.Background(), c.Job, o); err != nil && !errors.Is(err, sim.ErrDeadlock) {
+				t.Fatalf("accepted capture fails to simulate: %v", err)
 			}
 		}
 	})

@@ -165,9 +165,8 @@ func (r *Report) String() string {
 //
 //	Capture  — emulate + collate (the expensive half); yields a
 //	           reusable, immutable Capture
-//	Simulate — fill a pooled duration overlay from the capture's
-//	           estimate plan (learned suite, or Opts.Oracle) and
-//	           replay in prediction mode
+//	Simulate — replay in prediction mode, durations read from the
+//	           capture's estimate plan (learned suite, or Opts.Oracle)
 //	Measure  — the same replay, priced by the silicon ground truth
 //	           and run in physical mode (the deployment stand-in)
 //
@@ -233,30 +232,30 @@ func (p *Pipeline) Capture(ctx context.Context, w workload.Workload) (*Capture, 
 
 // Simulate replays the capture in prediction mode, kernels priced by
 // the ground-truth oracle when Opts.Oracle is set and by the learned
-// suite otherwise. The capture is never mutated: durations land in a
-// pooled overlay the simulator reads through, so any number of
-// concurrent Simulate calls can reuse one capture; the report's
-// Emulate/Collate stage timings are zero because those stages did not
-// run.
+// suite otherwise. The capture is never mutated: the engine reads
+// durations from the capture's estimate plan and addresses its wait
+// maps through the capture's compiled index, both shared read-only, so
+// any number of concurrent Simulate calls can reuse one capture; the
+// report's Emulate/Collate stage timings are zero because those stages
+// did not run.
 func (p *Pipeline) Simulate(ctx context.Context, c *Capture, modelFLOPs float64, dtype hardware.DType) (*Report, error) {
 	return p.SimulateScratch(ctx, c, modelFLOPs, dtype, nil, 0)
 }
 
 // SimScratch is caller-owned simulation scratch: a persistent engine
-// and annotation overlay that one goroutine reuses across many
-// Simulate calls. A search worker evaluating thousands of trials owns
-// one SimScratch for its lifetime, so trial evaluation re-acquires
-// nothing per trial (no cross-goroutine pool churn, storage stays hot
-// in one worker's hands). Not safe for concurrent use; zero value is
-// not usable — construct with NewSimScratch.
+// that one goroutine reuses across many Simulate calls. A search
+// worker evaluating thousands of trials owns one SimScratch for its
+// lifetime, so trial evaluation re-acquires nothing per trial (no
+// cross-goroutine pool churn, storage stays hot in one worker's
+// hands). Not safe for concurrent use; zero value is not usable —
+// construct with NewSimScratch.
 type SimScratch struct {
 	engine *sim.Engine
-	ann    *trace.Annotations
 }
 
 // NewSimScratch returns fresh scratch for one evaluation goroutine.
 func NewSimScratch() *SimScratch {
-	return &SimScratch{engine: sim.NewEngine(), ann: &trace.Annotations{}}
+	return &SimScratch{engine: sim.NewEngine()}
 }
 
 var simScratchPool = sync.Pool{New: func() any { return NewSimScratch() }}
@@ -284,8 +283,8 @@ func (s *SimScratch) run(ctx context.Context, job *trace.Job, o sim.Options) (*s
 }
 
 // SimulateScratch is Simulate with two search-loop extensions: a
-// non-nil scratch is the caller's persistent engine and overlay (nil
-// borrows one from the process-wide pool for the call), and when
+// non-nil scratch is the caller's persistent engine (nil borrows one
+// from the process-wide pool for the call), and when
 // limit is positive the simulation stops at that simulated-clock
 // horizon, returning a report with Truncated set (see
 // sim.Options.TimeLimit). A nil scratch with zero limit is exactly
@@ -313,12 +312,12 @@ func (p *Pipeline) Measure(ctx context.Context, c *Capture, oracle *silicon.Orac
 }
 
 // replay is the back half of every prediction and every measurement,
-// the only way from a capture into the engine: rebind the scratch
-// overlay to the capture's job, fill it from the capture's plan for
-// the timer (built on the first replay of the pair, a table copy
-// after), build the run's options — prediction, or the silicon's
-// physical mode — run the scratch engine, walk the fault plan on the
-// same engine, and fill the report.
+// the only way from a capture into the engine: look up the capture's
+// plan for the timer (built on the first replay of the pair), hand the
+// engine the plan's overlay and the capture's compiled index — both
+// read in place, shared by every replay — build the run's options —
+// prediction, or the silicon's physical mode — run the scratch engine,
+// walk the fault plan on the same engine, and fill the report.
 func (p *Pipeline) replay(ctx context.Context, c *Capture, timer trace.Timer, physical bool, modelFLOPs float64, dtype hardware.DType, scratch *SimScratch, limit time.Duration) (*Report, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -332,22 +331,14 @@ func (p *Pipeline) replay(ctx context.Context, c *Capture, timer trace.Timer, ph
 		defer scratch.Release()
 	}
 	t0 := time.Now()
-	job, ann := c.Job, scratch.ann
-	if !ann.Rebind(job) {
-		// ReadCapture rejects such traces and the emulator never builds
-		// one, so this is a Capture assembled by hand.
-		return nil, fmt.Errorf("core: capture of %s is not positionally indexed (an op's seq is not its index)", c.Workload)
-	}
 	plan, err := c.planFor(ctx, timer)
 	if err != nil {
 		return nil, err
 	}
-	if !plan.Fill(ann) {
-		return nil, fmt.Errorf("core: capture of %s: job changed after its estimate plan was built", c.Workload)
-	}
 	rep.Stages.Estimate = time.Since(t0)
 
 	t0 = time.Now()
+	job := c.Job
 	obs := p.Opts.Observer
 	var bd *sim.Breakdown
 	if p.Opts.Breakdown {
@@ -365,7 +356,8 @@ func (p *Pipeline) replay(ctx context.Context, c *Capture, timer trace.Timer, ph
 			return nil, err
 		}
 	}
-	simOpts.Observer, simOpts.Annotations, simOpts.TimeLimit = obs, ann, limit
+	simOpts.Index, simOpts.Annotations = c.simIndex(), plan.Overlay()
+	simOpts.Observer, simOpts.TimeLimit = obs, limit
 	if faultPlan != nil {
 		// Fault plans address world ranks: a deduplicated or
 		// selectively launched capture is missing potential victims.

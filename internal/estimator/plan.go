@@ -10,30 +10,29 @@ import (
 
 // EstimatePlan is a capture-attached annotation plan: the resolved
 // duration of every op of one immutable job against one timer (a
-// learned suite or the silicon oracle), laid out row-major exactly
-// like a trace.Annotations overlay. Building it pays the timer once —
-// each interned trace.Shape is priced once, every collective gets one
-// topology lookup — and every later annotate of
-// the same (job, timer) pair is a single array copy into the pooled
-// overlay: no hashing, no map probes, no forest walks. Plans are
-// immutable once built and safe for concurrent Fill.
+// learned suite or the silicon oracle), held as a trace.Annotations
+// overlay bound to that job. Building it pays the timer once — each
+// interned trace.Shape is priced once, every collective gets one
+// topology lookup — and every later replay of the same (job, timer)
+// pair reads the overlay in place: no copy, no hashing, no forest
+// walks. A plan is immutable once built and its overlay read-only, so
+// any number of concurrent replays may share it.
 type EstimatePlan struct {
-	durs []time.Duration
+	ann *trace.Annotations
 }
 
 // Ops returns how many op slots the plan covers.
-func (p *EstimatePlan) Ops() int { return len(p.durs) }
+func (p *EstimatePlan) Ops() int { return len(p.ann.Table()) }
 
 // BuildPlan resolves every device op of the job against the timer. It
 // is annotation by construction — one trace.Annotate walk (behind a
-// build-local shapeMemo) into a fresh overlay whose table the plan
-// then keeps — so a Fill from the plan reproduces the walk exactly and
-// cannot drift from it. Cancellation of ctx is observed between
-// workers.
+// build-local shapeMemo) into a fresh overlay, which the plan keeps —
+// so reading the plan reproduces the walk exactly and cannot drift
+// from it. Cancellation of ctx is observed between workers.
 //
 // The job must be positionally indexable (op Seq == index), the same
-// invariant overlays require; plans exist to fill overlays, so a job
-// an overlay cannot address has no use for one.
+// invariant overlays require: a plan is an overlay, so a job an
+// overlay cannot address has no plan.
 func BuildPlan(ctx context.Context, job *trace.Job, comms map[uint64][]int, sizes map[uint64]int, t trace.Timer) (*EstimatePlan, error) {
 	ann := trace.NewAnnotations(job)
 	if ann == nil {
@@ -43,7 +42,7 @@ func BuildPlan(ctx context.Context, job *trace.Job, comms map[uint64][]int, size
 	if err := trace.Annotate(ctx, job, comms, sizes, memo, ann); err != nil {
 		return nil, err
 	}
-	return &EstimatePlan{durs: ann.Detach()}, nil
+	return &EstimatePlan{ann: ann}, nil
 }
 
 // BuildEstimatePlan is BuildPlan with the suite as the timer.
@@ -76,9 +75,15 @@ func (m *shapeMemo) EstimateKernel(op *trace.Op) time.Duration {
 	return d
 }
 
-// Fill copies the plan into the overlay, reporting false — leaving
-// the overlay untouched — when the layouts do not match (an overlay
-// bound to a different job).
+// Overlay returns the plan as the duration overlay sim.Options takes,
+// bound to the job the plan was built for. It is read-only: replays
+// share it.
+func (p *EstimatePlan) Overlay() *trace.Annotations { return p.ann }
+
+// Fill copies the plan into another overlay, reporting false — leaving
+// it untouched — when the layouts do not match (an overlay bound to a
+// different job). Replays read Overlay in place; Fill serves bench/'s
+// engine rungs and the tests.
 func (p *EstimatePlan) Fill(ann *trace.Annotations) bool {
-	return ann.FillFrom(p.durs)
+	return ann.FillFrom(p.ann.Table())
 }

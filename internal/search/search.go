@@ -41,7 +41,7 @@ type Evaluator func(ctx context.Context, cfg framework.MegatronConfig, bound tim
 // calls it once per worker index before the first generation, one
 // call at a time, and runs every trial of worker w on evaluator w, so
 // the evaluator may own per-worker scratch (a persistent simulation
-// engine, a reusable annotation overlay) without any locking. The
+// engine) without any locking. The
 // returned evaluators need not be safe for concurrent use with each
 // other's state, but must produce identical results for identical
 // (cfg, bound) inputs regardless of which worker runs the trial —

@@ -7,7 +7,7 @@ import (
 
 // Pool bounds how many predictions execute simultaneously. The Maya
 // pipeline already pools its expensive per-run state process-wide
-// (simulation engines, annotation overlays); capping concurrent
+// (simulation engines); capping concurrent
 // predictions keeps that reuse high — roughly worker-count engines
 // ever live — instead of letting a traffic burst mint one engine per
 // request. Callers queue on the semaphore, observing their own ctx,

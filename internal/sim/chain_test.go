@@ -9,6 +9,12 @@ import (
 	"maya/internal/trace"
 )
 
+// streamKey names one stream of one worker.
+type streamKey struct {
+	w int
+	s int64
+}
+
 // nopObserver is an observer that records nothing: what attaching an
 // observer costs, and must not change, with nothing observed.
 type nopObserver struct{}

@@ -33,14 +33,23 @@
 // because sim.Run is the inner loop of capture-reuse sweeps and
 // recipe searches that replay the same trace thousands of times.
 //
+// Nor does it hash. The wait maps and the stream table are slices
+// indexed by the dense slots Compile gives a job's streams, event
+// versions and collective calls (see Index); a caller that replays
+// one job many times compiles it once and passes the Index in
+// Options.
+//
 // A stream dispatches timed work in chains (see kickStream), the one
 // route whatever observer, fault injection or congestion is attached.
 //
 // An Engine is reusable: Reset rebinds it to a new job while keeping
-// every map and slice it has ever grown, and RunPooled draws engines
-// from a sync.Pool so back-to-back simulations reuse storage instead
-// of reallocating it. Reports never alias engine storage — they are
-// safe to keep after the engine is reset or pooled.
+// every slice it has ever grown, and RunPooled draws engines from a
+// sync.Pool so back-to-back simulations reuse storage instead of
+// reallocating it. Reports never alias engine storage — they are
+// safe to keep after the engine is reset or pooled. An engine only
+// reads what a run is given — the job, its Index, the duration
+// overlay — so one index and one overlay can back any number of
+// concurrent runs, each on its own engine.
 //
 // An Observer (see observer.go) can be attached through Options to
 // watch the run at CUDA-API granularity; a nil observer costs one
@@ -63,8 +72,15 @@ type Options struct {
 	// Participants overrides, per collective call, how many workers
 	// the wait map expects. The collator provides this when
 	// deduplicated jobs simulate only unique workers. Nil means every
-	// call waits for all traced participants.
+	// call waits for all traced participants. Compile reads it.
 	Participants map[trace.CollKey]int
+
+	// Index is the job compiled for the engine, Compile(job,
+	// Participants): not a knob but the part of every run of one job
+	// that does not depend on the run, kept so that repeated runs skip
+	// it. It is read-only and may be shared by concurrent runs. Nil, or
+	// an index compiled for another job, makes Reset compile one.
+	Index *Index
 
 	// Observer, when non-nil, receives engine callbacks at CUDA-API
 	// granularity (op start/end, collective fires, stream stalls).
@@ -74,11 +90,11 @@ type Options struct {
 
 	// Annotations, when non-nil, is the duration overlay the engine
 	// reads device-op and collective durations through instead of the
-	// ops' own Dur fields. Annotation passes write into the overlay so
-	// the job itself stays immutable and shareable across concurrent
-	// runs. Host delays always come from the trace (annotation never
-	// touches them). The overlay must stay bound to this job until Run
-	// returns.
+	// ops' own Dur fields, so the job itself stays immutable. The
+	// engine only reads it: one overlay, such as an estimate plan's,
+	// may back any number of concurrent runs. Host delays always come
+	// from the trace (annotation never touches them). The overlay must
+	// be bound to this job and left unwritten until Run returns.
 	Annotations *trace.Annotations
 
 	// Congestion, when non-nil, resolves collective durations against
@@ -123,15 +139,16 @@ type Options struct {
 	Seed uint64
 }
 
-// Run simulates the job and returns its report. It fails if the
-// trace deadlocks (mismatched collectives or waits), which indicates
-// an invalid workload rather than a simulator bug. The event loop
-// observes ctx: a cancelled simulation stops promptly and returns
-// ctx.Err().
+// Run simulates the job and returns its report. It fails with an
+// error wrapping ErrDeadlock if the trace deadlocks (mismatched
+// collectives or waits), which indicates an invalid workload rather
+// than a simulator bug. The event loop observes ctx: a cancelled
+// simulation stops promptly and returns ctx.Err().
 //
-// Run builds a fresh Engine per call: the reference the reused-engine
-// paths are tested against. Product code reaches the engine only
-// through core.Pipeline's replay, on a core.SimScratch.
+// Run builds a fresh Engine per call, compiling the job unless opts
+// carries its Index: the reference the reused-engine paths are tested
+// against. Product code reaches the engine only through
+// core.Pipeline's replay, on a core.SimScratch.
 func Run(ctx context.Context, job *trace.Job, opts Options) (*Report, error) {
 	e := NewEngine()
 	e.Reset(job, opts)
@@ -154,11 +171,11 @@ func RunPooled(ctx context.Context, job *trace.Job, opts Options) (*Report, erro
 	return rep, err
 }
 
-type eventKey struct {
-	w   int
-	ev  int64
-	ver int
-}
+// ErrDeadlock marks a run that ended with a worker blocked for good: a
+// collective some participant never joins, or a wait on an event
+// version nothing records. The error wrapping it names the worker and
+// what it waits for.
+var ErrDeadlock = errors.New("sim: deadlock")
 
 type pendingOp struct {
 	op  *trace.Op
@@ -171,11 +188,17 @@ type streamState struct {
 	queue []pendingOp
 	head  int
 
+	// syncs is the stream's row of the Index — the event or collective
+	// slot of each record, wait and collective it consumes, in order —
+	// and syncAt the position of the next.
+	syncs  []int32
+	syncAt int
+
 	freeAt     int64
 	running    bool
 	stalledEv  bool
 	stalledCol bool
-	waitKey    eventKey // the event a stalledEv stream waits for
+	waitSlot   int32 // the event or collective slot a stall waits on
 	stallStart int64
 
 	// nextWait chains streams waiting on the same event (the wait
@@ -194,6 +217,14 @@ func (st *streamState) drained() bool {
 	return !st.running && !st.stalledEv && !st.stalledCol && st.head == len(st.queue)
 }
 
+// nextSlot returns the slot of the record, wait or collective the
+// stream has reached, advancing its row cursor.
+func (st *streamState) nextSlot() int32 {
+	s := st.syncs[st.syncAt]
+	st.syncAt++
+	return s
+}
+
 type hostWait uint8
 
 const (
@@ -209,6 +240,13 @@ type hostState struct {
 	pos  int
 	t    int64
 	done bool
+
+	// syncs is the worker's event-sync row of the Index and syncAt the
+	// position of the next; last is the stream the host touched last,
+	// the usual target of its next op.
+	syncs  []int32
+	syncAt int
+	last   *streamState
 
 	wait       hostWait
 	waitStream *streamState
@@ -260,15 +298,17 @@ func eventBefore(a, b simEvent) bool {
 	return a.seq < b.seq
 }
 
-type streamKey struct {
-	w int
-	s int64
-}
-
-// waitList is the FIFO of streams parked on one event key, chained
+// waitList is the FIFO of streams parked on one event slot, chained
 // intrusively through streamState.nextWait.
 type waitList struct {
 	head, tail *streamState
+}
+
+// eventState is one slot of the event wait map: whether its version
+// has been recorded, and when.
+type eventState struct {
+	t    int64
+	done bool
 }
 
 // Engine is a reusable simulator instance. The zero value is not
@@ -285,6 +325,7 @@ type waitList struct {
 // so they stay valid after the engine is reset, pooled or dropped.
 type Engine struct {
 	job  *trace.Job
+	x    *Index
 	opts Options
 	obs  Observer
 	ann  *trace.Annotations
@@ -294,20 +335,20 @@ type Engine struct {
 	now   int64
 
 	hosts []hostState
-	// streams indexes every (worker, stream-handle) pair touched;
-	// byWorker lists them in creation order for device-wide
-	// synchronization, drain checks and deterministic iteration.
-	streams     map[streamKey]*streamState
+	// streams holds each stream slot's state, nil until the stream is
+	// first touched; byWorker lists a worker's streams in that creation
+	// order for device-wide synchronization, drain checks and
+	// deterministic iteration.
+	streams     []*streamState
 	byWorker    [][]*streamState
 	freeStreams []*streamState
 
-	events        map[eventKey]int64
-	evWaitStreams map[eventKey]waitList
-	evWaitHosts   map[eventKey]*hostState
-
-	colls        map[trace.CollKey]*collGroup
-	freeColls    []*collGroup
-	participants map[trace.CollKey]int
+	// The event wait map and the network collective wait map, by slot.
+	events        []eventState
+	evWaitStreams []waitList
+	evWaitHosts   []*hostState
+	colls         []*collGroup
+	freeColls     []*collGroup
 	// Congestion state: active flows in start order, recycled flow
 	// records, and per-link-domain occupancy counts.
 	cong      *CongestionModel
@@ -348,29 +389,20 @@ func (j jitterSource) factor(a, b int64) float64 {
 }
 
 // NewEngine returns an empty engine ready for Reset.
-func NewEngine() *Engine {
-	return &Engine{
-		streams:       make(map[streamKey]*streamState),
-		events:        make(map[eventKey]int64),
-		evWaitStreams: make(map[eventKey]waitList),
-		evWaitHosts:   make(map[eventKey]*hostState),
-		colls:         make(map[trace.CollKey]*collGroup),
-	}
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Scrub recycles per-run state and drops every reference to caller
-// data (the job, its ops, the observer), so a pooled or idle engine
-// never pins a trace in memory. It leaves grown storage — maps keep
-// their buckets, slices their capacity — for the next Reset. Call it
-// before parking an engine that outlives the job it last simulated.
+// data (the job, its ops, its index, the observer), so a pooled or
+// idle engine never pins a trace in memory. It leaves grown storage —
+// slices keep their capacity — for the next Reset. Call it before
+// parking an engine that outlives the job it last simulated.
 func (e *Engine) Scrub() { e.scrub() }
 
 func (e *Engine) scrub() {
-	e.job = nil
+	e.job, e.x = nil, nil
 	e.obs = nil
 	e.ann = nil
 	e.opts = Options{}
-	e.participants = nil
 	clear(e.pq)
 	e.pq = e.pq[:0]
 	e.evSeq, e.now = 0, 0
@@ -391,11 +423,10 @@ func (e *Engine) scrub() {
 		e.marks[w] = e.marks[w][:0]
 	}
 	clear(e.streams)
-	clear(e.events)
-	clear(e.evWaitStreams)
-	clear(e.evWaitHosts)
 	for _, g := range e.colls {
-		e.recycleColl(g)
+		if g != nil {
+			e.recycleColl(g)
+		}
 	}
 	clear(e.colls)
 	e.cong = nil
@@ -417,7 +448,11 @@ func (e *Engine) scrub() {
 // following Run; the engine only reads it.
 func (e *Engine) Reset(job *trace.Job, opts Options) {
 	e.scrub()
-	e.job = job
+	x := opts.Index
+	if x == nil || x.job != job {
+		x = Compile(job, opts.Participants)
+	}
+	e.job, e.x = job, x
 	e.opts = opts
 	e.obs = opts.Observer
 	e.ann = opts.Annotations
@@ -430,17 +465,18 @@ func (e *Engine) Reset(job *trace.Job, opts Options) {
 	}
 	e.hosts = e.hosts[:n]
 	for i, w := range job.Workers {
-		e.hosts[i] = hostState{w: i, ops: w.Ops}
+		e.hosts[i] = hostState{w: i, ops: w.Ops, syncs: x.hostRow(i)}
 	}
 	e.byWorker = resizeGrid(e.byWorker, n)
 	e.activeColls = resizeGrid(e.activeColls, n)
 	e.intervals = resizeGrid(e.intervals, n)
 	e.marks = resizeGrid(e.marks, n)
 
-	e.participants = opts.Participants
-	if e.participants == nil {
-		e.participants = trace.Participation(job)
-	}
+	e.streams = zeroed(e.streams, len(x.streamIDs))
+	e.events = zeroed(e.events, int(x.events))
+	e.evWaitStreams = zeroed(e.evWaitStreams, int(x.events))
+	e.evWaitHosts = zeroed(e.evWaitHosts, int(x.events))
+	e.colls = zeroed(e.colls, len(x.expected))
 
 	e.inj = opts.Faults
 
@@ -464,6 +500,16 @@ func resizeGrid[T any](g [][]T, n int) [][]T {
 		g[i] = g[i][:0]
 	}
 	return g
+}
+
+// zeroed returns s resized to n zero entries, reusing its storage.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // push schedules an event, assigning the tie-breaking sequence
@@ -510,10 +556,15 @@ func (e *Engine) pop() simEvent {
 	return top
 }
 
-func (e *Engine) stream(w int, id int64) *streamState {
-	k := streamKey{w, id}
-	st, ok := e.streams[k]
-	if !ok {
+// stream returns the state of stream id on h's worker, creating it on
+// first touch so byWorker keeps creation order.
+func (e *Engine) stream(h *hostState, id int64) *streamState {
+	if st := h.last; st != nil && st.id == id {
+		return st
+	}
+	slot := e.x.streamSlot(h.w, id)
+	st := e.streams[slot]
+	if st == nil {
 		if n := len(e.freeStreams); n > 0 {
 			st = e.freeStreams[n-1]
 			e.freeStreams[n-1] = nil
@@ -521,10 +572,11 @@ func (e *Engine) stream(w int, id int64) *streamState {
 		} else {
 			st = &streamState{}
 		}
-		st.w, st.id = w, id
-		e.streams[k] = st
-		e.byWorker[w] = append(e.byWorker[w], st)
+		st.w, st.id, st.syncs = h.w, id, e.x.row(slot)
+		e.streams[slot] = st
+		e.byWorker[h.w] = append(e.byWorker[h.w], st)
 	}
+	h.last = st
 	return st
 }
 
@@ -639,7 +691,7 @@ func (e *Engine) deadlockError(h *hostState) error {
 		switch {
 		case st.stalledCol:
 			op := st.queue[st.head].op
-			if g := e.colls[trace.CollKeyOf(op)]; g != nil {
+			if g := e.colls[st.waitSlot]; g != nil {
 				why += fmt.Sprintf("; stream %d stalled in %s comm=%#x seq=%d (%d/%d joined)",
 					st.id, op.Coll.Op, op.Coll.CommID, op.Coll.Seq, len(g.arrived), g.expected)
 			} else {
@@ -647,15 +699,16 @@ func (e *Engine) deadlockError(h *hostState) error {
 					st.id, op.Coll.Op, op.Coll.CommID, op.Coll.Seq)
 			}
 		case st.stalledEv:
-			why += fmt.Sprintf("; stream %d waiting for event %d v%d", st.id, st.waitKey.ev, st.waitKey.ver)
+			op := st.queue[st.head].op
+			why += fmt.Sprintf("; stream %d waiting for event %d v%d", st.id, op.Event, op.EventVer)
 		case st.running:
 			why += fmt.Sprintf("; stream %d running (%d/%d ops)", st.id, st.head, len(st.queue))
 		default:
 			why += fmt.Sprintf("; stream %d pending %d/%d ops", st.id, st.head, len(st.queue))
 		}
 	}
-	return fmt.Errorf("sim: deadlock: worker %d blocked at op %d/%d (%s) t=%s",
-		h.w, h.pos, len(h.ops), why, time.Duration(h.t))
+	return fmt.Errorf("%w: worker %d blocked at op %d/%d (%s) t=%s",
+		ErrDeadlock, h.w, h.pos, len(h.ops), why, time.Duration(h.t))
 }
 
 // runHost advances one worker's host thread until it finishes or
@@ -689,21 +742,22 @@ func (e *Engine) runHost(h *hostState) {
 			}
 			h.pos++
 		case trace.KindEventSync:
-			if op.EventVer == 0 {
+			slot := h.syncs[h.syncAt]
+			h.syncAt++
+			if slot == noEvent {
 				h.pos++
 				continue
 			}
-			k := eventKey{h.w, op.Event, op.EventVer}
-			if tc, ok := e.events[k]; ok {
-				h.t = max(h.t, tc)
+			if ev := e.events[slot]; ev.done {
+				h.t = max(h.t, ev.t)
 				h.pos++
 				continue
 			}
 			h.wait = waitEvent
-			e.evWaitHosts[k] = h
+			e.evWaitHosts[slot] = h
 			return
 		case trace.KindStreamSync:
-			st := e.stream(h.w, op.Stream)
+			st := e.stream(h, op.Stream)
 			if st.drained() {
 				h.t = max(h.t, st.freeAt)
 				h.pos++
@@ -728,7 +782,7 @@ func (e *Engine) runHost(h *hostState) {
 			}
 			fallthrough
 		default:
-			st := e.stream(h.w, op.Stream)
+			st := e.stream(h, op.Stream)
 			st.queue = append(st.queue, pendingOp{op: op, enq: h.t})
 			h.pos++
 			e.kickStream(st)
@@ -768,24 +822,27 @@ func (e *Engine) kickStream(st *streamState) {
 		}
 		switch op.Kind {
 		case trace.KindEventRecord:
+			slot := st.nextSlot()
 			st.head++
 			st.freeAt = start
-			e.completeEvent(eventKey{st.w, op.Event, op.EventVer}, start)
+			if slot != noEvent {
+				e.completeEvent(slot, start)
+			}
 		case trace.KindStreamWait:
-			if op.EventVer == 0 {
+			slot := st.nextSlot()
+			if slot == noEvent {
 				st.head++
 				continue
 			}
-			k := eventKey{st.w, op.Event, op.EventVer}
-			if tc, ok := e.events[k]; ok {
+			if ev := e.events[slot]; ev.done {
 				st.head++
-				st.freeAt = max(start, tc)
+				st.freeAt = max(start, ev.t)
 				continue
 			}
 			st.stalledEv = true
-			st.waitKey = k
+			st.waitSlot = slot
 			st.stallStart = start
-			e.parkStream(k, st)
+			e.parkStream(slot, st)
 			if e.obs != nil {
 				e.obs.StallBegin(st.w, st.id, StallEvent, start)
 			}
@@ -795,6 +852,7 @@ func (e *Engine) kickStream(st *streamState) {
 			// The stream stalls until the group completes; the
 			// completion event scheduled by the wait map advances it.
 			st.stalledCol = true
+			st.waitSlot = st.nextSlot()
 			st.stallStart = start
 			if e.obs != nil {
 				e.obs.StallBegin(st.w, st.id, StallCollective, start)
@@ -839,16 +897,15 @@ func (e *Engine) kickStream(st *streamState) {
 	e.notifyDrain(st.w)
 }
 
-// parkStream appends the stream to the event key's FIFO wait list.
-func (e *Engine) parkStream(k eventKey, st *streamState) {
-	wl := e.evWaitStreams[k]
+// parkStream appends the stream to the event slot's FIFO wait list.
+func (e *Engine) parkStream(slot int32, st *streamState) {
+	wl := &e.evWaitStreams[slot]
 	if wl.head == nil {
 		wl.head = st
 	} else {
 		wl.tail.nextWait = st
 	}
 	wl.tail = st
-	e.evWaitStreams[k] = wl
 }
 
 // opDur reads an op's annotated duration: through the overlay when
@@ -950,10 +1007,10 @@ func (e *Engine) stretchRunning(w int, cs, ce int64) {
 
 // completeEvent records an event completion and releases its waiters
 // (Algorithm 3, CudaEventWaitMap.ReleaseWaiters).
-func (e *Engine) completeEvent(k eventKey, t int64) {
-	e.events[k] = t
-	if wl, ok := e.evWaitStreams[k]; ok {
-		delete(e.evWaitStreams, k)
+func (e *Engine) completeEvent(slot int32, t int64) {
+	e.events[slot] = eventState{t: t, done: true}
+	if wl := e.evWaitStreams[slot]; wl.head != nil {
+		e.evWaitStreams[slot] = waitList{}
 		for st := wl.head; st != nil; {
 			next := st.nextWait
 			st.nextWait = nil
@@ -968,8 +1025,8 @@ func (e *Engine) completeEvent(k eventKey, t int64) {
 			st = next
 		}
 	}
-	if h, ok := e.evWaitHosts[k]; ok {
-		delete(e.evWaitHosts, k)
+	if h := e.evWaitHosts[slot]; h != nil {
+		e.evWaitHosts[slot] = nil
 		resume := max(h.t, t)
 		h.wait = waitNone
 		h.t = resume
@@ -1012,18 +1069,15 @@ func (e *Engine) notifyDrain(w int) {
 }
 
 // joinCollective implements the NetworkCollectiveWaitMap: the stream
-// registers and stalls; the final participant releases the group.
+// registers and stalls on its call's slot (st.waitSlot); the final
+// participant releases the group.
 func (e *Engine) joinCollective(st *streamState, op *trace.Op, arrive int64) {
-	key := trace.CollKeyOf(op)
-	g, ok := e.colls[key]
-	if !ok {
+	slot := st.waitSlot
+	g := e.colls[slot]
+	if g == nil {
 		g = e.collGroup()
-		exp := e.participants[key]
-		if exp <= 0 {
-			exp = 1
-		}
-		g.expected = exp
-		e.colls[key] = g
+		g.expected = int(e.x.expected[slot])
+		e.colls[slot] = g
 	}
 	g.arrived = append(g.arrived, st)
 	g.arriveAt = append(g.arriveAt, arrive)
@@ -1031,13 +1085,19 @@ func (e *Engine) joinCollective(st *streamState, op *trace.Op, arrive int64) {
 	if len(g.arrived) < g.expected {
 		return
 	}
-	delete(e.colls, key)
+	e.colls[slot] = nil
 
 	startAt := g.arriveAt[0]
 	for _, t := range g.arriveAt {
 		startAt = max(startAt, t)
 	}
 	dur := g.dur
+	// The call's key is read back from its slot only where it is
+	// priced or reported.
+	var key trace.CollKey
+	if e.opts.JitterFrac > 0 || e.cong != nil || e.obs != nil {
+		key = e.x.collKey(slot)
+	}
 	if e.opts.JitterFrac > 0 {
 		dur = int64(float64(dur) * e.rng.factor(int64(key.Comm), int64(key.Seq)))
 	}

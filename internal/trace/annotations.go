@@ -8,9 +8,10 @@ import (
 // Annotations is a duration overlay over an immutable Job: a flat
 // per-(worker, op) sidecar that annotation passes write predicted or
 // ground-truth durations into and the simulator reads through,
-// leaving the job itself untouched. One captured job can feed any
-// number of concurrent annotate+simulate passes, each with its own
-// overlay, without deep-copying the trace.
+// leaving the job itself untouched. The simulator only reads an
+// overlay, so one annotated overlay — an estimate plan's — can back
+// any number of concurrent simulations of the job, none of which
+// deep-copies the trace.
 //
 // The overlay is indexed positionally: worker w is job.Workers[w] and
 // an op is addressed by its per-worker sequence number, which for
@@ -76,13 +77,15 @@ func (a *Annotations) Rebind(job *Job) bool {
 // Detach hands the overlay's duration table — row-major, exactly the
 // table FillFrom accepts — to the caller and leaves the overlay
 // unbound, so the table can never be written through it again.
-// Estimate plans are built this way: annotate once into a fresh
-// overlay, keep its table, replay it into later overlays by copy.
 func (a *Annotations) Detach() []time.Duration {
 	durs := a.durs
 	a.durs = nil
 	return durs
 }
+
+// Table returns the overlay's duration table, row-major, exactly the
+// table FillFrom accepts. It aliases the overlay: callers only read it.
+func (a *Annotations) Table() []time.Duration { return a.durs }
 
 // FillFrom overwrites the whole overlay from a precomputed duration
 // table laid out row-major like the overlay itself (an estimate
@@ -111,8 +114,8 @@ var annPool sync.Pool
 // AcquireAnnotations returns a pooled overlay bound to the job (nil
 // when the job is not positionally indexable). Release it when the
 // simulation that reads it has finished. Like sim.RunPooled it exists
-// for bench/'s ladder rungs only: product code's overlays live in
-// core.SimScratch.
+// for bench/'s ladder rungs only: product replays read their estimate
+// plan's overlay in place.
 func AcquireAnnotations(job *Job) *Annotations {
 	a, _ := annPool.Get().(*Annotations)
 	if a == nil {

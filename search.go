@@ -36,12 +36,11 @@ func MegatronSearchSpace() search.Space { return search.MegatronSpace() }
 // outcome is returned alongside ctx.Err().
 //
 // Trial evaluation is worker-affine: each of the opts.Parallel search
-// workers owns a persistent simulation engine and annotation overlay
-// (core.SimScratch) for the whole search, so trials re-acquire
-// nothing per evaluation. Every capture carries its estimate plan
-// (the first simulate of a trial's capture resolves each unique
-// kernel shape once; re-visited topologies annotate by a single table
-// copy). With WithCaptureCache, trials whose topology was already
+// workers owns a persistent simulation engine (core.SimScratch) for
+// the whole search, so trials re-acquire nothing per evaluation.
+// Every capture carries its estimate plan (the first simulate of a
+// trial's capture resolves each unique kernel shape once; re-visited
+// topologies read the plan in place). With WithCaptureCache, trials whose topology was already
 // captured — in this search, a previous search, or a PredictBatch
 // sweep — skip emulation and collation entirely.
 //

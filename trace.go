@@ -15,9 +15,9 @@ import (
 // membership, dedup accounting and the peak-memory / OOM verdict.
 //
 // Emulation and collation are the expensive half of a prediction;
-// a Trace pays them once. It is immutable — Simulate annotates
-// through pooled duration overlays and capture-attached estimate
-// plans, never the trace itself — so one capture feeds any number of
+// a Trace pays them once. It is immutable — Simulate reads durations
+// from capture-attached estimate plans, never writing the trace
+// itself — so one capture feeds any number of
 // predictions (learned estimators, oracle, netsim collectives,
 // physical replay), can be serialized with WriteTo, archived, and
 // reloaded with ReadTrace on another machine or another day.
@@ -130,12 +130,12 @@ func (p *Predictor) Capture(ctx context.Context, w Workload, opts ...PredictOpti
 	return &Trace{cap: c}, nil
 }
 
-// Simulate annotates a pooled overlay view of the trace and
-// simulates it, paying only the estimate and simulate stages — the
-// capture is reused and never mutated, and repeated Simulates of one
-// trace reuse its capture-attached estimate plan, learned and
-// ground-truth alike (each unique kernel shape is resolved once per
-// timer, later calls annotate by table copy). Per-call options select
+// Simulate replays the trace through a duration overlay, paying only
+// the estimate and simulate stages — the capture is reused and never
+// mutated, and repeated Simulates of one trace reuse its
+// capture-attached estimate plan, learned and ground-truth alike (each
+// unique kernel shape is resolved once per timer, later calls read the
+// plan in place). Per-call options select
 // the annotation:
 // the predictor's learned suite by default, WithOracleAnnotation for
 // ground-truth kernel times, WithNetSim for netsim collectives, and
