@@ -94,7 +94,7 @@ func TestAllocBudgetIndex(t *testing.T) {
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		x := sim.Compile(c.Job, c.Participants)
+		x := sim.Compile(c.Job, nil)
 		runtime.ReadMemStats(&after)
 		perOp := float64(after.TotalAlloc-before.TotalAlloc) / float64(ops)
 

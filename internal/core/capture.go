@@ -55,7 +55,11 @@ type Capture struct {
 	Comms     map[uint64][]int
 	CommSizes map[uint64]int
 	// Participants counts, per collective call, how many present
-	// workers join it (the simulator's wait-map expectations).
+	// workers join it (the simulator's wait-map expectations). It is
+	// trace.Participation(Job), exactly what the engine counts when
+	// sim.Options.Participants is nil, so replay compiles and runs
+	// without it; it is kept for callers that drive the engine on Job
+	// themselves.
 	Participants map[trace.CollKey]int
 	// PeakMemBytes is the largest per-device allocator high-water
 	// mark; OOM marks configurations that exceeded device memory.
@@ -89,7 +93,7 @@ type Capture struct {
 	derived     *Memo[any, any]
 
 	// indexOnce builds index, the job compiled for the engine
-	// (sim.Compile over Job and Participants), on the first replay;
+	// (sim.Compile over Job, counting its own joins), on the first replay;
 	// every later replay shares it. Runtime-only like derived, but not
 	// in it: it depends on nothing a replay chooses, so it is never
 	// evicted.
@@ -100,7 +104,7 @@ type Capture struct {
 // simIndex returns the capture's job compiled for the engine, built
 // on first use.
 func (c *Capture) simIndex() *sim.Index {
-	c.indexOnce.Do(func() { c.index = sim.Compile(c.Job, c.Participants) })
+	c.indexOnce.Do(func() { c.index = sim.Compile(c.Job, nil) })
 	return c.index
 }
 

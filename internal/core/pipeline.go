@@ -345,12 +345,12 @@ func (p *Pipeline) replay(ctx context.Context, c *Capture, timer trace.Timer, ph
 		bd = sim.NewBreakdown()
 		obs = sim.Observers(obs, bd)
 	}
-	simOpts := sim.Options{Participants: c.Participants}
+	simOpts := sim.Options{}
 	faultPlan := p.Opts.Faults
 	if physical {
 		// The silicon models contention its own way and knows no
 		// operational faults: the prediction-only options do not apply.
-		simOpts, faultPlan = silicon.PhysicalOptions(p.Opts.Seed, c.Participants), nil
+		simOpts, faultPlan = silicon.PhysicalOptions(p.Opts.Seed, nil), nil
 	} else if p.Opts.Congestion != nil {
 		if simOpts.Congestion, err = c.congestionFor(ctx, p.Opts.Congestion); err != nil {
 			return nil, err

@@ -109,7 +109,7 @@ func TestPlanForSingleFlightAndPerSuite(t *testing.T) {
 			t.Fatal(err)
 		}
 		plans[name], _ = c.planFor(ctx, timer)
-		if !plans[name].Fill(planned) || !slices.Equal(planned.Detach(), direct.Detach()) {
+		if !plans[name].Fill(planned) || !slices.Equal(planned.Table(), direct.Table()) {
 			t.Fatalf("%s: a plan fill differs from the direct walk", name)
 		}
 	}

@@ -33,8 +33,8 @@ func noDedupCapture(t *testing.T) (*Pipeline, *Capture) {
 }
 
 // directReplay is Pipeline.replay through sim.Run, which compiles the
-// job afresh on every call: the reference a replay on the capture's
-// shared index must equal.
+// job afresh on every call and counts joins from c.Participants: the
+// reference a replay on the capture's shared index must equal.
 func directReplay(ctx context.Context, c *Capture, p *Pipeline, timer trace.Timer, physical bool) (*Report, error) {
 	plan, err := c.planFor(ctx, timer)
 	if err != nil {
@@ -200,7 +200,7 @@ func TestPhysicalWithoutKnobsIsOracleReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := silicon.PhysicalOptions(po.Opts.Seed, c.Participants)
+	o := silicon.PhysicalOptions(po.Opts.Seed, nil)
 	o.JitterFrac, o.CommContention = 0, 0
 	o.Index, o.Annotations = c.simIndex(), plan.Overlay()
 	sr, err := sim.Run(ctx, c.Job, o)

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"slices"
 	"sort"
 	"unsafe"
@@ -39,7 +40,8 @@ import (
 // Every table is sized by what the trace holds, not by the values its
 // ops carry, so compiling any job costs O(ops).
 type Index struct {
-	job *trace.Job
+	job          *trace.Job
+	participants map[trace.CollKey]int
 
 	streamStart []int32
 	streamIDs   []int64
@@ -76,38 +78,42 @@ const noEvent = -1
 // how many joins release it, as Options.Participants does; nil counts
 // the job's own joins.
 func Compile(job *trace.Job, participants map[trace.CollKey]int) *Index {
-	x := &Index{job: job, events: 1}
+	x := &Index{job: job, participants: participants, events: 1}
 	nw := len(job.Workers)
 
-	// Pass 1: each worker's streams and their row lengths, its event
-	// syncs, and the job's collective groups.
+	// Pass 1, the one walk over every op: each worker's streams and
+	// their row lengths, its event syncs, the job's collective groups,
+	// and where the ops with a row entry are (synced[syncedStart[w]:
+	// syncedStart[w+1]] for worker w), so that pass 2 visits only those.
 	type groupStat struct{ n, maxSeq int }
 	groupOf := map[trace.CollKey]int32{}
 	var stats []groupStat
 	streamSet := map[int64]int32{}
 	hostRows := make([]int32, nw)
+	var synced []int32
+	syncedStart := make([]int, nw+1)
 	x.streamStart = make([]int32, nw+1)
 	x.rowStart = []int32{0}
 	for wi, w := range job.Workers {
 		clear(streamSet)
-		prev, seen := int64(0), false
 		for i := range w.Ops {
 			op := &w.Ops[i]
 			if op.Kind == trace.KindEventSync {
 				hostRows[wi]++
+				synced = append(synced, int32(i))
 				continue
 			}
 			if !namesStream(op) {
 				continue
 			}
-			if inRow(op) {
-				streamSet[op.Stream]++
-			} else if !seen || op.Stream != prev {
+			if !inRow(op) {
 				if _, ok := streamSet[op.Stream]; !ok {
 					streamSet[op.Stream] = 0
 				}
+				continue
 			}
-			prev, seen = op.Stream, true
+			streamSet[op.Stream]++
+			synced = append(synced, int32(i))
 			if op.Kind != trace.KindCollective {
 				continue
 			}
@@ -131,6 +137,7 @@ func Compile(job *trace.Job, participants map[trace.CollKey]int) *Index {
 			x.rowStart = append(x.rowStart, x.rowStart[len(x.rowStart)-1]+streamSet[id])
 		}
 		x.streamStart[wi+1] = int32(len(x.streamIDs))
+		syncedStart[wi+1] = len(synced)
 	}
 	for _, n := range hostRows {
 		x.rowStart = append(x.rowStart, x.rowStart[len(x.rowStart)-1]+n)
@@ -143,7 +150,8 @@ func Compile(job *trace.Job, participants map[trace.CollKey]int) *Index {
 	}
 	x.expected = make([]int32, x.dense)
 
-	// Pass 2, per worker: its event slots, then its rows.
+	// Pass 2, per worker, over its ops with a row entry: its event
+	// slots, then its rows.
 	type handle struct{ base, n int32 }
 	evs := map[int64]handle{}
 	var order []int64
@@ -151,10 +159,11 @@ func Compile(job *trace.Job, participants map[trace.CollKey]int) *Index {
 	var extraColls map[trace.CollKey]int32
 	cursor := slices.Clone(x.rowStart[:len(x.rowStart)-1])
 	for wi, w := range job.Workers {
+		at := synced[syncedStart[wi]:syncedStart[wi+1]]
 		clear(evs)
 		order = order[:0]
 		odd := false
-		for i := range w.Ops {
+		for _, i := range at {
 			if op := &w.Ops[i]; op.Kind == trace.KindEventRecord {
 				h := evs[op.Event]
 				if h.n == 0 {
@@ -181,7 +190,7 @@ func Compile(job *trace.Job, participants map[trace.CollKey]int) *Index {
 		if odd {
 			// A record naming a version its handle never reaches: a
 			// hand-built or hostile trace, not one the emulator records.
-			for i := range w.Ops {
+			for _, i := range at {
 				op := &w.Ops[i]
 				if op.Kind != trace.KindEventRecord || op.EventVer == 0 {
 					continue
@@ -207,15 +216,13 @@ func Compile(job *trace.Job, participants map[trace.CollKey]int) *Index {
 			}
 			return extraEvents[eventKey{wi, op.Event, op.EventVer}] // 0 when no record names it
 		}
-		for i := range w.Ops {
+		for _, i := range at {
 			op := &w.Ops[i]
 			var row, slot int32
-			switch {
-			case op.Kind == trace.KindEventSync:
+			switch op.Kind {
+			case trace.KindEventSync:
 				row, slot = int32(len(x.streamIDs)+wi), eventSlot(op)
-			case !namesStream(op) || !inRow(op):
-				continue
-			case op.Kind == trace.KindCollective:
+			case trace.KindCollective:
 				row, slot = x.streamSlot(wi, op.Stream), x.collSlot(op, groupOf, &extraColls)
 				if participants == nil {
 					x.expected[slot]++
@@ -230,6 +237,15 @@ func Compile(job *trace.Job, participants map[trace.CollKey]int) *Index {
 		}
 	}
 	return x
+}
+
+// compiledFrom reports whether x is Compile(job, participants): the
+// same job and the same participants map, compared by identity, so a
+// run whose Participants differ from the ones x counted joins with
+// never reuses x.
+func (x *Index) compiledFrom(job *trace.Job, participants map[trace.CollKey]int) bool {
+	return x.job == job &&
+		reflect.ValueOf(x.participants).UnsafePointer() == reflect.ValueOf(participants).UnsafePointer()
 }
 
 // collSlot returns the slot of a collective op: its group's base plus

@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"context"
+	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -33,8 +36,9 @@ func extremeJob(t *testing.T) *trace.Job {
 // they name the same (worker, event, version), a version no record
 // names getting the never-completed slot 0; two collectives share a
 // slot exactly when they share a CollKey, which collKey reads back and
-// whose joins expected counts; every stream resolves to its own
-// handle; and every row is consumed exactly.
+// whose joins expected counts, the same counts trace.Participation
+// gives; every stream resolves to its own handle; and every row is
+// consumed exactly.
 func TestCompileSlotsAreKeys(t *testing.T) {
 	jobs := []*trace.Job{physicalFixture(t), overlayJob(t), extremeJob(t)}
 	for seed := int64(0); seed < 25; seed++ {
@@ -123,5 +127,34 @@ func TestCompileSlotsAreKeys(t *testing.T) {
 				t.Fatalf("job %d: slot %d expects %d joins, has %d", i, s, x.expected[s], n)
 			}
 		}
+		if y := Compile(j, trace.Participation(j)); !slices.Equal(y.expected, x.expected) {
+			t.Fatalf("job %d: compiling with the job's own participation expects %v joins, without %v", i, y.expected, x.expected)
+		}
+	}
+}
+
+// TestIndexOfOtherParticipantsRecompiles passes an Index together with
+// Participants other than the ones it was compiled from: Reset must
+// count joins by the run's Participants, not the Index's. The job's
+// one collective has one traced joiner; expecting two deadlocks it.
+func TestIndexOfOtherParticipantsRecompiles(t *testing.T) {
+	w0 := worker(0, 2, coll(0, 1, 0, 2, 0, time.Millisecond), trace.Op{Kind: trace.KindDeviceSync})
+	w1 := worker(1, 2, kernel(0, time.Millisecond), trace.Op{Kind: trace.KindDeviceSync})
+	j := job(t, w0, w1)
+	two := map[trace.CollKey]int{{Comm: 1, Seq: 0}: 2}
+	one := map[trace.CollKey]int{{Comm: 1, Seq: 0}: 1}
+
+	_, err := Run(context.Background(), j, Options{Participants: two, Index: Compile(j, nil)})
+	if !errors.Is(err, ErrDeadlock) {
+		t.Fatalf("index of nil participants run with two expected joins: err = %v, want ErrDeadlock", err)
+	}
+	for _, p := range []map[trace.CollKey]int{nil, one} {
+		if _, err := Run(context.Background(), j, Options{Participants: p, Index: Compile(j, two)}); err != nil {
+			t.Fatalf("index of two expected joins run with %v: %v", p, err)
+		}
+	}
+	x := Compile(j, one)
+	if !x.compiledFrom(j, one) || x.compiledFrom(j, map[trace.CollKey]int{{Comm: 1, Seq: 0}: 1}) || x.compiledFrom(j, nil) {
+		t.Fatal("compiledFrom must match its own participants map by identity only")
 	}
 }

@@ -79,7 +79,9 @@ type Options struct {
 	// Participants): not a knob but the part of every run of one job
 	// that does not depend on the run, kept so that repeated runs skip
 	// it. It is read-only and may be shared by concurrent runs. Nil, or
-	// an index compiled for another job, makes Reset compile one.
+	// an index compiled for another job or another Participants map
+	// (compared by identity), makes Reset compile one. The map must be
+	// left unwritten while an index of it is in use.
 	Index *Index
 
 	// Observer, when non-nil, receives engine callbacks at CUDA-API
@@ -242,11 +244,9 @@ type hostState struct {
 	done bool
 
 	// syncs is the worker's event-sync row of the Index and syncAt the
-	// position of the next; last is the stream the host touched last,
-	// the usual target of its next op.
+	// position of the next.
 	syncs  []int32
 	syncAt int
-	last   *streamState
 
 	wait       hostWait
 	waitStream *streamState
@@ -449,7 +449,7 @@ func (e *Engine) scrub() {
 func (e *Engine) Reset(job *trace.Job, opts Options) {
 	e.scrub()
 	x := opts.Index
-	if x == nil || x.job != job {
+	if x == nil || !x.compiledFrom(job, opts.Participants) {
 		x = Compile(job, opts.Participants)
 	}
 	e.job, e.x = job, x
@@ -559,9 +559,6 @@ func (e *Engine) pop() simEvent {
 // stream returns the state of stream id on h's worker, creating it on
 // first touch so byWorker keeps creation order.
 func (e *Engine) stream(h *hostState, id int64) *streamState {
-	if st := h.last; st != nil && st.id == id {
-		return st
-	}
 	slot := e.x.streamSlot(h.w, id)
 	st := e.streams[slot]
 	if st == nil {
@@ -576,7 +573,6 @@ func (e *Engine) stream(h *hostState, id int64) *streamState {
 		e.streams[slot] = st
 		e.byWorker[h.w] = append(e.byWorker[h.w], st)
 	}
-	h.last = st
 	return st
 }
 

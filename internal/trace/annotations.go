@@ -74,15 +74,6 @@ func (a *Annotations) Rebind(job *Job) bool {
 	return true
 }
 
-// Detach hands the overlay's duration table — row-major, exactly the
-// table FillFrom accepts — to the caller and leaves the overlay
-// unbound, so the table can never be written through it again.
-func (a *Annotations) Detach() []time.Duration {
-	durs := a.durs
-	a.durs = nil
-	return durs
-}
-
 // Table returns the overlay's duration table, row-major, exactly the
 // table FillFrom accepts. It aliases the overlay: callers only read it.
 func (a *Annotations) Table() []time.Duration { return a.durs }
