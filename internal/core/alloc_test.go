@@ -79,9 +79,19 @@ const maxReplayObjects = 64
 // engine allocates per op on the benchmark's three recipes — beside
 // the ~100 B/op a capture retains — and pins that a warm replay on
 // held scratch allocates a fixed number of objects however long the
-// trace: the index and the plan are read in place.
+// trace: the index and the plan are read in place. Replays that
+// alternate between two captures on one scratch allocate a fixed
+// number of bytes however long the traces: the engine's queue and
+// interval buffers, sized by the index, are kept across runs, where
+// per-stream queues recycled onto other streams regrew every run.
 func TestAllocBudgetIndex(t *testing.T) {
 	ctx := context.Background()
+	type held struct {
+		p   *Pipeline
+		c   *Capture
+		ops int
+	}
+	var alternate []held
 	for _, r := range budgetRecipes(t) {
 		p := oraclePipeline(r.cluster, Options{SelectiveLaunch: true})
 		c, err := p.Capture(ctx, r.w)
@@ -114,8 +124,38 @@ func TestAllocBudgetIndex(t *testing.T) {
 		if objects > maxReplayObjects {
 			t.Errorf("%s: a warm replay allocates %.0f objects, want at most %d", r.name, objects, maxReplayObjects)
 		}
+		if len(alternate) < 2 { // gpt3-2.7b and gpt3-18.4b
+			alternate = append(alternate, held{p, c, ops})
+		}
+	}
+
+	scratch := NewSimScratch()
+	cycle := func() {
+		for _, h := range alternate {
+			if _, err := h.p.SimulateScratch(ctx, h.c, 0, hardware.BF16, scratch, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	cycle() // sizes the scratch for both
+	const cycles = 3
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range cycles {
+		cycle()
+	}
+	runtime.ReadMemStats(&after)
+	perCycle := float64(after.TotalAlloc-before.TotalAlloc) / cycles
+	t.Logf("alternating %d- and %d-op captures on one scratch allocates %.0f B a cycle (%.2f B per replayed op)",
+		alternate[0].ops, alternate[1].ops, perCycle, perCycle/float64(alternate[0].ops+alternate[1].ops))
+	if perCycle > maxAlternateBytes {
+		t.Errorf("alternating two captures on one scratch allocates %.0f B a cycle, want at most %d", perCycle, maxAlternateBytes)
 	}
 }
+
+// maxAlternateBytes bounds what one cycle of warm replays of two
+// captures on one scratch allocates: two reports, nothing per op.
+const maxAlternateBytes = 16 << 10
 
 // captureAllocs returns the bytes one Capture allocates and the bytes
 // its job retains.

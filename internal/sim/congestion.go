@@ -203,9 +203,9 @@ func (e *Engine) flowDone(f *congFlow, epoch int64) {
 
 	g, end := f.group, e.now
 	for _, p := range g.arrived {
-		e.intervals[p.w] = append(e.intervals[p.w], interval{start: f.started, end: end, comm: true})
+		p.ivals[p.head] = interval{start: f.started, end: end, comm: true}
 		if e.obs != nil {
-			e.obs.CollectiveFired(p.w, p.id, p.queue[p.head].op, f.key, f.started, end)
+			e.obs.CollectiveFired(p.w, p.id, e.headOp(p), f.key, f.started, end)
 		}
 		p.stalledCol = false
 		p.head++

@@ -21,6 +21,9 @@ import (
 //   - Streams. Worker w's distinct stream handles, ascending, are
 //     streamIDs[streamStart[w]:streamStart[w+1]]; a stream's slot is
 //     its position in streamIDs.
+//   - Queues. The ops the host hands stream slot s are positions
+//     queueStart[s]:queueStart[s+1] of one flat buffer, so an engine
+//     sizes every stream's queue once and never grows it.
 //   - Sync rows. Row s, for stream slot s, lists in op order the event
 //     or collective slot of every record, wait and collective the
 //     stream consumes; row len(streamIDs)+w lists the event slots of
@@ -45,6 +48,7 @@ type Index struct {
 
 	streamStart []int32
 	streamIDs   []int64
+	queueStart  []int32 // per stream slot, then one trailing total
 
 	rowStart []int32 // offsets into rows: one row per stream slot, then one per worker
 	rows     []int32
@@ -81,21 +85,25 @@ func Compile(job *trace.Job, participants map[trace.CollKey]int) *Index {
 	x := &Index{job: job, participants: participants, events: 1}
 	nw := len(job.Workers)
 
-	// Pass 1, the one walk over every op: each worker's streams and
-	// their row lengths, its event syncs, the job's collective groups,
+	// Pass 1, the one walk over every op: each worker's streams, their
+	// queue and row lengths, its event syncs, the job's collective groups,
 	// and where the ops with a row entry are (synced[syncedStart[w]:
 	// syncedStart[w+1]] for worker w), so that pass 2 visits only those.
 	type groupStat struct{ n, maxSeq int }
+	type streamStat struct{ row, queued int32 }
 	groupOf := map[trace.CollKey]int32{}
 	var stats []groupStat
-	streamSet := map[int64]int32{}
+	streamSet := map[int64]int32{} // a handle's place in counts
+	var counts []streamStat
 	hostRows := make([]int32, nw)
 	var synced []int32
 	syncedStart := make([]int, nw+1)
 	x.streamStart = make([]int32, nw+1)
 	x.rowStart = []int32{0}
+	x.queueStart = []int32{0}
 	for wi, w := range job.Workers {
 		clear(streamSet)
+		counts = counts[:0]
 		for i := range w.Ops {
 			op := &w.Ops[i]
 			if op.Kind == trace.KindEventSync {
@@ -106,13 +114,19 @@ func Compile(job *trace.Job, participants map[trace.CollKey]int) *Index {
 			if !namesStream(op) {
 				continue
 			}
+			c, ok := streamSet[op.Stream]
+			if !ok {
+				c = int32(len(counts))
+				streamSet[op.Stream] = c
+				counts = append(counts, streamStat{})
+			}
+			if op.Kind != trace.KindStreamSync {
+				counts[c].queued++
+			}
 			if !inRow(op) {
-				if _, ok := streamSet[op.Stream]; !ok {
-					streamSet[op.Stream] = 0
-				}
 				continue
 			}
-			streamSet[op.Stream]++
+			counts[c].row++
 			synced = append(synced, int32(i))
 			if op.Kind != trace.KindCollective {
 				continue
@@ -134,7 +148,9 @@ func Compile(job *trace.Job, participants map[trace.CollKey]int) *Index {
 		}
 		slices.Sort(x.streamIDs[first:])
 		for _, id := range x.streamIDs[first:] {
-			x.rowStart = append(x.rowStart, x.rowStart[len(x.rowStart)-1]+streamSet[id])
+			n := counts[streamSet[id]]
+			x.rowStart = append(x.rowStart, x.rowStart[len(x.rowStart)-1]+n.row)
+			x.queueStart = append(x.queueStart, x.queueStart[len(x.queueStart)-1]+n.queued)
 		}
 		x.streamStart[wi+1] = int32(len(x.streamIDs))
 		syncedStart[wi+1] = len(synced)
@@ -306,6 +322,14 @@ func (x *Index) streamSlot(w int, id int64) int32 {
 	return lo + int32(i)
 }
 
+// queue returns the bounds of stream slot s's queue in the flat
+// buffer.
+func (x *Index) queue(s int32) (lo, hi int32) { return x.queueStart[s], x.queueStart[s+1] }
+
+// queued returns the length of the flat queue buffer: every op the
+// host hands a stream.
+func (x *Index) queued() int { return int(x.queueStart[len(x.queueStart)-1]) }
+
 // row returns sync row r.
 func (x *Index) row(r int32) []int32 {
 	lo, hi := x.rowStart[r], x.rowStart[r+1]
@@ -326,11 +350,13 @@ func (x *Index) collKey(s int32) trace.CollKey {
 	return k
 }
 
-// Bytes returns what the index retains besides the job it indexes.
+// Bytes returns what the index retains besides the job it indexes
+// and the participants map it was given: itself and the backing array
+// of every table.
 func (x *Index) Bytes() int {
 	return int(unsafe.Sizeof(*x)) +
-		4*(len(x.streamStart)+len(x.rowStart)+len(x.rows)+len(x.expected)) +
-		8*len(x.streamIDs) +
-		int(unsafe.Sizeof(collGroupID{}))*len(x.groups) +
-		int(unsafe.Sizeof(trace.CollKey{}))*len(x.extraKeys)
+		4*(cap(x.streamStart)+cap(x.queueStart)+cap(x.rowStart)+cap(x.rows)+cap(x.expected)) +
+		8*cap(x.streamIDs) +
+		int(unsafe.Sizeof(collGroupID{}))*cap(x.groups) +
+		int(unsafe.Sizeof(trace.CollKey{}))*cap(x.extraKeys)
 }

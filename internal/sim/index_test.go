@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -37,8 +38,10 @@ func extremeJob(t *testing.T) *trace.Job {
 // names getting the never-completed slot 0; two collectives share a
 // slot exactly when they share a CollKey, which collKey reads back and
 // whose joins expected counts, the same counts trace.Participation
-// gives; every stream resolves to its own handle; and every row is
-// consumed exactly.
+// gives; every stream resolves to its own handle; every row is
+// consumed exactly; and every stream's queue window holds exactly the
+// ops the host hands it, the windows tiling the flat buffer in slot
+// order.
 func TestCompileSlotsAreKeys(t *testing.T) {
 	jobs := []*trace.Job{physicalFixture(t), overlayJob(t), extremeJob(t)}
 	for seed := int64(0); seed < 25; seed++ {
@@ -56,10 +59,14 @@ func TestCompileSlotsAreKeys(t *testing.T) {
 		}
 		evSlot, evKey := map[eventKey]int32{}, map[int32]eventKey{}
 		collSlot, joins := map[trace.CollKey]int32{}, map[int32]int32{}
+		queued := make([]int32, len(x.streamIDs))
 		for w, wk := range j.Workers {
 			at := map[int32]int{}
 			for k := range wk.Ops {
 				op := &wk.Ops[k]
+				if namesStream(op) && op.Kind != trace.KindStreamSync {
+					queued[x.streamSlot(w, op.Stream)]++
+				}
 				var row int32
 				switch {
 				case op.Kind == trace.KindEventSync:
@@ -119,6 +126,15 @@ func TestCompileSlotsAreKeys(t *testing.T) {
 				}
 			}
 		}
+		for s, n := range queued {
+			lo, hi := x.queue(int32(s))
+			if lo != x.queueStart[s] || hi-lo != n {
+				t.Fatalf("job %d: stream slot %d has queue [%d, %d), want %d ops from %d", i, s, lo, hi, n, x.queueStart[s])
+			}
+		}
+		if x.queued() != int(x.queueStart[len(queued)]) {
+			t.Fatalf("job %d: flat queue of %d, want %d", i, x.queued(), x.queueStart[len(queued)])
+		}
 		if len(joins) != len(collSlot) {
 			t.Fatalf("job %d: %d calls on %d slots", i, len(collSlot), len(joins))
 		}
@@ -156,5 +172,30 @@ func TestIndexOfOtherParticipantsRecompiles(t *testing.T) {
 	x := Compile(j, one)
 	if !x.compiledFrom(j, one) || x.compiledFrom(j, map[trace.CollKey]int{{Comm: 1, Seq: 0}: 1}) || x.compiledFrom(j, nil) {
 		t.Fatal("compiledFrom must match its own participants map by identity only")
+	}
+}
+
+// TestIndexBytesCountsEveryTable pins Index.Bytes to what the index
+// holds: the struct and the backing array of every slice field. An
+// index table added without counting it fails here, and so would the
+// capture accounting built on Bytes.
+func TestIndexBytesCountsEveryTable(t *testing.T) {
+	for _, j := range []*trace.Job{physicalFixture(t), extremeJob(t), chainFixture(t, 3)} {
+		x := Compile(j, nil)
+		v := reflect.ValueOf(x).Elem()
+		want := int(v.Type().Size())
+		for i := range v.NumField() {
+			switch f := v.Field(i); f.Kind() {
+			case reflect.Slice:
+				want += f.Cap() * int(f.Type().Elem().Size())
+			case reflect.Int32:
+			case reflect.Pointer, reflect.Map: // the job and participants: the caller's
+			default:
+				t.Fatalf("Index.%s is a %v: count it in Bytes and here", v.Type().Field(i).Name, f.Kind())
+			}
+		}
+		if got := x.Bytes(); got != want {
+			t.Fatalf("Bytes() = %d, the index holds %d", got, want)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"sort"
 	"time"
 
@@ -66,7 +67,12 @@ func (e *Engine) buildReport() *Report {
 		if r.HostEnd[i] > r.Makespan {
 			r.Makespan = r.HostEnd[i]
 		}
-		comp, comm, exposed := busyStats(e.intervals[i], &e.busy)
+		runs := e.busy.runs[:0]
+		for _, st := range e.byWorker[i] {
+			runs = append(runs, st.busy())
+		}
+		e.busy.runs = runs
+		comp, comm, exposed := mergeBusy(runs, &e.busy)
 		r.ComputeBusy[i] = comp
 		r.CommBusy[i] = comm
 		r.ExposedComm[i] = exposed
@@ -74,38 +80,76 @@ func (e *Engine) buildReport() *Report {
 	return r
 }
 
-// busyScratch is busyStats's reusable split buffer; a zero value is
-// ready to use, and a non-nil scratch makes repeated calls
-// allocation-free at steady state.
+// busyScratch is mergeBusy's reusable state; a zero value is ready to
+// use, and a kept scratch makes repeated calls allocation-free at
+// steady state.
 type busyScratch struct {
+	runs         [][]interval
 	comps, comms []interval
 }
 
-// busyStats computes union lengths of compute and comm intervals and
-// the exposed (non-overlapped) communication time. The scratch may be
-// nil; its contents are invalidated by the next call.
-func busyStats(ivs []interval, s *busyScratch) (compute, comm, exposed time.Duration) {
+// mergeBusy computes union lengths of compute and comm intervals and
+// the exposed (non-overlapped) communication time. Each run is one
+// stream's intervals in start order, as a FIFO stream starts them, so
+// a k-way merge meets every interval in start order and folds it into
+// its class's union on the fly: nothing is sorted. Intervals of zero
+// or negative length count for nothing. The merge consumes runs; the
+// scratch may be nil, and its contents are invalidated by the next
+// call.
+func mergeBusy(runs [][]interval, s *busyScratch) (compute, comm, exposed time.Duration) {
 	if s == nil {
 		s = &busyScratch{}
 	}
 	comps, comms := s.comps[:0], s.comms[:0]
-	for _, iv := range ivs {
-		if iv.end <= iv.start {
-			continue
+	for {
+		// The run with the earliest next interval, and the earliest
+		// next start of every other run: the first run can be drained
+		// up to that bound before another run's interval is due.
+		next, bound := -1, int64(math.MaxInt64)
+		for r, run := range runs {
+			for len(run) > 0 && run[0].end <= run[0].start {
+				run = run[1:]
+			}
+			runs[r] = run
+			switch {
+			case len(run) == 0:
+			case next < 0 || run[0].start < runs[next][0].start:
+				if next >= 0 {
+					bound = runs[next][0].start
+				}
+				next = r
+			default:
+				bound = min(bound, run[0].start)
+			}
 		}
-		if iv.comm {
-			comms = append(comms, iv)
-		} else {
-			comps = append(comps, iv)
+		if next < 0 {
+			break
 		}
+		run := runs[next]
+		for ; len(run) > 0 && run[0].start <= bound; run = run[1:] {
+			switch iv := run[0]; {
+			case iv.end <= iv.start:
+			case iv.comm:
+				comms = extend(comms, iv)
+			default:
+				comps = extend(comps, iv)
+			}
+		}
+		runs[next] = run
 	}
 	s.comps, s.comms = comps, comms
-	compU := unionize(comps)
-	commU := unionize(comms)
-	compute = time.Duration(unionLen(compU))
-	comm = time.Duration(unionLen(commU))
-	exposed = time.Duration(unionLen(commU) - overlapLen(commU, compU))
-	return compute, comm, exposed
+	compLen, commLen := unionLen(comps), unionLen(comms)
+	return time.Duration(compLen), time.Duration(commLen), time.Duration(commLen - overlapLen(comms, comps))
+}
+
+// extend folds iv into the sorted disjoint set u, no interval of
+// which starts after iv.
+func extend(u []interval, iv interval) []interval {
+	if n := len(u); n > 0 && iv.start <= u[n-1].end {
+		u[n-1].end = max(u[n-1].end, iv.end)
+		return u
+	}
+	return append(u, iv)
 }
 
 // unionize merges overlapping intervals into a sorted disjoint set.
@@ -114,16 +158,9 @@ func unionize(ivs []interval) []interval {
 		return nil
 	}
 	sort.Slice(ivs, func(i, j int) bool { return ivs[i].start < ivs[j].start })
-	out := ivs[:1]
-	for _, iv := range ivs[1:] {
-		last := &out[len(out)-1]
-		if iv.start <= last.end {
-			if iv.end > last.end {
-				last.end = iv.end
-			}
-			continue
-		}
-		out = append(out, iv)
+	out := ivs[:0]
+	for _, iv := range ivs {
+		out = extend(out, iv)
 	}
 	return out
 }

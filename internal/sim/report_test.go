@@ -1,9 +1,120 @@
 package sim
 
 import (
+	"fmt"
+	"math/rand"
+	"sort"
 	"testing"
 	"time"
 )
+
+// busyStats is the report's merge over ivs, each interval a run of its
+// own: any order of intervals is a set of sorted runs that way.
+func busyStats(ivs []interval, s *busyScratch) (compute, comm, exposed time.Duration) {
+	runs := make([][]interval, len(ivs))
+	for i := range ivs {
+		runs[i] = ivs[i : i+1]
+	}
+	return mergeBusy(runs, s)
+}
+
+// sortedBusy is what buildReport computed before the merge: split the
+// intervals by class, sort and unionize each, and intersect.
+func sortedBusy(ivs []interval) (compute, comm, exposed time.Duration) {
+	var comps, comms []interval
+	for _, iv := range ivs {
+		switch {
+		case iv.end <= iv.start:
+		case iv.comm:
+			comms = append(comms, iv)
+		default:
+			comps = append(comps, iv)
+		}
+	}
+	compU, commU := unionize(comps), unionize(comms)
+	return time.Duration(unionLen(compU)), time.Duration(unionLen(commU)),
+		time.Duration(unionLen(commU) - overlapLen(commU, compU))
+}
+
+// busyCases are the interval sets of the busyStats cases below.
+var busyCases = [][]interval{
+	{{start: 0, end: 100}, {start: 50, end: 150, comm: true}},
+	{{start: 5, end: 5}, {start: 9, end: 7}, {start: 0, end: 10}, {start: 3, end: 3, comm: true}},
+	{{start: 0, end: 40, comm: true}, {start: 10, end: 60, comm: true}},
+	{{start: 0, end: 100}, {start: 20, end: 30, comm: true}, {start: 40, end: 50, comm: true}},
+}
+
+// randomRuns returns k streams' intervals as a stream writes them:
+// positive-length ones in start order — touching, overlapping, nested
+// in a long predecessor or apart, compute or comm — with zeroed
+// entries (a record's, a wait's) anywhere between.
+func randomRuns(rng *rand.Rand, k int) [][]interval {
+	runs := make([][]interval, k)
+	for r := range runs {
+		var t, prevEnd int64
+		for range rng.Intn(24) {
+			var iv interval
+			switch rng.Intn(6) {
+			case 0: // a record or a wait
+				runs[r] = append(runs[r], interval{})
+				continue
+			case 1: // touching its predecessor
+				t = max(t, prevEnd)
+			case 2: // same start
+			default:
+				t += rng.Int63n(50)
+			}
+			iv.start = t
+			switch rng.Intn(5) {
+			case 0:
+				iv.end = t // instantaneous
+			case 1:
+				iv.end = t + 200 + rng.Int63n(400) // nests what follows
+			default:
+				iv.end = t + 1 + rng.Int63n(60)
+			}
+			iv.comm = rng.Intn(3) == 0
+			prevEnd = iv.end
+			runs[r] = append(runs[r], iv)
+		}
+	}
+	return runs
+}
+
+// TestMergeBusyMatchesSortAndUnion checks the report's k-way merge
+// against sorting and unionizing the same intervals, in integer ns:
+// the busyStats cases (as one-interval runs and as one sorted run)
+// and seeded random stream runs.
+func TestMergeBusyMatchesSortAndUnion(t *testing.T) {
+	check := func(name string, runs [][]interval, s *busyScratch) {
+		t.Helper()
+		var all []interval
+		for _, run := range runs {
+			all = append(all, run...)
+		}
+		wc, wm, we := sortedBusy(append([]interval(nil), all...))
+		gc, gm, ge := mergeBusy(runs, s)
+		if gc != wc || gm != wm || ge != we {
+			t.Fatalf("%s: merge gives compute/comm/exposed %d/%d/%d, sort-and-union %d/%d/%d; intervals %v",
+				name, gc, gm, ge, wc, wm, we, all)
+		}
+	}
+	var s busyScratch
+	for c, ivs := range busyCases {
+		singles := make([][]interval, len(ivs))
+		for i := range ivs {
+			singles[i] = []interval{ivs[i]}
+		}
+		check(fmt.Sprintf("case %d, one run per interval", c), singles, &s)
+		sorted := append([]interval(nil), ivs...)
+		sort.Slice(sorted, func(i, j int) bool { return sorted[i].start < sorted[j].start })
+		check(fmt.Sprintf("case %d, one sorted run", c), [][]interval{sorted}, nil)
+	}
+	for seed := int64(1); seed <= 2000; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		check(fmt.Sprintf("seed %d", seed), randomRuns(rng, 1+rng.Intn(6)), &s)
+	}
+}
 
 func TestUnionize(t *testing.T) {
 	ivs := []interval{{start: 0, end: 10}, {start: 5, end: 15}, {start: 20, end: 25}}

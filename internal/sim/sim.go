@@ -37,7 +37,12 @@
 // indexed by the dense slots Compile gives a job's streams, event
 // versions and collective calls (see Index); a caller that replays
 // one job many times compiles it once and passes the Index in
-// Options.
+// Options. A stream's queue is a fixed window of one flat buffer,
+// placed by the Index, and a queue entry is pointer-free: the op's
+// position, kind and enqueue time. So dispatch grows no slice, reads
+// no trace.Op when an overlay is bound (durations come from it by
+// position), and the busy intervals a report unions sit in the same
+// windows, already in start order per stream.
 //
 // A stream dispatches timed work in chains (see kickStream), the one
 // route whatever observer, fault injection or congestion is attached.
@@ -93,10 +98,14 @@ type Options struct {
 	// Annotations, when non-nil, is the duration overlay the engine
 	// reads device-op and collective durations through instead of the
 	// ops' own Dur fields, so the job itself stays immutable. The
-	// engine only reads it: one overlay, such as an estimate plan's,
-	// may back any number of concurrent runs. Host delays always come
-	// from the trace (annotation never touches them). The overlay must
-	// be bound to this job and left unwritten until Run returns.
+	// engine addresses it by op position, which is the op's Seq in
+	// every job an overlay binds to (Rebind refuses any other, and
+	// core's validateOps rejects a loaded trace whose Seqs are not
+	// positions). The engine only reads it: one overlay, such as an
+	// estimate plan's, may back any number of concurrent runs. Host
+	// delays always come from the trace (annotation never touches
+	// them). The overlay must be bound to this job and left unwritten
+	// until Run returns.
 	Annotations *trace.Annotations
 
 	// Congestion, when non-nil, resolves collective durations against
@@ -179,15 +188,26 @@ func RunPooled(ctx context.Context, job *trace.Job, opts Options) (*Report, erro
 // what it waits for.
 var ErrDeadlock = errors.New("sim: deadlock")
 
+// pendingOp is one queued op: its host enqueue time, its position in
+// its worker's ops and its kind — all dispatch needs, and no pointer,
+// so the flat queue buffer is memory the collector never scans.
 type pendingOp struct {
-	op  *trace.Op
-	enq int64 // host time at enqueue
+	enq  int64 // host time at enqueue
+	i    int32 // the op's position in its worker's ops
+	kind trace.Kind
 }
 
 type streamState struct {
-	w     int
-	id    int64
+	w  int
+	id int64
+	// queue is the stream's window of the engine's flat queue buffer,
+	// with room for every op the host hands the stream, so appending
+	// never grows it. ivals is the same window of the interval buffer:
+	// ivals[j] is queue[j]'s busy interval, written as the op starts
+	// (zero for records, waits and a collective not yet fired). A
+	// stream is FIFO, so its intervals are in start order.
 	queue []pendingOp
+	ivals []interval
 	head  int
 
 	// syncs is the stream's row of the Index — the event or collective
@@ -207,16 +227,24 @@ type streamState struct {
 	// map's FIFO release order) without allocating waiter slices.
 	nextWait *streamState
 
-	// The running chain: ops queue[chainHead:head], their intervals
-	// from intervals[w][curIval] on. epoch voids an end event that a
-	// contention stretch superseded.
+	// The running chain: ops queue[chainHead:head]. epoch voids an
+	// end event that a contention stretch superseded.
 	chainHead int
-	curIval   int
 	epoch     int64
 }
 
 func (st *streamState) drained() bool {
 	return !st.running && !st.stalledEv && !st.stalledCol && st.head == len(st.queue)
+}
+
+// busy returns the intervals the run has written: those of every op
+// the stream has passed, and of a collective it is stalled in.
+func (st *streamState) busy() []interval {
+	n := st.head
+	if st.stalledCol {
+		n++
+	}
+	return st.ivals[:n]
 }
 
 // nextSlot returns the slot of the record, wait or collective the
@@ -251,6 +279,10 @@ type hostState struct {
 	wait       hostWait
 	waitStream *streamState
 	scheduled  bool
+
+	// last is the stream the host last touched: runs of ops go to one
+	// stream, so only a switch pays the slot search.
+	last *streamState
 }
 
 type collGroup struct {
@@ -359,9 +391,12 @@ type Engine struct {
 	// collective intervals, for SM-contention overlap queries.
 	activeColls [][]interval
 
-	intervals [][]interval
-	marks     [][]MarkAt
-	// busy is buildReport's reusable interval-union scratch.
+	// pending and ivals are the flat queue and interval buffers every
+	// stream's window lies in, sized by the Index and kept across runs.
+	pending []pendingOp
+	ivals   []interval
+	marks   [][]MarkAt
+	// busy is buildReport's reusable interval-merge scratch.
 	busy busyScratch
 
 	rng jitterSource
@@ -411,14 +446,11 @@ func (e *Engine) scrub() {
 	}
 	for w := range e.byWorker {
 		for _, st := range e.byWorker[w] {
-			q := st.queue
-			clear(q)
-			*st = streamState{queue: q[:0]}
+			*st = streamState{}
 			e.freeStreams = append(e.freeStreams, st)
 		}
 		e.byWorker[w] = e.byWorker[w][:0]
 		e.activeColls[w] = e.activeColls[w][:0]
-		e.intervals[w] = e.intervals[w][:0]
 		clear(e.marks[w])
 		e.marks[w] = e.marks[w][:0]
 	}
@@ -469,8 +501,9 @@ func (e *Engine) Reset(job *trace.Job, opts Options) {
 	}
 	e.byWorker = resizeGrid(e.byWorker, n)
 	e.activeColls = resizeGrid(e.activeColls, n)
-	e.intervals = resizeGrid(e.intervals, n)
 	e.marks = resizeGrid(e.marks, n)
+	e.pending = resized(e.pending, x.queued())
+	e.ivals = resized(e.ivals, x.queued())
 
 	e.streams = zeroed(e.streams, len(x.streamIDs))
 	e.events = zeroed(e.events, int(x.events))
@@ -504,12 +537,18 @@ func resizeGrid[T any](g [][]T, n int) [][]T {
 
 // zeroed returns s resized to n zero entries, reusing its storage.
 func zeroed[T any](s []T, n int) []T {
+	s = resized(s, n)
+	clear(s)
+	return s
+}
+
+// resized returns s resized to n entries, reusing its storage; entries
+// it keeps hold whatever they held.
+func resized[T any](s []T, n int) []T {
 	if cap(s) < n {
 		return make([]T, n)
 	}
-	s = s[:n]
-	clear(s)
-	return s
+	return s[:n]
 }
 
 // push schedules an event, assigning the tie-breaking sequence
@@ -559,6 +598,9 @@ func (e *Engine) pop() simEvent {
 // stream returns the state of stream id on h's worker, creating it on
 // first touch so byWorker keeps creation order.
 func (e *Engine) stream(h *hostState, id int64) *streamState {
+	if st := h.last; st != nil && st.id == id {
+		return st
+	}
 	slot := e.x.streamSlot(h.w, id)
 	st := e.streams[slot]
 	if st == nil {
@@ -569,11 +611,20 @@ func (e *Engine) stream(h *hostState, id int64) *streamState {
 		} else {
 			st = &streamState{}
 		}
+		lo, hi := e.x.queue(slot)
 		st.w, st.id, st.syncs = h.w, id, e.x.row(slot)
+		st.queue, st.ivals = e.pending[lo:lo:hi], e.ivals[lo:hi:hi]
 		e.streams[slot] = st
 		e.byWorker[h.w] = append(e.byWorker[h.w], st)
 	}
+	h.last = st
 	return st
+}
+
+// headOp returns the op at the head of st's queue, for observers and
+// error messages: dispatch itself never reads a trace.Op.
+func (e *Engine) headOp(st *streamState) *trace.Op {
+	return &e.hosts[st.w].ops[st.queue[st.head].i]
 }
 
 func (e *Engine) collGroup() *collGroup {
@@ -686,7 +737,7 @@ func (e *Engine) deadlockError(h *hostState) error {
 		}
 		switch {
 		case st.stalledCol:
-			op := st.queue[st.head].op
+			op := e.headOp(st)
 			if g := e.colls[st.waitSlot]; g != nil {
 				why += fmt.Sprintf("; stream %d stalled in %s comm=%#x seq=%d (%d/%d joined)",
 					st.id, op.Coll.Op, op.Coll.CommID, op.Coll.Seq, len(g.arrived), g.expected)
@@ -695,7 +746,7 @@ func (e *Engine) deadlockError(h *hostState) error {
 					st.id, op.Coll.Op, op.Coll.CommID, op.Coll.Seq)
 			}
 		case st.stalledEv:
-			op := st.queue[st.head].op
+			op := e.headOp(st)
 			why += fmt.Sprintf("; stream %d waiting for event %d v%d", st.id, op.Event, op.EventVer)
 		case st.running:
 			why += fmt.Sprintf("; stream %d running (%d/%d ops)", st.id, st.head, len(st.queue))
@@ -779,7 +830,7 @@ func (e *Engine) runHost(h *hostState) {
 			fallthrough
 		default:
 			st := e.stream(h, op.Stream)
-			st.queue = append(st.queue, pendingOp{op: op, enq: h.t})
+			st.queue = append(st.queue, pendingOp{enq: h.t, i: int32(h.pos), kind: op.Kind})
 			h.pos++
 			e.kickStream(st)
 		}
@@ -808,7 +859,6 @@ func (e *Engine) kickStream(st *streamState) {
 	}
 	for st.head < len(st.queue) {
 		p := st.queue[st.head]
-		op := p.op
 		start := max(st.freeAt, p.enq)
 		if e.inj != nil && e.inj.dead(st.w, start) {
 			// The device stops starting work at the instant of death:
@@ -816,7 +866,10 @@ func (e *Engine) kickStream(st *streamState) {
 			// In-flight work was already scheduled and completes.
 			return
 		}
-		switch op.Kind {
+		// Records and waits are never busy; a collective's interval is
+		// written when it fires, a timed op's below.
+		st.ivals[st.head] = interval{}
+		switch p.kind {
 		case trace.KindEventRecord:
 			slot := st.nextSlot()
 			st.head++
@@ -853,7 +906,7 @@ func (e *Engine) kickStream(st *streamState) {
 			if e.obs != nil {
 				e.obs.StallBegin(st.w, st.id, StallCollective, start)
 			}
-			e.joinCollective(st, op, start)
+			e.joinCollective(st, p.i, start)
 			return
 		default:
 			// Timed device work (kernel, memcpy, memset) starts a chain:
@@ -862,28 +915,27 @@ func (e *Engine) kickStream(st *streamState) {
 			// an op starting at or after a fail-stop. Under SM contention
 			// a chain is one op: a collective firing stretches the
 			// kernel running at that instant.
-			dur := e.duration(op, st.w, start)
-			if op.Kind == trace.KindKernel && e.opts.CommContention > 0 {
+			dur := e.duration(st.w, p.i, start)
+			if p.kind == trace.KindKernel && e.opts.CommContention > 0 {
 				dur += e.contentionExtra(st.w, start, dur)
 			}
 			end := start + dur
 			st.chainHead = st.head
+			st.ivals[st.head] = interval{start: start, end: end}
 			st.head++
 			st.running = true
-			st.curIval = len(e.intervals[st.w])
-			e.intervals[st.w] = append(e.intervals[st.w], interval{start: start, end: end})
 			for e.opts.CommContention == 0 && st.head < len(st.queue) {
 				p := st.queue[st.head]
-				if k := p.op.Kind; k == trace.KindEventRecord || k == trace.KindStreamWait || k == trace.KindCollective {
+				if k := p.kind; k == trace.KindEventRecord || k == trace.KindStreamWait || k == trace.KindCollective {
 					break
 				}
 				s := max(end, p.enq)
 				if e.inj != nil && e.inj.dead(st.w, s) {
 					break
 				}
-				end = s + e.duration(p.op, st.w, s)
+				end = s + e.duration(st.w, p.i, s)
+				st.ivals[st.head] = interval{start: s, end: end}
 				st.head++
-				e.intervals[st.w] = append(e.intervals[st.w], interval{start: s, end: end})
 			}
 			st.freeAt = end
 			e.push(simEvent{t: end, kind: evOpEnd, st: st, arg: st.epoch})
@@ -904,20 +956,21 @@ func (e *Engine) parkStream(slot int32, st *streamState) {
 	wl.tail = st
 }
 
-// opDur reads an op's annotated duration: through the overlay when
-// one is bound, from the trace otherwise.
-func (e *Engine) opDur(w int, op *trace.Op) int64 {
+// annotated reads the annotated duration of op i of worker w: from
+// the overlay, which is addressed by op position, when one is bound;
+// from the trace otherwise.
+func (e *Engine) annotated(w int, i int32) int64 {
 	if e.ann != nil {
-		return int64(e.ann.Dur(w, op.Seq))
+		return int64(e.ann.Dur(w, int(i)))
 	}
-	return int64(op.Dur)
+	return int64(e.hosts[w].ops[i].Dur)
 }
 
-// duration applies fault stretch and jitter to an op's annotated
-// time. start is the op's device start time, which straggler windows
-// match against.
-func (e *Engine) duration(op *trace.Op, w int, start int64) int64 {
-	d := e.opDur(w, op)
+// duration applies fault stretch and jitter to the annotated time of
+// op i of worker w. start is the op's device start time, which
+// straggler windows match against.
+func (e *Engine) duration(w int, i int32, start int64) int64 {
+	d := e.annotated(w, i)
 	if d < 0 {
 		d = 0
 	}
@@ -925,7 +978,7 @@ func (e *Engine) duration(op *trace.Op, w int, start int64) int64 {
 		d = e.inj.stretch(w, start, d)
 	}
 	if e.opts.JitterFrac > 0 {
-		d = int64(float64(d) * e.rng.factor(int64(w), int64(op.Seq)))
+		d = int64(float64(d) * e.rng.factor(int64(w), int64(e.hosts[w].ops[i].Seq)))
 	}
 	return d
 }
@@ -939,10 +992,11 @@ func (e *Engine) opEnd(st *streamState, epoch int64) {
 	}
 	st.running = false
 	if e.obs != nil {
-		ivs := e.intervals[st.w][st.curIval:]
-		for i, p := range st.queue[st.chainHead:st.head] {
-			e.obs.OpStart(st.w, st.id, p.op, ivs[i].start, ivs[i].end)
-			e.obs.OpEnd(st.w, st.id, p.op, ivs[i].start, ivs[i].end)
+		ops := e.hosts[st.w].ops
+		for j := st.chainHead; j < st.head; j++ {
+			op, iv := &ops[st.queue[j].i], st.ivals[j]
+			e.obs.OpStart(st.w, st.id, op, iv.start, iv.end)
+			e.obs.OpEnd(st.w, st.id, op, iv.start, iv.end)
 		}
 	}
 	e.kickStream(st)
@@ -981,10 +1035,10 @@ func (e *Engine) contentionExtra(w int, start, dur int64) int64 {
 // both directions in the physical model.
 func (e *Engine) stretchRunning(w int, cs, ce int64) {
 	for _, st := range e.byWorker[w] {
-		if !st.running || st.queue[st.chainHead].op.Kind != trace.KindKernel {
+		if !st.running || st.queue[st.chainHead].kind != trace.KindKernel {
 			continue // a chain is one op under contention
 		}
-		iv := &e.intervals[w][st.curIval]
+		iv := &st.ivals[st.chainHead]
 		lo := max(iv.start, cs)
 		hi := min(iv.end, ce)
 		if hi <= lo {
@@ -1065,9 +1119,9 @@ func (e *Engine) notifyDrain(w int) {
 }
 
 // joinCollective implements the NetworkCollectiveWaitMap: the stream
-// registers and stalls on its call's slot (st.waitSlot); the final
-// participant releases the group.
-func (e *Engine) joinCollective(st *streamState, op *trace.Op, arrive int64) {
+// registers op i of its worker and stalls on its call's slot
+// (st.waitSlot); the final participant releases the group.
+func (e *Engine) joinCollective(st *streamState, i int32, arrive int64) {
 	slot := st.waitSlot
 	g := e.colls[slot]
 	if g == nil {
@@ -1077,7 +1131,7 @@ func (e *Engine) joinCollective(st *streamState, op *trace.Op, arrive int64) {
 	}
 	g.arrived = append(g.arrived, st)
 	g.arriveAt = append(g.arriveAt, arrive)
-	g.dur = max(g.dur, e.opDur(st.w, op))
+	g.dur = max(g.dur, e.annotated(st.w, i))
 	if len(g.arrived) < g.expected {
 		return
 	}
@@ -1104,16 +1158,15 @@ func (e *Engine) joinCollective(st *streamState, op *trace.Op, arrive int64) {
 		}
 	}
 	end := startAt + dur
-	for i, p := range g.arrived {
-		e.intervals[p.w] = append(e.intervals[p.w], interval{start: startAt, end: end, comm: true})
+	for k, p := range g.arrived {
+		p.ivals[p.head] = interval{start: startAt, end: end, comm: true}
 		if e.opts.CommContention > 0 {
 			e.activeColls[p.w] = append(e.activeColls[p.w], interval{start: startAt, end: end})
 			e.stretchRunning(p.w, startAt, end)
 		}
 		if e.obs != nil {
-			pop := p.queue[p.head].op
-			e.obs.StallEnd(p.w, p.id, StallCollective, g.arriveAt[i], startAt)
-			e.obs.CollectiveFired(p.w, p.id, pop, key, startAt, end)
+			e.obs.StallEnd(p.w, p.id, StallCollective, g.arriveAt[k], startAt)
+			e.obs.CollectiveFired(p.w, p.id, e.headOp(p), key, startAt, end)
 		}
 		e.push(simEvent{t: end, kind: evCollDone, st: p, arg: startAt})
 	}

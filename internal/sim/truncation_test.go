@@ -118,3 +118,42 @@ func TestTimeLimitCongestionPrefixExact(t *testing.T) {
 		}
 	}
 }
+
+// TestTruncatedReportCountsFiredCollectives cuts a run while one
+// collective is on the wire and another still waits for its peer. The
+// report counts the fired call's whole interval, as it counts a
+// running kernel's, and nothing for the call that has not fired — also
+// on an engine whose previous, uncut run of the job fired it.
+func TestTruncatedReportCountsFiredCollectives(t *testing.T) {
+	j := job(t,
+		worker(0, 2, coll(1, 1, 0, 2, 0, 4*time.Millisecond), kernel(2, 3*time.Millisecond), coll(3, 2, 0, 2, 0, time.Millisecond)),
+		worker(1, 2, coll(1, 1, 0, 2, 1, 4*time.Millisecond), trace.Op{Kind: trace.KindDeviceSync}, coll(3, 2, 0, 2, 1, time.Millisecond)),
+	)
+	e := NewEngine()
+	e.Reset(j, Options{})
+	if _, err := e.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	reused := func(ctx context.Context, j *trace.Job, opts Options) (*Report, error) {
+		e.Reset(j, opts)
+		return e.Run(ctx)
+	}
+	for _, run := range []func(context.Context, *trace.Job, Options) (*Report, error){Run, reused} {
+		r, err := run(context.Background(), j, Options{TimeLimit: 2 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !r.Truncated {
+			t.Fatal("run not truncated")
+		}
+		want := [][3]time.Duration{
+			{3 * time.Millisecond, 4 * time.Millisecond, time.Millisecond},
+			{0, 4 * time.Millisecond, 4 * time.Millisecond},
+		}
+		for w, x := range want {
+			if got := [3]time.Duration{r.ComputeBusy[w], r.CommBusy[w], r.ExposedComm[w]}; got != x {
+				t.Fatalf("worker %d: compute/comm/exposed %v, want %v", w, got, x)
+			}
+		}
+	}
+}
