@@ -47,29 +47,27 @@ func WithBatchConcurrency(n int) BatchOption {
 }
 
 // captureKey identifies requests that can share one capture: same
-// workload value and same resolved capture options (collation
-// validation, silicon seed, and whether every rank is kept — a
-// per-call fault plan forces that). Annotation and simulation knobs —
+// workload value and same capture options (captureOptions' result:
+// collation validation, silicon seed, and whether every rank is kept
+// — a fault plan forces that). Annotation and simulation knobs —
 // oracle, netsim, physical replay, FLOPs, timelines, stall
 // breakdowns — do not affect the capture and may differ freely
 // within a group.
 type captureKey struct {
-	w        Workload
-	validate bool
-	seed     uint64
-	noDedup  bool
+	w    Workload
+	opts core.Options
 }
 
 // batchCaptureKey builds the sharing key for a request from its
-// resolved pipeline options, reporting ok=false for workload values
-// that cannot be map keys. The check is on the value, not just the
-// type: an otherwise-comparable workload holding a non-comparable
-// value in an interface field would panic the map insert.
+// capture options, reporting ok=false for workload values that cannot
+// be map keys. The check is on the value, not just the type: an
+// otherwise-comparable workload holding a non-comparable value in an
+// interface field would panic the map insert.
 func batchCaptureKey(w Workload, opts core.Options) (captureKey, bool) {
 	if v := reflect.ValueOf(w); !v.IsValid() || !v.Comparable() {
 		return captureKey{}, false
 	}
-	return captureKey{w: w, validate: opts.Validate, seed: opts.Seed, noDedup: opts.NoDedup}, true
+	return captureKey{w: w, opts: opts}, true
 }
 
 // PredictBatch evaluates many workloads through a bounded worker pool
@@ -108,7 +106,7 @@ func (p *Predictor) PredictBatch(ctx context.Context, reqs []Request, opts ...Ba
 	// training, and a batch doomed by a failing (or cancelled)
 	// training should fail before any emulation starts.
 	for _, r := range reqs {
-		s := applyPredictOptions(r.Options)
+		s := p.settings(r.Options)
 		if r.Workload == nil || s.oracle || s.physical {
 			continue
 		}
@@ -137,7 +135,7 @@ func (p *Predictor) PredictBatch(ctx context.Context, reqs []Request, opts ...Ba
 			results[i] = BatchResult{Err: errors.New("maya: batch request with nil workload")}
 			return nil
 		}
-		results[i] = p.evalBatchRequest(ctx, r.Workload, applyPredictOptions(r.Options), shared)
+		results[i] = p.evalBatchRequest(ctx, r.Workload, p.settings(r.Options), shared)
 		return nil
 	})
 	if err != nil {
@@ -168,13 +166,14 @@ func (p *Predictor) evalBatchRequest(ctx context.Context, w Workload, s predictS
 	// and report zero, so stage timings sum correctly across the batch.
 	var c *core.Capture
 	paid := false
-	if k, ok := batchCaptureKey(w, pipe.Opts); ok {
+	opts := p.captureOptions(s)
+	if k, ok := batchCaptureKey(w, opts); ok {
 		c, _, err = shared.Get(ctx, k, func() (c *core.Capture, err error) {
-			c, paid, err = p.captureFor(ctx, pipe, w)
+			c, paid, err = p.captureFor(ctx, opts, w)
 			return c, err
 		})
 	} else {
-		c, paid, err = p.captureFor(ctx, pipe, w)
+		c, paid, err = p.captureFor(ctx, opts, w)
 	}
 	if err != nil {
 		return BatchResult{Err: err}

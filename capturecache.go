@@ -59,21 +59,20 @@ func (c *CaptureCache) Purge() int { return c.impl.Purge() }
 // share it, so repeated evaluations of one topology across calls
 // reuse a single capture.
 func WithCaptureCache(cache *CaptureCache) PredictorOption {
-	return predictorOption(func(c *predictorConfig) { c.captures = cache })
+	return predictorOption(func(p *Predictor) { p.captures = cache })
 }
 
-// captureCacheKey builds the cache key for a workload under the
-// call's resolved capture options (capturePipeline's, so a per-call
-// fault plan's forced NoDedup is part of the key), reporting ok=false
-// for workloads without a canonical fingerprint.
+// captureCacheKey builds the cache key for a workload under a call's
+// capture options (captureOptions' result), reporting ok=false for
+// workloads without a canonical fingerprint.
 func (p *Predictor) captureCacheKey(w Workload, opts core.Options) (string, bool) {
 	fp, ok := w.(workload.Fingerprinter)
 	if !ok {
 		return "", false
 	}
-	return fmt.Sprintf("%s|cluster=%s/%x|validate=%t|seed=%d|nodedup=%t|sel=%t",
+	return fmt.Sprintf("%s|cluster=%s/%x|validate=%t|seed=%d|nodedup=%t|sel=%t|topo=%q",
 		fp.Fingerprint(), p.cluster.Name, clusterFingerprint(p.cluster), opts.Validate,
-		opts.Seed, opts.NoDedup, opts.SelectiveLaunch), true
+		opts.Seed, opts.NoDedup, opts.SelectiveLaunch, opts.Topology), true
 }
 
 // clusterFingerprint hashes the full hardware description, so two
@@ -86,22 +85,21 @@ func clusterFingerprint(c hardware.Cluster) uint64 {
 	return h.Sum64()
 }
 
-// captureFor returns the capture for a workload under pipe's options,
-// consulting the predictor's capture cache when one is configured and
-// the workload is fingerprintable. paid reports whether this call
-// performed the emulation (cache misses and uncached paths) — only
-// then should a report carry the capture's emulate/collate stage cost.
-func (p *Predictor) captureFor(ctx context.Context, pipe *core.Pipeline, w Workload) (c *core.Capture, paid bool, err error) {
-	if p.captures == nil {
-		c, err = pipe.Capture(ctx, w)
-		return c, true, err
+// captureFor returns the capture for a workload under a call's
+// capture options, consulting the predictor's capture cache when one
+// is configured and the workload is fingerprintable. paid reports
+// whether this call performed the emulation (cache misses and
+// uncached paths) — only then should a report carry the capture's
+// emulate/collate stage cost.
+func (p *Predictor) captureFor(ctx context.Context, opts core.Options, w Workload) (c *core.Capture, paid bool, err error) {
+	capture := func() (*core.Capture, error) {
+		return (&core.Pipeline{Cluster: p.cluster, Opts: opts}).Capture(ctx, w)
 	}
-	key, ok := p.captureCacheKey(w, pipe.Opts)
-	if !ok {
-		c, err = pipe.Capture(ctx, w)
-		return c, true, err
+	if p.captures != nil {
+		if key, ok := p.captureCacheKey(w, opts); ok {
+			return p.captures.impl.Get(ctx, key, capture)
+		}
 	}
-	return p.captures.impl.Get(ctx, key, func() (*core.Capture, error) {
-		return pipe.Capture(ctx, w)
-	})
+	c, err = capture()
+	return c, true, err
 }

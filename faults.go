@@ -44,28 +44,22 @@ func ParseFaultPlan(r io.Reader) (*FaultPlan, error) { return faults.ParsePlan(r
 // MeasureActual models the silicon, not operational faults.
 // Deterministic: equal plans and workloads yield bit-identical
 // recovery reports. As a PredictorOption it becomes the predictor's
-// default; as a PredictOption it applies to one call.
+// default plan, and every call of that predictor captures every rank,
+// even one that drops the plan with WithFaults(nil); as a
+// PredictOption it replaces the default plan for one call.
 func WithFaults(plan *FaultPlan) Option {
-	return dualOption{
-		ctor: func(c *predictorConfig) {
-			c.opts.Faults = plan
-			if plan != nil {
-				c.opts.NoDedup = true
-			}
-		},
-		call: func(s *predictSettings) { s.faults = plan; s.faultsSet = true },
-	}
+	return dualOption(func(s *predictSettings) { s.faults = plan })
 }
 
 // WithCheckpointEvery sets (or overrides) the checkpoint interval, in
-// iterations, of the call's fault plan — the boundary failures rewind
-// to. Usable alone (k iterations between checkpoints, no other
+// iterations, of the fault plan in effect — the boundary failures
+// rewind to. Usable alone (k iterations between checkpoints, no other
 // faults: Recovery then prices pure checkpoint overhead) or together
-// with WithFaults, whose plan's own CheckpointEvery it overrides.
-// k <= 0 disables checkpointing.
+// with WithFaults, whose plan's own CheckpointEvery it overrides in
+// either option order, on a copy of the plan. As a PredictorOption it
+// joins the predictor's default plan; as a PredictOption it applies
+// to the call's plan, the default one unless the call passes its own
+// WithFaults. k <= 0 disables checkpointing.
 func WithCheckpointEvery(k int) Option {
-	return dualOption{
-		ctor: func(c *predictorConfig) { c.ckptEvery = k; c.ckptSet = true },
-		call: func(s *predictSettings) { s.ckptEvery = k; s.ckptSet = true },
-	}
+	return dualOption(func(s *predictSettings) { s.ckptEvery, s.ckptSet = k, true })
 }

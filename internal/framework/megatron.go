@@ -98,9 +98,12 @@ func (c MegatronConfig) Validate() error {
 	c = c.withDefaults()
 	m := c.Model
 	switch {
-	case c.NGPUs < 1 || c.TP < 1 || c.PP < 1:
-		return fmt.Errorf("megatron: degrees must be positive (ngpus=%d tp=%d pp=%d)", c.NGPUs, c.TP, c.PP)
-	case c.NGPUs%(c.TP*c.PP) != 0:
+	case c.NGPUs < 1 || c.TP < 1 || c.PP < 1 || c.VirtualStages < 1 || c.MicroBatches < 1:
+		return fmt.Errorf("megatron: degrees must be positive (ngpus=%d tp=%d pp=%d v=%d microbatches=%d)",
+			c.NGPUs, c.TP, c.PP, c.VirtualStages, c.MicroBatches)
+	// Divisibility by a product is tested factor by factor: a hostile
+	// product could overflow to zero and divide by it.
+	case c.NGPUs%c.TP != 0 || c.NGPUs/c.TP%c.PP != 0:
 		return fmt.Errorf("megatron: %d GPUs not divisible by TP*PP=%d", c.NGPUs, c.TP*c.PP)
 	case m.Heads%c.TP != 0:
 		return fmt.Errorf("megatron: %d heads not divisible by TP=%d", m.Heads, c.TP)
@@ -108,7 +111,7 @@ func (c MegatronConfig) Validate() error {
 		return fmt.Errorf("megatron: hidden/ffn not divisible by TP=%d", c.TP)
 	case m.Vocab%c.TP != 0:
 		return fmt.Errorf("megatron: vocab %d not divisible by TP=%d", m.Vocab, c.TP)
-	case m.Layers%(c.PP*c.VirtualStages) != 0:
+	case m.Layers%c.PP != 0 || m.Layers/c.PP%c.VirtualStages != 0:
 		return fmt.Errorf("megatron: %d layers not divisible by PP*V=%d", m.Layers, c.PP*c.VirtualStages)
 	case c.VirtualStages > 1 && c.PP == 1:
 		return fmt.Errorf("megatron: virtual stages need PP>1")
@@ -122,7 +125,7 @@ func (c MegatronConfig) Validate() error {
 		return fmt.Errorf("megatron: sequence parallelism needs TP>1")
 	case c.SeqParallel && m.Seq%c.TP != 0:
 		return fmt.Errorf("megatron: seq %d not divisible by TP=%d", m.Seq, c.TP)
-	case c.GlobalBatch%(c.DP()*c.MicroBatches) != 0:
+	case c.GlobalBatch%c.DP() != 0 || c.GlobalBatch/c.DP()%c.MicroBatches != 0:
 		return fmt.Errorf("megatron: global batch %d not divisible by DP*microbatches=%d",
 			c.GlobalBatch, c.DP()*c.MicroBatches)
 	case c.DistOptimizer && c.DP() == 1:

@@ -66,6 +66,26 @@ func TestValidation(t *testing.T) {
 	}
 }
 
+// TestValidationOverflowingProducts pins that hostile degrees are
+// rejected, not divided by: each product of the first three cases
+// wraps int to zero.
+func TestValidationOverflowingProducts(t *testing.T) {
+	base := MegatronConfig{Model: smallModel(), NGPUs: 8, GlobalBatch: 16, TP: 2, PP: 2, MicroBatches: 2}
+	cases := map[string]func(*MegatronConfig){
+		"tp*pp":           func(c *MegatronConfig) { c.TP, c.PP = 1<<32, 1<<32 },
+		"pp*v":            func(c *MegatronConfig) { c.PP, c.VirtualStages = 4, 1<<62 },
+		"dp*microbatches": func(c *MegatronConfig) { c.PP, c.GlobalBatch, c.MicroBatches = 1, 1<<62, 1<<62 },
+		"negative v":      func(c *MegatronConfig) { c.VirtualStages = -1 },
+	}
+	for name, mutate := range cases {
+		cfg := base
+		mutate(&cfg)
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s: %+v validated", name, cfg)
+		}
+	}
+}
+
 func TestRankLayoutAndGroups(t *testing.T) {
 	cfg := MegatronConfig{Model: smallModel(), NGPUs: 16, GlobalBatch: 16, TP: 2, PP: 2, MicroBatches: 2}.withDefaults()
 	// rank = pp*(tp*dp) + dp*tp + tp; dp = 4.

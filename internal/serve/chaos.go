@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sync/atomic"
 	"time"
 
@@ -85,6 +86,9 @@ type ChaosPlan struct {
 	Events []ChaosEvent `json:"events"`
 }
 
+// maxLatencyMS is the longest latency_ms a time.Duration holds.
+const maxLatencyMS = math.MaxInt64 / int64(time.Millisecond)
+
 // Validate checks the plan's internal consistency.
 func (p *ChaosPlan) Validate() error {
 	for i := range p.Events {
@@ -105,8 +109,8 @@ func (p *ChaosPlan) Validate() error {
 		if e.UntilMS != 0 && e.UntilMS <= e.FromMS {
 			return fmt.Errorf("chaos: event %d: until_ms %d <= from_ms %d", i, e.UntilMS, e.FromMS)
 		}
-		if e.Kind == ChaosLatency && e.LatencyMS <= 0 {
-			return fmt.Errorf("chaos: event %d: latency event needs latency_ms > 0", i)
+		if e.Kind == ChaosLatency && (e.LatencyMS <= 0 || e.LatencyMS > maxLatencyMS) {
+			return fmt.Errorf("chaos: event %d: latency event needs latency_ms in (0, %d]", i, maxLatencyMS)
 		}
 		if e.Fraction < 0 || e.Fraction > 1 {
 			return fmt.Errorf("chaos: event %d: fraction %v outside [0, 1]", i, e.Fraction)

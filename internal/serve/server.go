@@ -496,12 +496,14 @@ func (s *Server) requestCtx(r *http.Request, specs []PredictSpec) (context.Conte
 	}
 	d := s.cfg.DefaultDeadline
 	if ms > 0 {
-		d = time.Duration(ms) * time.Millisecond
-	}
-	if d > s.cfg.MaxDeadline {
 		d = s.cfg.MaxDeadline
+		// Compare in milliseconds: a huge deadline_ms would overflow
+		// the conversion to a Duration.
+		if ms < d.Milliseconds() {
+			d = time.Duration(ms) * time.Millisecond
+		}
 	}
-	return context.WithTimeout(r.Context(), d)
+	return context.WithTimeout(r.Context(), min(d, s.cfg.MaxDeadline))
 }
 
 // predictOutcome is what a coalescing flight produces.

@@ -26,6 +26,7 @@ type PredictSpec struct {
 	// GlobalBatch is the global batch size in sequences.
 	GlobalBatch int `json:"global_batch"`
 	// TP, PP, MicroBatches, VirtualStages shape the parallelism.
+	// MicroBatches is at most maxMicroBatches.
 	TP            int `json:"tp,omitempty"`
 	PP            int `json:"pp,omitempty"`
 	MicroBatches  int `json:"micro_batches,omitempty"`
@@ -59,8 +60,14 @@ const (
 	annNetsim   = "netsim"
 )
 
-// normalize fills defaults and validates enumerations; it does not
-// touch recipe arithmetic (NewMegatron owns that).
+// maxMicroBatches bounds a spec's micro_batches: the pipeline
+// schedule, and every rank's emulation, grow linearly with it, so an
+// unbounded value lets one request take the server's memory.
+const maxMicroBatches = 1 << 10
+
+// normalize fills defaults and validates enumerations and the
+// micro-batch bound; it does not touch recipe arithmetic (NewMegatron
+// owns that).
 func (s *PredictSpec) normalize() error {
 	if s.Model == "" {
 		return fmt.Errorf("missing model")
@@ -76,6 +83,9 @@ func (s *PredictSpec) normalize() error {
 	}
 	if s.MicroBatches <= 0 {
 		s.MicroBatches = 1
+	}
+	if s.MicroBatches > maxMicroBatches {
+		return fmt.Errorf("micro_batches must be at most %d, got %d", maxMicroBatches, s.MicroBatches)
 	}
 	if s.VirtualStages <= 0 {
 		s.VirtualStages = 1

@@ -154,15 +154,14 @@ var (
 // annotate with the ground-truth oracle (MeasureActual, or Predict
 // under WithOracleAnnotation) never require a trained suite.
 type Predictor struct {
-	cluster    hardware.Cluster
-	kind       ProfileKind
-	opts       core.Options
-	cache      *EstimatorCache
-	captures   *CaptureCache
-	netsim     bool
-	congestion bool
-	netModel   *netsim.Model
-	oracle     *silicon.Oracle
+	cluster  hardware.Cluster
+	kind     ProfileKind
+	topology string // the WithTopology spec, stamped into captures
+	defaults predictSettings
+	cache    *EstimatorCache
+	captures *CaptureCache
+	netModel *netsim.Model
+	oracle   *silicon.Oracle
 
 	// netsimSuites memoizes the netsim-wrapped view of each resolved
 	// base suite. Wrapping allocates a new *Suite, and capture-
@@ -174,47 +173,35 @@ type Predictor struct {
 	netsimSuite *estimator.Suite
 }
 
-// predictorConfig collects NewPredictor options.
-type predictorConfig struct {
-	opts       core.Options
-	cache      *EstimatorCache
-	captures   *CaptureCache
-	netsim     bool
-	congestion bool
-	topology   string
-	ckptEvery  int
-	ckptSet    bool
-}
-
 // PredictorOption customizes Predictor construction. Options that
-// also make sense per call (WithNetSim, WithSeed) satisfy both
-// PredictorOption and PredictOption.
+// also make sense per call satisfy both PredictorOption and
+// PredictOption (see Option).
 type PredictorOption interface {
-	applyPredictor(*predictorConfig)
+	applyPredictor(*Predictor)
 }
 
 // predictorOption adapts a plain function to PredictorOption.
-type predictorOption func(*predictorConfig)
+type predictorOption func(*Predictor)
 
-func (f predictorOption) applyPredictor(c *predictorConfig) { f(c) }
+func (f predictorOption) applyPredictor(p *Predictor) { f(p) }
 
 // WithoutDedup disables worker deduplication (every rank is emulated
 // and simulated).
 func WithoutDedup() PredictorOption {
-	return predictorOption(func(c *predictorConfig) { c.opts.NoDedup = true })
+	return predictorOption(func(p *Predictor) { p.defaults.noDedup = true })
 }
 
 // WithValidation enables cross-worker collective consistency checks
 // on every call of the predictor.
 func WithValidation() PredictorOption {
-	return predictorOption(func(c *predictorConfig) { c.opts.Validate = true })
+	return predictorOption(func(p *Predictor) { p.defaults.validate = true })
 }
 
 // WithEstimatorCache injects the cache the predictor resolves its
 // estimator suite from. Predictors without it share
 // DefaultEstimatorCache.
 func WithEstimatorCache(cache *EstimatorCache) PredictorOption {
-	return predictorOption(func(c *predictorConfig) { c.cache = cache })
+	return predictorOption(func(p *Predictor) { p.cache = cache })
 }
 
 // WithTopology selects the network fabric the predictor models the
@@ -227,25 +214,27 @@ func WithEstimatorCache(cache *EstimatorCache) PredictorOption {
 // (WithNetSim) and congestion-aware simulation (WithCongestion), and
 // is stamped into captures as provenance.
 func WithTopology(spec string) PredictorOption {
-	return predictorOption(func(c *predictorConfig) { c.topology = spec })
+	return predictorOption(func(p *Predictor) { p.topology = spec })
 }
 
 // Option is accepted both at predictor construction and per call:
-// construction sets the predictor's default, a per-call use overrides
-// it for that call only.
+// WithNetSim, WithCongestion, WithSeed, WithFaults and
+// WithCheckpointEvery. Construction sets the predictor's default;
+// every call starts from those defaults and applies its own options
+// over them, in order, so a per-call use overrides the default for
+// that call only.
 type Option interface {
 	PredictorOption
 	PredictOption
 }
 
-// dualOption implements Option.
-type dualOption struct {
-	ctor func(*predictorConfig)
-	call func(*predictSettings)
-}
+// dualOption implements Option: one setting, applied to the
+// predictor's defaults at construction and to a call's copy of them
+// per call.
+type dualOption func(*predictSettings)
 
-func (d dualOption) applyPredictor(c *predictorConfig) { d.ctor(c) }
-func (d dualOption) applyPredict(s *predictSettings)   { d.call(s) }
+func (f dualOption) applyPredictor(p *Predictor)     { f(&p.defaults) }
+func (f dualOption) applyPredict(s *predictSettings) { f(s) }
 
 // WithNetSim sources collective times from the built-in hierarchical
 // network simulator instead of profiled curves — required beyond
@@ -253,10 +242,7 @@ func (d dualOption) applyPredict(s *predictSettings)   { d.call(s) }
 // predictor's default; as a PredictOption it selects netsim
 // collectives for one Predict/Simulate call.
 func WithNetSim() Option {
-	return dualOption{
-		ctor: func(c *predictorConfig) { c.netsim = true },
-		call: func(s *predictSettings) { on := true; s.netsim = &on },
-	}
+	return dualOption(func(s *predictSettings) { s.netsim = true })
 }
 
 // WithCongestion resolves collective completions against link-level
@@ -269,13 +255,10 @@ func WithNetSim() Option {
 // bit-identical reports. Physical-replay calls (MeasureActual,
 // WithPhysicalReplay) model contention through the silicon instead
 // and ignore this option. As a PredictorOption it becomes the
-// predictor's default; as a PredictOption it enables (or, via
-// construction default, carries) congestion for one call.
+// predictor's default; as a PredictOption it enables congestion for
+// one call.
 func WithCongestion() Option {
-	return dualOption{
-		ctor: func(c *predictorConfig) { c.congestion = true },
-		call: func(s *predictSettings) { on := true; s.congestion = &on },
-	}
+	return dualOption(func(s *predictSettings) { s.congestion = true })
 }
 
 // WithSeed namespaces the measurement randomness of the synthetic
@@ -284,10 +267,7 @@ func WithCongestion() Option {
 // the predictor default; as a PredictOption it overrides one call.
 // The zero seed is the canonical silicon.
 func WithSeed(seed uint64) Option {
-	return dualOption{
-		ctor: func(c *predictorConfig) { c.opts.Seed = seed },
-		call: func(s *predictSettings) { s.seed = &seed },
-	}
+	return dualOption(func(s *predictSettings) { s.seed = seed })
 }
 
 // NewPredictor returns a predictor for the cluster. Construction
@@ -298,38 +278,28 @@ func NewPredictor(cluster Cluster, kind ProfileKind, opts ...PredictorOption) (*
 	if err := cluster.Validate(); err != nil {
 		return nil, err
 	}
-	cfg := predictorConfig{
-		opts:  core.Options{SelectiveLaunch: true},
-		cache: DefaultEstimatorCache(),
+	p := &Predictor{
+		cluster:  cluster,
+		kind:     kind,
+		defaults: predictSettings{dtype: BF16},
+		cache:    DefaultEstimatorCache(),
+		oracle:   core.DefaultOracle(cluster),
 	}
 	for _, opt := range opts {
-		opt.applyPredictor(&cfg)
+		opt.applyPredictor(p)
 	}
-	fabric, err := topo.ByName(cfg.topology, cluster)
+	fabric, err := topo.ByName(p.topology, cluster)
 	if err != nil {
 		return nil, fmt.Errorf("maya: %w", err)
 	}
-	cfg.opts.Topology = cfg.topology
-	if cfg.ckptSet {
-		cfg.opts.Faults = mergeCheckpoint(cfg.opts.Faults, cfg.ckptEvery)
-	}
-	if cfg.opts.Faults != nil {
-		if err := cfg.opts.Faults.Validate(); err != nil {
+	p.netModel = netsim.NewWithTopology(cluster, fabric)
+	p.defaults.foldCheckpoint()
+	if p.defaults.faults != nil {
+		if err := p.defaults.faults.Validate(); err != nil {
 			return nil, fmt.Errorf("maya: %w", err)
 		}
-		cfg.opts.NoDedup = true
 	}
-	return &Predictor{
-		cluster:    cluster,
-		kind:       kind,
-		opts:       cfg.opts,
-		cache:      cfg.cache,
-		captures:   cfg.captures,
-		netsim:     cfg.netsim,
-		congestion: cfg.congestion,
-		netModel:   netsim.NewWithTopology(cluster, fabric),
-		oracle:     core.DefaultOracle(cluster),
-	}, nil
+	return p, nil
 }
 
 // Cluster returns the predictor's target cluster.
@@ -341,7 +311,7 @@ func (p *Predictor) Topology() string { return p.netModel.Topology().Name }
 
 // CongestionDefault reports whether congestion-aware simulation is
 // this predictor's construction default (WithCongestion).
-func (p *Predictor) CongestionDefault() bool { return p.congestion }
+func (p *Predictor) CongestionDefault() bool { return p.defaults.congestion }
 
 // ProfileKind returns the kernel-family profile the predictor's
 // estimators are trained on.
@@ -368,8 +338,9 @@ func (p *Predictor) Warm(ctx context.Context) error {
 	return err
 }
 
-// predictSettings are the per-call knobs of Predict, MeasureActual,
-// Capture, Simulate and batch requests.
+// predictSettings are the settings of one Predict, MeasureActual,
+// Capture, Simulate or batch request. The predictor holds one as its
+// defaults; settings merges a call's options over a copy of them.
 type predictSettings struct {
 	flops      float64
 	dtype      DType
@@ -377,14 +348,14 @@ type predictSettings struct {
 	physical   bool
 	breakdown  bool
 	observer   sim.Observer
-	netsim     *bool
-	congestion *bool
-	seed       *uint64
-	validate   *bool
+	netsim     bool
+	congestion bool
+	seed       uint64
+	validate   bool
+	noDedup    bool // WithoutDedup; captureOptions adds the plan's demand
 	faults     *faults.Plan
-	faultsSet  bool
 	ckptEvery  int
-	ckptSet    bool
+	ckptSet    bool // ckptEvery is pending, not yet folded into faults
 }
 
 // PredictOption customizes one Predict, MeasureActual, Capture,
@@ -431,7 +402,7 @@ func WithPhysicalReplay() PredictOption {
 // WithValidation construction default. Validation runs during
 // collation, so for a pre-captured Trace it has no effect.
 func WithValidationOverride(on bool) PredictOption {
-	return predictOption(func(s *predictSettings) { s.validate = &on })
+	return predictOption(func(s *predictSettings) { s.validate = on })
 }
 
 // NewTimeline returns an empty timeline recorder for WithTimeline.
@@ -463,12 +434,53 @@ func WithStallBreakdown() PredictOption {
 	return predictOption(func(s *predictSettings) { s.breakdown = true })
 }
 
-func applyPredictOptions(opts []PredictOption) predictSettings {
-	s := predictSettings{dtype: BF16}
+// settings is the one merge of the predictor's defaults and a call's
+// options: the options apply, in order, over a copy of the defaults,
+// then a WithCheckpointEvery folds into the plan that results.
+func (p *Predictor) settings(opts []PredictOption) predictSettings {
+	s := p.defaults
 	for _, opt := range opts {
 		opt.applyPredict(&s)
 	}
+	s.foldCheckpoint()
 	return s
+}
+
+// foldCheckpoint sets the fault plan's checkpoint interval to a
+// pending WithCheckpointEvery value (k <= 0 disables checkpointing),
+// on a copy so the caller's plan stays unmutated, and mints a
+// checkpoint-only plan when there is none yet. NewPredictor folds the
+// defaults the same way, so a per-call WithFaults replaces a
+// construction interval along with the default plan.
+func (s *predictSettings) foldCheckpoint() {
+	if !s.ckptSet {
+		return
+	}
+	s.ckptSet = false
+	switch {
+	case s.faults != nil:
+		plan := *s.faults
+		plan.CheckpointEvery = max(s.ckptEvery, 0)
+		s.faults = &plan
+	case s.ckptEvery > 0:
+		s.faults = &faults.Plan{CheckpointEvery: s.ckptEvery}
+	}
+}
+
+// captureOptions derives the core options a capture depends on from a
+// call's settings; both capture keys read its result. It is the one
+// place NoDedup is decided: fault plans address world ranks, so
+// WithoutDedup, a predictor default plan and the call's own plan all
+// capture every rank — a predictor built with a plan even on a call
+// that drops it.
+func (p *Predictor) captureOptions(s predictSettings) core.Options {
+	return core.Options{
+		SelectiveLaunch: true,
+		Validate:        s.validate,
+		Seed:            s.seed,
+		Topology:        p.topology,
+		NoDedup:         s.noDedup || s.faults != nil || p.defaults.faults != nil,
+	}
 }
 
 // resolveSuite returns the predictor's trained estimator suite,
@@ -480,11 +492,7 @@ func (p *Predictor) resolveSuite(ctx context.Context, s predictSettings) (*estim
 	if err != nil {
 		return nil, fmt.Errorf("maya: training estimators: %w", err)
 	}
-	useNetsim := p.netsim
-	if s.netsim != nil {
-		useNetsim = *s.netsim
-	}
-	if useNetsim {
+	if s.netsim {
 		suite = p.netsimView(suite)
 	}
 	return suite, nil
@@ -505,78 +513,25 @@ func (p *Predictor) netsimView(base *estimator.Suite) *estimator.Suite {
 	return p.netsimSuite
 }
 
-// capturePipeline builds the pipeline view for the capture stage:
-// shared cluster, capture-relevant option overrides, no suite (the
-// capture stage never estimates).
-func (p *Predictor) capturePipeline(s predictSettings) *core.Pipeline {
-	opts := p.opts
-	if s.validate != nil {
-		opts.Validate = *s.validate
-	}
-	if s.seed != nil {
-		opts.Seed = *s.seed
-	}
-	opts.Faults = resolveFaultPlan(opts.Faults, s)
-	if opts.Faults != nil {
-		// Fault plans address world ranks: captures taken for this
-		// call must carry every worker.
-		opts.NoDedup = true
-	}
-	return &core.Pipeline{Cluster: p.cluster, Opts: opts}
-}
-
-// resolveFaultPlan folds the per-call fault options over the
-// predictor default: WithFaults replaces the plan, WithCheckpointEvery
-// overrides (or introduces) its checkpoint interval on a copy, so
-// the caller's plan and the predictor default stay unmutated.
-func resolveFaultPlan(def *faults.Plan, s predictSettings) *faults.Plan {
-	plan := def
-	if s.faultsSet {
-		plan = s.faults
-	}
-	if !s.ckptSet {
-		return plan
-	}
-	return mergeCheckpoint(plan, s.ckptEvery)
-}
-
-// mergeCheckpoint returns plan with its checkpoint interval set to k
-// (k <= 0 disables checkpointing), minting a checkpoint-only plan
-// when there is none yet.
-func mergeCheckpoint(plan *faults.Plan, k int) *faults.Plan {
-	if plan == nil {
-		if k <= 0 {
-			return nil
-		}
-		return &faults.Plan{CheckpointEvery: k}
-	}
-	cp := *plan
-	cp.CheckpointEvery = max(k, 0)
-	return &cp
-}
-
 // pipelineFor builds the full per-call pipeline view: shared cluster
-// and suite, per-call option overrides. Calls that annotate with
-// ground truth (oracle or physical replay) skip suite resolution and
-// therefore never train.
+// and suite, the call's capture options plus its simulation settings.
+// Calls that annotate with ground truth (oracle or physical replay)
+// skip suite resolution and therefore never train.
 func (p *Predictor) pipelineFor(ctx context.Context, s predictSettings) (*core.Pipeline, error) {
-	pipe := p.capturePipeline(s)
+	if s.faults != nil && s.physical {
+		return nil, errors.New("maya: fault scenarios apply to simulated predictions only; physical replay models the silicon, not operational faults")
+	}
+	pipe := &core.Pipeline{Cluster: p.cluster, Opts: p.captureOptions(s)}
+	pipe.Opts.Faults = s.faults
 	pipe.Opts.Observer = s.observer
 	pipe.Opts.Breakdown = s.breakdown
 	if s.oracle {
 		pipe.Opts.Oracle = p.oracle
 	}
-	congestion := p.congestion
-	if s.congestion != nil {
-		congestion = *s.congestion
-	}
-	if congestion && !s.physical {
+	if s.congestion && !s.physical {
 		// Physical replay models contention through the silicon; the
 		// link-sharing model applies to simulated predictions only.
 		pipe.Opts.Congestion = p.netModel
-	}
-	if pipe.Opts.Faults != nil && s.physical {
-		return nil, errors.New("maya: fault scenarios apply to simulated predictions only; physical replay models the silicon, not operational faults")
 	}
 	if !s.oracle && !s.physical {
 		suite, err := p.resolveSuite(ctx, s)
@@ -619,7 +574,7 @@ func (p *Predictor) Predict(ctx context.Context, w Workload, opts ...PredictOpti
 	if w == nil {
 		return nil, errors.New("maya: Predict of a nil workload")
 	}
-	return p.predict(ctx, w, applyPredictOptions(opts))
+	return p.predict(ctx, w, p.settings(opts))
 }
 
 func (p *Predictor) predict(ctx context.Context, w Workload, s predictSettings) (*Report, error) {
@@ -627,7 +582,7 @@ func (p *Predictor) predict(ctx context.Context, w Workload, s predictSettings) 
 	if err != nil {
 		return nil, err
 	}
-	c, paid, err := p.captureFor(ctx, pipe, w)
+	c, paid, err := p.captureFor(ctx, p.captureOptions(s), w)
 	if err != nil {
 		return nil, err
 	}
@@ -645,7 +600,7 @@ func (p *Predictor) MeasureActual(ctx context.Context, w Workload, opts ...Predi
 	if w == nil {
 		return nil, errors.New("maya: MeasureActual of a nil workload")
 	}
-	s := applyPredictOptions(opts)
+	s := p.settings(opts)
 	s.physical = true
 	return p.predict(ctx, w, s)
 }

@@ -59,19 +59,21 @@ func (p *Predictor) FindRecipe(ctx context.Context, problem SearchProblem, opts 
 		return nil, fmt.Errorf("maya: FindRecipe problem targets %s but the predictor models %s",
 			problem.Cluster.Name, p.cluster.Name)
 	}
-	pipe, err := p.pipelineFor(ctx, applyPredictOptions(nil))
+	s := p.settings(nil)
+	pipe, err := p.pipelineFor(ctx, s)
 	if err != nil {
 		return nil, err
 	}
 	flops := problem.Model.TrainFLOPsPerIter(problem.GlobalBatch)
 	var scratches []*core.SimScratch
 	defer func() {
-		for _, s := range scratches {
-			s.Release()
+		for _, scratch := range scratches {
+			scratch.Release()
 		}
 	}()
+	captureOpts := p.captureOptions(s)
 	capture := func(ctx context.Context, w Workload) (*core.Capture, error) {
-		c, _, err := p.captureFor(ctx, pipe, w)
+		c, _, err := p.captureFor(ctx, captureOpts, w)
 		return c, err
 	}
 	// RunWorkers calls the factory for one worker at a time.

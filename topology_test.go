@@ -60,6 +60,33 @@ func TestTopologySpecValidationAndProvenance(t *testing.T) {
 	}
 }
 
+// TestSharedCaptureCacheKeepsTopology pins that predictors of
+// different fabrics sharing one capture cache each get a capture
+// stamped with their own topology: the stamp is serialized with the
+// trace, so a capture may only be shared under the same spec.
+func TestSharedCaptureCacheKeepsTopology(t *testing.T) {
+	ctx := context.Background()
+	cc := maya.NewCaptureCache(4)
+	w := topoWorkload(t)
+	for _, spec := range []string{"flat", "rail", "flat"} {
+		pred, err := maya.NewPredictor(maya.DGXH100(2), maya.ProfileLLM,
+			maya.WithTopology(spec), maya.WithCaptureCache(cc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := pred.Capture(ctx, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := tr.Topology(); got != spec {
+			t.Errorf("%s predictor's capture is stamped %q", spec, got)
+		}
+	}
+	if s := cc.Stats(); s.Misses != 2 || s.Hits != 1 {
+		t.Errorf("stats = %+v, want 2 misses (one per fabric) and 1 hit", s)
+	}
+}
+
 func TestCongestionDeterministicAndMonotone(t *testing.T) {
 	ctx := context.Background()
 	pred, err := maya.NewPredictor(maya.DGXH100(2), maya.ProfileLLM)

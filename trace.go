@@ -122,8 +122,7 @@ func (p *Predictor) Capture(ctx context.Context, w Workload, opts ...PredictOpti
 	if w == nil {
 		return nil, errors.New("maya: Capture of a nil workload")
 	}
-	s := applyPredictOptions(opts)
-	c, _, err := p.captureFor(ctx, p.capturePipeline(s), w)
+	c, _, err := p.captureFor(ctx, p.captureOptions(p.settings(opts)), w)
 	if err != nil {
 		return nil, err
 	}
@@ -153,7 +152,7 @@ func (p *Predictor) Simulate(ctx context.Context, tr *Trace, opts ...PredictOpti
 		return nil, fmt.Errorf("maya: trace captured on %s but the predictor models %s",
 			tr.cap.Cluster, p.cluster.Name)
 	}
-	s := applyPredictOptions(opts)
+	s := p.settings(opts)
 	pipe, err := p.pipelineFor(ctx, s)
 	if err != nil {
 		return nil, err
