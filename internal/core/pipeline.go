@@ -376,9 +376,9 @@ func (p *Pipeline) replay(ctx context.Context, c *Capture, timer trace.Timer, ph
 	if faultPlan != nil && !sr.Truncated {
 		// The main run above is the straggler-perturbed baseline; the
 		// walk re-runs the job per failure (and once cleanly when
-		// stragglers skew the baseline) on the same engine. Per-run
-		// observers are Evaluate's own — the caller's observer saw
-		// exactly one run, the main one.
+		// stragglers skew the baseline) on the same engine, with no
+		// observer: the caller's observer saw exactly one run, the
+		// main one.
 		runner := func(rctx context.Context, inj *sim.Injection, robs sim.Observer) (*sim.Report, error) {
 			o := simOpts
 			o.Faults, o.Observer = inj, robs

@@ -22,8 +22,10 @@ var ErrDiverged = errors.New("faults: scenario diverged")
 // Runner executes one engine run of the scenario's job with the given
 // injection and observer attached (nil inj means fault-free, nil obs
 // means unobserved). Evaluate calls it for the clean baseline and
-// once per failure to price the wedge; the caller binds it to
-// whatever engine strategy it uses (fresh, scratch-owned or pooled).
+// once per failure to price the wedge, always with a nil observer: a
+// wedge run's Report.Wedged says where each survivor stalled. The
+// caller binds it to whatever engine strategy it uses (fresh,
+// scratch-owned or pooled).
 type Runner func(ctx context.Context, inj *sim.Injection, obs sim.Observer) (*sim.Report, error)
 
 // maxRestartsDefault bounds recovery attempts when the plan doesn't.
@@ -197,18 +199,18 @@ func Evaluate(ctx context.Context, plan *Plan, job *trace.Job, perturbed *sim.Re
 		if baseInj != nil {
 			inj.Slowdown = baseInj.Slowdown
 		}
-		obs := NewObserver()
-		if _, err := run(ctx, inj, obs); err != nil {
+		wedge, err := run(ctx, inj, nil)
+		if err != nil {
 			return fmt.Errorf("faults: wedge run for rank %d at %v: %w", f.rank, time.Duration(traceAt), err)
 		}
 		detectEnd := traceAt + f.detect
 		var idle int64
 		wedged := 0
-		for w := range job.Workers {
+		for w, at := range wedge.Wedged {
 			if w == byRank[f.rank] {
 				continue
 			}
-			if at, ok := obs.Wedged(w); ok {
+			if at >= 0 {
 				wedged++
 				if detectEnd > at {
 					idle += detectEnd - at

@@ -74,9 +74,6 @@ func (b *Breakdown) add(g *[][]interval, w int, start, end int64, comm bool) {
 	(*g)[w] = append((*g)[w], interval{start: start, end: end, comm: comm})
 }
 
-// OpStart implements Observer.
-func (b *Breakdown) OpStart(int, int64, *trace.Op, int64, int64) {}
-
 // OpEnd implements Observer.
 func (b *Breakdown) OpEnd(w int, _ int64, _ *trace.Op, start, end int64) {
 	b.add(&b.busy, w, start, end, false)
@@ -86,9 +83,6 @@ func (b *Breakdown) OpEnd(w int, _ int64, _ *trace.Op, start, end int64) {
 func (b *Breakdown) CollectiveFired(w int, _ int64, _ *trace.Op, _ trace.CollKey, start, end int64) {
 	b.add(&b.busy, w, start, end, true)
 }
-
-// StallBegin implements Observer.
-func (b *Breakdown) StallBegin(int, int64, StallKind, int64) {}
 
 // StallEnd implements Observer.
 func (b *Breakdown) StallEnd(w int, _ int64, kind StallKind, begin, end int64) {

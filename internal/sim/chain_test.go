@@ -19,10 +19,8 @@ type streamKey struct {
 // observer costs, and must not change, with nothing observed.
 type nopObserver struct{}
 
-func (nopObserver) OpStart(int, int64, *trace.Op, int64, int64)                        {}
 func (nopObserver) OpEnd(int, int64, *trace.Op, int64, int64)                          {}
 func (nopObserver) CollectiveFired(int, int64, *trace.Op, trace.CollKey, int64, int64) {}
-func (nopObserver) StallBegin(int, int64, StallKind, int64)                            {}
 func (nopObserver) StallEnd(int, int64, StallKind, int64, int64)                       {}
 func (nopObserver) HostDelay(int, int64, int64)                                        {}
 func (nopObserver) Mark(int, string, int64)                                            {}
@@ -126,15 +124,14 @@ func TestChainedDispatchMatchesUnchained(t *testing.T) {
 	}
 }
 
-// checkOpCallbacks asserts the recorder heard one OpStart and one
-// OpEnd per timed op of the job, per stream in op order, both with the
-// same interval, each op starting no earlier than its predecessor on
-// the stream ended.
+// checkOpCallbacks asserts the recorder heard one OpEnd per timed op
+// of the job, per stream in op order, each op starting no earlier
+// than its predecessor on the stream ended.
 func checkOpCallbacks(t *testing.T, j *trace.Job, events []recEvent) {
 	t.Helper()
 	heard := map[streamKey][]recEvent{}
 	for _, ev := range events {
-		if ev.kind == "opStart" || ev.kind == "opEnd" {
+		if ev.kind == "opEnd" {
 			k := streamKey{ev.w, ev.stream}
 			heard[k] = append(heard[k], ev)
 		}
@@ -148,26 +145,26 @@ func checkOpCallbacks(t *testing.T, j *trace.Job, events []recEvent) {
 			}
 			k := streamKey{w, op.Stream}
 			i := next[k]
-			next[k] = i + 2
-			if i+1 >= len(heard[k]) {
+			next[k] = i + 1
+			if i >= len(heard[k]) {
 				t.Fatalf("worker %d stream %d: op %d never reported", w, op.Stream, op.Seq)
 			}
-			s, e := heard[k][i], heard[k][i+1]
-			if s.kind != "opStart" || e.kind != "opEnd" || s.seq != op.Seq || e.seq != op.Seq {
-				t.Fatalf("worker %d stream %d: op %d heard as %+v, %+v", w, op.Stream, op.Seq, s, e)
+			e := heard[k][i]
+			if e.seq != op.Seq {
+				t.Fatalf("worker %d stream %d: op %d heard as %+v", w, op.Stream, op.Seq, e)
 			}
-			if s.a != e.a || s.b != e.b || s.a > s.b {
-				t.Fatalf("worker %d op %d: OpStart [%d, %d) vs OpEnd [%d, %d)", w, op.Seq, s.a, s.b, e.a, e.b)
+			if e.a > e.b {
+				t.Fatalf("worker %d op %d: OpEnd [%d, %d)", w, op.Seq, e.a, e.b)
 			}
-			if s.a < lastEnd[k] {
-				t.Fatalf("worker %d op %d starts at %d, before its predecessor ended at %d", w, op.Seq, s.a, lastEnd[k])
+			if e.a < lastEnd[k] {
+				t.Fatalf("worker %d op %d starts at %d, before its predecessor ended at %d", w, op.Seq, e.a, lastEnd[k])
 			}
 			lastEnd[k] = e.b
 		}
 	}
 	for k, evs := range heard {
 		if len(evs) != next[k] {
-			t.Fatalf("worker %d stream %d: %d op callbacks for %d timed ops", k.w, k.s, len(evs), next[k]/2)
+			t.Fatalf("worker %d stream %d: %d op callbacks for %d timed ops", k.w, k.s, len(evs), next[k])
 		}
 	}
 }

@@ -19,8 +19,8 @@ package sim
 //     frontier is exact, not truncated mid-op. When the event heap
 //     drains with workers still blocked, the run reports Halted
 //     instead of diagnosing a trace deadlock: the wedge is the
-//     scenario, and each survivor's HostEnd is the frontier where it
-//     stalled on the dead rank.
+//     scenario, and Report.Wedged holds, per worker, when it began
+//     waiting on a collective the dead rank never joined.
 //
 // Injection checks are nil tests on the dispatch path, made per op
 // inside a dispatch chain; a run without an Injection pays nothing.

@@ -33,30 +33,30 @@ func (k StallKind) String() string {
 //     Observers must not call back into the engine and must not
 //     retain *trace.Op pointers past the call — pooled engines rebind
 //     to new jobs.
-//   - Timed ops are reported per stream in op order: an op's OpStart
-//     and OpEnd arrive together, by the event that retires its
-//     dispatch chain, both with its own final [start, end). A run
-//     truncated at its TimeLimit delivers none for a chain retiring
-//     past the horizon. Other callbacks arrive in simulation order.
+//   - Timed ops are reported per stream in op order: each op's OpEnd
+//     arrives by the event that retires its dispatch chain, with its
+//     own final [start, end). A run truncated at its TimeLimit
+//     delivers none for a chain retiring past the horizon. Other
+//     callbacks arrive in simulation order.
 //   - Times are simulated nanoseconds since run start.
-//   - StallEnd's end is when the blocker resolved: for StallEvent the
-//     recorded event's completion, for StallCollective the moment the
-//     last participant arrived (the collective's wire time follows as
-//     CollectiveFired, not stall).
+//   - StallEnd's begin is when the stream stopped; its end is when
+//     the blocker resolved: for StallEvent the recorded event's
+//     completion, for StallCollective the moment the last participant
+//     arrived (the collective's wire time follows as CollectiveFired,
+//     not stall).
 //   - CollectiveFired is delivered once per participant, with that
 //     participant's worker/stream.
 type Observer interface {
-	// OpStart: a timed device op (kernel, memcpy, memset) ran on a
-	// stream from start.
-	OpStart(w int, stream int64, op *trace.Op, start, end int64)
-	// OpEnd: the op completed at end.
+	// OpEnd: a timed device op (kernel, memcpy, memset) ran on a
+	// stream during [start, end).
 	OpEnd(w int, stream int64, op *trace.Op, start, end int64)
 	// CollectiveFired: a collective this worker participates in ran
 	// over the wire during [start, end).
 	CollectiveFired(w int, stream int64, op *trace.Op, key trace.CollKey, start, end int64)
-	// StallBegin: the stream stopped, blocked on kind.
-	StallBegin(w int, stream int64, kind StallKind, at int64)
-	// StallEnd: the blocker resolved; the stall spanned [begin, end).
+	// StallEnd: the stream's blocker of kind resolved; the stall
+	// spanned [begin, end). A stall still open when the run ends
+	// reports nothing (a fail-stop run's open collective stalls are
+	// Report.Wedged).
 	StallEnd(w int, stream int64, kind StallKind, begin, end int64)
 	// HostDelay: the worker's host thread spent [start, end) between
 	// API calls (measured CPU time from the emulation).
@@ -68,12 +68,6 @@ type Observer interface {
 // multiObserver fans callbacks out to several observers in order.
 type multiObserver []Observer
 
-func (m multiObserver) OpStart(w int, stream int64, op *trace.Op, start, end int64) {
-	for _, o := range m {
-		o.OpStart(w, stream, op, start, end)
-	}
-}
-
 func (m multiObserver) OpEnd(w int, stream int64, op *trace.Op, start, end int64) {
 	for _, o := range m {
 		o.OpEnd(w, stream, op, start, end)
@@ -83,12 +77,6 @@ func (m multiObserver) OpEnd(w int, stream int64, op *trace.Op, start, end int64
 func (m multiObserver) CollectiveFired(w int, stream int64, op *trace.Op, key trace.CollKey, start, end int64) {
 	for _, o := range m {
 		o.CollectiveFired(w, stream, op, key, start, end)
-	}
-}
-
-func (m multiObserver) StallBegin(w int, stream int64, kind StallKind, at int64) {
-	for _, o := range m {
-		o.StallBegin(w, stream, kind, at)
 	}
 }
 

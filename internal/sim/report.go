@@ -23,8 +23,12 @@ type Report struct {
 	Truncated bool
 	// Halted marks a fail-stop run that wedged: the injected worker
 	// froze and survivors stalled on its collectives until the event
-	// heap drained. HostEnd holds each worker's stall frontier.
+	// heap drained. Wedged says where each worker stalled.
 	Halted bool
+	// Wedged is set on Halted runs only (nil otherwise): per worker,
+	// the earliest simulated ns at which one of its streams began
+	// waiting on a collective that never fired, or -1 if none did.
+	Wedged []int64
 	// Makespan is the completion time of the slowest worker.
 	Makespan time.Duration
 	// HostEnd is each worker's host completion time.
@@ -78,6 +82,21 @@ func (e *Engine) buildReport() *Report {
 		r.ExposedComm[i] = exposed
 	}
 	return r
+}
+
+// wedged returns, per worker, the earliest stall start over its
+// streams still waiting in a collective, or -1.
+func (e *Engine) wedged() []int64 {
+	out := make([]int64, len(e.hosts))
+	for w := range out {
+		out[w] = -1
+		for _, st := range e.byWorker[w] {
+			if st.stalledCol && (out[w] < 0 || st.stallStart < out[w]) {
+				out[w] = st.stallStart
+			}
+		}
+	}
+	return out
 }
 
 // busyScratch is mergeBusy's reusable state; a zero value is ready to

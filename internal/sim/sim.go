@@ -703,9 +703,10 @@ func (e *Engine) Run(ctx context.Context) (*Report, error) {
 			if e.inj != nil && e.inj.FailStop != nil {
 				// The wedge is the injected scenario, not a trace bug:
 				// the dead worker froze and the survivors stalled on
-				// its collectives. Report the stall frontier.
+				// its collectives. Report where each one wedged.
 				rep := e.buildReport()
 				rep.Halted = true
+				rep.Wedged = e.wedged()
 				return rep, nil
 			}
 			return nil, e.deadlockError(h)
@@ -892,9 +893,6 @@ func (e *Engine) kickStream(st *streamState) {
 			st.waitSlot = slot
 			st.stallStart = start
 			e.parkStream(slot, st)
-			if e.obs != nil {
-				e.obs.StallBegin(st.w, st.id, StallEvent, start)
-			}
 			e.notifyDrain(st.w)
 			return
 		case trace.KindCollective:
@@ -903,9 +901,6 @@ func (e *Engine) kickStream(st *streamState) {
 			st.stalledCol = true
 			st.waitSlot = st.nextSlot()
 			st.stallStart = start
-			if e.obs != nil {
-				e.obs.StallBegin(st.w, st.id, StallCollective, start)
-			}
 			e.joinCollective(st, p.i, start)
 			return
 		default:
@@ -995,7 +990,6 @@ func (e *Engine) opEnd(st *streamState, epoch int64) {
 		ops := e.hosts[st.w].ops
 		for j := st.chainHead; j < st.head; j++ {
 			op, iv := &ops[st.queue[j].i], st.ivals[j]
-			e.obs.OpStart(st.w, st.id, op, iv.start, iv.end)
 			e.obs.OpEnd(st.w, st.id, op, iv.start, iv.end)
 		}
 	}

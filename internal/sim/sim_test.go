@@ -571,18 +571,12 @@ func TestReportDoesNotAliasEngineStorage(t *testing.T) {
 
 // countingObserver tallies every callback.
 type countingObserver struct {
-	opStarts, opEnds, colls, stallBegins, stallEnds, hostDelays, marks int
-	lastStall                                                          StallKind
+	opEnds, colls, stallEnds, hostDelays, marks int
 }
 
-func (c *countingObserver) OpStart(int, int64, *trace.Op, int64, int64) { c.opStarts++ }
-func (c *countingObserver) OpEnd(int, int64, *trace.Op, int64, int64)   { c.opEnds++ }
+func (c *countingObserver) OpEnd(int, int64, *trace.Op, int64, int64) { c.opEnds++ }
 func (c *countingObserver) CollectiveFired(int, int64, *trace.Op, trace.CollKey, int64, int64) {
 	c.colls++
-}
-func (c *countingObserver) StallBegin(_ int, _ int64, k StallKind, _ int64) {
-	c.stallBegins++
-	c.lastStall = k
 }
 func (c *countingObserver) StallEnd(int, int64, StallKind, int64, int64) { c.stallEnds++ }
 func (c *countingObserver) HostDelay(int, int64, int64)                  { c.hostDelays++ }
@@ -599,14 +593,14 @@ func TestObserverSeesEveryEvent(t *testing.T) {
 	// Per worker: 2 timed kernels, 1 collective, 1 event-wait stall
 	// (stream 2 waits for event 7), 1 collective stall, 1 host delay,
 	// 1 mark.
-	if obs.opStarts != 4 || obs.opEnds != 4 {
-		t.Errorf("op callbacks = %d/%d, want 4/4", obs.opStarts, obs.opEnds)
+	if obs.opEnds != 4 {
+		t.Errorf("op callbacks = %d, want 4", obs.opEnds)
 	}
 	if obs.colls != 2 {
 		t.Errorf("collective callbacks = %d, want 2 (one per participant)", obs.colls)
 	}
-	if obs.stallBegins != 4 || obs.stallEnds != 4 {
-		t.Errorf("stall callbacks = %d/%d, want 4/4", obs.stallBegins, obs.stallEnds)
+	if obs.stallEnds != 4 {
+		t.Errorf("stall callbacks = %d, want 4", obs.stallEnds)
 	}
 	if obs.hostDelays != 2 {
 		t.Errorf("host delay callbacks = %d, want 2", obs.hostDelays)

@@ -50,10 +50,6 @@ func usec(ns int64) float64 { return float64(ns) / 1e3 }
 // Len reports how many timeline events have been recorded.
 func (t *Timeline) Len() int { return len(t.events) }
 
-// OpStart implements Observer. The timeline records ops at OpEnd,
-// when the (possibly contention-stretched) end time is final.
-func (t *Timeline) OpStart(int, int64, *trace.Op, int64, int64) {}
-
 // OpEnd implements Observer.
 func (t *Timeline) OpEnd(w int, stream int64, op *trace.Op, start, end int64) {
 	name := op.Name
@@ -78,9 +74,6 @@ func (t *Timeline) CollectiveFired(w int, stream int64, op *trace.Op, key trace.
 		},
 	})
 }
-
-// StallBegin implements Observer.
-func (t *Timeline) StallBegin(int, int64, StallKind, int64) {}
 
 // StallEnd implements Observer.
 func (t *Timeline) StallEnd(w int, stream int64, kind StallKind, begin, end int64) {

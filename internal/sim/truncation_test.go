@@ -23,20 +23,12 @@ type recEvent struct {
 // recorder captures every observer callback in arrival order.
 type recorder struct{ events []recEvent }
 
-func (r *recorder) OpStart(w int, stream int64, op *trace.Op, start, end int64) {
-	r.events = append(r.events, recEvent{kind: "opStart", w: w, stream: stream, seq: op.Seq, a: start, b: end})
-}
-
 func (r *recorder) OpEnd(w int, stream int64, op *trace.Op, start, end int64) {
 	r.events = append(r.events, recEvent{kind: "opEnd", w: w, stream: stream, seq: op.Seq, a: start, b: end})
 }
 
 func (r *recorder) CollectiveFired(w int, stream int64, op *trace.Op, key trace.CollKey, start, end int64) {
 	r.events = append(r.events, recEvent{kind: "coll", w: w, stream: stream, seq: op.Seq, a: start, b: end})
-}
-
-func (r *recorder) StallBegin(w int, stream int64, kind StallKind, at int64) {
-	r.events = append(r.events, recEvent{kind: "stallBegin", w: w, stream: stream, stall: kind, a: at})
 }
 
 func (r *recorder) StallEnd(w int, stream int64, kind StallKind, begin, end int64) {

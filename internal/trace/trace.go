@@ -292,17 +292,6 @@ func (j *Job) PeakBytes() int64 {
 	return p
 }
 
-// Clone copies the job (workers as Compact does) so one copy can be
-// annotated with predictions while another holds ground truth.
-func (j *Job) Clone() *Job {
-	c := &Job{UniqueRanks: append([]int(nil), j.UniqueRanks...)}
-	c.Workers = make([]*Worker, len(j.Workers))
-	for i, w := range j.Workers {
-		c.Workers[i] = w.Compact()
-	}
-	return c
-}
-
 // WriteJSON streams the job trace as indented JSON.
 func (j *Job) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)

@@ -215,18 +215,6 @@ func TestShapesInternProbesPastCollisions(t *testing.T) {
 	}
 }
 
-func TestJobCloneIndependent(t *testing.T) {
-	j, err := NewJob([]*Worker{sampleWorker(0)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := j.Clone()
-	c.Workers[0].Ops[1].Dur = time.Hour
-	if j.Workers[0].Ops[1].Dur == time.Hour {
-		t.Fatal("job clone shares ops")
-	}
-}
-
 func TestStats(t *testing.T) {
 	st := sampleWorker(0).Stats()
 	if st.Kernels != 1 || st.Collectives != 1 {
