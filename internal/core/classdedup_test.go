@@ -16,6 +16,7 @@ import (
 	"maya/internal/framework"
 	"maya/internal/hardware"
 	"maya/internal/models"
+	"maya/internal/nccl"
 	"maya/internal/workload"
 )
 
@@ -290,5 +291,155 @@ func TestHyperscaleClassHintedCapture(t *testing.T) {
 	}
 	if cap.TotalWorkers != 256 || cap.UniqueWorkers != classes {
 		t.Fatalf("workers = %d/%d, want %d/256", cap.UniqueWorkers, cap.TotalWorkers, classes)
+	}
+}
+
+// hintedProber is a hintedWorkload with a cheaper Probe of its own.
+type hintedProber struct {
+	*hintedWorkload
+	probe workload.Workload
+}
+
+func (h hintedProber) Probe() workload.Workload { return h.probe }
+
+// withProbe adds a Probe to a workload; embedding the Workload
+// interface hides every other optional interface of the value it
+// wraps.
+type withProbe struct {
+	workload.Workload
+	probe workload.Workload
+}
+
+func (w withProbe) Probe() workload.Workload { return w.probe }
+
+// hintedLauncher is a hintedWorkload that also names its unique
+// ranks for selective launch.
+type hintedLauncher struct {
+	*hintedWorkload
+	unique []int
+}
+
+func (h hintedLauncher) UniqueRanks() []int { return h.unique }
+
+// allReduceBody is a rank body whose traces are alike on every rank:
+// a few kernels, then one all-reduce over the whole world.
+func allReduceBody(world int) func(rank int, dev cuda.Device) error {
+	group := make([]int, world)
+	for i := range group {
+		group[i] = i
+	}
+	return func(rank int, dev cuda.Device) error {
+		comm, err := nccl.CommInitRank(dev, world, rank, nccl.UniqueIDFor("all", group))
+		if err != nil {
+			return err
+		}
+		if err := plainKernels(dev, 2); err != nil {
+			return err
+		}
+		s, err := dev.StreamCreate()
+		if err != nil {
+			return err
+		}
+		if err := comm.AllReduce(1<<20, s); err != nil {
+			return err
+		}
+		return dev.StreamSynchronize(s)
+	}
+}
+
+// iterationsBody is a rank body of iters iterations in which rank 3
+// does more work than the others.
+func iterationsBody(iters int) func(rank int, dev cuda.Device) error {
+	return func(rank int, dev cuda.Device) error {
+		n := 4 * iters
+		if rank == 3 {
+			n += 3
+		}
+		return plainKernels(dev, n)
+	}
+}
+
+// TestCaptureRoutes pins which ranks each capture route emulates and
+// that every route captures what the unhinted workload does: the
+// hinted capture's worker and emulation counts, whether the hint was
+// served, and captureEqual against the reference capture.
+func TestCaptureRoutes(t *testing.T) {
+	cluster := hardware.DGXV100(1)
+	hinted := func(world int, classes [][]int, body func(int, cuda.Device) error) *hintedWorkload {
+		return &hintedWorkload{name: "routes", world: world, classes: classes, body: body}
+	}
+	for _, tc := range []struct {
+		name     string
+		opts     Options
+		w, ref   workload.Workload
+		unique   int
+		emuls    int // RankEmulations of w
+		refEmuls int // RankEmulations of ref
+		served   bool
+	}{{
+		// A single valid-looking class, but the probed subset (0, 2,
+		// 3) is three of the all-reduce's four members and the
+		// workload is not GroupAware: the partial communicator forces
+		// the fallback to the full probe.
+		name:   "partial-communicator",
+		w:      hinted(4, [][]int{{0, 1, 2, 3}}, allReduceBody(4)),
+		ref:    &noHints{hinted(4, nil, allReduceBody(4))},
+		unique: 1, emuls: 3 + 4, refEmuls: 4,
+	}, {
+		// A lying hint on a workload whose Probe is a separate
+		// one-iteration workload: the failed probe (0, 2, 3), the
+		// one-iteration probe of every rank, then the full workload
+		// on the two representatives (0 and 3).
+		name: "lying-hint-with-probe",
+		w: hintedProber{
+			hintedWorkload: hinted(4, [][]int{{0, 1, 2, 3}}, iterationsBody(2)),
+			probe:          hinted(4, nil, iterationsBody(1)),
+		},
+		ref: withProbe{
+			Workload: hinted(4, nil, iterationsBody(2)),
+			probe:    hinted(4, nil, iterationsBody(1)),
+		},
+		unique: 2, emuls: 3 + 4 + 2, refEmuls: 4 + 2,
+	}, {
+		// NoDedup overrides both selective launch and a valid hint:
+		// every rank, no deduplication.
+		name: "no-dedup-overrides",
+		opts: Options{NoDedup: true, SelectiveLaunch: true},
+		w: hintedLauncher{
+			hintedWorkload: hinted(4, [][]int{{0, 1, 2, 3}}, allReduceBody(4)),
+			unique:         []int{0},
+		},
+		ref:    &noHints{hinted(4, nil, allReduceBody(4))},
+		unique: 4, emuls: 4, refEmuls: 4,
+	}, {
+		// A world of one has nothing to deduplicate: the hint is not
+		// consulted and the one rank is emulated once.
+		name:   "world-one",
+		w:      hinted(1, [][]int{{0}}, iterationsBody(1)),
+		ref:    &noHints{hinted(1, nil, iterationsBody(1))},
+		unique: 1, emuls: 1, refEmuls: 1,
+	}} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := oraclePipeline(cluster, tc.opts)
+			got, err := p.Capture(context.Background(), tc.w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := p.Capture(context.Background(), tc.ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.ClassHinted != tc.served || ref.ClassHinted {
+				t.Fatalf("ClassHinted = %t (reference %t), want %t", got.ClassHinted, ref.ClassHinted, tc.served)
+			}
+			if got.UniqueWorkers != tc.unique {
+				t.Errorf("UniqueWorkers = %d, want %d", got.UniqueWorkers, tc.unique)
+			}
+			if got.RankEmulations != tc.emuls || ref.RankEmulations != tc.refEmuls {
+				t.Errorf("RankEmulations = %d (reference %d), want %d (%d)",
+					got.RankEmulations, ref.RankEmulations, tc.emuls, tc.refEmuls)
+			}
+			captureEqual(t, got, ref)
+		})
 	}
 }

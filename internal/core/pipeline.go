@@ -415,125 +415,118 @@ func (p *Pipeline) fill(rep *Report, sr *sim.Report, modelFLOPs float64, dtype h
 	}
 }
 
-// emulate runs the workload's ranks through transparent emulators,
-// applying selective launch, verified structural deduplication
-// (ClassHinter) or dynamic deduplication. Alongside the (possibly
-// reduced) worker set it returns the complete communicator
-// membership: from the pre-deduplication traces when all ranks were
-// emulated, supplemented by configuration knowledge (GroupAware) for
-// selectively launched and class-hinted jobs.
+// emulate runs the workload's ranks through transparent emulators
+// and returns the workers the capture keeps, with the complete
+// communicator membership: from the traces of every emulated rank,
+// supplemented by configuration knowledge (GroupAware) where only a
+// subset ran.
+//
+// Selective launch is trusted outright: the workload names its unique
+// ranks (§7.4). Every other capture takes one route: probe → dedup →
+// verify → emulate the representatives (paper §4.2). It runs the
+// workload's one-iteration probe (or the workload itself) on every
+// rank, or under a valid class hint on each class's representative
+// plus a deterministic verification sample, so capture scales with
+// unique structure instead of world size; deduplicates the probes;
+// and runs the full workload only on the unique representatives. A
+// hint that fails verification is dropped and the loop runs once
+// more over every rank, which produces bit-identical results by
+// construction.
 func (p *Pipeline) emulate(ctx context.Context, w workload.Workload, c *Capture) ([]*trace.Worker, map[uint64][]int, map[uint64]int, error) {
-	// Selective launch: the workload names its unique ranks a priori.
-	if p.Opts.SelectiveLaunch && !p.Opts.NoDedup {
-		if sl, ok := w.(workload.SelectiveLauncher); ok {
-			workers, err := p.emulateRanks(ctx, w, sl.UniqueRanks(), c)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			comms, sizes, err := p.membership(w, workers)
-			return workers, comms, sizes, err
+	if sl, ok := w.(workload.SelectiveLauncher); ok && p.Opts.SelectiveLaunch && !p.Opts.NoDedup {
+		workers, err := p.emulateRanks(ctx, w, sl.UniqueRanks(), c)
+		if err != nil {
+			return nil, nil, nil, err
 		}
+		comms, sizes, err := p.membership(w, workers)
+		return workers, comms, sizes, err
 	}
-	if !p.Opts.NoDedup && w.World() > 1 {
-		// Structural deduplication: the workload predicts its rank
-		// equivalence classes from topology; the pipeline probes one
-		// representative per class plus a deterministic verification
-		// sample and falls back to the full probe on any mismatch, so
-		// capture scales with unique structure instead of world size.
-		if ch, ok := w.(workload.ClassHinter); ok {
-			workers, comms, sizes, served, err := p.emulateClassHinted(ctx, w, ch, c)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			if served {
-				c.ClassHinted = true
-				return workers, comms, sizes, nil
-			}
-		}
-		// Dynamic deduplication: probe every rank for one iteration,
-		// hash the operation streams, then run the full workload only
-		// on the unique representatives (paper §4.2).
-		if pr, ok := w.(workload.Prober); ok {
-			probe := pr.Probe()
-			probed, err := p.emulateRanks(ctx, probe, allRanks(w.World()), c)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			comms, sizes, err := p.membership(w, probed)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			unique, _ := collator.Deduplicate(probed)
-			reps := make([]int, len(unique))
-			for i, u := range unique {
-				reps[i] = u.Rank
-			}
-			if sameWorkload(probe, w) {
-				// Single-iteration workloads: the probe trace is the
-				// full trace.
-				return unique, comms, sizes, nil
-			}
-			workers, err := p.emulateRanks(ctx, w, reps, c)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			return workers, comms, sizes, nil
-		}
-	}
-	workers, err := p.emulateRanks(ctx, w, allRanks(w.World()), c)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	comms, sizes, err := p.membership(w, workers)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if p.Opts.NoDedup || len(workers) <= 1 {
-		return workers, comms, sizes, nil
-	}
-	unique, _ := collator.Deduplicate(workers)
-	return unique, comms, sizes, nil
-}
-
-// emulateClassHinted is the structural-dedup fast path: probe only
-// class representatives plus a verification sample, check the
-// samples' trace signatures against their representatives, and build
-// the capture from the deduplicated probes. served=false (with nil
-// error) means the hint could not be trusted — malformed partition, a
-// signature mismatch, or membership the workload's group knowledge
-// cannot complete — and the caller must fall back to the full probe,
-// which produces bit-identical results by construction.
-func (p *Pipeline) emulateClassHinted(ctx context.Context, w workload.Workload, ch workload.ClassHinter, c *Capture) (workers []*trace.Worker, comms map[uint64][]int, sizes map[uint64]int, served bool, err error) {
-	classes := ch.RankClasses()
-	if !validClasses(classes, w.World()) {
-		return nil, nil, nil, false, nil
-	}
-	var probeRanks []int
-	for _, class := range classes {
-		probeRanks = append(probeRanks, class[0])
-		probeRanks = append(probeRanks, verificationSample(class)...)
-	}
-	sort.Ints(probeRanks)
-
+	dedup := !p.Opts.NoDedup && w.World() > 1
 	// Without a Prober the workload is its own (full) probe.
-	probe := workload.Workload(w)
-	probeIsFull := true
-	if pr, ok := w.(workload.Prober); ok {
+	probe, probeIsFull := w, true
+	if pr, ok := w.(workload.Prober); ok && dedup {
 		probe = pr.Probe()
 		probeIsFull = sameWorkload(probe, w)
 	}
-	probed, err := p.emulateRanks(ctx, probe, probeRanks, c)
-	if err != nil {
-		return nil, nil, nil, false, err
+	var classes [][]int
+	if ch, ok := w.(workload.ClassHinter); ok && dedup {
+		if classes = ch.RankClasses(); !validClasses(classes, w.World()) {
+			classes = nil
+		}
 	}
-	// Deduplicate merges the verification samples back into their
-	// representatives — and merges hinted classes that turn out to be
-	// duplicates of each other, exactly as the full probe would. Its
-	// groups double as the verification: a sampled member whose trace
-	// diverges from its class representative (by signature or by the
-	// collision guard's structural check) lands in a different group.
-	unique, groups := collator.Deduplicate(probed)
-	repOf := make(map[int]int, len(probed))
+	for {
+		probed, err := p.emulateRanks(ctx, probe, probeRanks(classes, w.World()), c)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		unique := probed
+		var groups map[int][]int
+		if dedup {
+			// Deduplicate merges the verification samples back into
+			// their representatives — and merges hinted classes that
+			// turn out to be duplicates of each other, exactly as the
+			// full probe would.
+			unique, groups = collator.Deduplicate(probed)
+		}
+		// The samples are checked before membership, so a lying hint
+		// never surfaces a membership error the full probe would not.
+		if classes != nil && !samplesAgree(classes, groups) {
+			classes = nil
+			continue
+		}
+		comms, sizes, err := p.membership(w, probed)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		if classes != nil && !complete(comms, sizes) {
+			classes = nil
+			continue
+		}
+		c.ClassHinted = classes != nil
+		if probeIsFull {
+			// The probe trace is the full trace (single-iteration
+			// workloads and workloads without a cheap probe).
+			return unique, comms, sizes, nil
+		}
+		reps := make([]int, len(unique))
+		for i, u := range unique {
+			reps[i] = u.Rank
+		}
+		workers, err := p.emulateRanks(ctx, w, reps, c)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		return workers, comms, sizes, nil
+	}
+}
+
+// probeRanks lists, ascending, the ranks one pass of emulate probes:
+// every rank, or under a class hint each class's representative plus
+// its verification sample.
+func probeRanks(classes [][]int, world int) []int {
+	if classes == nil {
+		ranks := make([]int, world)
+		for i := range ranks {
+			ranks[i] = i
+		}
+		return ranks
+	}
+	var ranks []int
+	for _, class := range classes {
+		ranks = append(ranks, class[0])
+		ranks = append(ranks, verificationSample(class)...)
+	}
+	sort.Ints(ranks)
+	return ranks
+}
+
+// samplesAgree reports whether every class's verification sample
+// landed in its representative's duplicate group. A sampled member
+// whose trace diverges from its representative's (by signature or by
+// the collision guard's structural check) lands in another group: the
+// hint lied.
+func samplesAgree(classes [][]int, groups map[int][]int) bool {
+	repOf := make(map[int]int)
 	for rep, ranks := range groups {
 		for _, r := range ranks {
 			repOf[r] = rep
@@ -542,39 +535,25 @@ func (p *Pipeline) emulateClassHinted(ctx context.Context, w workload.Workload, 
 	for _, class := range classes {
 		for _, s := range verificationSample(class) {
 			if repOf[s] != repOf[class[0]] {
-				// The hint lied: a sampled member's trace diverges
-				// from its representative's.
-				return nil, nil, nil, false, nil
+				return false
 			}
 		}
 	}
-	comms, sizes, err = p.membership(w, probed)
-	if err != nil {
-		return nil, nil, nil, false, err
-	}
-	// The fast path must not change results. The full probe derives
-	// complete communicator membership from every rank's trace; here
-	// only the probed subset plus the workload's group knowledge is
-	// available, so any group left partial forces the fallback.
+	return true
+}
+
+// complete reports whether membership names every member of every
+// communicator. The full probe derives it from every rank's trace; a
+// hinted probe has only its subset plus the workload's group
+// knowledge, and a group left partial means the hint cannot be served
+// without changing results.
+func complete(comms map[uint64][]int, sizes map[uint64]int) bool {
 	for id, size := range sizes {
 		if len(comms[id]) != size {
-			return nil, nil, nil, false, nil
+			return false
 		}
 	}
-	if probeIsFull {
-		// The probe trace is the full trace (single-iteration
-		// workloads and workloads without a cheap probe).
-		return unique, comms, sizes, true, nil
-	}
-	reps := make([]int, len(unique))
-	for i, u := range unique {
-		reps[i] = u.Rank
-	}
-	workers, err = p.emulateRanks(ctx, w, reps, c)
-	if err != nil {
-		return nil, nil, nil, false, err
-	}
-	return workers, comms, sizes, true, nil
+	return true
 }
 
 // sameWorkload reports whether two workload interface values are the
@@ -682,12 +661,4 @@ func (p *Pipeline) emulateRanks(ctx context.Context, w workload.Workload, ranks 
 		return nil, err
 	}
 	return workers, nil
-}
-
-func allRanks(n int) []int {
-	r := make([]int, n)
-	for i := range r {
-		r[i] = i
-	}
-	return r
 }

@@ -10,7 +10,6 @@ package estimator
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"maya/internal/forest"
@@ -98,16 +97,6 @@ func (s *Suite) WithCollectiveEstimator(ce CollectiveEstimator) *Suite {
 
 // Cluster returns the cluster the suite was profiled on.
 func (s *Suite) Cluster() hardware.Cluster { return s.cluster }
-
-// KernelNames lists the kernels with trained forests, sorted.
-func (s *Suite) KernelNames() []string {
-	names := make([]string, 0, len(s.kernels))
-	for n := range s.kernels {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
 
 // EstimateKernel predicts the duration of a compute/memory op from its
 // shape, falling back to an analytical roofline for unprofiled

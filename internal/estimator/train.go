@@ -411,17 +411,3 @@ func strided(start, n, stride int) []int {
 	}
 	return r
 }
-
-// SortedKernelMAPE renders a MAPE map as sorted rows for reports.
-func SortedKernelMAPE(mape map[string]float64) []string {
-	names := make([]string, 0, len(mape))
-	for n := range mape {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	rows := make([]string, 0, len(names))
-	for _, n := range names {
-		rows = append(rows, fmt.Sprintf("%-48s %6.2f%%", n, mape[n]*100))
-	}
-	return rows
-}

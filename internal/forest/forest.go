@@ -87,17 +87,13 @@ func (o Options) withDefaults() Options {
 // tree t's entry point (itself possibly a leaf encoding, for
 // single-node trees).
 type Forest struct {
-	nFeatures int
-	roots     []int32
-	feat      []int32
-	thresh    []float64
-	left      []int32
-	right     []int32
-	leaf      []float64
+	roots  []int32
+	feat   []int32
+	thresh []float64
+	left   []int32
+	right  []int32
+	leaf   []float64
 }
-
-// NumFeatures returns the feature dimensionality the forest expects.
-func (f *Forest) NumFeatures() int { return f.nFeatures }
 
 // NumNodes returns the total internal-node count across all trees
 // (sizing/diagnostics; leaves are stored separately).
@@ -190,7 +186,7 @@ func TrainForests(jobs []TrainJob, workers int) ([]*Forest, error) {
 
 	out := make([]*Forest, len(jobs))
 	for j := range jobs {
-		f := &Forest{nFeatures: data[j].nf}
+		f := &Forest{}
 		for _, t := range trees[j] {
 			f.appendTree(t)
 		}

@@ -163,11 +163,6 @@ type Cluster struct {
 // TotalGPUs returns the number of devices in the cluster.
 func (c Cluster) TotalGPUs() int { return c.Node.GPUsPerNode * c.Nodes }
 
-// SameNode reports whether two global ranks live on one server.
-func (c Cluster) SameNode(a, b int) bool {
-	return a/c.Node.GPUsPerNode == b/c.Node.GPUsPerNode
-}
-
 // NodeOf returns the node index hosting a global rank.
 func (c Cluster) NodeOf(rank int) int { return rank / c.Node.GPUsPerNode }
 
@@ -255,25 +250,6 @@ func A40() GPU {
 		VectorTFLOPS:   37,
 		LaunchOverhead: 3 * time.Microsecond,
 		NVLinkGBps:     56, // pairwise NVLink bridges
-	}
-}
-
-// A100 is included for completeness of the catalog.
-func A100() GPU {
-	return GPU{
-		Name:      "A100",
-		Arch:      Ampere,
-		MemBytes:  80 * gib,
-		MemBWGBps: 2039,
-		SMs:       108,
-		ClockMHz:  1410,
-		TensorTFLOPS: map[DType]float64{
-			FP16: 312,
-			BF16: 312,
-		},
-		VectorTFLOPS:   19.5,
-		LaunchOverhead: 3 * time.Microsecond,
-		NVLinkGBps:     300,
 	}
 }
 

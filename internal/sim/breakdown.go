@@ -45,7 +45,7 @@ func (s StallBreakdown) Span() time.Duration { return s.Busy + s.Idle() }
 // one per run:
 //
 //	bd := sim.NewBreakdown()
-//	rep, err := sim.RunPooled(ctx, job, sim.Options{Observer: bd})
+//	rep, err := sim.Run(ctx, job, sim.Options{Observer: bd})
 //	stalls := bd.Result(rep)
 //
 // Result is terminal — it consumes the collected intervals.

@@ -90,9 +90,10 @@ type Options struct {
 	Index *Index
 
 	// Observer, when non-nil, receives engine callbacks at CUDA-API
-	// granularity (op start/end, collective fires, stream stalls).
-	// Observers watch; they must not retain the *trace.Op pointers
-	// beyond the callback. A nil observer adds no per-event cost.
+	// granularity (op ends, collective fires, stall ends, host
+	// delays, marks). Observers watch; they must not retain the
+	// *trace.Op pointers beyond the callback. A nil observer adds no
+	// per-event cost.
 	Observer Observer
 
 	// Annotations, when non-nil, is the duration overlay the engine

@@ -48,12 +48,14 @@ type Prober interface {
 // their parallel topology alone, which ranks are equivalent — i.e.
 // will produce identical operation streams under emulation. Unlike
 // SelectiveLauncher (whose claim is trusted outright, §7.4), class
-// hints are verified: the pipeline emulates one representative per
-// class plus a small deterministic sample of other members, checks
-// the samples' trace signatures against their representatives, and
-// falls back to the full O(world) probe on any mismatch. Capture
-// therefore scales with the number of distinct behaviors instead of
-// the world size, without giving up dynamic dedup's safety net.
+// hints are verified: dynamic deduplication probes one representative
+// per class plus a small deterministic sample of other members, checks
+// that each sample deduplicates into its representative, and probes
+// every rank instead when a sample disagrees or the probed subset
+// (with GroupAware knowledge) leaves a communicator's membership
+// incomplete. Capture therefore scales with the number of distinct
+// behaviors instead of the world size, without giving up dynamic
+// dedup's safety net.
 type ClassHinter interface {
 	Workload
 	// RankClasses partitions [0, World()) into predicted equivalence
