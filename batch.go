@@ -48,11 +48,10 @@ func WithBatchConcurrency(n int) BatchOption {
 
 // captureKey identifies requests that can share one capture: same
 // workload value and same capture options (captureOptions' result:
-// collation validation, silicon seed, and whether every rank is kept
-// — a fault plan forces that). Annotation and simulation knobs —
-// oracle, netsim, physical replay, FLOPs, timelines, stall
-// breakdowns — do not affect the capture and may differ freely
-// within a group.
+// silicon seed, and whether every rank is kept — a fault plan forces
+// that). Annotation and simulation knobs — oracle, netsim, physical
+// replay, FLOPs, timelines, stall breakdowns — do not affect the
+// capture and may differ freely within a group.
 type captureKey struct {
 	w    Workload
 	opts core.Options

@@ -70,8 +70,8 @@ func (p *Predictor) captureCacheKey(w Workload, opts core.Options) (string, bool
 	if !ok {
 		return "", false
 	}
-	return fmt.Sprintf("%s|cluster=%s/%x|validate=%t|seed=%d|nodedup=%t|sel=%t|topo=%q",
-		fp.Fingerprint(), p.cluster.Name, clusterFingerprint(p.cluster), opts.Validate,
+	return fmt.Sprintf("%s|cluster=%s/%x|seed=%d|nodedup=%t|sel=%t|topo=%q",
+		fp.Fingerprint(), p.cluster.Name, clusterFingerprint(p.cluster),
 		opts.Seed, opts.NoDedup, opts.SelectiveLaunch, opts.Topology), true
 }
 

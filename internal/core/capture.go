@@ -23,8 +23,7 @@ import (
 // Capture is the durable artifact of the pipeline's expensive front
 // half: one emulation plus collation of a workload on a cluster. It
 // holds the collated job trace, the communicator membership
-// (supplemented by workload configuration knowledge), the per-call
-// participation counts the simulator's wait map needs, the dedup
+// (supplemented by workload configuration knowledge), the dedup
 // accounting, and the peak-memory / OOM verdict.
 //
 // A capture is immutable once built: a replay reads durations from a
@@ -54,12 +53,10 @@ type Capture struct {
 	// workload's own group knowledge for selectively launched jobs.
 	Comms     map[uint64][]int
 	CommSizes map[uint64]int
-	// Participants counts, per collective call, how many present
-	// workers join it (the simulator's wait-map expectations). It is
-	// trace.Participation(Job), exactly what the engine counts when
-	// sim.Options.Participants is nil, so replay compiles and runs
-	// without it; it is kept for callers that drive the engine on Job
-	// themselves.
+	// Participants is nil on every capture: the engine counts each
+	// collective call's joins from Job itself when
+	// sim.Options.Participants is nil. The field remains only for the
+	// benchmark harness, which still passes it to the engine.
 	Participants map[trace.CollKey]int
 	// PeakMemBytes is the largest per-device allocator high-water
 	// mark; OOM marks configurations that exceeded device memory.
@@ -228,8 +225,6 @@ var (
 var traceMagic = [6]byte{'M', 'A', 'Y', 'A', 'T', 'R'}
 
 // capturePayload is the JSON body of a version-1 capture.
-// Participants is recomputed from the job on load (it is a pure
-// function of the trace), so it is not stored.
 type capturePayload struct {
 	Workload      string           `json:"workload"`
 	Cluster       string           `json:"cluster"`
@@ -373,7 +368,7 @@ func ReadCapture(r io.Reader) (*Capture, error) {
 		// A well-formed envelope can still carry a hostile payload:
 		// JSON null decodes into a nil worker, and either form can hold
 		// a collective without its metadata, which every consumer of the
-		// job (starting with Participation below) would trip over.
+		// job (starting with the replay's compile) would trip over.
 		for i, w := range c.Job.Workers {
 			if w == nil {
 				return nil, fmt.Errorf("core: %w: null worker at index %d", ErrTraceFormat, i)
@@ -382,7 +377,6 @@ func ReadCapture(r io.Reader) (*Capture, error) {
 				return nil, fmt.Errorf("core: %w: worker at index %d: %v", ErrTraceFormat, i, err)
 			}
 		}
-		c.Participants = trace.Participation(c.Job)
 	}
 	return c, nil
 }

@@ -277,14 +277,15 @@ func TestExtremeTracesCompileInOpsAndSimulate(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
+		parts := trace.Participation(capt.Job)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		x := sim.Compile(capt.Job, capt.Participants)
+		x := sim.Compile(capt.Job, parts)
 		runtime.ReadMemStats(&after)
 		if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
 			t.Errorf("%s: compiling allocated %d bytes, want under 1 MiB", c.name, n)
 		}
-		_, err = sim.Run(context.Background(), capt.Job, sim.Options{Participants: capt.Participants, Index: x, TimeLimit: fuzzHorizon})
+		_, err = sim.Run(context.Background(), capt.Job, sim.Options{Participants: parts, Index: x, TimeLimit: fuzzHorizon})
 		if c.deadlock != errors.Is(err, sim.ErrDeadlock) || (!c.deadlock && err != nil) {
 			t.Errorf("%s: simulating gave %v, want a deadlock: %t", c.name, err, c.deadlock)
 		}
@@ -392,7 +393,8 @@ func FuzzReadTrace(f *testing.F) {
 			if c.Job == nil {
 				continue
 			}
-			o := sim.Options{Participants: c.Participants, Index: sim.Compile(c.Job, c.Participants), TimeLimit: fuzzHorizon}
+			parts := trace.Participation(c.Job)
+			o := sim.Options{Participants: parts, Index: sim.Compile(c.Job, parts), TimeLimit: fuzzHorizon}
 			if _, err := sim.Run(context.Background(), c.Job, o); err != nil && !errors.Is(err, sim.ErrDeadlock) {
 				t.Fatalf("accepted capture fails to simulate: %v", err)
 			}

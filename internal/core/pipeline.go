@@ -42,8 +42,6 @@ type Options struct {
 	// (workload.SelectiveLauncher) instead of hash-based discovery,
 	// skipping the all-ranks probe (§7.4).
 	SelectiveLaunch bool
-	// Validate enables cross-worker collective consistency checks.
-	Validate bool
 	// Oracle, when set, annotates kernels with ground-truth runtimes
 	// instead of learned estimates — the "oracle" rows of Table 3.
 	Oracle *silicon.Oracle
@@ -184,8 +182,7 @@ type Pipeline struct {
 // the collated trace artifact. Out-of-memory configurations are a
 // result, not an error: the returned capture carries the OOM verdict
 // (with a nil Job) exactly as the emulator detected it. Cancellation
-// of ctx aborts emulation between ranks and collation between
-// passes.
+// of ctx aborts emulation between ranks.
 func (p *Pipeline) Capture(ctx context.Context, w workload.Workload) (*Capture, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -217,16 +214,15 @@ func (p *Pipeline) Capture(ctx context.Context, w workload.Workload) (*Capture, 
 		return c, nil
 	}
 
+	// The merge is the collate stage: membership already came from the
+	// emulation pass (complete, including GroupAware supplements), and
+	// the engine counts each call's joins from the job itself.
 	t0 = time.Now()
-	col, err := collator.Collate(ctx, workers, collator.Options{Validate: p.Opts.Validate})
-	if err != nil {
+	if c.Job, err = trace.NewJob(workers); err != nil {
 		return nil, err
 	}
 	c.CollateTime = time.Since(t0)
-	// Membership comes from the emulation pass (complete, including
-	// GroupAware supplements), not the collator's unique-worker view.
-	c.Job, c.Comms, c.CommSizes = col.Job, comms, sizes
-	c.Participants = col.Participants
+	c.Comms, c.CommSizes = comms, sizes
 	return c, nil
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"maya/internal/collator"
 	"maya/internal/cuda"
 	"maya/internal/estimator"
 	"maya/internal/framework"
@@ -66,7 +67,7 @@ func TestEndToEndPredictionAccuracy(t *testing.T) {
 		t.Skip("full pipeline is slow")
 	}
 	cluster := hardware.DGXV100(1)
-	p, _ := pipelineFor(t, cluster, Options{Validate: true})
+	p, _ := pipelineFor(t, cluster, Options{})
 	oracle := DefaultOracle(cluster)
 
 	configs := []framework.MegatronConfig{
@@ -77,6 +78,15 @@ func TestEndToEndPredictionAccuracy(t *testing.T) {
 	}
 	for _, cfg := range configs {
 		m := megatron(t, cfg)
+		// Every rank's full trace must agree across workers on each
+		// matched collective's payload and group size.
+		workers, err := p.emulateRanks(context.Background(), m, probeRanks(nil, m.World()), nil)
+		if err != nil {
+			t.Fatalf("emulating %s: %v", cfg, err)
+		}
+		if _, err := collator.Collate(context.Background(), workers, collator.Options{Validate: true}); err != nil {
+			t.Fatalf("Collate(%s): %v", cfg, err)
+		}
 		flops := cfg.Model.TrainFLOPsPerIter(cfg.GlobalBatch)
 		pred, err := predict(context.Background(), p, m, flops)
 		if err != nil {

@@ -33,17 +33,19 @@ func noDedupCapture(t *testing.T) (*Pipeline, *Capture) {
 }
 
 // directReplay is Pipeline.replay through sim.Run, which compiles the
-// job afresh on every call and counts joins from c.Participants: the
+// job afresh on every call and counts joins from an explicit
+// trace.Participation map, not the nil map the product passes: the
 // reference a replay on the capture's shared index must equal.
 func directReplay(ctx context.Context, c *Capture, p *Pipeline, timer trace.Timer, physical bool) (*Report, error) {
 	plan, err := c.planFor(ctx, timer)
 	if err != nil {
 		return nil, err
 	}
-	o := sim.Options{Participants: c.Participants}
+	parts := trace.Participation(c.Job)
+	o := sim.Options{Participants: parts}
 	fp := p.Opts.Faults
 	if physical {
-		o, fp = silicon.PhysicalOptions(p.Opts.Seed, c.Participants), nil
+		o, fp = silicon.PhysicalOptions(p.Opts.Seed, parts), nil
 	} else if p.Opts.Congestion != nil {
 		if o.Congestion, err = c.congestionFor(ctx, p.Opts.Congestion); err != nil {
 			return nil, err

@@ -77,7 +77,7 @@ func Evaluate(ctx context.Context, plan *Plan, job *trace.Job, perturbed *sim.Re
 	// of iteration i-1. Iterations beyond the trace replay the
 	// steady-state rate.
 	bound := make([]int64, L+1)
-	bound[0] = setupEnd(perturbed)
+	bound[0] = int64(perturbed.SetupEnd())
 	for i, e := range iterEnds {
 		bound[i+1] = int64(e)
 	}
@@ -319,19 +319,6 @@ func Evaluate(ctx context.Context, plan *Plan, job *trace.Job, perturbed *sim.Re
 		rep.Goodput = float64(rep.CleanTime) / float64(wall)
 	}
 	return rep, nil
-}
-
-// setupEnd recomputes the latest setup_end mark from a report.
-func setupEnd(r *sim.Report) int64 {
-	var t int64
-	for _, marks := range r.Marks {
-		for _, m := range marks {
-			if m.Label == trace.MarkSetupEnd && int64(m.At) > t {
-				t = int64(m.At)
-			}
-		}
-	}
-	return t
 }
 
 // horizonTime is the wall time for n iterations of a report's

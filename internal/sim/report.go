@@ -282,8 +282,8 @@ func (r *Report) IterEnds() []time.Duration {
 	return ends
 }
 
-// setupEnd returns the latest setup_end mark across workers, or zero.
-func (r *Report) setupEnd() time.Duration {
+// SetupEnd returns the latest setup_end mark across workers, or zero.
+func (r *Report) SetupEnd() time.Duration {
 	var t time.Duration
 	for _, marks := range r.Marks {
 		for _, m := range marks {
@@ -305,7 +305,7 @@ func (r *Report) IterTime() time.Duration {
 	case 0:
 		return r.Makespan
 	case 1:
-		return ends[0] - r.setupEnd()
+		return ends[0] - r.SetupEnd()
 	default:
 		return (ends[len(ends)-1] - ends[0]) / time.Duration(len(ends)-1)
 	}

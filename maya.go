@@ -191,12 +191,6 @@ func WithoutDedup() PredictorOption {
 	return predictorOption(func(p *Predictor) { p.defaults.noDedup = true })
 }
 
-// WithValidation enables cross-worker collective consistency checks
-// on every call of the predictor.
-func WithValidation() PredictorOption {
-	return predictorOption(func(p *Predictor) { p.defaults.validate = true })
-}
-
 // WithEstimatorCache injects the cache the predictor resolves its
 // estimator suite from. Predictors without it share
 // DefaultEstimatorCache.
@@ -351,7 +345,6 @@ type predictSettings struct {
 	netsim     bool
 	congestion bool
 	seed       uint64
-	validate   bool
 	noDedup    bool // WithoutDedup; captureOptions adds the plan's demand
 	faults     *faults.Plan
 	ckptEvery  int
@@ -395,14 +388,6 @@ func WithOracleAnnotation() PredictOption {
 // without re-emulating. Such calls need no trained estimator suite.
 func WithPhysicalReplay() PredictOption {
 	return predictOption(func(s *predictSettings) { s.physical = true })
-}
-
-// WithValidationOverride enables or disables cross-worker collective
-// consistency checks for this call only, overriding the predictor's
-// WithValidation construction default. Validation runs during
-// collation, so for a pre-captured Trace it has no effect.
-func WithValidationOverride(on bool) PredictOption {
-	return predictOption(func(s *predictSettings) { s.validate = on })
 }
 
 // NewTimeline returns an empty timeline recorder for WithTimeline.
@@ -476,7 +461,6 @@ func (s *predictSettings) foldCheckpoint() {
 func (p *Predictor) captureOptions(s predictSettings) core.Options {
 	return core.Options{
 		SelectiveLaunch: true,
-		Validate:        s.validate,
 		Seed:            s.seed,
 		Topology:        p.topology,
 		NoDedup:         s.noDedup || s.faults != nil || p.defaults.faults != nil,

@@ -122,8 +122,6 @@ func TestOptionPrecedence(t *testing.T) {
 			override: maya.WithFaults(otherStragglerPlan()), same: sameReport(oraclePredict), full: true},
 		{name: "checkpoint", ctor: maya.WithCheckpointEvery(5), call: maya.WithCheckpointEvery(5),
 			override: maya.WithCheckpointEvery(3), same: sameReport(oraclePredict), full: true},
-		{name: "validation", ctor: maya.WithValidation(), call: maya.WithValidationOverride(true),
-			override: maya.WithValidationOverride(false), same: sameCapture},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -20,9 +20,6 @@ type (
 	Knobs = search.Knobs
 )
 
-// MegatronSearchSpace returns the Table-5 recipe space.
-func MegatronSearchSpace() search.Space { return search.MegatronSpace() }
-
 // FindRecipe searches for the lowest-iteration-time training recipe
 // for a model on the predictor's cluster, evaluating candidates
 // through the predictor's own emulation pipeline (no GPUs involved)

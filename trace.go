@@ -113,8 +113,8 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 // consulted. Out-of-memory configurations are a result, not an
 // error: the trace carries the OOM verdict.
 //
-// Capture honors the capture-relevant options (WithSeed,
-// WithValidationOverride); annotation options are per-Simulate. When
+// Capture honors the one capture-relevant option, WithSeed;
+// annotation options are per-Simulate. When
 // the predictor carries a CaptureCache and the workload is
 // fingerprintable, the returned Trace may wrap a cached (shared,
 // immutable) capture instead of re-emulating.
