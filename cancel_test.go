@@ -113,6 +113,11 @@ func TestFindRecipePreCancelled(t *testing.T) {
 	}
 }
 
+// midFlightBudget is a trial budget no search spends within the two
+// seconds before TestFindRecipeMidFlightCancelStopsTrials cancels: on
+// a 2-core host a warm search runs about 65 000 trials a second.
+const midFlightBudget = 10_000_000
+
 func TestFindRecipeMidFlightCancelStopsTrials(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains estimators")
@@ -132,7 +137,7 @@ func TestFindRecipeMidFlightCancelStopsTrials(t *testing.T) {
 	go func() {
 		out, err := pred.FindRecipe(ctx,
 			maya.SearchProblem{Model: maya.GPT3_1_3B(), GlobalBatch: 32},
-			maya.SearchOptions{Algorithm: "random", Budget: 100000, Parallel: 4, Seed: 3,
+			maya.SearchOptions{Algorithm: "random", Budget: midFlightBudget, Parallel: 4, Seed: 3,
 				EarlyStopWindow: -1})
 		done <- res{out, err}
 	}()
@@ -146,7 +151,7 @@ func TestFindRecipeMidFlightCancelStopsTrials(t *testing.T) {
 		if r.out == nil || r.out.Stopped != "cancelled" {
 			t.Fatalf("outcome = %+v, want Stopped == cancelled", r.out)
 		}
-		if len(r.out.History) >= 100000 {
+		if len(r.out.History) >= midFlightBudget {
 			t.Fatal("search ran its full budget despite cancellation")
 		}
 	case <-time.After(30 * time.Second):

@@ -16,6 +16,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"time"
 
 	"maya/internal/trace"
 )
@@ -154,18 +155,27 @@ func validateCollectives(job *trace.Job) error {
 // Each op's signature bytes are length-prefixed before hashing, so
 // the op boundaries are unambiguous: no splice of separator bytes
 // inside one op's fields (e.g. an adversarial kernel name) can make a
-// different op sequence hash to the same byte stream.
+// different op sequence hash to the same byte stream. Host time
+// enters as one byte per op, and one for the tail, saying whether any
+// was spent, never how much: measured durations differ between
+// duplicates. The allocator's high-water mark and OOM flag close the
+// hash, since a representative stands for its duplicates' memory too.
 func Signature(w *trace.Worker) uint64 {
 	const prime = 1099511628211
 	h := uint64(14695981039346656037)
-	for i := range w.Ops {
-		sig := w.Ops[i].SigString()
-		n := uint64(len(sig))
+	word := func(n uint64) {
 		for j := 0; j < 8; j++ {
 			h ^= n & 0xff
 			h *= prime
 			n >>= 8
 		}
+	}
+	for i := range w.Ops {
+		op := &w.Ops[i]
+		h ^= gapByte(op.HostGap)
+		h *= prime
+		sig := op.SigString()
+		word(uint64(len(sig)))
 		for j := 0; j < len(sig); j++ {
 			h ^= uint64(sig[j])
 			h *= prime
@@ -173,7 +183,22 @@ func Signature(w *trace.Worker) uint64 {
 		h ^= 0x1f
 		h *= prime
 	}
+	h ^= gapByte(w.TailGap)
+	h *= prime
+	word(uint64(w.PeakBytes))
+	if w.OOM {
+		h ^= 1
+		h *= prime
+	}
 	return h
+}
+
+// gapByte is the byte Signature hashes for an op's host gap.
+func gapByte(gap time.Duration) uint64 {
+	if gap != 0 {
+		return 1
+	}
+	return 0
 }
 
 // structuralSampleWindow bounds how many op positions structurallyEqual

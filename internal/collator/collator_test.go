@@ -4,6 +4,7 @@ import (
 	"context"
 	"strings"
 	"testing"
+	"time"
 
 	"maya/internal/trace"
 )
@@ -137,14 +138,37 @@ func ranksOf(ws []*trace.Worker) []int {
 }
 
 func TestSignatureIgnoresHostDelayDurations(t *testing.T) {
-	a := worker(0, 2)
-	a.Append(trace.Op{Kind: trace.KindHostDelay, Dur: 100})
-	a.Append(kernelOp("k", 64))
-	b := worker(1, 2)
-	b.Append(trace.Op{Kind: trace.KindHostDelay, Dur: 999})
-	b.Append(kernelOp("k", 64))
+	gapped := func(rank int, gap, tail time.Duration) *trace.Worker {
+		w := worker(rank, 2)
+		op := kernelOp("k", 64)
+		op.HostGap = gap
+		w.Append(op)
+		w.TailGap = tail
+		return w
+	}
+	a, b := gapped(0, 100, 5), gapped(1, 999, 7)
 	if Signature(a) != Signature(b) {
 		t.Fatal("host-delay jitter must not break deduplication")
+	}
+	// Whether host time was spent is structure, not jitter.
+	if Signature(a) == Signature(gapped(2, 0, 5)) || Signature(a) == Signature(gapped(3, 100, 0)) {
+		t.Fatal("a gap present in one worker and absent in the other hashes equal")
+	}
+}
+
+// TestSignatureSensitiveToMemory keeps apart workers whose ops agree
+// but whose allocations do not: a representative's peak and OOM flag
+// stand for its duplicates'.
+func TestSignatureSensitiveToMemory(t *testing.T) {
+	a, b, c := worker(0, 2), worker(1, 2), worker(2, 2)
+	for _, w := range []*trace.Worker{a, b, c} {
+		w.Append(kernelOp("k", 64))
+		w.PeakBytes = 1 << 20
+	}
+	b.PeakBytes++
+	c.OOM = true
+	if Signature(a) == Signature(b) || Signature(a) == Signature(c) {
+		t.Fatal("workers with different peak memory or OOM flags hash equal")
 	}
 }
 
@@ -189,19 +213,19 @@ func TestCraftedSignatureCollisionNotMerged(t *testing.T) {
 func TestSameLengthKindMismatchNotMerged(t *testing.T) {
 	a := worker(0, 2)
 	a.Append(trace.Op{Kind: trace.KindKernel, Name: "x"})
-	a.Append(trace.Op{Kind: trace.KindHostDelay})
+	a.Append(trace.Op{Kind: trace.KindDeviceSync})
 	b := worker(1, 2)
 	// KindMemcpy's signature string starts with its own kind number,
 	// so these do not actually collide — force the comparison through
 	// structurallyEqual directly to pin the guard's behavior.
 	b.Append(trace.Op{Kind: trace.KindMemcpy, Name: "x"})
-	b.Append(trace.Op{Kind: trace.KindHostDelay})
+	b.Append(trace.Op{Kind: trace.KindDeviceSync})
 	if structurallyEqual(a, b) {
 		t.Fatal("kind mismatch at sampled position must fail the structural check")
 	}
 	c := worker(2, 2)
 	c.Append(trace.Op{Kind: trace.KindKernel, Name: "x"})
-	c.Append(trace.Op{Kind: trace.KindHostDelay})
+	c.Append(trace.Op{Kind: trace.KindDeviceSync})
 	if !structurallyEqual(a, c) {
 		t.Fatal("identical streams must pass the structural check")
 	}

@@ -45,8 +45,8 @@ type Capture struct {
 	// ranks actually emulated after dedup / selective launch.
 	TotalWorkers  int
 	UniqueWorkers int
-	// Job is the collated trace, durations unannotated except for
-	// measured host delays. Nil when the capture ended in OOM.
+	// Job is the collated trace: device durations unannotated, each op
+	// carrying its measured host gap. Nil when the capture ended in OOM.
 	Job *trace.Job
 	// Comms and CommSizes map communicator IDs to member global ranks
 	// and declared sizes — trace-derived, supplemented by the
@@ -201,12 +201,21 @@ func (c *Capture) baseReport() *Report {
 }
 
 // TraceFormatVersion is the serialization version WriteTo emits: a
-// binary payload. ReadCapture reads it and version 1, the JSON payload
-// earlier builds wrote. Bump it on any incompatible payload change.
-const TraceFormatVersion = 2
+// binary payload whose ops are device calls, each carrying the host
+// time before it. ReadCapture reads it and the versions earlier builds
+// wrote: 1, a JSON payload, and 2, the binary payload with host
+// delays, mallocs and frees as ops of their own; both fold those into
+// the ops' host gaps on load. Bump it on any incompatible payload
+// change.
+const TraceFormatVersion = 3
 
-// traceFormatJSON is the version whose payload is capturePayload's JSON.
-const traceFormatJSON = 1
+// Earlier versions ReadCapture reads: traceFormatJSON's payload is
+// capturePayload's JSON, traceFormatV2's the binary form before host
+// time folded into ops.
+const (
+	traceFormatJSON = 1
+	traceFormatV2   = 2
+)
 
 // traceHeaderLen is the envelope's header: magic, version and length.
 const traceHeaderLen = len(traceMagic) + 2 + 8
@@ -311,7 +320,7 @@ func (c *Capture) encode(e *trace.Encoder) error {
 }
 
 // ReadCapture parses a capture produced by WriteTo, or by an earlier
-// build's version-1 WriteTo. It rejects non-trace input
+// build's version-1 or -2 WriteTo. It rejects non-trace input
 // (ErrTraceFormat), other versions (ErrTraceVersion), and reports
 // truncation as io.ErrUnexpectedEOF.
 func ReadCapture(r io.Reader) (*Capture, error) {
@@ -326,8 +335,8 @@ func ReadCapture(r io.Reader) (*Capture, error) {
 		return nil, fmt.Errorf("core: %w: bad magic", ErrTraceFormat)
 	}
 	version := binary.BigEndian.Uint16(header[len(traceMagic):])
-	if version != TraceFormatVersion && version != traceFormatJSON {
-		return nil, fmt.Errorf("core: %w: trace is v%d, this build reads v%d and v%d",
+	if version != TraceFormatVersion && version != traceFormatV2 && version != traceFormatJSON {
+		return nil, fmt.Errorf("core: %w: trace is v%d, this build reads v%d to v%d",
 			ErrTraceVersion, version, traceFormatJSON, TraceFormatVersion)
 	}
 	size := binary.BigEndian.Uint64(header[len(traceMagic)+2:])
@@ -356,11 +365,13 @@ func ReadCapture(r io.Reader) (*Capture, error) {
 	if got, want := binary.BigEndian.Uint64(sumBuf[:]), payloadSum(payload); got != want {
 		return nil, fmt.Errorf("core: %w: checksum mismatch", ErrTraceFormat)
 	}
-	decode := decodeCapture
+	var c *Capture
+	var err error
 	if version == traceFormatJSON {
-		decode = decodeCaptureJSON
+		c, err = decodeCaptureJSON(payload)
+	} else {
+		c, err = decodeCapture(payload, version == traceFormatV2)
 	}
-	c, err := decode(payload)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w: %v", ErrTraceFormat, err)
 	}
@@ -381,9 +392,10 @@ func ReadCapture(r io.Reader) (*Capture, error) {
 	return c, nil
 }
 
-// decodeCapture decodes the binary payload WriteTo writes. Every count
-// is bounded by the bytes left before anything is allocated for it.
-func decodeCapture(payload []byte) (*Capture, error) {
+// decodeCapture decodes the binary payload WriteTo writes, or with v2
+// set the version-2 payload. Every count is bounded by the bytes left
+// before anything is allocated for it.
+func decodeCapture(payload []byte, v2 bool) (*Capture, error) {
 	d := trace.NewDecoder(payload)
 	c := &Capture{
 		Workload:       d.Str(),
@@ -423,7 +435,11 @@ func decodeCapture(payload []byte) (*Capture, error) {
 		}
 	}
 	if flags&captureHasJob != 0 {
-		c.Job = d.Job()
+		if v2 {
+			c.Job = d.JobV2()
+		} else {
+			c.Job = d.Job()
+		}
 	}
 	if err := d.End(); err != nil {
 		return nil, err

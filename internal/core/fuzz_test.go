@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"reflect"
 	"runtime"
 	"strings"
@@ -130,6 +131,7 @@ func binaryCapture(body func(e *trace.Encoder)) []byte {
 	e.Varint(0) // peak bytes
 	e.Varint(0) // dedup
 	e.Byte(0)   // oom
+	e.Varint(0) // tail gap
 	body(&e)
 	return envelope(TraceFormatVersion, e.B)
 }
@@ -312,18 +314,19 @@ func TestReadCaptureRejectsMalformedOps(t *testing.T) {
 	}
 }
 
-// FuzzReadTrace feeds the trace reader hostile bytes three ways: the
+// FuzzReadTrace feeds the trace reader hostile bytes four ways: the
 // raw input as-is (header, length and checksum handling) and wrapped
-// in a valid envelope of either version (the JSON and binary payload
-// decoders and semantic validation, e.g. null workers, collectives
-// without metadata, table indexes). Whatever arrives, ReadCapture must
-// reject with one of its typed errors — never panic, never
-// over-allocate on a crafted length field — or return a capture that
-// round-trips stably: writing it and reading it back gives a
-// deep-equal capture, interned shapes included, which writes the same
-// bytes again. An accepted capture's job then compiles for the engine
-// and simulates, under a one-second horizon, to a report or
-// sim.ErrDeadlock.
+// in a valid envelope of each version (the JSON, version-2 and current
+// binary payload decoders, legacy folding and semantic validation,
+// e.g. null workers, collectives without metadata, table indexes).
+// Whatever arrives, ReadCapture must reject with one of its typed
+// errors — never panic, never over-allocate on a crafted length field
+// — or return a capture that holds device calls only, every host-only
+// record folded away, and round-trips stably: writing it and reading
+// it back gives a deep-equal capture, interned shapes included, which
+// writes the same bytes again. An accepted capture's job then compiles
+// for the engine and simulates, under a one-second horizon, to a
+// report or sim.ErrDeadlock.
 func FuzzReadTrace(f *testing.F) {
 	valid := fuzzCaptureBytes(f)
 	f.Add(valid)
@@ -356,15 +359,32 @@ func FuzzReadTrace(f *testing.F) {
 	} {
 		f.Add(oneOpCapture(op))
 	}
+	// Host-only records of earlier versions, each folding differently:
+	// consecutive delays, a malloc between two delays, a delay before a
+	// mark, and a trailing delay.
+	for _, op := range []string{
+		`{"seq":0,"kind":"hostDelay","dur":3},{"seq":1,"kind":"hostDelay","dur":4},{"seq":2,"kind":"kernel","name":"gemm","stream":1}`,
+		`{"seq":0,"kind":"hostDelay","dur":3},{"seq":1,"kind":"malloc","bytes":4096,"ptr":512},{"seq":2,"kind":"hostDelay","dur":4},` +
+			`{"seq":3,"kind":"memset","name":"Memset","bytes":64,"stream":1}`,
+		`{"seq":0,"kind":"hostDelay","dur":5},{"seq":1,"kind":"mark","name":"iter_end"}`,
+		`{"seq":0,"kind":"deviceSync"},{"seq":1,"kind":"free","bytes":4096,"ptr":512},{"seq":2,"kind":"hostDelay","dur":6}`,
+	} {
+		f.Add(oneOpCapture(op))
+	}
 	for _, c := range malformedBinary {
 		f.Add(c.blob)
+	}
+	if v2, err := os.ReadFile(goldenTraceV2); err == nil {
+		f.Add(v2) // a real version-2 capture: every host-only op folds
+	} else {
+		f.Fatal(err)
 	}
 	for _, c := range extremeTraces {
 		f.Add(c.blob)
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, blob := range [][]byte{data, envelope(traceFormatJSON, data), envelope(TraceFormatVersion, data)} {
+		for _, blob := range [][]byte{data, envelope(traceFormatJSON, data), envelope(traceFormatV2, data), envelope(TraceFormatVersion, data)} {
 			c, err := ReadCapture(bytes.NewReader(blob))
 			if err != nil {
 				if !errors.Is(err, ErrTraceFormat) && !errors.Is(err, ErrTraceVersion) && !errors.Is(err, io.ErrUnexpectedEOF) {
@@ -393,6 +413,13 @@ func FuzzReadTrace(f *testing.F) {
 			if c.Job == nil {
 				continue
 			}
+			for _, w := range c.Job.Workers {
+				for i := range w.Ops {
+					if !deviceCall(w.Ops[i].Kind) {
+						t.Fatalf("worker %d op %d: accepted a %v", w.Rank, i, w.Ops[i].Kind)
+					}
+				}
+			}
 			parts := trace.Participation(c.Job)
 			o := sim.Options{Participants: parts, Index: sim.Compile(c.Job, parts), TimeLimit: fuzzHorizon}
 			if _, err := sim.Run(context.Background(), c.Job, o); err != nil && !errors.Is(err, sim.ErrDeadlock) {
@@ -400,4 +427,15 @@ func FuzzReadTrace(f *testing.F) {
 			}
 		}
 	})
+}
+
+// deviceCall reports whether k is a kind a loaded trace may hold: a
+// device call, not a host-only record of an earlier version.
+func deviceCall(k trace.Kind) bool {
+	switch k {
+	case trace.KindKernel, trace.KindMemcpy, trace.KindMemset, trace.KindEventRecord, trace.KindStreamWait,
+		trace.KindEventSync, trace.KindStreamSync, trace.KindDeviceSync, trace.KindCollective, trace.KindMark:
+		return true
+	}
+	return false
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"os"
 	"reflect"
 	"testing"
@@ -16,14 +15,20 @@ import (
 // goldenTrace is a version-1 trace file written by the encoder that
 // predates interned shapes, when every op carried its own dims, flops,
 // dtype, extra and memKind. It is the capture goldenCapture makes,
-// with zero stage timings. Do not regenerate it with the current
+// with zero stage timings, recorded when host delays, mallocs and
+// frees were ops of their own. Do not regenerate it with the current
 // encoder: it pins that the format did not move.
 const goldenTrace = "testdata/capture-v1.mtrace"
 
 // goldenTraceV2 is the same capture as written by the first binary
-// encoder (format version 2). Do not regenerate it either: it pins that
-// the binary format did not move.
+// encoder (format version 2), host-only ops included. Do not
+// regenerate it either.
 const goldenTraceV2 = "testdata/capture-v2.mtrace"
+
+// goldenTraceV3 is the same capture in format version 3, its host
+// time folded into the ops' gaps. Do not regenerate it: it pins that
+// the current format did not move.
+const goldenTraceV3 = "testdata/capture-v3.mtrace"
 
 // goldenCapture captures a tiny CNN under DDP on two A40s with
 // torch.compile (Triton kernels carry extra) and activation offload
@@ -55,78 +60,79 @@ func goldenCapture(t *testing.T) (*Pipeline, *Capture) {
 	return p, c
 }
 
+// TestGoldenTraceStillLoads loads the capture of every format
+// version: each folds to the capture made in process, writes the bytes
+// of the version-3 golden and the same JSON job, and replays exactly
+// as the in-process capture does.
 func TestGoldenTraceStillLoads(t *testing.T) {
-	golden, err := os.ReadFile(goldenTrace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := ReadCapture(bytes.NewReader(golden))
-	if err != nil {
-		t.Fatalf("ReadCapture(%s): %v", goldenTrace, err)
-	}
 	p, fresh := goldenCapture(t)
-
-	// The loaded file and the same capture made in process write the
-	// same binary bytes, and they are the bytes of the binary golden,
-	// which loads to the capture the JSON golden does.
-	goldenV2, err := os.ReadFile(goldenTraceV2)
+	goldenV3, err := os.ReadFile(goldenTraceV3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, c := range map[string]*Capture{"loaded": loaded, "in-process": fresh} {
-		var buf bytes.Buffer
-		if _, err := c.WriteTo(&buf); err != nil {
-			t.Fatal(err)
+	var freshJSON bytes.Buffer
+	if err := fresh.Job.WriteJSON(&freshJSON); err != nil {
+		t.Fatal(err)
+	}
+	for _, legacy := range []string{`"hostDelay"`, `"malloc"`, `"free"`, `"ptr"`} {
+		if bytes.Contains(freshJSON.Bytes(), []byte(legacy)) {
+			t.Errorf("WriteJSON writes %s", legacy)
 		}
-		if !bytes.Equal(buf.Bytes(), goldenV2) {
-			t.Errorf("%s capture writes %d bytes that differ from the %d of %s", name, buf.Len(), len(goldenV2), goldenTraceV2)
-		}
 	}
-	loadedV2, err := ReadCapture(bytes.NewReader(goldenV2))
-	if err != nil {
-		t.Fatalf("ReadCapture(%s): %v", goldenTraceV2, err)
-	}
-	if !reflect.DeepEqual(loadedV2, loaded) {
-		t.Errorf("%s and %s load to different captures", goldenTraceV2, goldenTrace)
-	}
-	// WriteJSON writes the same job record, indented.
-	var payload struct{ Job json.RawMessage }
-	if err := json.Unmarshal(golden[len(traceMagic)+2+8:len(golden)-8], &payload); err != nil {
-		t.Fatal(err)
-	}
-	var want, got bytes.Buffer
-	if err := json.Indent(&want, payload.Job, "", " "); err != nil {
-		t.Fatal(err)
-	}
-	want.WriteByte('\n')
-	if err := loaded.Job.WriteJSON(&got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Error("WriteJSON of the loaded job differs from the job record in the file")
-	}
-
-	// The old file replays exactly as the in-process capture does.
 	ctx := context.Background()
-	for name, replay := range map[string]func(*Capture) (*Report, error){
+	replays := map[string]func(*Capture) (*Report, error){
 		"oracle": func(c *Capture) (*Report, error) { return p.Simulate(ctx, c, 1e12, hardware.FP16) },
 		"physical": func(c *Capture) (*Report, error) {
 			return p.Measure(ctx, c, DefaultOracle(p.Cluster), 1e12, hardware.FP16)
 		},
-	} {
-		a, err := replay(loaded)
+	}
+	want := map[string]Report{}
+	for name, replay := range replays {
+		r, err := replay(fresh)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := replay(fresh)
+		if r.IterTime <= 0 {
+			t.Errorf("%s: iteration time %v", name, r.IterTime)
+		}
+		want[name] = zeroStages(r)
+	}
+
+	for _, file := range []string{goldenTrace, goldenTraceV2, goldenTraceV3} {
+		golden, err := os.ReadFile(file)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if zeroStages(a) != zeroStages(b) {
-			t.Errorf("%s: loaded capture simulates to %+v, in-process to %+v", name, zeroStages(a), zeroStages(b))
+		loaded, err := ReadCapture(bytes.NewReader(golden))
+		if err != nil {
+			t.Fatalf("ReadCapture(%s): %v", file, err)
 		}
-		if a.IterTime <= 0 {
-			t.Errorf("%s: iteration time %v", name, a.IterTime)
+		var bin, js bytes.Buffer
+		if _, err := loaded.WriteTo(&bin); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(bin.Bytes(), goldenV3) {
+			t.Errorf("%s writes %d bytes that differ from the %d of %s", file, bin.Len(), len(goldenV3), goldenTraceV3)
+		}
+		if err := loaded.Job.WriteJSON(&js); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(js.Bytes(), freshJSON.Bytes()) {
+			t.Errorf("WriteJSON of %s's job differs from the in-process job's", file)
+		}
+		for name, replay := range replays {
+			r, err := replay(loaded)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if zeroStages(r) != want[name] {
+				t.Errorf("%s: %s simulates to %+v, in-process to %+v", name, file, zeroStages(r), want[name])
+			}
+		}
+		// Compared last: a replay memoizes into the capture.
+		loaded, _ = ReadCapture(bytes.NewReader(golden))
+		if _, fresh := goldenCapture(t); !reflect.DeepEqual(loaded, fresh) {
+			t.Errorf("%s does not load to the in-process capture", file)
 		}
 	}
 }

@@ -28,6 +28,9 @@ type Handle struct {
 	stream cuda.Stream
 	math   MathMode
 	valid  bool
+	// dims backs each GEMM launch's Dims: the device copies them at
+	// the launch, so one array serves every launch.
+	dims [4]int
 }
 
 // Create initializes a cuBLAS handle on dev (cublasCreate_v2).
@@ -101,12 +104,13 @@ func dtypeSize(dt string) int64 {
 	}
 }
 
-func gemmDesc(name string, batch, m, n, k int, dt string) cuda.KernelDesc {
+func (h *Handle) gemmDesc(name string, batch, m, n, k int, dt string) cuda.KernelDesc {
 	b := int64(batch)
 	es := dtypeSize(dt)
+	h.dims = [...]int{batch, m, n, k}
 	return cuda.KernelDesc{
 		Name:  name,
-		Dims:  []int{batch, m, n, k},
+		Dims:  h.dims[:],
 		FLOPs: 2 * b * int64(m) * int64(n) * int64(k),
 		Bytes: b * es * (int64(m)*int64(k) + int64(k)*int64(n) + int64(m)*int64(n)),
 		DType: dt,
@@ -119,7 +123,7 @@ func (h *Handle) SgemmV2(m, n, k int) error {
 	if err := h.check(m, n, k); err != nil {
 		return err
 	}
-	return h.dev.LaunchKernel(gemmDesc("cublasSgemm_v2", 1, m, n, k, "fp32"), h.stream)
+	return h.dev.LaunchKernel(h.gemmDesc("cublasSgemm_v2", 1, m, n, k, "fp32"), h.stream)
 }
 
 // GemmEx is cublasGemmEx: mixed-precision GEMM with an explicit
@@ -133,7 +137,7 @@ func (h *Handle) GemmEx(m, n, k int, dtype string) error {
 		// cuBLAS routes fp32 GemmEx through the classic Sgemm kernel.
 		name = "cublasSgemm_v2"
 	}
-	return h.dev.LaunchKernel(gemmDesc(name, 1, m, n, k, dtype), h.stream)
+	return h.dev.LaunchKernel(h.gemmDesc(name, 1, m, n, k, dtype), h.stream)
 }
 
 // SgemmStridedBatched is cublasSgemmStridedBatched: batch GEMMs with
@@ -145,7 +149,7 @@ func (h *Handle) SgemmStridedBatched(batch, m, n, k int, dtype string) error {
 	if batch <= 0 {
 		return fmt.Errorf("cublas: %w: batch %d", cuda.ErrInvalidValue, batch)
 	}
-	return h.dev.LaunchKernel(gemmDesc("cublasSgemmStridedBatched", batch, m, n, k, dtype), h.stream)
+	return h.dev.LaunchKernel(h.gemmDesc("cublasSgemmStridedBatched", batch, m, n, k, dtype), h.stream)
 }
 
 // LtMatmul is cublasLtMatmul, the epilogue-fusing matmul entry that
@@ -154,5 +158,5 @@ func (h *Handle) LtMatmul(m, n, k int, dtype string) error {
 	if err := h.check(m, n, k); err != nil {
 		return err
 	}
-	return h.dev.LaunchKernel(gemmDesc("cublasLtMatmul", 1, m, n, k, dtype), h.stream)
+	return h.dev.LaunchKernel(h.gemmDesc("cublasLtMatmul", 1, m, n, k, dtype), h.stream)
 }

@@ -172,7 +172,8 @@ type Device interface {
 
 	// LaunchKernel enqueues a compute kernel on s. Under emulation
 	// this records metadata and returns immediately (the no-op
-	// transformation at the heart of Maya).
+	// transformation at the heart of Maya). The device keeps nothing
+	// of k.Dims or k.Extra past the call, so callers may reuse them.
 	LaunchKernel(k KernelDesc, s Stream) error
 
 	// LaunchCollective enqueues a communication operation on s. It is

@@ -17,6 +17,9 @@ type Handle struct {
 	dev    cuda.Device
 	stream cuda.Stream
 	valid  bool
+	// dims backs each convolution launch's Dims: the device copies
+	// them at the launch, so one array serves every launch.
+	dims [11]int
 }
 
 // Create initializes a handle (cudnnCreate).
@@ -143,9 +146,10 @@ func (h *Handle) convDesc(name string, x *TensorDesc, f *FilterDesc, c *ConvDesc
 	es := dtypeSize(x.dtype)
 	flops := 2 * int64(n) * int64(k) * int64(oh) * int64(ow) * int64(f.c) * int64(f.r) * int64(f.s)
 	bytes := es * (x.Elems() + int64(f.k)*int64(f.c)*int64(f.r)*int64(f.s) + int64(n)*int64(k)*int64(oh)*int64(ow))
+	h.dims = [...]int{n, x.c, x.hh, x.w, k, f.r, f.s, c.strideH, c.padH, oh, ow}
 	return cuda.KernelDesc{
 		Name:  name,
-		Dims:  []int{n, x.c, x.hh, x.w, k, f.r, f.s, c.strideH, c.padH, oh, ow},
+		Dims:  h.dims[:],
 		FLOPs: flops,
 		Bytes: bytes,
 		DType: x.dtype,

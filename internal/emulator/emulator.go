@@ -1,10 +1,10 @@
 // Package emulator implements Maya's transparent device emulator: a
 // cuda.Device whose compute is a no-op but whose state tracking is
 // real. Training code runs against it unmodified; the emulator
-// captures a complete trace of device interactions — kernels, memory
-// operations, synchronization and collectives — plus the host time
-// spent between calls, while detecting the errors a real device would
-// raise (out-of-memory, invalid handles).
+// captures a complete trace of device interactions — kernels, copies,
+// synchronization and collectives — each carrying the host time spent
+// since the call before it, while detecting the errors a real device
+// would raise (out-of-memory, invalid handles).
 package emulator
 
 import (
@@ -44,6 +44,10 @@ type Emulator struct {
 	tr  *trace.Worker
 	rec *recording
 	rng *prand.SplitMix64
+	// gap is the host time modeled since the last recorded op: the
+	// next op carries it as its HostGap, and a seal with none after it
+	// leaves it as the trace's TailGap.
+	gap time.Duration
 	// shapes interns every kernel, memcpy and memset shape this worker
 	// launches: the trace holds one Shape per distinct shape.
 	shapes trace.Shapes
@@ -96,9 +100,10 @@ func New(cfg Config) *Emulator {
 // interned shapes, which are immutable and not copied. Calling it
 // again returns the same worker. The emulator can continue to be used
 // afterwards: ops launched after a seal are in the worker the next
-// call returns.
+// call returns, the first of them carrying the host time the sealed
+// worker counted as its TailGap.
 func (e *Emulator) Trace() *trace.Worker {
-	e.tr.PeakBytes = e.mem.peak
+	e.tr.PeakBytes, e.tr.TailGap = e.mem.peak, e.gap
 	if r := e.rec; r != nil {
 		sealed := e.tr.Compact()
 		// Clear what was used before pooling, so the scratch pins no
@@ -120,7 +125,7 @@ func (e *Emulator) scratch() *recording {
 		e.rec = recordings.Get().(*recording)
 		sealed := e.tr
 		w := *sealed
-		w.Ops = e.rec.ops[:0]
+		w.Ops, w.TailGap = e.rec.ops[:0], 0
 		for i := range sealed.Ops {
 			w.Append(sealed.Ops[i])
 		}
@@ -129,15 +134,18 @@ func (e *Emulator) scratch() *recording {
 	return e.rec
 }
 
-// record appends op to the trace.
+// record appends op to the trace, carrying the host time pending since
+// the op before it.
 func (e *Emulator) record(op trace.Op) {
 	e.scratch()
+	op.HostGap, e.gap = e.gap, 0
 	e.tr.Append(op)
 }
 
-// hostDelay appends the modeled CPU time preceding an API call. The
-// paper measures wall-clock deltas; we synthesize them
-// deterministically from the host spec (see DESIGN.md substitutions).
+// hostDelay adds the modeled CPU time preceding an API call to the
+// gap the next recorded op carries. The paper measures wall-clock
+// deltas; we synthesize them deterministically from the host spec
+// (see DESIGN.md substitutions).
 func (e *Emulator) hostDelay(kernelPrep bool) {
 	h := e.cfg.Host
 	d := h.DispatchOverhead
@@ -149,10 +157,9 @@ func (e *Emulator) hostDelay(kernelPrep bool) {
 		j := (e.rng.Float64()*2 - 1) * h.JitterFrac
 		d = time.Duration(float64(d) * (1 + j))
 	}
-	if d <= 0 {
-		return
+	if d > 0 {
+		e.gap += d
 	}
-	e.record(trace.Op{Kind: trace.KindHostDelay, Dur: d})
 }
 
 // Ordinal implements cuda.Device.
@@ -167,7 +174,8 @@ func (e *Emulator) MemGetInfo() (free, total int64, err error) {
 
 // Malloc implements cuda.Device. Exceeding capacity returns
 // ErrOutOfMemory and marks the trace, which is how broken
-// configurations surface during search.
+// configurations surface during search. It records no op: the trace
+// keeps the allocator's high-water mark and the OOM flag.
 func (e *Emulator) Malloc(bytes int64) (cuda.DevicePtr, error) {
 	e.hostDelay(false)
 	if bytes <= 0 {
@@ -178,19 +186,13 @@ func (e *Emulator) Malloc(bytes int64) (cuda.DevicePtr, error) {
 		e.tr.OOM = true
 		return 0, err
 	}
-	e.record(trace.Op{Kind: trace.KindMalloc, Bytes: bytes, Ptr: uint64(ptr)})
 	return ptr, nil
 }
 
-// Free implements cuda.Device.
+// Free implements cuda.Device. Like Malloc it records no op.
 func (e *Emulator) Free(ptr cuda.DevicePtr) error {
 	e.hostDelay(false)
-	n, err := e.mem.free(ptr)
-	if err != nil {
-		return err
-	}
-	e.record(trace.Op{Kind: trace.KindFree, Bytes: n, Ptr: uint64(ptr)})
-	return nil
+	return e.mem.free(ptr)
 }
 
 // StreamCreate implements cuda.Device.
@@ -441,14 +443,14 @@ func (a *allocator) alloc(bytes int64) (cuda.DevicePtr, error) {
 	return ptr, nil
 }
 
-func (a *allocator) free(ptr cuda.DevicePtr) (int64, error) {
+func (a *allocator) free(ptr cuda.DevicePtr) error {
 	n, ok := a.blocks[ptr]
 	if !ok {
-		return 0, fmt.Errorf("%w: %#x", cuda.ErrInvalidDevicePtr, uint64(ptr))
+		return fmt.Errorf("%w: %#x", cuda.ErrInvalidDevicePtr, uint64(ptr))
 	}
 	delete(a.blocks, ptr)
 	a.used -= n
-	return n, nil
+	return nil
 }
 
 // check validates that [ptr, ptr+bytes) lies inside a live block.

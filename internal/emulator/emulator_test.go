@@ -42,8 +42,13 @@ func TestMallocFreeAccounting(t *testing.T) {
 	if free2 != free0 {
 		t.Fatalf("free after free = %d, want %d", free2, free0)
 	}
-	if tr := e.Trace(); tr.PeakBytes != 1<<20 {
+	tr := e.Trace()
+	if tr.PeakBytes != 1<<20 {
 		t.Fatalf("peak = %d, want %d", tr.PeakBytes, 1<<20)
+	}
+	// Allocation records no op; the calls' host time is the tail.
+	if len(tr.Ops) != 0 || tr.TailGap <= 0 {
+		t.Fatalf("%d ops, tail gap %v; want none and a positive tail", len(tr.Ops), tr.TailGap)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"maya/internal/cuda"
 	"maya/internal/framework"
@@ -193,12 +194,21 @@ func TestRecordingScratchConcurrentCaptures(t *testing.T) {
 }
 
 func TestTraceIsIdempotentAndResumable(t *testing.T) {
-	e := testEmulator()
+	host := hardware.Host{DispatchOverhead: 5 * time.Microsecond, KernelPrepOverhead: 9 * time.Microsecond}
+	e := New(Config{World: 1, GPU: hardware.H100(), Host: host})
 	k := cuda.KernelDesc{Name: "gemm", Dims: []int{8, 16, 32}, FLOPs: 1, Bytes: 1, DType: "bf16"}
 	if err := e.LaunchKernel(k, cuda.DefaultStream); err != nil {
 		t.Fatal(err)
 	}
+	// A malloc records no op: its host time is pending past the last
+	// op, the seal's TailGap.
+	if _, err := e.Malloc(4096); err != nil {
+		t.Fatal(err)
+	}
 	first := e.Trace()
+	if first.Ops[0].HostGap != 14*time.Microsecond || first.TailGap != 5*time.Microsecond {
+		t.Fatalf("sealed gaps: op %v, tail %v; want 14µs and 5µs", first.Ops[0].HostGap, first.TailGap)
+	}
 	snapshot := first.Compact()
 	if again := e.Trace(); again != first || !reflect.DeepEqual(again, snapshot) {
 		t.Fatal("second Trace() is not the first's worker")
@@ -212,19 +222,21 @@ func TestTraceIsIdempotentAndResumable(t *testing.T) {
 	next := e.Trace()
 	checkPooled(t, "resumed", r)
 	n := len(first.Ops)
-	if len(next.Ops) != n+2 || cap(next.Ops) != len(next.Ops) {
-		t.Fatalf("after a launch past the seal: %d ops (cap %d), want %d", len(next.Ops), cap(next.Ops), n+2)
+	if len(next.Ops) != n+1 || cap(next.Ops) != len(next.Ops) {
+		t.Fatalf("after a launch past the seal: %d ops (cap %d), want %d", len(next.Ops), cap(next.Ops), n+1)
 	}
 	if !reflect.DeepEqual(next.Ops[:n], snapshot.Ops) {
 		t.Fatal("resumed trace lost or changed the sealed ops")
 	}
-	if last := next.Ops[n+1]; last.Seq != n+1 || last.Kind != trace.KindCollective || last.Coll.CommID != 9 {
-		t.Fatalf("last op = %+v", last)
+	// The pending tail moved onto the op launched after the seal.
+	if last := next.Ops[n]; last.Seq != n || last.Kind != trace.KindCollective || last.Coll.CommID != 9 ||
+		last.HostGap != snapshot.TailGap+14*time.Microsecond || next.TailGap != 0 {
+		t.Fatalf("last op = %+v, tail %v", last, next.TailGap)
 	}
 	if !reflect.DeepEqual(first, snapshot) {
 		t.Fatal("resuming changed the worker the first Trace() returned")
 	}
-	next.Ops[0].Dur, next.Ops[1].Stream = 0, -1
+	next.Ops[0].Dur, next.Ops[0].Stream = 0, -1
 	if !reflect.DeepEqual(first, snapshot) {
 		t.Fatal("the resumed seal shares storage with the first")
 	}

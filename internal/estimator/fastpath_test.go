@@ -135,7 +135,7 @@ func TestTrainSuiteParallelMatchesSerial(t *testing.T) {
 // memory ops (two of them copies equal in everything but direction,
 // as a loaded trace may name them — the silicon prices those apart,
 // see its TestMemcpyTimes), matched and unmatched collectives
-// (one on a communicator with no recorded membership), host delays
+// (one on a communicator with no recorded membership), a host gap
 // and markers.
 func planFixtureJob(t *testing.T) (*trace.Job, map[uint64][]int, map[uint64]int) {
 	t.Helper()
@@ -143,9 +143,9 @@ func planFixtureJob(t *testing.T) (*trace.Job, map[uint64][]int, map[uint64]int)
 		w := &trace.Worker{Rank: rank, World: 2, Device: "test"}
 		var shapes trace.Shapes
 		dev := func(k trace.Kind, s *trace.Shape) { w.Append(trace.OpOf(k, shapes.Intern(k, s))) }
-		w.Append(trace.Op{Kind: trace.KindHostDelay, Dur: 5 * time.Microsecond})
 		dev(trace.KindKernel, &trace.Shape{Name: "k0",
 			Dims: []int{1, 256, 256, 256}, FLOPs: 2 << 24, Bytes: 3 << 17, DType: "bf16"})
+		w.Ops[0].HostGap = 5 * time.Microsecond
 		dev(trace.KindKernel, &trace.Shape{Name: "k0",
 			Dims: []int{1, 256, 256, 256}, FLOPs: 2 << 24, Bytes: 3 << 17, DType: "bf16"})
 		dev(trace.KindKernel, &trace.Shape{Name: "unprofiled",

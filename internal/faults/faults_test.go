@@ -21,8 +21,7 @@ func iterJob(t testing.TB) *trace.Job {
 	t.Helper()
 	mk := func(rank int) *trace.Worker {
 		w := &trace.Worker{Rank: rank, World: 2, Device: "test"}
-		w.Append(trace.Op{Kind: trace.KindHostDelay, Dur: 2 * time.Millisecond})
-		w.Append(trace.Op{Kind: trace.KindMark, Name: trace.MarkSetupEnd})
+		w.Append(trace.Op{Kind: trace.KindMark, Name: trace.MarkSetupEnd, HostGap: 2 * time.Millisecond})
 		for k := range 3 {
 			w.Append(trace.Op{Kind: trace.KindKernel, Name: "k", Stream: 0, Dur: 10 * time.Millisecond})
 			w.Append(trace.Op{

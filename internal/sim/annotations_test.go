@@ -16,8 +16,7 @@ func overlayJob(t *testing.T) *trace.Job {
 	t.Helper()
 	mkWorker := func(rank int) *trace.Worker {
 		w := &trace.Worker{Rank: rank, World: 2}
-		w.Append(trace.Op{Kind: trace.KindHostDelay, Dur: 3 * time.Microsecond})
-		w.Append(trace.Op{Kind: trace.KindKernel, Name: "gemm", Stream: 1, Shape: &trace.Shape{Name: "gemm"}})
+		w.Append(trace.Op{Kind: trace.KindKernel, Name: "gemm", Stream: 1, Shape: &trace.Shape{Name: "gemm"}, HostGap: 3 * time.Microsecond})
 		w.Append(trace.Op{Kind: trace.KindEventRecord, Stream: 1, Event: 9, EventVer: 1})
 		w.Append(trace.Op{Kind: trace.KindStreamWait, Stream: 2, Event: 9, EventVer: 1})
 		w.Append(trace.Op{Kind: trace.KindCollective, Stream: 2, Coll: &trace.Collective{

@@ -75,8 +75,7 @@ func TestBreakdownEventWait(t *testing.T) {
 	// (after a host-side delay), so stream 2's stall is real idle time.
 	w2 := worker(0, 1,
 		trace.Op{Kind: trace.KindStreamWait, Stream: 2, Event: 9, EventVer: 1},
-		hostDelay(10*time.Millisecond),
-		trace.Op{Kind: trace.KindEventRecord, Stream: 1, Event: 9, EventVer: 1},
+		after(10*time.Millisecond, trace.Op{Kind: trace.KindEventRecord, Stream: 1, Event: 9, EventVer: 1}),
 		kernel(2, 5*time.Millisecond),
 		trace.Op{Kind: trace.KindDeviceSync},
 	)
@@ -97,8 +96,7 @@ func TestBreakdownHostBoundAndBubble(t *testing.T) {
 	// whose device idles with no cause at all: bubble.
 	w := worker(0, 1,
 		kernel(0, 10*time.Millisecond),
-		hostDelay(15*time.Millisecond),
-		kernel(0, 10*time.Millisecond),
+		after(15*time.Millisecond, kernel(0, 10*time.Millisecond)),
 		trace.Op{Kind: trace.KindDeviceSync},
 	)
 	_, stalls := runWithBreakdown(t, job(t, w), Options{})

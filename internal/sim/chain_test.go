@@ -72,8 +72,7 @@ func chainFixture(t *testing.T, seed int64) *trace.Job {
 			}
 		case 4: // host-side pause then device sync
 			for _, w := range ws {
-				w.Append(hostDelay(dur()))
-				w.Append(trace.Op{Kind: trace.KindDeviceSync})
+				w.Append(after(dur(), trace.Op{Kind: trace.KindDeviceSync}))
 			}
 		case 5: // iteration mark
 			for _, w := range ws {

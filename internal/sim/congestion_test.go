@@ -67,8 +67,8 @@ func TestCongestionRetunesOnArrivalAndDeparture(t *testing.T) {
 	j := job(t,
 		worker(0, 4, collOn(0, 1, 0, 2, 0, 2*time.Millisecond)),
 		worker(1, 4, collOn(0, 1, 0, 2, 1, 2*time.Millisecond)),
-		worker(2, 4, hostDelay(time.Millisecond), collOn(0, 2, 0, 2, 0, 2*time.Millisecond)),
-		worker(3, 4, hostDelay(time.Millisecond), collOn(0, 2, 0, 2, 1, 2*time.Millisecond)),
+		worker(2, 4, after(time.Millisecond, collOn(0, 2, 0, 2, 0, 2*time.Millisecond))),
+		worker(3, 4, after(time.Millisecond, collOn(0, 2, 0, 2, 1, 2*time.Millisecond))),
 	)
 	cong := &CongestionModel{
 		Widths: []int32{1},

@@ -290,8 +290,7 @@ func (x *Index) collSlot(op *trace.Op, groupOf map[trace.CollKey]int32, extra *m
 // stream sync) waits on one: the ops whose stream gets a slot.
 func namesStream(op *trace.Op) bool {
 	switch op.Kind {
-	case trace.KindHostDelay, trace.KindMalloc, trace.KindFree, trace.KindMark,
-		trace.KindEventSync, trace.KindDeviceSync:
+	case trace.KindMark, trace.KindEventSync, trace.KindDeviceSync:
 		return false
 	case trace.KindCollective:
 		return op.Coll.Seq >= 0

@@ -268,6 +268,7 @@ const (
 type hostState struct {
 	w    int
 	ops  []trace.Op
+	tail time.Duration // the worker's TailGap
 	pos  int
 	t    int64
 	done bool
@@ -498,7 +499,7 @@ func (e *Engine) Reset(job *trace.Job, opts Options) {
 	}
 	e.hosts = e.hosts[:n]
 	for i, w := range job.Workers {
-		e.hosts[i] = hostState{w: i, ops: w.Ops, syncs: x.hostRow(i)}
+		e.hosts[i] = hostState{w: i, ops: w.Ops, tail: w.TailGap, syncs: x.hostRow(i)}
 	}
 	e.byWorker = resizeGrid(e.byWorker, n)
 	e.activeColls = resizeGrid(e.activeColls, n)
@@ -761,29 +762,27 @@ func (e *Engine) deadlockError(h *hostState) error {
 }
 
 // runHost advances one worker's host thread until it finishes or
-// blocks on a synchronization call.
+// blocks on a synchronization call. Each op first spends its HostGap
+// on the host clock, then runs; the walk's end spends the trace's
+// TailGap. A host woken from a sync resumes past the sync op, so its
+// gap is spent once.
 func (e *Engine) runHost(h *hostState) {
 	h.scheduled = false
 	if h.done {
 		return
 	}
 	for h.pos < len(h.ops) {
+		op := &h.ops[h.pos]
+		if g := int64(op.HostGap); g != 0 && !e.hostGap(h, g) {
+			return
+		}
 		if e.inj != nil && e.inj.dead(h.w, h.t) {
 			// Fail-stop: the host thread freezes mid-trace — not done,
 			// so the drained heap reports Halted rather than a clean
 			// finish.
 			return
 		}
-		op := &h.ops[h.pos]
 		switch op.Kind {
-		case trace.KindHostDelay:
-			if e.obs != nil {
-				e.obs.HostDelay(h.w, h.t, h.t+int64(op.Dur))
-			}
-			h.t += int64(op.Dur)
-			h.pos++
-		case trace.KindMalloc, trace.KindFree:
-			h.pos++
 		case trace.KindMark:
 			e.marks[h.w] = append(e.marks[h.w], MarkAt{Label: op.Name, At: time.Duration(h.t)})
 			if e.obs != nil {
@@ -837,7 +836,24 @@ func (e *Engine) runHost(h *hostState) {
 			e.kickStream(st)
 		}
 	}
+	if g := int64(h.tail); g != 0 && !e.hostGap(h, g) {
+		return
+	}
 	h.done = true
+}
+
+// hostGap spends a non-zero gap on h's host clock, reporting false
+// when the worker is dead before it begins: a fail-stop freezes the
+// host where it stood.
+func (e *Engine) hostGap(h *hostState, gap int64) bool {
+	if e.inj != nil && e.inj.dead(h.w, h.t) {
+		return false
+	}
+	if e.obs != nil {
+		e.obs.HostDelay(h.w, h.t, h.t+gap)
+	}
+	h.t += gap
+	return true
 }
 
 // deviceDrained reports whether all streams of worker w are idle and

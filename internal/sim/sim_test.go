@@ -32,8 +32,10 @@ func kernel(stream int64, dur time.Duration) trace.Op {
 	return trace.Op{Kind: trace.KindKernel, Name: "k", Stream: stream, Dur: dur}
 }
 
-func hostDelay(d time.Duration) trace.Op {
-	return trace.Op{Kind: trace.KindHostDelay, Dur: d}
+// after returns op carrying d of host time spent before it.
+func after(d time.Duration, op trace.Op) trace.Op {
+	op.HostGap = d
+	return op
 }
 
 func coll(stream int64, comm uint64, seq, nranks, rank int, dur time.Duration) trace.Op {
@@ -82,8 +84,7 @@ func TestHostDelaySerializesDispatch(t *testing.T) {
 	// total is 20ms, not 25ms (async dispatch hides host time).
 	w := worker(0, 1,
 		kernel(0, 10*time.Millisecond),
-		hostDelay(5*time.Millisecond),
-		kernel(0, 10*time.Millisecond),
+		after(5*time.Millisecond, kernel(0, 10*time.Millisecond)),
 		trace.Op{Kind: trace.KindDeviceSync},
 	)
 	r := mustRun(t, job(t, w), Options{})
@@ -94,8 +95,7 @@ func TestHostDelaySerializesDispatch(t *testing.T) {
 	// If the host gap exceeds the first kernel, the gap is exposed.
 	w2 := worker(0, 1,
 		kernel(0, 10*time.Millisecond),
-		hostDelay(15*time.Millisecond),
-		kernel(0, 10*time.Millisecond),
+		after(15*time.Millisecond, kernel(0, 10*time.Millisecond)),
 		trace.Op{Kind: trace.KindDeviceSync},
 	)
 	r2 := mustRun(t, job(t, w2), Options{})
@@ -445,8 +445,7 @@ func physicalFixture(t *testing.T) *trace.Job {
 			kernel(1, 10*time.Millisecond),
 			trace.Op{Kind: trace.KindEventRecord, Stream: 1, Event: 7, EventVer: 1},
 			trace.Op{Kind: trace.KindStreamWait, Stream: 2, Event: 7, EventVer: 1},
-			hostDelay(time.Millisecond),
-			coll(2, 42, 0, 2, rank, 20*time.Millisecond),
+			after(time.Millisecond, coll(2, 42, 0, 2, rank, 20*time.Millisecond)),
 			kernel(1, 5*time.Millisecond),
 			trace.Op{Kind: trace.KindStreamSync, Stream: 2},
 			trace.Op{Kind: trace.KindMark, Name: trace.MarkIterEnd},

@@ -24,8 +24,7 @@ func timelineFixture(t *testing.T) *trace.Job {
 			kernel(1, 10*time.Millisecond),
 			trace.Op{Kind: trace.KindEventRecord, Stream: 1, Event: 7, EventVer: 1},
 			trace.Op{Kind: trace.KindStreamWait, Stream: 2, Event: 7, EventVer: 1},
-			hostDelay(2*time.Millisecond),
-			coll(2, 0x42, 0, 2, rank, 20*time.Millisecond),
+			after(2*time.Millisecond, coll(2, 0x42, 0, 2, rank, 20*time.Millisecond)),
 			kernel(1, 5*time.Millisecond),
 			trace.Op{Kind: trace.KindMark, Name: trace.MarkIterEnd},
 			trace.Op{Kind: trace.KindDeviceSync},

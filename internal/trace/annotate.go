@@ -19,7 +19,7 @@ type Timer interface {
 // memcpy, memset and matched collective of the job is priced by t and
 // written into the overlay the simulator reads through, which must be
 // bound to this job; the job itself stays immutable. Ops the walk does
-// not price — host delays, events, markers, unmatched collectives —
+// not price — events, syncs, markers, unmatched collectives —
 // keep the base durations the overlay was seeded with. RankResolver
 // says what comms and sizes are. Cancellation of ctx is observed
 // between workers, leaving the overlay partially filled.

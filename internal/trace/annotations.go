@@ -17,8 +17,8 @@ import (
 // an op is addressed by its per-worker sequence number, which for
 // jobs built through Worker.Append equals its index in Ops. Entries
 // start as the base ops' durations, so ops an annotation pass never
-// touches (measured host delays, pre-annotated traces) read through
-// unchanged.
+// touches (pre-annotated traces, ops with no device time) read
+// through unchanged.
 type Annotations struct {
 	// offsets[w] is worker w's first slot in durs; offsets has one
 	// extra trailing entry so a worker's row is

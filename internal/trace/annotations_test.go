@@ -8,12 +8,12 @@ import (
 func annJob(t *testing.T) *Job {
 	t.Helper()
 	w0 := &Worker{Rank: 0, World: 2}
-	w0.Append(Op{Kind: KindHostDelay, Dur: 5 * time.Microsecond})
+	w0.Append(Op{Kind: KindKernel, Name: "pre", Dur: 5 * time.Microsecond})
 	w0.Append(Op{Kind: KindKernel, Name: "k"})
 	w1 := &Worker{Rank: 1, World: 2}
 	w1.Append(Op{Kind: KindKernel, Name: "k"})
 	w1.Append(Op{Kind: KindMemcpy, Bytes: 64, Shape: &Shape{Bytes: 64, MemKind: "HtoD"}})
-	w1.Append(Op{Kind: KindHostDelay, Dur: 7 * time.Microsecond})
+	w1.Append(Op{Kind: KindKernel, Name: "post", Dur: 7 * time.Microsecond})
 	job, err := NewJob([]*Worker{w0, w1})
 	if err != nil {
 		t.Fatal(err)
@@ -29,10 +29,10 @@ func TestAnnotationsSeedAndSet(t *testing.T) {
 	}
 	// Base durations read through untouched.
 	if got := a.Dur(0, 0); got != 5*time.Microsecond {
-		t.Fatalf("seeded host delay = %v, want 5µs", got)
+		t.Fatalf("seeded duration = %v, want 5µs", got)
 	}
 	if got := a.Dur(1, 2); got != 7*time.Microsecond {
-		t.Fatalf("seeded host delay = %v, want 7µs", got)
+		t.Fatalf("seeded duration = %v, want 7µs", got)
 	}
 	// Writes land per (worker, seq) without touching the job.
 	a.Set(1, 0, 42*time.Microsecond)

@@ -9,7 +9,7 @@ import (
 	"time"
 )
 
-// The binary form of a Job, the payload of a version-2 capture. Its
+// The binary form of a Job, the payload of a version-3 capture. Its
 // bytes are a function of the job's content, not of how it is held in
 // memory: every worker carries its own string and shape tables, one
 // entry per distinct value in first-use order, maps are written in key
@@ -19,7 +19,7 @@ import (
 //
 //	job    = len uniqueRanks (varint rank)..., len workers (worker)...
 //	worker = varint rank, string device, varint world, varint peakBytes,
-//	         varint dedup, byte oom (0 or 1),
+//	         varint dedup, byte oom (0 or 1), varint tailGap,
 //	         uvarint n (string)...   the string table
 //	         uvarint n (shape)...    the shape table
 //	         uvarint collectives, len ops (op)...
@@ -28,8 +28,8 @@ import (
 //	         little-endian float bits)... in key order, ref memKind
 //	op     = byte kind, byte flags, then the field of each set flag in
 //	         bit order: varint stream, uvarint shape, ref name, varint
-//	         bytes, uvarint ptr, varint event and varint eventVer, coll,
-//	         varint dur
+//	         bytes, varint hostGap, varint event and varint eventVer,
+//	         coll, varint dur
 //	coll   = ref op, uvarint comm, varint seq, varint nranks, varint
 //	         rank, varint peer, varint bytes
 //
@@ -37,6 +37,12 @@ import (
 // into the worker's string table. An op with a shape takes its name and
 // bytes from it; the name and bytes flags are set only where the op's
 // own differ.
+//
+// Version 2, the form before it, differs in three places: a worker has
+// no tailGap; the op flag bit hostGap holds is a uvarint device pointer
+// (a malloc's or a free's); and host delays, mallocs and frees are ops
+// of their own. Decoder.JobV2 reads it and folds those records as
+// JobJSON.Job does.
 
 // Op presence flags: which of an op's fields its record carries.
 const (
@@ -44,7 +50,7 @@ const (
 	opShape
 	opName
 	opBytes
-	opPtr
+	opGap // a malloc or free's device pointer in version 2
 	opEvent
 	opColl
 	opDur
@@ -53,7 +59,7 @@ const (
 // The fewest bytes each record can take: a count read from the input is
 // bounded by the bytes left to back it before anything is allocated.
 const (
-	minWorkerBytes = 10 // rank, device, world, peak, dedup, oom and four counts
+	minWorkerBytes = 10 // rank, device, world, peak, dedup, oom and four counts (v3 adds a tail gap)
 	minShapeBytes  = 8  // kind and seven fields
 	minExtraBytes  = 9  // key and float bits
 	minOpBytes     = 2  // kind and flags
@@ -105,7 +111,8 @@ func (e *Encoder) Len(n int, isNil bool) {
 }
 
 // Job appends j, which must not be nil. It fails on what no trace can
-// hold: a nil worker, an unknown op kind, a non-finite Extra value.
+// hold: a nil worker, an unknown or host-only op kind, a non-finite
+// Extra value.
 func (e *Encoder) Job(j *Job) error {
 	e.Len(len(j.UniqueRanks), j.UniqueRanks == nil)
 	for _, r := range j.UniqueRanks {
@@ -140,7 +147,7 @@ func (e *Encoder) worker(w *Worker) error {
 	colls := 0
 	for i := range w.Ops {
 		op := &w.Ops[i]
-		if int(op.Kind) >= len(kindNames) {
+		if int(op.Kind) >= len(kindNames) || op.Kind.legacy() {
 			return fmt.Errorf("op %d: unknown kind %d", i, op.Kind)
 		}
 		// The flags byte is filled in once the fields present are
@@ -171,9 +178,9 @@ func (e *Encoder) worker(w *Worker) error {
 			flags |= opBytes
 			b = binary.AppendVarint(b, op.Bytes)
 		}
-		if op.Ptr != 0 {
-			flags |= opPtr
-			b = binary.AppendUvarint(b, op.Ptr)
+		if op.HostGap != 0 {
+			flags |= opGap
+			b = binary.AppendVarint(b, int64(op.HostGap))
 		}
 		if op.Event != 0 || op.EventVer != 0 {
 			flags |= opEvent
@@ -207,6 +214,7 @@ func (e *Encoder) worker(w *Worker) error {
 		oom = 1
 	}
 	e.Byte(oom)
+	e.Varint(int64(w.TailGap))
 	e.Uvarint(uint64(len(e.strs)))
 	for _, s := range e.strs {
 		e.Str(s)
@@ -276,6 +284,7 @@ type Decoder struct {
 	strs  map[string]string // every distinct string read so far, so each is allocated once
 	tab   []string          // the current worker's string table
 	kinds []Kind            // the kinds of the current worker's shapes
+	v2    bool              // reading the version-2 form
 }
 
 // NewDecoder returns a decoder reading b.
@@ -395,6 +404,20 @@ func (d *Decoder) Len(min int) (n int, isNil bool) {
 // worker's ops and collectives are one exact-size slice each, the
 // layout Worker.Compact makes.
 func (d *Decoder) Job() *Job {
+	d.v2 = false
+	return d.job()
+}
+
+// JobV2 reads a job in the version-2 form, folding its host delays,
+// mallocs and frees as JobJSON.Job does: each op's HostGap is the host
+// delays recorded since the op before it, and the delays after the
+// last op are the worker's TailGap.
+func (d *Decoder) JobV2() *Job {
+	d.v2 = true
+	return d.job()
+}
+
+func (d *Decoder) job() *Job {
 	j := &Job{}
 	if n, isNil := d.Len(1); !isNil {
 		j.UniqueRanks = make([]int, n)
@@ -422,6 +445,9 @@ func (d *Decoder) worker() *Worker {
 		w.OOM = true
 	default:
 		d.fail("oom flag is not 0 or 1")
+	}
+	if !d.v2 {
+		w.TailGap = time.Duration(d.Varint())
 	}
 
 	d.tab = d.tab[:0]
@@ -471,13 +497,14 @@ func (d *Decoder) worker() *Worker {
 	}
 	ops := make([]Op, nops)
 	colls := make([]Collective, ncolls)
-	nc := 0
-	for i := range ops {
+	nc, n := 0, 0
+	var gap time.Duration // version 2: host delays read since the last op kept
+	for i := range nops {
 		if d.err != nil {
 			return w
 		}
-		op := &ops[i]
-		op.Seq, op.Kind = i, d.kind()
+		op := &ops[n]
+		op.Seq, op.Kind = n, d.kind()
 		flags := d.Byte()
 		if flags&opStream != 0 {
 			op.Stream = d.Varint()
@@ -501,8 +528,12 @@ func (d *Decoder) worker() *Worker {
 		if flags&opBytes != 0 {
 			op.Bytes = d.Varint()
 		}
-		if flags&opPtr != 0 {
-			op.Ptr = d.Uvarint()
+		if flags&opGap != 0 {
+			if d.v2 {
+				d.Uvarint() // a device pointer: nothing after capture reads it
+			} else {
+				op.HostGap = time.Duration(d.Varint())
+			}
 		}
 		if flags&opEvent != 0 {
 			op.Event, op.EventVer = d.Varint(), d.Int()
@@ -520,21 +551,38 @@ func (d *Decoder) worker() *Worker {
 		if flags&opDur != 0 {
 			op.Dur = time.Duration(d.Varint())
 		}
+		if op.Kind.legacy() {
+			if op.Kind == kindHostDelay {
+				gap += op.Dur
+			}
+			*op = Op{}
+			continue
+		}
+		op.HostGap += gap
+		gap = 0
+		n++
 	}
 	if nc != len(colls) {
 		d.fail("%d collectives, %d counted", nc, len(colls))
 	}
+	if n < nops {
+		ops = append([]Op(nil), ops[:n]...)
+		if ops == nil {
+			ops = []Op{}
+		}
+	}
 	w.Ops = ops
+	w.TailGap += gap
 	return w
 }
 
-// kind reads an op kind.
+// kind reads an op kind; a host-only kind is known to version 2 only.
 func (d *Decoder) kind() Kind {
-	k := d.Byte()
-	if int(k) >= len(kindNames) {
+	k := Kind(d.Byte())
+	if int(k) >= len(kindNames) || (k.legacy() && !d.v2) {
 		d.fail("unknown op kind %d", k)
 	}
-	return Kind(k)
+	return k
 }
 
 // ref reads an index into the worker's string table.

@@ -38,7 +38,7 @@ func OpOf(k Kind, s *Shape) Op {
 var noShape Shape
 
 // ShapeOrZero returns the op's shape, or the zero Shape for an op that
-// has none (host delays, events, collectives, hand-built test ops).
+// has none (events, syncs, marks, collectives, hand-built test ops).
 // The result must not be modified.
 func (o *Op) ShapeOrZero() *Shape {
 	if o.Shape != nil {

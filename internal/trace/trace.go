@@ -24,20 +24,22 @@ import (
 // Kind discriminates trace operations.
 type Kind uint8
 
-// Operation kinds captured by the emulator.
+// Operation kinds captured by the emulator: the device calls a trace
+// records. Host time between calls is not an op; it rides on the next
+// op as its HostGap.
 const (
 	KindKernel      Kind = iota // compute kernel launch
 	KindMemcpy                  // cudaMemcpyAsync
 	KindMemset                  // cudaMemsetAsync
-	KindMalloc                  // cudaMalloc
-	KindFree                    // cudaFree
+	kindMalloc                  // legacy cudaMalloc record, folded on load
+	kindFree                    // legacy cudaFree record, folded on load
 	KindEventRecord             // cudaEventRecord
 	KindStreamWait              // cudaStreamWaitEvent
 	KindEventSync               // cudaEventSynchronize (host blocks)
 	KindStreamSync              // cudaStreamSynchronize (host blocks)
 	KindDeviceSync              // cudaDeviceSynchronize (host blocks)
 	KindCollective              // NCCL collective or P2P operation
-	KindHostDelay               // CPU time between API calls
+	kindHostDelay               // legacy host-delay record, folded on load
 	KindMark                    // iteration / phase boundary marker
 )
 
@@ -45,6 +47,13 @@ var kindNames = [...]string{
 	"kernel", "memcpy", "memset", "malloc", "free",
 	"eventRecord", "streamWaitEvent", "eventSync", "streamSync",
 	"deviceSync", "collective", "hostDelay", "mark",
+}
+
+// legacy reports whether k is a host-only kind that traces written
+// before version 3 recorded as ops of their own: the readers fold them
+// into the next op's HostGap, and no trace in memory holds one.
+func (k Kind) legacy() bool {
+	return k == kindMalloc || k == kindFree || k == kindHostDelay
 }
 
 // String implements fmt.Stringer.
@@ -58,7 +67,8 @@ func (k Kind) String() string {
 // MarshalJSON encodes kinds by name for readable traces.
 func (k Kind) MarshalJSON() ([]byte, error) { return json.Marshal(k.String()) }
 
-// UnmarshalJSON decodes a kind name.
+// UnmarshalJSON decodes a kind name, the legacy host-only names
+// included: JobJSON.Job folds those records away.
 func (k *Kind) UnmarshalJSON(b []byte) error {
 	var s string
 	if err := json.Unmarshal(b, &s); err != nil {
@@ -86,23 +96,26 @@ type Collective struct {
 	Bytes  int64  `json:"bytes"`  // payload size
 }
 
-// Op is one traced device-API operation. It is 96 bytes: a kernel,
-// memcpy or memset keeps its shape behind one pointer (Shape), so the
-// half of every trace that is host delays and events carries no
-// kernel fields at all. Its JSON form is the flat record opJSON
-// describes.
+// Op is one traced device-API call. It is 96 bytes: a kernel, memcpy
+// or memset keeps its shape behind one pointer (Shape), so the events,
+// syncs and marks that make up much of a trace carry no kernel fields
+// at all. Its JSON form is the flat record opJSON describes.
 type Op struct {
 	Seq    int    // per-worker sequence number
 	Kind   Kind   // discriminator
 	Stream int64  // issuing stream handle
 	Name   string // kernel or API name
-	Bytes  int64  // bytes moved, allocated or communicated
+	Bytes  int64  // bytes moved or communicated
 
 	// Shape is the interned identity of a kernel, memcpy or memset (see
 	// Shape); nil for every other kind.
 	Shape *Shape
 
-	Ptr uint64 // device pointer of a malloc or free
+	// HostGap is the modeled host CPU time spent since the previous
+	// op (or the start of the trace) before this call was issued: the
+	// time between API calls, including calls that record no op
+	// (allocations, frees, handle creation).
+	HostGap time.Duration
 
 	// Event metadata. EventVer is the record-count of the event at the
 	// time of the call; stream waits capture the version they saw.
@@ -111,10 +124,9 @@ type Op struct {
 
 	Coll *Collective
 
-	// Dur is the operation's duration: host time for KindHostDelay
-	// (measured during emulation), predicted device time after the
-	// estimation phase, and ground-truth device time in silicon
-	// traces. Zero for ops that are instantaneous in the model.
+	// Dur is the operation's device time: predicted after the
+	// estimation phase, ground truth in silicon traces. Zero for ops
+	// that are instantaneous in the model.
 	Dur time.Duration
 }
 
@@ -133,8 +145,6 @@ func (o *Op) IsDeviceWork() bool {
 // not measured host durations.
 func (o *Op) SigString() string {
 	switch o.Kind {
-	case KindHostDelay:
-		return "h"
 	case KindCollective:
 		c := o.Coll
 		return fmt.Sprintf("c|%s|%d|%d|%d", c.Op, c.Bytes, c.NRanks, o.Stream)
@@ -153,6 +163,9 @@ type Worker struct {
 	PeakBytes int64 // allocator high-water mark
 	OOM       bool  // allocation exceeded capacity
 	Dedup     int   // rank this trace was cloned from (when reconstructed)
+	// TailGap is the host time spent after the last op: calls at the
+	// end of the run that record nothing, such as frees.
+	TailGap time.Duration
 }
 
 // minOpsCap is the op capacity a worker's first Append allocates.
@@ -221,10 +234,11 @@ type Stats struct {
 
 // Stats computes summary statistics over the trace.
 func (w *Worker) Stats() Stats {
-	s := Stats{ByName: make(map[string]int)}
+	s := Stats{HostTime: w.TailGap, ByName: make(map[string]int)}
 	for i := range w.Ops {
 		op := &w.Ops[i]
 		s.Ops++
+		s.HostTime += op.HostGap
 		switch op.Kind {
 		case KindKernel:
 			s.Kernels++
@@ -237,8 +251,6 @@ func (w *Worker) Stats() Stats {
 			s.ByName["Memcpy"+op.ShapeOrZero().MemKind]++
 		case KindEventSync, KindStreamSync, KindDeviceSync, KindStreamWait:
 			s.Syncs++
-		case KindHostDelay:
-			s.HostTime += op.Dur
 		}
 	}
 	return s

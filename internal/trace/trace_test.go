@@ -2,7 +2,14 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -11,10 +18,9 @@ import (
 
 func sampleWorker(rank int) *Worker {
 	w := &Worker{Rank: rank, World: 4, Device: "H100"}
-	w.Append(Op{Kind: KindHostDelay, Dur: 5 * time.Microsecond})
 	gemm := &Shape{Name: "cublasGemmEx", Dims: []int{1, 128, 128, 128}, FLOPs: 2 * 128 * 128 * 128,
 		Bytes: 3 * 2 * 128 * 128, DType: "bf16", Extra: map[string]float64{"tile": 2}}
-	w.Append(Op{Kind: KindKernel, Name: gemm.Name, Stream: 0, Bytes: gemm.Bytes, Shape: gemm})
+	w.Append(Op{Kind: KindKernel, Name: gemm.Name, Stream: 0, Bytes: gemm.Bytes, Shape: gemm, HostGap: 5 * time.Microsecond})
 	w.Append(Op{Kind: KindMemcpy, Name: "MemcpyHtoD", Stream: 1, Bytes: 4096,
 		Shape: &Shape{Name: "MemcpyHtoD", Bytes: 4096, MemKind: "HtoD"}})
 	w.Append(Op{Kind: KindCollective, Name: "ncclAllReduce", Stream: 1, Bytes: 1 << 20,
@@ -38,6 +44,7 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	j.Workers[1].TailGap = 3 * time.Microsecond
 	var buf bytes.Buffer
 	if err := j.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -67,7 +74,7 @@ func binaryJob(t *testing.T, j *Job) []byte {
 func TestBinaryRoundTrip(t *testing.T) {
 	shared, copied := sampleWorker(0), sampleWorker(0)
 	for _, w := range []*Worker{shared, copied} {
-		gemm := w.Ops[1].Shape
+		gemm := w.Ops[0].Shape
 		if w == copied {
 			c := *gemm
 			c.Dims, c.Extra = []int{1, 128, 128, 128}, map[string]float64{"tile": 2}
@@ -79,7 +86,9 @@ func TestBinaryRoundTrip(t *testing.T) {
 		op.Name, op.Bytes, op.Dur = "renamed", 7, time.Millisecond
 		w.Append(op)
 	}
-	j, err := NewJob([]*Worker{shared, sampleWorker(1)})
+	tail := sampleWorker(1)
+	tail.TailGap = 3 * time.Microsecond
+	j, err := NewJob([]*Worker{shared, tail})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,24 +154,195 @@ func TestCloneIsDeep(t *testing.T) {
 			t.Fatalf("op %d: clone has its own copy of the shape", i)
 		}
 	}
-	c.Ops[1].Dur = time.Hour
-	c.Ops[3].Coll.Bytes = 7
-	if w.Ops[1].Dur == time.Hour {
+	c.Ops[0].Dur = time.Hour
+	c.Ops[2].Coll.Bytes = 7
+	if w.Ops[0].Dur == time.Hour {
 		t.Fatal("clone shares the op array")
 	}
-	if w.Ops[3].Coll.Bytes == 7 {
+	if w.Ops[2].Coll.Bytes == 7 {
 		t.Fatal("clone shares Collective pointer")
 	}
 }
 
-// TestOpLayout pins the size of an op. Half of every trace is host
-// delays and event ops, so each byte of Op is paid on ~87 k ops of a
-// 64-rank GPT-3 trace, at every seal and every replay walk; a kernel's
-// shape lives behind the one Shape pointer for that reason.
+// TestOpLayout pins the size of an op and that an op is a device call.
+// Each byte of Op is paid on every op of a trace, at every seal and
+// every replay walk; a kernel's shape lives behind the one Shape
+// pointer for that reason. Host time rides on the next op as its
+// HostGap, so no exported kind may be host-only and no op carries a
+// malloc's device pointer: a host-delay, malloc or free op would
+// double the ops every stage after capture walks.
 func TestOpLayout(t *testing.T) {
 	if n := unsafe.Sizeof(Op{}); n > 96 {
 		t.Fatalf("trace.Op is %d bytes, want at most 96: kernel-shape data belongs in Shape", n)
 	}
+	if _, ok := reflect.TypeOf(Op{}).FieldByName("Ptr"); ok {
+		t.Error("trace.Op has a Ptr field: mallocs and frees record no op")
+	}
+	if _, ok := reflect.TypeOf(Op{}).FieldByName("HostGap"); !ok {
+		t.Error("trace.Op has no HostGap field")
+	}
+
+	// The exported Kind constants are exactly the device calls.
+	want := []string{"KindCollective", "KindDeviceSync", "KindEventRecord", "KindEventSync", "KindKernel",
+		"KindMark", "KindMemcpy", "KindMemset", "KindStreamSync", "KindStreamWait"}
+	fset := token.NewFileSet()
+	var got []string
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok || gd.Tok != token.CONST {
+				continue
+			}
+			// A spec without a type of its own repeats the one above.
+			var typ ast.Expr
+			for _, spec := range gd.Specs {
+				vs := spec.(*ast.ValueSpec)
+				if vs.Type != nil || len(vs.Values) > 0 {
+					typ = vs.Type
+				}
+				if id, ok := typ.(*ast.Ident); !ok || id.Name != "Kind" {
+					continue
+				}
+				for _, n := range vs.Names {
+					if n.IsExported() {
+						got = append(got, n.Name)
+					}
+				}
+			}
+		}
+	}
+	slices.Sort(got)
+	if !slices.Equal(got, want) {
+		t.Errorf("exported kinds = %v, want the device calls %v", got, want)
+	}
+}
+
+// legacyOps is one worker's ops as version-1 and -2 traces recorded
+// them, host-only records included, and what they fold to.
+var legacyOps = []struct {
+	kind  Kind
+	dur   time.Duration
+	bytes int64
+	ptr   uint64
+}{
+	{kindHostDelay, 3, 0, 0},
+	{kindMalloc, 0, 4096, 512},
+	{kindHostDelay, 4, 0, 0},
+	{KindKernel, 0, 0, 0},
+	{kindHostDelay, 5, 0, 0},
+	{KindMark, 0, 0, 0},
+	{kindFree, 0, 4096, 512},
+	{kindHostDelay, 6, 0, 0},
+}
+
+// TestLegacyRecordsFold reads the same host-only records from a
+// version-1 JSON job and a version-2 binary one: each folds into the
+// next op's HostGap, or the worker's TailGap, mallocs and frees leave
+// nothing, and seqs renumber to indexes.
+func TestLegacyRecordsFold(t *testing.T) {
+	var js []string
+	for i, o := range legacyOps {
+		js = append(js, fmt.Sprintf(`{"seq":%d,"kind":%q,"name":"k","bytes":%d,"ptr":%d,"dur":%d}`, i, o.kind, o.bytes, o.ptr, o.dur))
+	}
+	fromJSON, err := ReadJSON(strings.NewReader(`{"workers":[{"rank":0,"world":1,"ops":[` + strings.Join(js, ",") + `]}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The version-2 form: no tail gap, and a device pointer where the
+	// gap flag now stands.
+	var e Encoder
+	workerHead(&e)
+	e.Uvarint(1)
+	e.Str("k")
+	e.Uvarint(0) // shapes
+	e.Uvarint(0) // collectives
+	e.Len(len(legacyOps), false)
+	for _, o := range legacyOps {
+		e.Byte(byte(o.kind))
+		flags := byte(opName)
+		if o.bytes != 0 {
+			flags |= opBytes | opGap
+		}
+		if o.dur != 0 {
+			flags |= opDur
+		}
+		e.Byte(flags)
+		e.Uvarint(0)
+		if o.bytes != 0 {
+			e.Varint(o.bytes)
+			e.Uvarint(o.ptr)
+		}
+		if o.dur != 0 {
+			e.Varint(int64(o.dur))
+		}
+	}
+	d := NewDecoder(e.B)
+	fromV2 := d.JobV2()
+	if err := d.End(); err != nil {
+		t.Fatal(err)
+	}
+
+	want := []Op{
+		{Seq: 0, Kind: KindKernel, Name: "k", HostGap: 7},
+		{Seq: 1, Kind: KindMark, Name: "k", HostGap: 5},
+	}
+	for name, j := range map[string]*Job{"v1": fromJSON, "v2": fromV2} {
+		w := j.Workers[0]
+		got := slices.Clone(w.Ops)
+		for i := range got {
+			got[i].Shape = nil // a kernel from JSON gets one; the binary form above gives none
+		}
+		if !reflect.DeepEqual(got, want) || w.TailGap != 6 {
+			t.Errorf("%s folds to %+v, tail %v; want %+v, tail 6", name, got, w.TailGap, want)
+		}
+	}
+
+	// The current form knows no host-only kind.
+	var cur Encoder
+	workerHead(&cur)
+	cur.Varint(0) // tail gap
+	cur.Uvarint(0)
+	cur.Uvarint(0)
+	cur.Uvarint(0)
+	cur.Len(1, false)
+	cur.Byte(byte(kindHostDelay))
+	cur.Byte(0)
+	d = NewDecoder(cur.B)
+	d.Job()
+	if err := d.End(); err == nil || !strings.Contains(err.Error(), "unknown op kind") {
+		t.Errorf("a host delay in the current form: %v, want an unknown kind", err)
+	}
+	if err := new(Encoder).Job(fromV2); err != nil {
+		t.Fatal(err)
+	}
+	fromV2.Workers[0].Ops[1].Kind = kindFree
+	if err := new(Encoder).Job(fromV2); err == nil {
+		t.Error("the encoder writes a free")
+	}
+}
+
+// workerHead writes a job of one worker up to its oom flag.
+func workerHead(e *Encoder) {
+	e.Len(0, true) // unique ranks
+	e.Len(1, false)
+	e.Varint(0) // rank
+	e.Str("")
+	e.Varint(1) // world
+	e.Varint(0) // peak
+	e.Varint(0) // dedup
+	e.Byte(0)   // oom
 }
 
 func TestShapesIntern(t *testing.T) {

@@ -14,13 +14,14 @@ type JobJSON struct {
 }
 
 type workerJSON struct {
-	Rank      int      `json:"rank"`
-	Device    string   `json:"device"`
-	World     int      `json:"world"`
-	Ops       []opJSON `json:"ops"`
-	PeakBytes int64    `json:"peakBytes"`
-	OOM       bool     `json:"oom,omitempty"`
-	Dedup     int      `json:"dedup,omitempty"`
+	Rank      int           `json:"rank"`
+	Device    string        `json:"device"`
+	World     int           `json:"world"`
+	Ops       []opJSON      `json:"ops"`
+	PeakBytes int64         `json:"peakBytes"`
+	OOM       bool          `json:"oom,omitempty"`
+	Dedup     int           `json:"dedup,omitempty"`
+	TailGap   time.Duration `json:"tailGap,omitempty"`
 }
 
 // opJSON is an Op as the wire carries it. The field order is the
@@ -36,7 +37,7 @@ type opJSON struct {
 	DType    string             `json:"dtype,omitempty"`
 	Extra    map[string]float64 `json:"extra,omitempty"`
 	MemKind  string             `json:"memKind,omitempty"`
-	Ptr      uint64             `json:"ptr,omitempty"`
+	HostGap  time.Duration      `json:"hostGap,omitempty"`
 	Event    int64              `json:"event,omitempty"`
 	EventVer int                `json:"eventVer,omitempty"`
 	Coll     *Collective        `json:"coll,omitempty"`
@@ -56,11 +57,11 @@ func NewJobJSON(j *Job) *JobJSON {
 			continue
 		}
 		ww := &workerJSON{Rank: w.Rank, Device: w.Device, World: w.World, Ops: sized[opJSON](w.Ops),
-			PeakBytes: w.PeakBytes, OOM: w.OOM, Dedup: w.Dedup}
+			PeakBytes: w.PeakBytes, OOM: w.OOM, Dedup: w.Dedup, TailGap: w.TailGap}
 		for k := range w.Ops {
 			op := &w.Ops[k]
 			o := opJSON{Seq: op.Seq, Kind: op.Kind, Stream: op.Stream, Name: op.Name, Bytes: op.Bytes,
-				Ptr: op.Ptr, Event: op.Event, EventVer: op.EventVer, Coll: op.Coll, Dur: op.Dur}
+				HostGap: op.HostGap, Event: op.Event, EventVer: op.EventVer, Coll: op.Coll, Dur: op.Dur}
 			if s := op.Shape; s != nil {
 				o.Dims, o.FLOPs, o.DType, o.Extra, o.MemKind = s.Dims, s.FLOPs, s.DType, s.Extra, s.MemKind
 			}
@@ -75,7 +76,14 @@ func NewJobJSON(j *Job) *JobJSON {
 // caller's validation to reject). Each worker interns its ops' shapes
 // in a table of its own. An op gets a shape when it is a kernel,
 // memcpy or memset — what the emulator records one for — or when it
-// carries any shape field, so nothing a file holds is dropped.
+// carries any shape field, so nothing a device call holds is dropped.
+//
+// The host-only records of traces written before version 3 fold away:
+// a host delay's duration, and any gap a legacy record carries, join
+// the next op's HostGap, or the worker's TailGap after the last op; a
+// malloc or free leaves nothing (peak memory and OOM are the
+// worker's). An op's Seq drops by the records folded before it, so a
+// seq that was its index in the file is its index in the job.
 func (p *JobJSON) Job() *Job {
 	j := &Job{Workers: sized[*Worker](p.Workers), UniqueRanks: p.UniqueRanks}
 	for i, ww := range p.Workers {
@@ -85,17 +93,32 @@ func (p *JobJSON) Job() *Job {
 		w := &Worker{Rank: ww.Rank, Device: ww.Device, World: ww.World, Ops: sized[Op](ww.Ops),
 			PeakBytes: ww.PeakBytes, OOM: ww.OOM, Dedup: ww.Dedup}
 		var shapes Shapes
+		var gap time.Duration
+		n := 0
 		for k := range ww.Ops {
 			o := &ww.Ops[k]
-			op := Op{Seq: o.Seq, Kind: o.Kind, Stream: o.Stream, Name: o.Name, Bytes: o.Bytes,
-				Ptr: o.Ptr, Event: o.Event, EventVer: o.EventVer, Coll: o.Coll, Dur: o.Dur}
+			if o.Kind.legacy() {
+				gap += o.HostGap
+				if o.Kind == kindHostDelay {
+					gap += o.Dur
+				}
+				continue
+			}
+			op := Op{Seq: o.Seq - (k - n), Kind: o.Kind, Stream: o.Stream, Name: o.Name, Bytes: o.Bytes,
+				HostGap: gap + o.HostGap, Event: o.Event, EventVer: o.EventVer, Coll: o.Coll, Dur: o.Dur}
+			gap = 0
 			if o.Kind == KindKernel || o.Kind == KindMemcpy || o.Kind == KindMemset ||
 				len(o.Dims) > 0 || o.FLOPs != 0 || o.DType != "" || len(o.Extra) > 0 || o.MemKind != "" {
 				op.Shape = shapes.Intern(o.Kind, &Shape{Name: o.Name, Dims: o.Dims, Bytes: o.Bytes,
 					FLOPs: o.FLOPs, DType: o.DType, Extra: o.Extra, MemKind: o.MemKind})
 			}
-			w.Ops[k] = op
+			w.Ops[n] = op
+			n++
 		}
+		if w.Ops != nil {
+			w.Ops = w.Ops[:n]
+		}
+		w.TailGap = gap + ww.TailGap
 		j.Workers[i] = w
 	}
 	return j

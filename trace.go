@@ -31,8 +31,9 @@ type Trace struct {
 }
 
 // TraceFormatVersion is the on-disk format version WriteTo emits, a
-// compact binary payload. ReadTrace reads it and also version 1, the
-// JSON payload earlier releases wrote.
+// compact binary payload. ReadTrace reads it and also versions 1 (a
+// JSON payload) and 2 (binary, with host delays, mallocs and frees as
+// ops of their own) that earlier releases wrote.
 const TraceFormatVersion = core.TraceFormatVersion
 
 // Serialization errors, matchable with errors.Is.
