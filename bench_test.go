@@ -53,9 +53,10 @@ func BenchmarkEmulateMegatronRank(b *testing.B) {
 	b.ReportMetric(float64(ops), "trace-ops")
 }
 
-// simBenchJob builds the annotated 8-worker megatron job the
-// simulator micro-benchmarks replay, returning it with its op count.
-func simBenchJob(b *testing.B) (*trace.Job, int) {
+// simBenchJob builds the 8-worker megatron job the simulator
+// micro-benchmarks replay, returning it with its duration overlay and
+// its op count.
+func simBenchJob(b *testing.B) (*trace.Job, *trace.Annotations, int) {
 	b.Helper()
 	m, err := framework.NewMegatron(framework.MegatronConfig{
 		Model: models.GPT3_1_3B(), NGPUs: 8, GlobalBatch: 32, TP: 2, PP: 2, MicroBatches: 4,
@@ -77,16 +78,17 @@ func simBenchJob(b *testing.B) (*trace.Job, int) {
 		b.Fatal(err)
 	}
 	// Constant annotation is enough for a throughput benchmark.
+	ann := trace.NewAnnotations(job)
 	totalOps := 0
-	for _, w := range job.Workers {
+	for wi, w := range job.Workers {
 		for i := range w.Ops {
 			if w.Ops[i].IsDeviceWork() {
-				w.Ops[i].Dur = 20 * time.Microsecond
+				ann.Set(wi, i, 20*time.Microsecond)
 			}
 			totalOps++
 		}
 	}
-	return job, totalOps
+	return job, ann, totalOps
 }
 
 // BenchmarkSimRun measures discrete-event simulation throughput on an
@@ -95,11 +97,11 @@ func simBenchJob(b *testing.B) (*trace.Job, int) {
 // paid two heap allocations per scheduled event (~62k on this
 // fixture).
 func BenchmarkSimRun(b *testing.B) {
-	job, totalOps := simBenchJob(b)
+	job, ann, totalOps := simBenchJob(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.Run(context.Background(), job, sim.Options{}); err != nil {
+		if _, err := sim.Run(context.Background(), job, sim.Options{Annotations: ann}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -111,9 +113,9 @@ func BenchmarkSimRun(b *testing.B) {
 // 100-iteration schedule, one wedge simulation per failure to price
 // survivor idling, checkpoint rewind and redo priced analytically.
 func BenchmarkFaultsRecovery(b *testing.B) {
-	job, _ := simBenchJob(b)
+	job, ann, _ := simBenchJob(b)
 	run := func(ctx context.Context, inj *sim.Injection, obs sim.Observer) (*sim.Report, error) {
-		o := sim.Options{Faults: inj, Observer: obs}
+		o := sim.Options{Faults: inj, Observer: obs, Annotations: ann}
 		return sim.RunPooled(ctx, job, o)
 	}
 	perturbed, err := run(context.Background(), nil, nil)
@@ -191,7 +193,7 @@ func BenchmarkAnnotatePlan(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	job, _ := simBenchJob(b)
+	job, _, _ := simBenchJob(b)
 
 	b.Run("build", func(b *testing.B) {
 		b.ReportAllocs()

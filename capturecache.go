@@ -3,10 +3,8 @@ package maya
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 
 	"maya/internal/core"
-	"maya/internal/hardware"
 	"maya/internal/workload"
 )
 
@@ -71,18 +69,8 @@ func (p *Predictor) captureCacheKey(w Workload, opts core.Options) (string, bool
 		return "", false
 	}
 	return fmt.Sprintf("%s|cluster=%s/%x|seed=%d|nodedup=%t|sel=%t|topo=%q",
-		fp.Fingerprint(), p.cluster.Name, clusterFingerprint(p.cluster),
+		fp.Fingerprint(), p.cluster.Name, p.cluster.Fingerprint(),
 		opts.Seed, opts.NoDedup, opts.SelectiveLaunch, opts.Topology), true
-}
-
-// clusterFingerprint hashes the full hardware description, so two
-// clusters sharing a name but differing in GPU/host/interconnect
-// parameters (emulation inputs all) never share a cache entry. Struct
-// rendering via %+v is deterministic: fmt prints map keys sorted.
-func clusterFingerprint(c hardware.Cluster) uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%+v", c)
-	return h.Sum64()
 }
 
 // captureFor returns the capture for a workload under a call's

@@ -469,22 +469,22 @@ func decodeCaptureJSON(payload []byte) (*Capture, error) {
 		ClassHinted:    p.ClassHinted,
 	}
 	if p.Job != nil {
-		c.Job = p.Job.Job()
+		job, err := p.Job.Job()
+		if err != nil {
+			return nil, err
+		}
+		c.Job = job
 	}
 	return c, nil
 }
 
 // validateOps checks what every consumer of a loaded trace assumes of
-// its ops without looking: an op's seq is its index (what duration
-// overlays address ops by), a collective carries its metadata, and its
+// its ops without looking: a collective carries its metadata, and its
 // rank and peer index the communicator (the emulator and nccl layer
-// guarantee all three for a recorded trace).
+// guarantee both for a recorded trace).
 func validateOps(w *trace.Worker) error {
 	for i := range w.Ops {
 		op := &w.Ops[i]
-		if op.Seq != i {
-			return fmt.Errorf("op %d: seq %d is not its index", i, op.Seq)
-		}
 		if op.Kind != trace.KindCollective {
 			continue
 		}

@@ -67,14 +67,7 @@ func captureEqual(t *testing.T, hinted, full *Capture) {
 	if !reflect.DeepEqual(hinted.Participants, full.Participants) {
 		t.Fatal("participation counts differ")
 	}
-	var hj, fj bytes.Buffer
-	if err := hinted.Job.WriteJSON(&hj); err != nil {
-		t.Fatal(err)
-	}
-	if err := full.Job.WriteJSON(&fj); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(hj.Bytes(), fj.Bytes()) {
+	if !bytes.Equal(jobBytes(t, hinted.Job), jobBytes(t, full.Job)) {
 		t.Fatal("collated job traces are not byte-identical")
 	}
 }

@@ -29,7 +29,7 @@ func fuzzCaptureBytes(f *testing.F) []byte {
 		var shapes trace.Shapes
 		dev := func(k trace.Kind, s *trace.Shape) {
 			op := trace.OpOf(k, shapes.Intern(k, s))
-			op.Stream, op.Dur = 7, time.Millisecond
+			op.Stream = 7
 			w.Append(op)
 		}
 		w.Append(trace.Op{Kind: trace.KindMark, Name: trace.MarkSetupEnd})
@@ -40,8 +40,7 @@ func fuzzCaptureBytes(f *testing.F) []byte {
 		dev(trace.KindMemcpy, &trace.Shape{Name: "MemcpyHtoD", Bytes: 1 << 12, MemKind: "HtoD"})
 		dev(trace.KindMemset, &trace.Shape{Name: "Memset", Bytes: 1 << 12})
 		w.Append(trace.Op{Kind: trace.KindCollective, Stream: 7,
-			Coll: &trace.Collective{Op: "ncclAllReduce", Bytes: 1 << 16, CommID: 0xc0, NRanks: 2, Rank: rank, Peer: -1},
-			Dur:  time.Millisecond})
+			Coll: &trace.Collective{Op: "ncclAllReduce", Bytes: 1 << 16, CommID: 0xc0, NRanks: 2, Rank: rank, Peer: -1}})
 		w.Append(trace.Op{Kind: trace.KindDeviceSync})
 		w.Append(trace.Op{Kind: trace.KindMark, Name: trace.MarkIterEnd})
 		return w
@@ -108,11 +107,17 @@ func oneOpCapture(op string) []byte {
 }
 
 // Op presence flags of the binary form (see trace.Encoder).
-const wireShape, wireColl = 1 << 1, 1 << 6
+const wireShape, wireColl, wireDur = 1 << 1, 1 << 6, 1 << 7
 
 // binaryCapture is a checksummed binary capture whose job is one
 // worker; body writes the worker's tables, counts and ops.
 func binaryCapture(body func(e *trace.Encoder)) []byte {
+	return binaryCaptureOf(TraceFormatVersion, body)
+}
+
+// binaryCaptureOf is binaryCapture in the given binary version: a
+// version-2 worker has no tail gap.
+func binaryCaptureOf(version uint16, body func(e *trace.Encoder)) []byte {
 	var e trace.Encoder
 	e.Str("w")
 	e.Str("8xV100")
@@ -131,9 +136,30 @@ func binaryCapture(body func(e *trace.Encoder)) []byte {
 	e.Varint(0) // peak bytes
 	e.Varint(0) // dedup
 	e.Byte(0)   // oom
-	e.Varint(0) // tail gap
+	if version != traceFormatV2 {
+		e.Varint(0) // tail gap
+	}
 	body(&e)
-	return envelope(TraceFormatVersion, e.B)
+	return envelope(version, e.B)
+}
+
+// gemmKernel is a binary capture in the given version whose one op is
+// a gemm kernel, its record carrying a dur when withDur is set.
+func gemmKernel(version uint16, withDur bool) []byte {
+	return binaryCaptureOf(version, func(e *trace.Encoder) {
+		gemmTables(e)
+		e.Uvarint(0) // collectives
+		e.Len(1, false)
+		e.Byte(byte(trace.KindKernel))
+		if !withDur {
+			e.Byte(wireShape)
+			e.Uvarint(0)
+			return
+		}
+		e.Byte(wireShape | wireDur)
+		e.Uvarint(0)
+		e.Varint(int64(time.Millisecond))
+	})
 }
 
 // gemmTables writes a string table ("gemm", "") and a shape table of
@@ -269,6 +295,22 @@ var extremeTraces = []struct {
 // fuzzHorizon bounds the simulated time an accepted capture replays.
 const fuzzHorizon = time.Second
 
+// microOverlay is the duration overlay a loaded capture replays on
+// here: a microsecond for every kernel, memcpy, memset and collective.
+// It prices nothing through a Timer, which would size a hostile
+// collective's rank list.
+func microOverlay(job *trace.Job) *trace.Annotations {
+	ann := trace.NewAnnotations(job)
+	for wi, w := range job.Workers {
+		for i := range w.Ops {
+			if w.Ops[i].IsDeviceWork() {
+				ann.Set(wi, i, time.Microsecond)
+			}
+		}
+	}
+	return ann
+}
+
 // TestExtremeTracesCompileInOpsAndSimulate holds the engine's compiler
 // to O(ops) on traces whose values are extreme — an event version of
 // 2^62 compiles in under 1 MiB — and requires each to simulate to a
@@ -287,9 +329,30 @@ func TestExtremeTracesCompileInOpsAndSimulate(t *testing.T) {
 		if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
 			t.Errorf("%s: compiling allocated %d bytes, want under 1 MiB", c.name, n)
 		}
-		_, err = sim.Run(context.Background(), capt.Job, sim.Options{Participants: parts, Index: x, TimeLimit: fuzzHorizon})
+		_, err = sim.Run(context.Background(), capt.Job, sim.Options{Participants: parts, Index: x, TimeLimit: fuzzHorizon,
+			Annotations: microOverlay(capt.Job)})
 		if c.deadlock != errors.Is(err, sim.ErrDeadlock) || (!c.deadlock && err != nil) {
 			t.Errorf("%s: simulating gave %v, want a deadlock: %t", c.name, err, c.deadlock)
+		}
+	}
+}
+
+// TestReadCaptureDropsDeviceDurs reads a kernel record that carries a
+// dur, as traces of earlier builds may, in each binary version: the
+// dur is dropped, and the capture writes the record without it.
+func TestReadCaptureDropsDeviceDurs(t *testing.T) {
+	want := gemmKernel(TraceFormatVersion, false)
+	for _, version := range []uint16{traceFormatV2, TraceFormatVersion} {
+		c, err := ReadCapture(bytes.NewReader(gemmKernel(version, true)))
+		if err != nil {
+			t.Fatalf("v%d: %v", version, err)
+		}
+		var out bytes.Buffer
+		if _, err := c.WriteTo(&out); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Bytes(), want) {
+			t.Errorf("v%d: a kernel read with a dur writes\n%x, want\n%x", version, out.Bytes(), want)
 		}
 	}
 }
@@ -382,6 +445,8 @@ func FuzzReadTrace(f *testing.F) {
 	for _, c := range extremeTraces {
 		f.Add(c.blob)
 	}
+	f.Add(gemmKernel(traceFormatV2, true)) // device calls whose records carry a dur
+	f.Add(gemmKernel(TraceFormatVersion, true))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, blob := range [][]byte{data, envelope(traceFormatJSON, data), envelope(traceFormatV2, data), envelope(TraceFormatVersion, data)} {
@@ -421,7 +486,8 @@ func FuzzReadTrace(f *testing.F) {
 				}
 			}
 			parts := trace.Participation(c.Job)
-			o := sim.Options{Participants: parts, Index: sim.Compile(c.Job, parts), TimeLimit: fuzzHorizon}
+			o := sim.Options{Participants: parts, Index: sim.Compile(c.Job, parts), TimeLimit: fuzzHorizon,
+				Annotations: microOverlay(c.Job)}
 			if _, err := sim.Run(context.Background(), c.Job, o); err != nil && !errors.Is(err, sim.ErrDeadlock) {
 				t.Fatalf("accepted capture fails to simulate: %v", err)
 			}

@@ -10,6 +10,7 @@ import (
 	"maya/internal/framework"
 	"maya/internal/hardware"
 	"maya/internal/models"
+	"maya/internal/trace"
 )
 
 // goldenTrace is a version-1 trace file written by the encoder that
@@ -62,23 +63,15 @@ func goldenCapture(t *testing.T) (*Pipeline, *Capture) {
 
 // TestGoldenTraceStillLoads loads the capture of every format
 // version: each folds to the capture made in process, writes the bytes
-// of the version-3 golden and the same JSON job, and replays exactly
-// as the in-process capture does.
+// of the version-3 golden and the in-process job's bytes, and replays
+// exactly as the in-process capture does.
 func TestGoldenTraceStillLoads(t *testing.T) {
 	p, fresh := goldenCapture(t)
 	goldenV3, err := os.ReadFile(goldenTraceV3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var freshJSON bytes.Buffer
-	if err := fresh.Job.WriteJSON(&freshJSON); err != nil {
-		t.Fatal(err)
-	}
-	for _, legacy := range []string{`"hostDelay"`, `"malloc"`, `"free"`, `"ptr"`} {
-		if bytes.Contains(freshJSON.Bytes(), []byte(legacy)) {
-			t.Errorf("WriteJSON writes %s", legacy)
-		}
-	}
+	freshJob := jobBytes(t, fresh.Job) // the encoder refuses a host-delay, malloc or free
 	ctx := context.Background()
 	replays := map[string]func(*Capture) (*Report, error){
 		"oracle": func(c *Capture) (*Report, error) { return p.Simulate(ctx, c, 1e12, hardware.FP16) },
@@ -107,18 +100,15 @@ func TestGoldenTraceStillLoads(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ReadCapture(%s): %v", file, err)
 		}
-		var bin, js bytes.Buffer
+		var bin bytes.Buffer
 		if _, err := loaded.WriteTo(&bin); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(bin.Bytes(), goldenV3) {
 			t.Errorf("%s writes %d bytes that differ from the %d of %s", file, bin.Len(), len(goldenV3), goldenTraceV3)
 		}
-		if err := loaded.Job.WriteJSON(&js); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(js.Bytes(), freshJSON.Bytes()) {
-			t.Errorf("WriteJSON of %s's job differs from the in-process job's", file)
+		if !bytes.Equal(jobBytes(t, loaded.Job), freshJob) {
+			t.Errorf("the job of %s writes bytes that differ from the in-process job's", file)
 		}
 		for name, replay := range replays {
 			r, err := replay(loaded)
@@ -135,4 +125,14 @@ func TestGoldenTraceStillLoads(t *testing.T) {
 			t.Errorf("%s does not load to the in-process capture", file)
 		}
 	}
+}
+
+// jobBytes encodes j in the binary form captures carry it in.
+func jobBytes(t *testing.T, j *trace.Job) []byte {
+	t.Helper()
+	var e trace.Encoder
+	if err := e.Job(j); err != nil {
+		t.Fatal(err)
+	}
+	return e.B
 }

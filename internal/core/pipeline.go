@@ -346,7 +346,7 @@ func (p *Pipeline) replay(ctx context.Context, c *Capture, timer trace.Timer, ph
 	if physical {
 		// The silicon models contention its own way and knows no
 		// operational faults: the prediction-only options do not apply.
-		simOpts, faultPlan = silicon.PhysicalOptions(p.Opts.Seed, nil), nil
+		simOpts, faultPlan = silicon.PhysicalOptions(p.Opts.Seed), nil
 	} else if p.Opts.Congestion != nil {
 		if simOpts.Congestion, err = c.congestionFor(ctx, p.Opts.Congestion); err != nil {
 			return nil, err

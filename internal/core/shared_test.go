@@ -41,17 +41,16 @@ func directReplay(ctx context.Context, c *Capture, p *Pipeline, timer trace.Time
 	if err != nil {
 		return nil, err
 	}
-	parts := trace.Participation(c.Job)
-	o := sim.Options{Participants: parts}
+	o := sim.Options{}
 	fp := p.Opts.Faults
 	if physical {
-		o, fp = silicon.PhysicalOptions(p.Opts.Seed, parts), nil
+		o, fp = silicon.PhysicalOptions(p.Opts.Seed), nil
 	} else if p.Opts.Congestion != nil {
 		if o.Congestion, err = c.congestionFor(ctx, p.Opts.Congestion); err != nil {
 			return nil, err
 		}
 	}
-	o.Annotations = plan.Overlay()
+	o.Participants, o.Annotations = trace.Participation(c.Job), plan.Overlay()
 	if fp != nil {
 		if o.Faults, err = fp.Injection(c.Job); err != nil {
 			return nil, err
@@ -202,7 +201,7 @@ func TestPhysicalWithoutKnobsIsOracleReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := silicon.PhysicalOptions(po.Opts.Seed, nil)
+	o := silicon.PhysicalOptions(po.Opts.Seed)
 	o.JitterFrac, o.CommContention = 0, 0
 	o.Index, o.Annotations = c.simIndex(), plan.Overlay()
 	sr, err := sim.Run(ctx, c.Job, o)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"sync/atomic"
 
@@ -28,9 +29,9 @@ type CacheStats struct {
 	Entries int
 }
 
-// SuiteCache memoizes trained estimator suites per (cluster, profile
-// kind). Profiling and forest training are the expensive part of
-// setup; a cache instance makes their reuse explicit and observable —
+// SuiteCache memoizes trained estimator suites per (cluster hardware,
+// profile kind). Profiling and forest training are the expensive part
+// of setup; a cache instance makes their reuse explicit and observable —
 // hit/miss/trained counters, eviction, pre-warming — instead of the
 // former unobservable process-global map. The zero value is not
 // usable; call NewSuiteCache.
@@ -80,8 +81,10 @@ func profileKindName(k estimator.ProfileKind) string {
 	}
 }
 
+// suiteKey names a suite by its cluster's hardware, not just its name:
+// the silicon a suite is trained on is the whole description.
 func suiteKey(cluster hardware.Cluster, kind estimator.ProfileKind) string {
-	return cluster.Name + "/" + profileKindName(kind)
+	return fmt.Sprintf("%s/%x/%s", cluster.Name, cluster.Fingerprint(), profileKindName(kind))
 }
 
 // SuiteFor returns the trained estimator suite for a cluster,

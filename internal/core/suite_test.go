@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"maps"
 	"testing"
 
 	"maya/internal/estimator"
@@ -76,5 +77,40 @@ func TestSuiteCacheStatsAndEviction(t *testing.T) {
 	s = c.Stats()
 	if s.Entries != 0 || s.Evictions != 1 {
 		t.Fatalf("after evict: %+v", s)
+	}
+}
+
+// TestSuiteCacheKeysOnHardware: a suite is trained on the silicon of
+// the whole cluster description, so two clusters sharing a name but
+// not their GPUs get one suite each, and the same cluster again hits.
+func TestSuiteCacheKeysOnHardware(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains estimators")
+	}
+	c := NewSuiteCache()
+	ctx := context.Background()
+	fast := hardware.DGXH100(1)
+	slow := hardware.DGXH100(1)
+	slow.Node.GPU.TensorTFLOPS = maps.Clone(slow.Node.GPU.TensorTFLOPS)
+	for dt, v := range slow.Node.GPU.TensorTFLOPS {
+		slow.Node.GPU.TensorTFLOPS[dt] = v / 4
+	}
+	suiteFor := func(cl hardware.Cluster) *estimator.Suite {
+		t.Helper()
+		s, _, err := c.SuiteFor(ctx, cl, DefaultOracle(cl), estimator.ProfileLLM)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	a, b := suiteFor(fast), suiteFor(slow)
+	if a == b {
+		t.Fatalf("clusters named %q with different GPUs share one suite", fast.Name)
+	}
+	if suiteFor(fast) != a {
+		t.Fatal("the same cluster again got a different suite")
+	}
+	if s := c.Stats(); s.Misses != 2 || s.Trained != 2 || s.Hits != 1 || s.Entries != 2 {
+		t.Fatalf("stats = %+v, want two trainings and one hit", s)
 	}
 }

@@ -187,9 +187,6 @@ func TestEstimatePlanMatchesAnnotateInto(t *testing.T) {
 	for name, timer := range map[string]trace.Timer{"suite": s, "oracle": silicon.NewOracle(cluster, silicon.DefaultSeed)} {
 		// The direct walk prices every op itself, no shape memo.
 		direct := trace.NewAnnotations(job)
-		if direct == nil {
-			t.Fatal("fixture job not positionally indexable")
-		}
 		if err := trace.Annotate(ctx, job, comms, sizes, timer, direct); err != nil {
 			t.Fatal(err)
 		}

@@ -2,7 +2,6 @@ package estimator
 
 import (
 	"context"
-	"errors"
 	"time"
 
 	"maya/internal/trace"
@@ -29,15 +28,8 @@ func (p *EstimatePlan) Ops() int { return len(p.ann.Table()) }
 // build-local shapeMemo) into a fresh overlay, which the plan keeps —
 // so reading the plan reproduces the walk exactly and cannot drift
 // from it. Cancellation of ctx is observed between workers.
-//
-// The job must be positionally indexable (op Seq == index), the same
-// invariant overlays require: a plan is an overlay, so a job an
-// overlay cannot address has no plan.
 func BuildPlan(ctx context.Context, job *trace.Job, comms map[uint64][]int, sizes map[uint64]int, t trace.Timer) (*EstimatePlan, error) {
 	ann := trace.NewAnnotations(job)
-	if ann == nil {
-		return nil, errors.New("estimator: job is not positionally indexable, cannot build an estimate plan")
-	}
 	memo := &shapeMemo{Timer: t, seen: make(map[*trace.Shape]time.Duration)}
 	if err := trace.Annotate(ctx, job, comms, sizes, memo, ann); err != nil {
 		return nil, err

@@ -14,8 +14,9 @@ import (
 )
 
 // iterJob builds a 2-worker, 3-iteration job with clean timing:
-// 2ms setup, then per iteration a 10ms kernel, a 1ms allreduce and a
-// synced iter_end mark. Clean boundaries: setup_end at 2ms, iter ends
+// 2ms setup, then per iteration a kernel, an allreduce and a synced
+// iter_end mark. Run with timing(j, iterKernel), the kernel takes 10ms
+// and the allreduce 1ms. Clean boundaries: setup_end at 2ms, iter ends
 // at 13, 24, 35ms (11ms per iteration).
 func iterJob(t testing.TB) *trace.Job {
 	t.Helper()
@@ -23,9 +24,9 @@ func iterJob(t testing.TB) *trace.Job {
 		w := &trace.Worker{Rank: rank, World: 2, Device: "test"}
 		w.Append(trace.Op{Kind: trace.KindMark, Name: trace.MarkSetupEnd, HostGap: 2 * time.Millisecond})
 		for k := range 3 {
-			w.Append(trace.Op{Kind: trace.KindKernel, Name: "k", Stream: 0, Dur: 10 * time.Millisecond})
+			w.Append(trace.Op{Kind: trace.KindKernel, Name: "k", Stream: 0})
 			w.Append(trace.Op{
-				Kind: trace.KindCollective, Name: "ncclAllReduce", Stream: 0, Dur: time.Millisecond,
+				Kind: trace.KindCollective, Name: "ncclAllReduce", Stream: 0,
 				Coll: &trace.Collective{Op: "ncclAllReduce", CommID: 0xc0, Seq: k, NRanks: 2, Rank: rank, Peer: -1},
 			})
 			w.Append(trace.Op{Kind: trace.KindDeviceSync})
@@ -40,10 +41,35 @@ func iterJob(t testing.TB) *trace.Job {
 	return j
 }
 
-// runner binds Evaluate's engine calls to a pooled run of j.
-func runner(j *trace.Job) Runner {
+// iterKernel is how long iterJob's kernels take.
+const iterKernel = 10 * time.Millisecond
+
+// fixedTimer prices the fixtures' device work: every kernel takes
+// kernel, every collective 1ms.
+type fixedTimer struct{ kernel time.Duration }
+
+func (f fixedTimer) EstimateKernel(*trace.Op) time.Duration { return f.kernel }
+
+func (fixedTimer) EstimateCollective(string, int64, []int, int) time.Duration {
+	return time.Millisecond
+}
+
+// timing returns the overlay of j's durations when every kernel takes
+// kernel and every collective 1ms.
+func timing(t testing.TB, j *trace.Job, kernel time.Duration) *trace.Annotations {
+	t.Helper()
+	ann := trace.NewAnnotations(j)
+	if err := trace.Annotate(context.Background(), j, nil, nil, fixedTimer{kernel}, ann); err != nil {
+		t.Fatal(err)
+	}
+	return ann
+}
+
+// runner binds Evaluate's engine calls to a pooled run of j with
+// overlay ann.
+func runner(j *trace.Job, ann *trace.Annotations) Runner {
 	return func(ctx context.Context, inj *sim.Injection, obs sim.Observer) (*sim.Report, error) {
-		return sim.RunPooled(ctx, j, sim.Options{Faults: inj, Observer: obs})
+		return sim.RunPooled(ctx, j, sim.Options{Faults: inj, Observer: obs, Annotations: ann})
 	}
 }
 
@@ -51,7 +77,7 @@ func runner(j *trace.Job) Runner {
 func evalFixture(t *testing.T, j *trace.Job, plan *Plan) *sim.RecoveryReport {
 	t.Helper()
 	ctx := context.Background()
-	run := runner(j)
+	run := runner(j, timing(t, j, iterKernel))
 	inj, err := plan.Injection(j)
 	if err != nil {
 		t.Fatalf("Injection: %v", err)
@@ -229,7 +255,7 @@ func TestEvaluateMTBFDeterministic(t *testing.T) {
 	// Rerun several times, including a fresh-engine runner: reports
 	// must be bit-identical.
 	fresh := func(ctx context.Context, inj *sim.Injection, obs sim.Observer) (*sim.Report, error) {
-		return sim.Run(ctx, j, sim.Options{Faults: inj, Observer: obs})
+		return sim.Run(ctx, j, sim.Options{Faults: inj, Observer: obs, Annotations: timing(t, j, iterKernel)})
 	}
 	ctx := context.Background()
 	perturbed, err := fresh(ctx, nil, nil)
@@ -285,7 +311,7 @@ func TestEvaluateNonConvergence(t *testing.T) {
 	// A failure storm denser than recovery can outrun: every 1ms a
 	// death, no checkpoints, so the walk never completes iteration 0.
 	plan := &Plan{Seed: 1, MTBF: time.Millisecond, MaxRestarts: 10, Iterations: 3}
-	run := runner(j)
+	run := runner(j, timing(t, j, iterKernel))
 	perturbed, err := run(context.Background(), nil, nil)
 	if err != nil {
 		t.Fatalf("perturbed: %v", err)
@@ -301,7 +327,7 @@ func TestEvaluateMissingRank(t *testing.T) {
 	// rank 1 is absent, so plans that target it must fail loudly.
 	w := &trace.Worker{Rank: 0, World: 2, Device: "test"}
 	w.Append(trace.Op{Kind: trace.KindMark, Name: trace.MarkSetupEnd})
-	w.Append(trace.Op{Kind: trace.KindKernel, Name: "k", Dur: time.Millisecond})
+	w.Append(trace.Op{Kind: trace.KindKernel, Name: "k"})
 	w.Append(trace.Op{Kind: trace.KindDeviceSync})
 	w.Append(trace.Op{Kind: trace.KindMark, Name: trace.MarkIterEnd})
 	j, err := trace.NewJob([]*trace.Worker{w})
@@ -311,7 +337,7 @@ func TestEvaluateMissingRank(t *testing.T) {
 	if _, err := (&Plan{Stragglers: []Straggler{{Ranks: []int{1}, Factor: 2}}}).Injection(j); err == nil {
 		t.Fatal("Injection accepted absent rank")
 	}
-	run := runner(j)
+	run := runner(j, timing(t, j, time.Millisecond))
 	perturbed, err := run(context.Background(), nil, nil)
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -324,13 +350,13 @@ func TestEvaluateMissingRank(t *testing.T) {
 
 func TestEvaluateNoIterMarks(t *testing.T) {
 	w := &trace.Worker{Rank: 0, World: 1, Device: "test"}
-	w.Append(trace.Op{Kind: trace.KindKernel, Name: "k", Dur: time.Millisecond})
+	w.Append(trace.Op{Kind: trace.KindKernel, Name: "k"})
 	w.Append(trace.Op{Kind: trace.KindDeviceSync})
 	j, err := trace.NewJob([]*trace.Worker{w})
 	if err != nil {
 		t.Fatalf("NewJob: %v", err)
 	}
-	run := runner(j)
+	run := runner(j, timing(t, j, time.Millisecond))
 	perturbed, err := run(context.Background(), nil, nil)
 	if err != nil {
 		t.Fatalf("run: %v", err)

@@ -32,7 +32,8 @@ func FuzzParseFaultPlan(f *testing.F) {
 	}
 	ctx := context.Background()
 	j := iterJob(f)
-	clean, err := sim.Run(ctx, j, sim.Options{})
+	ann := timing(f, j, iterKernel)
+	clean, err := sim.Run(ctx, j, sim.Options{Annotations: ann})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func FuzzParseFaultPlan(f *testing.F) {
 		if err != nil {
 			return // a straggler names a rank the job lacks
 		}
-		r, err := sim.Run(ctx, j, sim.Options{Faults: inj})
+		r, err := sim.Run(ctx, j, sim.Options{Faults: inj, Annotations: ann})
 		if err != nil {
 			t.Fatalf("plan %s: %v", data, err)
 		}

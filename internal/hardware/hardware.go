@@ -10,6 +10,7 @@ package hardware
 
 import (
 	"fmt"
+	"hash/fnv"
 	"time"
 )
 
@@ -186,6 +187,17 @@ func (c Cluster) Validate() error {
 // String implements fmt.Stringer.
 func (c Cluster) String() string {
 	return fmt.Sprintf("%s: %d x %d x %s", c.Name, c.Nodes, c.Node.GPUsPerNode, c.Node.GPU.Name)
+}
+
+// Fingerprint hashes the full hardware description, so two clusters
+// sharing a name but differing in any GPU, node, interconnect or host
+// parameter never share a cached capture or trained suite. Struct
+// rendering via %+v is deterministic: fmt prints map keys sorted.
+func (c Cluster) Fingerprint() uint64 {
+	type fields Cluster // no String method: %+v renders every field
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%+v", fields(c))
+	return h.Sum64()
 }
 
 const gib = int64(1) << 30

@@ -499,9 +499,8 @@ func (o *Oracle) AnnotateInto(ctx context.Context, job *trace.Job, comms map[uin
 // PhysicalOptions returns the simulator options for "actual"
 // deployment runs: effects present on hardware that Maya's predictor
 // intentionally omits (§8 of the paper).
-func PhysicalOptions(seed uint64, participants map[trace.CollKey]int) sim.Options {
+func PhysicalOptions(seed uint64) sim.Options {
 	return sim.Options{
-		Participants:   participants,
 		JitterFrac:     0.012,
 		CommContention: 0.06,
 		Seed:           seed,

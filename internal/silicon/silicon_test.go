@@ -138,7 +138,7 @@ func TestMemcpyTimes(t *testing.T) {
 func TestAnnotateFillsDeviceWork(t *testing.T) {
 	w := &trace.Worker{Rank: 0, World: 2}
 	w.Append(*gemmOp(256, 256, 256, "bf16"))
-	w.Append(trace.Op{Kind: trace.KindMark, Name: "m", Dur: time.Microsecond})
+	w.Append(trace.Op{Kind: trace.KindMark, Name: "m"})
 	w.Append(trace.Op{Kind: trace.KindCollective, Coll: &trace.Collective{
 		Op: "ncclAllReduce", CommID: 5, Seq: 0, NRanks: 2, Rank: 0, Peer: -1, Bytes: 1 << 20}})
 	job, err := trace.NewJob([]*trace.Worker{w})
@@ -153,8 +153,8 @@ func TestAnnotateFillsDeviceWork(t *testing.T) {
 	if ann.Dur(0, 0) == 0 {
 		t.Fatal("kernel not annotated")
 	}
-	if ann.Dur(0, 1) != time.Microsecond {
-		t.Fatal("a host-side op's duration must be preserved")
+	if ann.Dur(0, 1) != 0 {
+		t.Fatal("a mark must take no device time")
 	}
 	if ann.Dur(0, 2) == 0 {
 		t.Fatal("collective not annotated")

@@ -10,8 +10,7 @@ import (
 )
 
 // overlayJob builds a small two-worker job with event sync, a
-// collective and host delays — every duration source the engine
-// reads — left unannotated.
+// collective and host gaps: every kind of op the engine times.
 func overlayJob(t *testing.T) *trace.Job {
 	t.Helper()
 	mkWorker := func(rank int) *trace.Worker {
@@ -33,28 +32,22 @@ func overlayJob(t *testing.T) *trace.Job {
 	return job
 }
 
-// annotateFor writes the same synthetic durations either into the
-// job's ops (ann nil) or into an overlay over it.
+// annotateFor writes synthetic durations for the job's device work
+// into an overlay over it.
 func annotateFor(job *trace.Job, ann *trace.Annotations) {
 	for wi, w := range job.Workers {
 		for i := range w.Ops {
-			op := &w.Ops[i]
-			if !op.IsDeviceWork() {
-				continue
-			}
-			d := time.Duration(10+wi*3+i) * time.Microsecond
-			if ann != nil {
-				ann.Set(wi, op.Seq, d)
-			} else {
-				op.Dur = d
+			if w.Ops[i].IsDeviceWork() {
+				ann.Set(wi, i, time.Duration(10+wi*3+i)*time.Microsecond)
 			}
 		}
 	}
 }
 
-// TestOverlayRunMatchesCloneRun pins the overlay contract: a run that
-// reads durations through Options.Annotations over the pristine job
-// is bit-identical to a run over an annotated deep copy — in
+// TestOverlayRunMatchesCloneRun pins the overlay contract: a run reads
+// every duration from Options.Annotations and leaves the job as it
+// was, so a run over a sealed copy of the job (Worker.Compact, what
+// the emulator seals) under the same overlay is bit-identical — in
 // prediction mode and in physical mode (jitter + contention), where
 // collective and kernel durations both feed the jitter draws.
 func TestOverlayRunMatchesCloneRun(t *testing.T) {
@@ -67,37 +60,32 @@ func TestOverlayRunMatchesCloneRun(t *testing.T) {
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			job := overlayJob(t)
-
-			// A second build of the fixture is the annotated copy.
-			cloned := overlayJob(t)
-			annotateFor(cloned, nil)
-			want, err := Run(context.Background(), cloned, mode.opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-
 			ann := trace.NewAnnotations(job)
-			if ann == nil {
-				t.Fatal("job not positionally indexable")
-			}
 			annotateFor(job, ann)
-			optsAnn := mode.opts
-			optsAnn.Annotations = ann
-			got, err := Run(context.Background(), job, optsAnn)
+			opts := mode.opts
+			opts.Annotations = ann
+
+			cloned := &trace.Job{}
+			for _, w := range job.Workers {
+				cloned.Workers = append(cloned.Workers, w.Compact())
+			}
+			want, err := Run(context.Background(), cloned, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-
+			got, err := Run(context.Background(), job, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if !reflect.DeepEqual(want, got) {
 				t.Fatalf("overlay run diverged from clone run:\nclone:   %+v\noverlay: %+v", want, got)
 			}
+			if want.Makespan <= 0 {
+				t.Fatalf("makespan %v: the overlay's durations were not read", want.Makespan)
+			}
 			// The overlay run must not have touched the job.
-			for _, w := range job.Workers {
-				for i := range w.Ops {
-					if w.Ops[i].IsDeviceWork() && w.Ops[i].Dur != 0 {
-						t.Fatalf("overlay run mutated the job: worker %d op %d Dur=%v", w.Rank, i, w.Ops[i].Dur)
-					}
-				}
+			if !reflect.DeepEqual(job, overlayJob(t)) {
+				t.Fatal("overlay run mutated the job")
 			}
 		})
 	}

@@ -12,7 +12,7 @@ func runWithBreakdown(t *testing.T, j *trace.Job, opts Options) (*Report, []Stal
 	t.Helper()
 	bd := NewBreakdown()
 	opts.Observer = Observers(opts.Observer, bd)
-	r, err := Run(context.Background(), j, opts)
+	r, err := Run(context.Background(), j, timing(j, opts))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -119,12 +119,12 @@ func TestBreakdownPipelineBubbleFromP2P(t *testing.T) {
 	const f = 10 * time.Millisecond
 	xfer := time.Millisecond
 	send := func(seq int) trace.Op {
-		return trace.Op{Kind: trace.KindCollective, Name: "ncclSend", Stream: 0, Dur: xfer,
-			Coll: &trace.Collective{Op: "ncclSend", CommID: 3, Seq: seq, NRanks: 2, Rank: 0, Peer: 1, Bytes: 1024}}
+		return timed(trace.Op{Kind: trace.KindCollective, Name: "ncclSend", Stream: 0,
+			Coll: &trace.Collective{Op: "ncclSend", CommID: 3, Seq: seq, NRanks: 2, Rank: 0, Peer: 1, Bytes: 1024}}, xfer)
 	}
 	recv := func(seq int) trace.Op {
-		return trace.Op{Kind: trace.KindCollective, Name: "ncclRecv", Stream: 0, Dur: xfer,
-			Coll: &trace.Collective{Op: "ncclRecv", CommID: 3, Seq: seq, NRanks: 2, Rank: 1, Peer: 0, Bytes: 1024}}
+		return timed(trace.Op{Kind: trace.KindCollective, Name: "ncclRecv", Stream: 0,
+			Coll: &trace.Collective{Op: "ncclRecv", CommID: 3, Seq: seq, NRanks: 2, Rank: 1, Peer: 0, Bytes: 1024}}, xfer)
 	}
 	w0 := worker(0, 2, kernel(0, f), send(0), kernel(0, f), send(1), trace.Op{Kind: trace.KindDeviceSync})
 	w1 := worker(1, 2, recv(0), kernel(0, f), recv(1), kernel(0, f), trace.Op{Kind: trace.KindDeviceSync})

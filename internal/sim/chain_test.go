@@ -52,7 +52,7 @@ func chainFixture(t *testing.T, seed int64) *trace.Job {
 			for i := 0; i < n; i++ {
 				kind := kinds[rng.Intn(len(kinds))]
 				for _, w := range ws {
-					w.Append(trace.Op{Kind: kind, Name: "op", Stream: stream, Dur: dur()})
+					w.Append(timed(trace.Op{Kind: kind, Name: "op", Stream: stream}, dur()))
 				}
 			}
 		case 2: // collective on every rank
@@ -138,25 +138,26 @@ func checkOpCallbacks(t *testing.T, j *trace.Job, events []recEvent) {
 	next := map[streamKey]int{}
 	lastEnd := map[streamKey]int64{}
 	for w, wk := range j.Workers {
-		for _, op := range wk.Ops {
+		for i := range wk.Ops {
+			op := &wk.Ops[i]
 			if op.Kind != trace.KindKernel && op.Kind != trace.KindMemcpy && op.Kind != trace.KindMemset {
 				continue
 			}
 			k := streamKey{w, op.Stream}
-			i := next[k]
-			next[k] = i + 1
-			if i >= len(heard[k]) {
-				t.Fatalf("worker %d stream %d: op %d never reported", w, op.Stream, op.Seq)
+			n := next[k]
+			next[k] = n + 1
+			if n >= len(heard[k]) {
+				t.Fatalf("worker %d stream %d: op %d never reported", w, op.Stream, i)
 			}
-			e := heard[k][i]
-			if e.seq != op.Seq {
-				t.Fatalf("worker %d stream %d: op %d heard as %+v", w, op.Stream, op.Seq, e)
+			e := heard[k][n]
+			if e.op != op {
+				t.Fatalf("worker %d stream %d: op %d heard as %+v", w, op.Stream, i, e)
 			}
 			if e.a > e.b {
-				t.Fatalf("worker %d op %d: OpEnd [%d, %d)", w, op.Seq, e.a, e.b)
+				t.Fatalf("worker %d op %d: OpEnd [%d, %d)", w, i, e.a, e.b)
 			}
 			if e.a < lastEnd[k] {
-				t.Fatalf("worker %d op %d starts at %d, before its predecessor ended at %d", w, op.Seq, e.a, lastEnd[k])
+				t.Fatalf("worker %d op %d starts at %d, before its predecessor ended at %d", w, i, e.a, lastEnd[k])
 			}
 			lastEnd[k] = e.b
 		}

@@ -212,7 +212,7 @@ func TestCongestionDeterministicAcrossRunsAndPooling(t *testing.T) {
 		if r := mustRun(t, j, opts); !reportsEqual(base, r) {
 			t.Fatalf("fresh run %d differs:\n%+v\nvs\n%+v", i, r, base)
 		}
-		r, err := RunPooled(context.Background(), j, opts)
+		r, err := RunPooled(context.Background(), j, timing(j, opts))
 		if err != nil {
 			t.Fatalf("RunPooled: %v", err)
 		}
@@ -227,7 +227,7 @@ func TestCongestionDeterministicAcrossRunsAndPooling(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			r, err := RunPooled(context.Background(), j, opts)
+			r, err := RunPooled(context.Background(), j, timing(j, opts))
 			if err != nil {
 				errs <- err.Error()
 				return
@@ -248,11 +248,11 @@ func TestCongestionDeterministicAcrossRunsAndPooling(t *testing.T) {
 // the engine recovers cleanly for a following uncongested run.
 func TestCongestionStretchesContendedFixture(t *testing.T) {
 	j, cong := congestedFixture(t)
-	congested, err := RunPooled(context.Background(), j, Options{Congestion: cong})
+	congested, err := RunPooled(context.Background(), j, timing(j, Options{Congestion: cong}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean, err := RunPooled(context.Background(), j, Options{})
+	clean, err := RunPooled(context.Background(), j, timing(j, Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}

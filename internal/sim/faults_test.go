@@ -265,7 +265,7 @@ func TestFaultsDeterminismPooledVsFresh(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("rerun diverged:\n got %+v\nwant %+v", got, want)
 		}
-		pooled, err := RunPooled(context.Background(), j, opts)
+		pooled, err := RunPooled(context.Background(), j, timing(j, opts))
 		if err != nil {
 			t.Fatalf("RunPooled: %v", err)
 		}
@@ -285,7 +285,7 @@ func TestFaultsConcurrentRunsRace(t *testing.T) {
 	reps := make(chan *Report, workers)
 	for range workers {
 		go func() {
-			r, err := RunPooled(context.Background(), j, opts)
+			r, err := RunPooled(context.Background(), j, timing(j, opts))
 			errs <- err
 			reps <- r
 		}()

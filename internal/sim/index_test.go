@@ -160,12 +160,12 @@ func TestIndexOfOtherParticipantsRecompiles(t *testing.T) {
 	two := map[trace.CollKey]int{{Comm: 1, Seq: 0}: 2}
 	one := map[trace.CollKey]int{{Comm: 1, Seq: 0}: 1}
 
-	_, err := Run(context.Background(), j, Options{Participants: two, Index: Compile(j, nil)})
+	_, err := Run(context.Background(), j, timing(j, Options{Participants: two, Index: Compile(j, nil)}))
 	if !errors.Is(err, ErrDeadlock) {
 		t.Fatalf("index of nil participants run with two expected joins: err = %v, want ErrDeadlock", err)
 	}
 	for _, p := range []map[trace.CollKey]int{nil, one} {
-		if _, err := Run(context.Background(), j, Options{Participants: p, Index: Compile(j, two)}); err != nil {
+		if _, err := Run(context.Background(), j, timing(j, Options{Participants: p, Index: Compile(j, two)})); err != nil {
 			t.Fatalf("index of two expected joins run with %v: %v", p, err)
 		}
 	}

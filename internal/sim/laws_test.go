@@ -21,7 +21,7 @@ import (
 func TestPhysicalOptionsWithoutTheirKnobsArePrediction(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		j := sim.ChainFixture(t, seed)
-		o := silicon.PhysicalOptions(uint64(seed)+1, trace.Participation(j))
+		o := silicon.PhysicalOptions(uint64(seed) + 1)
 		o.JitterFrac, o.CommContention = 0, 0
 		if got, want := run(t, j, o), run(t, j, sim.Options{}); !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: physical options without jitter or contention changed the report:\n got %+v\nwant %+v", seed, got, want)
@@ -45,7 +45,7 @@ func TestEmptyFaultPlanIsNoFault(t *testing.T) {
 
 func run(t *testing.T, j *trace.Job, o sim.Options) *sim.Report {
 	t.Helper()
-	r, err := sim.Run(context.Background(), j, o)
+	r, err := sim.Run(context.Background(), j, sim.Timing(j, o))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

@@ -1,6 +1,6 @@
 // Package sim is Maya's end-to-end discrete-event simulator. It
-// replays an annotated job trace — every device op carries a
-// predicted duration — against a model of hosts, devices and streams,
+// replays a job trace, every device op's predicted duration read from
+// a duration overlay, against a model of hosts, devices and streams,
 // reproducing the execution semantics of the CUDA runtime:
 //
 //   - each worker has a host dispatch queue that issues API calls in
@@ -39,10 +39,11 @@
 // one job many times compiles it once and passes the Index in
 // Options. A stream's queue is a fixed window of one flat buffer,
 // placed by the Index, and a queue entry is pointer-free: the op's
-// position, kind and enqueue time. So dispatch grows no slice, reads
-// no trace.Op when an overlay is bound (durations come from it by
-// position), and the busy intervals a report unions sit in the same
-// windows, already in start order per stream.
+// position, kind and enqueue time. So dispatch grows no slice, reads a
+// trace.Op only for an observer callback or a deadlock message
+// (durations come from the overlay by position), and the busy
+// intervals a report unions sit in the same windows, already in start
+// order per stream.
 //
 // A stream dispatches timed work in chains (see kickStream), the one
 // route whatever observer, fault injection or congestion is attached.
@@ -96,17 +97,13 @@ type Options struct {
 	// per-event cost.
 	Observer Observer
 
-	// Annotations, when non-nil, is the duration overlay the engine
-	// reads device-op and collective durations through instead of the
-	// ops' own Dur fields, so the job itself stays immutable. The
-	// engine addresses it by op position, which is the op's Seq in
-	// every job an overlay binds to (Rebind refuses any other, and
-	// core's validateOps rejects a loaded trace whose Seqs are not
-	// positions). The engine only reads it: one overlay, such as an
-	// estimate plan's, may back any number of concurrent runs. Host
-	// delays always come from the trace (annotation never touches
-	// them). The overlay must be bound to this job and left unwritten
-	// until Run returns.
+	// Annotations is the duration overlay the engine reads every
+	// device-op and collective duration from, by op position; the job
+	// itself records no durations. It is required: Run fails without
+	// one. The engine only reads it: one overlay, such as an estimate
+	// plan's, may back any number of concurrent runs. Host gaps come
+	// from the trace (annotation never touches them). The overlay must
+	// be bound to this job and left unwritten until Run returns.
 	Annotations *trace.Annotations
 
 	// Congestion, when non-nil, resolves collective durations against
@@ -661,6 +658,9 @@ func (e *Engine) Run(ctx context.Context) (*Report, error) {
 	if e.ran {
 		return nil, errors.New("sim: Engine.Run called twice without Reset")
 	}
+	if e.ann == nil {
+		return nil, errors.New("sim: no duration overlay (Options.Annotations)")
+	}
 	e.ran = true
 	for i := range e.hosts {
 		e.push(simEvent{t: 0, kind: evHostRun, host: &e.hosts[i]})
@@ -968,14 +968,9 @@ func (e *Engine) parkStream(slot int32, st *streamState) {
 	wl.tail = st
 }
 
-// annotated reads the annotated duration of op i of worker w: from
-// the overlay, which is addressed by op position, when one is bound;
-// from the trace otherwise.
+// annotated reads the overlay duration of op i of worker w.
 func (e *Engine) annotated(w int, i int32) int64 {
-	if e.ann != nil {
-		return int64(e.ann.Dur(w, int(i)))
-	}
-	return int64(e.hosts[w].ops[i].Dur)
+	return int64(e.ann.Dur(w, int(i)))
 }
 
 // duration applies fault stretch and jitter to the annotated time of
@@ -990,7 +985,7 @@ func (e *Engine) duration(w int, i int32, start int64) int64 {
 		d = e.inj.stretch(w, start, d)
 	}
 	if e.opts.JitterFrac > 0 {
-		d = int64(float64(d) * e.rng.factor(int64(w), int64(e.hosts[w].ops[i].Seq)))
+		d = int64(float64(d) * e.rng.factor(int64(w), int64(i)))
 	}
 	return d
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -29,7 +30,50 @@ func job(t *testing.T, ws ...*trace.Worker) *trace.Job {
 }
 
 func kernel(stream int64, dur time.Duration) trace.Op {
-	return trace.Op{Kind: trace.KindKernel, Name: "k", Stream: stream, Dur: dur}
+	return timed(trace.Op{Kind: trace.KindKernel, Name: "k", Stream: stream}, dur)
+}
+
+// durs holds every fixture op's duration, keyed by the collective or
+// the shape timed gives the op: the job records no durations, and
+// overlay reads them from here into the overlay a run is given.
+var durs sync.Map
+
+// timed returns op lasting d: its collective copied, or a shape of
+// its own, is the key overlay finds d under.
+func timed(op trace.Op, d time.Duration) trace.Op {
+	if op.Coll != nil {
+		c := *op.Coll
+		op.Coll = &c
+		durs.Store(op.Coll, d)
+		return op
+	}
+	op.Shape = &trace.Shape{Name: op.Name}
+	durs.Store(op.Shape, d)
+	return op
+}
+
+// overlay returns j's duration overlay: each timed op's duration, zero
+// for every other op.
+func overlay(j *trace.Job) *trace.Annotations {
+	a := trace.NewAnnotations(j)
+	for wi, w := range j.Workers {
+		for i := range w.Ops {
+			var key any = w.Ops[i].Shape
+			if c := w.Ops[i].Coll; c != nil {
+				key = c
+			}
+			if d, ok := durs.Load(key); ok {
+				a.Set(wi, i, d.(time.Duration))
+			}
+		}
+	}
+	return a
+}
+
+// timing returns opts with j's overlay bound.
+func timing(j *trace.Job, opts Options) Options {
+	opts.Annotations = overlay(j)
+	return opts
 }
 
 // after returns op carrying d of host time spent before it.
@@ -39,15 +83,16 @@ func after(d time.Duration, op trace.Op) trace.Op {
 }
 
 func coll(stream int64, comm uint64, seq, nranks, rank int, dur time.Duration) trace.Op {
-	return trace.Op{
-		Kind: trace.KindCollective, Name: "ncclAllReduce", Stream: stream, Dur: dur,
+	return timed(trace.Op{
+		Kind: trace.KindCollective, Name: "ncclAllReduce", Stream: stream,
 		Coll: &trace.Collective{Op: "ncclAllReduce", CommID: comm, Seq: seq, NRanks: nranks, Rank: rank, Peer: -1},
-	}
+	}, dur)
 }
 
+// mustRun runs j with its fixture durations.
 func mustRun(t *testing.T, j *trace.Job, opts Options) *Report {
 	t.Helper()
-	r, err := Run(context.Background(), j, opts)
+	r, err := Run(context.Background(), j, timing(j, opts))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -58,7 +103,8 @@ func TestRunPreCancelledContext(t *testing.T) {
 	w := worker(0, 1, kernel(0, time.Millisecond), trace.Op{Kind: trace.KindDeviceSync})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Run(ctx, job(t, w), Options{}); !errors.Is(err, context.Canceled) {
+	j := job(t, w)
+	if _, err := Run(ctx, j, timing(j, Options{})); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run with cancelled ctx: err = %v, want context.Canceled", err)
 	}
 }
@@ -238,13 +284,13 @@ func TestSendRecvPairing(t *testing.T) {
 	// computes 5ms. Xfer takes 3ms: total 18ms.
 	w0 := worker(0, 2,
 		kernel(0, 10*time.Millisecond),
-		trace.Op{Kind: trace.KindCollective, Name: "ncclSend", Stream: 0, Dur: 3 * time.Millisecond,
-			Coll: &trace.Collective{Op: "ncclSend", CommID: 9, Seq: 0, NRanks: 2, Rank: 0, Peer: 1, Bytes: 1 << 20}},
+		timed(trace.Op{Kind: trace.KindCollective, Name: "ncclSend", Stream: 0,
+			Coll: &trace.Collective{Op: "ncclSend", CommID: 9, Seq: 0, NRanks: 2, Rank: 0, Peer: 1, Bytes: 1 << 20}}, 3*time.Millisecond),
 		trace.Op{Kind: trace.KindDeviceSync},
 	)
 	w1 := worker(1, 2,
-		trace.Op{Kind: trace.KindCollective, Name: "ncclRecv", Stream: 0, Dur: 3 * time.Millisecond,
-			Coll: &trace.Collective{Op: "ncclRecv", CommID: 9, Seq: 0, NRanks: 2, Rank: 1, Peer: 0, Bytes: 1 << 20}},
+		timed(trace.Op{Kind: trace.KindCollective, Name: "ncclRecv", Stream: 0,
+			Coll: &trace.Collective{Op: "ncclRecv", CommID: 9, Seq: 0, NRanks: 2, Rank: 1, Peer: 0, Bytes: 1 << 20}}, 3*time.Millisecond),
 		kernel(0, 5*time.Millisecond),
 		trace.Op{Kind: trace.KindDeviceSync},
 	)
@@ -262,9 +308,9 @@ func TestDeadlockDetection(t *testing.T) {
 	w0 := worker(0, 2, coll(0, 1, 0, 2, 0, time.Millisecond), trace.Op{Kind: trace.KindDeviceSync})
 	w1 := worker(1, 2, kernel(0, time.Millisecond), trace.Op{Kind: trace.KindDeviceSync})
 	j := job(t, w0, w1)
-	_, err := Run(context.Background(), j, Options{Participants: map[trace.CollKey]int{
+	_, err := Run(context.Background(), j, timing(j, Options{Participants: map[trace.CollKey]int{
 		{Comm: 1, Seq: 0}: 2,
-	}})
+	}}))
 	if err == nil {
 		t.Fatal("expected deadlock error, got nil")
 	}
@@ -365,12 +411,12 @@ func TestPipelineBubbleEmergesFromP2P(t *testing.T) {
 	const f = 10 * time.Millisecond
 	xfer := time.Millisecond
 	send := func(seq int) trace.Op {
-		return trace.Op{Kind: trace.KindCollective, Name: "ncclSend", Stream: 0, Dur: xfer,
-			Coll: &trace.Collective{Op: "ncclSend", CommID: 3, Seq: seq, NRanks: 2, Rank: 0, Peer: 1, Bytes: 1024}}
+		return timed(trace.Op{Kind: trace.KindCollective, Name: "ncclSend", Stream: 0,
+			Coll: &trace.Collective{Op: "ncclSend", CommID: 3, Seq: seq, NRanks: 2, Rank: 0, Peer: 1, Bytes: 1024}}, xfer)
 	}
 	recv := func(seq int) trace.Op {
-		return trace.Op{Kind: trace.KindCollective, Name: "ncclRecv", Stream: 0, Dur: xfer,
-			Coll: &trace.Collective{Op: "ncclRecv", CommID: 3, Seq: seq, NRanks: 2, Rank: 1, Peer: 0, Bytes: 1024}}
+		return timed(trace.Op{Kind: trace.KindCollective, Name: "ncclRecv", Stream: 0,
+			Coll: &trace.Collective{Op: "ncclRecv", CommID: 3, Seq: seq, NRanks: 2, Rank: 1, Peer: 0, Bytes: 1024}}, xfer)
 	}
 	w0 := worker(0, 2, kernel(0, f), send(0), kernel(0, f), send(1), trace.Op{Kind: trace.KindDeviceSync})
 	w1 := worker(1, 2, recv(0), kernel(0, f), recv(1), kernel(0, f), trace.Op{Kind: trace.KindDeviceSync})
@@ -394,7 +440,8 @@ func TestDeadlockErrorNamesWorkerStreamAndKey(t *testing.T) {
 		return job(t, w0, w1)
 	}
 	opts := Options{Participants: map[trace.CollKey]int{{Comm: 0x2a, Seq: 7}: 2}}
-	_, err := Run(context.Background(), mk(), opts)
+	j := mk()
+	_, err := Run(context.Background(), j, timing(j, opts))
 	if err == nil {
 		t.Fatal("expected deadlock error, got nil")
 	}
@@ -412,7 +459,8 @@ func TestDeadlockErrorNamesWorkerStreamAndKey(t *testing.T) {
 			t.Errorf("deadlock error missing %q:\n%s", want, msg)
 		}
 	}
-	_, err2 := Run(context.Background(), mk(), opts)
+	j = mk()
+	_, err2 := Run(context.Background(), j, timing(j, opts))
 	if err2 == nil || err2.Error() != msg {
 		t.Errorf("deadlock error not deterministic:\n%s\nvs\n%s", msg, err2)
 	}
@@ -425,7 +473,8 @@ func TestDeadlockErrorNamesEventKey(t *testing.T) {
 		kernel(4, time.Millisecond),
 		trace.Op{Kind: trace.KindDeviceSync},
 	)
-	_, err := Run(context.Background(), job(t, w), Options{})
+	j := job(t, w)
+	_, err := Run(context.Background(), j, timing(j, Options{}))
 	if err == nil {
 		t.Fatal("expected deadlock error, got nil")
 	}
@@ -485,7 +534,8 @@ func TestEngineReuseMatchesFreshRuns(t *testing.T) {
 
 	e := NewEngine()
 	for i := 0; i < 3; i++ {
-		e.Reset(physicalFixture(t), opts)
+		j := physicalFixture(t)
+		e.Reset(j, timing(j, opts))
 		got, err := e.Run(context.Background())
 		if err != nil {
 			t.Fatalf("reused engine run %d: %v", i, err)
@@ -493,7 +543,8 @@ func TestEngineReuseMatchesFreshRuns(t *testing.T) {
 		if !reportsEqual(got, want1) {
 			t.Fatalf("reused engine diverged on run %d:\n got %+v\nwant %+v", i, got, want1)
 		}
-		e.Reset(physicalFixture(t), Options{})
+		j = physicalFixture(t)
+		e.Reset(j, timing(j, Options{}))
 		got2, err := e.Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
@@ -508,7 +559,8 @@ func TestRunPooledMatchesRun(t *testing.T) {
 	opts := Options{JitterFrac: 0.02, CommContention: 0.3, Seed: 7}
 	want := mustRun(t, physicalFixture(t), opts)
 	for i := 0; i < 4; i++ {
-		got, err := RunPooled(context.Background(), physicalFixture(t), opts)
+		j := physicalFixture(t)
+		got, err := RunPooled(context.Background(), j, timing(j, opts))
 		if err != nil {
 			t.Fatalf("RunPooled: %v", err)
 		}
@@ -523,7 +575,12 @@ func TestEngineRunLifecycleErrors(t *testing.T) {
 	if _, err := e.Run(context.Background()); err == nil {
 		t.Fatal("Run before Reset should error")
 	}
-	e.Reset(physicalFixture(t), Options{})
+	j := physicalFixture(t)
+	e.Reset(j, Options{})
+	if _, err := e.Run(context.Background()); err == nil {
+		t.Fatal("Run without a duration overlay should error")
+	}
+	e.Reset(j, timing(j, Options{}))
 	if _, err := e.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -537,7 +594,8 @@ func TestReportDoesNotAliasEngineStorage(t *testing.T) {
 	// reset and rerun with a different job (the pooled-reuse hazard:
 	// Marks used to alias e.marks).
 	e := NewEngine()
-	e.Reset(physicalFixture(t), Options{})
+	j := physicalFixture(t)
+	e.Reset(j, timing(j, Options{}))
 	rep, err := e.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -551,7 +609,8 @@ func TestReportDoesNotAliasEngineStorage(t *testing.T) {
 		trace.Op{Kind: trace.KindMark, Name: "another"},
 		trace.Op{Kind: trace.KindDeviceSync},
 	)
-	e.Reset(job(t, w), Options{})
+	j = job(t, w)
+	e.Reset(j, timing(j, Options{}))
 	if _, err := e.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}

@@ -87,7 +87,7 @@ func TestTimeLimitDeterministic(t *testing.T) {
 			if !reflect.DeepEqual(base, again) {
 				t.Fatalf("limit %v: run %d diverged:\nbase  %+v\nagain %+v", limit, i, base, again)
 			}
-			pooled, err := RunPooled(context.Background(), j, Options{TimeLimit: limit})
+			pooled, err := RunPooled(context.Background(), j, timing(j, Options{TimeLimit: limit}))
 			if err != nil {
 				t.Fatalf("RunPooled: %v", err)
 			}
@@ -103,7 +103,7 @@ func TestTimeLimitDeterministic(t *testing.T) {
 // like.
 func TestTimeLimitNoDeadlockError(t *testing.T) {
 	j := limitFixture(t)
-	if _, err := Run(context.Background(), j, Options{TimeLimit: time.Millisecond}); err != nil {
+	if _, err := Run(context.Background(), j, timing(j, Options{TimeLimit: time.Millisecond})); err != nil {
 		t.Fatalf("truncated run errored: %v", err)
 	}
 }

@@ -34,8 +34,8 @@ func timelineFixture(t *testing.T) *trace.Job {
 }
 
 func TestTimelineChromeTraceGolden(t *testing.T) {
-	tl := NewTimeline()
-	if _, err := Run(context.Background(), timelineFixture(t), Options{Observer: tl}); err != nil {
+	tl, j := NewTimeline(), timelineFixture(t)
+	if _, err := Run(context.Background(), j, timing(j, Options{Observer: tl})); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -65,8 +65,8 @@ func TestTimelineChromeTraceShape(t *testing.T) {
 	// Independent of the golden bytes, the export must be valid
 	// trace-event JSON with the right structure: a traceEvents array
 	// of complete/instant/metadata events carrying pid/tid/ts.
-	tl := NewTimeline()
-	if _, err := Run(context.Background(), timelineFixture(t), Options{Observer: tl}); err != nil {
+	tl, j := NewTimeline(), timelineFixture(t)
+	if _, err := Run(context.Background(), j, timing(j, Options{Observer: tl})); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer

@@ -14,21 +14,22 @@ type recEvent struct {
 	kind   string
 	w      int
 	stream int64
-	seq    int
+	op     *trace.Op
 	stall  StallKind
 	label  string
 	a, b   int64
 }
 
-// recorder captures every observer callback in arrival order.
+// recorder captures every observer callback in arrival order,
+// identifying an op by its pointer into the job, which outlives it.
 type recorder struct{ events []recEvent }
 
 func (r *recorder) OpEnd(w int, stream int64, op *trace.Op, start, end int64) {
-	r.events = append(r.events, recEvent{kind: "opEnd", w: w, stream: stream, seq: op.Seq, a: start, b: end})
+	r.events = append(r.events, recEvent{kind: "opEnd", w: w, stream: stream, op: op, a: start, b: end})
 }
 
 func (r *recorder) CollectiveFired(w int, stream int64, op *trace.Op, key trace.CollKey, start, end int64) {
-	r.events = append(r.events, recEvent{kind: "coll", w: w, stream: stream, seq: op.Seq, a: start, b: end})
+	r.events = append(r.events, recEvent{kind: "coll", w: w, stream: stream, op: op, a: start, b: end})
 }
 
 func (r *recorder) StallEnd(w int, stream int64, kind StallKind, begin, end int64) {
@@ -81,7 +82,7 @@ func TestTimeLimitCongestionPrefixExact(t *testing.T) {
 		3500 * time.Microsecond, // past departure, into the tail compute
 	} {
 		part := &recorder{}
-		rt, err := Run(context.Background(), j, Options{Congestion: cong, Observer: part, TimeLimit: limit})
+		rt, err := Run(context.Background(), j, timing(j, Options{Congestion: cong, Observer: part, TimeLimit: limit}))
 		if err != nil {
 			t.Fatalf("limit %v: %v", limit, err)
 		}
@@ -98,7 +99,7 @@ func TestTimeLimitCongestionPrefixExact(t *testing.T) {
 
 		// The same cut is bit-identical through the engine pool.
 		pooled := &recorder{}
-		rp, err := RunPooled(context.Background(), j, Options{Congestion: cong, Observer: pooled, TimeLimit: limit})
+		rp, err := RunPooled(context.Background(), j, timing(j, Options{Congestion: cong, Observer: pooled, TimeLimit: limit}))
 		if err != nil {
 			t.Fatalf("limit %v pooled: %v", limit, err)
 		}
@@ -122,7 +123,7 @@ func TestTruncatedReportCountsFiredCollectives(t *testing.T) {
 		worker(1, 2, coll(1, 1, 0, 2, 1, 4*time.Millisecond), trace.Op{Kind: trace.KindDeviceSync}, coll(3, 2, 0, 2, 1, time.Millisecond)),
 	)
 	e := NewEngine()
-	e.Reset(j, Options{})
+	e.Reset(j, timing(j, Options{}))
 	if _, err := e.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +132,7 @@ func TestTruncatedReportCountsFiredCollectives(t *testing.T) {
 		return e.Run(ctx)
 	}
 	for _, run := range []func(context.Context, *trace.Job, Options) (*Report, error){Run, reused} {
-		r, err := run(context.Background(), j, Options{TimeLimit: 2 * time.Millisecond})
+		r, err := run(context.Background(), j, timing(j, Options{TimeLimit: 2 * time.Millisecond}))
 		if err != nil {
 			t.Fatal(err)
 		}

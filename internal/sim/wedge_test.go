@@ -20,7 +20,7 @@ import (
 func runWedge(t *testing.T, j *trace.Job, opts Options) (*Report, []int64) {
 	t.Helper()
 	e := NewEngine()
-	e.Reset(j, opts)
+	e.Reset(j, timing(j, opts))
 	rep, err := e.Run(context.Background())
 	if err != nil {
 		t.Fatalf("Run: %v", err)

@@ -17,10 +17,10 @@ type Timer interface {
 
 // Annotate is the one walk that assigns durations: every kernel,
 // memcpy, memset and matched collective of the job is priced by t and
-// written into the overlay the simulator reads through, which must be
-// bound to this job; the job itself stays immutable. Ops the walk does
-// not price — events, syncs, markers, unmatched collectives —
-// keep the base durations the overlay was seeded with. RankResolver
+// written into the overlay the simulator reads, which must be bound to
+// this job; the job itself stays immutable. Ops the walk does not
+// price — events, syncs, markers, unmatched collectives — keep what
+// the overlay holds for them, zero unless written. RankResolver
 // says what comms and sizes are. Cancellation of ctx is observed
 // between workers, leaving the overlay partially filled.
 func Annotate(ctx context.Context, job *Job, comms map[uint64][]int, sizes map[uint64]int, t Timer, ann *Annotations) error {
@@ -43,7 +43,7 @@ func Annotate(ctx context.Context, job *Job, comms map[uint64][]int, sizes map[u
 			default:
 				continue
 			}
-			ann.Set(wi, op.Seq, d)
+			ann.Set(wi, i, d)
 		}
 	}
 	return nil

@@ -13,9 +13,9 @@ import (
 // bytes are a function of the job's content, not of how it is held in
 // memory: every worker carries its own string and shape tables, one
 // entry per distinct value in first-use order, maps are written in key
-// order, and an op's Seq is its index. A slice or map whose nil-ness a
-// decoded job must reproduce has its length written as n+1, 0 meaning
-// nil, so a job decodes deep-equal to the one written.
+// order. A slice or map whose nil-ness a decoded job must reproduce
+// has its length written as n+1, 0 meaning nil, so a job decodes
+// deep-equal to the one written.
 //
 //	job    = len uniqueRanks (varint rank)..., len workers (worker)...
 //	worker = varint rank, string device, varint world, varint peakBytes,
@@ -38,6 +38,12 @@ import (
 // bytes from it; the name and bytes flags are set only where the op's
 // own differ.
 //
+// Three fields are left from traces that carried more than device
+// calls: uniqueRanks and dedup, which the encoder writes as nil and 0,
+// and an op's dur, which it never sets. Readers bound and drop them,
+// except that a version-2 host delay's dur folds into the next op's
+// gap.
+//
 // Version 2, the form before it, differs in three places: a worker has
 // no tailGap; the op flag bit hostGap holds is a uvarint device pointer
 // (a malloc's or a free's); and host delays, mallocs and frees are ops
@@ -53,7 +59,7 @@ const (
 	opGap // a malloc or free's device pointer in version 2
 	opEvent
 	opColl
-	opDur
+	opDur // never written; read and dropped, save a v2 host delay's duration
 )
 
 // The fewest bytes each record can take: a count read from the input is
@@ -114,10 +120,7 @@ func (e *Encoder) Len(n int, isNil bool) {
 // hold: a nil worker, an unknown or host-only op kind, a non-finite
 // Extra value.
 func (e *Encoder) Job(j *Job) error {
-	e.Len(len(j.UniqueRanks), j.UniqueRanks == nil)
-	for _, r := range j.UniqueRanks {
-		e.Varint(int64(r))
-	}
+	e.Len(0, true) // uniqueRanks
 	e.Len(len(j.Workers), j.Workers == nil)
 	for i, w := range j.Workers {
 		if w == nil {
@@ -196,10 +199,6 @@ func (e *Encoder) worker(w *Worker) error {
 				b = binary.AppendVarint(b, v)
 			}
 		}
-		if op.Dur != 0 {
-			flags |= opDur
-			b = binary.AppendVarint(b, int64(op.Dur))
-		}
 		b[at] = flags
 	}
 	e.ops = b
@@ -208,7 +207,7 @@ func (e *Encoder) worker(w *Worker) error {
 	e.Str(w.Device)
 	e.Varint(int64(w.World))
 	e.Varint(w.PeakBytes)
-	e.Varint(int64(w.Dedup))
+	e.Varint(0) // dedup
 	var oom byte
 	if w.OOM {
 		oom = 1
@@ -419,11 +418,9 @@ func (d *Decoder) JobV2() *Job {
 
 func (d *Decoder) job() *Job {
 	j := &Job{}
-	if n, isNil := d.Len(1); !isNil {
-		j.UniqueRanks = make([]int, n)
-		for i := range j.UniqueRanks {
-			j.UniqueRanks[i] = d.Int()
-		}
+	n, _ := d.Len(1) // uniqueRanks
+	for ; n > 0; n-- {
+		d.Int()
 	}
 	if n, isNil := d.Len(minWorkerBytes); !isNil {
 		j.Workers = make([]*Worker, n)
@@ -438,7 +435,8 @@ func (d *Decoder) job() *Job {
 }
 
 func (d *Decoder) worker() *Worker {
-	w := &Worker{Rank: d.Int(), Device: d.Str(), World: d.Int(), PeakBytes: d.Varint(), Dedup: d.Int()}
+	w := &Worker{Rank: d.Int(), Device: d.Str(), World: d.Int(), PeakBytes: d.Varint()}
+	d.Int() // dedup
 	switch d.Byte() {
 	case 0:
 	case 1:
@@ -504,7 +502,7 @@ func (d *Decoder) worker() *Worker {
 			return w
 		}
 		op := &ops[n]
-		op.Seq, op.Kind = n, d.kind()
+		op.Kind = d.kind()
 		flags := d.Byte()
 		if flags&opStream != 0 {
 			op.Stream = d.Varint()
@@ -548,12 +546,13 @@ func (d *Decoder) worker() *Worker {
 			*c = Collective{Op: d.ref(), CommID: d.Uvarint(), Seq: d.Int(), NRanks: d.Int(), Rank: d.Int(), Peer: d.Int(), Bytes: d.Varint()}
 			op.Coll = c
 		}
+		var dur time.Duration
 		if flags&opDur != 0 {
-			op.Dur = time.Duration(d.Varint())
+			dur = time.Duration(d.Varint())
 		}
 		if op.Kind.legacy() {
 			if op.Kind == kindHostDelay {
-				gap += op.Dur
+				gap += dur
 			}
 			*op = Op{}
 			continue

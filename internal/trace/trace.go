@@ -5,18 +5,16 @@
 // A trace is the contract between every stage of the pipeline. The
 // emulator produces per-worker traces; the collator merges and
 // deduplicates them; the estimator annotates kernel durations; the
-// simulator replays the result. A job serializes two ways: to a compact
-// binary form (Encoder, Decoder) that captures are archived and shipped
-// in, and to JSON (WriteJSON, JobJSON) to be inspected and diffed,
-// matching the paper's example
-// `{"events":[{"dev":"gpu0-stream0","op":"cublasSgemm_v2"}, ...]}`;
-// JobJSON also reads the captures earlier releases wrote.
+// simulator replays the result. A job serializes to a compact binary
+// form (Encoder, Decoder) that captures are archived and shipped in;
+// JobJSON reads the JSON form earlier releases wrote, matching the
+// paper's example
+// `{"events":[{"dev":"gpu0-stream0","op":"cublasSgemm_v2"}, ...]}`.
 package trace
 
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 	"time"
 )
@@ -64,9 +62,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// MarshalJSON encodes kinds by name for readable traces.
-func (k Kind) MarshalJSON() ([]byte, error) { return json.Marshal(k.String()) }
-
 // UnmarshalJSON decodes a kind name, the legacy host-only names
 // included: JobJSON.Job folds those records away.
 func (k *Kind) UnmarshalJSON(b []byte) error {
@@ -96,12 +91,13 @@ type Collective struct {
 	Bytes  int64  `json:"bytes"`  // payload size
 }
 
-// Op is one traced device-API call. It is 96 bytes: a kernel, memcpy
+// Op is one traced device-API call. It is 80 bytes: a kernel, memcpy
 // or memset keeps its shape behind one pointer (Shape), so the events,
 // syncs and marks that make up much of a trace carry no kernel fields
-// at all. Its JSON form is the flat record opJSON describes.
+// at all. An op is identified by its position in its worker's Ops, and
+// it records what was called, not how long it took: durations live in
+// an Annotations overlay addressed by that position.
 type Op struct {
-	Seq    int    // per-worker sequence number
 	Kind   Kind   // discriminator
 	Stream int64  // issuing stream handle
 	Name   string // kernel or API name
@@ -123,11 +119,6 @@ type Op struct {
 	EventVer int
 
 	Coll *Collective
-
-	// Dur is the operation's device time: predicted after the
-	// estimation phase, ground truth in silicon traces. Zero for ops
-	// that are instantaneous in the model.
-	Dur time.Duration
 }
 
 // IsDeviceWork reports whether the op occupies a device stream for a
@@ -162,7 +153,6 @@ type Worker struct {
 	Ops       []Op
 	PeakBytes int64 // allocator high-water mark
 	OOM       bool  // allocation exceeded capacity
-	Dedup     int   // rank this trace was cloned from (when reconstructed)
 	// TailGap is the host time spent after the last op: calls at the
 	// end of the run that record nothing, such as frees.
 	TailGap time.Duration
@@ -171,8 +161,8 @@ type Worker struct {
 // minOpsCap is the op capacity a worker's first Append allocates.
 const minOpsCap = 64
 
-// Append adds an op, assigning its per-worker sequence number. A full
-// buffer doubles: an Op is 96 bytes and holds pointers, so the
+// Append adds an op. A full buffer doubles: an Op is 80 bytes and
+// holds pointers, so the
 // runtime's 1.25x growth past 256 elements would allocate, clear and
 // copy a long trace several times over on its way to full size.
 func (w *Worker) Append(op Op) {
@@ -182,7 +172,6 @@ func (w *Worker) Append(op Op) {
 		copy(grown, w.Ops)
 		w.Ops = grown
 	}
-	op.Seq = n
 	w.Ops = w.Ops[:n+1]
 	w.Ops[n] = op
 }
@@ -209,16 +198,6 @@ func (w *Worker) Compact() *Worker {
 	c := *w
 	c.Ops = ops
 	return &c
-}
-
-// Clone copies the worker trace as Compact does, remapping it to a new
-// rank.
-// Collective rank fields inside communicators are remapped by the
-// caller (the collator knows the group layouts).
-func (w *Worker) Clone(newRank int) *Worker {
-	c := w.Compact()
-	c.Rank, c.Dedup = newRank, w.Rank
-	return c
 }
 
 // Stats summarizes a worker trace.
@@ -257,13 +236,10 @@ func (w *Worker) Stats() Stats {
 }
 
 // Job is the collated, job-level trace: one worker entry per rank. It
-// serializes through Encoder (the capture envelope) and JobJSON
-// (WriteJSON, version-1 captures).
+// serializes through Encoder (the capture envelope); JobJSON reads
+// version-1 captures.
 type Job struct {
 	Workers []*Worker
-	// UniqueRanks lists the ranks that were actually emulated when
-	// deduplication reconstructed the rest; empty means all were.
-	UniqueRanks []int
 }
 
 // NewJob builds a job trace, sorting workers by rank. Ranks need not
@@ -302,20 +278,4 @@ func (j *Job) PeakBytes() int64 {
 		}
 	}
 	return p
-}
-
-// WriteJSON streams the job trace as indented JSON.
-func (j *Job) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(NewJobJSON(j))
-}
-
-// ReadJSON parses a job trace produced by WriteJSON.
-func ReadJSON(r io.Reader) (*Job, error) {
-	var j JobJSON
-	if err := json.NewDecoder(r).Decode(&j); err != nil {
-		return nil, fmt.Errorf("trace: decoding job: %w", err)
-	}
-	return j.Job(), nil
 }

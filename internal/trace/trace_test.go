@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/parser"
@@ -30,34 +31,6 @@ func sampleWorker(rank int) *Worker {
 	return w
 }
 
-func TestAppendAssignsSequence(t *testing.T) {
-	w := sampleWorker(0)
-	for i, op := range w.Ops {
-		if op.Seq != i {
-			t.Fatalf("op %d has seq %d", i, op.Seq)
-		}
-	}
-}
-
-func TestJSONRoundTrip(t *testing.T) {
-	j, err := NewJob([]*Worker{sampleWorker(0), sampleWorker(1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.Workers[1].TailGap = 3 * time.Microsecond
-	var buf bytes.Buffer
-	if err := j.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(j, back) {
-		t.Fatalf("round trip mismatch:\n%+v\nvs\n%+v", j.Workers[0].Ops[1], back.Workers[0].Ops[1])
-	}
-}
-
 // binaryJob encodes j in the binary form.
 func binaryJob(t *testing.T, j *Job) []byte {
 	t.Helper()
@@ -83,7 +56,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 		w.Append(OpOf(KindKernel, gemm))
 		// An op whose name and bytes are not its shape's keeps its own.
 		op := OpOf(KindKernel, gemm)
-		op.Name, op.Bytes, op.Dur = "renamed", 7, time.Millisecond
+		op.Name, op.Bytes = "renamed", 7
 		w.Append(op)
 	}
 	tail := sampleWorker(1)
@@ -92,7 +65,6 @@ func TestBinaryRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.UniqueRanks = []int{0, 1}
 	b := binaryJob(t, j)
 	d := NewDecoder(b)
 	back := d.Job()
@@ -141,42 +113,50 @@ func TestNewJobAllowsSparseRanks(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
+func TestCompactIsDeep(t *testing.T) {
 	w := sampleWorker(0)
-	c := w.Clone(2)
-	if c.Rank != 2 || c.Dedup != 0 {
-		t.Fatalf("clone rank/dedup = %d/%d", c.Rank, c.Dedup)
+	c := w.Compact()
+	if c.Rank != w.Rank || len(c.Ops) != cap(c.Ops) {
+		t.Fatalf("compact rank %d, ops len %d cap %d", c.Rank, len(c.Ops), cap(c.Ops))
 	}
-	// A clone shares the immutable shapes and nothing else: not the op
-	// array, not a collective.
+	// A compacted worker shares the immutable shapes and nothing else:
+	// not the op array, not a collective.
 	for i := range w.Ops {
 		if c.Ops[i].Shape != w.Ops[i].Shape {
-			t.Fatalf("op %d: clone has its own copy of the shape", i)
+			t.Fatalf("op %d: compact has its own copy of the shape", i)
 		}
 	}
-	c.Ops[0].Dur = time.Hour
+	c.Ops[0].HostGap = time.Hour
 	c.Ops[2].Coll.Bytes = 7
-	if w.Ops[0].Dur == time.Hour {
-		t.Fatal("clone shares the op array")
+	if w.Ops[0].HostGap == time.Hour {
+		t.Fatal("compact shares the op array")
 	}
 	if w.Ops[2].Coll.Bytes == 7 {
-		t.Fatal("clone shares Collective pointer")
+		t.Fatal("compact shares Collective pointer")
 	}
 }
 
 // TestOpLayout pins the size of an op and that an op is a device call.
 // Each byte of Op is paid on every op of a trace, at every seal and
 // every replay walk; a kernel's shape lives behind the one Shape
-// pointer for that reason. Host time rides on the next op as its
-// HostGap, so no exported kind may be host-only and no op carries a
-// malloc's device pointer: a host-delay, malloc or free op would
-// double the ops every stage after capture walks.
+// pointer for that reason. An op is its position and its call: its
+// index is its identity, and its duration is an overlay's, so it
+// carries no sequence number and no duration. Host time rides on the
+// next op as its HostGap, so no exported kind may be host-only and no
+// op carries a malloc's device pointer: a host-delay, malloc or free op
+// would double the ops every stage after capture walks.
 func TestOpLayout(t *testing.T) {
-	if n := unsafe.Sizeof(Op{}); n > 96 {
-		t.Fatalf("trace.Op is %d bytes, want at most 96: kernel-shape data belongs in Shape", n)
+	if n := unsafe.Sizeof(Op{}); n > 80 {
+		t.Fatalf("trace.Op is %d bytes, want at most 80: kernel-shape data belongs in Shape", n)
 	}
-	if _, ok := reflect.TypeOf(Op{}).FieldByName("Ptr"); ok {
-		t.Error("trace.Op has a Ptr field: mallocs and frees record no op")
+	for field, why := range map[string]string{
+		"Ptr": "mallocs and frees record no op",
+		"Seq": "an op's position is its identity",
+		"Dur": "durations live in an Annotations overlay",
+	} {
+		if _, ok := reflect.TypeOf(Op{}).FieldByName(field); ok {
+			t.Errorf("trace.Op has a %s field: %s", field, why)
+		}
 	}
 	if _, ok := reflect.TypeOf(Op{}).FieldByName("HostGap"); !ok {
 		t.Error("trace.Op has no HostGap field")
@@ -248,14 +228,18 @@ var legacyOps = []struct {
 
 // TestLegacyRecordsFold reads the same host-only records from a
 // version-1 JSON job and a version-2 binary one: each folds into the
-// next op's HostGap, or the worker's TailGap, mallocs and frees leave
-// nothing, and seqs renumber to indexes.
+// next op's HostGap, or the worker's TailGap, and mallocs and frees
+// leave nothing.
 func TestLegacyRecordsFold(t *testing.T) {
 	var js []string
 	for i, o := range legacyOps {
 		js = append(js, fmt.Sprintf(`{"seq":%d,"kind":%q,"name":"k","bytes":%d,"ptr":%d,"dur":%d}`, i, o.kind, o.bytes, o.ptr, o.dur))
 	}
-	fromJSON, err := ReadJSON(strings.NewReader(`{"workers":[{"rank":0,"world":1,"ops":[` + strings.Join(js, ",") + `]}]}`))
+	var p JobJSON
+	if err := json.Unmarshal([]byte(`{"workers":[{"rank":0,"world":1,"ops":[`+strings.Join(js, ",")+`]}]}`), &p); err != nil {
+		t.Fatal(err)
+	}
+	fromJSON, err := p.Job()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,8 +279,8 @@ func TestLegacyRecordsFold(t *testing.T) {
 	}
 
 	want := []Op{
-		{Seq: 0, Kind: KindKernel, Name: "k", HostGap: 7},
-		{Seq: 1, Kind: KindMark, Name: "k", HostGap: 5},
+		{Kind: KindKernel, Name: "k", HostGap: 7},
+		{Kind: KindMark, Name: "k", HostGap: 5},
 	}
 	for name, j := range map[string]*Job{"v1": fromJSON, "v2": fromV2} {
 		w := j.Workers[0]
@@ -324,6 +308,34 @@ func TestLegacyRecordsFold(t *testing.T) {
 	if err := d.End(); err == nil || !strings.Contains(err.Error(), "unknown op kind") {
 		t.Errorf("a host delay in the current form: %v, want an unknown kind", err)
 	}
+	// The current form reads a device call's dur and drops it: the job
+	// writes the record without it.
+	v3Kernel := func(flags byte) []byte {
+		var e Encoder
+		workerHead(&e)
+		e.Varint(0) // tail gap
+		e.Uvarint(1)
+		e.Str("k")
+		e.Uvarint(0) // shapes
+		e.Uvarint(0) // collectives
+		e.Len(1, false)
+		e.Byte(byte(KindKernel))
+		e.Byte(flags)
+		e.Uvarint(0) // name
+		if flags&opDur != 0 {
+			e.Varint(int64(time.Millisecond))
+		}
+		return e.B
+	}
+	d = NewDecoder(v3Kernel(opName | opDur))
+	withDur := d.Job()
+	if err := d.End(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := binaryJob(t, withDur), v3Kernel(opName); !bytes.Equal(got, want) {
+		t.Errorf("a kernel read with a dur writes %x, want %x", got, want)
+	}
+
 	if err := new(Encoder).Job(fromV2); err != nil {
 		t.Fatal(err)
 	}

@@ -1,13 +1,15 @@
 package trace
 
-import "time"
+import (
+	"fmt"
+	"time"
+)
 
-// JobJSON is a Job in its JSON form: what WriteJSON writes and a
-// version-1 capture envelope embeds. Every op is one flat record with
-// its shape's fields inline, exactly as traces were written before
-// shapes were interned, so old trace files load. It is a plain struct, not a json.Marshaler on Job:
-// encoding/json re-scans whatever a Marshaler returns, which would
-// cost a trace write a second pass over its bytes.
+// JobJSON is a Job in the JSON form version-1 captures embed. Every op
+// is one flat record with its shape's fields inline, exactly as traces
+// were written before shapes were interned. Its uniqueRanks, a
+// worker's dedup and an op's dur are read and dropped, except that a
+// host delay's dur folds into the next op's gap.
 type JobJSON struct {
 	Workers     []*workerJSON `json:"workers"`
 	UniqueRanks []int         `json:"uniqueRanks,omitempty"`
@@ -24,8 +26,7 @@ type workerJSON struct {
 	TailGap   time.Duration `json:"tailGap,omitempty"`
 }
 
-// opJSON is an Op as the wire carries it. The field order is the
-// format: do not reorder.
+// opJSON is an Op as the wire carries it.
 type opJSON struct {
 	Seq      int                `json:"seq"`
 	Kind     Kind               `json:"kind"`
@@ -44,36 +45,9 @@ type opJSON struct {
 	Dur      time.Duration      `json:"dur,omitempty"`
 }
 
-// NewJobJSON returns the serialized form of j (nil for a nil job). It
-// shares the job's slices and maps rather than copying them; a nil
-// slice stays nil, so it still writes as null.
-func NewJobJSON(j *Job) *JobJSON {
-	if j == nil {
-		return nil
-	}
-	p := &JobJSON{Workers: sized[*workerJSON](j.Workers), UniqueRanks: j.UniqueRanks}
-	for i, w := range j.Workers {
-		if w == nil {
-			continue
-		}
-		ww := &workerJSON{Rank: w.Rank, Device: w.Device, World: w.World, Ops: sized[opJSON](w.Ops),
-			PeakBytes: w.PeakBytes, OOM: w.OOM, Dedup: w.Dedup, TailGap: w.TailGap}
-		for k := range w.Ops {
-			op := &w.Ops[k]
-			o := opJSON{Seq: op.Seq, Kind: op.Kind, Stream: op.Stream, Name: op.Name, Bytes: op.Bytes,
-				HostGap: op.HostGap, Event: op.Event, EventVer: op.EventVer, Coll: op.Coll, Dur: op.Dur}
-			if s := op.Shape; s != nil {
-				o.Dims, o.FLOPs, o.DType, o.Extra, o.MemKind = s.Dims, s.FLOPs, s.DType, s.Extra, s.MemKind
-			}
-			ww.Ops[k] = o
-		}
-		p.Workers[i] = ww
-	}
-	return p
-}
-
 // Job returns the in-memory job (nil workers stay nil, for the
-// caller's validation to reject). Each worker interns its ops' shapes
+// caller's validation to reject). It fails when a device record's seq
+// is not its position in the file. Each worker interns its ops' shapes
 // in a table of its own. An op gets a shape when it is a kernel,
 // memcpy or memset — what the emulator records one for — or when it
 // carries any shape field, so nothing a device call holds is dropped.
@@ -82,16 +56,15 @@ func NewJobJSON(j *Job) *JobJSON {
 // a host delay's duration, and any gap a legacy record carries, join
 // the next op's HostGap, or the worker's TailGap after the last op; a
 // malloc or free leaves nothing (peak memory and OOM are the
-// worker's). An op's Seq drops by the records folded before it, so a
-// seq that was its index in the file is its index in the job.
-func (p *JobJSON) Job() *Job {
-	j := &Job{Workers: sized[*Worker](p.Workers), UniqueRanks: p.UniqueRanks}
+// worker's).
+func (p *JobJSON) Job() (*Job, error) {
+	j := &Job{Workers: sized[*Worker](p.Workers)}
 	for i, ww := range p.Workers {
 		if ww == nil {
 			continue
 		}
 		w := &Worker{Rank: ww.Rank, Device: ww.Device, World: ww.World, Ops: sized[Op](ww.Ops),
-			PeakBytes: ww.PeakBytes, OOM: ww.OOM, Dedup: ww.Dedup}
+			PeakBytes: ww.PeakBytes, OOM: ww.OOM}
 		var shapes Shapes
 		var gap time.Duration
 		n := 0
@@ -104,8 +77,11 @@ func (p *JobJSON) Job() *Job {
 				}
 				continue
 			}
-			op := Op{Seq: o.Seq - (k - n), Kind: o.Kind, Stream: o.Stream, Name: o.Name, Bytes: o.Bytes,
-				HostGap: gap + o.HostGap, Event: o.Event, EventVer: o.EventVer, Coll: o.Coll, Dur: o.Dur}
+			if o.Seq != k {
+				return nil, fmt.Errorf("trace: worker at index %d: op %d: seq %d is not its position", i, k, o.Seq)
+			}
+			op := Op{Kind: o.Kind, Stream: o.Stream, Name: o.Name, Bytes: o.Bytes,
+				HostGap: gap + o.HostGap, Event: o.Event, EventVer: o.EventVer, Coll: o.Coll}
 			gap = 0
 			if o.Kind == KindKernel || o.Kind == KindMemcpy || o.Kind == KindMemset ||
 				len(o.Dims) > 0 || o.FLOPs != 0 || o.DType != "" || len(o.Extra) > 0 || o.MemKind != "" {
@@ -121,7 +97,7 @@ func (p *JobJSON) Job() *Job {
 		w.TailGap = gap + ww.TailGap
 		j.Workers[i] = w
 	}
-	return j
+	return j, nil
 }
 
 // sized returns a slice of len(like) Ts, nil when like is nil.
