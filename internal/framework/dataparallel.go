@@ -3,7 +3,6 @@ package framework
 import (
 	"fmt"
 
-	"maya/internal/cublas"
 	"maya/internal/cuda"
 	"maya/internal/cudnn"
 	"maya/internal/models"
@@ -94,9 +93,17 @@ func (c DataParallelConfig) Validate() error {
 	switch {
 	case (c.Transformer == nil) == (c.CNN == nil):
 		return fmt.Errorf("dataparallel: exactly one of Transformer or CNN must be set")
-	case c.NGPUs < 1:
-		return fmt.Errorf("dataparallel: %d GPUs", c.NGPUs)
-	case c.GlobalBatch%(c.NGPUs*c.GradAccum) != 0:
+	case c.NGPUs < 1 || c.GradAccum < 1:
+		return fmt.Errorf("dataparallel: degrees must be positive (ngpus=%d gradaccum=%d)", c.NGPUs, c.GradAccum)
+	case c.GlobalBatch < 1:
+		return fmt.Errorf("dataparallel: global batch %d", c.GlobalBatch)
+	case c.Iterations < 1:
+		return fmt.Errorf("dataparallel: %d iterations", c.Iterations)
+	case c.Strategy < DDP || c.Strategy > FSDP:
+		return fmt.Errorf("dataparallel: unknown strategy %v", c.Strategy)
+	// Divisibility by a product is tested factor by factor: a hostile
+	// product could overflow to zero and divide by it.
+	case c.GlobalBatch%c.NGPUs != 0 || c.GlobalBatch/c.NGPUs%c.GradAccum != 0:
 		return fmt.Errorf("dataparallel: global batch %d not divisible by ngpus*gradaccum=%d",
 			c.GlobalBatch, c.NGPUs*c.GradAccum)
 	}
@@ -163,12 +170,15 @@ func (d *DataParallel) UniqueRanks() []int { return []int{0} }
 // RankClasses implements workload.ClassHinter: one class holding all
 // ranks — the verified counterpart of UniqueRanks, usable under
 // dynamic dedup (vision and LLM DP jobs alike).
-func (d *DataParallel) RankClasses() [][]int {
-	class := make([]int, d.cfg.NGPUs)
-	for i := range class {
-		class[i] = i
+func (d *DataParallel) RankClasses() [][]int { return [][]int{dpWorld(d.cfg.NGPUs)} }
+
+// dpWorld is the one data-parallel group: every rank.
+func dpWorld(n int) []int {
+	g := make([]int, n)
+	for i := range g {
+		g[i] = i
 	}
-	return [][]int{class}
+	return g
 }
 
 // Fingerprint implements workload.Fingerprinter: the model geometry
@@ -198,10 +208,7 @@ func (d *DataParallel) CommGroups() map[uint64][]int {
 	if d.cfg.NGPUs <= 1 {
 		return nil
 	}
-	group := make([]int, d.cfg.NGPUs)
-	for i := range group {
-		group[i] = i
-	}
+	group := dpWorld(d.cfg.NGPUs)
 	return map[uint64][]int{uint64(nccl.UniqueIDFor("dp", group)): group}
 }
 
@@ -210,8 +217,8 @@ func (d *DataParallel) Run(rank int, dev cuda.Device) error {
 	if rank < 0 || rank >= d.cfg.NGPUs {
 		return fmt.Errorf("dataparallel: rank %d out of range [0,%d)", rank, d.cfg.NGPUs)
 	}
-	r := &dpRunner{cfg: d.cfg, rank: rank, dev: dev}
-	return r.run()
+	r := &dpRunner{shell: &shell{dev: dev, rank: rank}, cfg: d.cfg}
+	return r.run("dataparallel", d.cfg.Iterations, r.setup, r.iteration)
 }
 
 // dpBlock is one gradient bucket / sharding unit: a transformer layer
@@ -224,65 +231,30 @@ type dpBlock struct {
 	emitBwd  func()
 }
 
+// dpRunner executes one rank's data-parallel training program on its
+// shell.
 type dpRunner struct {
-	cfg  DataParallelConfig
-	rank int
-	dev  cuda.Device
-	err  error
+	*shell
+	cfg DataParallelConfig
 
-	blas    *cublas.Handle
 	dnn     *cudnn.Handle
-	compute cuda.Stream
-	comm    cuda.Stream
 	offload cuda.Stream
 	dpc     *nccl.Communicator
 
 	// mr provides the transformer kernel emission (TP=1 path of the
-	// Megatron runner, reused so feature shapes match exactly).
+	// Megatron runner, reused so feature shapes match exactly). It
+	// runs on this runner's shell, so the two share one error.
 	mr *megatronRunner
 
 	es     int64
 	mbs    int
 	blocks []dpBlock
 	params int64
-	iter   int
 }
 
-func (r *dpRunner) check(err error) {
-	if r.err == nil && err != nil {
-		r.err = err
-	}
-}
-
-func (r *dpRunner) malloc(bytes int64) cuda.DevicePtr {
-	if r.err != nil {
-		return 0
-	}
-	if bytes <= 0 {
-		bytes = 1
-	}
-	p, err := r.dev.Malloc(bytes)
-	r.check(err)
-	return p
-}
-
-func (r *dpRunner) free(p cuda.DevicePtr) {
-	if r.err != nil || p == 0 {
-		return
-	}
-	r.check(r.dev.Free(p))
-}
-
-func (r *dpRunner) run() error {
-	r.setup()
-	for r.iter = 0; r.iter < r.cfg.Iterations && r.err == nil; r.iter++ {
-		r.iteration()
-	}
-	if r.err != nil {
-		return fmt.Errorf("dataparallel rank %d: %w", r.rank, r.err)
-	}
-	return nil
-}
+// malloc floors a request at one byte: an empty block still gets a
+// buffer.
+func (r *dpRunner) malloc(bytes int64) cuda.DevicePtr { return r.shell.malloc(max(bytes, 1)) }
 
 func (r *dpRunner) setup() {
 	cfg := r.cfg
@@ -291,27 +263,16 @@ func (r *dpRunner) setup() {
 		r.es = 4
 	}
 	r.mbs = cfg.MicroBatchSize()
-	var err error
-	r.blas, err = cublas.Create(r.dev)
-	r.check(err)
-	if r.err != nil {
+	if r.open(); r.err != nil {
 		return
 	}
-	r.check(r.blas.SetMathMode(cublas.TensorOpMath))
-	r.compute = cuda.DefaultStream
-	r.comm, err = r.dev.StreamCreate()
-	r.check(err)
 	if cfg.ActOffload {
+		var err error
 		r.offload, err = r.dev.StreamCreate()
 		r.check(err)
 	}
 	if cfg.NGPUs > 1 {
-		group := make([]int, cfg.NGPUs)
-		for i := range group {
-			group[i] = i
-		}
-		r.dpc, err = nccl.CommInitRank(r.dev, cfg.NGPUs, r.rank, nccl.UniqueIDFor("dp", group))
-		r.check(err)
+		r.dpc = r.initComm("dp", dpWorld(cfg.NGPUs))
 	}
 
 	if cfg.Transformer != nil {
@@ -349,11 +310,7 @@ func (r *dpRunner) setup() {
 	r.malloc(w)
 	r.malloc(g)
 	r.malloc(o)
-	if r.err == nil {
-		_, _, err = r.dev.MemGetInfo()
-		r.check(err)
-	}
-	r.check(r.dev.Mark("setup_end"))
+	r.endSetup()
 }
 
 // setupTransformer builds per-layer blocks that reuse the Megatron
@@ -370,16 +327,13 @@ func (r *dpRunner) setupTransformer() {
 		DType:        cfg.DType,
 	}.withDefaults()
 	r.mr = &megatronRunner{
-		cfg:     mcfg,
-		rank:    0,
-		dev:     r.dev,
-		blas:    r.blas,
-		compute: r.compute,
-		co:      rankCoords{},
-		dp:      1,
-		mbs:     r.mbs,
-		d:       1,
-		es:      r.es,
+		shell: r.shell,
+		cfg:   mcfg,
+		co:    rankCoords{},
+		dp:    1,
+		mbs:   r.mbs,
+		d:     1,
+		es:    r.es,
 	}
 	mdl := cfg.Transformer
 	h := int64(mdl.Hidden)
@@ -399,38 +353,25 @@ func (r *dpRunner) setupTransformer() {
 		name:     "embedding",
 		params:   embParams,
 		actBytes: int64(n) * h * r.es,
-		emitFwd:  func() { r.syncMR(); r.mr.emitEmbeddingForward() },
-		emitBwd:  func() { r.syncMR(); r.mr.emitEmbeddingBackward() },
+		emitFwd:  r.mr.emitEmbeddingForward,
+		emitBwd:  r.mr.emitEmbeddingBackward,
 	})
 	for l := 0; l < mdl.Layers; l++ {
 		r.blocks = append(r.blocks, dpBlock{
 			name:     fmt.Sprintf("layer%d", l),
 			params:   layerParams,
 			actBytes: actPerLayer,
-			emitFwd:  func() { r.syncMR(); r.mr.emitLayerForward() },
-			emitBwd:  func() { r.syncMR(); r.mr.emitLayerBackward() },
+			emitFwd:  r.mr.emitLayerForward,
+			emitBwd:  r.mr.emitLayerBackward,
 		})
 	}
 	r.blocks = append(r.blocks, dpBlock{
 		name:     "head",
 		params:   0, // tied with embedding
 		actBytes: int64(n) * int64(mdl.Vocab) * r.es,
-		emitFwd:  func() { r.syncMR(); r.mr.emitHeadForward() },
-		emitBwd:  func() { r.syncMR(); r.mr.emitHeadBackward() },
+		emitFwd:  r.mr.emitHeadForward,
+		emitBwd:  r.mr.emitHeadBackward,
 	})
-}
-
-// syncMR propagates sticky errors between the two runner shells.
-func (r *dpRunner) syncMR() {
-	if r.mr.err == nil && r.err != nil {
-		r.mr.err = r.err
-	}
-}
-
-func (r *dpRunner) harvestMR() {
-	if r.mr != nil {
-		r.check(r.mr.err)
-	}
 }
 
 func (r *dpRunner) iteration() {
@@ -454,7 +395,6 @@ func (r *dpRunner) iteration() {
 			}
 			acts[bi] = r.malloc(b.actBytes)
 			b.emitFwd()
-			r.harvestMR()
 			if cfg.ActOffload {
 				// Stage activations to host on the offload stream.
 				r.eventHandoff(r.compute, r.offload)
@@ -481,7 +421,6 @@ func (r *dpRunner) iteration() {
 				r.check(r.dpc.AllGather(b.params*r.es/dp, r.compute))
 			}
 			b.emitBwd()
-			r.harvestMR()
 			r.free(acts[bi])
 			acts[bi] = 0
 			if gathered[bi] != 0 {
@@ -507,19 +446,14 @@ func (r *dpRunner) iteration() {
 		r.eventHandoff(r.comm, r.compute)
 	}
 	r.optimizerStep()
-	r.check(r.dev.DeviceSynchronize())
-	r.check(r.dev.Mark("iter_end"))
+	r.endIteration()
 }
 
-// eventHandoff makes dst wait for work issued so far on src.
+// eventHandoff is the handoff, skipped after an error.
 func (r *dpRunner) eventHandoff(src, dst cuda.Stream) {
-	if r.err != nil {
-		return
+	if r.err == nil {
+		r.handoff(src, dst)
 	}
-	ev, err := r.dev.EventCreate()
-	r.check(err)
-	r.check(r.dev.EventRecord(ev, src))
-	r.check(r.dev.StreamWaitEvent(dst, ev))
 }
 
 func (r *dpRunner) inputBytes() int64 {
@@ -537,33 +471,9 @@ func (r *dpRunner) optimizerStep() {
 	if cfg.Strategy.shardsOpt() && dp > 1 {
 		stepParams = (stepParams + dp - 1) / dp
 	}
-	r.kernel("reduce_kernel", []int{int(stepParams)}, stepParams*4, stepParams, "fp32")
-	if r.dpc != nil {
-		r.check(r.dpc.AllReduce(4, r.compute))
-	}
-	const chunk = 48 << 20
-	for left := stepParams; left > 0; left -= chunk {
-		n := left
-		if n > chunk {
-			n = chunk
-		}
-		r.kernel("multi_tensor_apply_kernel", []int{int(n)}, n*16, n*8, "fp32")
-	}
+	r.adamStep(stepParams, r.dpc)
 	if cfg.Strategy.shardsOpt() && !cfg.Strategy.shardsParams() && r.dpc != nil {
 		// ZeRO-1/2 re-broadcast updated parameters.
 		r.check(r.dpc.AllGather(r.params*r.es/dp, r.compute))
 	}
-}
-
-func (r *dpRunner) kernel(name string, dims []int, bytes, flops int64, dtype string) {
-	if r.err != nil {
-		return
-	}
-	r.check(r.dev.LaunchKernel(cuda.KernelDesc{
-		Name:  name,
-		Dims:  dims,
-		Bytes: bytes,
-		FLOPs: flops,
-		DType: dtype,
-	}, r.compute))
 }

@@ -1,6 +1,7 @@
 package framework
 
 import (
+	"strings"
 	"testing"
 
 	"maya/internal/emulator"
@@ -51,6 +52,40 @@ func TestValidationRequiresExactlyOneModel(t *testing.T) {
 		Transformer: tinyTransformer(), CNN: tinyCNN(), NGPUs: 1, GlobalBatch: 4,
 	}); err == nil {
 		t.Fatal("two models accepted")
+	}
+}
+
+// TestDataParallelValidation pins that bad values are rejected at
+// construction, not divided by or emulated.
+func TestDataParallelValidation(t *testing.T) {
+	base := DataParallelConfig{CNN: tinyCNN(), NGPUs: 2, GlobalBatch: 8}
+	if _, err := NewDataParallel(base); err != nil {
+		t.Fatalf("base config invalid: %v", err)
+	}
+	cases := []struct {
+		name   string
+		mutate func(*DataParallelConfig)
+		substr string
+	}{
+		{"ngpus*gradaccum wraps", func(c *DataParallelConfig) { c.NGPUs, c.GradAccum = 1<<32, 1<<32 }, "divisible"},
+		{"negative grad accum", func(c *DataParallelConfig) { c.NGPUs, c.GlobalBatch, c.GradAccum = 1, 4, -2 }, "gradaccum"},
+		{"zero global batch", func(c *DataParallelConfig) { c.GlobalBatch = 0 }, "global batch"},
+		{"negative global batch", func(c *DataParallelConfig) { c.GlobalBatch = -8 }, "global batch"},
+		{"negative iterations", func(c *DataParallelConfig) { c.Iterations = -1 }, "iterations"},
+		{"unknown strategy", func(c *DataParallelConfig) { c.Strategy = DPStrategy(7) }, "strategy"},
+		{"negative strategy", func(c *DataParallelConfig) { c.Strategy = -1 }, "strategy"},
+	}
+	for _, c := range cases {
+		cfg := base
+		c.mutate(&cfg)
+		_, err := NewDataParallel(cfg)
+		if err == nil {
+			t.Errorf("%s: %+v accepted", c.name, cfg)
+			continue
+		}
+		if !strings.Contains(err.Error(), c.substr) {
+			t.Errorf("%s: err %q missing %q", c.name, err, c.substr)
+		}
 	}
 }
 

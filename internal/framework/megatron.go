@@ -101,6 +101,10 @@ func (c MegatronConfig) Validate() error {
 	case c.NGPUs < 1 || c.TP < 1 || c.PP < 1 || c.VirtualStages < 1 || c.MicroBatches < 1:
 		return fmt.Errorf("megatron: degrees must be positive (ngpus=%d tp=%d pp=%d v=%d microbatches=%d)",
 			c.NGPUs, c.TP, c.PP, c.VirtualStages, c.MicroBatches)
+	case c.GlobalBatch < 1:
+		return fmt.Errorf("megatron: global batch %d", c.GlobalBatch)
+	case c.Iterations < 1:
+		return fmt.Errorf("megatron: %d iterations", c.Iterations)
 	// Divisibility by a product is tested factor by factor: a hostile
 	// product could overflow to zero and divide by it.
 	case c.NGPUs%c.TP != 0 || c.NGPUs/c.TP%c.PP != 0:
@@ -224,19 +228,11 @@ func NewMegatron(cfg MegatronConfig) (*Megatron, error) {
 	}
 	m := &Megatron{cfg: cfg}
 	if cfg.DualPipe {
-		m.depth = 2 * cfg.PP
-		m.owner = func(vs int) int {
-			if vs < cfg.PP {
-				return vs
-			}
-			return 2*cfg.PP - 1 - vs
-		}
-		m.sched = BuildDualPipeSchedule(cfg.PP, cfg.MicroBatches)
+		m.depth, m.owner = 2*cfg.PP, dualPipeOwner(cfg.PP)
 	} else {
-		m.depth = cfg.PP * cfg.VirtualStages
-		m.owner = func(vs int) int { return vs % cfg.PP }
-		m.sched = BuildPipelineSchedule(cfg.PP, cfg.VirtualStages, cfg.MicroBatches)
+		m.depth, m.owner = cfg.PP*cfg.VirtualStages, loopedOwner(cfg.PP)
 	}
+	m.sched = BuildPipelineScheduleOwner(cfg.PP, m.depth, cfg.MicroBatches, m.owner)
 	return m, nil
 }
 
@@ -348,9 +344,6 @@ func (m *Megatron) Run(rank int, dev cuda.Device) error {
 	if rank < 0 || rank >= m.cfg.NGPUs {
 		return fmt.Errorf("megatron: rank %d out of range [0,%d)", rank, m.cfg.NGPUs)
 	}
-	r, err := newMegatronRunner(m, rank, dev)
-	if err != nil {
-		return err
-	}
-	return r.run()
+	r := newMegatronRunner(m, rank, dev)
+	return r.run("megatron", m.cfg.Iterations, r.setup, r.iteration)
 }

@@ -46,6 +46,9 @@ func TestValidation(t *testing.T) {
 		{"virtual without pp", func(c *MegatronConfig) { c.PP = 1; c.TP = 1; c.VirtualStages = 2 }, "PP>1"},
 		{"seqpar without tp", func(c *MegatronConfig) { c.TP = 1; c.SeqParallel = true }, "TP>1"},
 		{"batch divisibility", func(c *MegatronConfig) { c.GlobalBatch = 10 }, "batch"},
+		{"zero global batch", func(c *MegatronConfig) { c.GlobalBatch = 0 }, "global batch"},
+		{"negative global batch", func(c *MegatronConfig) { c.GlobalBatch = -16 }, "global batch"},
+		{"negative iterations", func(c *MegatronConfig) { c.Iterations = -1 }, "iterations"},
 	}
 	for _, c := range cases {
 		cfg := base

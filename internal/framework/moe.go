@@ -9,12 +9,6 @@ package framework
 // assumption expert-parallel kernel libraries make for capacity
 // planning.
 
-import (
-	"fmt"
-
-	"maya/internal/nccl"
-)
-
 // epDegree returns the expert-parallel width: experts shard across
 // the largest divisor of the DP degree that divides the expert count
 // (replicated beyond that).
@@ -50,20 +44,7 @@ func (r *megatronRunner) setupMoE() {
 	if r.cfg.Model.NumExperts == 0 || r.cfg.epDegree() <= 1 {
 		return
 	}
-	g := r.cfg.epGroup(r.co)
-	myPos := -1
-	for i, rank := range g {
-		if rank == r.rank {
-			myPos = i
-		}
-	}
-	if myPos < 0 {
-		r.check(fmt.Errorf("megatron: rank %d missing from its ep group %v", r.rank, g))
-		return
-	}
-	c, err := nccl.CommInitRank(r.dev, len(g), myPos, nccl.UniqueIDFor("ep", g))
-	r.check(err)
-	r.epc = c
+	r.epc = r.initComm("ep", r.cfg.epGroup(r.co))
 }
 
 // expertParamsPerLayer is this rank's MoE parameter share per layer.

@@ -1,26 +1,15 @@
 package framework
 
 import (
-	"fmt"
-
-	"maya/internal/cublas"
 	"maya/internal/cuda"
 	"maya/internal/nccl"
 )
 
-// megatronRunner executes one rank's training program. Device-API
-// errors are sticky: helpers become no-ops once an error is recorded
-// and run() reports it, keeping the emission code linear.
+// megatronRunner executes one rank's training program on its shell.
 type megatronRunner struct {
-	m    *Megatron
-	cfg  MegatronConfig
-	rank int
-	dev  cuda.Device
-	err  error
-
-	blas    *cublas.Handle
-	compute cuda.Stream
-	comm    cuda.Stream // gradient-reduction stream (overlap)
+	*shell
+	m   *Megatron
+	cfg MegatronConfig
 
 	co rankCoords
 	// communicators; nil when the group is trivial
@@ -32,29 +21,26 @@ type megatronRunner struct {
 	d              int // virtual pipeline depth
 	es             int64
 
-	weights, grads, opt cuda.DevicePtr
-	myParams            int64
-	chunkParams         int64
-	embParams           int64
+	myParams    int64
+	chunkParams int64
+	embParams   int64
 
 	acts         map[[2]int]cuda.DevicePtr
 	chunkBwdLeft []int
-	iter         int
 }
 
-func newMegatronRunner(m *Megatron, rank int, dev cuda.Device) (*megatronRunner, error) {
+func newMegatronRunner(m *Megatron, rank int, dev cuda.Device) *megatronRunner {
 	cfg := m.cfg
 	r := &megatronRunner{
-		m:    m,
-		cfg:  cfg,
-		rank: rank,
-		dev:  dev,
-		co:   cfg.coords(rank),
-		dp:   cfg.DP(),
-		mbs:  cfg.MicroBatchSize(),
-		d:    m.depth,
-		es:   2,
-		acts: make(map[[2]int]cuda.DevicePtr),
+		shell: &shell{dev: dev, rank: rank},
+		m:     m,
+		cfg:   cfg,
+		co:    cfg.coords(rank),
+		dp:    cfg.DP(),
+		mbs:   cfg.MicroBatchSize(),
+		d:     m.depth,
+		es:    2,
+		acts:  make(map[[2]int]cuda.DevicePtr),
 	}
 	if cfg.DType == "fp32" {
 		r.es = 4
@@ -78,112 +64,42 @@ func newMegatronRunner(m *Megatron, rank int, dev cuda.Device) (*megatronRunner,
 	if r.co.pp == m.owner(0) || r.co.pp == m.owner(r.d-1) {
 		r.myParams += r.embParams
 	}
-	return r, nil
-}
-
-// check records the first error.
-func (r *megatronRunner) check(err error) {
-	if r.err == nil && err != nil {
-		r.err = err
-	}
-}
-
-func (r *megatronRunner) run() error {
-	r.setup()
-	for r.iter = 0; r.iter < r.cfg.Iterations && r.err == nil; r.iter++ {
-		r.iteration()
-	}
-	if r.err != nil {
-		return fmt.Errorf("megatron rank %d: %w", r.rank, r.err)
-	}
-	return nil
+	return r
 }
 
 func (r *megatronRunner) setup() {
-	var err error
-	r.blas, err = cublas.Create(r.dev)
-	r.check(err)
-	if r.err != nil {
+	if r.open(); r.err != nil {
 		return
 	}
-	r.check(r.blas.SetMathMode(cublas.TensorOpMath))
-	r.compute = cuda.DefaultStream
-	r.comm, err = r.dev.StreamCreate()
-	r.check(err)
 
 	// Process groups, Megatron initialization order.
 	if r.cfg.TP > 1 {
-		g := r.cfg.tpGroup(r.co)
-		r.tpc = r.initComm("tp", g)
+		r.tpc = r.initComm("tp", r.cfg.tpGroup(r.co))
 	}
 	if r.cfg.PP > 1 {
-		g := r.cfg.ppGroup(r.co)
-		r.ppc = r.initComm("pp", g)
+		r.ppc = r.initComm("pp", r.cfg.ppGroup(r.co))
 	}
 	if r.dp > 1 {
-		g := r.cfg.dpGroup(r.co)
-		r.dpc = r.initComm("dp", g)
+		r.dpc = r.initComm("dp", r.cfg.dpGroup(r.co))
 	}
 	r.setupMoE()
 	if r.cfg.PP > 1 && !r.cfg.DualPipe && (r.co.pp == 0 || r.co.pp == r.cfg.PP-1) {
 		// First and last stage tie the embedding weights. Under
 		// DualPipe both live on the same rank, so no group is needed.
-		g := r.cfg.embGroup(r.co)
-		r.embc = r.initComm("emb", g)
+		r.embc = r.initComm("emb", r.cfg.embGroup(r.co))
 	}
 
 	// Parameter, gradient and optimizer-state memory. Megatron keeps
 	// bf16 params, fp32 main grads, and fp32 Adam state + master
 	// params (sharded across DP with the distributed optimizer).
-	r.weights = r.malloc(r.myParams * r.es)
-	r.grads = r.malloc(r.myParams * 4)
+	r.malloc(r.myParams * r.es)
+	r.malloc(r.myParams * 4)
 	optBytes := r.myParams * 12
 	if r.cfg.DistOptimizer && r.dp > 1 {
 		optBytes = (optBytes + int64(r.dp) - 1) / int64(r.dp)
 	}
-	r.opt = r.malloc(optBytes)
-
-	// Frameworks query free memory to size caching allocators.
-	if r.err == nil {
-		_, _, err = r.dev.MemGetInfo()
-		r.check(err)
-	}
-	r.check(r.dev.Mark("setup_end"))
-}
-
-func (r *megatronRunner) initComm(tag string, group []int) *nccl.Communicator {
-	if r.err != nil {
-		return nil
-	}
-	myPos := -1
-	for i, g := range group {
-		if g == r.rank {
-			myPos = i
-		}
-	}
-	if myPos < 0 {
-		r.check(fmt.Errorf("megatron: rank %d not in its own %s group %v", r.rank, tag, group))
-		return nil
-	}
-	c, err := nccl.CommInitRank(r.dev, len(group), myPos, nccl.UniqueIDFor(tag, group))
-	r.check(err)
-	return c
-}
-
-func (r *megatronRunner) malloc(bytes int64) cuda.DevicePtr {
-	if r.err != nil {
-		return 0
-	}
-	p, err := r.dev.Malloc(bytes)
-	r.check(err)
-	return p
-}
-
-func (r *megatronRunner) free(p cuda.DevicePtr) {
-	if r.err != nil || p == 0 {
-		return
-	}
-	r.check(r.dev.Free(p))
+	r.malloc(optBytes)
+	r.endSetup()
 }
 
 // boundaryBytes is the size of the activation tensor crossing a
@@ -271,8 +187,7 @@ func (r *megatronRunner) iteration() {
 	}
 	r.gradSyncTail()
 	r.optimizerStep()
-	r.check(r.dev.DeviceSynchronize())
-	r.check(r.dev.Mark("iter_end"))
+	r.endIteration()
 }
 
 func (r *megatronRunner) forward(vs, mu int) {
@@ -323,10 +238,7 @@ func (r *megatronRunner) sendAsync(dst, tag int) {
 	}
 	s, err := r.dev.StreamCreate()
 	r.check(err)
-	ev, err := r.dev.EventCreate()
-	r.check(err)
-	r.check(r.dev.EventRecord(ev, r.compute))
-	r.check(r.dev.StreamWaitEvent(s, ev))
+	r.handoff(r.compute, s)
 	r.check(r.ppc.SendTagged(r.boundaryBytes(), dst, tag, s))
 }
 
@@ -385,10 +297,7 @@ func (r *megatronRunner) reduceChunkGrads(chunk int, stream cuda.Stream, syncEve
 		return
 	}
 	if syncEvent {
-		ev, err := r.dev.EventCreate()
-		r.check(err)
-		r.check(r.dev.EventRecord(ev, r.compute))
-		r.check(r.dev.StreamWaitEvent(stream, ev))
+		r.handoff(r.compute, stream)
 	}
 	gradBytes := r.chunkParams * 4
 	if r.cfg.DistOptimizer {
@@ -410,10 +319,7 @@ func (r *megatronRunner) gradSyncTail() {
 			}
 		} else {
 			// Compute stream waits for the reduction stream.
-			ev, err := r.dev.EventCreate()
-			r.check(err)
-			r.check(r.dev.EventRecord(ev, r.comm))
-			r.check(r.dev.StreamWaitEvent(r.compute, ev))
+			r.handoff(r.comm, r.compute)
 		}
 	}
 	if r.embc != nil {
@@ -427,37 +333,9 @@ func (r *megatronRunner) optimizerStep() {
 	if cfg.DistOptimizer && r.dp > 1 {
 		stepParams = (stepParams + int64(r.dp) - 1) / int64(r.dp)
 	}
-	// Gradient-norm clipping: one reduction over local grads plus a
-	// scalar all-reduce.
-	r.kernel("reduce_kernel", []int{int(stepParams)}, stepParams*4, stepParams, "fp32")
-	if r.dpc != nil {
-		r.check(r.dpc.AllReduce(4, r.compute))
-	}
-	// Fused Adam over ~48M-element chunks.
-	const chunk = 48 << 20
-	for left := stepParams; left > 0; left -= chunk {
-		n := left
-		if n > chunk {
-			n = chunk
-		}
-		r.kernel("multi_tensor_apply_kernel", []int{int(n)}, n*16, n*8, "fp32")
-	}
+	r.adamStep(stepParams, r.dpc)
 	if cfg.DistOptimizer && r.dpc != nil {
 		// Re-materialize bf16 params from the sharded master copy.
 		r.check(r.dpc.AllGather(r.myParams*r.es/int64(r.dp), r.compute))
 	}
-}
-
-// kernel emits one compute kernel on the compute stream.
-func (r *megatronRunner) kernel(name string, dims []int, bytes, flops int64, dtype string) {
-	if r.err != nil {
-		return
-	}
-	r.check(r.dev.LaunchKernel(cuda.KernelDesc{
-		Name:  name,
-		Dims:  dims,
-		Bytes: bytes,
-		FLOPs: flops,
-		DType: dtype,
-	}, r.compute))
 }

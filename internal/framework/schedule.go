@@ -53,8 +53,12 @@ func (a Action) String() string {
 // the per-rank orders with blocking point-to-point transfers cannot
 // deadlock.
 func BuildPipelineSchedule(pp, v, m int) [][]Action {
-	return BuildPipelineScheduleOwner(pp, pp*v, m, func(vs int) int { return vs % pp })
+	return BuildPipelineScheduleOwner(pp, pp*v, m, loopedOwner(pp))
 }
+
+// loopedOwner places virtual stage vs on rank vs % pp: each rank's
+// chunks loop over the pipeline.
+func loopedOwner(pp int) func(int) int { return func(vs int) int { return vs % pp } }
 
 // BuildDualPipeSchedule computes a DualPipe-style schedule (DeepSeek's
 // bidirectional pipeline, the paper's §3.3 example of a novel schedule
@@ -70,12 +74,17 @@ func BuildPipelineSchedule(pp, v, m int) [][]Action {
 // formula needs rewriting, which is precisely the transparency
 // argument.
 func BuildDualPipeSchedule(pp, m int) [][]Action {
-	return BuildPipelineScheduleOwner(pp, 2*pp, m, func(vs int) int {
+	return BuildPipelineScheduleOwner(pp, 2*pp, m, dualPipeOwner(pp))
+}
+
+// dualPipeOwner places virtual stages p and 2*pp-1-p on rank p.
+func dualPipeOwner(pp int) func(int) int {
+	return func(vs int) int {
 		if vs < pp {
 			return vs
 		}
 		return 2*pp - 1 - vs
-	})
+	}
 }
 
 // BuildPipelineScheduleOwner is the generalized scheduler: d virtual

@@ -82,17 +82,14 @@ func (r *dpRunner) bnAct(n, c, hw int, fwd bool) {
 
 // tritonKernel emits a compiler-fused kernel with IR features.
 func (r *dpRunner) tritonKernel(elems int64, instrs, loads float64) {
-	if r.err != nil {
-		return
-	}
-	r.check(r.dev.LaunchKernel(cuda.KernelDesc{
+	r.launch(cuda.KernelDesc{
 		Name:  "triton",
 		Dims:  []int{int(elems)},
 		Bytes: elems * int64(loads+1) * r.es,
 		FLOPs: elems * int64(instrs),
 		DType: r.cfg.DType,
 		Extra: map[string]float64{"triton_instrs": instrs, "triton_loads": loads},
-	}, r.compute))
+	})
 }
 
 // residualAdd for CNN skip connections.
