@@ -231,11 +231,11 @@ func BenchmarkForestPredict(b *testing.B) {
 		}
 		samples[i] = forest.Sample{X: x, Y: x[0] + x[1]}
 	}
-	f, err := forest.Train(samples, forest.Options{Seed: 1, Trees: 16, MaxDepth: 12})
+	fs, err := forest.TrainForests([]forest.TrainJob{{Samples: samples, Opts: forest.Options{Seed: 1, Trees: 16, MaxDepth: 12}}}, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	probe := samples[17].X
+	f, probe := fs[0], samples[17].X
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -1,0 +1,284 @@
+package maya_test
+
+import (
+	"go/ast"
+	"go/build"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// exportAllowlist names the exported identifiers in internal/ that no
+// non-test code uses and that stay exported anyway, each with the
+// reason. Everything else nothing calls is deleted or unexported.
+var exportAllowlist = map[string]string{
+	"flight.Group.Joins": "serve's coalescing tests wait on it until every follower has attached to the leader's flight",
+	"sim.Index.Bytes":    "core's allocation-budget tests count an index's retained bytes with it",
+	"sim.Run":            "the fresh-engine reference that core, faults and the root benchmarks replay against",
+}
+
+// TestInternalExportsHaveCallers type-checks the module's non-test
+// packages and fails on every exported package-level func, type, var,
+// const or method in internal/ that no non-test code uses, unless it
+// is on exportAllowlist. The root package, cmd/, examples/ and bench/
+// count as callers. A use inside the name's own declaration does not
+// count. A method also counts as used when its type implements an
+// interface that has the method: any package-level interface of the
+// module, or one of the standard interfaces in stdInterfaces.
+func TestInternalExportsHaveCallers(t *testing.T) {
+	got, err := uncalledExports(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	unused := map[string]bool{}
+	for _, name := range got {
+		unused[name] = true
+		if _, ok := exportAllowlist[name]; !ok {
+			t.Errorf("%s: exported, but no non-test code uses it; delete or unexport it, or allowlist it with a reason", name)
+		}
+	}
+	for name, reason := range exportAllowlist {
+		if !unused[name] {
+			t.Errorf("%s: allowlisted, but it is used or gone; drop it from exportAllowlist", name)
+		}
+		if reason == "" {
+			t.Errorf("%s: allowlisted without a reason", name)
+		}
+	}
+}
+
+// stdInterfaces are the standard-library interfaces through which the
+// module's own types are called.
+var stdInterfaces = []struct{ pkg, name string }{
+	{"", "error"},
+	{"fmt", "Stringer"},
+	{"encoding/json", "Marshaler"},
+	{"encoding/json", "Unmarshaler"},
+	{"container/heap", "Interface"},
+}
+
+// loader type-checks packages from source on demand: the module's own
+// packages in full, recording every use in info, and the standard
+// library's without function bodies. Importing a package checks its
+// imports first, so the module is checked in dependency order.
+type loader struct {
+	fset   *token.FileSet
+	ctxt   build.Context
+	root   string
+	info   *types.Info
+	pkgs   map[string]*types.Package
+	module []*modulePackage
+}
+
+// modulePackage is one checked package of the module.
+type modulePackage struct {
+	pkg   *types.Package
+	files []*ast.File
+}
+
+func (l *loader) Import(path string) (*types.Package, error) {
+	if path == "unsafe" {
+		return types.Unsafe, nil
+	}
+	if p, ok := l.pkgs[path]; ok {
+		return p, nil
+	}
+	own := path == "maya" || strings.HasPrefix(path, "maya/")
+	dir := filepath.Join(l.ctxt.GOROOT, "src", path)
+	if own {
+		dir = filepath.Join(l.root, strings.TrimPrefix(strings.TrimPrefix(path, "maya"), "/"))
+	} else if _, err := os.Stat(dir); err != nil {
+		dir = filepath.Join(l.ctxt.GOROOT, "src", "vendor", path)
+	}
+	files, err := l.parseDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	conf := types.Config{Importer: l, IgnoreFuncBodies: !own}
+	var info *types.Info
+	if own {
+		info = l.info
+	}
+	p, err := conf.Check(path, l.fset, files, info)
+	if err != nil {
+		return nil, err
+	}
+	l.pkgs[path] = p
+	if own {
+		l.module = append(l.module, &modulePackage{p, files})
+	}
+	return p, nil
+}
+
+// parseDir parses the non-test Go files of dir that build on this
+// platform.
+func (l *loader) parseDir(dir string) ([]*ast.File, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var files []*ast.File
+	for _, e := range entries {
+		name := e.Name()
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		if ok, err := l.ctxt.MatchFile(dir, name); err != nil || !ok {
+			continue
+		}
+		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	return files, nil
+}
+
+// uncalledExports lists, sorted, the exported names in root's
+// internal/ packages that no non-test code of the module uses, as
+// "pkg.Name" or "pkg.Type.Method".
+func uncalledExports(root string) ([]string, error) {
+	l := &loader{
+		fset: token.NewFileSet(),
+		ctxt: build.Default,
+		root: root,
+		info: &types.Info{Uses: map[*ast.Ident]types.Object{}},
+		pkgs: map[string]*types.Package{},
+	}
+	// The standard library's pure-Go files declare the same API as its
+	// cgo ones, and need no cgo run to check.
+	l.ctxt.CgoEnabled = false
+	err := filepath.WalkDir(root, func(dir string, d os.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if dir != root && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+			return filepath.SkipDir
+		}
+		if src, _ := filepath.Glob(filepath.Join(dir, "*.go")); len(src) == 0 {
+			return nil
+		}
+		path := "maya"
+		if rel, _ := filepath.Rel(root, dir); rel != "." {
+			path += "/" + filepath.ToSlash(rel)
+		}
+		_, err = l.Import(path)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	// Where each package-level name is declared, so a use inside its
+	// own declaration is not counted.
+	type span struct{ from, to token.Pos }
+	decl := map[token.Pos]span{}
+	var ifaces []*types.Interface
+	for _, p := range l.module {
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					decl[d.Name.Pos()] = span{d.Pos(), d.End()}
+				case *ast.GenDecl:
+					for _, s := range d.Specs {
+						switch s := s.(type) {
+						case *ast.TypeSpec:
+							decl[s.Name.Pos()] = span{s.Pos(), s.End()}
+						case *ast.ValueSpec:
+							for _, n := range s.Names {
+								decl[n.Pos()] = span{s.Pos(), s.End()}
+							}
+						}
+					}
+				}
+			}
+		}
+		for _, name := range p.pkg.Scope().Names() {
+			if tn, ok := p.pkg.Scope().Lookup(name).(*types.TypeName); ok {
+				if it, ok := tn.Type().Underlying().(*types.Interface); ok && it.IsMethodSet() {
+					ifaces = append(ifaces, it)
+				}
+			}
+		}
+	}
+	for _, s := range stdInterfaces {
+		scope := types.Universe
+		if s.pkg != "" {
+			p, err := l.Import(s.pkg)
+			if err != nil {
+				return nil, err
+			}
+			scope = p.Scope()
+		}
+		ifaces = append(ifaces, scope.Lookup(s.name).Type().Underlying().(*types.Interface))
+	}
+
+	used := map[types.Object]bool{}
+	for id, obj := range l.info.Uses {
+		switch o := obj.(type) {
+		case *types.Func:
+			obj = o.Origin()
+		case *types.Var:
+			obj = o.Origin()
+		}
+		if s, ok := decl[obj.Pos()]; ok && id.Pos() >= s.from && id.Pos() < s.to {
+			continue
+		}
+		used[obj] = true
+	}
+
+	var out []string
+	for _, p := range l.module {
+		short, ok := strings.CutPrefix(p.pkg.Path(), "maya/internal/")
+		if !ok {
+			continue
+		}
+		scope := p.pkg.Scope()
+		for _, name := range scope.Names() {
+			obj := scope.Lookup(name)
+			if obj.Exported() && !used[obj] {
+				out = append(out, short+"."+name)
+			}
+			tn, ok := obj.(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			named, ok := tn.Type().(*types.Named)
+			if !ok || types.IsInterface(named) {
+				continue
+			}
+			for i := 0; i < named.NumMethods(); i++ {
+				m := named.Method(i)
+				if m.Exported() && !used[m] && !viaInterface(named, m.Name(), ifaces) {
+					out = append(out, short+"."+name+"."+m.Name())
+				}
+			}
+		}
+	}
+	sort.Strings(out)
+	return out, nil
+}
+
+// viaInterface reports whether *T implements an interface that has a
+// method called name, so a call through that interface may reach T's.
+func viaInterface(t *types.Named, name string, ifaces []*types.Interface) bool {
+	if t.TypeParams().Len() > 0 {
+		return false
+	}
+	ptr := types.NewPointer(t)
+	for _, it := range ifaces {
+		for i := 0; i < it.NumMethods(); i++ {
+			if it.Method(i).Name() == name && types.Implements(ptr, it) {
+				return true
+			}
+		}
+	}
+	return false
+}

@@ -169,7 +169,7 @@ func TestPlanForCancellationRetries(t *testing.T) {
 		if err != nil {
 			t.Fatalf("planFor(%s) after cancellation: %v", name, err)
 		}
-		if plan == nil || plan.Ops() == 0 {
+		if plan == nil || len(plan.Overlay().Table()) == 0 {
 			t.Fatalf("%s: rebuilt plan is empty", name)
 		}
 	}

@@ -65,8 +65,6 @@ var (
 	ErrInvalidValue       = errors.New("cuda: invalid value")
 	ErrInvalidHandle      = errors.New("cuda: invalid resource handle")
 	ErrInvalidDevicePtr   = errors.New("cuda: invalid device pointer")
-	ErrNotInitialized     = errors.New("cuda: not initialized")
-	ErrMisalignedAddress  = errors.New("cuda: misaligned address")
 	ErrUnsupportedLibCall = errors.New("cuda: unsupported library call sequence")
 )
 

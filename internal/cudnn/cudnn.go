@@ -10,13 +10,14 @@ import (
 	"fmt"
 
 	"maya/internal/cuda"
+	"maya/internal/hardware"
 )
 
-// Handle is a cuDNN context bound to a device.
+// Handle is a cuDNN context bound to a device; obtain handles from
+// Create. Launches go to the default stream, where the programs run
+// their compute.
 type Handle struct {
-	dev    cuda.Device
-	stream cuda.Stream
-	valid  bool
+	dev cuda.Device
 	// dims backs each convolution launch's Dims: the device copies
 	// them at the launch, so one array serves every launch.
 	dims [11]int
@@ -27,25 +28,7 @@ func Create(dev cuda.Device) (*Handle, error) {
 	if dev == nil {
 		return nil, fmt.Errorf("cudnn: %w: nil device", cuda.ErrInvalidValue)
 	}
-	return &Handle{dev: dev, stream: cuda.DefaultStream, valid: true}, nil
-}
-
-// Destroy invalidates the handle (cudnnDestroy).
-func (h *Handle) Destroy() error {
-	if !h.valid {
-		return fmt.Errorf("cudnn: %w", cuda.ErrInvalidHandle)
-	}
-	h.valid = false
-	return nil
-}
-
-// SetStream binds subsequent launches to s (cudnnSetStream).
-func (h *Handle) SetStream(s cuda.Stream) error {
-	if !h.valid {
-		return fmt.Errorf("cudnn: %w", cuda.ErrInvalidHandle)
-	}
-	h.stream = s
-	return nil
+	return &Handle{dev: dev}, nil
 }
 
 // TensorDesc describes an activation tensor (cudnnTensorDescriptor).
@@ -126,122 +109,37 @@ func (c *ConvDesc) OutputDim(x *TensorDesc, f *FilterDesc) (n, k, oh, ow int, er
 	return x.n, f.k, oh, ow, nil
 }
 
-func dtypeSize(dt string) int64 {
-	switch dt {
-	case "fp16", "bf16":
-		return 2
-	default:
-		return 4
-	}
-}
-
-func (h *Handle) convDesc(name string, x *TensorDesc, f *FilterDesc, c *ConvDesc) (cuda.KernelDesc, error) {
-	if !h.valid {
-		return cuda.KernelDesc{}, fmt.Errorf("cudnn: %w", cuda.ErrInvalidHandle)
-	}
+// conv launches one convolution kernel with the descriptors'
+// geometry.
+func (h *Handle) conv(name string, x *TensorDesc, f *FilterDesc, c *ConvDesc) error {
 	n, k, oh, ow, err := c.OutputDim(x, f)
 	if err != nil {
-		return cuda.KernelDesc{}, err
+		return err
 	}
-	es := dtypeSize(x.dtype)
+	es := hardware.DType(x.dtype).Size()
 	flops := 2 * int64(n) * int64(k) * int64(oh) * int64(ow) * int64(f.c) * int64(f.r) * int64(f.s)
 	bytes := es * (x.Elems() + int64(f.k)*int64(f.c)*int64(f.r)*int64(f.s) + int64(n)*int64(k)*int64(oh)*int64(ow))
 	h.dims = [...]int{n, x.c, x.hh, x.w, k, f.r, f.s, c.strideH, c.padH, oh, ow}
-	return cuda.KernelDesc{
+	return h.dev.LaunchKernel(cuda.KernelDesc{
 		Name:  name,
 		Dims:  h.dims[:],
 		FLOPs: flops,
 		Bytes: bytes,
 		DType: x.dtype,
-	}, nil
+	}, cuda.DefaultStream)
 }
 
 // ConvolutionForward launches the forward convolution.
 func (h *Handle) ConvolutionForward(x *TensorDesc, f *FilterDesc, c *ConvDesc) error {
-	k, err := h.convDesc("cudnnConvolutionForward", x, f, c)
-	if err != nil {
-		return err
-	}
-	return h.dev.LaunchKernel(k, h.stream)
+	return h.conv("cudnnConvolutionForward", x, f, c)
 }
 
 // ConvolutionBackwardData launches the input-gradient convolution.
 func (h *Handle) ConvolutionBackwardData(x *TensorDesc, f *FilterDesc, c *ConvDesc) error {
-	k, err := h.convDesc("cudnnConvolutionBackwardData", x, f, c)
-	if err != nil {
-		return err
-	}
-	return h.dev.LaunchKernel(k, h.stream)
+	return h.conv("cudnnConvolutionBackwardData", x, f, c)
 }
 
 // ConvolutionBackwardFilter launches the weight-gradient convolution.
 func (h *Handle) ConvolutionBackwardFilter(x *TensorDesc, f *FilterDesc, c *ConvDesc) error {
-	k, err := h.convDesc("cudnnConvolutionBackwardFilter", x, f, c)
-	if err != nil {
-		return err
-	}
-	return h.dev.LaunchKernel(k, h.stream)
-}
-
-// PoolingForward launches a pooling kernel over x.
-func (h *Handle) PoolingForward(x *TensorDesc, window, stride int) error {
-	if !h.valid {
-		return fmt.Errorf("cudnn: %w", cuda.ErrInvalidHandle)
-	}
-	if !x.set {
-		return fmt.Errorf("cudnn: %w: tensor not configured", cuda.ErrUnsupportedLibCall)
-	}
-	es := dtypeSize(x.dtype)
-	return h.dev.LaunchKernel(cuda.KernelDesc{
-		Name:  "pooling_fwd_nhwc",
-		Dims:  []int{x.n, x.c, x.hh, x.w, window, stride},
-		Bytes: 2 * es * x.Elems(),
-		FLOPs: x.Elems() * int64(window) * int64(window),
-		DType: x.dtype,
-	}, h.stream)
-}
-
-// PoolingBackward launches the pooling gradient kernel.
-func (h *Handle) PoolingBackward(x *TensorDesc, window, stride int) error {
-	if !h.valid {
-		return fmt.Errorf("cudnn: %w", cuda.ErrInvalidHandle)
-	}
-	if !x.set {
-		return fmt.Errorf("cudnn: %w: tensor not configured", cuda.ErrUnsupportedLibCall)
-	}
-	es := dtypeSize(x.dtype)
-	return h.dev.LaunchKernel(cuda.KernelDesc{
-		Name:  "max_pool_backward_nhwc",
-		Dims:  []int{x.n, x.c, x.hh, x.w, window, stride},
-		Bytes: 3 * es * x.Elems(),
-		FLOPs: x.Elems() * int64(window) * int64(window),
-		DType: x.dtype,
-	}, h.stream)
-}
-
-// BatchNormForward launches batch normalization over x.
-func (h *Handle) BatchNormForward(x *TensorDesc) error {
-	return h.bn("batchnorm_fwd", x)
-}
-
-// BatchNormBackward launches the batch-norm gradient kernel.
-func (h *Handle) BatchNormBackward(x *TensorDesc) error {
-	return h.bn("batchnorm_bwd", x)
-}
-
-func (h *Handle) bn(name string, x *TensorDesc) error {
-	if !h.valid {
-		return fmt.Errorf("cudnn: %w", cuda.ErrInvalidHandle)
-	}
-	if !x.set {
-		return fmt.Errorf("cudnn: %w: tensor not configured", cuda.ErrUnsupportedLibCall)
-	}
-	es := dtypeSize(x.dtype)
-	return h.dev.LaunchKernel(cuda.KernelDesc{
-		Name:  name,
-		Dims:  []int{x.n, x.c, x.hh, x.w},
-		Bytes: 3 * es * x.Elems(),
-		FLOPs: 8 * x.Elems(),
-		DType: x.dtype,
-	}, h.stream)
+	return h.conv("cudnnConvolutionBackwardFilter", x, f, c)
 }

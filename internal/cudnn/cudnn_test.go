@@ -123,30 +123,6 @@ func TestBackwardKernelsNamed(t *testing.T) {
 	}
 }
 
-func TestPoolingAndBatchNorm(t *testing.T) {
-	h, d := handle(t)
-	x := NewTensorDesc()
-	_ = x.Set4D(8, 64, 56, 56, "fp16")
-	if err := h.PoolingForward(x, 3, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.PoolingBackward(x, 3, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.BatchNormForward(x); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.BatchNormBackward(x); err != nil {
-		t.Fatal(err)
-	}
-	st := d.Trace().Stats()
-	for _, name := range []string{"pooling_fwd_nhwc", "max_pool_backward_nhwc", "batchnorm_fwd", "batchnorm_bwd"} {
-		if st.ByName[name] != 1 {
-			t.Fatalf("missing kernel %s: %v", name, st.ByName)
-		}
-	}
-}
-
 func TestDegenerateGeometryRejected(t *testing.T) {
 	x := NewTensorDesc()
 	_ = x.Set4D(1, 3, 2, 2, "fp16")

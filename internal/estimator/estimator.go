@@ -95,9 +95,6 @@ func (s *Suite) WithCollectiveEstimator(ce CollectiveEstimator) *Suite {
 	return &c
 }
 
-// Cluster returns the cluster the suite was profiled on.
-func (s *Suite) Cluster() hardware.Cluster { return s.cluster }
-
 // EstimateKernel predicts the duration of a compute/memory op from its
 // shape, falling back to an analytical roofline for unprofiled
 // kernels. It performs no heap allocation in steady state: the feature

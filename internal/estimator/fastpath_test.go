@@ -207,8 +207,8 @@ func TestEstimatePlanMatchesAnnotateInto(t *testing.T) {
 				}
 			}
 		}
-		if plan.Ops() != 2*len(job.Workers[0].Ops) {
-			t.Fatalf("%s: plan covers %d ops, want %d", name, plan.Ops(), 2*len(job.Workers[0].Ops))
+		if n := len(plan.Overlay().Table()); n != 2*len(job.Workers[0].Ops) {
+			t.Fatalf("%s: plan covers %d ops, want %d", name, n, 2*len(job.Workers[0].Ops))
 		}
 
 		// The build paid the timer once per interned shape per worker

@@ -20,9 +20,6 @@ type EstimatePlan struct {
 	ann *trace.Annotations
 }
 
-// Ops returns how many op slots the plan covers.
-func (p *EstimatePlan) Ops() int { return len(p.ann.Table()) }
-
 // BuildPlan resolves every device op of the job against the timer. It
 // is annotation by construction — one trace.Annotate walk (behind a
 // build-local shapeMemo) into a fresh overlay, which the plan keeps —

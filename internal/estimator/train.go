@@ -154,9 +154,8 @@ func TrainSuite(profile []ProfileSample, cluster hardware.Cluster, opts TrainOpt
 
 // TrainAndEvaluate splits the profile 80:20, trains on the larger
 // share and reports held-out per-kernel MAPE — the evaluation behind
-// the paper's Tables 7–9. The split is the shared seeded-permutation
-// holdout (forest.SplitN), so it stays byte-identical to what
-// forest.Split produces for the same seed and test count.
+// the paper's Tables 7–9. The split is forest.SplitN's seeded
+// permutation.
 func TrainAndEvaluate(profile []ProfileSample, cluster hardware.Cluster, opts TrainOptions) (*Suite, map[string]float64, error) {
 	train, test := forest.SplitN(profile, len(profile)/5, prand.Hash64("split", cluster.Name))
 	s, err := TrainSuite(train, cluster, opts)

@@ -1,7 +1,9 @@
 package faults
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
 	"reflect"
@@ -375,11 +377,11 @@ func TestPlanJSONRoundTrip(t *testing.T) {
 		Failures:   []FailStop{{Rank: 2, At: time.Hour}},
 		Resizes:    []Resize{{AtIteration: 100, NewWorld: 6, StateBytes: 1 << 30, BWGBps: 25}},
 	}
-	var buf strings.Builder
-	if err := plan.WriteJSON(&buf); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
+	raw, err := json.Marshal(plan)
+	if err != nil {
+		t.Fatalf("Marshal: %v", err)
 	}
-	got, err := ParsePlan(strings.NewReader(buf.String()))
+	got, err := ParsePlan(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatalf("ParsePlan: %v", err)
 	}

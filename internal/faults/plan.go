@@ -177,13 +177,6 @@ func ParsePlan(r io.Reader) (*Plan, error) {
 	return &p, nil
 }
 
-// WriteJSON serializes the plan, indented for humans.
-func (p *Plan) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(p)
-}
-
 // matches reports whether the straggler clause selects rank r.
 func (s *Straggler) matches(r int) bool {
 	if len(s.Ranks) == 0 && s.EveryNth == 0 {

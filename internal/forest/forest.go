@@ -51,10 +51,6 @@ type Options struct {
 	FeatureFrac float64 // features considered per split (default 0.7)
 	SampleFrac  float64 // bootstrap fraction per tree (default 0.85)
 	Seed        uint64
-	// Workers bounds tree-training parallelism in Train (default 1,
-	// serial). The forest is byte-identical for every worker count.
-	// TrainForests ignores this field: its pool spans all jobs.
-	Workers int
 }
 
 func (o Options) withDefaults() Options {
@@ -72,9 +68,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.SampleFrac == 0 {
 		o.SampleFrac = 0.85
-	}
-	if o.Workers < 1 {
-		o.Workers = 1
 	}
 	return o
 }
@@ -95,10 +88,6 @@ type Forest struct {
 	leaf   []float64
 }
 
-// NumNodes returns the total internal-node count across all trees
-// (sizing/diagnostics; leaves are stored separately).
-func (f *Forest) NumNodes() int { return len(f.feat) }
-
 // Predict returns the ensemble mean for x. The walk is allocation-
 // free: each tree descends the flattened arrays until it hits a
 // negative (leaf) index.
@@ -117,16 +106,6 @@ func (f *Forest) Predict(x []float64) float64 {
 		sum += leaf[^id]
 	}
 	return sum / float64(len(f.roots))
-}
-
-// Train fits a forest to the samples. opts.Workers > 1 trains trees
-// through a bounded pool; the result is byte-identical to serial.
-func Train(samples []Sample, opts Options) (*Forest, error) {
-	fs, err := TrainForests([]TrainJob{{Samples: samples, Opts: opts}}, opts.Workers)
-	if err != nil {
-		return nil, err
-	}
-	return fs[0], nil
 }
 
 // TrainJob is one forest-training request for TrainForests.
@@ -570,34 +549,10 @@ func (b *builder) partition(lo, hi, feat int, sIdx int) {
 	}
 }
 
-// MAPE computes mean absolute percentage error of the forest on a
-// test set, with predictions and targets transformed by inv (pass
-// identity when Y is the raw target).
-func (f *Forest) MAPE(test []Sample, inv func(float64) float64) float64 {
-	if inv == nil {
-		inv = func(v float64) float64 { return v }
-	}
-	var total float64
-	var n int
-	for _, s := range test {
-		want := inv(s.Y)
-		if want == 0 {
-			continue
-		}
-		got := inv(f.Predict(s.X))
-		total += math.Abs(got-want) / math.Abs(want)
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return total / float64(n)
-}
-
 // SplitN deterministically partitions items by a seeded permutation,
 // sending the first nTest permuted items to test and the rest to
-// train — the one seeded holdout-split implementation shared by
-// Split and estimator.TrainAndEvaluate.
+// train — the one seeded holdout-split implementation, used by
+// estimator.TrainAndEvaluate.
 func SplitN[T any](items []T, nTest int, seed uint64) (train, test []T) {
 	if nTest < 0 {
 		nTest = 0
@@ -617,10 +572,4 @@ func SplitN[T any](items []T, nTest int, seed uint64) (train, test []T) {
 		}
 	}
 	return train, test
-}
-
-// Split partitions samples into train/test deterministically
-// (fraction testFrac to test), for held-out evaluation.
-func Split(samples []Sample, testFrac float64, seed uint64) (train, test []Sample) {
-	return SplitN(samples, int(float64(len(samples))*testFrac), seed)
 }

@@ -27,11 +27,39 @@ func genSamples(n, d int, seed uint64, noise float64, f func([]float64) float64)
 	return out
 }
 
+// fit trains one forest serially.
+func fit(samples []Sample, opts Options) (*Forest, error) {
+	fs, err := TrainForests([]TrainJob{{Samples: samples, Opts: opts}}, 1)
+	if err != nil {
+		return nil, err
+	}
+	return fs[0], nil
+}
+
+// mapeOf is the forest's mean absolute percentage error on test, with
+// predictions and targets mapped through inv first.
+func mapeOf(f *Forest, test []Sample, inv func(float64) float64) float64 {
+	var total float64
+	var n int
+	for _, s := range test {
+		want := inv(s.Y)
+		if want == 0 {
+			continue
+		}
+		total += math.Abs(inv(f.Predict(s.X))-want) / math.Abs(want)
+		n++
+	}
+	if n == 0 {
+		return 0
+	}
+	return total / float64(n)
+}
+
 func TestFitsAdditiveFunction(t *testing.T) {
 	f := func(x []float64) float64 { return 3*x[0] + x[1]*x[1] - 0.5*x[2] }
 	train := genSamples(3000, 3, 1, 0.01, f)
 	test := genSamples(300, 3, 2, 0, f)
-	fr, err := Train(train, Options{Seed: 7})
+	fr, err := fit(train, Options{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +82,7 @@ func TestFitsStepFunction(t *testing.T) {
 		}
 		return -10
 	}
-	fr, err := Train(genSamples(1000, 2, 3, 0, f), Options{Seed: 7})
+	fr, err := fit(genSamples(1000, 2, 3, 0, f), Options{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,11 +96,11 @@ func TestFitsStepFunction(t *testing.T) {
 
 func TestDeterministicTraining(t *testing.T) {
 	train := genSamples(500, 4, 5, 0.05, func(x []float64) float64 { return x[0] * x[3] })
-	a, err := Train(train, Options{Seed: 9})
+	a, err := fit(train, Options{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Train(train, Options{Seed: 9})
+	b, err := fit(train, Options{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +108,7 @@ func TestDeterministicTraining(t *testing.T) {
 	if a.Predict(probe) != b.Predict(probe) {
 		t.Fatal("same seed, different forests")
 	}
-	c, _ := Train(train, Options{Seed: 10})
+	c, _ := fit(train, Options{Seed: 10})
 	if a.Predict(probe) == c.Predict(probe) {
 		t.Fatal("different seeds produced identical forests (suspicious)")
 	}
@@ -91,7 +119,7 @@ func TestPredictionsWithinTargetRange(t *testing.T) {
 	// of training targets, so it can never leave their range.
 	if err := quick.Check(func(seed uint64) bool {
 		train := genSamples(200, 3, seed, 0, func(x []float64) float64 { return math.Sin(6 * x[0]) })
-		fr, err := Train(train, Options{Seed: seed, Trees: 8, MaxDepth: 6})
+		fr, err := fit(train, Options{Seed: seed, Trees: 8, MaxDepth: 6})
 		if err != nil {
 			return false
 		}
@@ -119,11 +147,11 @@ func TestMAPEWithTransform(t *testing.T) {
 	f := func(x []float64) float64 { return math.Log(1000 * (1 + 9*x[0])) }
 	train := genSamples(2000, 2, 11, 0.005, f)
 	test := genSamples(200, 2, 12, 0, f)
-	fr, err := Train(train, Options{Seed: 7})
+	fr, err := fit(train, Options{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mape := fr.MAPE(test, math.Exp)
+	mape := mapeOf(fr, test, math.Exp)
 	if mape > 0.05 {
 		t.Fatalf("MAPE = %.1f%%, want < 5%%", mape*100)
 	}
@@ -131,18 +159,27 @@ func TestMAPEWithTransform(t *testing.T) {
 
 func TestSplitDisjointAndComplete(t *testing.T) {
 	samples := genSamples(100, 2, 13, 0, func(x []float64) float64 { return x[0] })
-	train, test := Split(samples, 0.2, 42)
+	train, test := SplitN(samples, 20, 42)
 	if len(test) != 20 || len(train) != 80 {
 		t.Fatalf("split sizes = %d/%d", len(train), len(test))
+	}
+	seen := map[*float64]bool{}
+	for _, part := range [][]Sample{train, test} {
+		for _, s := range part {
+			if seen[&s.X[0]] {
+				t.Fatal("a sample landed in the split twice")
+			}
+			seen[&s.X[0]] = true
+		}
 	}
 }
 
 func TestErrors(t *testing.T) {
-	if _, err := Train(nil, Options{}); err == nil {
+	if _, err := fit(nil, Options{}); err == nil {
 		t.Fatal("expected error for empty training set")
 	}
 	bad := []Sample{{X: []float64{1, 2}, Y: 0}, {X: []float64{1}, Y: 0}}
-	if _, err := Train(bad, Options{}); err == nil {
+	if _, err := fit(bad, Options{}); err == nil {
 		t.Fatal("expected error for inconsistent feature lengths")
 	}
 }
@@ -205,7 +242,7 @@ func TestFlatPredictMatchesPointerWalk(t *testing.T) {
 		train := genSamples(300, 4, seed, 0.05, func(x []float64) float64 {
 			return x[0]*x[3] + math.Sin(4*x[1])
 		})
-		fr, err := Train(train, Options{Seed: seed, Trees: 6, MaxDepth: 7})
+		fr, err := fit(train, Options{Seed: seed, Trees: 6, MaxDepth: 7})
 		if err != nil {
 			return false
 		}
@@ -232,7 +269,7 @@ func TestLeafEncodingRoundTrips(t *testing.T) {
 	// Single-node trees encode their root as a leaf index; a constant
 	// target forces exactly that shape.
 	train := genSamples(50, 2, 23, 0, func([]float64) float64 { return 1.5 })
-	fr, err := Train(train, Options{Seed: 3, Trees: 4})
+	fr, err := fit(train, Options{Seed: 3, Trees: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,11 +287,12 @@ func TestTrainParallelMatchesSerial(t *testing.T) {
 	train := genSamples(1200, 5, 31, 0.05, func(x []float64) float64 {
 		return 2*x[0] - x[1]*x[4] + x[2]
 	})
-	serial, err := Train(train, Options{Seed: 11, Workers: 1})
+	job := []TrainJob{{Samples: train, Opts: Options{Seed: 11}}}
+	serial, err := TrainForests(job, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Train(train, Options{Seed: 11, Workers: 7})
+	parallel, err := TrainForests(job, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +315,7 @@ func TestTrainForestsMatchesIndividualTrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, job := range jobs {
-		lone, err := Train(job.Samples, job.Opts)
+		lone, err := fit(job.Samples, job.Opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -304,7 +342,7 @@ func TestOptionsDefaultsPinned(t *testing.T) {
 	// doc comments honest.
 	o := Options{}.withDefaults()
 	if o.Trees != 24 || o.MaxDepth != 14 || o.MinLeaf != 2 ||
-		o.FeatureFrac != 0.7 || o.SampleFrac != 0.85 || o.Workers != 1 {
+		o.FeatureFrac != 0.7 || o.SampleFrac != 0.85 {
 		t.Fatalf("generic forest defaults changed: %+v", o)
 	}
 }
@@ -317,24 +355,24 @@ func TestAllConstantFeaturesYieldMeanLeaf(t *testing.T) {
 	for i := range samples {
 		samples[i] = Sample{X: []float64{1, 2, 3}, Y: float64(i % 7)}
 	}
-	fr, err := Train(samples, Options{Seed: 5, Trees: 4})
+	fr, err := fit(samples, Options{Seed: 5, Trees: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fr.NumNodes() != 0 {
-		t.Fatalf("constant-feature forest has %d internal nodes, want 0", fr.NumNodes())
+	if len(fr.feat) != 0 {
+		t.Fatalf("constant-feature forest has %d internal nodes, want 0", len(fr.feat))
 	}
 	if v := fr.Predict([]float64{9, 9, 9}); v < 0 || v > 6 {
 		t.Fatalf("Predict = %v, outside target range [0, 6]", v)
 	}
 }
 
-func TestSplitNMatchesSplit(t *testing.T) {
+func TestSplitNDeterministicAndClamped(t *testing.T) {
 	samples := genSamples(137, 2, 61, 0, func(x []float64) float64 { return x[1] })
-	train1, test1 := Split(samples, 0.2, 99)
-	train2, test2 := SplitN(samples, int(float64(len(samples))*0.2), 99)
+	train1, test1 := SplitN(samples, 27, 99)
+	train2, test2 := SplitN(samples, 27, 99)
 	if !reflect.DeepEqual(train1, train2) || !reflect.DeepEqual(test1, test2) {
-		t.Fatal("SplitN disagrees with Split for the same seed and test count")
+		t.Fatal("SplitN differs between two calls with the same seed and test count")
 	}
 	// Degenerate bounds clamp instead of panicking.
 	tr, te := SplitN(samples, -5, 1)
@@ -349,7 +387,7 @@ func TestSplitNMatchesSplit(t *testing.T) {
 
 func TestConstantTargetYieldsConstantForest(t *testing.T) {
 	train := genSamples(100, 2, 17, 0, func([]float64) float64 { return 5 })
-	fr, err := Train(train, Options{Seed: 1})
+	fr, err := fit(train, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

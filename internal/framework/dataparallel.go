@@ -5,6 +5,7 @@ import (
 
 	"maya/internal/cuda"
 	"maya/internal/cudnn"
+	"maya/internal/hardware"
 	"maya/internal/models"
 	"maya/internal/nccl"
 	"maya/internal/workload"
@@ -106,6 +107,10 @@ func (c DataParallelConfig) Validate() error {
 	case c.GlobalBatch%c.NGPUs != 0 || c.GlobalBatch/c.NGPUs%c.GradAccum != 0:
 		return fmt.Errorf("dataparallel: global batch %d not divisible by ngpus*gradaccum=%d",
 			c.GlobalBatch, c.NGPUs*c.GradAccum)
+	case c.GlobalBatch > maxGlobalBatch:
+		return fmt.Errorf("dataparallel: global batch %d above %d", c.GlobalBatch, maxGlobalBatch)
+	case !dtypes[c.DType]:
+		return fmt.Errorf("dataparallel: unknown dtype %q", c.DType)
 	}
 	return nil
 }
@@ -144,9 +149,6 @@ func NewDataParallel(cfg DataParallelConfig) (*DataParallel, error) {
 	}
 	return &DataParallel{cfg: cfg}, nil
 }
-
-// Config returns the validated configuration.
-func (d *DataParallel) Config() DataParallelConfig { return d.cfg }
 
 // Name implements workload.Workload.
 func (d *DataParallel) Name() string {
@@ -258,10 +260,7 @@ func (r *dpRunner) malloc(bytes int64) cuda.DevicePtr { return r.shell.malloc(ma
 
 func (r *dpRunner) setup() {
 	cfg := r.cfg
-	r.es = 2
-	if cfg.DType == "fp32" {
-		r.es = 4
-	}
+	r.es = hardware.DType(cfg.DType).Size()
 	r.mbs = cfg.MicroBatchSize()
 	if r.open(); r.err != nil {
 		return

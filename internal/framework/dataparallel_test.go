@@ -74,6 +74,8 @@ func TestDataParallelValidation(t *testing.T) {
 		{"negative iterations", func(c *DataParallelConfig) { c.Iterations = -1 }, "iterations"},
 		{"unknown strategy", func(c *DataParallelConfig) { c.Strategy = DPStrategy(7) }, "strategy"},
 		{"negative strategy", func(c *DataParallelConfig) { c.Strategy = -1 }, "strategy"},
+		{"fp8 dtype", func(c *DataParallelConfig) { c.DType = "fp8" }, "dtype"},
+		{"misspelt dtype", func(c *DataParallelConfig) { c.DType = "bf61" }, "dtype"},
 	}
 	for _, c := range cases {
 		cfg := base

@@ -10,7 +10,7 @@ import (
 
 func TestDualPipeScheduleStructure(t *testing.T) {
 	const pp, m = 4, 8
-	sched := BuildDualPipeSchedule(pp, m)
+	sched := dualPipeSchedule(pp, m)
 	d := 2 * pp
 	seen := make(map[Action]bool)
 	for p, actions := range sched {
@@ -95,8 +95,8 @@ func TestDualPipeBubbleCompetitiveWithInterleaving(t *testing.T) {
 	// both pipeline ends, a further gain this unidirectional variant
 	// does not model; what Maya demonstrates is that a *new schedule*
 	// needs no modeling changes at all.)
-	inter := replayMakespan(BuildPipelineSchedule(4, 2, 8), 4, 2, 8)
-	dual := replayMakespan(BuildDualPipeSchedule(4, 8), 4, 2, 8)
+	inter := replayMakespan(loopedSchedule(4, 2, 8), 4, 2, 8)
+	dual := replayMakespan(dualPipeSchedule(4, 8), 4, 2, 8)
 	if dual > inter+inter/10 {
 		t.Fatalf("DualPipe makespan %d much worse than interleaved %d", dual, inter)
 	}

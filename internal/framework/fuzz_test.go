@@ -2,8 +2,10 @@ package framework
 
 import (
 	"encoding/binary"
+	"errors"
 	"testing"
 
+	"maya/internal/cuda"
 	"maya/internal/emulator"
 	"maya/internal/hardware"
 	"maya/internal/workload"
@@ -54,8 +56,8 @@ func (b *fuzzInts) dtype() string { return []string{"", "bf16", "fp16", "fp32"}[
 // FuzzTrainingConfigs decodes bytes into a Megatron and a
 // data-parallel config. Construction must never panic; an accepted
 // config must have at least one sample per microbatch and one
-// iteration; and rank 0 of a small accepted config must emulate to a
-// result or an error, never a panic.
+// iteration; and rank 0 of a small accepted config must emulate to
+// success or out of memory.
 func FuzzTrainingConfigs(f *testing.F) {
 	// Megatron: experts, gated, ngpus, batch, tp, pp, microbatches, v,
 	// dualpipe, sp, recompute, distopt, dtype, iterations, no-overlap;
@@ -90,7 +92,7 @@ func FuzzTrainingConfigs(f *testing.F) {
 				t.Fatalf("Validate and NewMegatron disagree on %+v: %v", c, err)
 			}
 			if valid && c.NGPUs <= 16 && c.MicroBatches <= 16 && c.Iterations <= 2 {
-				emulateRank0(m, hardware.H100())
+				emulateRank0(t, m, hardware.H100())
 			}
 		}
 
@@ -111,21 +113,23 @@ func FuzzTrainingConfigs(f *testing.F) {
 		if err != nil {
 			return
 		}
-		dc := d.Config()
+		dc := d.cfg
 		if dc.MicroBatchSize() < 1 || dc.Iterations < 1 {
 			t.Fatalf("accepted %+v: micro-batch size %d, %d iterations", dc, dc.MicroBatchSize(), dc.Iterations)
 		}
 		if dc.NGPUs <= 16 && dc.GradAccum <= 16 && dc.Iterations <= 2 {
-			emulateRank0(d, hardware.A40())
+			emulateRank0(t, d, hardware.A40())
 		}
 	})
 }
 
-// emulateRank0 plays rank 0; an error is an acceptable outcome (an
-// accepted config may still not fit or overflow a size), a panic is
-// not.
-func emulateRank0(w workload.Workload, gpu hardware.GPU) {
+// emulateRank0 plays rank 0 of an accepted config: it must end in
+// success or out of memory. Any other error (an invalid size from an
+// overflowing product, say) or a panic fails.
+func emulateRank0(t *testing.T, w workload.Workload, gpu hardware.GPU) {
 	em := emulator.New(emulator.Config{World: w.World(), GPU: gpu, Host: hardware.EpycHost()})
-	_ = w.Run(0, em)
+	if err := w.Run(0, em); err != nil && !errors.Is(err, cuda.ErrOutOfMemory) {
+		t.Fatalf("accepted %s: %v", w.Name(), err)
+	}
 	em.Trace()
 }

@@ -92,6 +92,21 @@ func (c MegatronConfig) MicroBatchSize() int {
 	return c.GlobalBatch / (c.DP() * c.MicroBatches)
 }
 
+// maxGlobalBatch bounds the global batch of both programs, so every
+// size a rank emits fits in an int64. Each such size (a malloc, a
+// copy, a kernel's bytes or FLOPs) is the micro-batch size, at most
+// the global batch, times a per-sample factor of the model. The
+// largest factor of any preset is a GEMM's FLOPs, 2·seq·hidden·vocab
+// for GPT3-145.6B: 2·2048·11264·51200 < 2^42. 2^20 samples keep it
+// under 2^62, half of int64's range, which leaves room for the sums
+// the activation estimate adds. No recipe in the repository comes
+// near it.
+const maxGlobalBatch = 1 << 20
+
+// dtypes are the element types the programs emit; an empty DType
+// takes its program's default before Validate checks it.
+var dtypes = map[string]bool{"fp16": true, "bf16": true, "fp32": true}
+
 // Validate rejects inconsistent recipes; OOM is not checked here —
 // it is discovered by the emulator's allocator, as on hardware.
 func (c MegatronConfig) Validate() error {
@@ -132,6 +147,10 @@ func (c MegatronConfig) Validate() error {
 	case c.GlobalBatch%c.DP() != 0 || c.GlobalBatch/c.DP()%c.MicroBatches != 0:
 		return fmt.Errorf("megatron: global batch %d not divisible by DP*microbatches=%d",
 			c.GlobalBatch, c.DP()*c.MicroBatches)
+	case c.GlobalBatch > maxGlobalBatch:
+		return fmt.Errorf("megatron: global batch %d above %d", c.GlobalBatch, maxGlobalBatch)
+	case !dtypes[c.DType]:
+		return fmt.Errorf("megatron: unknown dtype %q", c.DType)
 	case c.DistOptimizer && c.DP() == 1:
 		// Accepted (it is a no-op), matching Megatron behavior.
 	}
@@ -235,9 +254,6 @@ func NewMegatron(cfg MegatronConfig) (*Megatron, error) {
 	m.sched = BuildPipelineScheduleOwner(cfg.PP, m.depth, cfg.MicroBatches, m.owner)
 	return m, nil
 }
-
-// Config returns the validated recipe (with defaults applied).
-func (m *Megatron) Config() MegatronConfig { return m.cfg }
 
 // Name implements workload.Workload.
 func (m *Megatron) Name() string { return "megatron/" + m.cfg.Model.Name }

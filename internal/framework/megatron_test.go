@@ -11,6 +11,7 @@ import (
 	"maya/internal/hardware"
 	"maya/internal/models"
 	"maya/internal/trace"
+	"maya/internal/workload"
 )
 
 func smallModel() models.Transformer {
@@ -49,6 +50,8 @@ func TestValidation(t *testing.T) {
 		{"zero global batch", func(c *MegatronConfig) { c.GlobalBatch = 0 }, "global batch"},
 		{"negative global batch", func(c *MegatronConfig) { c.GlobalBatch = -16 }, "global batch"},
 		{"negative iterations", func(c *MegatronConfig) { c.Iterations = -1 }, "iterations"},
+		{"fp8 dtype", func(c *MegatronConfig) { c.DType = "fp8" }, "dtype"},
+		{"misspelt dtype", func(c *MegatronConfig) { c.DType = "bf61" }, "dtype"},
 	}
 	for _, c := range cases {
 		cfg := base
@@ -85,6 +88,42 @@ func TestValidationOverflowingProducts(t *testing.T) {
 		mutate(&cfg)
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("%s: %+v validated", name, cfg)
+		}
+	}
+}
+
+// TestHugeBatchRejected pins that a recipe whose global batch would
+// overflow the sizes a rank emits is rejected at construction, naming
+// the batch, and that rank 0 of the largest accepted batch ends in
+// success or out of memory, never in an invalid size.
+func TestHugeBatchRejected(t *testing.T) {
+	cases := []struct {
+		name  string
+		build func(batch int) (workload.Workload, error)
+	}{
+		{"megatron", func(batch int) (workload.Workload, error) {
+			return NewMegatron(MegatronConfig{Model: smallModel(), NGPUs: 1, GlobalBatch: batch, TP: 1, PP: 1, MicroBatches: 1})
+		}},
+		{"ddp/tinycnn", func(batch int) (workload.Workload, error) {
+			return NewDataParallel(DataParallelConfig{CNN: tinyCNN(), NGPUs: 1, GlobalBatch: batch})
+		}},
+		{"ddp/tinyT", func(batch int) (workload.Workload, error) {
+			return NewDataParallel(DataParallelConfig{Transformer: tinyTransformer(), NGPUs: 1, GlobalBatch: batch})
+		}},
+	}
+	for _, c := range cases {
+		for _, batch := range []int{1<<53 + 1, 1 << 53, maxGlobalBatch + 1} {
+			if _, err := c.build(batch); err == nil || !strings.Contains(err.Error(), "global batch") {
+				t.Errorf("%s: global batch %d: err = %v, want a global batch error", c.name, batch, err)
+			}
+		}
+		w, err := c.build(maxGlobalBatch)
+		if err != nil {
+			t.Fatalf("%s: global batch %d rejected: %v", c.name, maxGlobalBatch, err)
+		}
+		em := emulator.New(emulator.Config{World: w.World(), GPU: hardware.H100(), Host: hardware.EpycHost()})
+		if err := w.Run(0, em); err != nil && !errors.Is(err, cuda.ErrOutOfMemory) {
+			t.Errorf("%s: global batch %d: rank 0: %v", c.name, maxGlobalBatch, err)
 		}
 	}
 }

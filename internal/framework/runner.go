@@ -2,6 +2,7 @@ package framework
 
 import (
 	"maya/internal/cuda"
+	"maya/internal/hardware"
 	"maya/internal/nccl"
 )
 
@@ -39,11 +40,8 @@ func newMegatronRunner(m *Megatron, rank int, dev cuda.Device) *megatronRunner {
 		dp:    cfg.DP(),
 		mbs:   cfg.MicroBatchSize(),
 		d:     m.depth,
-		es:    2,
+		es:    hardware.DType(cfg.DType).Size(),
 		acts:  make(map[[2]int]cuda.DevicePtr),
-	}
-	if cfg.DType == "fp32" {
-		r.es = 4
 	}
 	r.chunksPerRank = r.d / cfg.PP
 	r.layersPerChunk = cfg.Model.Layers / r.d

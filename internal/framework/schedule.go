@@ -32,52 +32,23 @@ func (a Action) String() string {
 	return fmt.Sprintf("%s(v%d,m%d)", k, a.VStage, a.Micro)
 }
 
-// BuildPipelineSchedule computes a deadlock-free 1F1B schedule for a
-// pipeline of pp stages, v virtual chunks per stage (interleaving)
-// and m microbatches. It returns one ordered action list per physical
-// stage.
-//
-// The schedule is produced by deterministic list scheduling over the
-// task DAG — F(vs,μ) depends on F(vs-1,μ), B(vs,μ) on B(vs+1,μ) and
-// B(D-1,μ) on F(D-1,μ) — with two policies that reproduce 1F1B:
-// backward work always outranks forward work, and each virtual stage
-// may keep at most D-vs microbatches in flight (the classic 1F1B
-// in-flight bound, generalized to interleaving). For v=1 this yields
-// exactly the textbook 1F1B schedule; for v>1 a looped variant whose
-// bubble shrinks with v, the effect pipeline interleaving exists to
-// produce. Activation lifetime (allocate at F, free at B) follows the
-// schedule, so peak memory is schedule-accurate.
-//
-// Dependencies are honored at task *completion* times, so each rank's
-// action order is a valid linearization of the global DAG: replaying
-// the per-rank orders with blocking point-to-point transfers cannot
-// deadlock.
-func BuildPipelineSchedule(pp, v, m int) [][]Action {
-	return BuildPipelineScheduleOwner(pp, pp*v, m, loopedOwner(pp))
-}
-
 // loopedOwner places virtual stage vs on rank vs % pp: each rank's
-// chunks loop over the pipeline.
+// chunks loop over the pipeline (pp*v virtual stages interleave v
+// chunks per rank; v=1 is classic 1F1B).
 func loopedOwner(pp int) func(int) int { return func(vs int) int { return vs % pp } }
 
-// BuildDualPipeSchedule computes a DualPipe-style schedule (DeepSeek's
-// bidirectional pipeline, the paper's §3.3 example of a novel schedule
-// that static performance models must be rewritten for): the model
-// splits into 2*pp chunks and each rank owns a chunk from each end —
-// rank p hosts virtual stages p and 2*pp-1-p, so the first rank also
-// holds the last stage and backward work starts flowing while forward
-// work still fills the pipe, increasing overlap and shrinking the
-// bubble.
+// dualPipeOwner places virtual stages p and 2*pp-1-p on rank p: the
+// DualPipe schedule (DeepSeek's bidirectional pipeline, the paper's
+// §3.3 example of a novel schedule that static performance models
+// must be rewritten for). The model splits into 2*pp chunks and each
+// rank owns a chunk from each end, so the first rank also holds the
+// last stage and backward work starts flowing while forward work
+// still fills the pipe, increasing overlap and shrinking the bubble.
 //
 // Under Maya nothing else changes: the schedule emits the same device
 // API calls and the simulator replays them — no analytical bubble
 // formula needs rewriting, which is precisely the transparency
 // argument.
-func BuildDualPipeSchedule(pp, m int) [][]Action {
-	return BuildPipelineScheduleOwner(pp, 2*pp, m, dualPipeOwner(pp))
-}
-
-// dualPipeOwner places virtual stages p and 2*pp-1-p on rank p.
 func dualPipeOwner(pp int) func(int) int {
 	return func(vs int) int {
 		if vs < pp {
@@ -87,8 +58,27 @@ func dualPipeOwner(pp int) func(int) int {
 	}
 }
 
-// BuildPipelineScheduleOwner is the generalized scheduler: d virtual
-// stages assigned to pp physical ranks by the owner function.
+// BuildPipelineScheduleOwner computes a deadlock-free 1F1B schedule
+// for d virtual stages assigned to pp physical ranks by the owner
+// function, over m microbatches. It returns one ordered action list
+// per physical stage.
+//
+// The schedule is produced by deterministic list scheduling over the
+// task DAG — F(vs,μ) depends on F(vs-1,μ), B(vs,μ) on B(vs+1,μ) and
+// B(D-1,μ) on F(D-1,μ) — with two policies that reproduce 1F1B:
+// backward work always outranks forward work, and each virtual stage
+// may keep at most D-vs microbatches in flight (the classic 1F1B
+// in-flight bound, generalized to interleaving). For one chunk per
+// rank this yields exactly the textbook 1F1B schedule; for v>1 looped
+// chunks a variant whose bubble shrinks with v, the effect pipeline
+// interleaving exists to produce. Activation lifetime (allocate at F,
+// free at B) follows the schedule, so peak memory is
+// schedule-accurate.
+//
+// Dependencies are honored at task *completion* times, so each rank's
+// action order is a valid linearization of the global DAG: replaying
+// the per-rank orders with blocking point-to-point transfers cannot
+// deadlock.
 func BuildPipelineScheduleOwner(pp, d, m int, owner func(int) int) [][]Action {
 	if pp < 1 || d < pp || d%pp != 0 || m < 1 {
 		panic(fmt.Sprintf("framework: invalid schedule params pp=%d d=%d m=%d", pp, d, m))
@@ -237,28 +227,6 @@ func BuildPipelineScheduleOwner(pp, d, m int, owner func(int) int) [][]Action {
 	out := make([][]Action, pp)
 	for p := range ranks {
 		out[p] = ranks[p].actions
-	}
-	return out
-}
-
-// MaxInFlight returns, per physical stage, the peak number of
-// microbatch activations held at once under the schedule — the
-// quantity that drives activation memory.
-func MaxInFlight(sched [][]Action) []int {
-	out := make([]int, len(sched))
-	for p, actions := range sched {
-		cur, peak := 0, 0
-		for _, a := range actions {
-			if a.Kind == ActForward {
-				cur++
-				if cur > peak {
-					peak = cur
-				}
-			} else {
-				cur--
-			}
-		}
-		out[p] = peak
 	}
 	return out
 }

@@ -5,6 +5,38 @@ import (
 	"testing/quick"
 )
 
+// loopedSchedule is the 1F1B schedule of pp stages with v looped
+// chunks each and m microbatches, as NewMegatron builds it.
+func loopedSchedule(pp, v, m int) [][]Action {
+	return BuildPipelineScheduleOwner(pp, pp*v, m, loopedOwner(pp))
+}
+
+// dualPipeSchedule is the DualPipe schedule of pp stages and m
+// microbatches, as NewMegatron builds it.
+func dualPipeSchedule(pp, m int) [][]Action {
+	return BuildPipelineScheduleOwner(pp, 2*pp, m, dualPipeOwner(pp))
+}
+
+// maxInFlight returns, per physical stage, the peak number of
+// microbatch activations held at once under the schedule — the
+// quantity that drives activation memory.
+func maxInFlight(sched [][]Action) []int {
+	out := make([]int, len(sched))
+	for p, actions := range sched {
+		cur, peak := 0, 0
+		for _, a := range actions {
+			if a.Kind == ActForward {
+				cur++
+				peak = max(peak, cur)
+			} else {
+				cur--
+			}
+		}
+		out[p] = peak
+	}
+	return out
+}
+
 // validateSchedule checks structural invariants of a pipeline
 // schedule: every task exactly once, per-virtual-stage microbatch
 // order strictly FIFO, every rank's list a valid linearization of the
@@ -67,7 +99,7 @@ func validateSchedule(t *testing.T, pp, v, m int, sched [][]Action) {
 
 func TestClassic1F1BStructure(t *testing.T) {
 	const pp, m = 4, 8
-	sched := BuildPipelineSchedule(pp, 1, m)
+	sched := loopedSchedule(pp, 1, m)
 	validateSchedule(t, pp, 1, m, sched)
 
 	// Stage p runs pp-1-p warmup forwards before its first backward —
@@ -101,8 +133,8 @@ func TestClassic1F1BStructure(t *testing.T) {
 }
 
 func TestMaxInFlightBoundsMemory(t *testing.T) {
-	sched := BuildPipelineSchedule(4, 1, 16)
-	peak := MaxInFlight(sched)
+	sched := loopedSchedule(4, 1, 16)
+	peak := maxInFlight(sched)
 	for p, got := range peak {
 		want := 4 - p
 		if got != want {
@@ -110,7 +142,7 @@ func TestMaxInFlightBoundsMemory(t *testing.T) {
 		}
 	}
 	// GPipe-like degenerate case: one microbatch, everything is 1.
-	for _, got := range MaxInFlight(BuildPipelineSchedule(4, 1, 1)) {
+	for _, got := range maxInFlight(loopedSchedule(4, 1, 1)) {
 		if got != 1 {
 			t.Errorf("m=1 in-flight = %d", got)
 		}
@@ -121,7 +153,7 @@ func TestInterleavingReducesBubble(t *testing.T) {
 	// Abstract makespan (unit F=2, B=4 as in the scheduler) shrinks
 	// with virtual stages at equal total work.
 	makespan := func(pp, v, m int) int {
-		sched := BuildPipelineSchedule(pp, v, m)
+		sched := loopedSchedule(pp, v, m)
 		// Reconstruct per-rank busy time: each F is 2/v units of real
 		// work, each B 4/v, so compare bubble fraction instead: count
 		// actions per rank; a rank's work is constant, so the longest
@@ -227,7 +259,7 @@ func TestScheduleInvariantsProperty(t *testing.T) {
 			v = 1
 		}
 		m := int(mRaw%12) + 1
-		sched := BuildPipelineSchedule(pp, v, m)
+		sched := loopedSchedule(pp, v, m)
 		// Reuse the testing validator by shelling through a sub-test
 		// would lose the bool; re-validate inline (cheap checks).
 		d := pp * v
@@ -247,8 +279,8 @@ func TestScheduleInvariantsProperty(t *testing.T) {
 }
 
 func TestScheduleDeterministic(t *testing.T) {
-	a := BuildPipelineSchedule(4, 2, 8)
-	b := BuildPipelineSchedule(4, 2, 8)
+	a := loopedSchedule(4, 2, 8)
+	b := loopedSchedule(4, 2, 8)
 	for p := range a {
 		if len(a[p]) != len(b[p]) {
 			t.Fatal("nondeterministic schedule length")

@@ -110,8 +110,8 @@ func (s *shell) adamStep(stepParams int64, dpc *nccl.Communicator) {
 	}
 }
 
-// open creates the cuBLAS handle in tensor-op mode and the comm
-// stream; compute work goes to the default stream.
+// open creates the cuBLAS handle and the comm stream; compute work
+// goes to the default stream.
 func (s *shell) open() {
 	var err error
 	s.blas, err = cublas.Create(s.dev)
@@ -119,7 +119,6 @@ func (s *shell) open() {
 	if s.err != nil {
 		return
 	}
-	s.check(s.blas.SetMathMode(cublas.TensorOpMath))
 	s.compute = cuda.DefaultStream
 	s.comm, err = s.dev.StreamCreate()
 	s.check(err)

@@ -103,8 +103,6 @@ const (
 	// PairwiseNVLink links GPUs in pairs; traffic between pairs
 	// falls back to PCIe (the A40 node).
 	PairwiseNVLink IntraTopology = "pairwise"
-	// PCIeOnly has no NVLink at all.
-	PCIeOnly IntraTopology = "pcie"
 )
 
 // InterconnectKind names the fabric between nodes.

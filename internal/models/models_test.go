@@ -67,11 +67,6 @@ func TestByName(t *testing.T) {
 	if _, err := ByName("gpt5"); err == nil {
 		t.Error("unknown model accepted")
 	}
-	for _, name := range []string{"resnet152", "resnet50", "densenet201", "mobilenetv2", "vgg19"} {
-		if _, err := CNNByName(name); err != nil {
-			t.Errorf("CNNByName(%q): %v", name, err)
-		}
-	}
 }
 
 func TestGatedMLPCountsExtraMatrix(t *testing.T) {

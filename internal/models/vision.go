@@ -163,21 +163,3 @@ func VGG19() CNN {
 		FCHidden: 4096,
 	}
 }
-
-// CNNByName looks up a CNN preset.
-func CNNByName(name string) (CNN, error) {
-	switch name {
-	case "resnet152":
-		return ResNet152(), nil
-	case "resnet50":
-		return ResNet50(), nil
-	case "densenet201":
-		return DenseNet201(), nil
-	case "mobilenetv2":
-		return MobileNetV2(), nil
-	case "vgg19":
-		return VGG19(), nil
-	default:
-		return CNN{}, fmt.Errorf("models: unknown CNN %q", name)
-	}
-}

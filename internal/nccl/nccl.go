@@ -45,11 +45,7 @@ type Communicator struct {
 	nranks int
 	rank   int
 
-	seq      int         // per-communicator collective counter
-	sendSeq  map[int]int // per-destination P2P counters
-	recvSeq  map[int]int // per-source P2P counters
-	groupLen int         // >0 while inside GroupStart/GroupEnd
-	valid    bool
+	seq int // per-communicator collective counter
 }
 
 // CommInitRank initializes this worker's membership in a
@@ -62,15 +58,7 @@ func CommInitRank(dev cuda.Device, nranks, rank int, id UniqueID) (*Communicator
 	if nranks <= 0 || rank < 0 || rank >= nranks {
 		return nil, fmt.Errorf("nccl: %w: rank %d of %d", cuda.ErrInvalidValue, rank, nranks)
 	}
-	c := &Communicator{
-		dev:     dev,
-		id:      id,
-		nranks:  nranks,
-		rank:    rank,
-		sendSeq: make(map[int]int),
-		recvSeq: make(map[int]int),
-		valid:   true,
-	}
+	c := &Communicator{dev: dev, id: id, nranks: nranks, rank: rank}
 	// Record the initialization so the collator can learn communicator
 	// membership (which global ranks own which comm rank).
 	err := dev.LaunchCollective(cuda.CollectiveDesc{
@@ -87,28 +75,7 @@ func CommInitRank(dev cuda.Device, nranks, rank int, id UniqueID) (*Communicator
 	return c, nil
 }
 
-// Destroy invalidates the communicator (ncclCommDestroy).
-func (c *Communicator) Destroy() error {
-	if !c.valid {
-		return fmt.Errorf("nccl: %w", cuda.ErrInvalidHandle)
-	}
-	c.valid = false
-	return nil
-}
-
-// NRanks returns the communicator size.
-func (c *Communicator) NRanks() int { return c.nranks }
-
-// Rank returns this worker's rank within the communicator.
-func (c *Communicator) Rank() int { return c.rank }
-
-// ID returns the communicator's global identity.
-func (c *Communicator) ID() UniqueID { return c.id }
-
 func (c *Communicator) collective(op string, bytes int64, s cuda.Stream) error {
-	if !c.valid {
-		return fmt.Errorf("nccl: %w", cuda.ErrInvalidHandle)
-	}
 	if bytes < 0 {
 		return fmt.Errorf("nccl: %w: %s of %d bytes", cuda.ErrInvalidValue, op, bytes)
 	}
@@ -142,106 +109,38 @@ func (c *Communicator) ReduceScatter(bytes int64, s cuda.Stream) error {
 	return c.collective("ncclReduceScatter", bytes, s)
 }
 
-// Broadcast sends root's bytes to all ranks (ncclBroadcast).
-func (c *Communicator) Broadcast(bytes int64, root int, s cuda.Stream) error {
-	if root < 0 || root >= c.nranks {
-		return fmt.Errorf("nccl: %w: broadcast root %d of %d", cuda.ErrInvalidValue, root, c.nranks)
-	}
-	return c.collective("ncclBroadcast", bytes, s)
-}
-
 // AllToAll exchanges bytes-per-peer shards between all ranks.
 func (c *Communicator) AllToAll(bytes int64, s cuda.Stream) error {
 	return c.collective("ncclAllToAll", bytes, s)
 }
 
-// Barrier synchronizes the group (implemented by NCCL as a tiny
-// all-reduce, which is also how frameworks spell it).
-func (c *Communicator) Barrier(s cuda.Stream) error {
-	return c.collective("ncclAllReduce", 4, s)
-}
-
-// Send transfers bytes to peer (ncclSend). The per-(src,dst) sequence
-// number pairs it with the peer's matching Recv.
-func (c *Communicator) Send(bytes int64, peer int, s cuda.Stream) error {
-	if err := c.checkPeer(peer, bytes); err != nil {
-		return err
-	}
-	seq := c.sendSeq[peer]
-	c.sendSeq[peer]++
-	return c.dev.LaunchCollective(cuda.CollectiveDesc{
-		Op:     "ncclSend",
-		CommID: uint64(c.id),
-		Seq:    seq,
-		NRanks: c.nranks,
-		Rank:   c.rank,
-		Peer:   peer,
-		Bytes:  bytes,
-	}, s)
-}
-
 // SendTagged transfers bytes to peer with an explicit matching tag,
 // the way frameworks realize deterministic P2P matching for complex
 // pipeline schedules (Megatron's batched isend/irecv groups). The
-// tag replaces the implicit per-pair sequence number.
+// tag is the call's sequence number in the trace.
 func (c *Communicator) SendTagged(bytes int64, peer, tag int, s cuda.Stream) error {
-	if err := c.checkPeer(peer, bytes); err != nil {
-		return err
-	}
-	return c.dev.LaunchCollective(cuda.CollectiveDesc{
-		Op:     "ncclSend",
-		CommID: uint64(c.id),
-		Seq:    tag,
-		NRanks: c.nranks,
-		Rank:   c.rank,
-		Peer:   peer,
-		Bytes:  bytes,
-	}, s)
+	return c.p2p("ncclSend", bytes, peer, tag, s)
 }
 
 // RecvTagged receives bytes from peer with an explicit matching tag.
 func (c *Communicator) RecvTagged(bytes int64, peer, tag int, s cuda.Stream) error {
-	if err := c.checkPeer(peer, bytes); err != nil {
-		return err
-	}
-	return c.dev.LaunchCollective(cuda.CollectiveDesc{
-		Op:     "ncclRecv",
-		CommID: uint64(c.id),
-		Seq:    tag,
-		NRanks: c.nranks,
-		Rank:   c.rank,
-		Peer:   peer,
-		Bytes:  bytes,
-	}, s)
+	return c.p2p("ncclRecv", bytes, peer, tag, s)
 }
 
-// Recv receives bytes from peer (ncclRecv).
-func (c *Communicator) Recv(bytes int64, peer int, s cuda.Stream) error {
-	if err := c.checkPeer(peer, bytes); err != nil {
-		return err
-	}
-	seq := c.recvSeq[peer]
-	c.recvSeq[peer]++
-	return c.dev.LaunchCollective(cuda.CollectiveDesc{
-		Op:     "ncclRecv",
-		CommID: uint64(c.id),
-		Seq:    seq,
-		NRanks: c.nranks,
-		Rank:   c.rank,
-		Peer:   peer,
-		Bytes:  bytes,
-	}, s)
-}
-
-func (c *Communicator) checkPeer(peer int, bytes int64) error {
-	if !c.valid {
-		return fmt.Errorf("nccl: %w", cuda.ErrInvalidHandle)
-	}
+func (c *Communicator) p2p(op string, bytes int64, peer, tag int, s cuda.Stream) error {
 	if peer < 0 || peer >= c.nranks || peer == c.rank {
 		return fmt.Errorf("nccl: %w: peer %d of %d (self %d)", cuda.ErrInvalidValue, peer, c.nranks, c.rank)
 	}
 	if bytes < 0 {
 		return fmt.Errorf("nccl: %w: p2p of %d bytes", cuda.ErrInvalidValue, bytes)
 	}
-	return nil
+	return c.dev.LaunchCollective(cuda.CollectiveDesc{
+		Op:     op,
+		CommID: uint64(c.id),
+		Seq:    tag,
+		NRanks: c.nranks,
+		Rank:   c.rank,
+		Peer:   peer,
+		Bytes:  bytes,
+	}, s)
 }

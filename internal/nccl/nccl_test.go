@@ -31,12 +31,8 @@ func TestUniqueIDDeterministicAndOrderInvariant(t *testing.T) {
 
 func TestCommInitRecordsMembership(t *testing.T) {
 	d := dev(t)
-	c, err := CommInitRank(d, 4, 2, UniqueIDFor("tp", []int{0, 1, 2, 3}))
-	if err != nil {
+	if _, err := CommInitRank(d, 4, 2, UniqueIDFor("tp", []int{0, 1, 2, 3})); err != nil {
 		t.Fatal(err)
-	}
-	if c.NRanks() != 4 || c.Rank() != 2 {
-		t.Fatalf("comm = %d/%d", c.Rank(), c.NRanks())
 	}
 	tr := d.Trace()
 	found := false
@@ -73,27 +69,6 @@ func TestSequenceNumbersAdvancePerCommunicator(t *testing.T) {
 	}
 }
 
-func TestP2PSequencesArePerPeerPair(t *testing.T) {
-	d := dev(t)
-	c, _ := CommInitRank(d, 4, 0, 7)
-	_ = c.Send(10, 1, cuda.DefaultStream)
-	_ = c.Send(10, 2, cuda.DefaultStream)
-	_ = c.Send(10, 1, cuda.DefaultStream)
-	_ = c.Recv(10, 1, cuda.DefaultStream)
-	var got []struct{ peer, seq int }
-	for _, op := range d.Trace().Ops {
-		if op.Kind == trace.KindCollective && op.Coll.Seq >= 0 {
-			got = append(got, struct{ peer, seq int }{op.Coll.Peer, op.Coll.Seq})
-		}
-	}
-	want := []struct{ peer, seq int }{{1, 0}, {2, 0}, {1, 1}, {1, 0}}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("p2p seqs = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestTaggedMatchingUsesExplicitTags(t *testing.T) {
 	d := dev(t)
 	c, _ := CommInitRank(d, 2, 0, 7)
@@ -110,25 +85,14 @@ func TestTaggedMatchingUsesExplicitTags(t *testing.T) {
 func TestPeerValidation(t *testing.T) {
 	d := dev(t)
 	c, _ := CommInitRank(d, 2, 0, 7)
-	if err := c.Send(10, 0, cuda.DefaultStream); !errors.Is(err, cuda.ErrInvalidValue) {
+	if err := c.SendTagged(10, 0, 1, cuda.DefaultStream); !errors.Is(err, cuda.ErrInvalidValue) {
 		t.Fatalf("self-send err = %v", err)
 	}
-	if err := c.Send(10, 5, cuda.DefaultStream); !errors.Is(err, cuda.ErrInvalidValue) {
+	if err := c.RecvTagged(10, 5, 1, cuda.DefaultStream); !errors.Is(err, cuda.ErrInvalidValue) {
 		t.Fatalf("out-of-range peer err = %v", err)
 	}
-	if err := c.Broadcast(10, 9, cuda.DefaultStream); !errors.Is(err, cuda.ErrInvalidValue) {
-		t.Fatalf("bad root err = %v", err)
-	}
-}
-
-func TestDestroyedCommunicatorRejected(t *testing.T) {
-	d := dev(t)
-	c, _ := CommInitRank(d, 2, 0, 7)
-	if err := c.Destroy(); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.AllReduce(8, cuda.DefaultStream); !errors.Is(err, cuda.ErrInvalidHandle) {
-		t.Fatalf("use after destroy err = %v", err)
+	if err := c.SendTagged(-1, 1, 1, cuda.DefaultStream); !errors.Is(err, cuda.ErrInvalidValue) {
+		t.Fatalf("negative size err = %v", err)
 	}
 }
 

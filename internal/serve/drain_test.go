@@ -89,7 +89,7 @@ func TestDrainUnderLoadWithBreakerOpen(t *testing.T) {
 				switch {
 				case resp.StatusCode == http.StatusOK && res.Degraded && res.Report != nil:
 					degraded.Add(1)
-				case resp.StatusCode == http.StatusServiceUnavailable && s.Draining():
+				case resp.StatusCode == http.StatusServiceUnavailable && s.draining.Load():
 					drained.Add(1)
 					return
 				default:

@@ -35,7 +35,7 @@ func TestPredictPanicRecovery(t *testing.T) {
 	if !strings.Contains(string(raw), "panicked") {
 		t.Fatalf("body does not report the panic: %s", raw)
 	}
-	if got := s.Metrics().Panics.Load(); got != 1 {
+	if got := s.metrics.Panics.Load(); got != 1 {
 		t.Fatalf("Panics = %d, want 1", got)
 	}
 
@@ -86,7 +86,7 @@ func TestBatchPanicIsolated(t *testing.T) {
 			t.Errorf("item %d not isolated: %+v", i, res)
 		}
 	}
-	if got := s.Metrics().Panics.Load(); got != 2 {
+	if got := s.metrics.Panics.Load(); got != 2 {
 		t.Errorf("Panics = %d, want 2", got)
 	}
 
@@ -120,7 +120,7 @@ func TestRecoveredRankPanicCounts(t *testing.T) {
 	if !strings.Contains(string(raw), "panic: boom") {
 		t.Fatalf("body does not report the panic: %s", raw)
 	}
-	if got := s.Metrics().Panics.Load(); got != 1 {
+	if got := s.metrics.Panics.Load(); got != 1 {
 		t.Fatalf("Panics = %d, want 1", got)
 	}
 }

@@ -10,7 +10,7 @@ import (
 	"maya"
 )
 
-// ResilienceConfig shapes one deterministic chaos run: a virtual-time
+// resilienceConfig shapes one deterministic chaos run: a virtual-time
 // discrete-event walk of the service control plane — the server's own
 // decide/settle path (decide.go) on an injected clock — against a
 // modeled predictor dependency whose behavior comes from the
@@ -20,7 +20,7 @@ import (
 // time), so the whole run is a pure function of the config and plan
 // seed — bit-identical across reruns, per the repo's determinism
 // discipline.
-type ResilienceConfig struct {
+type resilienceConfig struct {
 	// Plan is the chaos scenario (required; predict-target events
 	// apply).
 	Plan *ChaosPlan
@@ -53,8 +53,8 @@ type ResilienceConfig struct {
 	FailFast time.Duration
 }
 
-// ResilienceBucket is one goodput-timeline slot.
-type ResilienceBucket struct {
+// resilienceBucket is one goodput-timeline slot.
+type resilienceBucket struct {
 	StartMS  int64 `json:"start_ms"`
 	OK       int   `json:"ok"`
 	Degraded int   `json:"degraded"`
@@ -63,10 +63,10 @@ type ResilienceBucket struct {
 	Failed   int   `json:"failed"`
 }
 
-// ResilienceReport is the run's outcome: response classes, breaker
+// resilienceReport is the run's outcome: response classes, breaker
 // activity, bounded-latency evidence and the goodput recovery time
 // after the last outage window.
-type ResilienceReport struct {
+type resilienceReport struct {
 	Requests int `json:"requests"`
 	OK       int `json:"ok"`       // fresh predictions served
 	Degraded int `json:"degraded"` // stale results served during shed/open
@@ -91,7 +91,7 @@ type ResilienceReport struct {
 	// (bucket granularity); -1 if it never did.
 	RecoveryMS int64 `json:"recovery_ms"`
 
-	Buckets []ResilienceBucket `json:"buckets"`
+	Buckets []resilienceBucket `json:"buckets"`
 }
 
 // completion is one in-flight modeled prediction finishing at a
@@ -121,11 +121,11 @@ func (h *completionHeap) Push(x any)       { *h = append(*h, x.(completion)) }
 func (h *completionHeap) Pop() any         { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
 func (h completionHeap) peek() *completion { return &h[0] }
 
-// RunResilience executes one deterministic chaos run and reports
+// runResilience executes one deterministic chaos run and reports
 // goodput, shed/degraded/failed classes and recovery time. The same
 // config (including the plan seed) always produces a byte-identical
 // report.
-func RunResilience(cfg ResilienceConfig) (*ResilienceReport, error) {
+func runResilience(cfg resilienceConfig) (*resilienceReport, error) {
 	if cfg.Plan == nil {
 		return nil, errors.New("serve: resilience run needs a chaos plan")
 	}
@@ -181,11 +181,11 @@ func RunResilience(cfg ResilienceConfig) (*ResilienceReport, error) {
 	inSystem := 0
 	var calls uint64
 
-	rep := &ResilienceReport{}
+	rep := &resilienceReport{}
 	nBuckets := int(cfg.Duration/cfg.Bucket) + 1
 	// Generous tail: completions can land past Duration.
-	buckets := make([]ResilienceBucket, nBuckets+int(cfg.Deadline/cfg.Bucket)+2)
-	bucketOf := func(t time.Duration) *ResilienceBucket {
+	buckets := make([]resilienceBucket, nBuckets+int(cfg.Deadline/cfg.Bucket)+2)
+	bucketOf := func(t time.Duration) *resilienceBucket {
 		i := int(t / cfg.Bucket)
 		if i < 0 {
 			i = 0
@@ -318,7 +318,7 @@ func RunResilience(cfg ResilienceConfig) (*ResilienceReport, error) {
 		}
 	}
 	trim := len(buckets)
-	for trim > 0 && buckets[trim-1] == (ResilienceBucket{StartMS: buckets[trim-1].StartMS}) {
+	for trim > 0 && buckets[trim-1] == (resilienceBucket{StartMS: buckets[trim-1].StartMS}) {
 		trim--
 	}
 	for i := range buckets {

@@ -18,8 +18,8 @@ func outagePlan() *ChaosPlan {
 // acceptanceConfig drives the service at 2x saturation: 4 workers at
 // 10ms service absorb one arrival per 2.5ms; arrivals come every
 // 1.25ms.
-func acceptanceConfig() ResilienceConfig {
-	return ResilienceConfig{
+func acceptanceConfig() resilienceConfig {
+	return resilienceConfig{
 		Plan:         outagePlan(),
 		Workers:      4,
 		Service:      10 * time.Millisecond,
@@ -40,7 +40,7 @@ func acceptanceConfig() ResilienceConfig {
 // probe interval of the outage ending.
 func TestResilienceAcceptance(t *testing.T) {
 	cfg := acceptanceConfig()
-	rep, err := RunResilience(cfg)
+	rep, err := runResilience(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestResilienceAcceptance(t *testing.T) {
 // report on every rerun.
 func TestResilienceDeterministic(t *testing.T) {
 	run := func() []byte {
-		rep, err := RunResilience(acceptanceConfig())
+		rep, err := runResilience(acceptanceConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +106,7 @@ func TestResilienceDeterministic(t *testing.T) {
 		}}
 		cfg := acceptanceConfig()
 		cfg.Plan = plan
-		rep, err := RunResilience(cfg)
+		rep, err := runResilience(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,11 +122,11 @@ func TestResilienceDeterministic(t *testing.T) {
 }
 
 func TestResilienceValidation(t *testing.T) {
-	if _, err := RunResilience(ResilienceConfig{}); err == nil {
+	if _, err := runResilience(resilienceConfig{}); err == nil {
 		t.Error("run without a plan accepted")
 	}
-	bad := ResilienceConfig{Plan: &ChaosPlan{Events: []ChaosEvent{{Kind: "meteor"}}}}
-	if _, err := RunResilience(bad); err == nil {
+	bad := resilienceConfig{Plan: &ChaosPlan{Events: []ChaosEvent{{Kind: "meteor"}}}}
+	if _, err := runResilience(bad); err == nil {
 		t.Error("run with an invalid plan accepted")
 	}
 }

@@ -23,7 +23,7 @@
 //   - Settle (control.settle): the breaker observes the outcome and a
 //     success refreshes the stale answer.
 //
-// RunResilience, the deterministic chaos harness, drives the same
+// runResilience, the deterministic chaos harness, drives the same
 // decide/settle pair on a virtual clock.
 //
 // Endpoints: POST /v1/predict (single or batch), POST /v1/capture,
@@ -282,9 +282,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Predictor exposes the shared predictor (tests, embedders).
 func (s *Server) Predictor() *maya.Predictor { return s.pred }
 
-// Metrics exposes the serving counters.
-func (s *Server) Metrics() *Metrics { return s.metrics }
-
 // Warm trains the serving cluster's estimator suite plus every
 // Preload entry, so learned predictions pay no training latency.
 func (s *Server) Warm(ctx context.Context) error {
@@ -334,9 +331,6 @@ func (s *Server) Drain() {
 	s.draining.Store(true)
 	s.persistState()
 }
-
-// Draining reports whether Drain was called.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // ParseProfile parses an estimator profile name.
 func ParseProfile(name string) (maya.ProfileKind, error) {

@@ -108,7 +108,7 @@ func TestPredictEndpoint(t *testing.T) {
 	if res.Report.IterTime != direct.IterTime || res.Report.PeakMemBytes != direct.PeakMemBytes {
 		t.Errorf("served report diverges from direct prediction:\nserved %+v\ndirect %+v", res.Report, direct)
 	}
-	if got := s.Metrics().OK.Load(); got != 1 {
+	if got := s.metrics.OK.Load(); got != 1 {
 		t.Errorf("OK counter = %d, want 1", got)
 	}
 }
@@ -219,10 +219,10 @@ func TestPredictCoalescing(t *testing.T) {
 
 	// Exactly one execution — one capture, one simulate — served all
 	// eight requests.
-	if got := s.Metrics().Executed.Load(); got != 1 {
+	if got := s.metrics.Executed.Load(); got != 1 {
 		t.Errorf("predictions executed = %d, want exactly 1", got)
 	}
-	if got := s.Metrics().Coalesced.Load(); got != followers {
+	if got := s.metrics.Coalesced.Load(); got != followers {
 		t.Errorf("coalesced followers = %d, want %d", got, followers)
 	}
 	cs := s.Predictor().CaptureCache().Stats()
@@ -232,7 +232,7 @@ func TestPredictCoalescing(t *testing.T) {
 	if cs.Hits != 0 {
 		t.Errorf("capture cache hits = %d, want 0 (followers never reached the cache)", cs.Hits)
 	}
-	if got := s.Metrics().Predictions.Load(); got != followers+1 {
+	if got := s.metrics.Predictions.Load(); got != followers+1 {
 		t.Errorf("predictions served = %d, want %d", got, followers+1)
 	}
 
@@ -245,7 +245,7 @@ func TestPredictCoalescing(t *testing.T) {
 	if got := s.Predictor().CaptureCache().Stats().Hits; got != 1 {
 		t.Errorf("follow-up capture cache hits = %d, want 1", got)
 	}
-	if got := s.Metrics().Executed.Load(); got != 2 {
+	if got := s.metrics.Executed.Load(); got != 2 {
 		t.Errorf("executed after follow-up = %d, want 2", got)
 	}
 }
@@ -352,7 +352,7 @@ func TestCaptureAndTraceRoundtrip(t *testing.T) {
 	if get404.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown fingerprint: status %d, want 404", get404.StatusCode)
 	}
-	if m := s.Metrics(); m.Failed.Load() != 0 || m.BadInput.Load() != 1 {
+	if m := s.metrics; m.Failed.Load() != 0 || m.BadInput.Load() != 1 {
 		t.Errorf("a client's 404 counted as failed=%d bad_input=%d, want 0 and 1", m.Failed.Load(), m.BadInput.Load())
 	}
 
@@ -401,10 +401,10 @@ func TestCaptureAndTraceRoundtrip(t *testing.T) {
 			t.Errorf("%s upload: status %d, want 400", name, up.StatusCode)
 		}
 	}
-	if got := s.Metrics().TraceUploads.Load(); got != 1 {
+	if got := s.metrics.TraceUploads.Load(); got != 1 {
 		t.Errorf("trace uploads = %d, want 1 (rejects must not count)", got)
 	}
-	if got := s.Metrics().Panics.Load(); got != 0 {
+	if got := s.metrics.Panics.Load(); got != 0 {
 		t.Errorf("maya_panics_total = %d after hostile uploads, want 0", got)
 	}
 }
@@ -509,7 +509,7 @@ func TestRequestDeadline(t *testing.T) {
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d, want 504 (%s)", resp.StatusCode, raw)
 	}
-	if got := s.Metrics().Deadline.Load(); got != 1 {
+	if got := s.metrics.Deadline.Load(); got != 1 {
 		t.Errorf("deadline counter = %d, want 1", got)
 	}
 }
@@ -652,7 +652,7 @@ func TestOversizedBodiesAre413(t *testing.T) {
 			t.Errorf("%s: answer %q does not name the %s limit", c.path, raw, want)
 		}
 	}
-	if m := s.Metrics(); m.BadInput.Load() != 2 || m.Failed.Load() != 0 {
+	if m := s.metrics; m.BadInput.Load() != 2 || m.Failed.Load() != 0 {
 		t.Errorf("413s counted as bad_input=%d failed=%d, want 2 and 0", m.BadInput.Load(), m.Failed.Load())
 	}
 }

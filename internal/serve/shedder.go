@@ -102,14 +102,6 @@ func (s *Shedder) Observe(d time.Duration) {
 	s.avgSvcNS += ewmaAlpha * (float64(d.Nanoseconds()) - s.avgSvcNS)
 }
 
-// AvgService reports the smoothed service-time estimate (zero until
-// the first observation).
-func (s *Shedder) AvgService() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return time.Duration(s.avgSvcNS)
-}
-
 // EstimateWait estimates how long a new arrival would wait for a pool
 // slot, given how many requests are currently in the system (admitted
 // and unfinished) and the worker count: the depth beyond the workers,

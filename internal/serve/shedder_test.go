@@ -18,12 +18,12 @@ func TestShedderEWMAAndEstimate(t *testing.T) {
 	}
 
 	s.Observe(40 * time.Millisecond)
-	if got := s.AvgService(); got != 40*time.Millisecond {
+	if got := time.Duration(s.avgSvcNS); got != 40*time.Millisecond {
 		t.Fatalf("first observation avg = %v, want 40ms", got)
 	}
 	// EWMA: 40 + 0.125*(120-40) = 50ms.
 	s.Observe(120 * time.Millisecond)
-	if got := s.AvgService(); got != 50*time.Millisecond {
+	if got := time.Duration(s.avgSvcNS); got != 50*time.Millisecond {
 		t.Fatalf("avg after second observation = %v, want 50ms", got)
 	}
 

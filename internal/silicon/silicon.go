@@ -50,9 +50,6 @@ func NewOracle(cluster hardware.Cluster, seed uint64) *Oracle {
 	return &Oracle{cluster: cluster, seed: seed}
 }
 
-// Cluster returns the modeled cluster.
-func (o *Oracle) Cluster() hardware.Cluster { return o.cluster }
-
 // kernelClass buckets kernels by execution character.
 type kernelClass int
 

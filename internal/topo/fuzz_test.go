@@ -39,8 +39,8 @@ func FuzzTopoByName(f *testing.F) {
 			if tp == nil {
 				t.Fatalf("ByName(%q, %s) returned nil topology without error", spec, c.Name)
 			}
-			if tp.Leaves() != c.TotalGPUs() {
-				t.Fatalf("ByName(%q, %s): %d leaves for %d GPUs", spec, c.Name, tp.Leaves(), c.TotalGPUs())
+			if tp.leaves != c.TotalGPUs() {
+				t.Fatalf("ByName(%q, %s): %d leaves for %d GPUs", spec, c.Name, tp.leaves, c.TotalGPUs())
 			}
 			for i, l := range tp.Levels[1:] {
 				if l.BWGBps <= 0 || l.Links < 1 || l.Fanout < 1 {

@@ -142,12 +142,6 @@ func New(name string, levels []Level) (*Topology, error) {
 // units returns how many units exist at a level.
 func (t *Topology) units(i int) int { return t.leaves / t.sizes[i] }
 
-// Leaves returns the number of leaf (GPU) positions in the fabric.
-func (t *Topology) Leaves() int { return t.leaves }
-
-// NumLinks returns the number of distinct link domains.
-func (t *Topology) NumLinks() int { return int(t.numLinks) }
-
 // LinkWidths returns the per-link-domain capacity (parallel physical
 // links): a domain of width k serves k concurrent flows at full rate.
 // The returned slice is shared; callers must not mutate it.

@@ -12,20 +12,20 @@ func TestFromClusterShape(t *testing.T) {
 	if len(tp.Levels) != 3 {
 		t.Fatalf("levels = %d, want 3", len(tp.Levels))
 	}
-	if tp.Leaves() != 32 {
-		t.Fatalf("leaves = %d, want 32", tp.Leaves())
+	if tp.leaves != 32 {
+		t.Fatalf("leaves = %d, want 32", tp.leaves)
 	}
 	// Link domains: 4 island fabrics + 1 spine fabric + 4 island
 	// uplinks.
-	if tp.NumLinks() != 9 {
-		t.Fatalf("links = %d, want 9", tp.NumLinks())
+	if tp.numLinks != 9 {
+		t.Fatalf("links = %d, want 9", tp.numLinks)
 	}
 	single := FromCluster(hardware.A40Node())
 	if len(single.Levels) != 2 {
 		t.Fatalf("single-node levels = %d, want 2", len(single.Levels))
 	}
-	if single.NumLinks() != 1 {
-		t.Fatalf("single-node links = %d, want 1", single.NumLinks())
+	if single.numLinks != 1 {
+		t.Fatalf("single-node links = %d, want 1", single.numLinks)
 	}
 }
 
@@ -93,8 +93,8 @@ func TestResolvePodsFixture(t *testing.T) {
 	}
 	// 8 island fabrics (0-7), 4 pod fabrics (8-11), 1 core fabric
 	// (12), 8 island uplinks (13-20), 4 pod uplinks (21-24).
-	if tp.NumLinks() != 25 {
-		t.Fatalf("links = %d, want 25", tp.NumLinks())
+	if tp.numLinks != 25 {
+		t.Fatalf("links = %d, want 25", tp.numLinks)
 	}
 
 	// Non-contiguous set spanning two pods: ranks 0,1 (island 0),
@@ -142,8 +142,8 @@ func TestByNameSpecs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ByName(%q): %v", spec, err)
 		}
-		if tp.Leaves() < c.TotalGPUs() {
-			t.Fatalf("ByName(%q): %d leaves < %d GPUs", spec, tp.Leaves(), c.TotalGPUs())
+		if tp.leaves < c.TotalGPUs() {
+			t.Fatalf("ByName(%q): %d leaves < %d GPUs", spec, tp.leaves, c.TotalGPUs())
 		}
 	}
 	auto, _ := ByName("auto", c)

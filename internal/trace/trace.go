@@ -254,28 +254,3 @@ func NewJob(workers []*Worker) (*Job, error) {
 	}
 	return &Job{Workers: workers}, nil
 }
-
-// NRanks returns the number of workers in the job.
-func (j *Job) NRanks() int { return len(j.Workers) }
-
-// OOM reports whether any worker exceeded device memory.
-func (j *Job) OOM() bool {
-	for _, w := range j.Workers {
-		if w.OOM {
-			return true
-		}
-	}
-	return false
-}
-
-// PeakBytes returns the maximum allocator high-water mark across
-// workers.
-func (j *Job) PeakBytes() int64 {
-	var p int64
-	for _, w := range j.Workers {
-		if w.PeakBytes > p {
-			p = w.PeakBytes
-		}
-	}
-	return p
-}
