@@ -12,10 +12,12 @@ import (
 	"maps"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"maya/internal/estimator"
 	"maya/internal/netsim"
+	"maya/internal/pool"
 	"maya/internal/sim"
 	"maya/internal/trace"
 )
@@ -93,16 +95,40 @@ type Capture struct {
 	// (sim.Compile over Job, counting its own joins), on the first replay;
 	// every later replay shares it. Runtime-only like derived, but not
 	// in it: it depends on nothing a replay chooses, so it is never
-	// evicted.
+	// evicted. indexed is set once index is.
 	indexOnce sync.Once
 	index     *sim.Index
+	indexed   atomic.Bool
 }
 
 // simIndex returns the capture's job compiled for the engine, built
 // on first use.
 func (c *Capture) simIndex() *sim.Index {
-	c.indexOnce.Do(func() { c.index = sim.Compile(c.Job, nil) })
+	c.indexOnce.Do(func() {
+		c.index = sim.Compile(c.Job, nil)
+		c.indexed.Store(true)
+	})
 	return c.index
+}
+
+// prepare returns the capture's estimate plan for the timer, with the
+// capture's index compiled. Until the index is, the plan build and the
+// compile run side by side, neither needing the other; after that it
+// is planFor.
+func (c *Capture) prepare(ctx context.Context, t trace.Timer) (*estimator.EstimatePlan, error) {
+	if c.indexed.Load() {
+		return c.planFor(ctx, t)
+	}
+	var plan *estimator.EstimatePlan
+	err := pool.Each(ctx, 2, 2, func(_, i int) (err error) {
+		if i == 0 {
+			plan, err = c.planFor(ctx, t)
+		} else {
+			c.simIndex()
+		}
+		return err
+	})
+	return plan, err
 }
 
 // maxDerivedPerCapture bounds how many derived artefacts one capture

@@ -75,8 +75,12 @@ type Options struct {
 // StageTimings records the wall-clock cost of each pipeline stage
 // (the Fig. 13 / Table 6 breakdown).
 type StageTimings struct {
-	Emulate  time.Duration
-	Collate  time.Duration
+	Emulate time.Duration
+	Collate time.Duration
+	// Estimate is the wait for the capture's estimate plan. On the
+	// capture's first replay it overlaps the compile of the capture's
+	// index, which runs beside the plan build and is counted here, not
+	// in Simulate.
 	Estimate time.Duration
 	Simulate time.Duration
 }
@@ -309,7 +313,8 @@ func (p *Pipeline) Measure(ctx context.Context, c *Capture, oracle *silicon.Orac
 
 // replay is the back half of every prediction and every measurement,
 // the only way from a capture into the engine: look up the capture's
-// plan for the timer (built on the first replay of the pair), hand the
+// plan for the timer (built on the first replay of the pair, beside
+// the index compile on the capture's first replay), hand the
 // engine the plan's overlay and the capture's compiled index — both
 // read in place, shared by every replay — build the run's options —
 // prediction, or the silicon's physical mode — run the scratch engine,
@@ -327,7 +332,7 @@ func (p *Pipeline) replay(ctx context.Context, c *Capture, timer trace.Timer, ph
 		defer scratch.Release()
 	}
 	t0 := time.Now()
-	plan, err := c.planFor(ctx, timer)
+	plan, err := c.prepare(ctx, timer)
 	if err != nil {
 		return nil, err
 	}

@@ -1,11 +1,15 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"fmt"
+	"os"
 	"reflect"
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"maya/internal/estimator"
 	"maya/internal/framework"
@@ -211,5 +215,184 @@ func TestMembershiplessCollectiveResolvesAlike(t *testing.T) {
 	got := cm.Demands[trace.CollKeyOf(&w.Ops[0])]
 	if len(want.Links) == 0 || !reflect.DeepEqual(got.Links, want.Links) || got.Lat != want.Lat.Nanoseconds() {
 		t.Fatalf("membership-less collective demand = %+v, want the {0,4,8,12} group's %+v", got, want)
+	}
+}
+
+// callCounter counts what a plan build asks the timer behind it: each
+// kernel, memcpy or memset by its kind and shape content, each
+// collective in total.
+type callCounter struct {
+	trace.Timer
+	kernels     map[string]int
+	shapeless   int
+	collectives int
+}
+
+func (c *callCounter) EstimateKernel(op *trace.Op) time.Duration {
+	if op.Shape == nil {
+		c.shapeless++
+	} else {
+		c.kernels[shapeContent(op)]++
+	}
+	return c.Timer.EstimateKernel(op)
+}
+
+func (c *callCounter) EstimateCollective(op string, bytes int64, ranks []int, nranks int) time.Duration {
+	c.collectives++
+	return c.Timer.EstimateCollective(op, bytes, ranks, nranks)
+}
+
+// shapeContent names an op's kind and shape content, not its shape's
+// identity or position.
+func shapeContent(op *trace.Op) string {
+	s := op.Shape
+	return fmt.Sprintf("%v|%s|%v|%d|%d|%s|%v|%s", op.Kind, s.Name, s.Dims, s.Bytes, s.FLOPs, s.DType, s.Extra, s.MemKind)
+}
+
+// TestPlanPricesEachDistinctCallOnce builds plans of jobs whose shapes
+// come interned by the emulator, decoded from a file, hand-built with
+// no table, and interned by two workers' own tables, and a job whose
+// communicators have no recorded membership. Each plan must equal the
+// plain trace.Annotate walk, for the learned suite, the oracle and the
+// suite's netsim view, while asking the timer once per distinct (kind,
+// shape content), once per op without a shape, and once per collective
+// signature: the operation, bytes and declared size, with the
+// communicator when its membership is recorded and the calling rank
+// when it is not.
+func TestPlanPricesEachDistinctCallOnce(t *testing.T) {
+	p, emulated := learnedCapture(t)
+	ctx := context.Background()
+	golden, err := os.ReadFile(goldenTraceV3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := ReadCapture(bytes.NewReader(golden))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	gemm := func() *trace.Shape {
+		return &trace.Shape{Name: "cublasGemmEx", Dims: []int{1, 512, 512, 512}, FLOPs: 2 << 27, Bytes: 3 << 19, DType: "bf16"}
+	}
+	fused := func() *trace.Shape {
+		return &trace.Shape{Name: "triton_fused", Dims: []int{1 << 16}, FLOPs: 1 << 20, Bytes: 1 << 18, DType: "bf16",
+			Extra: map[string]float64{"triton_instrs": 12}}
+	}
+	copyIn := func() *trace.Shape { return &trace.Shape{Name: "MemcpyHtoD", Bytes: 1 << 20, MemKind: "HtoD"} }
+	allReduce := func(comm uint64, seq, rank int) trace.Op {
+		return trace.Op{Kind: trace.KindCollective, Name: "ncclAllReduce", Bytes: 1 << 22, Coll: &trace.Collective{
+			Op: "ncclAllReduce", CommID: comm, Seq: seq, NRanks: 2, Rank: rank, Peer: -1, Bytes: 1 << 22}}
+	}
+	mkJob := func(ws ...*trace.Worker) *trace.Job {
+		j, err := trace.NewJob(ws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+
+	// Hand-built: every op has a shape of its own, and two kinds share
+	// one content.
+	hand := &trace.Worker{Rank: 0, World: 1}
+	for range 3 {
+		hand.Append(trace.OpOf(trace.KindKernel, gemm()))
+		hand.Append(trace.OpOf(trace.KindKernel, fused()))
+		hand.Append(trace.OpOf(trace.KindMemcpy, copyIn()))
+		hand.Append(trace.OpOf(trace.KindMemset, copyIn()))
+		hand.Append(trace.Op{Kind: trace.KindKernel, Name: "shapeless"})
+	}
+
+	// Two workers intern the same contents in their own tables, in
+	// different orders, so equal content sits at different positions
+	// behind different pointers.
+	interned := func(rank int, order []func() *trace.Shape) *trace.Worker {
+		w := &trace.Worker{Rank: rank, World: 2}
+		var tab trace.Shapes
+		for seq := range 2 {
+			for _, s := range order {
+				w.Append(trace.OpOf(trace.KindKernel, tab.Intern(trace.KindKernel, s())))
+			}
+			w.Append(allReduce(1, seq, rank))
+		}
+		return w
+	}
+
+	// Communicator 2 has no recorded membership: its calls are priced
+	// per calling rank.
+	orphan := func(rank int) *trace.Worker {
+		w := &trace.Worker{Rank: rank, World: 4}
+		for seq := range 3 {
+			w.Append(allReduce(2, seq, rank%2))
+			w.Append(allReduce(3, seq, rank%2))
+			w.Append(trace.OpOf(trace.KindKernel, gemm()))
+		}
+		return w
+	}
+
+	cases := []struct {
+		name  string
+		job   *trace.Job
+		comms map[uint64][]int
+		sizes map[uint64]int
+	}{
+		{"emulated", emulated.Job, emulated.Comms, emulated.CommSizes},
+		{"decoded", decoded.Job, decoded.Comms, decoded.CommSizes},
+		{"hand-built", mkJob(hand), nil, nil},
+		{"two tables", mkJob(interned(0, []func() *trace.Shape{gemm, fused, copyIn}), interned(1, []func() *trace.Shape{copyIn, fused, gemm})),
+			map[uint64][]int{1: {0, 1}}, map[uint64]int{1: 2}},
+		{"no membership", mkJob(orphan(0), orphan(1), orphan(2)), map[uint64][]int{3: {0, 2}}, map[uint64]int{3: 2}},
+	}
+	timers := planTimers(p)
+	timers["netsim"] = p.Suite.WithCollectiveEstimator(netsim.New(p.Cluster))
+	for _, tc := range cases {
+		// What the plan may ask: each content once, each op without a
+		// shape, each collective signature once.
+		contents, shapeless, sigs := map[string]bool{}, 0, map[string]bool{}
+		for _, w := range tc.job.Workers {
+			for i := range w.Ops {
+				op := &w.Ops[i]
+				switch {
+				case op.Kind == trace.KindCollective && op.Coll.Seq >= 0:
+					c := op.Coll
+					who := fmt.Sprintf("comm %d", c.CommID)
+					if len(tc.comms[c.CommID]) == 0 {
+						who = fmt.Sprintf("rank %d", w.Rank)
+					}
+					sigs[fmt.Sprintf("%s|%d|%d|%s", c.Op, c.Bytes, c.NRanks, who)] = true
+				case op.Kind == trace.KindKernel || op.Kind == trace.KindMemcpy || op.Kind == trace.KindMemset:
+					if op.Shape == nil {
+						shapeless++
+					} else {
+						contents[shapeContent(op)] = true
+					}
+				}
+			}
+		}
+		for name, timer := range timers {
+			direct := trace.NewAnnotations(tc.job)
+			if err := trace.Annotate(ctx, tc.job, tc.comms, tc.sizes, timer, direct); err != nil {
+				t.Fatal(err)
+			}
+			count := &callCounter{Timer: timer, kernels: map[string]int{}}
+			plan, err := estimator.BuildPlan(ctx, tc.job, tc.comms, tc.sizes, count)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(plan.Overlay().Table(), direct.Table()) {
+				t.Errorf("%s/%s: the plan differs from trace.Annotate", tc.name, name)
+			}
+			for content, n := range count.kernels {
+				if n != 1 {
+					t.Errorf("%s/%s: priced %s %d times", tc.name, name, content, n)
+				}
+			}
+			if len(count.kernels) != len(contents) || count.shapeless != shapeless {
+				t.Errorf("%s/%s: priced %d contents and %d shapeless ops, want %d and %d",
+					tc.name, name, len(count.kernels), count.shapeless, len(contents), shapeless)
+			}
+			if count.collectives != len(sigs) {
+				t.Errorf("%s/%s: priced %d collectives, want one per signature: %d", tc.name, name, count.collectives, len(sigs))
+			}
+		}
 	}
 }

@@ -242,3 +242,49 @@ func TestEmptyFaultPlanKeepsEveryTiming(t *testing.T) {
 		t.Fatalf("an empty fault plan changed the report:\n got %+v\nwant %+v", zeroStages(got), zeroStages(clean))
 	}
 }
+
+// TestFirstReplaysOfAFreshCapture starts several replays of a capture
+// nothing has replayed yet, all at once: the first of them build the
+// plan and compile the index side by side, the rest wait on the same
+// builds. Every report must be the one a replay of an equal capture
+// gives alone, and the capture must end with one plan and one index.
+// CI runs it under -race.
+func TestFirstReplaysOfAFreshCapture(t *testing.T) {
+	p, ref := learnedCapture(t)
+	_, c := learnedCapture(t)
+	ctx := context.Background()
+	want, err := p.Simulate(ctx, ref, 1e15, hardware.BF16)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const n = 8
+	got := make([]*Report, n)
+	errs := make([]error, n)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			got[g], errs[g] = p.Simulate(ctx, c, 1e15, hardware.BF16)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for g := range n {
+		if errs[g] != nil {
+			t.Fatalf("replay %d: %v", g, errs[g])
+		}
+		if zeroStages(got[g]) != zeroStages(want) {
+			t.Fatalf("replay %d of a fresh capture:\n got %+v\nwant %+v", g, zeroStages(got[g]), zeroStages(want))
+		}
+	}
+	if !c.indexed.Load() || c.index == nil {
+		t.Fatal("the first replays left the capture's index uncompiled")
+	}
+	if st := c.derived.Stats(); st.Misses != 1 || st.Entries != 1 {
+		t.Fatalf("the capture built %d plans and keeps %d, want 1 and 1", st.Misses, st.Entries)
+	}
+}

@@ -211,14 +211,15 @@ func TestEstimatePlanMatchesAnnotateInto(t *testing.T) {
 			t.Fatalf("%s: plan covers %d ops, want %d", name, n, 2*len(job.Workers[0].Ops))
 		}
 
-		// The build paid the timer once per interned shape per worker
-		// (six each) and once per op without a shape (one each).
+		// The build paid the timer once per distinct (kind, content) in
+		// the job (six: the workers intern the same six shapes) and once
+		// per op without a shape (one per worker).
 		count := &countingTimer{Timer: timer}
 		if _, err := BuildPlan(ctx, job, comms, sizes, count); err != nil {
 			t.Fatal(err)
 		}
-		if count.kernels != 2*7 {
-			t.Errorf("%s: plan build priced %d device ops, want %d", name, count.kernels, 2*7)
+		if count.kernels != 6+2 {
+			t.Errorf("%s: plan build priced %d device ops, want %d", name, count.kernels, 6+2)
 		}
 
 		// Mismatched layouts are rejected, not silently misapplied.

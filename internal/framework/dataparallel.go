@@ -91,9 +91,19 @@ func (c DataParallelConfig) withDefaults() DataParallelConfig {
 // Validate rejects inconsistent jobs.
 func (c DataParallelConfig) Validate() error {
 	c = c.withDefaults()
-	switch {
-	case (c.Transformer == nil) == (c.CNN == nil):
+	if (c.Transformer == nil) == (c.CNN == nil) {
 		return fmt.Errorf("dataparallel: exactly one of Transformer or CNN must be set")
+	}
+	var err error
+	if c.Transformer != nil {
+		err = validateTransformer(*c.Transformer)
+	} else {
+		err = validateCNN(c.CNN)
+	}
+	if err != nil {
+		return fmt.Errorf("dataparallel: model %s: %w", c.ModelName(), err)
+	}
+	switch {
 	case c.NGPUs < 1 || c.GradAccum < 1:
 		return fmt.Errorf("dataparallel: degrees must be positive (ngpus=%d gradaccum=%d)", c.NGPUs, c.GradAccum)
 	case c.GlobalBatch < 1:

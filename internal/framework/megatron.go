@@ -92,17 +92,6 @@ func (c MegatronConfig) MicroBatchSize() int {
 	return c.GlobalBatch / (c.DP() * c.MicroBatches)
 }
 
-// maxGlobalBatch bounds the global batch of both programs, so every
-// size a rank emits fits in an int64. Each such size (a malloc, a
-// copy, a kernel's bytes or FLOPs) is the micro-batch size, at most
-// the global batch, times a per-sample factor of the model. The
-// largest factor of any preset is a GEMM's FLOPs, 2·seq·hidden·vocab
-// for GPT3-145.6B: 2·2048·11264·51200 < 2^42. 2^20 samples keep it
-// under 2^62, half of int64's range, which leaves room for the sums
-// the activation estimate adds. No recipe in the repository comes
-// near it.
-const maxGlobalBatch = 1 << 20
-
 // dtypes are the element types the programs emit; an empty DType
 // takes its program's default before Validate checks it.
 var dtypes = map[string]bool{"fp16": true, "bf16": true, "fp32": true}
@@ -112,6 +101,9 @@ var dtypes = map[string]bool{"fp16": true, "bf16": true, "fp32": true}
 func (c MegatronConfig) Validate() error {
 	c = c.withDefaults()
 	m := c.Model
+	if err := validateTransformer(m); err != nil {
+		return fmt.Errorf("megatron: model %s: %w", m.Name, err)
+	}
 	switch {
 	case c.NGPUs < 1 || c.TP < 1 || c.PP < 1 || c.VirtualStages < 1 || c.MicroBatches < 1:
 		return fmt.Errorf("megatron: degrees must be positive (ngpus=%d tp=%d pp=%d v=%d microbatches=%d)",

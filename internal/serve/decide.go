@@ -9,10 +9,9 @@ import (
 // control is the prediction control plane: the overload shedder, the
 // predictor's circuit breaker and the stale-result cache, consulted
 // in one fixed order by decide and fed back by settle. The live
-// server (predictOne) and the virtual-time harness (runResilience)
-// both go through these two functions, on the real clock and an
-// injected one respectively, so the harness exercises the policy
-// that ships.
+// server (predictOne) goes through these two functions on the real
+// clock; the package tests' virtual-time chaos harness drives the same
+// two on an injected one, so it exercises the policy that ships.
 type control struct {
 	shed     *Shedder
 	pbreaker *Breaker // guards Predict

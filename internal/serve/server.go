@@ -23,7 +23,7 @@
 //   - Settle (control.settle): the breaker observes the outcome and a
 //     success refreshes the stale answer.
 //
-// runResilience, the deterministic chaos harness, drives the same
+// The package tests' deterministic chaos harness drives the same
 // decide/settle pair on a virtual clock.
 //
 // Endpoints: POST /v1/predict (single or batch), POST /v1/capture,

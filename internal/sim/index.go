@@ -86,13 +86,17 @@ func Compile(job *trace.Job, participants map[trace.CollKey]int) *Index {
 	nw := len(job.Workers)
 
 	// Pass 1, the one walk over every op: each worker's streams, their
-	// queue and row lengths, its event syncs, the job's collective groups,
-	// and where the ops with a row entry are (synced[syncedStart[w]:
-	// syncedStart[w+1]] for worker w), so that pass 2 visits only those.
+	// queue and row lengths, its event syncs, the job's collective groups
+	// (collGroup, one per collective in walk order), and where the ops
+	// with a row entry are (synced[syncedStart[w]:syncedStart[w+1]] for
+	// worker w), so that pass 2 visits only those. Ops run on a stream
+	// in stretches, so an op naming the stream of the op before it
+	// reuses that stream's place without a lookup.
 	type groupStat struct{ n, maxSeq int }
 	type streamStat struct{ row, queued int32 }
 	groupOf := map[trace.CollKey]int32{}
 	var stats []groupStat
+	var collGroup []int32
 	streamSet := map[int64]int32{} // a handle's place in counts
 	var counts []streamStat
 	hostRows := make([]int32, nw)
@@ -104,6 +108,8 @@ func Compile(job *trace.Job, participants map[trace.CollKey]int) *Index {
 	for wi, w := range job.Workers {
 		clear(streamSet)
 		counts = counts[:0]
+		var last int64
+		c := int32(-1) // last's place in counts; -1 before the worker's first stream op
 		for i := range w.Ops {
 			op := &w.Ops[i]
 			if op.Kind == trace.KindEventSync {
@@ -114,11 +120,14 @@ func Compile(job *trace.Job, participants map[trace.CollKey]int) *Index {
 			if !namesStream(op) {
 				continue
 			}
-			c, ok := streamSet[op.Stream]
-			if !ok {
-				c = int32(len(counts))
-				streamSet[op.Stream] = c
-				counts = append(counts, streamStat{})
+			if c < 0 || op.Stream != last {
+				var ok bool
+				if c, ok = streamSet[op.Stream]; !ok {
+					c = int32(len(counts))
+					streamSet[op.Stream] = c
+					counts = append(counts, streamStat{})
+				}
+				last = op.Stream
 			}
 			if op.Kind != trace.KindStreamSync {
 				counts[c].queued++
@@ -141,6 +150,7 @@ func Compile(job *trace.Job, participants map[trace.CollKey]int) *Index {
 			}
 			stats[g].n++
 			stats[g].maxSeq = max(stats[g].maxSeq, op.Coll.Seq)
+			collGroup = append(collGroup, g)
 		}
 		first := len(x.streamIDs)
 		for id := range streamSet {
@@ -174,6 +184,7 @@ func Compile(job *trace.Job, participants map[trace.CollKey]int) *Index {
 	var extraEvents map[eventKey]int32
 	var extraColls map[trace.CollKey]int32
 	cursor := slices.Clone(x.rowStart[:len(x.rowStart)-1])
+	nc := 0 // collectives met, collGroup's cursor
 	for wi, w := range job.Workers {
 		at := synced[syncedStart[wi]:syncedStart[wi+1]]
 		clear(evs)
@@ -239,7 +250,8 @@ func Compile(job *trace.Job, participants map[trace.CollKey]int) *Index {
 			case trace.KindEventSync:
 				row, slot = int32(len(x.streamIDs)+wi), eventSlot(op)
 			case trace.KindCollective:
-				row, slot = x.streamSlot(wi, op.Stream), x.collSlot(op, groupOf, &extraColls)
+				row, slot = x.streamSlot(wi, op.Stream), x.collSlot(op, collGroup[nc], &extraColls)
+				nc++
 				if participants == nil {
 					x.expected[slot]++
 				} else if x.expected[slot] == 0 {
@@ -264,11 +276,11 @@ func (x *Index) compiledFrom(job *trace.Job, participants map[trace.CollKey]int)
 		reflect.ValueOf(x.participants).UnsafePointer() == reflect.ValueOf(participants).UnsafePointer()
 }
 
-// collSlot returns the slot of a collective op: its group's base plus
-// its call index, or for a call past the group's range a slot of its
-// own, allocated on first sight in extra.
-func (x *Index) collSlot(op *trace.Op, groupOf map[trace.CollKey]int32, extra *map[trace.CollKey]int32) int32 {
-	g := &x.groups[groupOf[groupKey(op)]]
+// collSlot returns the slot of a collective op in the given group:
+// the group's base plus its call index, or for a call past the
+// group's range a slot of its own, allocated on first sight in extra.
+func (x *Index) collSlot(op *trace.Op, group int32, extra *map[trace.CollKey]int32) int32 {
+	g := &x.groups[group]
 	if seq := op.Coll.Seq; seq < int(g.size) {
 		return g.base + int32(seq)
 	}

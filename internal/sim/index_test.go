@@ -199,3 +199,62 @@ func TestIndexBytesCountsEveryTable(t *testing.T) {
 		}
 	}
 }
+
+// TestCompileAlternatingStreams compiles a trace whose ops change
+// stream at every op and come back to streams met before, so that no
+// op's stream is the one before it while every stream recurs: each
+// stream's queue, row and slot must be what the trace says.
+func TestCompileAlternatingStreams(t *testing.T) {
+	rec := func(stream, ev int64, ver int) trace.Op {
+		return trace.Op{Kind: trace.KindEventRecord, Stream: stream, Event: ev, EventVer: ver}
+	}
+	wait := func(stream, ev int64, ver int) trace.Op {
+		return trace.Op{Kind: trace.KindStreamWait, Stream: stream, Event: ev, EventVer: ver}
+	}
+	w0 := worker(0, 2,
+		kernel(1, time.Millisecond),                     // stream 1, queued
+		rec(2, 5, 1),                                    // stream 2, row: event 5 v1
+		wait(1, 5, 1),                                   // stream 1, row: event 5 v1
+		coll(3, 9, 0, 2, 0, time.Millisecond),           // stream 3, row: call 0
+		kernel(2, time.Millisecond),                     // stream 2, queued
+		rec(1, 5, 2),                                    // stream 1, row: event 5 v2
+		coll(3, 9, 1, 2, 0, time.Millisecond),           // stream 3, row: call 1
+		wait(2, 5, 2),                                   // stream 2, row: event 5 v2
+		trace.Op{Kind: trace.KindStreamSync, Stream: 1}, // stream 1, not queued
+		kernel(1, time.Millisecond),                     // stream 1, queued
+	)
+	w1 := worker(1, 2,
+		coll(7, 9, 0, 2, 1, time.Millisecond),
+		kernel(4, time.Millisecond),
+		coll(7, 9, 1, 2, 1, time.Millisecond),
+	)
+	x := Compile(job(t, w0, w1), nil)
+
+	if want := []int64{1, 2, 3, 4, 7}; !slices.Equal(x.streamIDs, want) {
+		t.Fatalf("stream handles %v, want %v", x.streamIDs, want)
+	}
+	if want := []int32{0, 3, 5}; !slices.Equal(x.streamStart, want) {
+		t.Fatalf("stream starts %v, want %v", x.streamStart, want)
+	}
+	if want := []int32{0, 4, 7, 9, 10, 12}; !slices.Equal(x.queueStart, want) {
+		t.Fatalf("queue starts %v, want %v", x.queueStart, want)
+	}
+	// Event 5's versions 1 and 2 are slots 1 and 2; the calls of
+	// communicator 9 are slots 0 and 1.
+	rows := [][]int32{{1, 2}, {1, 2}, {0, 1}, {}, {0, 1}, {}, {}}
+	for r, want := range rows {
+		if got := x.row(int32(r)); !slices.Equal(got, want) {
+			t.Errorf("row %d: %v, want %v", r, got, want)
+		}
+	}
+	if x.events != 3 || !slices.Equal(x.expected, []int32{2, 2}) {
+		t.Fatalf("%d event slots and joins %v, want 3 and [2 2]", x.events, x.expected)
+	}
+	for w, ids := range [][]int64{{1, 2, 3}, {4, 7}} {
+		for i, id := range ids {
+			if got, want := x.streamSlot(w, id), x.streamStart[w]+int32(i); got != want {
+				t.Errorf("worker %d stream %d: slot %d, want %d", w, id, got, want)
+			}
+		}
+	}
+}

@@ -8,8 +8,8 @@ import (
 // Timer prices device work: the learned estimator suite and the
 // silicon ground truth both are one, and Annotate is indifferent to
 // which it walks a job with. ranks is the collective's resolved global
-// rank list; nranks its declared group size, for timers that
-// extrapolate when the list is shorter.
+// rank list, which a timer must not modify; nranks its declared group
+// size, for timers that extrapolate when the list is shorter.
 type Timer interface {
 	EstimateKernel(op *Op) time.Duration
 	EstimateCollective(op string, bytes int64, ranks []int, nranks int) time.Duration
@@ -55,15 +55,34 @@ func Annotate(ctx context.Context, job *Job, comms map[uint64][]int, sizes map[u
 // and — when the communicator has no recorded membership at all, which
 // a loaded trace may not — extrapolated from the calling worker's own
 // rank and the call's declared group size.
+//
+// The resolver works each list out once: every call of a communicator
+// gets the same slice, and every call of a communicator with no
+// recorded membership the same slice per (calling rank, group size).
+// Callers only read the lists. The resolver is not safe for concurrent
+// use.
 func RankResolver(job *Job, comms map[uint64][]int, sizes map[uint64]int) func(w *Worker, c *Collective) []int {
 	world := 0
 	for _, w := range job.Workers {
 		world = max(world, w.World)
 	}
+	type caller struct{ rank, size int }
+	byComm := map[uint64][]int{} // nil for a communicator with no recorded membership
+	byCaller := map[caller][]int{}
 	return func(w *Worker, c *Collective) []int {
-		if ranks := ExpandRanks(comms[c.CommID], sizes[c.CommID], world); len(ranks) > 0 {
+		ranks, ok := byComm[c.CommID]
+		if !ok {
+			ranks = ExpandRanks(comms[c.CommID], sizes[c.CommID], world)
+			byComm[c.CommID] = ranks
+		}
+		if len(ranks) > 0 {
 			return ranks
 		}
-		return ExpandRanks([]int{w.Rank}, c.NRanks, world)
+		k := caller{w.Rank, c.NRanks}
+		if ranks, ok = byCaller[k]; !ok {
+			ranks = ExpandRanks([]int{w.Rank}, c.NRanks, world)
+			byCaller[k] = ranks
+		}
+		return ranks
 	}
 }

@@ -283,7 +283,13 @@ type Decoder struct {
 	strs  map[string]string // every distinct string read so far, so each is allocated once
 	tab   []string          // the current worker's string table
 	kinds []Kind            // the kinds of the current worker's shapes
-	v2    bool              // reading the version-2 form
+	// used[k] is the shape the ops of table entry k point to, nil until
+	// one does: the first entry of its content, interned in canon when
+	// first used, so that positions are the emulator's first-sighting
+	// numbering and a table listing one shape twice decodes to one.
+	used  []*Shape
+	canon Shapes
+	v2    bool // reading the version-2 form
 }
 
 // NewDecoder returns a decoder reading b.
@@ -454,6 +460,9 @@ func (d *Decoder) worker() *Worker {
 	}
 	shapes := make([]Shape, d.count(minShapeBytes))
 	d.kinds = d.kinds[:0]
+	d.used = slices.Grow(d.used[:0], len(shapes))[:len(shapes)]
+	clear(d.used)
+	d.canon.reset()
 	for i := range shapes {
 		s := &shapes[i]
 		d.kinds = append(d.kinds, d.kind())
@@ -517,7 +526,10 @@ func (d *Decoder) worker() *Worker {
 				d.fail("op %d: a %v with a %v's shape", i, op.Kind, d.kinds[k])
 				return w
 			}
-			op.Shape = &shapes[k]
+			if d.used[k] == nil {
+				d.used[k] = d.canon.adopt(op.Kind, &shapes[k])
+			}
+			op.Shape = d.used[k]
 			op.Name, op.Bytes = op.Shape.Name, op.Shape.Bytes
 		}
 		if flags&opName != 0 {

@@ -17,7 +17,11 @@ import (
 // A Shape is immutable once an op points to it; ops, clones and
 // workers share it freely. Every op pointing to one interned Shape has
 // the same Kind (Shapes keys on it), so a Timer's answer for an op is
-// a function of its shape pointer — what estimate plans memoize by.
+// a function of its kind and its shape's content.
+//
+// An interned shape also has a position: its place among the shapes
+// of its kind in the table that interned it (Pos). Estimate plans
+// index a slice by it, so pricing an op costs no hashing.
 type Shape struct {
 	Name    string             // kernel or API name (equal to the op's)
 	Dims    []int              // semantic dimensions, not values
@@ -26,7 +30,18 @@ type Shape struct {
 	DType   string             // element type
 	Extra   map[string]float64 // compiler-IR features, e.g. Triton instruction counts
 	MemKind string             // copy direction: "HtoD", "DtoH", "DtoD", "HtoH"
+
+	pos int32 // see Pos
 }
+
+// Pos returns the shape's position: n for the (n+1)th shape of its
+// kind its table interned, in first-sighting order. The emulator's
+// table, the trace decoders and JobJSON all number that way, so a
+// shape reloaded from a trace keeps the position it was recorded
+// with. A hand-built shape reads 0, and a copy its original's. Shapes
+// of different tables share positions: a position identifies a shape
+// only together with its pointer.
+func (s *Shape) Pos() int { return int(s.pos) }
 
 // OpOf returns an op of kind k with shape s, its Name and Bytes taken
 // from s: how profiled and hand-built device ops are made.
@@ -48,13 +63,16 @@ func (o *Op) ShapeOrZero() *Shape {
 }
 
 // Shapes is an intern table: one *Shape per distinct (kind, shape) it
-// has been handed. Each emulator owns one, and the trace decoder one
-// per worker, so no table is shared between goroutines. The zero value
-// is ready to use.
+// has been handed, numbered per kind in first-sighting order (see
+// Shape.Pos). Each emulator owns one, the trace decoder one per
+// worker and an estimate plan one per build, so no table is shared
+// between goroutines. The zero value is ready to use.
 type Shapes struct {
 	// byKind[k] maps a shape's hash, advanced past occupied slots that
 	// hold different shapes (linear probing), to a shape of kind k.
 	byKind [len(kindNames)]map[uint64]*Shape
+	// n[k] is how many shapes of kind k the table holds.
+	n [len(kindNames)]int32
 }
 
 // Intern returns the table's shape equal to s for ops of kind k. On
@@ -63,17 +81,9 @@ type Shapes struct {
 // the caller's slice or map: a caller may reuse and mutate them after
 // the call without touching ops already recorded.
 func (t *Shapes) Intern(k Kind, s *Shape) *Shape {
-	m := t.byKind[k]
-	h := s.hash()
-	for {
-		got, ok := m[h]
-		if !ok {
-			break
-		}
-		if got.equal(s) {
-			return got
-		}
-		h++
+	h, got := t.find(k, s)
+	if got != nil {
+		return got
 	}
 	c := *s
 	c.Dims, c.Extra = nil, nil
@@ -83,12 +93,54 @@ func (t *Shapes) Intern(k Kind, s *Shape) *Shape {
 	if len(s.Extra) > 0 {
 		c.Extra = maps.Clone(s.Extra)
 	}
-	if m == nil {
-		m = make(map[uint64]*Shape)
-		t.byKind[k] = m
-	}
-	m[h] = &c
+	t.add(k, h, &c)
 	return &c
+}
+
+// adopt is Intern for a shape the caller owns and gives up: on first
+// sighting s itself joins the table, and gets its position.
+func (t *Shapes) adopt(k Kind, s *Shape) *Shape {
+	h, got := t.find(k, s)
+	if got != nil {
+		return got
+	}
+	t.add(k, h, s)
+	return s
+}
+
+// find returns the table's shape equal to s for kind k, or nil and the
+// free slot s would take.
+func (t *Shapes) find(k Kind, s *Shape) (uint64, *Shape) {
+	m := t.byKind[k]
+	h := s.hash()
+	for {
+		got, ok := m[h]
+		if !ok {
+			return h, nil
+		}
+		if got.equal(s) {
+			return h, got
+		}
+		h++
+	}
+}
+
+// add stores s, not yet in the table, at slot h of kind k.
+func (t *Shapes) add(k Kind, h uint64, s *Shape) {
+	if t.byKind[k] == nil {
+		t.byKind[k] = make(map[uint64]*Shape)
+	}
+	t.byKind[k][h] = s
+	s.pos = t.n[k]
+	t.n[k]++
+}
+
+// reset empties the table, keeping its maps.
+func (t *Shapes) reset() {
+	for k := range t.byKind {
+		clear(t.byKind[k])
+	}
+	t.n = [len(kindNames)]int32{}
 }
 
 var shapeSeed = maphash.MakeSeed()

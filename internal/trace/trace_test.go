@@ -479,3 +479,59 @@ func TestSigStringIgnoresCommIdentity(t *testing.T) {
 		t.Fatal("different group sizes must hash differently")
 	}
 }
+
+// TestDecodedShapePositions decodes a worker whose shape table is out
+// of first-use order and lists one kernel shape twice: each kind's
+// shapes are numbered in the order ops first use them, as the
+// emulator's table numbers them, the duplicate decodes to the shape it
+// repeats, and the job round-trips deep-equal.
+func TestDecodedShapePositions(t *testing.T) {
+	var e Encoder
+	workerHead(&e)
+	e.Varint(0) // tail gap
+	e.Uvarint(3)
+	for _, s := range []string{"", "a", "b"} {
+		e.Str(s)
+	}
+	// The table: kernel a, memset a, kernel b, kernel a again.
+	table := []struct {
+		kind Kind
+		name uint64
+	}{{KindKernel, 1}, {KindMemset, 1}, {KindKernel, 2}, {KindKernel, 1}}
+	e.Uvarint(uint64(len(table)))
+	for _, s := range table {
+		e.Byte(byte(s.kind))
+		e.Uvarint(s.name)
+		e.Uvarint(0) // dims
+		e.Varint(64) // bytes
+		e.Varint(0)  // flops
+		e.Uvarint(0) // dtype
+		e.Uvarint(0) // extra
+		e.Uvarint(0) // memKind
+	}
+	e.Uvarint(0) // collectives
+	uses := []uint64{2, 3, 1, 0}
+	e.Len(len(uses), false)
+	for _, k := range uses {
+		e.Byte(byte(table[k].kind))
+		e.Byte(opShape)
+		e.Uvarint(k)
+	}
+	d := NewDecoder(e.B)
+	j := d.Job()
+	if err := d.End(); err != nil {
+		t.Fatal(err)
+	}
+	ops := j.Workers[0].Ops
+	b, a, m := ops[0].Shape, ops[1].Shape, ops[2].Shape
+	if b.Name != "b" || a.Name != "a" || m.Name != "a" || ops[3].Shape != a {
+		t.Fatalf("ops point to %+v %+v %+v %+v", *b, *a, *m, *ops[3].Shape)
+	}
+	if b.Pos() != 0 || a.Pos() != 1 || m.Pos() != 0 {
+		t.Fatalf("positions b %d, a %d, memset %d; want 0, 1, 0", b.Pos(), a.Pos(), m.Pos())
+	}
+	d = NewDecoder(binaryJob(t, j))
+	if back := d.Job(); d.End() != nil || !reflect.DeepEqual(back, j) {
+		t.Fatalf("the decoded job does not round-trip: %v", d.End())
+	}
+}
