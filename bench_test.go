@@ -156,7 +156,7 @@ func BenchmarkTrainSuite(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := estimator.TrainSuite(profile, cluster, estimator.TrainOptions{}); err != nil {
+		if _, err := estimator.TrainSuite(profile, cluster); err != nil {
 			b.Fatal(err)
 		}
 	}

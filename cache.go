@@ -46,14 +46,6 @@ func (c *EstimatorCache) Warm(ctx context.Context, cluster Cluster, kind Profile
 // trained, evictions, training errors and current entries.
 func (c *EstimatorCache) Stats() CacheStats { return c.impl.Stats() }
 
-// SetTrainWorkers bounds the worker pool used when this cache trains
-// a suite; the pool spans kernel classes and trees jointly. n <= 0
-// restores the default (runtime.GOMAXPROCS). Trained suites are
-// byte-identical for every worker count — this is purely a
-// throughput/CPU-footprint knob (the CLIs expose it as
-// -train-workers). It affects subsequent trainings only.
-func (c *EstimatorCache) SetTrainWorkers(n int) { c.impl.SetTrainWorkers(n) }
-
 // Evict drops the suite for a cluster and profile kind, reporting
 // whether one was cached. The next lookup of that key retrains.
 func (c *EstimatorCache) Evict(cluster Cluster, kind ProfileKind) bool {

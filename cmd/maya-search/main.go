@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 
 	"maya"
 	"maya/internal/buildinfo"
@@ -34,7 +33,6 @@ func main() {
 		parallel    = flag.Int("parallel", 8, "concurrent trials")
 		noPrune     = flag.Bool("no-prune", false, "disable fidelity-preserving pruning")
 		capCache    = flag.Int("capture-cache", 256, "capture cache capacity (0 disables); optimizers that revisit topologies skip re-emulation")
-		trainWork   = flag.Int("train-workers", runtime.GOMAXPROCS(0), "worker pool for estimator training (spans kernel classes and trees; results are identical for any value)")
 		version     = flag.Bool("version", false, "print build info and exit")
 	)
 	flag.Parse()
@@ -42,7 +40,6 @@ func main() {
 		fmt.Println(buildinfo.Get())
 		return
 	}
-	maya.DefaultEstimatorCache().SetTrainWorkers(*trainWork)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()

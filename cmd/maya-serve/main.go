@@ -78,7 +78,6 @@ func main() {
 		chaosPath   = flag.String("chaos", "", "chaos plan JSON file: seeded fault injection at the predictor boundary (testing only)")
 		noWarm      = flag.Bool("no-warm", false, "skip estimator warm-up at boot (first learned request trains)")
 		drainWait   = flag.Duration("drain-timeout", 30*time.Second, "how long to wait for in-flight requests on shutdown")
-		trainWork   = flag.Int("train-workers", runtime.GOMAXPROCS(0), "worker pool for estimator training")
 		version     = flag.Bool("version", false, "print build info and exit")
 	)
 	flag.Parse()
@@ -138,7 +137,6 @@ func main() {
 		},
 	})
 	fatalIf(err)
-	srv.Predictor().EstimatorCache().SetTrainWorkers(*trainWork)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 
 	"maya"
 	"maya/internal/buildinfo"
@@ -102,15 +101,6 @@ func addTopologyFlag(fs *flag.FlagSet) *string {
 	return fs.String("topology", "", "network fabric spec: auto (default), flat, rail, oversub:K, pods:K")
 }
 
-// addTrainWorkersFlag registers the estimator-training parallelism
-// flag shared by the verbs that may train (predict, simulate).
-// Trained suites are byte-identical for every worker count; the flag
-// only bounds training's CPU footprint.
-func addTrainWorkersFlag(fs *flag.FlagSet) *int {
-	return fs.Int("train-workers", runtime.GOMAXPROCS(0),
-		"worker pool for estimator training (spans kernel classes and trees; results are identical for any value)")
-}
-
 // build turns the flags into a cluster, workload and model-FLOPs
 // count.
 func (r *recipeFlags) build() (maya.Cluster, maya.Workload, float64) {
@@ -135,10 +125,8 @@ func runPredict(ctx context.Context, args []string) {
 	congestion := fs.Bool("congestion", false, "resolve collectives against link-level contention (concurrent collectives sharing a fabric link split its bandwidth)")
 	timeline := fs.String("timeline", "", "write the simulated run as Chrome-trace JSON to this file (chrome://tracing, Perfetto)")
 	breakdown := fs.Bool("breakdown", false, "attribute per-worker stall time (event/collective waits, host-bound, pipeline bubbles)")
-	trainWorkers := addTrainWorkersFlag(fs)
 	asJSON := fs.Bool("json", false, "emit JSON")
 	fatalIf(fs.Parse(args))
-	maya.DefaultEstimatorCache().SetTrainWorkers(*trainWorkers)
 
 	cluster, w, flops := recipe.build()
 	fmt.Fprintf(os.Stderr, "maya: training estimators for %s (cached after first run)...\n", cluster.Name)
@@ -260,10 +248,8 @@ func runSimulate(ctx context.Context, args []string) {
 	flops := fs.Float64("flops", 0, "per-iteration model FLOPs (enables MFU)")
 	timeline := fs.String("timeline", "", "write the simulated run as Chrome-trace JSON to this file (chrome://tracing, Perfetto)")
 	breakdown := fs.Bool("breakdown", false, "attribute per-worker stall time (event/collective waits, host-bound, pipeline bubbles)")
-	trainWorkers := addTrainWorkersFlag(fs)
 	asJSON := fs.Bool("json", false, "emit JSON")
 	fatalIf(fs.Parse(args))
-	maya.DefaultEstimatorCache().SetTrainWorkers(*trainWorkers)
 
 	if *tracePath == "" {
 		fmt.Fprintln(os.Stderr, "maya simulate: -trace is required")

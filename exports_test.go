@@ -13,23 +13,30 @@ import (
 	"testing"
 )
 
-// exportAllowlist names the exported identifiers in internal/ that no
-// non-test code uses and that stay exported anyway, each with the
-// reason. Everything else nothing calls is deleted or unexported.
+// exportAllowlist names the exported identifiers in internal/, and the
+// root package's option constructors, that no non-test code uses and
+// that stay anyway, each with the reason. Everything else nothing
+// calls is deleted or unexported.
 var exportAllowlist = map[string]string{
-	"flight.Group.Joins": "serve's coalescing tests wait on it until every follower has attached to the leader's flight",
-	"sim.Index.Bytes":    "core's allocation-budget tests count an index's retained bytes with it",
-	"sim.Run":            "the fresh-engine reference that core, faults and the root benchmarks replay against",
+	"flight.Group.Joins":        "serve's coalescing tests wait on it until every follower has attached to the leader's flight",
+	"sim.Index.Bytes":           "core's allocation-budget tests count an index's retained bytes with it",
+	"sim.Run":                   "the fresh-engine reference that core, faults and the root benchmarks replay against",
+	"maya.WithBatchConcurrency": "the batch tests bound the pool to pin cancellation and capacity-1 eviction",
 }
 
 // TestInternalExportsHaveCallers type-checks the module's non-test
 // packages and fails on every exported package-level func, type, var,
-// const or method in internal/ that no non-test code uses, unless it
-// is on exportAllowlist. The root package, cmd/, examples/ and bench/
-// count as callers. A use inside the name's own declaration does not
-// count. A method also counts as used when its type implements an
-// interface that has the method: any package-level interface of the
-// module, or one of the standard interfaces in stdInterfaces.
+// const, method or interface method in internal/ that no non-test code
+// uses, and on every root-package option constructor (an exported func
+// returning PredictorOption, PredictOption, Option or BatchOption) no
+// non-test code calls, unless it is on exportAllowlist. The root
+// package, cmd/, examples/ and bench/ count as callers. A use inside
+// the name's own declaration does not count. An interface method
+// counts as used only when non-test code calls it through the
+// interface, and a concrete method also counts when its type
+// implements an interface whose method of that name is so used: any
+// package-level interface of the module, or one of the standard
+// interfaces in stdInterfaces, whose methods always count.
 func TestInternalExportsHaveCallers(t *testing.T) {
 	got, err := uncalledExports(".")
 	if err != nil {
@@ -208,6 +215,9 @@ func uncalledExports(root string) ([]string, error) {
 			}
 		}
 	}
+	// The standard interfaces' methods count as used: the standard
+	// library calls them, and its uses are not recorded.
+	used := map[types.Object]bool{}
 	for _, s := range stdInterfaces {
 		scope := types.Universe
 		if s.pkg != "" {
@@ -217,10 +227,13 @@ func uncalledExports(root string) ([]string, error) {
 			}
 			scope = p.Scope()
 		}
-		ifaces = append(ifaces, scope.Lookup(s.name).Type().Underlying().(*types.Interface))
+		it := scope.Lookup(s.name).Type().Underlying().(*types.Interface)
+		ifaces = append(ifaces, it)
+		for i := 0; i < it.NumMethods(); i++ {
+			used[it.Method(i)] = true
+		}
 	}
 
-	used := map[types.Object]bool{}
 	for id, obj := range l.info.Uses {
 		switch o := obj.(type) {
 		case *types.Func:
@@ -236,6 +249,10 @@ func uncalledExports(root string) ([]string, error) {
 
 	var out []string
 	for _, p := range l.module {
+		if p.pkg.Path() == "maya" {
+			out = append(out, uncalledOptions(p.pkg, used)...)
+			continue
+		}
 		short, ok := strings.CutPrefix(p.pkg.Path(), "maya/internal/")
 		if !ok {
 			continue
@@ -251,12 +268,20 @@ func uncalledExports(root string) ([]string, error) {
 				continue
 			}
 			named, ok := tn.Type().(*types.Named)
-			if !ok || types.IsInterface(named) {
+			if !ok {
+				continue
+			}
+			if it, ok := named.Underlying().(*types.Interface); ok {
+				for i := 0; i < it.NumExplicitMethods(); i++ {
+					if m := it.ExplicitMethod(i); m.Exported() && !used[m] {
+						out = append(out, short+"."+name+"."+m.Name())
+					}
+				}
 				continue
 			}
 			for i := 0; i < named.NumMethods(); i++ {
 				m := named.Method(i)
-				if m.Exported() && !used[m] && !viaInterface(named, m.Name(), ifaces) {
+				if m.Exported() && !used[m] && !viaInterface(named, m.Name(), ifaces, used) {
 					out = append(out, short+"."+name+"."+m.Name())
 				}
 			}
@@ -266,16 +291,40 @@ func uncalledExports(root string) ([]string, error) {
 	return out, nil
 }
 
-// viaInterface reports whether *T implements an interface that has a
-// method called name, so a call through that interface may reach T's.
-func viaInterface(t *types.Named, name string, ifaces []*types.Interface) bool {
+// optionTypes are the root package's option interfaces.
+var optionTypes = map[string]bool{"PredictorOption": true, "PredictOption": true, "Option": true, "BatchOption": true}
+
+// uncalledOptions lists, as "maya.Name", the root package's exported
+// funcs that return one of optionTypes and that no non-test code
+// calls.
+func uncalledOptions(pkg *types.Package, used map[types.Object]bool) []string {
+	var out []string
+	for _, name := range pkg.Scope().Names() {
+		fn, ok := pkg.Scope().Lookup(name).(*types.Func)
+		if !ok || !fn.Exported() || used[fn] {
+			continue
+		}
+		res := fn.Type().(*types.Signature).Results()
+		if res.Len() != 1 {
+			continue
+		}
+		if named, ok := res.At(0).Type().(*types.Named); ok && named.Obj().Pkg() == pkg && optionTypes[named.Obj().Name()] {
+			out = append(out, "maya."+name)
+		}
+	}
+	return out
+}
+
+// viaInterface reports whether *T implements an interface whose used
+// method called name a call may reach T's through.
+func viaInterface(t *types.Named, name string, ifaces []*types.Interface, used map[types.Object]bool) bool {
 	if t.TypeParams().Len() > 0 {
 		return false
 	}
 	ptr := types.NewPointer(t)
 	for _, it := range ifaces {
 		for i := 0; i < it.NumMethods(); i++ {
-			if it.Method(i).Name() == name && types.Implements(ptr, it) {
+			if m := it.Method(i); m.Name() == name && used[m] && types.Implements(ptr, it) {
 				return true
 			}
 		}

@@ -50,16 +50,3 @@ func ParseFaultPlan(r io.Reader) (*FaultPlan, error) { return faults.ParsePlan(r
 func WithFaults(plan *FaultPlan) Option {
 	return dualOption(func(s *predictSettings) { s.faults = plan })
 }
-
-// WithCheckpointEvery sets (or overrides) the checkpoint interval, in
-// iterations, of the fault plan in effect — the boundary failures
-// rewind to. Usable alone (k iterations between checkpoints, no other
-// faults: Recovery then prices pure checkpoint overhead) or together
-// with WithFaults, whose plan's own CheckpointEvery it overrides in
-// either option order, on a copy of the plan. As a PredictorOption it
-// joins the predictor's default plan; as a PredictOption it applies
-// to the call's plan, the default one unless the call passes its own
-// WithFaults. k <= 0 disables checkpointing.
-func WithCheckpointEvery(k int) Option {
-	return dualOption(func(s *predictSettings) { s.ckptEvery, s.ckptSet = k, true })
-}

@@ -160,7 +160,7 @@ func plainKernels(dev cuda.Device, count int) error {
 			return err
 		}
 	}
-	return dev.StreamSynchronize(s)
+	return dev.DeviceSynchronize()
 }
 
 func TestLyingClassHintsCaughtBySample(t *testing.T) {
@@ -336,7 +336,7 @@ func allReduceBody(world int) func(rank int, dev cuda.Device) error {
 		if err := comm.AllReduce(1<<20, s); err != nil {
 			return err
 		}
-		return dev.StreamSynchronize(s)
+		return dev.DeviceSynchronize()
 	}
 }
 

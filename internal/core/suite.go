@@ -38,20 +38,9 @@ type CacheStats struct {
 type SuiteCache struct {
 	// suites is unbounded: there is one entry per (cluster, profile
 	// kind) a process ever asks for.
-	suites *Memo[string, trainedSuite]
-	// trainWorkers bounds the worker pool of trainings this cache
-	// initiates (0 means the estimator default, GOMAXPROCS).
-	trainWorkers atomic.Int64
-	trained      atomic.Int64
+	suites  *Memo[string, trainedSuite]
+	trained atomic.Int64
 }
-
-// SetTrainWorkers bounds the worker pool used when this cache trains
-// a suite — the pool spans kernel classes and trees jointly. n <= 0
-// restores the default (runtime.GOMAXPROCS). Training output is
-// byte-identical for every worker count, so this is purely a
-// throughput/CPU-footprint knob; it affects subsequent trainings
-// only.
-func (c *SuiteCache) SetTrainWorkers(n int) { c.trainWorkers.Store(int64(max(n, 0))) }
 
 // trainedSuite is what one training produces.
 type trainedSuite struct {
@@ -98,7 +87,7 @@ func suiteKey(cluster hardware.Cluster, kind estimator.ProfileKind) string {
 // when the trainer's was cancelled takes over the training itself.
 func (c *SuiteCache) SuiteFor(ctx context.Context, cluster hardware.Cluster, oracle *silicon.Oracle, kind estimator.ProfileKind) (*estimator.Suite, map[string]float64, error) {
 	t, _, err := c.suites.Get(ctx, suiteKey(cluster, kind), func() (trainedSuite, error) {
-		suite, mape, err := trainSuite(ctx, cluster, oracle, kind, int(c.trainWorkers.Load()))
+		suite, mape, err := trainSuite(ctx, cluster, oracle, kind)
 		if err == nil {
 			c.trained.Add(1)
 		}
@@ -140,7 +129,7 @@ func (c *SuiteCache) Stats() CacheStats {
 	}
 }
 
-func trainSuite(ctx context.Context, cluster hardware.Cluster, oracle *silicon.Oracle, kind estimator.ProfileKind, workers int) (*estimator.Suite, map[string]float64, error) {
+func trainSuite(ctx context.Context, cluster hardware.Cluster, oracle *silicon.Oracle, kind estimator.ProfileKind) (*estimator.Suite, map[string]float64, error) {
 	profile, err := BuildProfile(ctx, oracle, cluster, kind)
 	if err != nil {
 		return nil, nil, err
@@ -148,7 +137,7 @@ func trainSuite(ctx context.Context, cluster hardware.Cluster, oracle *silicon.O
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	return estimator.TrainAndEvaluate(profile, cluster, estimator.TrainOptions{Workers: workers})
+	return estimator.TrainAndEvaluate(profile, cluster)
 }
 
 // DefaultOracle returns the canonical silicon instance for a cluster:

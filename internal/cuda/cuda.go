@@ -125,10 +125,6 @@ type CollectiveDesc struct {
 // any future real binding. All methods follow CUDA semantics; in
 // particular "Async" operations only enqueue work.
 type Device interface {
-	// Ordinal returns the device index within the job (global rank's
-	// device).
-	Ordinal() int
-
 	// MemGetInfo mimics cudaMemGetInfo: free and total HBM bytes.
 	// Frameworks use it for allocator decisions, so the emulator must
 	// answer consistently with its tracked allocations.
@@ -142,22 +138,14 @@ type Device interface {
 
 	// StreamCreate returns a new asynchronous work queue.
 	StreamCreate() (Stream, error)
-	// StreamDestroy disposes a stream created by StreamCreate.
-	StreamDestroy(s Stream) error
 
 	// EventCreate returns a new event handle.
 	EventCreate() (Event, error)
-	// EventDestroy disposes an event.
-	EventDestroy(e Event) error
 	// EventRecord captures the state of a stream into an event.
 	EventRecord(e Event, s Stream) error
 	// StreamWaitEvent makes future work on s wait for the most recent
 	// record of e (a no-op if e was never recorded), as in CUDA.
 	StreamWaitEvent(s Stream, e Event) error
-	// EventSynchronize blocks the host until e completes.
-	EventSynchronize(e Event) error
-	// StreamSynchronize blocks the host until s drains.
-	StreamSynchronize(s Stream) error
 	// DeviceSynchronize blocks the host until all streams drain.
 	DeviceSynchronize() error
 
@@ -165,8 +153,6 @@ type Device interface {
 	// by DevicePtr(0) plus kind; the emulator resolves the ambiguity
 	// the way the paper describes for unified-memory workloads.
 	MemcpyAsync(dst, src DevicePtr, bytes int64, kind MemcpyKind, s Stream) error
-	// MemsetAsync enqueues a fill on s.
-	MemsetAsync(dst DevicePtr, bytes int64, s Stream) error
 
 	// LaunchKernel enqueues a compute kernel on s. Under emulation
 	// this records metadata and returns immediately (the no-op

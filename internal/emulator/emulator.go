@@ -48,14 +48,15 @@ type Emulator struct {
 	// next op carries it as its HostGap, and a seal with none after it
 	// leaves it as the trace's TailGap.
 	gap time.Duration
-	// shapes interns every kernel, memcpy and memset shape this worker
+	// shapes interns every kernel and memcpy shape this worker
 	// launches: the trace holds one Shape per distinct shape.
 	shapes trace.Shapes
 
-	mem        allocator
-	streams    map[cuda.Stream]struct{}
-	events     map[cuda.Event]int // handle -> record version (0 = never)
+	mem allocator
+	// Streams are never destroyed: the valid handles are the default
+	// stream and 1..nextStream.
 	nextStream int64
+	events     map[cuda.Event]int // handle -> record version (0 = never)
 	nextEvent  int64
 }
 
@@ -84,9 +85,8 @@ func New(cfg Config) *Emulator {
 			Device: cfg.GPU.Name,
 			Ops:    rec.ops[:0],
 		},
-		rng:     prand.New(prand.HashInts(cfg.Seed, int64(cfg.Rank), 0x5eed)),
-		streams: map[cuda.Stream]struct{}{cuda.DefaultStream: {}},
-		events:  make(map[cuda.Event]int),
+		rng:    prand.New(prand.HashInts(cfg.Seed, int64(cfg.Rank), 0x5eed)),
+		events: make(map[cuda.Event]int),
 	}
 	e.mem.capacity = cfg.GPU.MemBytes
 	e.mem.blocks = make(map[cuda.DevicePtr]int64)
@@ -162,9 +162,6 @@ func (e *Emulator) hostDelay(kernelPrep bool) {
 	}
 }
 
-// Ordinal implements cuda.Device.
-func (e *Emulator) Ordinal() int { return e.cfg.Rank }
-
 // MemGetInfo implements cuda.Device, answering from tracked
 // allocations so framework memory heuristics behave as on hardware.
 func (e *Emulator) MemGetInfo() (free, total int64, err error) {
@@ -199,22 +196,7 @@ func (e *Emulator) Free(ptr cuda.DevicePtr) error {
 func (e *Emulator) StreamCreate() (cuda.Stream, error) {
 	e.hostDelay(false)
 	e.nextStream++
-	s := cuda.Stream(e.nextStream)
-	e.streams[s] = struct{}{}
-	return s, nil
-}
-
-// StreamDestroy implements cuda.Device.
-func (e *Emulator) StreamDestroy(s cuda.Stream) error {
-	e.hostDelay(false)
-	if s == cuda.DefaultStream {
-		return fmt.Errorf("%w: cannot destroy default stream", cuda.ErrInvalidValue)
-	}
-	if _, ok := e.streams[s]; !ok {
-		return fmt.Errorf("%w: stream %d", cuda.ErrInvalidHandle, s)
-	}
-	delete(e.streams, s)
-	return nil
+	return cuda.Stream(e.nextStream), nil
 }
 
 // EventCreate implements cuda.Device.
@@ -224,16 +206,6 @@ func (e *Emulator) EventCreate() (cuda.Event, error) {
 	ev := cuda.Event(e.nextEvent)
 	e.events[ev] = 0
 	return ev, nil
-}
-
-// EventDestroy implements cuda.Device.
-func (e *Emulator) EventDestroy(ev cuda.Event) error {
-	e.hostDelay(false)
-	if _, ok := e.events[ev]; !ok {
-		return fmt.Errorf("%w: event %d", cuda.ErrInvalidHandle, ev)
-	}
-	delete(e.events, ev)
-	return nil
 }
 
 // EventRecord implements cuda.Device, bumping the event's version so
@@ -278,27 +250,6 @@ func (e *Emulator) StreamWaitEvent(s cuda.Stream, ev cuda.Event) error {
 	return nil
 }
 
-// EventSynchronize implements cuda.Device (host-blocking).
-func (e *Emulator) EventSynchronize(ev cuda.Event) error {
-	e.hostDelay(false)
-	ver, ok := e.events[ev]
-	if !ok {
-		return fmt.Errorf("%w: event %d", cuda.ErrInvalidHandle, ev)
-	}
-	e.record(trace.Op{Kind: trace.KindEventSync, Event: int64(ev), EventVer: ver})
-	return nil
-}
-
-// StreamSynchronize implements cuda.Device (host-blocking).
-func (e *Emulator) StreamSynchronize(s cuda.Stream) error {
-	e.hostDelay(false)
-	if err := e.checkStream(s); err != nil {
-		return err
-	}
-	e.record(trace.Op{Kind: trace.KindStreamSync, Stream: int64(s)})
-	return nil
-}
-
 // DeviceSynchronize implements cuda.Device (host-blocking).
 func (e *Emulator) DeviceSynchronize() error {
 	e.hostDelay(false)
@@ -337,20 +288,6 @@ func (e *Emulator) MemcpyAsync(dst, src cuda.DevicePtr, bytes int64, kind cuda.M
 	}
 	shape := e.shapes.Intern(trace.KindMemcpy, &trace.Shape{Name: "Memcpy" + kind.String(), Bytes: bytes, MemKind: kind.String()})
 	e.record(trace.Op{Kind: trace.KindMemcpy, Name: shape.Name, Stream: int64(s), Bytes: bytes, Shape: shape})
-	return nil
-}
-
-// MemsetAsync implements cuda.Device.
-func (e *Emulator) MemsetAsync(dst cuda.DevicePtr, bytes int64, s cuda.Stream) error {
-	e.hostDelay(true)
-	if err := e.checkStream(s); err != nil {
-		return err
-	}
-	if err := e.mem.check(dst, bytes); err != nil {
-		return err
-	}
-	shape := e.shapes.Intern(trace.KindMemset, &trace.Shape{Name: "Memset", Bytes: bytes})
-	e.record(trace.Op{Kind: trace.KindMemset, Name: shape.Name, Stream: int64(s), Bytes: bytes, Shape: shape})
 	return nil
 }
 
@@ -409,7 +346,7 @@ func (e *Emulator) Mark(label string) error {
 }
 
 func (e *Emulator) checkStream(s cuda.Stream) error {
-	if _, ok := e.streams[s]; !ok {
+	if s < cuda.DefaultStream || int64(s) > e.nextStream {
 		return fmt.Errorf("%w: stream %d", cuda.ErrInvalidHandle, s)
 	}
 	return nil

@@ -94,14 +94,13 @@ func TestStreamHandleValidity(t *testing.T) {
 	if err := e.LaunchKernel(cuda.KernelDesc{Name: "k"}, s); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.StreamDestroy(s); err != nil {
+	if err := e.LaunchKernel(cuda.KernelDesc{Name: "k"}, cuda.DefaultStream); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.LaunchKernel(cuda.KernelDesc{Name: "k"}, s); !errors.Is(err, cuda.ErrInvalidHandle) {
-		t.Fatalf("launch on destroyed stream: %v", err)
-	}
-	if err := e.StreamDestroy(cuda.DefaultStream); !errors.Is(err, cuda.ErrInvalidValue) {
-		t.Fatalf("destroying default stream: %v", err)
+	for _, bad := range []cuda.Stream{s + 1, -1} {
+		if err := e.LaunchKernel(cuda.KernelDesc{Name: "k"}, bad); !errors.Is(err, cuda.ErrInvalidHandle) {
+			t.Fatalf("launch on never-created stream %d: %v", bad, err)
+		}
 	}
 }
 

@@ -13,7 +13,7 @@ func trainedSuite(t *testing.T, cluster hardware.Cluster, kind ProfileKind) (*Su
 	t.Helper()
 	oracle := silicon.NewOracle(cluster, 7)
 	profile := SyntheticProfile(oracle, cluster, kind, 11)
-	s, mape, err := TrainAndEvaluate(profile, cluster, TrainOptions{})
+	s, mape, err := TrainAndEvaluate(profile, cluster)
 	if err != nil {
 		t.Fatalf("TrainAndEvaluate: %v", err)
 	}
@@ -124,7 +124,7 @@ func TestExpandRanks(t *testing.T) {
 }
 
 func TestUnprofiledKernelFallsBackToAnalytical(t *testing.T) {
-	s, err := TrainSuite(nil, hardware.DGXH100(1), TrainOptions{})
+	s, err := TrainSuite(nil, hardware.DGXH100(1))
 	if err != nil {
 		t.Fatalf("TrainSuite(empty): %v", err)
 	}

@@ -35,22 +35,13 @@ func tinyProfile(names []string, perName int) []ProfileSample {
 }
 
 func TestSuiteTrainingDefaultsPinned(t *testing.T) {
-	// The effective suite-training defaults. The forest package's
-	// generic defaults are 24 trees / depth 14; suite training
-	// deliberately overrides them, and these constants (plus this
-	// test) are what keeps the two documented stories reconciled.
-	o := TrainOptions{}.withDefaults()
-	if o.Forest.Trees != DefaultSuiteTrees || DefaultSuiteTrees != 16 {
-		t.Errorf("suite Trees default = %d (const %d), want 16", o.Forest.Trees, DefaultSuiteTrees)
-	}
-	if o.Forest.MaxDepth != DefaultSuiteMaxDepth || DefaultSuiteMaxDepth != 12 {
-		t.Errorf("suite MaxDepth default = %d (const %d), want 12", o.Forest.MaxDepth, DefaultSuiteMaxDepth)
-	}
-	if o.MinSamples != DefaultMinSamples || DefaultMinSamples != 40 {
-		t.Errorf("MinSamples default = %d (const %d), want 40", o.MinSamples, DefaultMinSamples)
-	}
-	if o.Workers < 1 {
-		t.Errorf("Workers default = %d, want >= 1", o.Workers)
+	// The suite-training constants. The forest package's generic
+	// defaults are 24 trees / depth 14; suite training deliberately
+	// overrides them, and these constants (plus this test) are what
+	// keeps the two documented stories reconciled.
+	if suiteTrees != 16 || suiteMaxDepth != 12 || minSamples != 40 {
+		t.Errorf("suite training constants = %d trees, depth %d, %d min samples; want 16, 12, 40",
+			suiteTrees, suiteMaxDepth, minSamples)
 	}
 }
 
@@ -87,7 +78,7 @@ func TestAppendKernelFeaturesMatchesKernelFeatures(t *testing.T) {
 
 func TestEstimateKernelAllocFree(t *testing.T) {
 	cluster := hardware.DGXV100(1)
-	s, err := TrainSuite(tinyProfile([]string{"k0"}, 80), cluster, TrainOptions{})
+	s, err := TrainSuite(tinyProfile([]string{"k0"}, 80), cluster)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,28 +94,6 @@ func TestEstimateKernelAllocFree(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(200, func() { s.EstimateKernel(&analytical) }); n != 0 {
 		t.Errorf("EstimateKernel (analytical path) allocates %v/op, want 0", n)
-	}
-}
-
-func TestTrainSuiteParallelMatchesSerial(t *testing.T) {
-	// Per-tree seeds are independently derived, so the worker count
-	// must not change a single bit of the trained suite. Run with
-	// -race in CI, this doubles as the training-pool race test.
-	cluster := hardware.DGXV100(1)
-	profile := tinyProfile([]string{"k0", "k1", "k2"}, 70)
-	serial, err := TrainSuite(profile, cluster, TrainOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := TrainSuite(profile, cluster, TrainOptions{Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serial.kernels) != 3 || len(parallel.kernels) != 3 {
-		t.Fatalf("kernel forest counts: %d vs %d, want 3", len(serial.kernels), len(parallel.kernels))
-	}
-	if !reflect.DeepEqual(serial.kernels, parallel.kernels) {
-		t.Fatal("parallel TrainSuite produced different forests than serial")
 	}
 }
 
@@ -177,7 +146,7 @@ func planFixtureJob(t *testing.T) (*trace.Job, map[uint64][]int, map[uint64]int)
 
 func TestEstimatePlanMatchesAnnotateInto(t *testing.T) {
 	cluster := hardware.DGXV100(1)
-	s, err := TrainSuite(tinyProfile([]string{"k0"}, 80), cluster, TrainOptions{})
+	s, err := TrainSuite(tinyProfile([]string{"k0"}, 80), cluster)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +201,7 @@ func TestEstimatePlanMatchesAnnotateInto(t *testing.T) {
 
 func TestEstimatePlanHonorsCancellation(t *testing.T) {
 	cluster := hardware.DGXV100(1)
-	s, err := TrainSuite(nil, cluster, TrainOptions{})
+	s, err := TrainSuite(nil, cluster)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,65 +45,27 @@ const (
 	ProfileAll
 )
 
-// Effective suite-training defaults. The forest package's generic
-// defaults (24 trees, depth 14) are deliberately overridden here:
-// per-kernel runtime surfaces are smooth enough that 16 shallower
-// trees match the deeper ensemble's held-out MAPE at ~60% of the
-// training cost, and a suite trains one forest per kernel class.
-// These constants are the single source of truth for what
-// TrainOptions' zero values mean; a test pins them.
+// Suite-training constants. The forest package's generic defaults
+// (24 trees, depth 14) are deliberately overridden here: per-kernel
+// runtime surfaces are smooth enough that 16 shallower trees match the
+// deeper ensemble's held-out MAPE at ~60% of the training cost, and a
+// suite trains one forest per kernel class. A test pins them.
 const (
-	// DefaultSuiteTrees is the per-kernel forest size suite training
-	// uses when TrainOptions.Forest.Trees is zero.
-	DefaultSuiteTrees = 16
-	// DefaultSuiteMaxDepth is the tree-depth cap suite training uses
-	// when TrainOptions.Forest.MaxDepth is zero.
-	DefaultSuiteMaxDepth = 12
-	// DefaultMinSamples is the minimum per-kernel sample count to
-	// train a forest; rarer kernels use the analytical fallback.
-	DefaultMinSamples = 40
+	// suiteTrees is the size of each per-kernel forest.
+	suiteTrees = 16
+	// suiteMaxDepth caps each per-kernel tree's depth.
+	suiteMaxDepth = 12
+	// minSamples is the minimum per-kernel sample count to train a
+	// forest; rarer kernels use the analytical fallback.
+	minSamples = 40
 )
 
-// TrainOptions tunes suite training.
-type TrainOptions struct {
-	// Forest configures the per-kernel forests. Zero Trees/MaxDepth
-	// take the suite defaults (DefaultSuiteTrees/DefaultSuiteMaxDepth,
-	// not the forest package's generic 24/14); other zero fields take
-	// the forest package's defaults.
-	Forest forest.Options
-	// MinSamples is the minimum per-kernel sample count to train a
-	// forest (default DefaultMinSamples); rarer kernels use the
-	// analytical fallback.
-	MinSamples int
-	// Workers bounds the training worker pool, which spans kernel
-	// classes and trees jointly (<= 0 means runtime.GOMAXPROCS(0)).
-	// Per-tree seeds are independently derived, so the trained suite
-	// is byte-identical for every worker count.
-	Workers int
-}
-
-func (o TrainOptions) withDefaults() TrainOptions {
-	if o.MinSamples == 0 {
-		o.MinSamples = DefaultMinSamples
-	}
-	if o.Forest.Trees == 0 {
-		o.Forest.Trees = DefaultSuiteTrees
-	}
-	if o.Forest.MaxDepth == 0 {
-		o.Forest.MaxDepth = DefaultSuiteMaxDepth
-	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	return o
-}
-
 // TrainSuite fits per-kernel forests and the collective model from a
-// profile. All (kernel class, tree) tasks run through one bounded
-// worker pool (opts.Workers wide), so training scales with cores on
-// both axes; the result is byte-identical to serial training.
-func TrainSuite(profile []ProfileSample, cluster hardware.Cluster, opts TrainOptions) (*Suite, error) {
-	opts = opts.withDefaults()
+// profile. All (kernel class, tree) tasks run through one worker pool
+// GOMAXPROCS wide, so training scales with cores on both axes; per-tree
+// seeds are independently derived, so the result is byte-identical to
+// serial training.
+func TrainSuite(profile []ProfileSample, cluster hardware.Cluster) (*Suite, error) {
 	byName := make(map[string][]forest.Sample)
 	var colls []ProfileSample
 	for i := range profile {
@@ -134,15 +96,17 @@ func TrainSuite(profile []ProfileSample, cluster hardware.Cluster, opts TrainOpt
 	var jobNames []string
 	for _, name := range names {
 		samples := byName[name]
-		if len(samples) < opts.MinSamples {
+		if len(samples) < minSamples {
 			continue
 		}
-		fopts := opts.Forest
-		fopts.Seed = prand.Hash64("forest", cluster.Name, name)
-		jobs = append(jobs, forest.TrainJob{Samples: samples, Opts: fopts})
+		jobs = append(jobs, forest.TrainJob{Samples: samples, Opts: forest.Options{
+			Trees:    suiteTrees,
+			MaxDepth: suiteMaxDepth,
+			Seed:     prand.Hash64("forest", cluster.Name, name),
+		}})
 		jobNames = append(jobNames, name)
 	}
-	forests, err := forest.TrainForests(jobs, opts.Workers)
+	forests, err := forest.TrainForests(jobs, runtime.GOMAXPROCS(0))
 	if err != nil {
 		return nil, fmt.Errorf("estimator: training kernel forests: %w", err)
 	}
@@ -156,9 +120,9 @@ func TrainSuite(profile []ProfileSample, cluster hardware.Cluster, opts TrainOpt
 // share and reports held-out per-kernel MAPE — the evaluation behind
 // the paper's Tables 7–9. The split is forest.SplitN's seeded
 // permutation.
-func TrainAndEvaluate(profile []ProfileSample, cluster hardware.Cluster, opts TrainOptions) (*Suite, map[string]float64, error) {
+func TrainAndEvaluate(profile []ProfileSample, cluster hardware.Cluster) (*Suite, map[string]float64, error) {
 	train, test := forest.SplitN(profile, len(profile)/5, prand.Hash64("split", cluster.Name))
-	s, err := TrainSuite(train, cluster, opts)
+	s, err := TrainSuite(train, cluster)
 	if err != nil {
 		return nil, nil, err
 	}

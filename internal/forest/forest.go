@@ -40,18 +40,21 @@ type Sample struct {
 	Y float64
 }
 
-// Options configures training. Zero fields take the package's generic
-// defaults below. Suite training deliberately overrides Trees and
-// MaxDepth (see estimator.TrainOptions, which pins Trees 16 and
-// MaxDepth 12 for per-kernel forests).
+// Options configures training. Zero Trees and MaxDepth take the
+// package's generic defaults (24 and 14); suite training sets both per
+// kernel class (16 and 12, see the estimator package).
 type Options struct {
-	Trees       int     // number of trees (default 24)
-	MaxDepth    int     // maximum tree depth (default 14)
-	MinLeaf     int     // minimum samples per leaf (default 2)
-	FeatureFrac float64 // features considered per split (default 0.7)
-	SampleFrac  float64 // bootstrap fraction per tree (default 0.85)
-	Seed        uint64
+	Trees    int // number of trees (default 24)
+	MaxDepth int // maximum tree depth (default 14)
+	Seed     uint64
 }
+
+// Growth constants every forest shares.
+const (
+	minLeaf     = 2    // minimum samples per leaf
+	featureFrac = 0.7  // features considered per split
+	sampleFrac  = 0.85 // bootstrap fraction per tree
+)
 
 func (o Options) withDefaults() Options {
 	if o.Trees == 0 {
@@ -59,15 +62,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxDepth == 0 {
 		o.MaxDepth = 14
-	}
-	if o.MinLeaf == 0 {
-		o.MinLeaf = 2
-	}
-	if o.FeatureFrac == 0 {
-		o.FeatureFrac = 0.7
-	}
-	if o.SampleFrac == 0 {
-		o.SampleFrac = 0.85
 	}
 	return o
 }
@@ -213,7 +207,7 @@ func buildJobData(samples []Sample, opts Options) *jobData {
 		ys:    make([]float64, n),
 		order: make([][]int32, nf),
 	}
-	jd.k = int(float64(n) * opts.SampleFrac)
+	jd.k = int(float64(n) * sampleFrac)
 	if jd.k < 1 {
 		jd.k = 1
 	}
@@ -395,7 +389,7 @@ func (b *builder) growTree(tree int) *flatTree {
 // arrays, returning its node (or leaf) encoding.
 func (b *builder) grow(lo, hi, depth int) int32 {
 	mean, sse, sum, sumSq, wTot := b.segStats(lo, hi)
-	if depth >= b.jd.opts.MaxDepth || wTot < 2*b.jd.opts.MinLeaf || sse < 1e-12 {
+	if depth >= b.jd.opts.MaxDepth || wTot < 2*minLeaf || sse < 1e-12 {
 		return b.t.addLeaf(mean)
 	}
 	feat, thresh, ok := b.bestSplit(lo, hi, sse, sum, sumSq, float64(wTot))
@@ -405,14 +399,14 @@ func (b *builder) grow(lo, hi, depth int) int32 {
 	// The split feature's column is sorted, so the left side is the
 	// <= thresh prefix. Counting against the actual predicate (rather
 	// than trusting the scan position) keeps the midpoint-rounds-to-
-	// the-right-value edge case safe; the MinLeaf guard then rejects
+	// the-right-value edge case safe; the minLeaf guard then rejects
 	// any degenerate partition.
 	sIdx := b.countLeft(lo, hi, feat, thresh)
 	wl := 0
 	for _, i := range b.cols[feat][lo : lo+sIdx] {
 		wl += int(b.w[i])
 	}
-	if wl < b.jd.opts.MinLeaf || wTot-wl < b.jd.opts.MinLeaf {
+	if wl < minLeaf || wTot-wl < minLeaf {
 		return b.t.addLeaf(mean)
 	}
 	b.partition(lo, hi, feat, sIdx)
@@ -451,7 +445,7 @@ func (b *builder) segStats(lo, hi int) (mean, sse, sum, sumSq float64, wTot int)
 // is gone.
 func (b *builder) bestSplit(lo, hi int, parentSSE, sumY, sumSqY, wTot float64) (feat int, thresh float64, ok bool) {
 	jd := b.jd
-	k := int(math.Ceil(jd.opts.FeatureFrac * float64(jd.nf)))
+	k := int(math.Ceil(featureFrac * float64(jd.nf)))
 	if k < 1 {
 		k = 1
 	}
@@ -459,7 +453,6 @@ func (b *builder) bestSplit(lo, hi int, parentSSE, sumY, sumSqY, wTot float64) (
 	sort.Ints(sel) // deterministic evaluation order
 
 	best := parentSSE - 1e-12
-	minLeaf := jd.opts.MinLeaf
 	ys, w := jd.ys, b.w
 	for _, f := range sel {
 		if !jd.liveSet[f] {

@@ -337,13 +337,16 @@ func TestTrainForestsValidatesPerJob(t *testing.T) {
 }
 
 func TestOptionsDefaultsPinned(t *testing.T) {
-	// The package's generic defaults. Suite training overrides Trees
-	// and MaxDepth (pinned on the estimator side); this test keeps the
-	// doc comments honest.
+	// The package's generic defaults and growth constants. Suite
+	// training sets Trees and MaxDepth (pinned on the estimator side);
+	// this test keeps the doc comments honest.
 	o := Options{}.withDefaults()
-	if o.Trees != 24 || o.MaxDepth != 14 || o.MinLeaf != 2 ||
-		o.FeatureFrac != 0.7 || o.SampleFrac != 0.85 {
+	if o.Trees != 24 || o.MaxDepth != 14 {
 		t.Fatalf("generic forest defaults changed: %+v", o)
+	}
+	if minLeaf != 2 || featureFrac != 0.7 || sampleFrac != 0.85 {
+		t.Fatalf("growth constants changed: minLeaf %d, featureFrac %v, sampleFrac %v",
+			minLeaf, featureFrac, sampleFrac)
 	}
 }
 

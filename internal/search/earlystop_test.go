@@ -58,9 +58,9 @@ func TestEarlyStopExactWindow(t *testing.T) {
 		return mfus
 	}
 
-	// Generations are Population-sized history chunks (the budget was
+	// Generations are population-sized history chunks (the budget was
 	// never hit), each closed by one trajectory point.
-	pop := opts.withDefaults().Population
+	pop := population
 	stable := 0
 	var lastTop []float64
 	stoppedAt := -1

@@ -38,8 +38,9 @@ type EvalResult struct {
 type Evaluator func(ctx context.Context, cfg framework.MegatronConfig, bound time.Duration) (EvalResult, error)
 
 // WorkerFactory builds one evaluator per search worker. The search
-// calls it once per worker index before the first generation, one
-// call at a time, and runs every trial of worker w on evaluator w, so
+// calls it once per worker index, before the first generation that
+// needs that worker, one call at a time, and runs every trial of
+// worker w on evaluator w, so
 // the evaluator may own per-worker scratch (a persistent simulation
 // engine) without any locking. The
 // returned evaluators need not be safe for concurrent use with each
@@ -106,6 +107,13 @@ type Result struct {
 	Tactic    string // pruning tactic that resolved a skipped trial
 }
 
+// population is the generation size the optimizers are asked for, a
+// search hyperparameter decoupled from Options.Parallel so that adding
+// workers never changes what the search explores. The cma, pso and
+// twopointsde optimizers raise it to their own minimum (9, 10 and 12
+// over the Megatron space).
+const population = 8
+
 // Options configures a search run.
 type Options struct {
 	// Algorithm: "cma" (default), "random", "grid", "oneplusone",
@@ -113,14 +121,10 @@ type Options struct {
 	Algorithm string
 	// Budget is the maximum number of sampled points (default 2000).
 	Budget int
-	// Parallel is the number of concurrent trials (default 8). It is
-	// purely an execution resource: outcomes are bit-identical for any
-	// Parallel value at a fixed Population.
+	// Parallel is the number of concurrent trials (default 8; negative
+	// is an error). It is purely an execution resource: outcomes are
+	// bit-identical for any Parallel value.
 	Parallel int
-	// Population is the optimizer's generation size (default 8). It is
-	// a search hyperparameter, deliberately decoupled from Parallel so
-	// that adding workers never changes what the search explores.
-	Population int
 	// Seed drives the optimizer's randomness.
 	Seed uint64
 	// DisablePruning turns the Table-10 tactics off (ablation).
@@ -157,9 +161,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Parallel == 0 {
 		o.Parallel = 8
-	}
-	if o.Population == 0 {
-		o.Population = 8
 	}
 	if o.EarlyStopWindow == 0 {
 		o.EarlyStopWindow = 20
@@ -236,8 +237,11 @@ func Run(ctx context.Context, p Problem, eval Evaluator, opts Options) (*Outcome
 // "cancelled") alongside ctx.Err().
 func RunWorkers(ctx context.Context, p Problem, factory WorkerFactory, opts Options) (*Outcome, error) {
 	opts = opts.withDefaults()
+	if opts.Parallel < 0 {
+		return nil, fmt.Errorf("search: Parallel %d is negative", opts.Parallel)
+	}
 	space := MegatronSpace()
-	opt, err := newOptimizer(opts.Algorithm, space, opts.Population, prand.HashInts(opts.Seed, 0x5ea4c4))
+	opt, err := newOptimizer(opts.Algorithm, space, population, prand.HashInts(opts.Seed, 0x5ea4c4))
 	if err != nil {
 		return nil, err
 	}
@@ -246,10 +250,9 @@ func RunWorkers(ctx context.Context, p Problem, factory WorkerFactory, opts Opti
 		tactics = nil
 	}
 
-	evals := make([]Evaluator, opts.Parallel)
-	for w := range evals {
-		evals[w] = factory(w)
-	}
+	// Evaluators are built as trials need them: never more than
+	// Parallel, nor more than one generation's unresolved trials.
+	var evals []Evaluator
 
 	h := newHistory()
 	out := &Outcome{Stats: Stats{SkippedByTactic: make(map[string]int)}}
@@ -322,6 +325,9 @@ func RunWorkers(ctx context.Context, p Problem, factory WorkerFactory, opts Opti
 		// Concurrent trials for the unresolved candidates. Results land
 		// at their canonical positions, so reduction order is
 		// independent of scheduling.
+		for len(evals) < min(opts.Parallel, len(needEval)) {
+			evals = append(evals, factory(len(evals)))
+		}
 		if err := pool.Each(ctx, len(needEval), len(evals), func(w, n int) error {
 			return runTrial(ctx, evals[w], results[needEval[n]], bound)
 		}); err != nil {

@@ -313,3 +313,44 @@ func TestSearchPreCancelled(t *testing.T) {
 		t.Fatalf("pre-cancelled search executed %d trials", out.Stats.Executed)
 	}
 }
+
+func TestNegativeParallelIsAnError(t *testing.T) {
+	built := 0
+	factory := func(int) Evaluator { built++; return syntheticEval }
+	_, err := RunWorkers(context.Background(), testProblem(), factory,
+		Options{Algorithm: "random", Budget: 16, Parallel: -1, Seed: 1})
+	if err == nil {
+		t.Fatal("Parallel -1: no error")
+	}
+	if built != 0 {
+		t.Fatalf("Parallel -1 built %d evaluators", built)
+	}
+}
+
+// TestEvaluatorsBoundedByGeneration builds evaluators through a
+// counting factory: a search never builds more than one generation
+// can run at once, however large Parallel is.
+func TestEvaluatorsBoundedByGeneration(t *testing.T) {
+	for _, algo := range []string{"cma", "random", "grid", "oneplusone", "pso", "twopointsde"} {
+		opt, err := newOptimizer(algo, MegatronSpace(), population, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen := len(opt.generation())
+		built := 0
+		factory := func(w int) Evaluator {
+			if w != built {
+				t.Fatalf("%s: factory(%d) called after %d evaluators", algo, w, built)
+			}
+			built++
+			return syntheticEval
+		}
+		if _, err := RunWorkers(context.Background(), testProblem(), factory,
+			Options{Algorithm: algo, Budget: 200, Parallel: 64, Seed: 3, EarlyStopWindow: -1}); err != nil {
+			t.Fatal(err)
+		}
+		if built == 0 || built > gen {
+			t.Errorf("%s: built %d evaluators for generations of %d", algo, built, gen)
+		}
+	}
+}

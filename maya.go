@@ -212,11 +212,10 @@ func WithTopology(spec string) PredictorOption {
 }
 
 // Option is accepted both at predictor construction and per call:
-// WithNetSim, WithCongestion, WithSeed, WithFaults and
-// WithCheckpointEvery. Construction sets the predictor's default;
-// every call starts from those defaults and applies its own options
-// over them, in order, so a per-call use overrides the default for
-// that call only.
+// WithNetSim, WithCongestion, WithSeed and WithFaults. Construction
+// sets the predictor's default; every call starts from those defaults
+// and applies its own options over them, in order, so a per-call use
+// overrides the default for that call only.
 type Option interface {
 	PredictorOption
 	PredictOption
@@ -287,7 +286,6 @@ func NewPredictor(cluster Cluster, kind ProfileKind, opts ...PredictorOption) (*
 		return nil, fmt.Errorf("maya: %w", err)
 	}
 	p.netModel = netsim.NewWithTopology(cluster, fabric)
-	p.defaults.foldCheckpoint()
 	if p.defaults.faults != nil {
 		if err := p.defaults.faults.Validate(); err != nil {
 			return nil, fmt.Errorf("maya: %w", err)
@@ -347,8 +345,6 @@ type predictSettings struct {
 	seed       uint64
 	noDedup    bool // WithoutDedup; captureOptions adds the plan's demand
 	faults     *faults.Plan
-	ckptEvery  int
-	ckptSet    bool // ckptEvery is pending, not yet folded into faults
 }
 
 // PredictOption customizes one Predict, MeasureActual, Capture,
@@ -420,36 +416,13 @@ func WithStallBreakdown() PredictOption {
 }
 
 // settings is the one merge of the predictor's defaults and a call's
-// options: the options apply, in order, over a copy of the defaults,
-// then a WithCheckpointEvery folds into the plan that results.
+// options: the options apply, in order, over a copy of the defaults.
 func (p *Predictor) settings(opts []PredictOption) predictSettings {
 	s := p.defaults
 	for _, opt := range opts {
 		opt.applyPredict(&s)
 	}
-	s.foldCheckpoint()
 	return s
-}
-
-// foldCheckpoint sets the fault plan's checkpoint interval to a
-// pending WithCheckpointEvery value (k <= 0 disables checkpointing),
-// on a copy so the caller's plan stays unmutated, and mints a
-// checkpoint-only plan when there is none yet. NewPredictor folds the
-// defaults the same way, so a per-call WithFaults replaces a
-// construction interval along with the default plan.
-func (s *predictSettings) foldCheckpoint() {
-	if !s.ckptSet {
-		return
-	}
-	s.ckptSet = false
-	switch {
-	case s.faults != nil:
-		plan := *s.faults
-		plan.CheckpointEvery = max(s.ckptEvery, 0)
-		s.faults = &plan
-	case s.ckptEvery > 0:
-		s.faults = &faults.Plan{CheckpointEvery: s.ckptEvery}
-	}
 }
 
 // captureOptions derives the core options a capture depends on from a

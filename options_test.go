@@ -120,8 +120,9 @@ func TestOptionPrecedence(t *testing.T) {
 			same: sameReport(measureActual)},
 		{name: "faults", ctor: maya.WithFaults(stragglerPlan()), call: maya.WithFaults(stragglerPlan()),
 			override: maya.WithFaults(otherStragglerPlan()), same: sameReport(oraclePredict), full: true},
-		{name: "checkpoint", ctor: maya.WithCheckpointEvery(5), call: maya.WithCheckpointEvery(5),
-			override: maya.WithCheckpointEvery(3), same: sameReport(oraclePredict), full: true},
+		{name: "checkpoint", ctor: maya.WithFaults(&maya.FaultPlan{CheckpointEvery: 5}),
+			call:     maya.WithFaults(&maya.FaultPlan{CheckpointEvery: 5}),
+			override: maya.WithFaults(&maya.FaultPlan{CheckpointEvery: 3}), same: sameReport(oraclePredict), full: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -189,41 +190,5 @@ func checkFullCapture(t *testing.T, def, perCall call) {
 		if rep.UniqueWorkers != rep.TotalWorkers {
 			t.Errorf("%s: captured %d of %d ranks, want all", name, rep.UniqueWorkers, rep.TotalWorkers)
 		}
-	}
-}
-
-// TestCheckpointMergesInEitherOrder pins how WithCheckpointEvery
-// meets a fault plan: it sets the interval of the plan in effect,
-// whichever of the two options comes first, at construction or per
-// call. A per-call plan replaces the default plan, interval included.
-func TestCheckpointMergesInEitherOrder(t *testing.T) {
-	plan := stragglerPlan() // CheckpointEvery 2
-	cases := []struct {
-		name string
-		c    call
-		want int
-	}{
-		{"per-call plan, then interval", built().with(maya.WithFaults(plan), maya.WithCheckpointEvery(5)), 5},
-		{"per-call interval, then plan", built().with(maya.WithCheckpointEvery(5), maya.WithFaults(plan)), 5},
-		{"default plan, then interval", built(maya.WithFaults(plan), maya.WithCheckpointEvery(5)), 5},
-		{"default interval, then plan", built(maya.WithCheckpointEvery(5), maya.WithFaults(plan)), 5},
-		{"default plan, per-call interval", built(maya.WithFaults(plan)).with(maya.WithCheckpointEvery(5)), 5},
-		{"default plan, per-call interval 0", built(maya.WithFaults(plan)).with(maya.WithCheckpointEvery(0)), 0},
-		{"default interval, per-call plan", built(maya.WithCheckpointEvery(5)).with(maya.WithFaults(plan)), 2},
-		{"per-call interval alone", built().with(maya.WithCheckpointEvery(5)), 5},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			rep, err := oraclePredict(context.Background(), tc.c.predictor(t), topoWorkload(t), tc.c.opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rep.Recovery == nil || rep.Recovery.CheckpointEvery != tc.want {
-				t.Fatalf("recovery %+v, want checkpoint interval %d", rep.Recovery, tc.want)
-			}
-		})
-	}
-	if plan.CheckpointEvery != 2 {
-		t.Fatalf("the caller's plan was mutated: %+v", plan)
 	}
 }
