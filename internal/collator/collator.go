@@ -79,35 +79,60 @@ func Collate(ctx context.Context, workers []*trace.Worker, opts Options) (*Resul
 // pre-dedup worker set yields complete membership; the collator's own
 // pass over unique workers yields a partial view.
 func CommMembership(workers []*trace.Worker) (map[uint64][]int, map[uint64]int, error) {
-	type member struct {
-		commRank, globalRank int
+	inits := make([][]CommInit, len(workers))
+	for i, w := range workers {
+		inits[i] = CommInits(w)
 	}
-	members := make(map[uint64][]member)
+	return Membership(inits)
+}
+
+// CommInit is one ncclCommInitRank record: the worker of global rank
+// Global joined communicator Comm, of NRanks ranks, as its rank Rank.
+type CommInit struct {
+	Comm   uint64
+	NRanks int
+	Rank   int
+	Global int
+}
+
+// CommInits returns w's ncclCommInitRank records in trace order.
+func CommInits(w *trace.Worker) []CommInit {
+	var inits []CommInit
+	for i := range w.Ops {
+		op := &w.Ops[i]
+		if op.Kind != trace.KindCollective || op.Coll.Op != "ncclCommInitRank" {
+			continue
+		}
+		c := op.Coll
+		inits = append(inits, CommInit{Comm: c.CommID, NRanks: c.NRanks, Rank: c.Rank, Global: w.Rank})
+	}
+	return inits
+}
+
+// Membership is CommMembership over records already read: inits[i]
+// holds the ith worker's, as CommInits returns them.
+func Membership(inits [][]CommInit) (map[uint64][]int, map[uint64]int, error) {
+	members := make(map[uint64][]CommInit)
 	sizes := make(map[uint64]int)
-	for _, w := range workers {
-		for i := range w.Ops {
-			op := &w.Ops[i]
-			if op.Kind != trace.KindCollective || op.Coll.Op != "ncclCommInitRank" {
-				continue
+	for _, ws := range inits {
+		for _, in := range ws {
+			if prev, ok := sizes[in.Comm]; ok && prev != in.NRanks {
+				return nil, nil, fmt.Errorf("collator: comm %#x declared with %d and %d ranks", in.Comm, prev, in.NRanks)
 			}
-			c := op.Coll
-			if prev, ok := sizes[c.CommID]; ok && prev != c.NRanks {
-				return nil, nil, fmt.Errorf("collator: comm %#x declared with %d and %d ranks", c.CommID, prev, c.NRanks)
-			}
-			sizes[c.CommID] = c.NRanks
-			members[c.CommID] = append(members[c.CommID], member{c.Rank, w.Rank})
+			sizes[in.Comm] = in.NRanks
+			members[in.Comm] = append(members[in.Comm], in)
 		}
 	}
 	comms := make(map[uint64][]int, len(members))
 	for id, ms := range members {
-		sort.Slice(ms, func(i, j int) bool { return ms[i].commRank < ms[j].commRank })
+		sort.Slice(ms, func(i, j int) bool { return ms[i].Rank < ms[j].Rank })
 		ranks := make([]int, 0, len(ms))
 		for i, m := range ms {
-			if i > 0 && ms[i-1].commRank == m.commRank {
+			if i > 0 && ms[i-1].Rank == m.Rank {
 				return nil, nil, fmt.Errorf("collator: comm %#x rank %d claimed by global ranks %d and %d",
-					id, m.commRank, ms[i-1].globalRank, m.globalRank)
+					id, m.Rank, ms[i-1].Global, m.Global)
 			}
-			ranks = append(ranks, m.globalRank)
+			ranks = append(ranks, m.Global)
 		}
 		comms[id] = ranks
 	}

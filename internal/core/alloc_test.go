@@ -213,8 +213,10 @@ func TestAllocBudgetCapture(t *testing.T) {
 // TestAllocBudgetEmulateRank pins the objects one emulated rank
 // allocates on BenchmarkEmulateMegatronRank's fixture. Recording
 // Dims and Collective into slabs took it from 8282 to about 3950;
-// the bound is the 40% cut. What remains is the workload's own
-// descriptors in framework and cublas.
+// launching every kernel's Dims from the rank shell's one array took
+// it from 2509 to 128, so the dims literals of the emitters stay on
+// their stacks. What remains is the rank's setup (handles, streams,
+// communicators, the shape table) and the sealed trace.
 func TestAllocBudgetEmulateRank(t *testing.T) {
 	m := megatron(t, framework.MegatronConfig{
 		Model: models.GPT3_2_7B(), NGPUs: 8, GlobalBatch: 32, TP: 2, PP: 2, MicroBatches: 4, ActRecompute: true,
@@ -227,9 +229,9 @@ func TestAllocBudgetEmulateRank(t *testing.T) {
 		}
 		em.Trace()
 	})
-	const before = 8282
-	t.Logf("%.0f allocs per emulated rank (%d before the recording scratch)", allocs, before)
-	if allocs > 0.6*before {
-		t.Errorf("%.0f allocs per emulated rank, want at most %.0f", allocs, 0.6*before)
+	const bound = 256
+	t.Logf("%.0f allocs per emulated rank (8282 before the recording scratch, 2509 before the shell's dims array)", allocs)
+	if allocs > bound {
+		t.Errorf("%.0f allocs per emulated rank, want at most %d", allocs, bound)
 	}
 }

@@ -435,11 +435,11 @@ func (p *Pipeline) fill(rep *Report, sr *sim.Report, modelFLOPs float64, dtype h
 // construction.
 func (p *Pipeline) emulate(ctx context.Context, w workload.Workload, c *Capture) ([]*trace.Worker, map[uint64][]int, map[uint64]int, error) {
 	if sl, ok := w.(workload.SelectiveLauncher); ok && p.Opts.SelectiveLaunch && !p.Opts.NoDedup {
-		workers, err := p.emulateRanks(ctx, w, sl.UniqueRanks(), c)
+		workers, inits, err := p.emulateRanks(ctx, w, sl.UniqueRanks(), c)
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		comms, sizes, err := p.membership(w, workers)
+		comms, sizes, err := p.membership(w, inits)
 		return workers, comms, sizes, err
 	}
 	dedup := !p.Opts.NoDedup && w.World() > 1
@@ -456,7 +456,7 @@ func (p *Pipeline) emulate(ctx context.Context, w workload.Workload, c *Capture)
 		}
 	}
 	for {
-		probed, err := p.emulateRanks(ctx, probe, probeRanks(classes, w.World()), c)
+		probed, inits, err := p.emulateRanks(ctx, probe, probeRanks(classes, w.World()), c)
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -475,7 +475,7 @@ func (p *Pipeline) emulate(ctx context.Context, w workload.Workload, c *Capture)
 			classes = nil
 			continue
 		}
-		comms, sizes, err := p.membership(w, probed)
+		comms, sizes, err := p.membership(w, inits)
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -493,7 +493,7 @@ func (p *Pipeline) emulate(ctx context.Context, w workload.Workload, c *Capture)
 		for i, u := range unique {
 			reps[i] = u.Rank
 		}
-		workers, err := p.emulateRanks(ctx, w, reps, c)
+		workers, _, err := p.emulateRanks(ctx, w, reps, c)
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -610,10 +610,11 @@ func validClasses(classes [][]int, world int) bool {
 	return n == world
 }
 
-// membership reconstructs communicator membership from traces,
-// supplemented by workload configuration knowledge when available.
-func (p *Pipeline) membership(w workload.Workload, workers []*trace.Worker) (map[uint64][]int, map[uint64]int, error) {
-	comms, sizes, err := collator.CommMembership(workers)
+// membership reconstructs communicator membership from the emulated
+// ranks' ncclCommInitRank records, supplemented by workload
+// configuration knowledge when available.
+func (p *Pipeline) membership(w workload.Workload, inits [][]collator.CommInit) (map[uint64][]int, map[uint64]int, error) {
+	comms, sizes, err := collator.Membership(inits)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -636,11 +637,16 @@ func (p *Pipeline) membership(w workload.Workload, workers []*trace.Worker) (map
 // most one in-flight rank per pool slot. A rank that panics is an
 // error (*pool.PanicError), not the end of the process. Each call
 // adds its rank count to the capture's emulation accounting.
-func (p *Pipeline) emulateRanks(ctx context.Context, w workload.Workload, ranks []int, c *Capture) ([]*trace.Worker, error) {
+//
+// Beside each rank's trace it returns the rank's communicator inits,
+// read in the fan-out right after the seal, while the ops are still
+// in cache.
+func (p *Pipeline) emulateRanks(ctx context.Context, w workload.Workload, ranks []int, c *Capture) ([]*trace.Worker, [][]collator.CommInit, error) {
 	if c != nil {
 		c.RankEmulations += len(ranks)
 	}
 	workers := make([]*trace.Worker, len(ranks))
+	inits := make([][]collator.CommInit, len(ranks))
 	err := pool.Each(ctx, len(ranks), runtime.GOMAXPROCS(0), func(_, i int) error {
 		rank := ranks[i]
 		em := emulator.New(emulator.Config{
@@ -655,11 +661,11 @@ func (p *Pipeline) emulateRanks(ctx context.Context, w workload.Workload, ranks 
 		if err != nil && !tr.OOM {
 			return fmt.Errorf("core: emulating rank %d: %w", rank, err)
 		}
-		workers[i] = tr
+		workers[i], inits[i] = tr, collator.CommInits(tr)
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return workers, nil
+	return workers, inits, nil
 }

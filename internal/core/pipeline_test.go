@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -80,9 +81,16 @@ func TestEndToEndPredictionAccuracy(t *testing.T) {
 		m := megatron(t, cfg)
 		// Every rank's full trace must agree across workers on each
 		// matched collective's payload and group size.
-		workers, err := p.emulateRanks(context.Background(), m, probeRanks(nil, m.World()), nil)
+		workers, inits, err := p.emulateRanks(context.Background(), m, probeRanks(nil, m.World()), nil)
 		if err != nil {
 			t.Fatalf("emulating %s: %v", cfg, err)
+		}
+		// The inits read in the fan-out give the membership a pass
+		// over the traces gives.
+		comms, sizes, err := collator.Membership(inits)
+		wantComms, wantSizes, wantErr := collator.CommMembership(workers)
+		if err != nil || wantErr != nil || !reflect.DeepEqual(comms, wantComms) || !reflect.DeepEqual(sizes, wantSizes) {
+			t.Fatalf("%s: membership from inits %v %v %v, from traces %v %v %v", cfg, comms, sizes, err, wantComms, wantSizes, wantErr)
 		}
 		if _, err := collator.Collate(context.Background(), workers, collator.Options{Validate: true}); err != nil {
 			t.Fatalf("Collate(%s): %v", cfg, err)

@@ -134,12 +134,14 @@ func (e *Emulator) scratch() *recording {
 	return e.rec
 }
 
-// record appends op to the trace, carrying the host time pending since
-// the op before it.
-func (e *Emulator) record(op trace.Op) {
+// record adds an op of kind k on stream s to the trace, carrying the
+// host time pending since the op before it, and returns it for the
+// caller to fill in the rest in place.
+func (e *Emulator) record(k trace.Kind, s cuda.Stream) *trace.Op {
 	e.scratch()
-	op.HostGap, e.gap = e.gap, 0
-	e.tr.Append(op)
+	op := e.tr.Next()
+	op.Kind, op.Stream, op.HostGap, e.gap = k, int64(s), e.gap, 0
+	return op
 }
 
 // hostDelay adds the modeled CPU time preceding an API call to the
@@ -221,12 +223,8 @@ func (e *Emulator) EventRecord(ev cuda.Event, s cuda.Stream) error {
 	}
 	ver++
 	e.events[ev] = ver
-	e.record(trace.Op{
-		Kind:     trace.KindEventRecord,
-		Stream:   int64(s),
-		Event:    int64(ev),
-		EventVer: ver,
-	})
+	op := e.record(trace.KindEventRecord, s)
+	op.Event, op.EventVer = int64(ev), ver
 	return nil
 }
 
@@ -241,19 +239,15 @@ func (e *Emulator) StreamWaitEvent(s cuda.Stream, ev cuda.Event) error {
 	if err := e.checkStream(s); err != nil {
 		return err
 	}
-	e.record(trace.Op{
-		Kind:     trace.KindStreamWait,
-		Stream:   int64(s),
-		Event:    int64(ev),
-		EventVer: ver,
-	})
+	op := e.record(trace.KindStreamWait, s)
+	op.Event, op.EventVer = int64(ev), ver
 	return nil
 }
 
 // DeviceSynchronize implements cuda.Device (host-blocking).
 func (e *Emulator) DeviceSynchronize() error {
 	e.hostDelay(false)
-	e.record(trace.Op{Kind: trace.KindDeviceSync})
+	e.record(trace.KindDeviceSync, cuda.DefaultStream)
 	return nil
 }
 
@@ -287,7 +281,8 @@ func (e *Emulator) MemcpyAsync(dst, src cuda.DevicePtr, bytes int64, kind cuda.M
 		}
 	}
 	shape := e.shapes.Intern(trace.KindMemcpy, &trace.Shape{Name: "Memcpy" + kind.String(), Bytes: bytes, MemKind: kind.String()})
-	e.record(trace.Op{Kind: trace.KindMemcpy, Name: shape.Name, Stream: int64(s), Bytes: bytes, Shape: shape})
+	op := e.record(trace.KindMemcpy, s)
+	op.Name, op.Bytes, op.Shape = shape.Name, bytes, shape
 	return nil
 }
 
@@ -306,7 +301,8 @@ func (e *Emulator) LaunchKernel(k cuda.KernelDesc, s cuda.Stream) error {
 	shape := e.shapes.Intern(trace.KindKernel, &trace.Shape{
 		Name: k.Name, Dims: k.Dims, Bytes: k.Bytes, FLOPs: k.FLOPs, DType: k.DType, Extra: k.Extra,
 	})
-	e.record(trace.Op{Kind: trace.KindKernel, Name: shape.Name, Stream: int64(s), Bytes: k.Bytes, Shape: shape})
+	op := e.record(trace.KindKernel, s)
+	op.Name, op.Bytes, op.Shape = shape.Name, k.Bytes, shape
 	return nil
 }
 
@@ -329,19 +325,14 @@ func (e *Emulator) LaunchCollective(c cuda.CollectiveDesc, s cuda.Stream) error 
 		Peer:   c.Peer,
 		Bytes:  c.Bytes,
 	})
-	e.record(trace.Op{
-		Kind:   trace.KindCollective,
-		Name:   c.Op,
-		Stream: int64(s),
-		Bytes:  c.Bytes,
-		Coll:   &r.colls[len(r.colls)-1],
-	})
+	op := e.record(trace.KindCollective, s)
+	op.Name, op.Bytes, op.Coll = c.Op, c.Bytes, &r.colls[len(r.colls)-1]
 	return nil
 }
 
 // Mark implements cuda.Device, inserting an annotation op.
 func (e *Emulator) Mark(label string) error {
-	e.record(trace.Op{Kind: trace.KindMark, Name: label})
+	e.record(trace.KindMark, cuda.DefaultStream).Name = label
 	return nil
 }
 

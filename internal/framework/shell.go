@@ -26,6 +26,12 @@ type shell struct {
 	blas    *cublas.Handle
 	compute cuda.Stream
 	comm    cuda.Stream // gradient-reduction stream (overlap)
+
+	// dims backs each launch's Dims: the device keeps nothing of them
+	// past the call, so one array serves every launch and the
+	// emitters' dims literals stay on their stacks. It holds the
+	// longest Dims any emitter passes (pooling's six).
+	dims [6]int
 }
 
 // check records the first error.
@@ -51,17 +57,27 @@ func (s *shell) free(p cuda.DevicePtr) {
 	s.check(s.dev.Free(p))
 }
 
-// launch emits one kernel on the compute stream.
-func (s *shell) launch(k cuda.KernelDesc) {
+// launch emits one kernel on the compute stream, extra its
+// compiler-IR features. Its dims are copied into the shell's array, so
+// they must fit: longer ones are an error.
+func (s *shell) launch(name string, dims []int, bytes, flops int64, dtype string, extra map[string]float64) {
 	if s.err != nil {
 		return
 	}
-	s.check(s.dev.LaunchKernel(k, s.compute))
+	if len(dims) > len(s.dims) {
+		s.check(fmt.Errorf("%w: kernel %s has %d dims, a launch holds at most %d",
+			cuda.ErrInvalidValue, name, len(dims), len(s.dims)))
+		return
+	}
+	n := copy(s.dims[:], dims)
+	s.check(s.dev.LaunchKernel(cuda.KernelDesc{
+		Name: name, Dims: s.dims[:n], Bytes: bytes, FLOPs: flops, DType: dtype, Extra: extra,
+	}, s.compute))
 }
 
 // kernel emits one plain compute kernel on the compute stream.
 func (s *shell) kernel(name string, dims []int, bytes, flops int64, dtype string) {
-	s.launch(cuda.KernelDesc{Name: name, Dims: dims, Bytes: bytes, FLOPs: flops, DType: dtype})
+	s.launch(name, dims, bytes, flops, dtype, nil)
 }
 
 // handoff makes dst wait for the work issued so far on src: an event

@@ -8,7 +8,6 @@ package framework
 import (
 	"fmt"
 
-	"maya/internal/cuda"
 	"maya/internal/cudnn"
 	"maya/internal/models"
 )
@@ -82,14 +81,8 @@ func (r *dpRunner) bnAct(n, c, hw int, fwd bool) {
 
 // tritonKernel emits a compiler-fused kernel with IR features.
 func (r *dpRunner) tritonKernel(elems int64, instrs, loads float64) {
-	r.launch(cuda.KernelDesc{
-		Name:  "triton",
-		Dims:  []int{int(elems)},
-		Bytes: elems * int64(loads+1) * r.es,
-		FLOPs: elems * int64(instrs),
-		DType: r.cfg.DType,
-		Extra: map[string]float64{"triton_instrs": instrs, "triton_loads": loads},
-	})
+	r.launch("triton", []int{int(elems)}, elems*int64(loads+1)*r.es, elems*int64(instrs), r.cfg.DType,
+		map[string]float64{"triton_instrs": instrs, "triton_loads": loads})
 }
 
 // residualAdd for CNN skip connections.

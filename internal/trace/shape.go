@@ -67,13 +67,26 @@ func (o *Op) ShapeOrZero() *Shape {
 // Shape.Pos). Each emulator owns one, the trace decoder one per
 // worker and an estimate plan one per build, so no table is shared
 // between goroutines. The zero value is ready to use.
+//
+// Traces repeat themselves: the op after a given shape is most often
+// the one that followed it last time. So before it hashes, Intern
+// tries a guess, the shape it returned after the previous one the
+// last time that one came up, and takes it only if equal says so.
 type Shapes struct {
-	// byKind[k] maps a shape's hash, advanced past occupied slots that
-	// hold different shapes (linear probing), to a shape of kind k.
-	byKind [len(kindNames)]map[uint64]*Shape
-	// n[k] is how many shapes of kind k the table holds.
-	n [len(kindNames)]int32
+	// slots[k] is kind k's open-addressed table: a power-of-two number
+	// of slots, nil when free, probed linearly from a shape's hash and
+	// never more than half full.
+	slots [len(kindNames)][]*Shape
+	// next[k][p] is the shape Intern returned right after it returned
+	// kind k's shape at position p, nil before it has; len(next[k]) is
+	// how many shapes of kind k the table holds.
+	next [len(kindNames)][]*Shape
+	// last[k] is the shape of kind k Intern returned last.
+	last [len(kindNames)]*Shape
 }
+
+// minSlots is the size of a kind's first slot table.
+const minSlots = 16
 
 // Intern returns the table's shape equal to s for ops of kind k. On
 // first sighting it stores a copy of s whose Dims are copied and whose
@@ -81,7 +94,7 @@ type Shapes struct {
 // the caller's slice or map: a caller may reuse and mutate them after
 // the call without touching ops already recorded.
 func (t *Shapes) Intern(k Kind, s *Shape) *Shape {
-	h, got := t.find(k, s)
+	got, h := t.find(k, s)
 	if got != nil {
 		return got
 	}
@@ -100,7 +113,7 @@ func (t *Shapes) Intern(k Kind, s *Shape) *Shape {
 // adopt is Intern for a shape the caller owns and gives up: on first
 // sighting s itself joins the table, and gets its position.
 func (t *Shapes) adopt(k Kind, s *Shape) *Shape {
-	h, got := t.find(k, s)
+	got, h := t.find(k, s)
 	if got != nil {
 		return got
 	}
@@ -108,39 +121,84 @@ func (t *Shapes) adopt(k Kind, s *Shape) *Shape {
 	return s
 }
 
-// find returns the table's shape equal to s for kind k, or nil and the
-// free slot s would take.
-func (t *Shapes) find(k Kind, s *Shape) (uint64, *Shape) {
-	m := t.byKind[k]
+// find returns the table's shape equal to s for kind k: the guess
+// when it is equal, else the one the probe meets, and records it as
+// the one returned. On a miss it returns nil and the hash s probes
+// from.
+func (t *Shapes) find(k Kind, s *Shape) (*Shape, uint64) {
+	if last := t.last[k]; last != nil {
+		if g := t.next[k][last.pos]; g != nil && g.equal(s) {
+			t.last[k] = g
+			return g, 0
+		}
+	}
 	h := s.hash()
-	for {
-		got, ok := m[h]
-		if !ok {
-			return h, nil
+	slots := t.slots[k]
+	if len(slots) == 0 {
+		return nil, h
+	}
+	mask := uint64(len(slots) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		got := slots[i]
+		if got == nil {
+			return nil, h
 		}
 		if got.equal(s) {
-			return h, got
+			t.follow(k, got)
+			return got, h
 		}
-		h++
 	}
 }
 
-// add stores s, not yet in the table, at slot h of kind k.
+// follow records that the table returned s, of kind k, where the
+// guess was not s: s becomes the guess after the shape returned
+// before it.
+func (t *Shapes) follow(k Kind, s *Shape) {
+	if last := t.last[k]; last != nil {
+		t.next[k][last.pos] = s
+	}
+	t.last[k] = s
+}
+
+// add stores s, not yet in the table, for kind k: in the first free
+// slot from h, after doubling the slots if s would fill more than
+// half of them. s takes the next position, and is the one returned.
 func (t *Shapes) add(k Kind, h uint64, s *Shape) {
-	if t.byKind[k] == nil {
-		t.byKind[k] = make(map[uint64]*Shape)
+	n := len(t.next[k])
+	if 2*(n+1) > len(t.slots[k]) {
+		old := t.slots[k]
+		t.slots[k] = make([]*Shape, max(2*len(old), minSlots))
+		for _, o := range old {
+			if o != nil {
+				t.place(k, o.hash(), o)
+			}
+		}
 	}
-	t.byKind[k][h] = s
-	s.pos = t.n[k]
-	t.n[k]++
+	t.place(k, h, s)
+	s.pos = int32(n)
+	t.next[k] = append(t.next[k], nil)
+	t.follow(k, s)
 }
 
-// reset empties the table, keeping its maps.
-func (t *Shapes) reset() {
-	for k := range t.byKind {
-		clear(t.byKind[k])
+// place puts s in kind k's first free slot from h.
+func (t *Shapes) place(k Kind, h uint64, s *Shape) {
+	slots := t.slots[k]
+	mask := uint64(len(slots) - 1)
+	i := h & mask
+	for slots[i] != nil {
+		i = (i + 1) & mask
 	}
-	t.n = [len(kindNames)]int32{}
+	slots[i] = s
+}
+
+// reset empties the table, keeping its storage.
+func (t *Shapes) reset() {
+	for k := range t.slots {
+		clear(t.slots[k])
+		clear(t.next[k])
+		t.next[k] = t.next[k][:0]
+	}
+	t.last = [len(kindNames)]*Shape{}
 }
 
 var shapeSeed = maphash.MakeSeed()

@@ -158,14 +158,20 @@ type Worker struct {
 	TailGap time.Duration
 }
 
-// minOpsCap is the op capacity a worker's first Append allocates.
+// minOpsCap is the op capacity a worker's first Next allocates.
 const minOpsCap = 64
 
-// Append adds an op. A full buffer doubles: an Op is 80 bytes and
-// holds pointers, so the
+// Append adds an op.
+func (w *Worker) Append(op Op) { *w.Next() = op }
+
+// Next adds an op and returns it, for the caller to fill in place. The
+// op is the buffer's next slot as it stands, not cleared again: it is
+// zero when Ops is zero past its length, as a fresh or grown buffer
+// is, and as the emulator clears its scratch before reuse. A full
+// buffer doubles: an Op is 80 bytes and holds pointers, so the
 // runtime's 1.25x growth past 256 elements would allocate, clear and
 // copy a long trace several times over on its way to full size.
-func (w *Worker) Append(op Op) {
+func (w *Worker) Next() *Op {
 	n := len(w.Ops)
 	if n == cap(w.Ops) {
 		grown := make([]Op, n, max(2*n, minOpsCap))
@@ -173,7 +179,7 @@ func (w *Worker) Append(op Op) {
 		w.Ops = grown
 	}
 	w.Ops = w.Ops[:n+1]
-	w.Ops[n] = op
+	return &w.Ops[n]
 }
 
 // Compact returns a copy of w in storage sized exactly to it: one []Op

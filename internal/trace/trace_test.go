@@ -7,6 +7,9 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"maps"
+	"math"
+	"math/rand/v2"
 	"path/filepath"
 	"reflect"
 	"slices"
@@ -389,12 +392,14 @@ func TestShapesIntern(t *testing.T) {
 }
 
 // TestShapesInternProbesPastCollisions plants a different shape in
-// the slot a shape hashes to: a hash hit is verified, never trusted.
+// the slot a shape probes first: a hash hit is verified, never trusted.
 func TestShapesInternProbesPastCollisions(t *testing.T) {
 	s := &Shape{Name: "k", FLOPs: 1}
 	decoy := &Shape{Name: "decoy"}
 	var tab Shapes
-	tab.byKind[KindKernel] = map[uint64]*Shape{s.hash(): decoy}
+	tab.slots[KindKernel] = make([]*Shape, minSlots)
+	first := &tab.slots[KindKernel][s.hash()&(minSlots-1)]
+	*first = decoy
 	a := tab.Intern(KindKernel, s)
 	if a == decoy || !a.equal(s) {
 		t.Fatalf("Intern(%+v) = %+v", s, a)
@@ -402,8 +407,99 @@ func TestShapesInternProbesPastCollisions(t *testing.T) {
 	if b := tab.Intern(KindKernel, &Shape{Name: "k", FLOPs: 1}); b != a {
 		t.Fatal("a shape past a collision is not found again")
 	}
-	if tab.byKind[KindKernel][s.hash()] != decoy {
+	if *first != decoy {
 		t.Fatal("interning displaced the shape in the colliding slot")
+	}
+}
+
+// TestShapesSuccessorIsVerified interns a repeating, then shuffled
+// sequence through one table and through a second one whose guess is
+// cleared before every call, so it always hashes and probes: both
+// must return the same shapes at the same positions. A guessed
+// successor that differs from what is interned in one field, or in
+// the op kind, is never returned.
+func TestShapesSuccessorIsVerified(t *testing.T) {
+	type call struct {
+		kind Kind
+		s    Shape
+	}
+	base := Shape{Name: "k", Dims: []int{8, 16}, Bytes: 64, FLOPs: 128, DType: "bf16",
+		Extra: map[string]float64{"x": 0}, MemKind: "DtoD"}
+	head := call{KindKernel, Shape{Name: "head", Dims: []int{1}}}
+	with := func(edit func(*Shape)) Shape {
+		s := base
+		edit(&s)
+		return s
+	}
+	variants := map[string]call{
+		"dim":        {KindKernel, with(func(s *Shape) { s.Dims = []int{8, 17} })},
+		"dtype":      {KindKernel, with(func(s *Shape) { s.DType = "fp16" })},
+		"memkind":    {KindKernel, with(func(s *Shape) { s.MemKind = "HtoD" })},
+		"extra bits": {KindKernel, with(func(s *Shape) { s.Extra = map[string]float64{"x": math.Copysign(0, -1)} })},
+		"kind":       {KindMemset, base},
+	}
+
+	// Each variant, right after the guess learned that base follows head.
+	var tab Shapes
+	for name, v := range variants {
+		want := tab.Intern(KindKernel, &base)
+		for range 3 {
+			tab.Intern(head.kind, &head.s)
+			if got := tab.Intern(KindKernel, &base); got != want {
+				t.Fatalf("base interned as %p, then %p", want, got)
+			}
+		}
+		tab.Intern(head.kind, &head.s)
+		if got := tab.Intern(v.kind, &v.s); got == want || !got.equal(&v.s) {
+			t.Errorf("%s: Intern(%+v) returned the guessed %+v", name, v.s, got)
+		}
+	}
+
+	// The same contents, repeating and then shuffled, through a fresh
+	// table and through one that never guesses.
+	calls := []call{head, {KindKernel, base}}
+	for _, name := range slices.Sorted(maps.Keys(variants)) {
+		calls = append(calls, variants[name])
+	}
+	var seq []call
+	for range 4 {
+		seq = append(seq, calls...)
+	}
+	rng := rand.New(rand.NewPCG(1, 2))
+	for range 200 {
+		seq = append(seq, calls[rng.IntN(len(calls))])
+	}
+	var guessing, probing Shapes
+	pair := make(map[*Shape]*Shape)
+	kindOf := make(map[*Shape]Kind)
+	hits := 0
+	for i, c := range seq {
+		in := c.s
+		in.Dims, in.Extra = slices.Clone(c.s.Dims), maps.Clone(c.s.Extra) // fresh storage each call
+		if last := guessing.last[c.kind]; last != nil {
+			if g := guessing.next[c.kind][last.pos]; g != nil && g.equal(&in) {
+				hits++
+			}
+		}
+		got := guessing.Intern(c.kind, &in)
+		probing.last = [len(kindNames)]*Shape{}
+		want := probing.Intern(c.kind, &in)
+		if !got.equal(&c.s) || got.Pos() != want.Pos() {
+			t.Fatalf("call %d: Intern(%v, %+v) = %+v at %d, want %+v at %d", i, c.kind, c.s, got, got.Pos(), want, want.Pos())
+		}
+		if p, ok := pair[got]; ok && p != want {
+			t.Fatalf("call %d: %p paired with both %p and %p", i, got, p, want)
+		}
+		if k, ok := kindOf[got]; ok && k != c.kind {
+			t.Fatalf("call %d: one shape returned for a %v and a %v", i, k, c.kind)
+		}
+		pair[got], kindOf[got] = want, c.kind
+	}
+	if len(pair) != len(calls) {
+		t.Errorf("%d shapes for %d distinct calls", len(pair), len(calls))
+	}
+	if hits == 0 {
+		t.Error("the guess never hit")
 	}
 }
 
