@@ -14,7 +14,6 @@ import (
 
 	"maya"
 	"maya/internal/core"
-	"maya/internal/cuda"
 	"maya/internal/emulator"
 	"maya/internal/estimator"
 	"maya/internal/faults"
@@ -26,7 +25,6 @@ import (
 	"maya/internal/silicon"
 	"maya/internal/sim"
 	"maya/internal/trace"
-	"maya/internal/workload"
 )
 
 // BenchmarkEmulateMegatronRank measures transparent-emulation
@@ -344,30 +342,10 @@ func BenchmarkCaptureReuse(b *testing.B) {
 	})
 }
 
-// hideClassHints conceals a Megatron's ClassHinter and
-// SelectiveLauncher so capture takes the full O(world) dynamic-dedup
-// probe — the baseline BenchmarkCaptureHyperscale compares against.
-type hideClassHints struct {
-	m *framework.Megatron
-}
-
-func (h hideClassHints) Name() string                        { return h.m.Name() }
-func (h hideClassHints) World() int                          { return h.m.World() }
-func (h hideClassHints) Run(rank int, dev cuda.Device) error { return h.m.Run(rank, dev) }
-func (h hideClassHints) CommGroups() map[uint64][]int        { return h.m.CommGroups() }
-func (h hideClassHints) Probe() workload.Workload {
-	if inner := h.m.Probe(); inner != workload.Workload(h.m) {
-		return hideClassHints{m: inner.(*framework.Megatron)}
-	}
-	return h
-}
-
 // BenchmarkCaptureHyperscale measures the capture (emulate + collate)
 // half of a prediction on a 256-rank megatron job under dynamic
-// deduplication: the full probe emulates every rank once, the
-// class-hint fast path emulates one representative per pipeline stage
-// plus the verification sample. The ratio is the structural-dedup
-// win, which grows linearly with the data-parallel degree.
+// deduplication: the full probe emulates every rank once and dedup
+// keeps one worker per pipeline stage.
 func BenchmarkCaptureHyperscale(b *testing.B) {
 	m, err := framework.NewMegatron(framework.MegatronConfig{
 		Model: models.GPT3_1_3B(), NGPUs: 256, GlobalBatch: 128,
@@ -377,12 +355,11 @@ func BenchmarkCaptureHyperscale(b *testing.B) {
 		b.Fatal(err)
 	}
 	pipe := &core.Pipeline{Cluster: hardware.DGXV100(32)}
-	run := func(b *testing.B, w maya.Workload) {
-		b.Helper()
+	b.Run("full-probe", func(b *testing.B) {
 		b.ReportAllocs()
 		var emuls int
 		for i := 0; i < b.N; i++ {
-			c, err := pipe.Capture(context.Background(), w)
+			c, err := pipe.Capture(context.Background(), m)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -392,9 +369,7 @@ func BenchmarkCaptureHyperscale(b *testing.B) {
 			emuls = c.RankEmulations
 		}
 		b.ReportMetric(float64(emuls), "rank-emulations")
-	}
-	b.Run("full-probe", func(b *testing.B) { run(b, hideClassHints{m: m}) })
-	b.Run("class-hints", func(b *testing.B) { run(b, m) })
+	})
 }
 
 // BenchmarkPredictBatch contrasts N sequential Predict calls with one

@@ -24,6 +24,30 @@ var exportAllowlist = map[string]string{
 	"maya.WithBatchConcurrency": "the batch tests bound the pool to pin cancellation and capacity-1 eviction",
 }
 
+// benchOnlyAllowlist names the exported identifiers in internal/ that
+// non-test code uses only from bench/. The benchmark harness may not
+// change in the change that changes what it measures, so these remain,
+// each a one-line forward or a thin pool, until the harness moves onto
+// the product's own entry points (core.SimScratch, Pipeline.Simulate).
+// CI also forbids product code from calling the pools and the oracle's
+// annotate (`sim.RunPooled(`, `sim.NewEngine(`, `AcquireAnnotations(`
+// and `.AnnotateInto(` may appear in non-test files only under
+// internal/core, internal/sim, internal/trace and bench/). The list
+// can only shrink: a product change that leaves a new name only
+// bench/ uses fails. Beyond names, bench/ pins two struct fields
+// (sim.Options.Participants and core.Capture.Participants, always nil
+// in the product) and the obs parameter of faults.Runner, which the
+// guard does not check.
+var benchOnlyAllowlist = map[string]string{
+	"sim.RunPooled":                     "Run on a pooled engine (enginePool): the sim.run_ms_* and fault-evaluate rungs",
+	"trace.AcquireAnnotations":          "a pooled overlay (annPool): the ladder and engine rungs",
+	"trace.Annotations.Release":         "returns an overlay to annPool: the ladder and engine rungs",
+	"silicon.Oracle.AnnotateInto":       "trace.Annotate with the oracle: the sim.oracle_annotate_ms rung",
+	"estimator.Suite.BuildEstimatePlan": "estimator.BuildPlan with the suite: the estimator.plan_build_ms rung and the replay fixture",
+	"estimator.EstimatePlan.Fill":       "copies a plan into a pooled overlay: the ladder and engine rungs",
+	"serve.Server.Predictor":            "the serve-mixed workload reads the server's predictor to warm it",
+}
+
 // TestInternalExportsHaveCallers type-checks the module's non-test
 // packages and fails on every exported package-level func, type, var,
 // const, method or interface method in internal/ that no non-test code
@@ -36,25 +60,35 @@ var exportAllowlist = map[string]string{
 // interface, and a concrete method also counts when its type
 // implements an interface whose method of that name is so used: any
 // package-level interface of the module, or one of the standard
-// interfaces in stdInterfaces, whose methods always count.
+// interfaces in stdInterfaces, whose methods always count. A name
+// only bench/ uses must be on benchOnlyAllowlist, and every name there
+// must be used only by bench/.
 func TestInternalExportsHaveCallers(t *testing.T) {
-	got, err := uncalledExports(".")
+	uncalled, benchOnly, err := uncalledExports(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	unused := map[string]bool{}
+	checkAllowlist(t, "exportAllowlist", exportAllowlist, uncalled, "no non-test code uses it")
+	checkAllowlist(t, "benchOnlyAllowlist", benchOnlyAllowlist, benchOnly, "only bench/ uses it")
+}
+
+// checkAllowlist fails on every name in got that allow lacks, and on
+// every name in allow that got lacks or that has no reason.
+func checkAllowlist(t *testing.T, list string, allow map[string]string, got []string, why string) {
+	t.Helper()
+	found := map[string]bool{}
 	for _, name := range got {
-		unused[name] = true
-		if _, ok := exportAllowlist[name]; !ok {
-			t.Errorf("%s: exported, but no non-test code uses it; delete or unexport it, or allowlist it with a reason", name)
+		found[name] = true
+		if _, ok := allow[name]; !ok {
+			t.Errorf("%s: exported, but %s; delete or unexport it, or add it to %s with a reason", name, why, list)
 		}
 	}
-	for name, reason := range exportAllowlist {
-		if !unused[name] {
-			t.Errorf("%s: allowlisted, but it is used or gone; drop it from exportAllowlist", name)
+	for name, reason := range allow {
+		if !found[name] {
+			t.Errorf("%s: on %s, but that no longer holds; drop it from %s", name, list, list)
 		}
 		if reason == "" {
-			t.Errorf("%s: allowlisted without a reason", name)
+			t.Errorf("%s: on %s without a reason", name, list)
 		}
 	}
 }
@@ -149,8 +183,8 @@ func (l *loader) parseDir(dir string) ([]*ast.File, error) {
 
 // uncalledExports lists, sorted, the exported names in root's
 // internal/ packages that no non-test code of the module uses, as
-// "pkg.Name" or "pkg.Type.Method".
-func uncalledExports(root string) ([]string, error) {
+// "pkg.Name" or "pkg.Type.Method", and those that only bench/ uses.
+func uncalledExports(root string) (uncalled, benchOnly []string, err error) {
 	l := &loader{
 		fset: token.NewFileSet(),
 		ctxt: build.Default,
@@ -161,7 +195,7 @@ func uncalledExports(root string) ([]string, error) {
 	// The standard library's pure-Go files declare the same API as its
 	// cgo ones, and need no cgo run to check.
 	l.ctxt.CgoEnabled = false
-	err := filepath.WalkDir(root, func(dir string, d os.DirEntry, err error) error {
+	err = filepath.WalkDir(root, func(dir string, d os.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
 			return err
 		}
@@ -179,7 +213,7 @@ func uncalledExports(root string) ([]string, error) {
 		return err
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	// Where each package-level name is declared, so a use inside its
@@ -217,22 +251,24 @@ func uncalledExports(root string) ([]string, error) {
 	}
 	// The standard interfaces' methods count as used: the standard
 	// library calls them, and its uses are not recorded.
-	used := map[types.Object]bool{}
+	// product holds the uses outside bench/.
+	used, product := map[types.Object]bool{}, map[types.Object]bool{}
 	for _, s := range stdInterfaces {
 		scope := types.Universe
 		if s.pkg != "" {
 			p, err := l.Import(s.pkg)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			scope = p.Scope()
 		}
 		it := scope.Lookup(s.name).Type().Underlying().(*types.Interface)
 		ifaces = append(ifaces, it)
 		for i := 0; i < it.NumMethods(); i++ {
-			used[it.Method(i)] = true
+			used[it.Method(i)], product[it.Method(i)] = true, true
 		}
 	}
+	bench := filepath.Join(root, "bench") + string(filepath.Separator)
 
 	for id, obj := range l.info.Uses {
 		switch o := obj.(type) {
@@ -245,10 +281,29 @@ func uncalledExports(root string) ([]string, error) {
 			continue
 		}
 		used[obj] = true
+		if !strings.HasPrefix(l.fset.File(id.Pos()).Name(), bench) {
+			product[obj] = true
+		}
 	}
+	uncalled = unusedNames(l.module, used, ifaces)
+	all := map[string]bool{}
+	for _, name := range uncalled {
+		all[name] = true
+	}
+	for _, name := range unusedNames(l.module, product, ifaces) {
+		if !all[name] {
+			benchOnly = append(benchOnly, name)
+		}
+	}
+	return uncalled, benchOnly, nil
+}
 
+// unusedNames lists, sorted, the exported names of the module's
+// internal/ packages and the root package's option constructors that
+// used does not hold.
+func unusedNames(module []*modulePackage, used map[types.Object]bool, ifaces []*types.Interface) []string {
 	var out []string
-	for _, p := range l.module {
+	for _, p := range module {
 		if p.pkg.Path() == "maya" {
 			out = append(out, uncalledOptions(p.pkg, used)...)
 			continue
@@ -288,7 +343,7 @@ func uncalledExports(root string) ([]string, error) {
 		}
 	}
 	sort.Strings(out)
-	return out, nil
+	return out
 }
 
 // optionTypes are the root package's option interfaces.

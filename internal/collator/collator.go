@@ -6,15 +6,16 @@
 // agree on payload and group size.
 //
 // It also implements Maya's dynamic worker deduplication: workers
-// whose operation sequences hash identically (rolling hash over
-// operation signatures) are redundant — in data-parallel training
-// most workers are — and only one representative per group needs to
-// be emulated further and simulated.
+// that do the same work, op for op, are redundant — in data-parallel
+// training most workers are — and only one representative per group
+// needs to be emulated further and simulated. A signature buckets
+// them, and an exact compare decides.
 package collator
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -174,141 +175,150 @@ func validateCollectives(job *trace.Job) error {
 	return nil
 }
 
-// Signature computes a rolling hash over a worker's operation
-// signatures. Two workers with equal signatures perform identical
-// work modulo communicator identities — the deduplication criterion.
-// Each op's signature bytes are length-prefixed before hashing, so
-// the op boundaries are unambiguous: no splice of separator bytes
-// inside one op's fields (e.g. an adversarial kernel name) can make a
-// different op sequence hash to the same byte stream. Host time
-// enters as one byte per op, and one for the tail, saying whether any
-// was spent, never how much: measured durations differ between
-// duplicates. The allocator's high-water mark and OOM flag close the
-// hash, since a representative stands for its duplicates' memory too.
+// Signature hashes what makes a worker's work the same as another's,
+// the deduplication criterion. Per op it covers the kind and stream,
+// whether host time was spent before the call (never how much:
+// measured durations differ between duplicates), and for a collective
+// its op, bytes and group size, for any other op its name, bytes and
+// shape (dims, FLOPs, dtype). Communicator identity, event ids, Extra
+// and MemKind are left out. The tail's host time, zero or not, the
+// allocator's high-water mark and the OOM flag close the hash, since a
+// representative stands for its duplicates' memory too. Equal
+// signatures are a hint, not a verdict: DuplicateGroups merges two
+// workers only when sameWork agrees.
 func Signature(w *trace.Worker) uint64 {
-	const prime = 1099511628211
-	h := uint64(14695981039346656037)
-	word := func(n uint64) {
-		for j := 0; j < 8; j++ {
-			h ^= n & 0xff
-			h *= prime
-			n >>= 8
-		}
-	}
+	h := sigHash(offset64)
 	for i := range w.Ops {
 		op := &w.Ops[i]
-		h ^= gapByte(op.HostGap)
-		h *= prime
-		sig := op.SigString()
-		word(uint64(len(sig)))
-		for j := 0; j < len(sig); j++ {
-			h ^= uint64(sig[j])
-			h *= prime
+		h.word(uint64(op.Kind) | gapBit(op.HostGap)<<8)
+		h.word(uint64(op.Stream))
+		if op.Kind == trace.KindCollective {
+			c := op.Coll
+			h.str(c.Op)
+			h.word(uint64(c.Bytes))
+			h.word(uint64(c.NRanks))
+			continue
 		}
-		h ^= 0x1f
-		h *= prime
+		s := op.ShapeOrZero()
+		h.str(op.Name)
+		h.word(uint64(op.Bytes))
+		h.word(uint64(s.FLOPs))
+		h.str(s.DType)
+		h.word(uint64(len(s.Dims)))
+		for _, d := range s.Dims {
+			h.word(uint64(d))
+		}
 	}
-	h ^= gapByte(w.TailGap)
-	h *= prime
-	word(uint64(w.PeakBytes))
+	h.word(gapBit(w.TailGap))
+	h.word(uint64(w.PeakBytes))
 	if w.OOM {
-		h ^= 1
-		h *= prime
+		h.word(1)
 	}
-	return h
+	return uint64(h)
 }
 
-// gapByte is the byte Signature hashes for an op's host gap.
-func gapByte(gap time.Duration) uint64 {
+// sameWork reports whether a and b agree on every field Signature
+// hashes, at every position: the exact test behind a merge.
+func sameWork(a, b *trace.Worker) bool {
+	if len(a.Ops) != len(b.Ops) || gapBit(a.TailGap) != gapBit(b.TailGap) ||
+		a.PeakBytes != b.PeakBytes || a.OOM != b.OOM {
+		return false
+	}
+	for i := range a.Ops {
+		x, y := &a.Ops[i], &b.Ops[i]
+		if x.Kind != y.Kind || x.Stream != y.Stream || gapBit(x.HostGap) != gapBit(y.HostGap) {
+			return false
+		}
+		if x.Kind == trace.KindCollective {
+			c, d := x.Coll, y.Coll
+			if c.Op != d.Op || c.Bytes != d.Bytes || c.NRanks != d.NRanks {
+				return false
+			}
+			continue
+		}
+		s, t := x.ShapeOrZero(), y.ShapeOrZero()
+		if x.Name != y.Name || x.Bytes != y.Bytes ||
+			s != t && (s.FLOPs != t.FLOPs || s.DType != t.DType || !slices.Equal(s.Dims, t.Dims)) {
+			return false
+		}
+	}
+	return true
+}
+
+const (
+	offset64 = 14695981039346656037
+	prime64  = 1099511628211
+)
+
+// sigHash is FNV-1a taken a word at a time: a word or a byte is one
+// xor and one multiply.
+type sigHash uint64
+
+func (h *sigHash) word(v uint64) { *h = (*h ^ sigHash(v)) * prime64 }
+
+// str hashes s's length, then its bytes.
+func (h *sigHash) str(s string) {
+	h.word(uint64(len(s)))
+	for i := 0; i < len(s); i++ {
+		h.word(uint64(s[i]))
+	}
+}
+
+// gapBit is what Signature hashes for a host gap: whether any host
+// time was spent.
+func gapBit(gap time.Duration) uint64 {
 	if gap != 0 {
 		return 1
 	}
 	return 0
 }
 
-// structuralSampleWindow bounds how many op positions structurallyEqual
-// compares per worker pair: evenly spread across the stream, first and
-// last included.
-const structuralSampleWindow = 64
-
-// structurallyEqual is the collision guard behind signature-based
-// deduplication: two workers whose signatures match must also agree
-// on op-stream length and on the op kinds at a deterministic sample
-// of positions before they merge. A 64-bit rolling FNV makes
-// accidental collisions vanishingly rare but not impossible (and
-// adversarial kernel names can manufacture them), and merging two
-// genuinely different workers would silently corrupt the simulated
-// job.
-func structurallyEqual(a, b *trace.Worker) bool {
-	if len(a.Ops) != len(b.Ops) {
-		return false
-	}
-	n := len(a.Ops)
-	if n == 0 {
-		return true
-	}
-	step := 1
-	if n > structuralSampleWindow {
-		step = n / structuralSampleWindow
-	}
-	for i := 0; i < n; i += step {
-		if a.Ops[i].Kind != b.Ops[i].Kind {
-			return false
-		}
-	}
-	return a.Ops[n-1].Kind == b.Ops[n-1].Kind
+// DuplicateGroups clusters workers that do the same work. The returned
+// map sends each representative (lowest rank of its group) to the
+// ranks it stands for, representative included, in ascending order.
+func DuplicateGroups(workers []*trace.Worker) map[int][]int {
+	return groupBy(workers, Signature)
 }
 
-// DuplicateGroups clusters workers by signature, sub-partitioning any
-// signature bucket whose members are not structurally equal (see
-// structurallyEqual) so hash collisions cannot merge distinct
-// workers. The returned map sends each representative (lowest rank of
-// its group) to the ranks it stands for, representative included, in
-// ascending order.
-func DuplicateGroups(workers []*trace.Worker) map[int][]int {
-	type subgroup struct {
+// groupBy buckets workers by sig and splits every bucket by sameWork,
+// so a hash collision never merges two workers.
+func groupBy(workers []*trace.Worker, sig func(*trace.Worker) uint64) map[int][]int {
+	type group struct {
 		leader *trace.Worker
 		ranks  []int
 	}
-	bySig := make(map[uint64][]*subgroup)
+	bySig := make(map[uint64][]*group)
 	for _, w := range workers {
-		sig := Signature(w)
-		subs := bySig[sig]
-		placed := false
-		for _, sg := range subs {
-			if structurallyEqual(sg.leader, w) {
-				sg.ranks = append(sg.ranks, w.Rank)
-				placed = true
-				break
-			}
+		h := sig(w)
+		bucket := bySig[h]
+		i := slices.IndexFunc(bucket, func(g *group) bool { return sameWork(g.leader, w) })
+		if i < 0 {
+			i = len(bucket)
+			bySig[h] = append(bucket, &group{leader: w})
 		}
-		if !placed {
-			bySig[sig] = append(subs, &subgroup{leader: w, ranks: []int{w.Rank}})
+		g := bySig[h][i]
+		g.ranks = append(g.ranks, w.Rank)
+	}
+	out := make(map[int][]int, len(bySig))
+	for _, bucket := range bySig {
+		for _, g := range bucket {
+			sort.Ints(g.ranks)
+			out[g.ranks[0]] = g.ranks
 		}
 	}
-	groups := make(map[int][]int, len(bySig))
-	for _, subs := range bySig {
-		for _, sg := range subs {
-			sort.Ints(sg.ranks)
-			groups[sg.ranks[0]] = sg.ranks
-		}
-	}
-	return groups
+	return out
 }
 
-// Deduplicate returns only the representative workers of each
-// duplicate group, preserving rank order, plus the group map.
-func Deduplicate(workers []*trace.Worker) (unique []*trace.Worker, groups map[int][]int) {
-	groups = DuplicateGroups(workers)
-	reps := make(map[int]bool, len(groups))
-	for rep := range groups {
-		reps[rep] = true
-	}
+// Deduplicate returns the representative of each duplicate group, in
+// rank order.
+func Deduplicate(workers []*trace.Worker) []*trace.Worker {
+	groups := DuplicateGroups(workers)
+	var unique []*trace.Worker
 	for _, w := range workers {
-		if reps[w.Rank] {
+		if _, rep := groups[w.Rank]; rep {
 			unique = append(unique, w)
 		}
 	}
 	sort.Slice(unique, func(i, j int) bool { return unique[i].Rank < unique[j].Rank })
-	return unique, groups
+	return unique
 }

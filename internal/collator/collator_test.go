@@ -123,7 +123,7 @@ func TestSignatureAndDuplicateGroups(t *testing.T) {
 		t.Fatalf("group of 2 = %v", g)
 	}
 
-	unique, _ := Deduplicate([]*trace.Worker{a, b, c, d})
+	unique := Deduplicate([]*trace.Worker{a, b, c, d})
 	if len(unique) != 2 || unique[0].Rank != 0 || unique[1].Rank != 2 {
 		t.Fatalf("unique = %v", ranksOf(unique))
 	}
@@ -154,6 +154,9 @@ func TestSignatureIgnoresHostDelayDurations(t *testing.T) {
 	if Signature(a) == Signature(gapped(2, 0, 5)) || Signature(a) == Signature(gapped(3, 100, 0)) {
 		t.Fatal("a gap present in one worker and absent in the other hashes equal")
 	}
+	if groups := groupBy([]*trace.Worker{a, b, gapped(2, 0, 5), gapped(3, 100, 0)}, constSig); len(groups) != 3 {
+		t.Fatalf("groups = %v, want {0: [0 1], 2: [2], 3: [3]}", groups)
+	}
 }
 
 // TestSignatureSensitiveToMemory keeps apart workers whose ops agree
@@ -170,23 +173,23 @@ func TestSignatureSensitiveToMemory(t *testing.T) {
 	if Signature(a) == Signature(b) || Signature(a) == Signature(c) {
 		t.Fatal("workers with different peak memory or OOM flags hash equal")
 	}
+	if groups := groupBy([]*trace.Worker{a, b, c}, constSig); len(groups) != 3 {
+		t.Fatalf("workers with different peak memory or OOM flags merged: %v", groups)
+	}
 }
 
 // TestCraftedSignatureCollisionNotMerged pins both layers of the
 // collision defense. The crafted worker pair below hashed identically
-// under the unprefixed rolling signature: a kernel name embedding the
-// 0x1f op separator made one op's signature bytes equal two ops'.
-// Length-prefixing each op's signature bytes (layer 1) makes the
-// boundaries unambiguous, so the splice no longer collides; and even
-// on a raw 64-bit collision, the structural guard (layer 2) refuses
-// to merge workers that differ in op count or sampled kinds.
+// under an unprefixed byte signature: a kernel name embedding the
+// separator made one op's signature bytes equal two ops'. Hashing
+// each string's length (layer 1) makes the boundaries unambiguous, so
+// the splice no longer collides; and even on a raw 64-bit collision,
+// the exact compare (layer 2) refuses to merge workers that differ.
 func TestCraftedSignatureCollisionNotMerged(t *testing.T) {
 	a := worker(0, 2)
 	a.Append(trace.Op{Kind: trace.KindKernel, Name: "x"})
 	a.Append(trace.Op{Kind: trace.KindKernel, Name: "y"})
 	b := worker(1, 2)
-	// One op whose unprefixed signature bytes equal a's two ops plus
-	// separator: "0|x|[]|0|0||0" + 0x1f + "0|y|[]|0|0||0".
 	b.Append(trace.Op{Kind: trace.KindKernel, Name: "x|[]|0|0||0\x1f0|y"})
 
 	if Signature(a) == Signature(b) {
@@ -194,40 +197,119 @@ func TestCraftedSignatureCollisionNotMerged(t *testing.T) {
 	}
 	// Layer 2, independent of the hash: different op counts must
 	// never merge, even when signatures agree.
-	if structurallyEqual(a, b) {
-		t.Fatal("structural guard accepted workers with different op counts")
+	if sameWork(a, b) {
+		t.Fatal("exact compare accepted workers with different op counts")
 	}
-	groups := DuplicateGroups([]*trace.Worker{a, b})
-	if len(groups) != 2 {
-		t.Fatalf("structurally different workers merged: groups = %v", groups)
+	if groups := groupBy([]*trace.Worker{a, b}, constSig); len(groups) != 2 {
+		t.Fatalf("workers with different op counts merged: groups = %v", groups)
 	}
-	unique, _ := Deduplicate([]*trace.Worker{a, b})
-	if len(unique) != 2 {
+	if unique := Deduplicate([]*trace.Worker{a, b}); len(unique) != 2 {
 		t.Fatalf("Deduplicate dropped a distinct worker: kept %v", ranksOf(unique))
 	}
 }
 
-// TestSameLengthKindMismatchNotMerged covers the sampled-kind check:
-// equal signatures and equal op counts, but different kind sequences,
-// must still partition.
+// constSig sends every worker to one bucket, as a collision would, so
+// only the exact compare keeps workers apart.
+func constSig(*trace.Worker) uint64 { return 0 }
+
+// TestSameLengthKindMismatchNotMerged covers a kind mismatch: equal
+// signatures and equal op counts, but different kind sequences, must
+// still partition.
 func TestSameLengthKindMismatchNotMerged(t *testing.T) {
-	a := worker(0, 2)
+	a := worker(0, 3)
 	a.Append(trace.Op{Kind: trace.KindKernel, Name: "x"})
 	a.Append(trace.Op{Kind: trace.KindDeviceSync})
-	b := worker(1, 2)
-	// KindMemcpy's signature string starts with its own kind number,
-	// so these do not actually collide — force the comparison through
-	// structurallyEqual directly to pin the guard's behavior.
+	b := worker(1, 3)
 	b.Append(trace.Op{Kind: trace.KindMemcpy, Name: "x"})
 	b.Append(trace.Op{Kind: trace.KindDeviceSync})
-	if structurallyEqual(a, b) {
-		t.Fatal("kind mismatch at sampled position must fail the structural check")
-	}
-	c := worker(2, 2)
+	c := worker(2, 3)
 	c.Append(trace.Op{Kind: trace.KindKernel, Name: "x"})
 	c.Append(trace.Op{Kind: trace.KindDeviceSync})
-	if !structurallyEqual(a, c) {
-		t.Fatal("identical streams must pass the structural check")
+	groups := groupBy([]*trace.Worker{a, b, c}, constSig)
+	if len(groups) != 2 || len(groups[0]) != 2 || groups[0][1] != 2 {
+		t.Fatalf("groups = %v, want {0: [0 2], 1: [1]}", groups)
+	}
+}
+
+// TestCollisionSplitPastSampleWindow forces every worker into one
+// signature bucket and changes one non-kind field at one position: a
+// position a 64-op evenly spaced sample of kinds skips, and a field
+// such a sample never reads. Only an exact compare of every field at
+// every position keeps the workers apart.
+func TestCollisionSplitPastSampleWindow(t *testing.T) {
+	const n = 1000 // a 64-sample window steps by 15: position 7 is skipped
+	mk := func(rank int) *trace.Worker {
+		w := worker(rank, 8)
+		for i := 0; i < n; i++ {
+			w.Append(trace.OpOf(trace.KindKernel, &trace.Shape{
+				Name: "gemm", Dims: []int{64, 64, 64}, Bytes: 4096, FLOPs: 1 << 20, DType: "bf16",
+			}))
+		}
+		return w
+	}
+	base := mk(0)
+	for field, change := range map[string]func(op *trace.Op){
+		"name":   func(op *trace.Op) { op.Name = "gemm2" },
+		"bytes":  func(op *trace.Op) { op.Bytes++ },
+		"stream": func(op *trace.Op) { op.Stream = 1 },
+		"gap":    func(op *trace.Op) { op.HostGap = 1 },
+		"dims": func(op *trace.Op) {
+			s := *op.Shape
+			s.Dims = []int{64, 64, 65}
+			op.Shape = &s
+		},
+		"flops": func(op *trace.Op) {
+			s := *op.Shape
+			s.FLOPs++
+			op.Shape = &s
+		},
+		"dtype": func(op *trace.Op) {
+			s := *op.Shape
+			s.DType = "fp16"
+			op.Shape = &s
+		},
+	} {
+		other := mk(1)
+		change(&other.Ops[7])
+		if groups := groupBy([]*trace.Worker{base, other}, constSig); len(groups) != 2 {
+			t.Errorf("%s differs at op 7 but the workers merged: %v", field, groups)
+		}
+	}
+	// Event ids, Extra and MemKind are not work.
+	same := mk(1)
+	s := *same.Ops[7].Shape
+	s.Extra, s.MemKind = map[string]float64{"ir": 1}, "DtoD"
+	same.Ops[7].Shape, same.Ops[7].Event = &s, 42
+	if groups := groupBy([]*trace.Worker{base, same}, constSig); len(groups) != 1 {
+		t.Fatalf("workers doing the same work split: %v", groups)
+	}
+}
+
+// TestGroupingIgnoresCommIdentity merges duplicates that sit on
+// different communicators, and keeps apart collectives that differ in
+// op, bytes or group size even when their signatures collide.
+func TestGroupingIgnoresCommIdentity(t *testing.T) {
+	mk := func(rank int, c trace.Collective) *trace.Worker {
+		w := worker(rank, 2)
+		w.Append(trace.Op{Kind: trace.KindCollective, Coll: &c})
+		return w
+	}
+	base := trace.Collective{Op: "ncclAllReduce", CommID: 1, Seq: 5, NRanks: 4, Rank: 0, Bytes: 100}
+	a := mk(0, base)
+	b := mk(1, trace.Collective{Op: "ncclAllReduce", CommID: 2, Seq: 9, NRanks: 4, Rank: 3, Bytes: 100})
+	if groups := DuplicateGroups([]*trace.Worker{a, b}); len(groups) != 1 {
+		t.Fatalf("duplicates on different communicators split: %v", groups)
+	}
+	for field, change := range map[string]func(c *trace.Collective){
+		"op":     func(c *trace.Collective) { c.Op = "ncclAllGather" },
+		"bytes":  func(c *trace.Collective) { c.Bytes++ },
+		"nranks": func(c *trace.Collective) { c.NRanks = 8 },
+	} {
+		c := base
+		change(&c)
+		if groups := groupBy([]*trace.Worker{a, mk(1, c)}, constSig); len(groups) != 2 {
+			t.Errorf("collectives differing in %s merged: %v", field, groups)
+		}
 	}
 }
 

@@ -66,13 +66,9 @@ type Capture struct {
 	OOM          bool
 	// RankEmulations counts every rank emulation this capture paid,
 	// deduplication probes included — the accounting that makes
-	// structural-dedup wins measurable (a class-hinted hyperscale
-	// capture emulates ~classes+samples ranks, not world).
+	// dedup wins measurable (a selectively launched hyperscale capture
+	// emulates one rank per pipeline stage, the probe every rank).
 	RankEmulations int
-	// ClassHinted marks captures served by the verified class-hint
-	// fast path (workload.ClassHinter); false means selective launch,
-	// the full dynamic-dedup probe, or no dedup at all.
-	ClassHinted bool
 	// EmulateTime and CollateTime record what this capture cost, so
 	// reuse wins are measurable (Fig. 13-style stage accounting).
 	EmulateTime time.Duration
@@ -274,12 +270,13 @@ type capturePayload struct {
 	EmulateNS     int64            `json:"emulate_ns"`
 	CollateNS     int64            `json:"collate_ns"`
 	RankEmuls     int              `json:"rank_emulations,omitempty"`
-	ClassHinted   bool             `json:"class_hinted,omitempty"`
 }
 
 // Flags of a binary capture payload.
 const (
 	captureOOM = 1 << iota
+	// captureClassHinted marked captures of a capture route that no
+	// longer exists; it is accepted on read and ignored.
 	captureClassHinted
 	captureHasJob
 )
@@ -317,9 +314,6 @@ func (c *Capture) encode(e *trace.Encoder) error {
 	var flags byte
 	if c.OOM {
 		flags |= captureOOM
-	}
-	if c.ClassHinted {
-		flags |= captureClassHinted
 	}
 	if c.Job != nil {
 		flags |= captureHasJob
@@ -438,7 +432,7 @@ func decodeCapture(payload []byte, v2 bool) (*Capture, error) {
 	if flags&^(captureOOM|captureClassHinted|captureHasJob) != 0 {
 		return nil, fmt.Errorf("unknown capture flags %#x", flags)
 	}
-	c.OOM, c.ClassHinted = flags&captureOOM != 0, flags&captureClassHinted != 0
+	c.OOM = flags&captureOOM != 0
 	if n, isNil := d.Len(2); !isNil {
 		c.Comms = make(map[uint64][]int, n)
 		for ; n > 0; n-- {
@@ -492,7 +486,6 @@ func decodeCaptureJSON(payload []byte) (*Capture, error) {
 		EmulateTime:    time.Duration(p.EmulateNS),
 		CollateTime:    time.Duration(p.CollateNS),
 		RankEmulations: p.RankEmuls,
-		ClassHinted:    p.ClassHinted,
 	}
 	if p.Job != nil {
 		job, err := p.Job.Job()

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"os"
 	"reflect"
 	"testing"
@@ -135,4 +136,49 @@ func jobBytes(t *testing.T, j *trace.Job) []byte {
 		t.Fatal(err)
 	}
 	return e.B
+}
+
+// TestClassHintedBitIgnoredOnRead loads a version-3 capture whose
+// flags carry bit 1, which marked captures of a capture route that no
+// longer exists: it loads to the capture without the bit, and writes
+// that capture's bytes.
+func TestClassHintedBitIgnoredOnRead(t *testing.T) {
+	_, c := goldenCapture(t)
+	write := func() []byte {
+		var b bytes.Buffer
+		if _, err := c.WriteTo(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	plain := write()
+	// The flags byte is the first byte an OOM verdict changes.
+	c.OOM = true
+	flags := 0
+	for oom := write(); plain[flags] == oom[flags]; flags++ {
+	}
+	c.OOM = false
+
+	hinted := bytes.Clone(plain)
+	hinted[flags] |= captureClassHinted
+	sum := len(hinted) - 8
+	binary.BigEndian.PutUint64(hinted[sum:], payloadSum(hinted[traceHeaderLen:sum]))
+	loaded, err := ReadCapture(bytes.NewReader(hinted))
+	if err != nil {
+		t.Fatalf("ReadCapture: %v", err)
+	}
+	want, err := ReadCapture(bytes.NewReader(plain))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(loaded, want) {
+		t.Fatal("the bit changed what loaded")
+	}
+	var b bytes.Buffer
+	if _, err := loaded.WriteTo(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(b.Bytes(), plain) {
+		t.Fatal("a capture loaded with the bit writes it back")
+	}
 }

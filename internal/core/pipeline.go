@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -422,17 +421,11 @@ func (p *Pipeline) fill(rep *Report, sr *sim.Report, modelFLOPs float64, dtype h
 // supplemented by configuration knowledge (GroupAware) where only a
 // subset ran.
 //
-// Selective launch is trusted outright: the workload names its unique
-// ranks (§7.4). Every other capture takes one route: probe → dedup →
-// verify → emulate the representatives (paper §4.2). It runs the
-// workload's one-iteration probe (or the workload itself) on every
-// rank, or under a valid class hint on each class's representative
-// plus a deterministic verification sample, so capture scales with
-// unique structure instead of world size; deduplicates the probes;
-// and runs the full workload only on the unique representatives. A
-// hint that fails verification is dropped and the loop runs once
-// more over every rank, which produces bit-identical results by
-// construction.
+// Capture takes one of the paper's two routes. Selective launch is
+// trusted outright: the workload names its unique ranks (§7.4).
+// Otherwise every rank runs the workload's one-iteration probe (or
+// the workload itself), the probes are deduplicated, and the full
+// workload runs only on the representatives (§4.2).
 func (p *Pipeline) emulate(ctx context.Context, w workload.Workload, c *Capture) ([]*trace.Worker, map[uint64][]int, map[uint64]int, error) {
 	if sl, ok := w.(workload.SelectiveLauncher); ok && p.Opts.SelectiveLaunch && !p.Opts.NoDedup {
 		workers, inits, err := p.emulateRanks(ctx, w, sl.UniqueRanks(), c)
@@ -449,112 +442,41 @@ func (p *Pipeline) emulate(ctx context.Context, w workload.Workload, c *Capture)
 		probe = pr.Probe()
 		probeIsFull = sameWorkload(probe, w)
 	}
-	var classes [][]int
-	if ch, ok := w.(workload.ClassHinter); ok && dedup {
-		if classes = ch.RankClasses(); !validClasses(classes, w.World()) {
-			classes = nil
-		}
+	probed, inits, err := p.emulateRanks(ctx, probe, allRanks(w.World()), c)
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	for {
-		probed, inits, err := p.emulateRanks(ctx, probe, probeRanks(classes, w.World()), c)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		unique := probed
-		var groups map[int][]int
-		if dedup {
-			// Deduplicate merges the verification samples back into
-			// their representatives — and merges hinted classes that
-			// turn out to be duplicates of each other, exactly as the
-			// full probe would.
-			unique, groups = collator.Deduplicate(probed)
-		}
-		// The samples are checked before membership, so a lying hint
-		// never surfaces a membership error the full probe would not.
-		if classes != nil && !samplesAgree(classes, groups) {
-			classes = nil
-			continue
-		}
-		comms, sizes, err := p.membership(w, inits)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		if classes != nil && !complete(comms, sizes) {
-			classes = nil
-			continue
-		}
-		c.ClassHinted = classes != nil
-		if probeIsFull {
-			// The probe trace is the full trace (single-iteration
-			// workloads and workloads without a cheap probe).
-			return unique, comms, sizes, nil
-		}
-		reps := make([]int, len(unique))
-		for i, u := range unique {
-			reps[i] = u.Rank
-		}
-		workers, _, err := p.emulateRanks(ctx, w, reps, c)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return workers, comms, sizes, nil
+	unique := probed
+	if dedup {
+		unique = collator.Deduplicate(probed)
 	}
+	comms, sizes, err := p.membership(w, inits)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if probeIsFull {
+		// The probe trace is the full trace (single-iteration
+		// workloads and workloads without a cheap probe).
+		return unique, comms, sizes, nil
+	}
+	reps := make([]int, len(unique))
+	for i, u := range unique {
+		reps[i] = u.Rank
+	}
+	workers, _, err := p.emulateRanks(ctx, w, reps, c)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return workers, comms, sizes, nil
 }
 
-// probeRanks lists, ascending, the ranks one pass of emulate probes:
-// every rank, or under a class hint each class's representative plus
-// its verification sample.
-func probeRanks(classes [][]int, world int) []int {
-	if classes == nil {
-		ranks := make([]int, world)
-		for i := range ranks {
-			ranks[i] = i
-		}
-		return ranks
+// allRanks lists the ranks of a world of n, ascending.
+func allRanks(n int) []int {
+	ranks := make([]int, n)
+	for i := range ranks {
+		ranks[i] = i
 	}
-	var ranks []int
-	for _, class := range classes {
-		ranks = append(ranks, class[0])
-		ranks = append(ranks, verificationSample(class)...)
-	}
-	sort.Ints(ranks)
 	return ranks
-}
-
-// samplesAgree reports whether every class's verification sample
-// landed in its representative's duplicate group. A sampled member
-// whose trace diverges from its representative's (by signature or by
-// the collision guard's structural check) lands in another group: the
-// hint lied.
-func samplesAgree(classes [][]int, groups map[int][]int) bool {
-	repOf := make(map[int]int)
-	for rep, ranks := range groups {
-		for _, r := range ranks {
-			repOf[r] = rep
-		}
-	}
-	for _, class := range classes {
-		for _, s := range verificationSample(class) {
-			if repOf[s] != repOf[class[0]] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// complete reports whether membership names every member of every
-// communicator. The full probe derives it from every rank's trace; a
-// hinted probe has only its subset plus the workload's group
-// knowledge, and a group left partial means the hint cannot be served
-// without changing results.
-func complete(comms map[uint64][]int, sizes map[uint64]int) bool {
-	for id, size := range sizes {
-		if len(comms[id]) != size {
-			return false
-		}
-	}
-	return true
 }
 
 // sameWorkload reports whether two workload interface values are the
@@ -566,48 +488,6 @@ func sameWorkload(a, b workload.Workload) bool {
 		return false
 	}
 	return a == b
-}
-
-// verificationSample returns the deterministic sample of non-
-// representative class members whose traces the fast path checks
-// against the representative's: the last member, plus the middle one
-// for classes of three or more.
-func verificationSample(class []int) []int {
-	switch {
-	case len(class) <= 1:
-		return nil
-	case len(class) == 2:
-		return class[1:]
-	default:
-		mid, last := class[len(class)/2], class[len(class)-1]
-		if mid == last {
-			return []int{last}
-		}
-		return []int{mid, last}
-	}
-}
-
-// validClasses reports whether classes is a well-formed partition of
-// [0, world): every rank exactly once, each class non-empty and
-// sorted ascending.
-func validClasses(classes [][]int, world int) bool {
-	seen := make([]bool, world)
-	n := 0
-	for _, class := range classes {
-		if len(class) == 0 {
-			return false
-		}
-		prev := -1
-		for _, r := range class {
-			if r < 0 || r >= world || r <= prev || seen[r] {
-				return false
-			}
-			seen[r] = true
-			prev = r
-			n++
-		}
-	}
-	return n == world
 }
 
 // membership reconstructs communicator membership from the emulated

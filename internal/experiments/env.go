@@ -104,9 +104,10 @@ func (e *Env) predictOnReference(ctx context.Context, cluster, ref hardware.Clus
 	}, w, flops)
 }
 
-// predictProbed predicts w with its workers deduplicated by probing —
-// the class-hinted or dynamic path a capture takes without selective
-// launch (Fig. 14). Every public predictor launches selectively.
+// predictProbed predicts w with its workers deduplicated by the
+// paper's probe: one iteration on every rank, then dedup, the route a
+// capture takes without selective launch (Fig. 14). Every public
+// predictor launches selectively.
 func (e *Env) predictProbed(ctx context.Context, cluster hardware.Cluster, w workload.Workload) (*maya.Report, error) {
 	suite, _, err := suiteFor(ctx, cluster, estimator.ProfileLLM)
 	if err != nil {

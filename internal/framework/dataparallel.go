@@ -147,7 +147,6 @@ var (
 	_ workload.Workload          = (*DataParallel)(nil)
 	_ workload.SelectiveLauncher = (*DataParallel)(nil)
 	_ workload.GroupAware        = (*DataParallel)(nil)
-	_ workload.ClassHinter       = (*DataParallel)(nil)
 	_ workload.Fingerprinter     = (*DataParallel)(nil)
 )
 
@@ -178,11 +177,6 @@ func (d *DataParallel) World() int { return d.cfg.NGPUs }
 // UniqueRanks implements workload.SelectiveLauncher: pure data
 // parallelism means every rank is identical.
 func (d *DataParallel) UniqueRanks() []int { return []int{0} }
-
-// RankClasses implements workload.ClassHinter: one class holding all
-// ranks — the verified counterpart of UniqueRanks, usable under
-// dynamic dedup (vision and LLM DP jobs alike).
-func (d *DataParallel) RankClasses() [][]int { return [][]int{dpWorld(d.cfg.NGPUs)} }
 
 // dpWorld is the one data-parallel group: every rank.
 func dpWorld(n int) []int {
@@ -262,6 +256,10 @@ type dpRunner struct {
 	mbs    int
 	blocks []dpBlock
 	params int64
+
+	// triton is the IR-feature map every Triton launch refills: the
+	// device keeps nothing of it past the call.
+	triton map[string]float64
 }
 
 // malloc floors a request at one byte: an empty block still gets a

@@ -226,7 +226,6 @@ var (
 	_ workload.Workload          = (*Megatron)(nil)
 	_ workload.SelectiveLauncher = (*Megatron)(nil)
 	_ workload.GroupAware        = (*Megatron)(nil)
-	_ workload.ClassHinter       = (*Megatron)(nil)
 	_ workload.Fingerprinter     = (*Megatron)(nil)
 )
 
@@ -262,27 +261,6 @@ func (m *Megatron) UniqueRanks() []int {
 		out[p] = m.cfg.rankOf(rankCoords{pp: p})
 	}
 	return out
-}
-
-// RankClasses implements workload.ClassHinter: ranks that share a
-// pipeline stage are equivalent — tensor- and data-parallel peers
-// (including expert-parallel MoE peers, whose local expert counts and
-// collective shapes match across the DP group) perform identical work
-// modulo communicator identities, which trace signatures ignore.
-// Unlike UniqueRanks this claim is verified by the pipeline's
-// sampling, so it is safe under dynamic dedup.
-func (m *Megatron) RankClasses() [][]int {
-	cfg := m.cfg
-	stage := cfg.TP * cfg.DP()
-	classes := make([][]int, cfg.PP)
-	for p := range classes {
-		class := make([]int, stage)
-		for i := range class {
-			class[i] = p*stage + i
-		}
-		classes[p] = class
-	}
-	return classes
 }
 
 // Fingerprint implements workload.Fingerprinter: a canonical

@@ -328,12 +328,7 @@ func TestTraceDeterminism(t *testing.T) {
 	}
 	a := emulate(t, m, 1)
 	b := emulate(t, m, 1)
-	if len(a.Ops) != len(b.Ops) {
-		t.Fatalf("op counts differ: %d vs %d", len(a.Ops), len(b.Ops))
-	}
-	for i := range a.Ops {
-		if a.Ops[i].SigString() != b.Ops[i].SigString() {
-			t.Fatalf("op %d differs", i)
-		}
+	if groups := collator.DuplicateGroups([]*trace.Worker{a, b}); len(groups) != 1 {
+		t.Fatalf("two emulations of one rank differ: groups %v", groups)
 	}
 }

@@ -88,11 +88,9 @@ func (r *megatronRunner) emitMoEForward() {
 		// Dispatch: tokens shuffle to their experts' owners.
 		r.check(r.epc.AllToAll(int64(routed)*int64(h)*r.es/int64(ep), r.compute))
 	}
-	// Local expert FFNs over the balanced shard.
-	local := routed / ep
-	if local < 1 {
-		local = 1
-	}
+	// Local expert FFNs: under balanced routing every peer sends 1/ep
+	// of its routed tokens here, n·topk in all.
+	local := routed
 	r.gemm(local, f/t, h)
 	if mdl.GatedMLP {
 		r.gemm(local, f/t, h)
@@ -126,10 +124,7 @@ func (r *megatronRunner) emitMoEBackward() {
 	if r.epc != nil {
 		r.check(r.epc.AllToAll(int64(routed)*int64(h)*r.es/int64(ep), r.compute))
 	}
-	local := routed / ep
-	if local < 1 {
-		local = 1
-	}
+	local := routed
 	r.gemm(local, f/t, h) // fc2 dgrad
 	r.gemm(h, f/t, local) // fc2 wgrad
 	r.kernel("vectorized_elementwise_kernel", []int{local, f / t}, 3*r.es*int64(local)*int64(f/t), 10*int64(local)*int64(f/t), cfg.DType)

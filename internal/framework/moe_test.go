@@ -3,7 +3,9 @@ package framework
 import (
 	"testing"
 
+	"maya/internal/collator"
 	"maya/internal/models"
+	"maya/internal/trace"
 )
 
 func moeModel() models.Transformer {
@@ -85,13 +87,8 @@ func TestMoEDuplicatesPreserved(t *testing.T) {
 	}
 	a := emulate(t, m, 0)
 	b := emulate(t, m, 1)
-	if len(a.Ops) != len(b.Ops) {
-		t.Fatalf("rank op counts differ: %d vs %d", len(a.Ops), len(b.Ops))
-	}
-	for i := range a.Ops {
-		if a.Ops[i].SigString() != b.Ops[i].SigString() {
-			t.Fatalf("op %d differs between DP peers", i)
-		}
+	if groups := collator.DuplicateGroups([]*trace.Worker{a, b}); len(groups) != 1 {
+		t.Fatalf("DP peers differ: groups %v", groups)
 	}
 }
 
@@ -109,5 +106,36 @@ func TestMoEModelAccounting(t *testing.T) {
 	}
 	if fm > 4*fd {
 		t.Fatalf("MoE active FLOPs %.3g implausibly large vs dense %.3g", fm, fd)
+	}
+}
+
+// TestMoEWorkLaw sums the kernel FLOPs of every rank: however many
+// ranks share the experts, the job does the model's work for the
+// batch, up to the optimizer's replication.
+func TestMoEWorkLaw(t *testing.T) {
+	const batch = 16
+	mdl := moeModel()
+	want := mdl.TrainFLOPsPerIter(batch)
+	for _, ep := range []int{1, 2, 4, 8} {
+		cfg := MegatronConfig{Model: mdl, NGPUs: 2 * ep, GlobalBatch: batch, TP: 2, PP: 1, MicroBatches: 2}
+		if got := cfg.withDefaults().epDegree(); got != ep {
+			t.Fatalf("ep = %d, want %d", got, ep)
+		}
+		m, err := NewMegatron(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var flops float64
+		for r := 0; r < m.World(); r++ {
+			tr := emulate(t, m, r)
+			for i := range tr.Ops {
+				if op := &tr.Ops[i]; op.Kind == trace.KindKernel {
+					flops += float64(op.Shape.FLOPs)
+				}
+			}
+		}
+		if ratio := flops / want; ratio < 1 || ratio > 1.03 {
+			t.Errorf("ep %d: kernel FLOPs / model FLOPs = %.3f, want [1, 1.03]", ep, ratio)
+		}
 	}
 }

@@ -81,8 +81,11 @@ func (r *dpRunner) bnAct(n, c, hw int, fwd bool) {
 
 // tritonKernel emits a compiler-fused kernel with IR features.
 func (r *dpRunner) tritonKernel(elems int64, instrs, loads float64) {
-	r.launch("triton", []int{int(elems)}, elems*int64(loads+1)*r.es, elems*int64(instrs), r.cfg.DType,
-		map[string]float64{"triton_instrs": instrs, "triton_loads": loads})
+	if r.triton == nil {
+		r.triton = make(map[string]float64, 2)
+	}
+	r.triton["triton_instrs"], r.triton["triton_loads"] = instrs, loads
+	r.launch("triton", []int{int(elems)}, elems*int64(loads+1)*r.es, elems*int64(instrs), r.cfg.DType, r.triton)
 }
 
 // residualAdd for CNN skip connections.

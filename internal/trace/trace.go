@@ -131,20 +131,6 @@ func (o *Op) IsDeviceWork() bool {
 	return false
 }
 
-// SigString returns a stable signature of the op's identity used for
-// worker deduplication: everything that defines the computation, but
-// not measured host durations.
-func (o *Op) SigString() string {
-	switch o.Kind {
-	case KindCollective:
-		c := o.Coll
-		return fmt.Sprintf("c|%s|%d|%d|%d", c.Op, c.Bytes, c.NRanks, o.Stream)
-	default:
-		s := o.ShapeOrZero()
-		return fmt.Sprintf("%d|%s|%v|%d|%d|%s|%d", o.Kind, o.Name, s.Dims, o.Bytes, s.FLOPs, s.DType, o.Stream)
-	}
-}
-
 // Worker is the trace of one emulated rank.
 type Worker struct {
 	Rank      int

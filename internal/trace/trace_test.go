@@ -564,18 +564,6 @@ func TestExpandRanksProperties(t *testing.T) {
 	}
 }
 
-func TestSigStringIgnoresCommIdentity(t *testing.T) {
-	a := &Op{Kind: KindCollective, Coll: &Collective{Op: "ncclAllReduce", CommID: 1, Seq: 5, NRanks: 4, Rank: 0, Bytes: 100}}
-	b := &Op{Kind: KindCollective, Coll: &Collective{Op: "ncclAllReduce", CommID: 2, Seq: 9, NRanks: 4, Rank: 3, Bytes: 100}}
-	if a.SigString() != b.SigString() {
-		t.Fatal("duplicate workers on different communicators must hash equal")
-	}
-	c := &Op{Kind: KindCollective, Coll: &Collective{Op: "ncclAllReduce", CommID: 1, Seq: 5, NRanks: 8, Rank: 0, Bytes: 100}}
-	if a.SigString() == c.SigString() {
-		t.Fatal("different group sizes must hash differently")
-	}
-}
-
 // TestDecodedShapePositions decodes a worker whose shape table is out
 // of first-use order and lists one kernel shape twice: each kind's
 // shapes are numbered in the order ops first use them, as the

@@ -4,6 +4,11 @@
 // transparent emulator (prediction), the profiler and the synthetic
 // silicon (measurement) — transparency means the workload cannot
 // tell the difference.
+//
+// A capture skips redundant ranks on one of the paper's two routes:
+// a SelectiveLauncher names its unique ranks (§7.4), and any other
+// workload runs its Probe (or itself) on every rank, after which
+// workers that do the same work merge (§4.2).
 package workload
 
 import "maya/internal/cuda"
@@ -24,8 +29,8 @@ type Workload interface {
 // of execution, a representative subset of ranks whose traces cover
 // all distinct behaviors — Maya's hyperscale optimization (§7.4).
 // This requires explicit workload knowledge (e.g. the Megatron rank
-// layout); workloads without it fall back to dynamic hash-based
-// deduplication.
+// layout), and the claim is trusted, not checked; workloads without it
+// are probed on every rank and deduplicated.
 type SelectiveLauncher interface {
 	Workload
 	// UniqueRanks returns representative ranks in ascending order.
@@ -33,8 +38,8 @@ type SelectiveLauncher interface {
 }
 
 // Prober is implemented by workloads that can produce a cheap
-// single-iteration variant of themselves. Dynamic deduplication
-// emulates the probe on every rank to discover duplicate groups, then
+// single-iteration variant of themselves. Deduplication emulates the
+// probe on every rank to discover duplicate groups, then
 // runs the full workload only on unique representatives — the paper's
 // "profile all workers for one iteration, terminate redundant ones"
 // flow.
@@ -42,28 +47,6 @@ type Prober interface {
 	Workload
 	// Probe returns a one-iteration variant of the workload.
 	Probe() Workload
-}
-
-// ClassHinter is implemented by workloads that can predict, from
-// their parallel topology alone, which ranks are equivalent — i.e.
-// will produce identical operation streams under emulation. Unlike
-// SelectiveLauncher (whose claim is trusted outright, §7.4), class
-// hints are verified: dynamic deduplication probes one representative
-// per class plus a small deterministic sample of other members, checks
-// that each sample deduplicates into its representative, and probes
-// every rank instead when a sample disagrees or the probed subset
-// (with GroupAware knowledge) leaves a communicator's membership
-// incomplete. Capture therefore scales with the number of distinct
-// behaviors instead of the world size, without giving up dynamic
-// dedup's safety net.
-type ClassHinter interface {
-	Workload
-	// RankClasses partitions [0, World()) into predicted equivalence
-	// classes: every rank appears in exactly one class, each class is
-	// sorted ascending, and the classes are ordered by their first
-	// rank. A malformed partition disables the hint (the pipeline
-	// falls back to dynamic dedup).
-	RankClasses() [][]int
 }
 
 // Fingerprinter is implemented by workloads whose captured structure
