@@ -28,7 +28,7 @@ var exportAllowlist = map[string]string{
 // non-test code uses only from bench/. The benchmark harness may not
 // change in the change that changes what it measures, so these remain,
 // each a one-line forward or a thin pool, until the harness moves onto
-// the product's own entry points (core.SimScratch, Pipeline.Simulate).
+// the product's own entry points (sim.AcquireEngine, Pipeline.Simulate).
 // CI also forbids product code from calling the pools and the oracle's
 // annotate (`sim.RunPooled(`, `sim.NewEngine(`, `AcquireAnnotations(`
 // and `.AnnotateInto(` may appear in non-test files only under

@@ -8,65 +8,6 @@ import (
 	"maya"
 )
 
-// TestFindRecipeVerdictAblation runs the same search with and without
-// the capture-verdict fast path: everything about the outcome must
-// match — best recipe, stop reason, trajectory, history order — with
-// only the Executed/Verdict accounting split differing, and
-// Executed+Verdict invariant across the two.
-func TestFindRecipeVerdictAblation(t *testing.T) {
-	if testing.Short() {
-		t.Skip("search needs a trained suite")
-	}
-	ctx := context.Background()
-	pred, err := maya.NewPredictor(maya.DGXV100(1), maya.ProfileLLM,
-		maya.WithCaptureCache(maya.NewCaptureCache(256)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	problem := maya.SearchProblem{Model: maya.GPT3_2_7B(), GlobalBatch: 64}
-	opts := maya.SearchOptions{Algorithm: "random", Budget: 96, Seed: 7, EarlyStopWindow: -1}
-
-	fast, err := pred.FindRecipe(ctx, problem, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.DisableVerdictFastPath = true
-	ablated, err := pred.FindRecipe(ctx, problem, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if fast.Stats.Verdict == 0 {
-		t.Fatal("no verdict trials: the fast path never ran (widen the budget?)")
-	}
-	if ablated.Stats.Verdict != 0 {
-		t.Fatalf("ablated run still recorded %d verdicts", ablated.Stats.Verdict)
-	}
-	if fast.Stats.Executed+fast.Stats.Verdict != ablated.Stats.Executed {
-		t.Fatalf("Executed+Verdict = %d+%d, want %d",
-			fast.Stats.Executed, fast.Stats.Verdict, ablated.Stats.Executed)
-	}
-	if fast.Stopped != ablated.Stopped {
-		t.Fatalf("stop reason diverged: %q vs %q", fast.Stopped, ablated.Stopped)
-	}
-	if fast.Best.Knobs != ablated.Best.Knobs || fast.Best.IterTime != ablated.Best.IterTime ||
-		fast.Best.MFU != ablated.Best.MFU {
-		t.Fatalf("fast path changed the best recipe: %+v vs %+v", fast.Best, ablated.Best)
-	}
-	if !reflect.DeepEqual(fast.Trajectory, ablated.Trajectory) {
-		t.Fatalf("fast path changed the trajectory:\n%+v\n%+v", fast.Trajectory, ablated.Trajectory)
-	}
-	if len(fast.History) != len(ablated.History) {
-		t.Fatalf("history lengths diverged: %d vs %d", len(fast.History), len(ablated.History))
-	}
-	for i := range fast.History {
-		a, b := fast.History[i], ablated.History[i]
-		if a.Knobs != b.Knobs || a.OOM != b.OOM || a.IterTime != b.IterTime {
-			t.Fatalf("history[%d] diverged: %+v vs %+v", i, a, b)
-		}
-	}
-}
-
 // TestFindRecipeDeterministicAcrossParallel pins the worker-affine
 // evaluation path end to end: the full pipeline-backed search returns
 // a bit-identical outcome for Parallel 1, 4 and 8.

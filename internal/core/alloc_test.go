@@ -78,9 +78,9 @@ const maxReplayObjects = 64
 // TestAllocBudgetIndex bounds what compiling a capture's job for the
 // engine allocates per op on the benchmark's three recipes — beside
 // the ~100 B/op a capture retains — and pins that a warm replay on
-// held scratch allocates a fixed number of objects however long the
+// a held engine allocates a fixed number of objects however long the
 // trace: the index and the plan are read in place. Replays that
-// alternate between two captures on one scratch allocate a fixed
+// alternate between two captures on one engine allocate a fixed
 // number of bytes however long the traces: the engine's queue and
 // interval buffers, sized by the index, are kept across runs, where
 // per-stream queues recycled onto other streams regrew every run.
@@ -108,9 +108,9 @@ func TestAllocBudgetIndex(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		perOp := float64(after.TotalAlloc-before.TotalAlloc) / float64(ops)
 
-		scratch := NewSimScratch()
+		engine := sim.NewEngine()
 		replay := func() {
-			if _, err := p.SimulateScratch(ctx, c, 0, hardware.BF16, scratch, 0); err != nil {
+			if _, err := p.simulate(ctx, c, 0, hardware.BF16, engine, 0); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -129,15 +129,15 @@ func TestAllocBudgetIndex(t *testing.T) {
 		}
 	}
 
-	scratch := NewSimScratch()
+	engine := sim.NewEngine()
 	cycle := func() {
 		for _, h := range alternate {
-			if _, err := h.p.SimulateScratch(ctx, h.c, 0, hardware.BF16, scratch, 0); err != nil {
+			if _, err := h.p.simulate(ctx, h.c, 0, hardware.BF16, engine, 0); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	cycle() // sizes the scratch for both
+	cycle() // sizes the engine for both
 	const cycles = 3
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -146,15 +146,15 @@ func TestAllocBudgetIndex(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	perCycle := float64(after.TotalAlloc-before.TotalAlloc) / cycles
-	t.Logf("alternating %d- and %d-op captures on one scratch allocates %.0f B a cycle (%.2f B per replayed op)",
+	t.Logf("alternating %d- and %d-op captures on one engine allocates %.0f B a cycle (%.2f B per replayed op)",
 		alternate[0].ops, alternate[1].ops, perCycle, perCycle/float64(alternate[0].ops+alternate[1].ops))
 	if perCycle > maxAlternateBytes {
-		t.Errorf("alternating two captures on one scratch allocates %.0f B a cycle, want at most %d", perCycle, maxAlternateBytes)
+		t.Errorf("alternating two captures on one engine allocates %.0f B a cycle, want at most %d", perCycle, maxAlternateBytes)
 	}
 }
 
 // maxAlternateBytes bounds what one cycle of warm replays of two
-// captures on one scratch allocates: two reports, nothing per op.
+// captures on one engine allocates: two reports, nothing per op.
 const maxAlternateBytes = 16 << 10
 
 // captureAllocs returns the bytes one Capture allocates and the bytes

@@ -11,6 +11,7 @@ import (
 	"maya/internal/framework"
 	"maya/internal/hardware"
 	"maya/internal/models"
+	"maya/internal/sim"
 )
 
 func TestFaultPlanThroughPipeline(t *testing.T) {
@@ -67,8 +68,8 @@ func TestFaultPlanThroughPipeline(t *testing.T) {
 		t.Fatalf("total %v not above perturbed %v despite failure", rec.TotalTime, rec.PerturbedTime)
 	}
 
-	// Bit-identical across reruns and across the pooled vs
-	// scratch-owned engine strategies.
+	// Bit-identical across reruns and across a pooled and a held
+	// engine.
 	again, err := pf.Simulate(ctx, c, 0, hardware.BF16)
 	if err != nil {
 		t.Fatalf("rerun: %v", err)
@@ -76,13 +77,12 @@ func TestFaultPlanThroughPipeline(t *testing.T) {
 	if !reflect.DeepEqual(again.Recovery, rec) {
 		t.Fatalf("rerun recovery diverged:\n got %+v\nwant %+v", again.Recovery, rec)
 	}
-	scratch := NewSimScratch()
-	viaScratch, err := pf.SimulateScratch(ctx, c, 0, hardware.BF16, scratch, 0)
+	held, err := pf.simulate(ctx, c, 0, hardware.BF16, sim.NewEngine(), 0)
 	if err != nil {
-		t.Fatalf("scratch run: %v", err)
+		t.Fatalf("held-engine run: %v", err)
 	}
-	if !reflect.DeepEqual(viaScratch.Recovery, rec) {
-		t.Fatalf("scratch recovery diverged:\n got %+v\nwant %+v", viaScratch.Recovery, rec)
+	if !reflect.DeepEqual(held.Recovery, rec) {
+		t.Fatalf("held-engine recovery diverged:\n got %+v\nwant %+v", held.Recovery, rec)
 	}
 
 	// The recovery block must survive the JSON contract round trip.
@@ -99,7 +99,7 @@ func TestFaultPlanThroughPipeline(t *testing.T) {
 	}
 
 	// A truncated run skips the walk: no Recovery on a lower bound.
-	trunc, err := pf.SimulateScratch(ctx, c, 0, hardware.BF16, nil, time.Microsecond)
+	trunc, err := pf.simulate(ctx, c, 0, hardware.BF16, nil, time.Microsecond)
 	if err != nil {
 		t.Fatalf("truncated run: %v", err)
 	}

@@ -8,15 +8,16 @@ import (
 	"maya/internal/framework"
 	"maya/internal/hardware"
 	"maya/internal/models"
+	"maya/internal/sim"
 )
 
-// TestSimulateScratchMatchesSimulate asserts the worker-affine path
-// (persistent engine + rebindable overlay) produces the exact report
-// the pooled path does, across repeated reuse of one scratch.
-func TestSimulateScratchMatchesSimulate(t *testing.T) {
+// TestHeldEngineMatchesSimulate asserts the worker-affine path (one
+// engine a search worker holds across trials) produces the exact
+// report a pooled engine does, across repeated reuse of one engine.
+func TestHeldEngineMatchesSimulate(t *testing.T) {
 	cluster := hardware.DGXV100(1)
 	p, _ := pipelineFor(t, cluster, Options{})
-	scratch := NewSimScratch()
+	engine := sim.NewEngine()
 
 	configs := []framework.MegatronConfig{
 		{Model: models.GPT3_1_3B(), NGPUs: 8, GlobalBatch: 16, TP: 2, PP: 2, MicroBatches: 2},
@@ -33,22 +34,22 @@ func TestSimulateScratchMatchesSimulate(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Simulate: %v", err)
 		}
-		affine, err := p.SimulateScratch(context.Background(), c, flops, hardware.BF16, scratch, 0)
+		affine, err := p.simulate(context.Background(), c, flops, hardware.BF16, engine, 0)
 		if err != nil {
-			t.Fatalf("SimulateScratch: %v", err)
+			t.Fatalf("simulate: %v", err)
 		}
 		if affine.IterTime != pooled.IterTime || affine.CommTime != pooled.CommTime ||
 			affine.ExposedComm != pooled.ExposedComm || affine.MFU != pooled.MFU ||
 			affine.PeakMemBytes != pooled.PeakMemBytes || affine.Truncated {
-			t.Fatalf("scratch path diverged for %+v:\npooled %+v\naffine %+v", cfg, pooled, affine)
+			t.Fatalf("held engine diverged for %+v:\npooled %+v\naffine %+v", cfg, pooled, affine)
 		}
 	}
 }
 
-// TestSimulateScratchTruncates asserts the limit threads through to
+// TestSimulateLimitTruncates asserts the limit threads through to
 // the simulator and surfaces as Report.Truncated, and that a limit
 // beyond the iteration time changes nothing.
-func TestSimulateScratchTruncates(t *testing.T) {
+func TestSimulateLimitTruncates(t *testing.T) {
 	cluster := hardware.DGXV100(1)
 	p, _ := pipelineFor(t, cluster, Options{})
 	cfg := framework.MegatronConfig{Model: models.GPT3_1_3B(), NGPUs: 8, GlobalBatch: 16, TP: 2, PP: 2, MicroBatches: 2}
@@ -60,30 +61,30 @@ func TestSimulateScratchTruncates(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Simulate: %v", err)
 	}
-	scratch := NewSimScratch()
+	engine := sim.NewEngine()
 
-	cut, err := p.SimulateScratch(context.Background(), c, 0, hardware.BF16, scratch, full.IterTime/4)
+	cut, err := p.simulate(context.Background(), c, 0, hardware.BF16, engine, full.IterTime/4)
 	if err != nil {
-		t.Fatalf("SimulateScratch(limit): %v", err)
+		t.Fatalf("simulate(limit): %v", err)
 	}
 	if !cut.Truncated {
 		t.Fatalf("limit %v below iter time %v did not truncate", full.IterTime/4, full.IterTime)
 	}
 
-	far, err := p.SimulateScratch(context.Background(), c, 0, hardware.BF16, scratch, 10*time.Hour)
+	far, err := p.simulate(context.Background(), c, 0, hardware.BF16, engine, 10*time.Hour)
 	if err != nil {
-		t.Fatalf("SimulateScratch(far limit): %v", err)
+		t.Fatalf("simulate(far limit): %v", err)
 	}
 	if far.Truncated || far.IterTime != full.IterTime {
 		t.Fatalf("far limit changed the run: full %+v vs %+v", full, far)
 	}
 
-	// nil scratch with a limit also works (the pooled path).
-	cut2, err := p.SimulateScratch(context.Background(), c, 0, hardware.BF16, nil, full.IterTime/4)
+	// A nil engine with a limit also works (the pooled path).
+	cut2, err := p.simulate(context.Background(), c, 0, hardware.BF16, nil, full.IterTime/4)
 	if err != nil {
-		t.Fatalf("SimulateScratch(nil scratch): %v", err)
+		t.Fatalf("simulate(nil engine): %v", err)
 	}
 	if !cut2.Truncated || cut2.IterTime != cut.IterTime {
-		t.Fatalf("nil-scratch truncation diverged: %+v vs %+v", cut, cut2)
+		t.Fatalf("nil-engine truncation diverged: %+v vs %+v", cut, cut2)
 	}
 }

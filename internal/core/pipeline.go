@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
-	"sync"
 	"time"
 
 	"maya/internal/collator"
@@ -106,7 +105,7 @@ type Report struct {
 	// fields are zero in that case.
 	OOM bool
 	// Truncated marks a simulation abandoned at the caller's
-	// simulated-clock horizon (SimulateScratch's limit): every timing
+	// simulated-clock horizon (simulate's limit): every timing
 	// field is a lower bound on the full run, and the true iteration
 	// time is known to exceed the horizon. Recipe searches use this to
 	// discard trials provably slower than an incumbent.
@@ -238,57 +237,15 @@ func (p *Pipeline) Capture(ctx context.Context, w workload.Workload) (*Capture, 
 // report's Emulate/Collate stage timings are zero because those stages
 // did not run.
 func (p *Pipeline) Simulate(ctx context.Context, c *Capture, modelFLOPs float64, dtype hardware.DType) (*Report, error) {
-	return p.SimulateScratch(ctx, c, modelFLOPs, dtype, nil, 0)
+	return p.simulate(ctx, c, modelFLOPs, dtype, nil, 0)
 }
 
-// SimScratch is caller-owned simulation scratch: a persistent engine
-// that one goroutine reuses across many Simulate calls. A search
-// worker evaluating thousands of trials owns one SimScratch for its
-// lifetime, so trial evaluation re-acquires nothing per trial (no
-// cross-goroutine pool churn, storage stays hot in one worker's
-// hands). Not safe for concurrent use; zero value is not usable —
-// construct with NewSimScratch.
-type SimScratch struct {
-	engine *sim.Engine
-}
-
-// NewSimScratch returns fresh scratch for one evaluation goroutine.
-func NewSimScratch() *SimScratch {
-	return &SimScratch{engine: sim.NewEngine()}
-}
-
-var simScratchPool = sync.Pool{New: func() any { return NewSimScratch() }}
-
-// AcquireSimScratch returns scratch from a process-wide pool. Unlike
-// NewSimScratch it usually hands back storage already grown by a
-// previous owner, so a fresh batch of search workers skips the
-// slice-growth churn of their first trials. Pair with Release.
-func AcquireSimScratch() *SimScratch {
-	return simScratchPool.Get().(*SimScratch)
-}
-
-// Release scrubs the scratch — dropping every reference to the last
-// simulated job — and parks it for the next AcquireSimScratch.
-// The scratch must not be used after Release.
-func (s *SimScratch) Release() {
-	s.engine.Scrub()
-	simScratchPool.Put(s)
-}
-
-// run is the one place outside internal/sim that drives an engine.
-func (s *SimScratch) run(ctx context.Context, job *trace.Job, o sim.Options) (*sim.Report, error) {
-	s.engine.Reset(job, o)
-	return s.engine.Run(ctx)
-}
-
-// SimulateScratch is Simulate with two search-loop extensions: a
-// non-nil scratch is the caller's persistent engine (nil borrows one
-// from the process-wide pool for the call), and when
-// limit is positive the simulation stops at that simulated-clock
-// horizon, returning a report with Truncated set (see
-// sim.Options.TimeLimit). A nil scratch with zero limit is exactly
-// Simulate.
-func (p *Pipeline) SimulateScratch(ctx context.Context, c *Capture, modelFLOPs float64, dtype hardware.DType, scratch *SimScratch, limit time.Duration) (*Report, error) {
+// simulate is Simulate with the search loop's two extensions: a
+// non-nil engine is the caller's own (nil acquires one for the call),
+// and when limit is positive the simulation stops at that
+// simulated-clock horizon, returning a report with Truncated set (see
+// sim.Options.TimeLimit).
+func (p *Pipeline) simulate(ctx context.Context, c *Capture, modelFLOPs float64, dtype hardware.DType, e *sim.Engine, limit time.Duration) (*Report, error) {
 	var timer trace.Timer
 	switch {
 	case p.Opts.Oracle != nil:
@@ -298,7 +255,7 @@ func (p *Pipeline) SimulateScratch(ctx context.Context, c *Capture, modelFLOPs f
 	default:
 		return nil, errors.New("core: Simulate needs a trained Suite or an Oracle")
 	}
-	return p.replay(ctx, c, timer, false, modelFLOPs, dtype, scratch, limit)
+	return p.replay(ctx, c, timer, false, modelFLOPs, dtype, e, limit)
 }
 
 // Measure replays the capture against the silicon ground truth in
@@ -316,9 +273,10 @@ func (p *Pipeline) Measure(ctx context.Context, c *Capture, oracle *silicon.Orac
 // the index compile on the capture's first replay), hand the
 // engine the plan's overlay and the capture's compiled index — both
 // read in place, shared by every replay — build the run's options —
-// prediction, or the silicon's physical mode — run the scratch engine,
-// walk the fault plan on the same engine, and fill the report.
-func (p *Pipeline) replay(ctx context.Context, c *Capture, timer trace.Timer, physical bool, modelFLOPs float64, dtype hardware.DType, scratch *SimScratch, limit time.Duration) (*Report, error) {
+// prediction, or the silicon's physical mode — run the engine (the
+// caller's, or one acquired for the call when e is nil), walk the
+// fault plan on the same engine, and fill the report.
+func (p *Pipeline) replay(ctx context.Context, c *Capture, timer trace.Timer, physical bool, modelFLOPs float64, dtype hardware.DType, e *sim.Engine, limit time.Duration) (*Report, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -326,9 +284,9 @@ func (p *Pipeline) replay(ctx context.Context, c *Capture, timer trace.Timer, ph
 	if c.OOM {
 		return rep, nil
 	}
-	if scratch == nil {
-		scratch = AcquireSimScratch()
-		defer scratch.Release()
+	if e == nil {
+		e = sim.AcquireEngine()
+		defer e.Release()
 	}
 	t0 := time.Now()
 	plan, err := c.prepare(ctx, timer)
@@ -369,7 +327,8 @@ func (p *Pipeline) replay(ctx context.Context, c *Capture, timer trace.Timer, ph
 			return nil, err
 		}
 	}
-	sr, err := scratch.run(ctx, job, simOpts)
+	e.Reset(job, simOpts)
+	sr, err := e.Run(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("core: simulating %s: %w", c.Workload, err)
 	}
@@ -382,7 +341,8 @@ func (p *Pipeline) replay(ctx context.Context, c *Capture, timer trace.Timer, ph
 		runner := func(rctx context.Context, inj *sim.Injection, robs sim.Observer) (*sim.Report, error) {
 			o := simOpts
 			o.Faults, o.Observer = inj, robs
-			return scratch.run(rctx, job, o)
+			e.Reset(job, o)
+			return e.Run(rctx)
 		}
 		if rep.Recovery, err = faults.Evaluate(ctx, faultPlan, job, sr, runner); err != nil {
 			return nil, fmt.Errorf("core: fault scenario for %s: %w", c.Workload, err)

@@ -137,8 +137,7 @@ func (e *Env) stagedSearch(ctx context.Context, problem search.Problem, noDedup 
 		sum.Simulate += s.Simulate
 		mu.Unlock()
 	}
-	flops := problem.Model.TrainFLOPsPerIter(problem.GlobalBatch)
-	out, err := search.Run(ctx, problem, pipe.TrialEvaluator(pipe.Capture, flops, nil, sopt.DisableVerdictFastPath, account), sopt)
+	out, err := pipe.Search(ctx, problem, pipe.Capture, sopt, account)
 	return out, sum, err
 }
 

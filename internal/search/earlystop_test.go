@@ -32,7 +32,7 @@ func TestCountFresh(t *testing.T) {
 func TestEarlyStopExactWindow(t *testing.T) {
 	const window = 20
 	opts := Options{Algorithm: "random", Budget: 100000, Parallel: 8, Seed: 5, EarlyStopWindow: window}
-	out, err := Run(context.Background(), testProblem(), truncEval, opts)
+	out, err := run(context.Background(), testProblem(), truncEval, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package search
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"maya/internal/framework"
@@ -14,14 +13,12 @@ import (
 // EvalResult is what the evaluator (Maya's pipeline, or ground truth
 // in oracle studies) reports for one recipe.
 type EvalResult struct {
+	// OOM marks a recipe that exceeds device memory; the search
+	// records it as a verdict (StatusVerdict).
 	OOM      bool
 	IterTime time.Duration
 	MFU      float64
 	PeakMem  int64
-	// Verdict marks an OOM resolved straight off the capture's
-	// peak-memory verdict, without plan resolution or simulation —
-	// the search accounts it separately from full executions.
-	Verdict bool
 	// Truncated marks a trial abandoned at the domination bound: the
 	// simulation proved iteration time exceeds the bound and stopped.
 	// Timing fields are not meaningful; the search records the trial
@@ -62,8 +59,8 @@ const (
 	StatusSkipped
 	// StatusInvalid points violate structural constraints.
 	StatusInvalid
-	// StatusVerdict trials OOMed at capture time: the verdict came
-	// straight off the emulator's memory accounting, with no plan
+	// StatusVerdict trials OOMed: in Maya's pipeline the verdict comes
+	// straight off the capture's memory accounting, with no plan
 	// resolution or simulation.
 	StatusVerdict
 	// StatusDominated trials were abandoned mid-simulation once their
@@ -145,11 +142,6 @@ type Options struct {
 	// the bound always exceeds the incumbent best, no potentially
 	// optimal trial is ever truncated.
 	DominationSlack float64
-	// DisableVerdictFastPath makes evaluators simulate capture-OOM
-	// trials instead of returning the capture verdict directly (the
-	// Fig. 15 ablation). Only consulted by evaluators; the search loop
-	// itself just accounts verdicts separately.
-	DisableVerdictFastPath bool
 }
 
 func (o Options) withDefaults() Options {
@@ -194,9 +186,7 @@ type Stats struct {
 	Cached   int
 	Skipped  int
 	Invalid  int
-	// Verdict counts trials resolved by the capture-time OOM verdict
-	// alone (no simulation). In ablation mode these land in Executed
-	// instead; Executed+Verdict is invariant.
+	// Verdict counts trials the evaluator found OOM.
 	Verdict int
 	// Dominated counts trials abandoned at the domination bound.
 	Dominated int
@@ -212,13 +202,6 @@ type Outcome struct {
 	Trajectory []ProgressPoint
 	Elapsed    time.Duration
 	Stopped    string // why the search ended
-}
-
-// Run executes a configuration search for the problem with one shared
-// evaluator. It is RunWorkers with a constant factory; see there for
-// the loop's semantics.
-func Run(ctx context.Context, p Problem, eval Evaluator, opts Options) (*Outcome, error) {
-	return RunWorkers(ctx, p, func(int) Evaluator { return eval }, opts)
 }
 
 // RunWorkers executes a configuration search for the problem with up
@@ -419,12 +402,11 @@ func runTrial(ctx context.Context, eval Evaluator, r *Result, bound time.Duratio
 		r.Status = StatusDominated
 		r.Dominated = true
 		r.PeakMem = ev.PeakMem
-	case ev.Verdict:
+	case ev.OOM:
 		r.Status = StatusVerdict
 		r.OOM = true
 		r.PeakMem = ev.PeakMem
 	default:
-		r.OOM = ev.OOM
 		r.IterTime = ev.IterTime
 		r.MFU = ev.MFU
 		r.PeakMem = ev.PeakMem
@@ -469,23 +451,6 @@ func bestIter(r *Result) time.Duration {
 		return 0
 	}
 	return r.IterTime
-}
-
-// naiveTopMFU recomputes the top-n MFUs by scanning the whole
-// history — the reference implementation history.topMFU's incremental
-// bookkeeping is tested against.
-func naiveTopMFU(h *history, n int) []float64 {
-	var mfus []float64
-	for _, r := range h.byKnobs {
-		if topEligible(r) {
-			mfus = append(mfus, r.MFU)
-		}
-	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(mfus)))
-	if len(mfus) > n {
-		mfus = mfus[:n]
-	}
-	return mfus
 }
 
 func equalTop(a, b []float64) bool {

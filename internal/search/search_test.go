@@ -103,9 +103,14 @@ func testProblem() Problem {
 	return Problem{Model: models.GPT3_2_7B(), Cluster: hardware.DGXV100(2), GlobalBatch: 128}
 }
 
+// run is RunWorkers with every worker on one shared evaluator.
+func run(ctx context.Context, p Problem, eval Evaluator, opts Options) (*Outcome, error) {
+	return RunWorkers(ctx, p, func(int) Evaluator { return eval }, opts)
+}
+
 func TestSearchFindsGoodConfigs(t *testing.T) {
 	for _, algo := range []string{"cma", "random", "oneplusone", "pso", "twopointsde"} {
-		out, err := Run(context.Background(), testProblem(), syntheticEval, Options{
+		out, err := run(context.Background(), testProblem(), syntheticEval, Options{
 			Algorithm: algo, Budget: 300, Parallel: 8, Seed: 3, EarlyStopWindow: -1,
 		})
 		if err != nil {
@@ -122,7 +127,7 @@ func TestSearchFindsGoodConfigs(t *testing.T) {
 }
 
 func TestGridFindsExactOptimum(t *testing.T) {
-	out, err := Run(context.Background(), testProblem(), syntheticEval, Options{
+	out, err := run(context.Background(), testProblem(), syntheticEval, Options{
 		Algorithm: "grid", Budget: MegatronSpace().Size(), Parallel: 8, EarlyStopWindow: -1,
 	})
 	if err != nil {
@@ -143,7 +148,7 @@ func TestCachingAvoidsReevaluation(t *testing.T) {
 		evals.Add(1)
 		return syntheticEval(ctx, cfg, bound)
 	}
-	out, err := Run(context.Background(), testProblem(), counting, Options{
+	out, err := run(context.Background(), testProblem(), counting, Options{
 		Algorithm: "random", Budget: 800, Parallel: 4, Seed: 5, EarlyStopWindow: -1, DisablePruning: true,
 	})
 	if err != nil {
@@ -152,19 +157,20 @@ func TestCachingAvoidsReevaluation(t *testing.T) {
 	if out.Stats.Cached == 0 {
 		t.Fatal("800 random samples of a 1920-point space should repeat")
 	}
-	if int(evals.Load()) != out.Stats.Executed {
-		t.Fatalf("evaluator ran %d times, stats say %d", evals.Load(), out.Stats.Executed)
+	if int(evals.Load()) != out.Stats.Executed+out.Stats.Verdict {
+		t.Fatalf("evaluator ran %d times, stats say %d executed and %d verdicts",
+			evals.Load(), out.Stats.Executed, out.Stats.Verdict)
 	}
 }
 
 func TestPruningSkipsAndPreservesBest(t *testing.T) {
-	withPruning, err := Run(context.Background(), testProblem(), syntheticEval, Options{
+	withPruning, err := run(context.Background(), testProblem(), syntheticEval, Options{
 		Algorithm: "grid", Budget: MegatronSpace().Size(), Parallel: 8, EarlyStopWindow: -1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	withoutPruning, err := Run(context.Background(), testProblem(), syntheticEval, Options{
+	withoutPruning, err := run(context.Background(), testProblem(), syntheticEval, Options{
 		Algorithm: "grid", Budget: MegatronSpace().Size(), Parallel: 8, EarlyStopWindow: -1, DisablePruning: true,
 	})
 	if err != nil {
@@ -185,7 +191,7 @@ func TestPruningSkipsAndPreservesBest(t *testing.T) {
 }
 
 func TestEarlyStopping(t *testing.T) {
-	out, err := Run(context.Background(), testProblem(), syntheticEval, Options{
+	out, err := run(context.Background(), testProblem(), syntheticEval, Options{
 		Algorithm: "random", Budget: 100000, Parallel: 8, Seed: 5, EarlyStopWindow: 20,
 	})
 	if err != nil {
@@ -200,7 +206,7 @@ func TestEarlyStopping(t *testing.T) {
 }
 
 func TestTrajectoryMonotone(t *testing.T) {
-	out, err := Run(context.Background(), testProblem(), syntheticEval, Options{
+	out, err := run(context.Background(), testProblem(), syntheticEval, Options{
 		Algorithm: "cma", Budget: 200, Parallel: 8, Seed: 9, EarlyStopWindow: -1,
 	})
 	if err != nil {
@@ -273,7 +279,7 @@ func TestSearchCancellationStopsTrials(t *testing.T) {
 	var err error
 	go func() {
 		defer close(done)
-		out, err = Run(ctx, testProblem(), counting, Options{
+		out, err = run(ctx, testProblem(), counting, Options{
 			Algorithm: "random", Budget: 1000, Parallel: 4, Seed: 1, EarlyStopWindow: -1,
 		})
 	}()
@@ -305,7 +311,7 @@ func TestSearchCancellationStopsTrials(t *testing.T) {
 func TestSearchPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	out, err := Run(ctx, testProblem(), syntheticEval, Options{Algorithm: "random", Budget: 50, Parallel: 2, Seed: 1})
+	out, err := run(ctx, testProblem(), syntheticEval, Options{Algorithm: "random", Budget: 50, Parallel: 2, Seed: 1})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

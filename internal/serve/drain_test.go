@@ -131,7 +131,7 @@ func TestDrainUnderLoadWithBreakerOpen(t *testing.T) {
 	if err := hs.Shutdown(ctx); err != nil {
 		t.Fatalf("Shutdown did not drain cleanly: %v", err)
 	}
-	if s.metrics.InFlight.Load() != 0 {
-		t.Errorf("in-flight gauge = %d after drain, want 0", s.metrics.InFlight.Load())
+	if d := s.adm.Depth(); d != 0 {
+		t.Errorf("admission depth = %d after drain, want 0", d)
 	}
 }

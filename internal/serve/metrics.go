@@ -95,9 +95,6 @@ type Metrics struct {
 	// into an error instead of a dead process.
 	Panics atomic.Int64
 
-	// InFlight gauges requests admitted and not yet answered.
-	InFlight atomic.Int64
-
 	// Latency is end-to-end request latency (admission to response
 	// body); QueueWait is time spent waiting for a prediction worker;
 	// QueueWaitAtReject records the estimated queue wait at each shed

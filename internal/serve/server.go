@@ -561,13 +561,11 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, parse func([]byte
 		s.fail(w, status, "%v", err)
 		return
 	}
-	s.metrics.InFlight.Add(1)
 	start := time.Now()
 	ctx, cancel := s.requestCtx(r, specs)
 	return specs, ctx, func() {
 		cancel()
 		s.metrics.Latency.observe(millis(time.Since(start)))
-		s.metrics.InFlight.Add(-1)
 		release()
 	}, true
 }
@@ -898,7 +896,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("maya_serve_captures_total", m.Captures.Load())
 	counter("maya_serve_trace_uploads_total", m.TraceUploads.Load())
 	counter("maya_serve_trace_serves_total", m.TraceServes.Load())
-	counter("maya_serve_inflight", m.InFlight.Load())
+	counter("maya_serve_inflight", int64(s.adm.Depth()))
 	counter("maya_serve_pool_workers", int64(s.pool.Workers()))
 	counter("maya_serve_pool_busy", int64(s.pool.Busy()))
 	counter("maya_serve_pool_waiting", int64(s.pool.Waiting()))

@@ -49,8 +49,8 @@
 // route whatever observer, fault injection or congestion is attached.
 //
 // An Engine is reusable: Reset rebinds it to a new job while keeping
-// every slice it has ever grown, and RunPooled draws engines from a
-// sync.Pool so back-to-back simulations reuse storage instead of
+// every slice it has ever grown, and AcquireEngine draws engines from
+// a sync.Pool so back-to-back simulations reuse storage instead of
 // reallocating it. Reports never alias engine storage — they are
 // safe to keep after the engine is reset or pooled. An engine only
 // reads what a run is given — the job, its Index, the duration
@@ -157,27 +157,39 @@ type Options struct {
 // Run builds a fresh Engine per call, compiling the job unless opts
 // carries its Index: the reference the reused-engine paths are tested
 // against. Product code reaches the engine only through
-// core.Pipeline's replay, on a core.SimScratch.
+// core.Pipeline's replay, on an engine from AcquireEngine.
 func Run(ctx context.Context, job *trace.Job, opts Options) (*Report, error) {
 	e := NewEngine()
 	e.Reset(job, opts)
 	return e.Run(ctx)
 }
 
+// enginePool is the process's one pool of engines.
 var enginePool = sync.Pool{New: func() any { return NewEngine() }}
 
-// RunPooled is Run on an engine from a process-wide pool; results are
+// AcquireEngine returns an engine from the process-wide pool, usually
+// one whose storage a previous owner already grew. One goroutine at a
+// time may use it; pair with Release.
+func AcquireEngine() *Engine { return enginePool.Get().(*Engine) }
+
+// Release drops every reference to caller data — the job, its ops,
+// its index, the observer — so a pooled engine never pins a trace in
+// memory, and parks the engine, grown storage and all, for the next
+// AcquireEngine. The engine must not be used after Release.
+func (e *Engine) Release() {
+	e.scrub()
+	enginePool.Put(e)
+}
+
+// RunPooled is Run on an engine from AcquireEngine; results are
 // identical to Run's and it is safe for concurrent use. It exists for
 // bench/'s engine rungs, which time the engine without core around
-// it; no product code calls it (CI enforces that), so it and
-// enginePool go when those rungs move onto core.SimScratch.
+// it; no product code calls it (CI enforces that).
 func RunPooled(ctx context.Context, job *trace.Job, opts Options) (*Report, error) {
-	e := enginePool.Get().(*Engine)
+	e := AcquireEngine()
+	defer e.Release()
 	e.Reset(job, opts)
-	rep, err := e.Run(ctx)
-	e.scrub() // drop references to caller data before pooling
-	enginePool.Put(e)
-	return rep, err
+	return e.Run(ctx)
 }
 
 // ErrDeadlock marks a run that ended with a worker blocked for good: a
@@ -425,13 +437,9 @@ func (j jitterSource) factor(a, b int64) float64 {
 // NewEngine returns an empty engine ready for Reset.
 func NewEngine() *Engine { return &Engine{} }
 
-// Scrub recycles per-run state and drops every reference to caller
-// data (the job, its ops, its index, the observer), so a pooled or
-// idle engine never pins a trace in memory. It leaves grown storage —
-// slices keep their capacity — for the next Reset. Call it before
-// parking an engine that outlives the job it last simulated.
-func (e *Engine) Scrub() { e.scrub() }
-
+// scrub recycles per-run state and drops every reference to caller
+// data, leaving grown storage — slices keep their capacity — for the
+// next Reset.
 func (e *Engine) scrub() {
 	e.job, e.x = nil, nil
 	e.obs = nil

@@ -33,8 +33,8 @@ type (
 // outcome is returned alongside ctx.Err().
 //
 // Trial evaluation is worker-affine: each of the opts.Parallel search
-// workers owns a persistent simulation engine (core.SimScratch) for
-// the whole search, so trials re-acquire nothing per evaluation.
+// workers owns a pooled simulation engine for the whole search
+// (core.Pipeline.Search), so trials re-acquire nothing per evaluation.
 // Every capture carries its estimate plan (the first simulate of a
 // trial's capture resolves each unique kernel shape once; re-visited
 // topologies read the plan in place). With WithCaptureCache, trials whose topology was already
@@ -43,12 +43,10 @@ type (
 //
 // Two trial classes never pay a full simulation: configurations whose
 // capture carries an OOM verdict return it directly (accounted as
-// Stats.Verdict; opts.DisableVerdictFastPath restores the simulate
-// path for the Fig. 15 ablation), and trials whose simulated clock
-// provably exceeds the generation's domination bound are abandoned
-// mid-simulation (Stats.Dominated; see Options.DominationSlack). Both
-// are deterministic: outcomes are bit-identical for any Parallel
-// value.
+// Stats.Verdict), and trials whose simulated clock provably exceeds
+// the generation's domination bound are abandoned mid-simulation
+// (Stats.Dominated; see Options.DominationSlack). Both are
+// deterministic: outcomes are bit-identical for any Parallel value.
 func (p *Predictor) FindRecipe(ctx context.Context, problem SearchProblem, opts SearchOptions) (*SearchOutcome, error) {
 	if problem.Cluster.Name == "" {
 		problem.Cluster = p.cluster
@@ -61,23 +59,10 @@ func (p *Predictor) FindRecipe(ctx context.Context, problem SearchProblem, opts 
 	if err != nil {
 		return nil, err
 	}
-	flops := problem.Model.TrainFLOPsPerIter(problem.GlobalBatch)
-	var scratches []*core.SimScratch
-	defer func() {
-		for _, scratch := range scratches {
-			scratch.Release()
-		}
-	}()
 	captureOpts := p.captureOptions(s)
 	capture := func(ctx context.Context, w Workload) (*core.Capture, error) {
 		c, _, err := p.captureFor(ctx, captureOpts, w)
 		return c, err
 	}
-	// RunWorkers calls the factory for one worker at a time.
-	factory := func(int) search.Evaluator {
-		scratch := core.AcquireSimScratch()
-		scratches = append(scratches, scratch)
-		return pipe.TrialEvaluator(capture, flops, scratch, opts.DisableVerdictFastPath, nil)
-	}
-	return search.RunWorkers(ctx, problem, factory, opts)
+	return pipe.Search(ctx, problem, capture, opts, nil)
 }
