@@ -123,6 +123,17 @@ func (p *Predictor) PredictBatch(ctx context.Context, reqs []Request, opts ...Ba
 	// repeated workloads become a single emulate+collate, and a
 	// singleton's capture path equals Predict's.
 	shared := core.NewMemo[captureKey, *core.Capture](len(reqs))
+	// Requests share captures through the memo, so each is released
+	// only once the whole batch is done with it; captures[i] is the one
+	// request i replayed.
+	captures := make([]*core.Capture, len(reqs))
+	defer func() {
+		for _, c := range captures {
+			if c != nil {
+				c.Release()
+			}
+		}
+	}()
 
 	// Estimate sharing needs no batch-local layer: requests that share
 	// a capture share its capture-attached estimate plan, so the first
@@ -134,7 +145,7 @@ func (p *Predictor) PredictBatch(ctx context.Context, reqs []Request, opts ...Ba
 			results[i] = BatchResult{Err: errors.New("maya: batch request with nil workload")}
 			return nil
 		}
-		results[i] = p.evalBatchRequest(ctx, r.Workload, p.settings(r.Options), shared)
+		results[i], captures[i] = p.evalBatchRequest(ctx, r.Workload, p.settings(r.Options), shared)
 		return nil
 	})
 	if err != nil {
@@ -150,14 +161,15 @@ func (p *Predictor) PredictBatch(ctx context.Context, reqs []Request, opts ...Ba
 }
 
 // evalBatchRequest runs one request, capturing through the batch memo
-// when the workload is shareable. The capture itself goes through
+// when the workload is shareable, and returns the capture it replayed
+// for PredictBatch to release. The capture itself goes through
 // captureFor, so a predictor-level CaptureCache is consulted first
 // (cross-call reuse) while the memo still guarantees at most one
 // capture per identical workload even under cache eviction pressure.
-func (p *Predictor) evalBatchRequest(ctx context.Context, w Workload, s predictSettings, shared *core.Memo[captureKey, *core.Capture]) BatchResult {
+func (p *Predictor) evalBatchRequest(ctx context.Context, w Workload, s predictSettings, shared *core.Memo[captureKey, *core.Capture]) (BatchResult, *core.Capture) {
 	pipe, err := p.pipelineFor(ctx, s)
 	if err != nil {
-		return BatchResult{Err: err}
+		return BatchResult{Err: err}, nil
 	}
 	// paid: THIS request performed the emulation — at most one per
 	// key, and none on a capture-cache hit. Only its report carries
@@ -168,15 +180,15 @@ func (p *Predictor) evalBatchRequest(ctx context.Context, w Workload, s predictS
 	opts := p.captureOptions(s)
 	if k, ok := batchCaptureKey(w, opts); ok {
 		c, _, err = shared.Get(ctx, k, func() (c *core.Capture, err error) {
-			c, paid, err = p.captureFor(ctx, opts, w)
+			c, paid, err = p.captureFor(ctx, opts, w, false)
 			return c, err
 		})
 	} else {
-		c, paid, err = p.captureFor(ctx, opts, w)
+		c, paid, err = p.captureFor(ctx, opts, w, false)
 	}
 	if err != nil {
-		return BatchResult{Err: err}
+		return BatchResult{Err: err}, nil
 	}
 	rep, err := p.simulateCapture(ctx, pipe, c, s, paid)
-	return BatchResult{Report: rep, Err: err}
+	return BatchResult{Report: rep, Err: err}, c
 }

@@ -34,6 +34,11 @@ import (
 // capture can feed any number of predictions (learned, oracle, netsim,
 // physical replay) without re-paying emulation or collation. Captures
 // serialize with WriteTo and load with ReadCapture.
+//
+// A capture is kept (Pipeline.Capture, ReadCapture) or owned
+// (Pipeline.CaptureOwned). An owned capture's traces live in the
+// emulator's recording buffers until its one owner calls Release;
+// DESIGN.md's "Capture lifetime" says who that is.
 type Capture struct {
 	// Workload and Cluster identify what was captured where.
 	Workload string
@@ -95,6 +100,22 @@ type Capture struct {
 	indexOnce sync.Once
 	index     *sim.Index
 	indexed   atomic.Bool
+
+	// release recycles the recordings an owned capture's traces are
+	// sealed in; nil on a kept capture.
+	release func()
+}
+
+// Release recycles the recording buffers an owned capture's traces
+// live in (see Pipeline.CaptureOwned), and does nothing on a kept
+// capture. Call it once no replay of the capture runs; from then on
+// its job holds no ops, and nothing may keep one of its ops or
+// Collectives. It is not safe to call concurrently with itself.
+func (c *Capture) Release() {
+	if release := c.release; release != nil {
+		c.release = nil
+		release()
+	}
 }
 
 // simIndex returns the capture's job compiled for the engine, built

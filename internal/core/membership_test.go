@@ -34,7 +34,7 @@ func TestCaptureKeepsMembershipErrors(t *testing.T) {
 		"sizes-disagree": {{2, 0}, {3, 1}},
 		"rank-claimed":   {{2, 0}, {2, 0}},
 	} {
-		workers, _, err := oraclePipeline(cluster, Options{}).emulateRanks(ctx, w, allRanks(w.World()), nil)
+		workers, _, _, err := oraclePipeline(cluster, Options{}).emulateRanks(ctx, w, allRanks(w.World()), nil, true)
 		if err != nil {
 			t.Fatalf("%s: emulating: %v", name, err)
 		}

@@ -181,11 +181,27 @@ type Pipeline struct {
 }
 
 // Capture runs the emulation and collation stages once and returns
-// the collated trace artifact. Out-of-memory configurations are a
+// the collated trace artifact, kept: its traces are sealed into
+// storage of their own, so it may be cached, serialized or held for
+// as long as the caller likes. Out-of-memory configurations are a
 // result, not an error: the returned capture carries the OOM verdict
 // (with a nil Job) exactly as the emulator detected it. Cancellation
 // of ctx aborts emulation between ranks.
 func (p *Pipeline) Capture(ctx context.Context, w workload.Workload) (*Capture, error) {
+	return p.capture(ctx, w, true)
+}
+
+// CaptureOwned is Capture for a caller that is the capture's only
+// owner and drops it once done: its traces are sealed in place and
+// stay in the emulator's recording buffers, so the seal copies
+// nothing. The caller calls the capture's Release once no replay of
+// it runs, and neither caches nor serializes it.
+func (p *Pipeline) CaptureOwned(ctx context.Context, w workload.Workload) (*Capture, error) {
+	return p.capture(ctx, w, false)
+}
+
+// capture is Capture (keep set) and CaptureOwned.
+func (p *Pipeline) capture(ctx context.Context, w workload.Workload, keep bool) (*Capture, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -197,7 +213,7 @@ func (p *Pipeline) Capture(ctx context.Context, w workload.Workload) (*Capture, 
 	}
 
 	t0 := time.Now()
-	workers, comms, sizes, err := p.emulate(ctx, w, c)
+	workers, comms, sizes, owned, err := p.emulate(ctx, w, c, keep)
 	if err != nil {
 		return nil, err
 	}
@@ -213,6 +229,7 @@ func (p *Pipeline) Capture(ctx context.Context, w workload.Workload) (*Capture, 
 	}
 	c.UniqueWorkers = len(workers)
 	if c.OOM {
+		releaseAll(owned)
 		return c, nil
 	}
 
@@ -221,11 +238,25 @@ func (p *Pipeline) Capture(ctx context.Context, w workload.Workload) (*Capture, 
 	// the engine counts each call's joins from the job itself.
 	t0 = time.Now()
 	if c.Job, err = trace.NewJob(workers); err != nil {
+		releaseAll(owned)
 		return nil, err
 	}
 	c.CollateTime = time.Since(t0)
 	c.Comms, c.CommSizes = comms, sizes
+	if len(owned) > 0 {
+		c.release = func() { releaseAll(owned) }
+	}
 	return c, nil
+}
+
+// releaseAll calls every release of traces sealed in place; a nil one
+// is a rank that never ran.
+func releaseAll(releases []func()) {
+	for _, release := range releases {
+		if release != nil {
+			release()
+		}
+	}
 }
 
 // Simulate replays the capture in prediction mode, kernels priced by
@@ -379,21 +410,29 @@ func (p *Pipeline) fill(rep *Report, sr *sim.Report, modelFLOPs float64, dtype h
 // and returns the workers the capture keeps, with the complete
 // communicator membership: from the traces of every emulated rank,
 // supplemented by configuration knowledge (GroupAware) where only a
-// subset ran.
+// subset ran. With keep set the workers are sealed into storage of
+// their own; otherwise they are sealed in place and owned holds the
+// releases that recycle their recordings.
 //
 // Capture takes one of the paper's two routes. Selective launch is
 // trusted outright: the workload names its unique ranks (§7.4).
 // Otherwise every rank runs the workload's one-iteration probe (or
 // the workload itself), the probes are deduplicated, and the full
-// workload runs only on the representatives (§4.2).
-func (p *Pipeline) emulate(ctx context.Context, w workload.Workload, c *Capture) ([]*trace.Worker, map[uint64][]int, map[uint64]int, error) {
+// workload runs only on the representatives (§4.2). A deduplicated
+// probe is sealed in place whatever keep says: only its
+// representatives can outlive the dedup, and they are copied out only
+// when the probe is the full workload and the capture is kept.
+func (p *Pipeline) emulate(ctx context.Context, w workload.Workload, c *Capture, keep bool) (workers []*trace.Worker, comms map[uint64][]int, sizes map[uint64]int, owned []func(), err error) {
 	if sl, ok := w.(workload.SelectiveLauncher); ok && p.Opts.SelectiveLaunch && !p.Opts.NoDedup {
-		workers, inits, err := p.emulateRanks(ctx, w, sl.UniqueRanks(), c)
+		workers, inits, owned, err := p.emulateRanks(ctx, w, sl.UniqueRanks(), c, keep)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, nil, nil, err
 		}
-		comms, sizes, err := p.membership(w, inits)
-		return workers, comms, sizes, err
+		if comms, sizes, err = p.membership(w, inits); err != nil {
+			releaseAll(owned)
+			return nil, nil, nil, nil, err
+		}
+		return workers, comms, sizes, owned, nil
 	}
 	dedup := !p.Opts.NoDedup && w.World() > 1
 	// Without a Prober the workload is its own (full) probe.
@@ -402,32 +441,59 @@ func (p *Pipeline) emulate(ctx context.Context, w workload.Workload, c *Capture)
 		probe = pr.Probe()
 		probeIsFull = sameWorkload(probe, w)
 	}
-	probed, inits, err := p.emulateRanks(ctx, probe, allRanks(w.World()), c)
+	probed, inits, probes, err := p.emulateRanks(ctx, probe, allRanks(w.World()), c, keep && !dedup)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, nil, nil, err
 	}
-	unique := probed
-	if dedup {
-		unique = collator.Deduplicate(probed)
+	if comms, sizes, err = p.membership(w, inits); err != nil {
+		releaseAll(probes)
+		return nil, nil, nil, nil, err
 	}
-	comms, sizes, err := p.membership(w, inits)
-	if err != nil {
-		return nil, nil, nil, err
+	if !dedup {
+		// The probe is the full workload, every rank of it kept.
+		return probed, comms, sizes, probes, nil
 	}
+	unique := collator.Deduplicate(probed)
 	if probeIsFull {
 		// The probe trace is the full trace (single-iteration
-		// workloads and workloads without a cheap probe).
-		return unique, comms, sizes, nil
+		// workloads and workloads without a cheap probe): the
+		// representatives are the capture's workers.
+		workers, owned = adopt(unique, probes, keep)
+		return workers, comms, sizes, owned, nil
 	}
 	reps := make([]int, len(unique))
 	for i, u := range unique {
 		reps[i] = u.Rank
 	}
-	workers, _, err := p.emulateRanks(ctx, w, reps, c)
-	if err != nil {
-		return nil, nil, nil, err
+	releaseAll(probes)
+	if workers, _, owned, err = p.emulateRanks(ctx, w, reps, c, keep); err != nil {
+		return nil, nil, nil, nil, err
 	}
-	return workers, comms, sizes, nil
+	return workers, comms, sizes, owned, nil
+}
+
+// adopt makes the representatives of a full probe sealed in place the
+// capture's workers: unique is in rank order and probes[r] releases
+// rank r's trace. With keep set each representative is copied out and
+// every probe released; otherwise the representatives' releases are
+// the capture's and the rest run now.
+func adopt(unique []*trace.Worker, probes []func(), keep bool) ([]*trace.Worker, []func()) {
+	if keep {
+		for i, u := range unique {
+			unique[i] = u.Compact()
+		}
+		releaseAll(probes)
+		return unique, nil
+	}
+	owned := make([]func(), 0, len(unique))
+	for r, release := range probes {
+		if len(owned) < len(unique) && unique[len(owned)].Rank == r {
+			owned = append(owned, release)
+		} else {
+			release()
+		}
+	}
+	return unique, owned
 }
 
 // allRanks lists the ranks of a world of n, ascending.
@@ -478,16 +544,21 @@ func (p *Pipeline) membership(w workload.Workload, inits [][]collator.CommInit) 
 // error (*pool.PanicError), not the end of the process. Each call
 // adds its rank count to the capture's emulation accounting.
 //
-// Beside each rank's trace it returns the rank's communicator inits,
-// read in the fan-out right after the seal, while the ops are still
-// in cache.
-func (p *Pipeline) emulateRanks(ctx context.Context, w workload.Workload, ranks []int, c *Capture) ([]*trace.Worker, [][]collator.CommInit, error) {
+// With keep set each rank's trace is sealed into storage of its own
+// (emulator.Trace); otherwise it is sealed in place (emulator.Seal)
+// and releases[i] recycles the ith rank's recording. Beside each
+// rank's trace it returns the rank's communicator inits, read in the
+// fan-out right after the seal, while the ops are still in cache.
+func (p *Pipeline) emulateRanks(ctx context.Context, w workload.Workload, ranks []int, c *Capture, keep bool) (workers []*trace.Worker, inits [][]collator.CommInit, releases []func(), err error) {
 	if c != nil {
 		c.RankEmulations += len(ranks)
 	}
-	workers := make([]*trace.Worker, len(ranks))
-	inits := make([][]collator.CommInit, len(ranks))
-	err := pool.Each(ctx, len(ranks), runtime.GOMAXPROCS(0), func(_, i int) error {
+	workers = make([]*trace.Worker, len(ranks))
+	inits = make([][]collator.CommInit, len(ranks))
+	if !keep {
+		releases = make([]func(), len(ranks))
+	}
+	err = pool.Each(ctx, len(ranks), runtime.GOMAXPROCS(0), func(_, i int) error {
 		rank := ranks[i]
 		em := emulator.New(emulator.Config{
 			Rank:  rank,
@@ -497,7 +568,12 @@ func (p *Pipeline) emulateRanks(ctx context.Context, w workload.Workload, ranks 
 			Seed:  p.Opts.Seed,
 		})
 		err := w.Run(rank, em)
-		tr := em.Trace()
+		var tr *trace.Worker
+		if keep {
+			tr = em.Trace()
+		} else {
+			tr, releases[i] = em.Seal()
+		}
 		if err != nil && !tr.OOM {
 			return fmt.Errorf("core: emulating rank %d: %w", rank, err)
 		}
@@ -505,7 +581,8 @@ func (p *Pipeline) emulateRanks(ctx context.Context, w workload.Workload, ranks 
 		return nil
 	})
 	if err != nil {
-		return nil, nil, err
+		releaseAll(releases)
+		return nil, nil, nil, err
 	}
-	return workers, inits, nil
+	return workers, inits, releases, nil
 }

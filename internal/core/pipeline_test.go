@@ -81,7 +81,7 @@ func TestEndToEndPredictionAccuracy(t *testing.T) {
 		m := megatron(t, cfg)
 		// Every rank's full trace must agree across workers on each
 		// matched collective's payload and group size.
-		workers, inits, err := p.emulateRanks(context.Background(), m, allRanks(m.World()), nil)
+		workers, inits, _, err := p.emulateRanks(context.Background(), m, allRanks(m.World()), nil, true)
 		if err != nil {
 			t.Fatalf("emulating %s: %v", cfg, err)
 		}

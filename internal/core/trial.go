@@ -14,7 +14,8 @@ import (
 // Search runs a recipe search of problem with every trial priced by
 // this pipeline: the route maya.Predictor.FindRecipe and the Table 6
 // runner share. capture obtains a trial's capture (the pipeline's own
-// Capture, or a caching front for it). Each search worker owns one
+// CaptureOwned, or a caching front for Capture); the trial releases it
+// once its replay is done. Each search worker owns one
 // engine from sim.AcquireEngine for the whole search, so trials
 // re-acquire nothing, and the engines go back to the pool when the
 // search returns. account, when non-nil, receives each trial's stage
@@ -42,7 +43,8 @@ func (p *Pipeline) Search(ctx context.Context, problem search.Problem, capture f
 // the trial's Megatron workload, obtain its capture, answer straight
 // from the capture's OOM verdict without estimating or simulating,
 // and otherwise replay on the worker's engine no further than the
-// generation's domination bound.
+// generation's domination bound; then release the capture, which
+// recycles an owned one's recordings and leaves a kept one alone.
 func (p *Pipeline) trialEvaluator(capture func(context.Context, workload.Workload) (*Capture, error), flops float64, e *sim.Engine, account func(StageTimings)) search.Evaluator {
 	return func(ctx context.Context, cfg framework.MegatronConfig, bound time.Duration) (search.EvalResult, error) {
 		w, err := framework.NewMegatron(cfg)
@@ -53,6 +55,7 @@ func (p *Pipeline) trialEvaluator(capture func(context.Context, workload.Workloa
 		if err != nil {
 			return search.EvalResult{}, err
 		}
+		defer c.Release()
 		stages := StageTimings{Emulate: c.EmulateTime, Collate: c.CollateTime}
 		if c.OOM {
 			// The emulator's memory accounting already decided this

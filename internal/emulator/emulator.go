@@ -40,7 +40,7 @@ type Emulator struct {
 	cfg Config
 	// tr is the trace so far: while rec is set its Ops live in rec's
 	// pooled buffer; after Trace sealed it, it is the exact-size worker
-	// Trace returned and rec is nil.
+	// Trace returned and rec is nil. Seal hands both to its caller.
 	tr  *trace.Worker
 	rec *recording
 	rng *prand.SplitMix64
@@ -65,7 +65,8 @@ var _ cuda.Device = (*Emulator)(nil)
 // recording is the scratch one rank records into: the op buffer
 // behind the unsealed trace plus the slab its Coll pointers point
 // into. Capacity survives from rank to rank through the pool, so a
-// warm capture allocates only the sealed copies it keeps.
+// warm capture allocates only the sealed copies it keeps, and one
+// sealed in place (Seal) none.
 type recording struct {
 	ops   []trace.Op         // zero over its full capacity while pooled
 	colls []trace.Collective // zero over its full capacity while pooled
@@ -101,20 +102,44 @@ func New(cfg Config) *Emulator {
 // again returns the same worker. The emulator can continue to be used
 // afterwards: ops launched after a seal are in the worker the next
 // call returns, the first of them carrying the host time the sealed
-// worker counted as its TailGap.
+// worker counted as its TailGap. Seal is the copy-free form for a
+// trace nothing keeps.
 func (e *Emulator) Trace() *trace.Worker {
 	e.tr.PeakBytes, e.tr.TailGap = e.mem.peak, e.gap
 	if r := e.rec; r != nil {
 		sealed := e.tr.Compact()
-		// Clear what was used before pooling, so the scratch pins no
-		// Name, Shape or Coll of a finished trace.
-		clear(e.tr.Ops)
-		clear(r.colls)
-		r.ops, r.colls = e.tr.Ops[:0], r.colls[:0]
-		recordings.Put(r)
+		r.recycle(e.tr.Ops)
 		e.tr, e.rec = sealed, nil
 	}
 	return e.tr
+}
+
+// Seal returns the captured worker trace sealed in place: its ops stay
+// in the recording scratch, not copied, and the caller owns them.
+// release clears the scratch and pools it for the next rank; from then
+// on the worker holds no ops, and nothing may keep an op of the trace
+// or its Coll. Call release once. Seal seals a trace Trace has not;
+// the emulator must not be used after it. Trace is the form for a
+// trace that outlives its caller.
+func (e *Emulator) Seal() (w *trace.Worker, release func()) {
+	w, r := e.tr, e.rec
+	w.PeakBytes, w.TailGap = e.mem.peak, e.gap
+	e.tr, e.rec = nil, nil
+	return w, func() {
+		r.recycle(w.Ops)
+		w.Ops = nil
+	}
+}
+
+// recycle pools the recording, ops being the op buffer a finished trace
+// recorded into (the recording's own, or what it grew into). It clears
+// what the trace used first, so the scratch pins no Name, Shape or Coll
+// of a finished trace.
+func (r *recording) recycle(ops []trace.Op) {
+	clear(ops)
+	clear(r.colls)
+	r.ops, r.colls = ops[:0], r.colls[:0]
+	recordings.Put(r)
 }
 
 // scratch returns the recording scratch. After a seal it takes a new

@@ -241,3 +241,38 @@ func TestTraceIsIdempotentAndResumable(t *testing.T) {
 		t.Fatal("the resumed seal shares storage with the first")
 	}
 }
+
+// TestSealInPlace pins the copy-free seal: the worker Seal returns is
+// the trace Trace would have copied out, its ops still in the scratch
+// it was recorded into, and release leaves the worker without ops and
+// the scratch pooled clear, for the next rank to record into.
+func TestSealInPlace(t *testing.T) {
+	for _, c := range recordingCases(t) {
+		ref := c.reference(t)
+		em := New(Config{Rank: c.rank, World: c.w.World(), GPU: c.gpu, Host: hardware.EpycHost(), Seed: 7})
+		r := em.rec
+		if err := c.w.Run(c.rank, em); c.oom != errors.Is(err, cuda.ErrOutOfMemory) {
+			t.Fatalf("%s: Run = %v, want oom %t", c.name, err, c.oom)
+		}
+		w, release := em.Seal()
+		if sealed := w.Compact(); !reflect.DeepEqual(sealed, ref) {
+			t.Errorf("%s: the trace sealed in place differs from the copied one (%d vs %d ops)", c.name, len(w.Ops), len(ref.Ops))
+		}
+		if n := len(r.colls); n > 0 {
+			var last *trace.Collective
+			for i := range w.Ops {
+				if w.Ops[i].Coll != nil {
+					last = w.Ops[i].Coll
+				}
+			}
+			if last != &r.colls[n-1] {
+				t.Errorf("%s: the sealed collectives are not the scratch's", c.name)
+			}
+		}
+		release()
+		if w.Ops != nil {
+			t.Errorf("%s: the worker keeps %d ops after release", c.name, len(w.Ops))
+		}
+		checkPooled(t, c.name, r)
+	}
+}

@@ -137,7 +137,7 @@ func (e *Env) stagedSearch(ctx context.Context, problem search.Problem, noDedup 
 		sum.Simulate += s.Simulate
 		mu.Unlock()
 	}
-	out, err := pipe.Search(ctx, problem, pipe.Capture, sopt, account)
+	out, err := pipe.Search(ctx, problem, pipe.CaptureOwned, sopt, account)
 	return out, sum, err
 }
 

@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"math/bits"
 	"reflect"
 	"slices"
 	"sort"
+	"sync"
 	"unsafe"
 
 	"maya/internal/trace"
@@ -84,37 +86,37 @@ const noEvent = -1
 func Compile(job *trace.Job, participants map[trace.CollKey]int) *Index {
 	x := &Index{job: job, participants: participants, events: 1}
 	nw := len(job.Workers)
+	s := compileScratches.Get().(*compileScratch)
+	defer s.release()
 
 	// Pass 1, the one walk over every op: each worker's streams, their
-	// queue and row lengths, its event syncs, the job's collective groups
-	// (collGroup, one per collective in walk order), and where the ops
-	// with a row entry are (synced[syncedStart[w]:syncedStart[w+1]] for
-	// worker w), so that pass 2 visits only those. Ops run on a stream
-	// in stretches, so an op naming the stream of the op before it
-	// reuses that stream's place without a lookup.
-	type groupStat struct{ n, maxSeq int }
-	type streamStat struct{ row, queued int32 }
-	groupOf := map[trace.CollKey]int32{}
-	var stats []groupStat
-	var collGroup []int32
-	streamSet := map[int64]int32{} // a handle's place in counts
-	var counts []streamStat
-	hostRows := make([]int32, nw)
-	var synced []int32
-	syncedStart := make([]int, nw+1)
-	x.streamStart = make([]int32, nw+1)
-	x.rowStart = []int32{0}
-	x.queueStart = []int32{0}
+	// queue and row lengths, its event syncs, the job's collective
+	// groups, and which ops have a row entry (a bit each in
+	// synced[wordStart[w]:wordStart[w+1]] for worker w), so that pass 2
+	// visits only those. Ops run on a stream in stretches, so an op
+	// naming the stream of the op before it reuses that stream's place
+	// without a lookup, as a collective of the previous one's group does.
+	// The tables the index keeps grow in the scratch and are copied out
+	// at their final size.
+	hostRows := zeroed(s.hostRows, nw)
+	wordStart := zeroed(s.wordStart, nw+1)
 	for wi, w := range job.Workers {
-		clear(streamSet)
-		counts = counts[:0]
+		wordStart[wi+1] = wordStart[wi] + (len(w.Ops)+63)/64
+	}
+	synced := zeroed(s.synced, wordStart[nw])
+	streamIDs, rowStart, queueStart := s.streamIDs, append(s.rowStart, 0), append(s.queueStart, 0)
+	x.streamStart = make([]int32, nw+1)
+	for wi, w := range job.Workers {
+		marks := synced[wordStart[wi]:wordStart[wi+1]]
+		clear(s.streamSet)
+		s.counts = s.counts[:0]
 		var last int64
 		c := int32(-1) // last's place in counts; -1 before the worker's first stream op
 		for i := range w.Ops {
 			op := &w.Ops[i]
 			if op.Kind == trace.KindEventSync {
 				hostRows[wi]++
-				synced = append(synced, int32(i))
+				marks[i/64] |= 1 << (i % 64)
 				continue
 			}
 			if !namesStream(op) {
@@ -122,86 +124,98 @@ func Compile(job *trace.Job, participants map[trace.CollKey]int) *Index {
 			}
 			if c < 0 || op.Stream != last {
 				var ok bool
-				if c, ok = streamSet[op.Stream]; !ok {
-					c = int32(len(counts))
-					streamSet[op.Stream] = c
-					counts = append(counts, streamStat{})
+				if c, ok = s.streamSet[op.Stream]; !ok {
+					c = int32(len(s.counts))
+					s.streamSet[op.Stream] = c
+					s.counts = append(s.counts, streamStat{})
 				}
 				last = op.Stream
 			}
 			if op.Kind != trace.KindStreamSync {
-				counts[c].queued++
+				s.counts[c].queued++
 			}
 			if !inRow(op) {
 				continue
 			}
-			counts[c].row++
-			synced = append(synced, int32(i))
+			s.counts[c].row++
+			marks[i/64] |= 1 << (i % 64)
 			if op.Kind != trace.KindCollective {
 				continue
 			}
-			k := groupKey(op)
-			g, ok := groupOf[k]
+			g, ok := s.group(op)
 			if !ok {
-				g = int32(len(stats))
-				groupOf[k] = g
-				stats = append(stats, groupStat{})
-				x.groups = append(x.groups, collGroupID{key: k})
+				k := groupKey(op)
+				g = int32(len(s.stats))
+				s.groupOf[k] = g
+				s.stats = append(s.stats, groupStat{})
+				s.groups = append(s.groups, collGroupID{key: k})
 			}
-			stats[g].n++
-			stats[g].maxSeq = max(stats[g].maxSeq, op.Coll.Seq)
-			collGroup = append(collGroup, g)
+			s.stats[g].n++
+			s.stats[g].maxSeq = max(s.stats[g].maxSeq, op.Coll.Seq)
 		}
-		first := len(x.streamIDs)
-		for id := range streamSet {
-			x.streamIDs = append(x.streamIDs, id)
+		first := len(streamIDs)
+		for id := range s.streamSet {
+			streamIDs = append(streamIDs, id)
 		}
-		slices.Sort(x.streamIDs[first:])
-		for _, id := range x.streamIDs[first:] {
-			n := counts[streamSet[id]]
-			x.rowStart = append(x.rowStart, x.rowStart[len(x.rowStart)-1]+n.row)
-			x.queueStart = append(x.queueStart, x.queueStart[len(x.queueStart)-1]+n.queued)
+		slices.Sort(streamIDs[first:])
+		for _, id := range streamIDs[first:] {
+			n := s.counts[s.streamSet[id]]
+			rowStart = append(rowStart, rowStart[len(rowStart)-1]+n.row)
+			queueStart = append(queueStart, queueStart[len(queueStart)-1]+n.queued)
 		}
-		x.streamStart[wi+1] = int32(len(x.streamIDs))
-		syncedStart[wi+1] = len(synced)
+		x.streamStart[wi+1] = int32(len(streamIDs))
 	}
 	for _, n := range hostRows {
-		x.rowStart = append(x.rowStart, x.rowStart[len(x.rowStart)-1]+n)
+		rowStart = append(rowStart, rowStart[len(rowStart)-1]+n)
 	}
+	s.streamIDs, s.rowStart, s.queueStart = streamIDs, rowStart, queueStart
+	x.streamIDs, x.rowStart, x.queueStart = exact(streamIDs), exact(rowStart), exact(queueStart)
 	x.rows = make([]int32, x.rowStart[len(x.rowStart)-1])
+	x.groups = exact(s.groups)
+	extra := 0 // calls past their group's slots get one each, at most
 	for g := range x.groups {
+		st := s.stats[g]
 		x.groups[g].base = x.dense
-		x.groups[g].size = int32(min(stats[g].maxSeq, stats[g].n-1) + 1)
+		x.groups[g].size = int32(min(st.maxSeq, st.n-1) + 1)
 		x.dense += x.groups[g].size
+		if st.maxSeq >= st.n {
+			extra += st.n
+		}
 	}
-	x.expected = make([]int32, x.dense)
+	x.expected = make([]int32, x.dense, int(x.dense)+extra)
+	if extra > 0 {
+		x.extraKeys = make([]trace.CollKey, 0, extra)
+	}
 
 	// Pass 2, per worker, over its ops with a row entry: its event
 	// slots, then its rows.
-	type handle struct{ base, n int32 }
-	evs := map[int64]handle{}
-	var order []int64
+	evs := s.evs
 	var extraEvents map[eventKey]int32
-	var extraColls map[trace.CollKey]int32
-	cursor := slices.Clone(x.rowStart[:len(x.rowStart)-1])
-	nc := 0 // collectives met, collGroup's cursor
+	cursor := append(s.cursor, x.rowStart[:len(x.rowStart)-1]...)
+	s.cursor = cursor
 	for wi, w := range job.Workers {
-		at := synced[syncedStart[wi]:syncedStart[wi+1]]
+		at := s.at[:0]
+		for j, word := range synced[wordStart[wi]:wordStart[wi+1]] {
+			for ; word != 0; word &= word - 1 {
+				at = append(at, int32(64*j+bits.TrailingZeros64(word)))
+			}
+		}
+		s.at = at
 		clear(evs)
-		order = order[:0]
+		s.order = s.order[:0]
 		odd := false
 		for _, i := range at {
 			if op := &w.Ops[i]; op.Kind == trace.KindEventRecord {
 				h := evs[op.Event]
 				if h.n == 0 {
-					order = append(order, op.Event)
+					s.order = append(s.order, op.Event)
 				}
 				h.n++
 				evs[op.Event] = h
 				odd = odd || op.EventVer < 0 || op.EventVer > int(h.n)
 			}
 		}
-		for _, id := range order {
+		for _, id := range s.order {
 			h := evs[id]
 			h.base = x.events
 			x.events += h.n
@@ -250,8 +264,8 @@ func Compile(job *trace.Job, participants map[trace.CollKey]int) *Index {
 			case trace.KindEventSync:
 				row, slot = int32(len(x.streamIDs)+wi), eventSlot(op)
 			case trace.KindCollective:
-				row, slot = x.streamSlot(wi, op.Stream), x.collSlot(op, collGroup[nc], &extraColls)
-				nc++
+				g, _ := s.group(op)
+				row, slot = x.streamSlot(wi, op.Stream), x.collSlot(op, g, s.extraColls)
 				if participants == nil {
 					x.expected[slot]++
 				} else if x.expected[slot] == 0 {
@@ -267,6 +281,88 @@ func Compile(job *trace.Job, participants map[trace.CollKey]int) *Index {
 	return x
 }
 
+// compileScratch is what Compile consults on its way and does not
+// keep: pooled, so a compile allocates about what its index retains.
+// Between compiles every slice is empty and every map clear.
+type compileScratch struct {
+	groupOf map[trace.CollKey]int32
+	// lastKey is the key of the collective group that group found
+	// last, lastGroup; -1 before it found any.
+	lastKey   trace.CollKey
+	lastGroup int32
+	stats     []groupStat
+	streamSet map[int64]int32 // a handle's place in counts
+	counts    []streamStat
+	hostRows  []int32
+	// synced has a bit per op, set when the op has a row entry; worker
+	// w's are words wordStart[w]:wordStart[w+1].
+	synced    []uint64
+	wordStart []int
+	at        []int32 // a worker's ops with a row entry, ascending
+	evs       map[int64]evHandle
+	order     []int64
+	// extraColls is each call past its group's slots and its own slot.
+	extraColls map[trace.CollKey]int32
+	cursor     []int32
+	// The index's own tables as they grow, copied out at their final
+	// size (exact).
+	streamIDs            []int64
+	rowStart, queueStart []int32
+	groups               []collGroupID
+}
+
+// groupStat counts a collective group's ops and its largest call index.
+type groupStat struct{ n, maxSeq int }
+
+// streamStat counts a stream's row entries and queued ops.
+type streamStat struct{ row, queued int32 }
+
+// evHandle is one event handle's first slot and record count.
+type evHandle struct{ base, n int32 }
+
+var compileScratches = sync.Pool{New: func() any {
+	return &compileScratch{
+		lastGroup:  -1,
+		groupOf:    map[trace.CollKey]int32{},
+		streamSet:  map[int64]int32{},
+		evs:        map[int64]evHandle{},
+		extraColls: map[trace.CollKey]int32{},
+	}
+}}
+
+// release empties the scratch and pools it.
+func (s *compileScratch) release() {
+	clear(s.groupOf)
+	clear(s.streamSet)
+	clear(s.evs)
+	clear(s.extraColls)
+	s.lastGroup = -1
+	s.stats, s.counts, s.synced, s.at = s.stats[:0], s.counts[:0], s.synced[:0], s.at[:0]
+	s.hostRows, s.wordStart, s.order, s.cursor = s.hostRows[:0], s.wordStart[:0], s.order[:0], s.cursor[:0]
+	s.streamIDs, s.rowStart, s.queueStart, s.groups = s.streamIDs[:0], s.rowStart[:0], s.queueStart[:0], s.groups[:0]
+	compileScratches.Put(s)
+}
+
+// group returns the collective group of op, if pass 1 has met it,
+// hashing op's key only when the group is not the one it found last:
+// a worker calls one group in stretches.
+func (s *compileScratch) group(op *trace.Op) (int32, bool) {
+	k := groupKey(op)
+	if s.lastGroup >= 0 && k == s.lastKey {
+		return s.lastGroup, true
+	}
+	g, ok := s.groupOf[k]
+	if ok {
+		s.lastKey, s.lastGroup = k, g
+	}
+	return g, ok
+}
+
+// exact returns a copy of s in storage of exactly its length.
+func exact[T any](s []T) []T {
+	return append(make([]T, 0, len(s)), s...)
+}
+
 // compiledFrom reports whether x is Compile(job, participants): the
 // same job and the same participants map, compared by identity, so a
 // run whose Participants differ from the ones x counted joins with
@@ -279,19 +375,16 @@ func (x *Index) compiledFrom(job *trace.Job, participants map[trace.CollKey]int)
 // collSlot returns the slot of a collective op in the given group:
 // the group's base plus its call index, or for a call past the
 // group's range a slot of its own, allocated on first sight in extra.
-func (x *Index) collSlot(op *trace.Op, group int32, extra *map[trace.CollKey]int32) int32 {
+func (x *Index) collSlot(op *trace.Op, group int32, extra map[trace.CollKey]int32) int32 {
 	g := &x.groups[group]
 	if seq := op.Coll.Seq; seq < int(g.size) {
 		return g.base + int32(seq)
 	}
 	k := trace.CollKeyOf(op)
-	if *extra == nil {
-		*extra = map[trace.CollKey]int32{}
-	}
-	s, ok := (*extra)[k]
+	s, ok := extra[k]
 	if !ok {
 		s = int32(len(x.expected))
-		(*extra)[k] = s
+		extra[k] = s
 		x.expected = append(x.expected, 0)
 		x.extraKeys = append(x.extraKeys, k)
 	}

@@ -539,10 +539,11 @@ func (p *Predictor) predict(ctx context.Context, w Workload, s predictSettings) 
 	if err != nil {
 		return nil, err
 	}
-	c, paid, err := p.captureFor(ctx, p.captureOptions(s), w)
+	c, paid, err := p.captureFor(ctx, p.captureOptions(s), w, false)
 	if err != nil {
 		return nil, err
 	}
+	defer c.Release()
 	return p.simulateCapture(ctx, pipe, c, s, paid)
 }
 

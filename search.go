@@ -61,7 +61,7 @@ func (p *Predictor) FindRecipe(ctx context.Context, problem SearchProblem, opts 
 	}
 	captureOpts := p.captureOptions(s)
 	capture := func(ctx context.Context, w Workload) (*core.Capture, error) {
-		c, _, err := p.captureFor(ctx, captureOpts, w)
+		c, _, err := p.captureFor(ctx, captureOpts, w, false)
 		return c, err
 	}
 	return pipe.Search(ctx, problem, capture, opts, nil)

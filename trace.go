@@ -123,7 +123,7 @@ func (p *Predictor) Capture(ctx context.Context, w Workload, opts ...PredictOpti
 	if w == nil {
 		return nil, errors.New("maya: Capture of a nil workload")
 	}
-	c, _, err := p.captureFor(ctx, p.captureOptions(p.settings(opts)), w)
+	c, _, err := p.captureFor(ctx, p.captureOptions(p.settings(opts)), w, true)
 	if err != nil {
 		return nil, err
 	}
