@@ -180,11 +180,11 @@ func (p *Predictor) evalBatchRequest(ctx context.Context, w Workload, s predictS
 	opts := p.captureOptions(s)
 	if k, ok := batchCaptureKey(w, opts); ok {
 		c, _, err = shared.Get(ctx, k, func() (c *core.Capture, err error) {
-			c, paid, err = p.captureFor(ctx, opts, w, false)
+			c, paid, err = p.captureFor(ctx, opts, w)
 			return c, err
 		})
 	} else {
-		c, paid, err = p.captureFor(ctx, opts, w, false)
+		c, paid, err = p.captureFor(ctx, opts, w)
 	}
 	if err != nil {
 		return BatchResult{Err: err}, nil

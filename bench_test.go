@@ -47,6 +47,7 @@ func BenchmarkEmulateMegatronRank(b *testing.B) {
 			b.Fatal(err)
 		}
 		ops = len(em.Trace().Ops)
+		em.Release()
 	}
 	b.ReportMetric(float64(ops), "trace-ops")
 }

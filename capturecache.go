@@ -80,25 +80,23 @@ func (p *Predictor) captureCacheKey(w Workload, opts core.Options) (string, bool
 // uncached paths) — only then should a report carry the capture's
 // emulate/collate stage cost.
 //
-// It is the one place that decides who owns a capture. A capture the
-// cache keeps, or one handed out to the caller (keep set, for
-// Capture), is sealed into storage of its own. Any other capture is
-// the caller's alone: it is sealed in place (core.Pipeline's
-// CaptureOwned) and the caller calls its Release when done with it —
-// which, on the kept ones, does nothing.
-func (p *Predictor) captureFor(ctx context.Context, opts core.Options, w Workload, keep bool) (c *core.Capture, paid bool, err error) {
+// The capture is the caller's to release: a cached one is kept (the
+// cache's build keeps what it stores), so its Release does nothing;
+// any other is the caller's alone, its traces still in the emulator's
+// recordings, and the caller calls Release when done with it or Keep
+// to hand it out.
+func (p *Predictor) captureFor(ctx context.Context, opts core.Options, w Workload) (c *core.Capture, paid bool, err error) {
 	if p.captures != nil {
 		if key, ok := p.captureCacheKey(w, opts); ok {
 			return p.captures.impl.Get(ctx, key, func() (*core.Capture, error) {
-				return (&core.Pipeline{Cluster: p.cluster, Opts: opts}).Capture(ctx, w)
+				c, err := (&core.Pipeline{Cluster: p.cluster, Opts: opts}).Capture(ctx, w)
+				if err == nil {
+					c.Keep()
+				}
+				return c, err
 			})
 		}
 	}
-	pipe := &core.Pipeline{Cluster: p.cluster, Opts: opts}
-	if keep {
-		c, err = pipe.Capture(ctx, w)
-	} else {
-		c, err = pipe.CaptureOwned(ctx, w)
-	}
+	c, err = (&core.Pipeline{Cluster: p.cluster, Opts: opts}).Capture(ctx, w)
 	return c, true, err
 }

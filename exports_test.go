@@ -21,6 +21,7 @@ var exportAllowlist = map[string]string{
 	"flight.Group.Joins":        "serve's coalescing tests wait on it until every follower has attached to the leader's flight",
 	"sim.Index.Bytes":           "core's allocation-budget tests count an index's retained bytes with it",
 	"sim.Run":                   "the fresh-engine reference that core, faults and the root benchmarks replay against",
+	"trace.Worker.Append":       "tests in several packages build their fixture workers op by op with it; the emulator records through Next",
 	"maya.WithBatchConcurrency": "the batch tests bound the pool to pin cancellation and capacity-1 eviction",
 }
 

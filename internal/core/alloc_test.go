@@ -157,13 +157,16 @@ func TestAllocBudgetIndex(t *testing.T) {
 // captures on one engine allocates: two reports, nothing per op.
 const maxAlternateBytes = 16 << 10
 
-// captureAllocs returns the bytes one Capture allocates and the bytes
-// its job retains.
+// captureAllocs returns the bytes one kept capture (Capture, then
+// Keep) allocates and the bytes its job retains.
 func captureAllocs(t *testing.T, p *Pipeline, w workload.Workload) (allocated, retained uint64) {
 	t.Helper()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	c, err := p.Capture(context.Background(), w)
+	if err == nil {
+		c.Keep()
+	}
 	runtime.ReadMemStats(&after)
 	if err != nil || c.OOM {
 		t.Fatalf("Capture: %v (oom %t)", err, c != nil && c.OOM)
@@ -228,6 +231,7 @@ func TestAllocBudgetEmulateRank(t *testing.T) {
 			t.Fatal(err)
 		}
 		em.Trace()
+		em.Release()
 	})
 	const bound = 256
 	t.Logf("%.0f allocs per emulated rank (8282 before the recording scratch, 2509 before the shell's dims array)", allocs)

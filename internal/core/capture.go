@@ -10,6 +10,7 @@ import (
 	"hash/fnv"
 	"io"
 	"maps"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -35,10 +36,11 @@ import (
 // physical replay) without re-paying emulation or collation. Captures
 // serialize with WriteTo and load with ReadCapture.
 //
-// A capture is kept (Pipeline.Capture, ReadCapture) or owned
-// (Pipeline.CaptureOwned). An owned capture's traces live in the
-// emulator's recording buffers until its one owner calls Release;
-// DESIGN.md's "Capture lifetime" says who that is.
+// Pipeline.Capture's traces live in the emulator's recording buffers
+// until its one owner calls Release, or Keep copies them out into
+// storage of their own for a capture that is cached, shared or handed
+// out; DESIGN.md's "Capture lifetime" says who does which. A loaded
+// capture (ReadCapture) owns its storage already.
 type Capture struct {
 	// Workload and Cluster identify what was captured where.
 	Workload string
@@ -101,21 +103,45 @@ type Capture struct {
 	index     *sim.Index
 	indexed   atomic.Bool
 
-	// release recycles the recordings an owned capture's traces are
-	// sealed in; nil on a kept capture.
+	// release recycles the recordings the capture's traces are sealed
+	// in; nil once they own their storage (kept, released or loaded).
 	release func()
 }
 
-// Release recycles the recording buffers an owned capture's traces
-// live in (see Pipeline.CaptureOwned), and does nothing on a kept
-// capture. Call it once no replay of the capture runs; from then on
-// its job holds no ops, and nothing may keep one of its ops or
-// Collectives. It is not safe to call concurrently with itself.
+// Release recycles the recording buffers the capture's traces live
+// in, and does nothing on a kept or loaded capture. Call it once no
+// replay of the capture runs; from then on its job holds no ops, and
+// nothing may keep one of its ops or Collectives. It is not safe to
+// call concurrently with itself.
 func (c *Capture) Release() {
 	if release := c.release; release != nil {
 		c.release = nil
 		release()
 	}
+}
+
+// Keep copies the capture's traces out of the recording buffers they
+// were sealed in, each worker into storage sized exactly to its ops
+// (trace.Worker.Compact), and releases the recordings, so the capture
+// may be cached, serialized or held for as long as the caller likes;
+// Release then does nothing. Call it before the capture's first
+// replay and before anything else can see it. On a kept, released or
+// loaded capture it does nothing.
+func (c *Capture) Keep() {
+	if c.release == nil {
+		return
+	}
+	workers := c.Job.Workers
+	// Every copy must finish before the release, so no caller's
+	// context cancels it; Compact returns no error, so one is a panic
+	// in it, raised again.
+	if err := pool.Each(context.Background(), len(workers), runtime.GOMAXPROCS(0), func(_, i int) error {
+		workers[i] = workers[i].Compact()
+		return nil
+	}); err != nil {
+		panic(err)
+	}
+	c.Release()
 }
 
 // simIndex returns the capture's job compiled for the engine, built

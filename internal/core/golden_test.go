@@ -34,7 +34,8 @@ const goldenTraceV3 = "testdata/capture-v3.mtrace"
 
 // goldenCapture captures a tiny CNN under DDP on two A40s with
 // torch.compile (Triton kernels carry extra) and activation offload
-// (memcpys carry a direction), every rank emulated.
+// (memcpys carry a direction), every rank emulated, and keeps it: like
+// a loaded capture, a kept one owns its storage.
 func goldenCapture(t *testing.T) (*Pipeline, *Capture) {
 	t.Helper()
 	cnn := models.CNN{
@@ -58,6 +59,7 @@ func goldenCapture(t *testing.T) (*Pipeline, *Capture) {
 	if err != nil || c.OOM {
 		t.Fatalf("Capture: %v (oom %t)", err, c != nil && c.OOM)
 	}
+	c.Keep()
 	c.EmulateTime, c.CollateTime = 0, 0
 	return p, c
 }

@@ -181,27 +181,16 @@ type Pipeline struct {
 }
 
 // Capture runs the emulation and collation stages once and returns
-// the collated trace artifact, kept: its traces are sealed into
-// storage of their own, so it may be cached, serialized or held for
-// as long as the caller likes. Out-of-memory configurations are a
-// result, not an error: the returned capture carries the OOM verdict
-// (with a nil Job) exactly as the emulator detected it. Cancellation
-// of ctx aborts emulation between ranks.
-func (p *Pipeline) Capture(ctx context.Context, w workload.Workload) (*Capture, error) {
-	return p.capture(ctx, w, true)
-}
-
-// CaptureOwned is Capture for a caller that is the capture's only
-// owner and drops it once done: its traces are sealed in place and
+// the collated trace artifact. Its traces are sealed in place: they
 // stay in the emulator's recording buffers, so the seal copies
-// nothing. The caller calls the capture's Release once no replay of
-// it runs, and neither caches nor serializes it.
-func (p *Pipeline) CaptureOwned(ctx context.Context, w workload.Workload) (*Capture, error) {
-	return p.capture(ctx, w, false)
-}
-
-// capture is Capture (keep set) and CaptureOwned.
-func (p *Pipeline) capture(ctx context.Context, w workload.Workload, keep bool) (*Capture, error) {
+// nothing, and the capture carries their release. A caller that is
+// the capture's only owner calls Release once no replay of it runs; a
+// caller that caches, shares or hands it out calls Keep first.
+// Out-of-memory configurations are a result, not an error: the
+// returned capture carries the OOM verdict (with a nil Job) exactly as
+// the emulator detected it. Cancellation of ctx aborts emulation
+// between ranks.
+func (p *Pipeline) Capture(ctx context.Context, w workload.Workload) (*Capture, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -213,7 +202,7 @@ func (p *Pipeline) capture(ctx context.Context, w workload.Workload, keep bool) 
 	}
 
 	t0 := time.Now()
-	workers, comms, sizes, owned, err := p.emulate(ctx, w, c, keep)
+	workers, comms, sizes, owned, err := p.emulate(ctx, w, c)
 	if err != nil {
 		return nil, err
 	}
@@ -243,9 +232,7 @@ func (p *Pipeline) capture(ctx context.Context, w workload.Workload, keep bool) 
 	}
 	c.CollateTime = time.Since(t0)
 	c.Comms, c.CommSizes = comms, sizes
-	if len(owned) > 0 {
-		c.release = func() { releaseAll(owned) }
-	}
+	c.release = func() { releaseAll(owned) }
 	return c, nil
 }
 
@@ -407,24 +394,21 @@ func (p *Pipeline) fill(rep *Report, sr *sim.Report, modelFLOPs float64, dtype h
 }
 
 // emulate runs the workload's ranks through transparent emulators
-// and returns the workers the capture keeps, with the complete
-// communicator membership: from the traces of every emulated rank,
-// supplemented by configuration knowledge (GroupAware) where only a
-// subset ran. With keep set the workers are sealed into storage of
-// their own; otherwise they are sealed in place and owned holds the
-// releases that recycle their recordings.
+// and returns the workers the capture keeps, sealed in place, with the
+// complete communicator membership: from the traces of every emulated
+// rank, supplemented by configuration knowledge (GroupAware) where
+// only a subset ran. owned holds the releases that recycle the
+// workers' recordings.
 //
 // Capture takes one of the paper's two routes. Selective launch is
 // trusted outright: the workload names its unique ranks (§7.4).
 // Otherwise every rank runs the workload's one-iteration probe (or
 // the workload itself), the probes are deduplicated, and the full
-// workload runs only on the representatives (§4.2). A deduplicated
-// probe is sealed in place whatever keep says: only its
-// representatives can outlive the dedup, and they are copied out only
-// when the probe is the full workload and the capture is kept.
-func (p *Pipeline) emulate(ctx context.Context, w workload.Workload, c *Capture, keep bool) (workers []*trace.Worker, comms map[uint64][]int, sizes map[uint64]int, owned []func(), err error) {
+// workload runs only on the representatives (§4.2); when the probe is
+// the full workload, the representatives are the capture's workers.
+func (p *Pipeline) emulate(ctx context.Context, w workload.Workload, c *Capture) (workers []*trace.Worker, comms map[uint64][]int, sizes map[uint64]int, owned []func(), err error) {
 	if sl, ok := w.(workload.SelectiveLauncher); ok && p.Opts.SelectiveLaunch && !p.Opts.NoDedup {
-		workers, inits, owned, err := p.emulateRanks(ctx, w, sl.UniqueRanks(), c, keep)
+		workers, inits, owned, err := p.emulateRanks(ctx, w, sl.UniqueRanks(), c)
 		if err != nil {
 			return nil, nil, nil, nil, err
 		}
@@ -441,7 +425,7 @@ func (p *Pipeline) emulate(ctx context.Context, w workload.Workload, c *Capture,
 		probe = pr.Probe()
 		probeIsFull = sameWorkload(probe, w)
 	}
-	probed, inits, probes, err := p.emulateRanks(ctx, probe, allRanks(w.World()), c, keep && !dedup)
+	probed, inits, probes, err := p.emulateRanks(ctx, probe, allRanks(w.World()), c)
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
@@ -458,33 +442,23 @@ func (p *Pipeline) emulate(ctx context.Context, w workload.Workload, c *Capture,
 		// The probe trace is the full trace (single-iteration
 		// workloads and workloads without a cheap probe): the
 		// representatives are the capture's workers.
-		workers, owned = adopt(unique, probes, keep)
-		return workers, comms, sizes, owned, nil
+		return unique, comms, sizes, adopt(unique, probes), nil
 	}
 	reps := make([]int, len(unique))
 	for i, u := range unique {
 		reps[i] = u.Rank
 	}
 	releaseAll(probes)
-	if workers, _, owned, err = p.emulateRanks(ctx, w, reps, c, keep); err != nil {
+	if workers, _, owned, err = p.emulateRanks(ctx, w, reps, c); err != nil {
 		return nil, nil, nil, nil, err
 	}
 	return workers, comms, sizes, owned, nil
 }
 
-// adopt makes the representatives of a full probe sealed in place the
-// capture's workers: unique is in rank order and probes[r] releases
-// rank r's trace. With keep set each representative is copied out and
-// every probe released; otherwise the representatives' releases are
-// the capture's and the rest run now.
-func adopt(unique []*trace.Worker, probes []func(), keep bool) ([]*trace.Worker, []func()) {
-	if keep {
-		for i, u := range unique {
-			unique[i] = u.Compact()
-		}
-		releaseAll(probes)
-		return unique, nil
-	}
+// adopt returns the releases of the representatives of a full probe,
+// which become the capture's, and releases every other probe now:
+// unique is in rank order and probes[r] releases rank r's trace.
+func adopt(unique []*trace.Worker, probes []func()) []func() {
 	owned := make([]func(), 0, len(unique))
 	for r, release := range probes {
 		if len(owned) < len(unique) && unique[len(owned)].Rank == r {
@@ -493,7 +467,7 @@ func adopt(unique []*trace.Worker, probes []func(), keep bool) ([]*trace.Worker,
 			release()
 		}
 	}
-	return unique, owned
+	return owned
 }
 
 // allRanks lists the ranks of a world of n, ascending.
@@ -544,20 +518,17 @@ func (p *Pipeline) membership(w workload.Workload, inits [][]collator.CommInit) 
 // error (*pool.PanicError), not the end of the process. Each call
 // adds its rank count to the capture's emulation accounting.
 //
-// With keep set each rank's trace is sealed into storage of its own
-// (emulator.Trace); otherwise it is sealed in place (emulator.Seal)
-// and releases[i] recycles the ith rank's recording. Beside each
-// rank's trace it returns the rank's communicator inits, read in the
-// fan-out right after the seal, while the ops are still in cache.
-func (p *Pipeline) emulateRanks(ctx context.Context, w workload.Workload, ranks []int, c *Capture, keep bool) (workers []*trace.Worker, inits [][]collator.CommInit, releases []func(), err error) {
+// Each rank's trace is sealed in place (emulator.Trace) and
+// releases[i] recycles the ith rank's recording. Beside each rank's
+// trace it returns the rank's communicator inits, read in the fan-out
+// right after the seal, while the ops are still in cache.
+func (p *Pipeline) emulateRanks(ctx context.Context, w workload.Workload, ranks []int, c *Capture) (workers []*trace.Worker, inits [][]collator.CommInit, releases []func(), err error) {
 	if c != nil {
 		c.RankEmulations += len(ranks)
 	}
 	workers = make([]*trace.Worker, len(ranks))
 	inits = make([][]collator.CommInit, len(ranks))
-	if !keep {
-		releases = make([]func(), len(ranks))
-	}
+	releases = make([]func(), len(ranks))
 	err = pool.Each(ctx, len(ranks), runtime.GOMAXPROCS(0), func(_, i int) error {
 		rank := ranks[i]
 		em := emulator.New(emulator.Config{
@@ -568,12 +539,8 @@ func (p *Pipeline) emulateRanks(ctx context.Context, w workload.Workload, ranks 
 			Seed:  p.Opts.Seed,
 		})
 		err := w.Run(rank, em)
-		var tr *trace.Worker
-		if keep {
-			tr = em.Trace()
-		} else {
-			tr, releases[i] = em.Seal()
-		}
+		tr := em.Trace()
+		releases[i] = em.Release
 		if err != nil && !tr.OOM {
 			return fmt.Errorf("core: emulating rank %d: %w", rank, err)
 		}

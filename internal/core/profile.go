@@ -29,6 +29,7 @@ func scrapeWorkload(oracle *silicon.Oracle, cluster hardware.Cluster, w workload
 		GPU:   cluster.Node.GPU,
 		Host:  cluster.Host,
 	})
+	defer em.Release()
 	if err := w.Run(0, em); err != nil {
 		return nil, fmt.Errorf("core: scraping %s: %w", w.Name(), err)
 	}

@@ -84,7 +84,11 @@ func TestSearchOutcomesPinned(t *testing.T) {
 	captures := NewMemo[string, *Capture](1 << 10)
 	capture := func(ctx context.Context, w workload.Workload) (*Capture, error) {
 		c, _, err := captures.Get(ctx, w.(workload.Fingerprinter).Fingerprint(), func() (*Capture, error) {
-			return p.Capture(ctx, w)
+			c, err := p.Capture(ctx, w)
+			if err == nil {
+				c.Keep()
+			}
+			return c, err
 		})
 		return c, err
 	}

@@ -14,8 +14,8 @@ import (
 // Search runs a recipe search of problem with every trial priced by
 // this pipeline: the route maya.Predictor.FindRecipe and the Table 6
 // runner share. capture obtains a trial's capture (the pipeline's own
-// CaptureOwned, or a caching front for Capture); the trial releases it
-// once its replay is done. Each search worker owns one
+// Capture, or a caching front that keeps what it stores); the trial
+// releases it once its replay is done. Each search worker owns one
 // engine from sim.AcquireEngine for the whole search, so trials
 // re-acquire nothing, and the engines go back to the pool when the
 // search returns. account, when non-nil, receives each trial's stage
@@ -44,7 +44,7 @@ func (p *Pipeline) Search(ctx context.Context, problem search.Problem, capture f
 // from the capture's OOM verdict without estimating or simulating,
 // and otherwise replay on the worker's engine no further than the
 // generation's domination bound; then release the capture, which
-// recycles an owned one's recordings and leaves a kept one alone.
+// recycles its recordings, or does nothing on a kept one.
 func (p *Pipeline) trialEvaluator(capture func(context.Context, workload.Workload) (*Capture, error), flops float64, e *sim.Engine, account func(StageTimings)) search.Evaluator {
 	return func(ctx context.Context, cfg framework.MegatronConfig, bound time.Duration) (search.EvalResult, error) {
 		w, err := framework.NewMegatron(cfg)

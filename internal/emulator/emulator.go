@@ -38,15 +38,14 @@ type Config struct {
 // owns exactly one.
 type Emulator struct {
 	cfg Config
-	// tr is the trace so far: while rec is set its Ops live in rec's
-	// pooled buffer; after Trace sealed it, it is the exact-size worker
-	// Trace returned and rec is nil. Seal hands both to its caller.
+	// tr is the trace so far, its Ops in rec's pooled buffer until
+	// Release gives rec back.
 	tr  *trace.Worker
 	rec *recording
 	rng *prand.SplitMix64
 	// gap is the host time modeled since the last recorded op: the
-	// next op carries it as its HostGap, and a seal with none after it
-	// leaves it as the trace's TailGap.
+	// next op carries it as its HostGap, and Trace seals what is
+	// pending past the last op as the trace's TailGap.
 	gap time.Duration
 	// shapes interns every kernel and memcpy shape this worker
 	// launches: the trace holds one Shape per distinct shape.
@@ -65,8 +64,8 @@ var _ cuda.Device = (*Emulator)(nil)
 // recording is the scratch one rank records into: the op buffer
 // behind the unsealed trace plus the slab its Coll pointers point
 // into. Capacity survives from rank to rank through the pool, so a
-// warm capture allocates only the sealed copies it keeps, and one
-// sealed in place (Seal) none.
+// warm rank allocates no op storage: a trace is sealed in place
+// (Trace) and its scratch pooled again by Release.
 type recording struct {
 	ops   []trace.Op         // zero over its full capacity while pooled
 	colls []trace.Collective // zero over its full capacity while pooled
@@ -94,76 +93,38 @@ func New(cfg Config) *Emulator {
 	return e
 }
 
-// Trace returns the captured worker trace, sealed: a copy in storage
-// sized exactly to the ops recorded (trace.Worker.Compact) that
-// shares nothing with the recording scratch, which is cleared and
-// pooled for the next rank; its device ops point to this emulator's
-// interned shapes, which are immutable and not copied. Calling it
-// again returns the same worker. The emulator can continue to be used
-// afterwards: ops launched after a seal are in the worker the next
-// call returns, the first of them carrying the host time the sealed
-// worker counted as its TailGap. Seal is the copy-free form for a
-// trace nothing keeps.
+// Trace returns the captured worker trace, sealed in place: its ops
+// stay in the recording scratch they were recorded into, not copied,
+// and their Coll point into the scratch's collective slab; its device
+// ops point to this emulator's interned shapes, which are immutable.
+// Calling it again returns the same worker. Trace ends the recording:
+// launch nothing on the emulator after it. A trace that must outlive
+// the recording is copied out with trace.Worker.Compact before
+// Release.
 func (e *Emulator) Trace() *trace.Worker {
 	e.tr.PeakBytes, e.tr.TailGap = e.mem.peak, e.gap
-	if r := e.rec; r != nil {
-		sealed := e.tr.Compact()
-		r.recycle(e.tr.Ops)
-		e.tr, e.rec = sealed, nil
-	}
 	return e.tr
 }
 
-// Seal returns the captured worker trace sealed in place: its ops stay
-// in the recording scratch, not copied, and the caller owns them.
-// release clears the scratch and pools it for the next rank; from then
-// on the worker holds no ops, and nothing may keep an op of the trace
-// or its Coll. Call release once. Seal seals a trace Trace has not;
-// the emulator must not be used after it. Trace is the form for a
-// trace that outlives its caller.
-func (e *Emulator) Seal() (w *trace.Worker, release func()) {
-	w, r := e.tr, e.rec
-	w.PeakBytes, w.TailGap = e.mem.peak, e.gap
-	e.tr, e.rec = nil, nil
-	return w, func() {
-		r.recycle(w.Ops)
-		w.Ops = nil
+// Release clears the recording scratch and pools it for the next
+// rank. From then on the worker Trace returned holds no ops, and
+// nothing may keep an op of it or its Coll; the emulator must not be
+// used again. Calling it again does nothing.
+func (e *Emulator) Release() {
+	if r := e.rec; r != nil {
+		e.rec = nil
+		clear(e.tr.Ops)
+		clear(r.colls)
+		r.ops, r.colls = e.tr.Ops[:0], r.colls[:0]
+		e.tr.Ops = nil
+		recordings.Put(r)
 	}
-}
-
-// recycle pools the recording, ops being the op buffer a finished trace
-// recorded into (the recording's own, or what it grew into). It clears
-// what the trace used first, so the scratch pins no Name, Shape or Coll
-// of a finished trace.
-func (r *recording) recycle(ops []trace.Op) {
-	clear(ops)
-	clear(r.colls)
-	r.ops, r.colls = ops[:0], r.colls[:0]
-	recordings.Put(r)
-}
-
-// scratch returns the recording scratch. After a seal it takes a new
-// one and records the sealed ops back into it, so the next Trace
-// seals the whole trace again.
-func (e *Emulator) scratch() *recording {
-	if e.rec == nil {
-		e.rec = recordings.Get().(*recording)
-		sealed := e.tr
-		w := *sealed
-		w.Ops, w.TailGap = e.rec.ops[:0], 0
-		for i := range sealed.Ops {
-			w.Append(sealed.Ops[i])
-		}
-		e.tr = &w
-	}
-	return e.rec
 }
 
 // record adds an op of kind k on stream s to the trace, carrying the
 // host time pending since the op before it, and returns it for the
 // caller to fill in the rest in place.
 func (e *Emulator) record(k trace.Kind, s cuda.Stream) *trace.Op {
-	e.scratch()
 	op := e.tr.Next()
 	op.Kind, op.Stream, op.HostGap, e.gap = k, int64(s), e.gap, 0
 	return op
@@ -340,7 +301,7 @@ func (e *Emulator) LaunchCollective(c cuda.CollectiveDesc, s cuda.Stream) error 
 	if err := e.checkStream(s); err != nil {
 		return err
 	}
-	r := e.scratch()
+	r := e.rec
 	r.colls = append(r.colls, trace.Collective{
 		Op:     c.Op,
 		CommID: c.CommID,

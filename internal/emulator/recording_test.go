@@ -47,40 +47,37 @@ func recordingCases(t *testing.T) []rankCase {
 
 // emulate runs the case and seals it, reporting the scratch it
 // recorded into and whether that scratch had been used before.
-func (c rankCase) emulate(t testing.TB) (w *trace.Worker, r *recording, recycled bool) {
-	em := New(Config{Rank: c.rank, World: c.w.World(), GPU: c.gpu, Host: hardware.EpycHost(), Seed: 7})
+func (c rankCase) emulate(t testing.TB) (em *Emulator, r *recording, recycled bool) {
+	em = New(Config{Rank: c.rank, World: c.w.World(), GPU: c.gpu, Host: hardware.EpycHost(), Seed: 7})
 	r, recycled = em.rec, cap(em.rec.ops) > 0
 	err := c.w.Run(c.rank, em)
 	if c.oom != errors.Is(err, cuda.ErrOutOfMemory) || (err != nil && !c.oom) {
 		t.Errorf("%s: Run = %v, want oom %t", c.name, err, c.oom)
 	}
-	return em.Trace(), r, recycled
+	return em, r, recycled
 }
 
 // reference emulates the case on an empty pool: nothing it records
-// into has held another trace.
+// into has held another trace. It is never released.
 func (c rankCase) reference(t *testing.T) *trace.Worker {
 	t.Helper()
 	recordings = sync.Pool{New: recordings.New}
-	w, _, recycled := c.emulate(t)
+	em, _, recycled := c.emulate(t)
 	if recycled {
 		t.Fatalf("%s: reference ran on a recycled scratch", c.name)
 	}
+	w := em.Trace()
 	if w.OOM != c.oom || len(w.Ops) == 0 {
 		t.Fatalf("%s: reference has %d ops, oom %t", c.name, len(w.Ops), w.OOM)
 	}
 	return w
 }
 
-// checkSealed asserts the seal invariant on w and that it is the
-// trace ref is.
+// checkSealed asserts that w is the trace ref is.
 func checkSealed(t testing.TB, name string, w, ref *trace.Worker) {
 	t.Helper()
 	if !reflect.DeepEqual(w, ref) {
 		t.Errorf("%s: sealed trace differs from the never-recycled reference (%d vs %d ops)", name, len(w.Ops), len(ref.Ops))
-	}
-	if cap(w.Ops) != len(w.Ops) {
-		t.Errorf("%s: cap(Ops) %d != len %d", name, cap(w.Ops), len(w.Ops))
 	}
 }
 
@@ -122,18 +119,20 @@ func TestRecordingScratchDoesNotLeakBetweenRanks(t *testing.T) {
 	for round := 0; round < 100 && !reused; round++ {
 		reused = true
 		for i, c := range cases {
-			w, r, recycled := c.emulate(t)
+			em, r, recycled := c.emulate(t)
+			w := em.Trace()
 			checkSealed(t, c.name, w, refs[i])
+			kept, keptRef = append(kept, w.Compact()), append(keptRef, refs[i])
+			em.Release()
 			checkPooled(t, c.name, r)
 			reused = reused && recycled
-			kept, keptRef = append(kept, w), append(keptRef, refs[i])
 		}
 	}
 	if !reused {
 		t.Fatal("no round ran on recycled scratch")
 	}
 	// The scratch every kept trace was recorded into has since held
-	// other ranks; a sealed trace shares nothing with it.
+	// other ranks; a copy shares nothing with it.
 	for i, w := range kept {
 		checkSealed(t, "kept", w, keptRef[i])
 	}
@@ -179,9 +178,11 @@ func TestRecordingScratchConcurrentCaptures(t *testing.T) {
 			defer wg.Done()
 			for n := 0; n < captures; n++ {
 				i := (g + n) % len(cases)
-				w, _, _ := cases[i].emulate(t)
+				em, _, _ := cases[i].emulate(t)
+				w := em.Trace()
 				checkSealed(t, cases[i].name, w, refs[i])
-				kept[g] = append(kept[g], w)
+				kept[g] = append(kept[g], w.Compact())
+				em.Release()
 			}
 		}()
 	}
@@ -193,7 +194,9 @@ func TestRecordingScratchConcurrentCaptures(t *testing.T) {
 	}
 }
 
-func TestTraceIsIdempotentAndResumable(t *testing.T) {
+// TestTraceIsIdempotent pins the seal's gaps and that sealing twice
+// returns the same worker unchanged.
+func TestTraceIsIdempotent(t *testing.T) {
 	host := hardware.Host{DispatchOverhead: 5 * time.Microsecond, KernelPrepOverhead: 9 * time.Microsecond}
 	e := New(Config{World: 1, GPU: hardware.H100(), Host: host})
 	k := cuda.KernelDesc{Name: "gemm", Dims: []int{8, 16, 32}, FLOPs: 1, Bytes: 1, DType: "bf16"}
@@ -213,51 +216,19 @@ func TestTraceIsIdempotentAndResumable(t *testing.T) {
 	if again := e.Trace(); again != first || !reflect.DeepEqual(again, snapshot) {
 		t.Fatal("second Trace() is not the first's worker")
 	}
-
-	coll := cuda.CollectiveDesc{Op: "ncclAllReduce", CommID: 9, NRanks: 2, Peer: -1, Bytes: 64}
-	if err := e.LaunchCollective(coll, cuda.DefaultStream); err != nil {
-		t.Fatal(err)
-	}
-	r := e.rec
-	next := e.Trace()
-	checkPooled(t, "resumed", r)
-	n := len(first.Ops)
-	if len(next.Ops) != n+1 || cap(next.Ops) != len(next.Ops) {
-		t.Fatalf("after a launch past the seal: %d ops (cap %d), want %d", len(next.Ops), cap(next.Ops), n+1)
-	}
-	if !reflect.DeepEqual(next.Ops[:n], snapshot.Ops) {
-		t.Fatal("resumed trace lost or changed the sealed ops")
-	}
-	// The pending tail moved onto the op launched after the seal.
-	if last := next.Ops[n]; last.Kind != trace.KindCollective || last.Coll.CommID != 9 ||
-		last.HostGap != snapshot.TailGap+14*time.Microsecond || next.TailGap != 0 {
-		t.Fatalf("last op = %+v, tail %v", last, next.TailGap)
-	}
-	if !reflect.DeepEqual(first, snapshot) {
-		t.Fatal("resuming changed the worker the first Trace() returned")
-	}
-	next.Ops[0].Stream = -1
-	if !reflect.DeepEqual(first, snapshot) {
-		t.Fatal("the resumed seal shares storage with the first")
-	}
 }
 
-// TestSealInPlace pins the copy-free seal: the worker Seal returns is
-// the trace Trace would have copied out, its ops still in the scratch
-// it was recorded into, and release leaves the worker without ops and
-// the scratch pooled clear, for the next rank to record into.
+// TestSealInPlace pins the one seal: the worker Trace returns is the
+// trace a never-recycled scratch records, its ops and collectives still
+// in the scratch it was recorded into, and Release leaves the worker
+// without ops and the scratch pooled clear, for the next rank to record
+// into.
 func TestSealInPlace(t *testing.T) {
 	for _, c := range recordingCases(t) {
 		ref := c.reference(t)
-		em := New(Config{Rank: c.rank, World: c.w.World(), GPU: c.gpu, Host: hardware.EpycHost(), Seed: 7})
-		r := em.rec
-		if err := c.w.Run(c.rank, em); c.oom != errors.Is(err, cuda.ErrOutOfMemory) {
-			t.Fatalf("%s: Run = %v, want oom %t", c.name, err, c.oom)
-		}
-		w, release := em.Seal()
-		if sealed := w.Compact(); !reflect.DeepEqual(sealed, ref) {
-			t.Errorf("%s: the trace sealed in place differs from the copied one (%d vs %d ops)", c.name, len(w.Ops), len(ref.Ops))
-		}
+		em, r, _ := c.emulate(t)
+		w := em.Trace()
+		checkSealed(t, c.name, w, ref)
 		if n := len(r.colls); n > 0 {
 			var last *trace.Collective
 			for i := range w.Ops {
@@ -269,9 +240,9 @@ func TestSealInPlace(t *testing.T) {
 				t.Errorf("%s: the sealed collectives are not the scratch's", c.name)
 			}
 		}
-		release()
+		em.Release()
 		if w.Ops != nil {
-			t.Errorf("%s: the worker keeps %d ops after release", c.name, len(w.Ops))
+			t.Errorf("%s: the worker keeps %d ops after Release", c.name, len(w.Ops))
 		}
 		checkPooled(t, c.name, r)
 	}

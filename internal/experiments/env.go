@@ -80,6 +80,7 @@ func predict(ctx context.Context, pipe *core.Pipeline, w workload.Workload, flop
 	if err != nil {
 		return nil, err
 	}
+	defer c.Release()
 	rep, err := pipe.Simulate(ctx, c, flops, hardware.BF16)
 	if err != nil {
 		return nil, err
@@ -137,7 +138,7 @@ func (e *Env) stagedSearch(ctx context.Context, problem search.Problem, noDedup 
 		sum.Simulate += s.Simulate
 		mu.Unlock()
 	}
-	out, err := pipe.Search(ctx, problem, pipe.CaptureOwned, sopt, account)
+	out, err := pipe.Search(ctx, problem, pipe.Capture, sopt, account)
 	return out, sum, err
 }
 
@@ -158,6 +159,7 @@ func (e *Env) kernelLaunches(ctx context.Context, cluster hardware.Cluster, w wo
 	if err != nil || c.OOM {
 		return nil, err == nil, err
 	}
+	defer c.Release()
 	for _, wk := range c.Job.Workers {
 		for i := range wk.Ops {
 			if op := &wk.Ops[i]; op.Kind == trace.KindKernel {

@@ -112,6 +112,7 @@ func table4(ctx context.Context, e *Env) (*Table, error) {
 			fmt.Sprint(st.Kernels), fmt.Sprint(st.Collectives), fmt.Sprint(st.Memcpys),
 			fmt.Sprintf("%.1fGiB", float64(tr.PeakBytes)/(1<<30)), status,
 		})
+		em.Release()
 		if status != "ok" && status != "oom" {
 			failures++
 		}

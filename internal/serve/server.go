@@ -896,7 +896,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("maya_serve_captures_total", m.Captures.Load())
 	counter("maya_serve_trace_uploads_total", m.TraceUploads.Load())
 	counter("maya_serve_trace_serves_total", m.TraceServes.Load())
-	counter("maya_serve_inflight", int64(s.adm.Depth()))
 	counter("maya_serve_pool_workers", int64(s.pool.Workers()))
 	counter("maya_serve_pool_busy", int64(s.pool.Busy()))
 	counter("maya_serve_pool_waiting", int64(s.pool.Waiting()))

@@ -4,7 +4,6 @@ import (
 	"math/bits"
 	"reflect"
 	"slices"
-	"sort"
 	"sync"
 	"unsafe"
 
@@ -40,7 +39,8 @@ import (
 //     point calls one (src, dst) direction of it — calls 0..size-1 are
 //     consecutive slots, size at most the group's op count; any other
 //     call gets a slot of its own after them. expected[slot] is how
-//     many joins release the call.
+//     many joins release the call. A slot does not name its call: the
+//     engine reads a fired call's key from the op that joins it.
 //
 // Every table is sized by what the trace holds, not by the values its
 // ops carry, so compiling any job costs O(ops).
@@ -57,17 +57,7 @@ type Index struct {
 
 	events int32 // event slots, slot 0 included
 
-	expected  []int32 // per collective slot
-	groups    []collGroupID
-	dense     int32           // collective slots the groups cover
-	extraKeys []trace.CollKey // keys of the collective slots from dense on
-}
-
-// collGroupID is one collective group: its key with Seq zero, and its
-// slots [base, base+size).
-type collGroupID struct {
-	key        trace.CollKey
-	base, size int32
+	expected []int32 // per collective slot
 }
 
 // eventKey names one version of one worker's event.
@@ -148,7 +138,6 @@ func Compile(job *trace.Job, participants map[trace.CollKey]int) *Index {
 				g = int32(len(s.stats))
 				s.groupOf[k] = g
 				s.stats = append(s.stats, groupStat{})
-				s.groups = append(s.groups, collGroupID{key: k})
 			}
 			s.stats[g].n++
 			s.stats[g].maxSeq = max(s.stats[g].maxSeq, op.Coll.Seq)
@@ -171,21 +160,17 @@ func Compile(job *trace.Job, participants map[trace.CollKey]int) *Index {
 	s.streamIDs, s.rowStart, s.queueStart = streamIDs, rowStart, queueStart
 	x.streamIDs, x.rowStart, x.queueStart = exact(streamIDs), exact(rowStart), exact(queueStart)
 	x.rows = make([]int32, x.rowStart[len(x.rowStart)-1])
-	x.groups = exact(s.groups)
-	extra := 0 // calls past their group's slots get one each, at most
-	for g := range x.groups {
-		st := s.stats[g]
-		x.groups[g].base = x.dense
-		x.groups[g].size = int32(min(st.maxSeq, st.n-1) + 1)
-		x.dense += x.groups[g].size
+	var grouped int32 // the groups' slots
+	extra := 0        // calls past their group's slots get one each, at most
+	for g := range s.stats {
+		st := &s.stats[g]
+		st.base, st.size = grouped, int32(min(st.maxSeq, st.n-1)+1)
+		grouped += st.size
 		if st.maxSeq >= st.n {
 			extra += st.n
 		}
 	}
-	x.expected = make([]int32, x.dense, int(x.dense)+extra)
-	if extra > 0 {
-		x.extraKeys = make([]trace.CollKey, 0, extra)
-	}
+	x.expected = make([]int32, grouped, int(grouped)+extra)
 
 	// Pass 2, per worker, over its ops with a row entry: its event
 	// slots, then its rows.
@@ -265,7 +250,7 @@ func Compile(job *trace.Job, participants map[trace.CollKey]int) *Index {
 				row, slot = int32(len(x.streamIDs)+wi), eventSlot(op)
 			case trace.KindCollective:
 				g, _ := s.group(op)
-				row, slot = x.streamSlot(wi, op.Stream), x.collSlot(op, g, s.extraColls)
+				row, slot = x.streamSlot(wi, op.Stream), s.collSlot(x, op, g)
 				if participants == nil {
 					x.expected[slot]++
 				} else if x.expected[slot] == 0 {
@@ -308,11 +293,14 @@ type compileScratch struct {
 	// size (exact).
 	streamIDs            []int64
 	rowStart, queueStart []int32
-	groups               []collGroupID
 }
 
-// groupStat counts a collective group's ops and its largest call index.
-type groupStat struct{ n, maxSeq int }
+// groupStat counts a collective group's ops and its largest call
+// index; its slots are [base, base+size).
+type groupStat struct {
+	n, maxSeq  int
+	base, size int32
+}
 
 // streamStat counts a stream's row entries and queued ops.
 type streamStat struct{ row, queued int32 }
@@ -339,7 +327,7 @@ func (s *compileScratch) release() {
 	s.lastGroup = -1
 	s.stats, s.counts, s.synced, s.at = s.stats[:0], s.counts[:0], s.synced[:0], s.at[:0]
 	s.hostRows, s.wordStart, s.order, s.cursor = s.hostRows[:0], s.wordStart[:0], s.order[:0], s.cursor[:0]
-	s.streamIDs, s.rowStart, s.queueStart, s.groups = s.streamIDs[:0], s.rowStart[:0], s.queueStart[:0], s.groups[:0]
+	s.streamIDs, s.rowStart, s.queueStart = s.streamIDs[:0], s.rowStart[:0], s.queueStart[:0]
 	compileScratches.Put(s)
 }
 
@@ -372,23 +360,22 @@ func (x *Index) compiledFrom(job *trace.Job, participants map[trace.CollKey]int)
 		reflect.ValueOf(x.participants).UnsafePointer() == reflect.ValueOf(participants).UnsafePointer()
 }
 
-// collSlot returns the slot of a collective op in the given group:
-// the group's base plus its call index, or for a call past the
-// group's range a slot of its own, allocated on first sight in extra.
-func (x *Index) collSlot(op *trace.Op, group int32, extra map[trace.CollKey]int32) int32 {
-	g := &x.groups[group]
+// collSlot returns the slot in x of a collective op of the given
+// group: the group's base plus its call index, or for a call past the
+// group's range a slot of its own, allocated on first sight.
+func (s *compileScratch) collSlot(x *Index, op *trace.Op, group int32) int32 {
+	g := &s.stats[group]
 	if seq := op.Coll.Seq; seq < int(g.size) {
 		return g.base + int32(seq)
 	}
 	k := trace.CollKeyOf(op)
-	s, ok := extra[k]
+	slot, ok := s.extraColls[k]
 	if !ok {
-		s = int32(len(x.expected))
-		extra[k] = s
+		slot = int32(len(x.expected))
+		s.extraColls[k] = slot
 		x.expected = append(x.expected, 0)
-		x.extraKeys = append(x.extraKeys, k)
 	}
-	return s
+	return slot
 }
 
 // namesStream reports whether the host hands op to a stream, or (a
@@ -443,24 +430,11 @@ func (x *Index) row(r int32) []int32 {
 // hostRow returns worker w's event-sync row.
 func (x *Index) hostRow(w int) []int32 { return x.row(int32(len(x.streamIDs) + w)) }
 
-// collKey returns the matching key of collective slot s.
-func (x *Index) collKey(s int32) trace.CollKey {
-	if s >= x.dense {
-		return x.extraKeys[s-x.dense]
-	}
-	i := sort.Search(len(x.groups), func(i int) bool { return x.groups[i].base > s }) - 1
-	k := x.groups[i].key
-	k.Seq = int(s - x.groups[i].base)
-	return k
-}
-
 // Bytes returns what the index retains besides the job it indexes
 // and the participants map it was given: itself and the backing array
 // of every table.
 func (x *Index) Bytes() int {
 	return int(unsafe.Sizeof(*x)) +
 		4*(cap(x.streamStart)+cap(x.queueStart)+cap(x.rowStart)+cap(x.rows)+cap(x.expected)) +
-		8*cap(x.streamIDs) +
-		int(unsafe.Sizeof(collGroupID{}))*cap(x.groups) +
-		int(unsafe.Sizeof(trace.CollKey{}))*cap(x.extraKeys)
+		8*cap(x.streamIDs)
 }

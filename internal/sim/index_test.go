@@ -36,8 +36,8 @@ func extremeJob(t *testing.T) *trace.Job {
 // order, as the engine does: two ops share an event slot exactly when
 // they name the same (worker, event, version), a version no record
 // names getting the never-completed slot 0; two collectives share a
-// slot exactly when they share a CollKey, which collKey reads back and
-// whose joins expected counts, the same counts trace.Participation
+// slot exactly when they share a CollKey, and expected counts the
+// call's joins, the same counts trace.Participation
 // gives; every stream resolves to its own handle; every row is
 // consumed exactly; and every stream's queue window holds exactly the
 // ops the host hands it, the windows tiling the flat buffer in slot
@@ -58,7 +58,7 @@ func TestCompileSlotsAreKeys(t *testing.T) {
 			}
 		}
 		evSlot, evKey := map[eventKey]int32{}, map[int32]eventKey{}
-		collSlot, joins := map[trace.CollKey]int32{}, map[int32]int32{}
+		collSlot, collKey, joins := map[trace.CollKey]int32{}, map[int32]trace.CollKey{}, map[int32]int32{}
 		queued := make([]int32, len(x.streamIDs))
 		for w, wk := range j.Workers {
 			at := map[int32]int{}
@@ -87,10 +87,10 @@ func TestCompileSlotsAreKeys(t *testing.T) {
 					if s, ok := collSlot[key]; ok && s != slot {
 						t.Fatalf("job %d: call %+v has slots %d and %d", i, key, s, slot)
 					}
-					collSlot[key] = slot
-					if got := x.collKey(slot); got != key {
-						t.Fatalf("job %d: slot %d reads back %+v, want %+v", i, slot, got, key)
+					if other, ok := collKey[slot]; ok && other != key {
+						t.Fatalf("job %d: calls %+v and %+v share slot %d", i, key, other, slot)
 					}
+					collSlot[key], collKey[slot] = slot, key
 					joins[slot]++
 				case op.EventVer == 0:
 					if slot != noEvent {

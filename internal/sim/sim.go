@@ -1156,11 +1156,11 @@ func (e *Engine) joinCollective(st *streamState, i int32, arrive int64) {
 		startAt = max(startAt, t)
 	}
 	dur := g.dur
-	// The call's key is read back from its slot only where it is
-	// priced or reported.
+	// The call's key is read from the op that fired it only where it
+	// is priced or reported; a send and its recv give the same key.
 	var key trace.CollKey
 	if e.opts.JitterFrac > 0 || e.cong != nil || e.obs != nil {
-		key = e.x.collKey(slot)
+		key = trace.CollKeyOf(&e.hosts[st.w].ops[i])
 	}
 	if e.opts.JitterFrac > 0 {
 		dur = int64(float64(dur) * e.rng.factor(int64(key.Comm), int64(key.Seq)))

@@ -539,7 +539,7 @@ func (p *Predictor) predict(ctx context.Context, w Workload, s predictSettings) 
 	if err != nil {
 		return nil, err
 	}
-	c, paid, err := p.captureFor(ctx, p.captureOptions(s), w, false)
+	c, paid, err := p.captureFor(ctx, p.captureOptions(s), w)
 	if err != nil {
 		return nil, err
 	}

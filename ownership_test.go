@@ -11,6 +11,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"maya/internal/core"
 	"maya/internal/trace"
 )
 
@@ -146,7 +147,7 @@ func TestOwnedCapturesMatchKeptOnes(t *testing.T) {
 	released := map[*trace.Op]bool{}
 	reused := false
 	for i := 0; i < 16 && !reused; i++ {
-		c, _, err := owned.captureFor(ctx, capOpts, recipes[i%2], false)
+		c, _, err := owned.captureFor(ctx, capOpts, recipes[i%2])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,6 +172,73 @@ func TestOwnedCapturesMatchKeptOnes(t *testing.T) {
 	}
 	if !bytes.Equal(before.Bytes(), after.Bytes()) {
 		t.Error("a Trace handed out by Capture changed while owned captures were recycled")
+	}
+}
+
+// TestKeepDetachesFromRecordings pins the one copy: a capture kept by
+// Keep, or handed out by Predictor.Capture, owns its traces. A Release
+// after the copy does nothing, and later captures that record into the
+// buffers its recordings went back to leave its bytes alone. Keep on a
+// loaded capture copies nothing.
+func TestKeepDetachesFromRecordings(t *testing.T) {
+	ctx := context.Background()
+	pred, err := NewPredictor(DGXV100(1), ProfileLLM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recipes := ownedRecipes(t)
+	pipe := &core.Pipeline{Cluster: pred.cluster, Opts: pred.captureOptions(pred.settings(nil))}
+	kept, err := pipe.Capture(ctx, recipes[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept.Keep()
+	handed, err := pred.Capture(ctx, recipes[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	captures := map[string]*core.Capture{"Keep": kept, "Predictor.Capture": handed.cap}
+	written := func(c *core.Capture) []byte {
+		var b bytes.Buffer
+		if _, err := c.WriteTo(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	before := map[string][]byte{}
+	for name, c := range captures {
+		before[name] = written(c)
+		c.Release()
+	}
+	for i := range 8 {
+		c, err := pipe.Capture(ctx, recipes[i%2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Release()
+	}
+	for name, c := range captures {
+		if !bytes.Equal(written(c), before[name]) {
+			t.Errorf("%s: the kept capture changed after a Release and later captures", name)
+		}
+	}
+
+	loaded, err := ReadTrace(bytes.NewReader(before["Keep"]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ops []*trace.Op
+	for _, w := range loaded.cap.Job.Workers {
+		ops = append(ops, unsafe.SliceData(w.Ops))
+	}
+	loaded.cap.Keep()
+	for i, w := range loaded.cap.Job.Workers {
+		if unsafe.SliceData(w.Ops) != ops[i] {
+			t.Errorf("Keep copied worker %d of a loaded capture", w.Rank)
+		}
+	}
+	if !bytes.Equal(written(loaded.cap), before["Keep"]) {
+		t.Error("Keep changed a loaded capture")
 	}
 }
 

@@ -123,10 +123,11 @@ func (p *Predictor) Capture(ctx context.Context, w Workload, opts ...PredictOpti
 	if w == nil {
 		return nil, errors.New("maya: Capture of a nil workload")
 	}
-	c, _, err := p.captureFor(ctx, p.captureOptions(p.settings(opts)), w, true)
+	c, _, err := p.captureFor(ctx, p.captureOptions(p.settings(opts)), w)
 	if err != nil {
 		return nil, err
 	}
+	c.Keep()
 	return &Trace{cap: c}, nil
 }
 
