@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -551,6 +552,46 @@ func TestEngineReuseMatchesFreshRuns(t *testing.T) {
 		}
 		if !reportsEqual(got2, want2) {
 			t.Fatalf("reused engine diverged on alternate options, run %d", i)
+		}
+	}
+
+	// One engine cycles between two jobs whose stream and collective
+	// slot counts differ, so every table is resized and every stream
+	// rebound, through a congested run cut while flows are in flight
+	// (their call records and events are left behind), a full
+	// congested run, a physical run and a plain run.
+	a, cong := congestedFixture(t)
+	b := chainFixture(t, 1)
+	xa, xb := Compile(a, nil), Compile(b, nil)
+	if len(xa.streamIDs) == len(xb.streamIDs) || len(xa.expected) == len(xb.expected) {
+		t.Fatalf("fixtures share a table size: %d and %d streams, %d and %d calls",
+			len(xa.streamIDs), len(xb.streamIDs), len(xa.expected), len(xb.expected))
+	}
+	runs := []struct {
+		name string
+		j    *trace.Job
+		opts Options
+	}{
+		{"truncated congested", a, Options{Congestion: cong, TimeLimit: 1500 * time.Microsecond}},
+		{"physical", b, opts},
+		{"congested", a, Options{Congestion: cong}},
+		{"plain", b, Options{}},
+	}
+	for i := 0; i < 3; i++ {
+		for _, r := range runs {
+			want := mustRun(t, r.j, r.opts)
+			e.Reset(r.j, timing(r.j, r.opts))
+			got, err := e.Run(context.Background())
+			if err != nil {
+				t.Fatalf("cycle %d, %s: %v", i, r.name, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("cycle %d, %s: reused engine diverged:\n got %+v\nwant %+v", i, r.name, got, want)
+			}
+			if r.opts.TimeLimit > 0 && (!got.Truncated || len(e.flows) == 0) {
+				t.Fatalf("cycle %d, %s: truncated %t with %d flows in flight, want a cut inside a flow",
+					i, r.name, got.Truncated, len(e.flows))
+			}
 		}
 	}
 }
