@@ -21,9 +21,11 @@ import (
 	"maya/internal/framework"
 	"maya/internal/hardware"
 	"maya/internal/models"
+	"maya/internal/netsim"
 	"maya/internal/prand"
 	"maya/internal/silicon"
 	"maya/internal/sim"
+	"maya/internal/topo"
 	"maya/internal/trace"
 )
 
@@ -105,6 +107,66 @@ func BenchmarkSimRun(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(totalOps)/float64(b.Elapsed().Seconds()/float64(b.N))/1e6, "Mops/s")
+}
+
+// BenchmarkReplay measures one replay through core.Pipeline of an
+// oracle-priced 8-rank GPT-3 1.3B capture without dedup, per engine
+// route: plain prediction, congestion against the netsim model,
+// prediction with a stall breakdown, and physical mode. Each route's
+// first replay, which builds the capture's plan, index and congestion
+// demands, runs before the timer starts.
+func BenchmarkReplay(b *testing.B) {
+	ctx := context.Background()
+	cluster := hardware.DGXH100(1)
+	m, err := framework.NewMegatron(framework.MegatronConfig{
+		Model: models.GPT3_1_3B(), NGPUs: 8, GlobalBatch: 128, TP: 2, PP: 2, MicroBatches: 2, ActRecompute: true,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	c, err := (&core.Pipeline{Cluster: cluster, Opts: core.Options{NoDedup: true}}).Capture(ctx, m)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c.Keep()
+	oracle := core.DefaultOracle(cluster)
+	fabric, err := topo.ByName("", cluster)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, v := range []struct {
+		name     string
+		opts     core.Options
+		physical bool
+	}{
+		{"plain", core.Options{Oracle: oracle}, false},
+		{"congestion", core.Options{Oracle: oracle, Congestion: netsim.NewWithTopology(cluster, fabric)}, false},
+		{"breakdown", core.Options{Oracle: oracle, Breakdown: true}, false},
+		{"physical", core.Options{}, true},
+	} {
+		pipe := &core.Pipeline{Cluster: cluster, Opts: v.opts}
+		replay := func() error {
+			var err error
+			if v.physical {
+				_, err = pipe.Measure(ctx, c, oracle, 0, hardware.BF16)
+			} else {
+				_, err = pipe.Simulate(ctx, c, 0, hardware.BF16)
+			}
+			return err
+		}
+		b.Run(v.name, func(b *testing.B) {
+			if err := replay(); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := replay(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkFaultsRecovery measures the fault-scenario walk on the
