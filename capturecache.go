@@ -12,7 +12,7 @@ import (
 // (lookups served by a completed or in-flight capture), misses,
 // evictions (the LRU bound or Purge), errors (failed or cancelled
 // captures, dropped so later lookups retry) and current entries.
-type CaptureCacheStats = core.CaptureCacheStats
+type CaptureCacheStats = core.MemoStats
 
 // CaptureCache memoizes Trace captures across calls, keyed by a
 // canonical workload fingerprint (workload.Fingerprinter) plus the
@@ -32,7 +32,7 @@ type CaptureCacheStats = core.CaptureCacheStats
 // Workloads that do not implement workload.Fingerprinter bypass the
 // cache.
 type CaptureCache struct {
-	impl *core.CaptureLRU
+	impl *core.Memo[string, *core.Capture]
 }
 
 // NewCaptureCache returns an empty cache bounded to maxEntries
@@ -41,7 +41,7 @@ type CaptureCache struct {
 // so the bound is what keeps hyperscale sweeps from retaining every
 // candidate ever evaluated.
 func NewCaptureCache(maxEntries int) *CaptureCache {
-	return &CaptureCache{impl: core.NewCaptureLRU(maxEntries)}
+	return &CaptureCache{impl: core.NewMemo[string, *core.Capture](maxEntries)}
 }
 
 // Stats returns a snapshot of the cache counters.

@@ -23,7 +23,7 @@ func TestCaptureLRUStatsConcurrent(t *testing.T) {
 		iters      = 200
 		capacity   = 16
 	)
-	c := NewCaptureLRU(capacity)
+	c := NewMemo[string, *Capture](capacity)
 	ctx := context.Background()
 	stub := func() (*Capture, error) { return &Capture{}, nil }
 
