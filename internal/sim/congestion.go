@@ -1,6 +1,10 @@
 package sim
 
-import "maya/internal/trace"
+import (
+	"slices"
+
+	"maya/internal/trace"
+)
 
 // CollDemand is one collective's network footprint: the link domains
 // its traffic occupies (topo link-domain ids, ascending) and the
@@ -33,94 +37,56 @@ type CongestionModel struct {
 	Demands map[trace.CollKey]CollDemand
 }
 
-// congFlow is one in-flight collective under congestion. latRem
-// drains in real time; workRem drains at rate 1/factor.
-type congFlow struct {
-	key     trace.CollKey
-	links   []int32 // aliases the demand's slice; dropped on finish
-	group   *collGroup
-	latRem  int64
-	workRem int64
-	factor  int64 // current slowdown; 0 = sentinel forcing first tune
-	lastUpd int64 // sim time progress has been accrued to
-	started int64
-	epoch   int64 // invalidates superseded completion events
-	active  bool
-}
-
-// fireFlow converts a released collective group into a congestion
-// flow: stalls end at startAt, but the completion is resolved against
-// link occupancy. dur is the post-jitter annotated duration. A group
-// can release with a start time still in the future (host enqueue
-// times run ahead of device time); its links are then occupied from
-// startAt, via an evFlowStart event, not from the release instant.
+// fireFlow puts a released call on the congested wire: stalls end at
+// startAt, but the completion is resolved against link occupancy. dur
+// is the post-jitter annotated duration. A call can release with a
+// start time still in the future (host enqueue times run ahead of
+// device time); its links are then occupied from startAt, via an
+// evFlowStart event, not from the release instant.
 func (e *Engine) fireFlow(key trace.CollKey, g *collGroup, d CollDemand, startAt, dur int64) {
-	var f *congFlow
-	if n := len(e.freeFlows); n > 0 {
-		f = e.freeFlows[n-1]
-		e.freeFlows[n-1] = nil
-		e.freeFlows = e.freeFlows[:n-1]
-	} else {
-		f = &congFlow{}
-	}
-	lat := min(d.Lat, dur)
-	if lat < 0 {
-		lat = 0
-	}
-	f.key, f.links, f.group = key, d.Links, g
-	f.latRem, f.workRem = lat, dur-lat
-	f.factor, f.lastUpd, f.started = 0, startAt, startAt
-	f.active = true
+	lat := min(max(d.Lat, 0), dur)
+	g.key, g.links = key, d.Links
+	g.latRem, g.workRem = lat, dur-lat
+	g.factor, g.lastUpd, g.started = 0, startAt, startAt
 	if e.obs != nil {
 		for i, p := range g.arrived {
 			e.obs.StallEnd(p.w, p.id, StallCollective, g.arriveAt[i], startAt)
 		}
 	}
 	if startAt > e.now {
-		f.epoch++
-		e.push(simEvent{t: startAt, kind: evFlowStart, flow: f, arg: f.epoch})
+		g.epoch++
+		e.push(simEvent{t: startAt, kind: evFlowStart, coll: g, arg: g.epoch})
 		return
 	}
-	e.startFlow(f)
+	e.startFlow(g)
 }
 
-// startFlow joins a flow into the occupancy model.
-func (e *Engine) startFlow(f *congFlow) {
+// startFlow joins a call into the occupancy model.
+func (e *Engine) startFlow(g *collGroup) {
 	// A release instant after the start time (both can trail sim time)
-	// means the flow already ran uncontended for the gap: drain it at
+	// means the call already ran uncontended for the gap: drain it at
 	// full rate before occupancy tracking begins.
-	if e.now > f.lastUpd {
-		el := e.now - f.lastUpd
-		f.lastUpd = e.now
-		if f.latRem > 0 {
-			d := min(el, f.latRem)
-			f.latRem -= d
-			el -= d
-		}
-		if el > 0 {
-			f.workRem -= min(el, f.workRem)
-		}
-	}
-	e.flows = append(e.flows, f)
-	for _, l := range f.links {
+	g.advance(e.now, 1)
+	e.flows = append(e.flows, g)
+	for _, l := range g.links {
 		e.linkUse[l]++
 	}
 	e.retuneFlows()
 }
 
-// flowStart handles a deferred flow start event.
-func (e *Engine) flowStart(f *congFlow, epoch int64) {
-	if !f.active || f.epoch != epoch {
-		return
+// flowStart handles a deferred start event.
+func (e *Engine) flowStart(g *collGroup, epoch int64) {
+	if g.epoch == epoch {
+		e.startFlow(g)
 	}
-	e.startFlow(f)
 }
 
-// flowFactor is the slowdown of a flow right now: the worst
-// overcommit ceil(use/width) across the link domains it occupies.
-func (e *Engine) flowFactor(f *congFlow) int64 {
+// flowFactor is the slowdown of a call on the wire right now: the
+// worst overcommit ceil(use/width) across the link domains it
+// occupies.
+func (e *Engine) flowFactor(g *collGroup) int64 {
 	factor := int64(1)
-	for _, l := range f.links {
+	for _, l := range g.links {
 		w := e.cong.Widths[l]
 		if w < 1 {
 			w = 1
@@ -132,92 +98,72 @@ func (e *Engine) flowFactor(f *congFlow) int64 {
 	return factor
 }
 
-// advanceFlow accrues a flow's progress from lastUpd to now at its
-// current factor: latency drains in real time, then work at rate
-// 1/factor (integer floor — deterministic and conservative).
-func (e *Engine) advanceFlow(f *congFlow) {
-	if e.now <= f.lastUpd {
+// advance accrues the call's progress from lastUpd to now at slowdown
+// factor: latency drains in real time, then work at rate 1/factor
+// (integer floor — deterministic and conservative). A call not yet
+// tuned (factor 0) only moves its clock.
+func (g *collGroup) advance(now, factor int64) {
+	if now <= g.lastUpd {
 		return
 	}
-	el := e.now - f.lastUpd
-	f.lastUpd = e.now
-	if f.factor <= 0 {
+	el := now - g.lastUpd
+	g.lastUpd = now
+	if factor <= 0 {
 		return
 	}
-	if f.latRem > 0 {
-		d := min(el, f.latRem)
-		f.latRem -= d
-		el -= d
-	}
-	if el > 0 && f.workRem > 0 {
-		done := el / f.factor
-		if done > f.workRem {
-			done = f.workRem
-		}
-		f.workRem -= done
-	}
+	lat := min(el, g.latRem)
+	g.latRem -= lat
+	g.workRem -= min((el-lat)/factor, g.workRem)
 }
 
-// retuneFlows re-evaluates every active flow's factor after link
-// occupancy changed, rescheduling completions whose rate moved. Flows
-// are visited in start order, so the event sequence is deterministic.
+// finishAt schedules the call's completion at its current rate,
+// voiding any earlier one.
+func (e *Engine) finishAt(g *collGroup) {
+	g.epoch++
+	e.push(simEvent{t: g.lastUpd + g.latRem + g.workRem*g.factor, kind: evFlowDone, coll: g, arg: g.epoch})
+}
+
+// retuneFlows re-evaluates every call on the wire after link occupancy
+// changed, rescheduling completions whose rate moved. Calls are visited
+// in start order, so the event sequence is deterministic.
 func (e *Engine) retuneFlows() {
-	for _, f := range e.flows {
-		nf := e.flowFactor(f)
-		if nf == f.factor {
+	for _, g := range e.flows {
+		nf := e.flowFactor(g)
+		if nf == g.factor {
 			continue
 		}
-		e.advanceFlow(f)
-		f.factor = nf
-		f.epoch++
-		e.push(simEvent{t: f.lastUpd + f.latRem + f.workRem*nf, kind: evFlowDone, flow: f, arg: f.epoch})
+		g.advance(e.now, g.factor)
+		g.factor = nf
+		e.finishAt(g)
 	}
 }
 
-// flowDone handles a flow completion event. Stale epochs are
-// completions superseded by a retune.
-func (e *Engine) flowDone(f *congFlow, epoch int64) {
-	if !f.active || f.epoch != epoch {
+// flowDone handles a completion event of a call on the wire. Stale
+// epochs are completions superseded by a retune. A finished call leaves
+// the wire, and its participants are released in arrival order.
+func (e *Engine) flowDone(g *collGroup, epoch int64) {
+	if g.epoch != epoch {
 		return
 	}
-	e.advanceFlow(f)
-	if f.latRem > 0 || f.workRem > 0 {
+	g.advance(e.now, g.factor)
+	if g.latRem > 0 || g.workRem > 0 {
 		// Integer rounding left a residue; finish it at the current rate.
-		f.epoch++
-		e.push(simEvent{t: f.lastUpd + f.latRem + f.workRem*f.factor, kind: evFlowDone, flow: f, arg: f.epoch})
+		e.finishAt(g)
 		return
 	}
-	f.active = false
-	for i, x := range e.flows {
-		if x == f {
-			copy(e.flows[i:], e.flows[i+1:])
-			e.flows[len(e.flows)-1] = nil
-			e.flows = e.flows[:len(e.flows)-1]
-			break
-		}
-	}
-	for _, l := range f.links {
+	i := slices.Index(e.flows, g)
+	e.flows = slices.Delete(e.flows, i, i+1)
+	for _, l := range g.links {
 		e.linkUse[l]--
 	}
 	e.retuneFlows()
 
-	g, end := f.group, e.now
 	for _, p := range g.arrived {
-		p.ivals[p.head] = interval{start: f.started, end: end, comm: true}
+		p.ivals[p.head] = interval{start: g.started, end: e.now, comm: true}
 		if e.obs != nil {
-			e.obs.CollectiveFired(p.w, p.id, e.headOp(p), f.key, f.started, end)
+			e.obs.CollectiveFired(p.w, p.id, e.headOp(p), g.key, g.started, e.now)
 		}
-		p.stalledCol = false
-		p.head++
-		p.freeAt = max(p.freeAt, end)
-		e.kickStream(p)
-		e.notifyDrain(p.w)
+		e.release(p, e.now)
 	}
 	e.recycleColl(g)
-	f.group, f.links = nil, nil
-	e.freeFlows = append(e.freeFlows, f)
-	// epoch deliberately survives recycling: any stale events of this
-	// incarnation still in the heap carry older epochs and are dropped.
-	// Absolute epoch values never influence event times or ordering,
-	// so pooled and fresh engines stay bit-identical.
 }

@@ -27,16 +27,20 @@
 // # The engine
 //
 // The event loop is a typed one: every scheduled occurrence is a
-// plain simEvent value (kind + stream/host payload) on a slice-backed
-// binary heap, dispatched by a switch. Nothing in the hot loop
-// allocates — no closures, no interface boxing — which matters
-// because sim.Run is the inner loop of capture-reuse sweeps and
-// recipe searches that replay the same trace thousands of times.
+// plain simEvent value (kind + stream, host or call payload) on a
+// slice-backed binary heap, dispatched by a switch. Nothing in the hot
+// loop allocates — no closures, no interface boxing — which matters
+// because sim.Run is the inner loop of capture-reuse sweeps and recipe
+// searches that replay the same trace thousands of times.
 //
-// Nor does it hash. The wait maps and the stream table are slices
-// indexed by the dense slots Compile gives a job's streams, event
-// versions and collective calls (see Index); a caller that replays
-// one job many times compiles it once and passes the Index in
+// Nor does it hash, and it keeps one record per thing it tracks, in a
+// slice indexed by the dense slot Compile gives it (see Index). A
+// stream's record is bound to the stream the first time its host
+// touches it. An event version's record holds its completion, the FIFO
+// of streams parked on it and the host blocked on it. A collective
+// call's record, drawn from the engine's pool at its first join, holds
+// the call until it completes, on a congested wire too. A caller that
+// replays one job many times compiles it once and passes the Index in
 // Options. A stream's queue is a fixed window of one flat buffer,
 // placed by the Index, and a queue entry is pointer-free: the op's
 // position, kind and enqueue time. So dispatch grows no slice, reads a
@@ -49,13 +53,13 @@
 // route whatever observer, fault injection or congestion is attached.
 //
 // An Engine is reusable: Reset rebinds it to a new job while keeping
-// every slice it has ever grown, and AcquireEngine draws engines from
-// a sync.Pool so back-to-back simulations reuse storage instead of
-// reallocating it. Reports never alias engine storage — they are
-// safe to keep after the engine is reset or pooled. An engine only
-// reads what a run is given — the job, its Index, the duration
-// overlay — so one index and one overlay can back any number of
-// concurrent runs, each on its own engine.
+// every slice and call record it has ever grown, and AcquireEngine
+// draws engines from a sync.Pool so back-to-back simulations reuse
+// storage instead of reallocating it. Reports never alias engine
+// storage — they are safe to keep after the engine is reset or pooled.
+// An engine only reads what a run is given — the job, its Index, the
+// duration overlay — so one index and one overlay can back any number
+// of concurrent runs, each on its own engine.
 //
 // An Observer (see observer.go) can be attached through Options to
 // watch the run at CUDA-API granularity; a nil observer costs one
@@ -207,9 +211,12 @@ type pendingOp struct {
 	kind trace.Kind
 }
 
+// streamState is one stream slot of the engine's stream table, bound
+// to its stream the first time the host touches it.
 type streamState struct {
-	w  int
-	id int64
+	bound bool
+	w     int
+	id    int64
 	// queue is the stream's window of the engine's flat queue buffer,
 	// with room for every op the host hands the stream, so appending
 	// never grows it. ivals is the same window of the interval buffer:
@@ -296,11 +303,27 @@ type hostState struct {
 	last *streamState
 }
 
+// collGroup is one collective call from its first join to its
+// completion. While the wait map gathers its participants it holds
+// them and their arrival times; once the last one joins, a call with a
+// congestion demand goes on the wire as a flow whose latRem drains in
+// real time and workRem at rate 1/factor. A record is recycled when
+// its call finishes; epoch survives recycling, so events of an earlier
+// call that are still in the heap carry older epochs and are dropped.
 type collGroup struct {
 	arrived  []*streamState
 	arriveAt []int64
 	dur      int64
 	expected int
+
+	key     trace.CollKey
+	links   []int32 // aliases the demand's slice; dropped on finish
+	latRem  int64
+	workRem int64
+	factor  int64 // current slowdown; 0 = sentinel forcing first tune
+	lastUpd int64 // sim time progress has been accrued to
+	started int64
+	epoch   int64 // invalidates superseded flow events
 }
 
 type interval struct {
@@ -318,8 +341,8 @@ const (
 	evOpEnd                    // a timed device op completed (arg = epoch)
 	evStreamKick               // resume an event-released stream
 	evCollDone                 // a collective finished (arg = its start time)
-	evFlowStart                // a congestion flow's deferred start (arg = epoch)
-	evFlowDone                 // a congestion flow may have finished (arg = epoch)
+	evFlowStart                // a call's deferred start on a congested wire (arg = epoch)
+	evFlowDone                 // a call on a congested wire may have finished (arg = epoch)
 )
 
 // simEvent is one scheduled occurrence: a kind, its due time, a
@@ -330,7 +353,7 @@ type simEvent struct {
 	arg  int64
 	st   *streamState
 	host *hostState
-	flow *congFlow
+	coll *collGroup
 	kind evKind
 }
 
@@ -341,17 +364,15 @@ func eventBefore(a, b simEvent) bool {
 	return a.seq < b.seq
 }
 
-// waitList is the FIFO of streams parked on one event slot, chained
-// intrusively through streamState.nextWait.
-type waitList struct {
-	head, tail *streamState
-}
-
 // eventState is one slot of the event wait map: whether its version
-// has been recorded, and when.
+// has been recorded, and when; the FIFO of streams parked on it,
+// chained through streamState.nextWait; and the host blocked on it in
+// a cudaEventSynchronize.
 type eventState struct {
-	t    int64
-	done bool
+	t          int64
+	done       bool
+	head, tail *streamState
+	host       *hostState
 }
 
 // Engine is a reusable simulator instance. The zero value is not
@@ -378,26 +399,22 @@ type Engine struct {
 	now   int64
 
 	hosts []hostState
-	// streams holds each stream slot's state, nil until the stream is
-	// first touched; byWorker lists a worker's streams in that creation
-	// order for device-wide synchronization, drain checks and
-	// deterministic iteration.
-	streams     []*streamState
-	byWorker    [][]*streamState
-	freeStreams []*streamState
+	// streams is the stream table, by slot; byWorker lists a worker's
+	// streams in the order they were bound, for device-wide
+	// synchronization, drain checks and deterministic iteration.
+	streams  []streamState
+	byWorker [][]*streamState
 
-	// The event wait map and the network collective wait map, by slot.
-	events        []eventState
-	evWaitStreams []waitList
-	evWaitHosts   []*hostState
-	colls         []*collGroup
-	freeColls     []*collGroup
-	// Congestion state: active flows in start order, recycled flow
-	// records, and per-link-domain occupancy counts.
-	cong      *CongestionModel
-	flows     []*congFlow
-	freeFlows []*congFlow
-	linkUse   []int32
+	// The event wait map and the network collective wait map, by slot,
+	// and the recycled call records.
+	events    []eventState
+	colls     []*collGroup
+	freeColls []*collGroup
+	// Congestion state: the calls on the wire in start order and
+	// per-link-domain occupancy counts.
+	cong    *CongestionModel
+	flows   []*collGroup
+	linkUse []int32
 	// activeColls tracks, per worker, the fired-but-unfinished
 	// collective intervals, for SM-contention overlap queries.
 	activeColls [][]interval
@@ -437,49 +454,40 @@ func (j jitterSource) factor(a, b int64) float64 {
 // NewEngine returns an empty engine ready for Reset.
 func NewEngine() *Engine { return &Engine{} }
 
-// scrub recycles per-run state and drops every reference to caller
-// data, leaving grown storage — slices keep their capacity — for the
-// next Reset.
+// scrub ends the bound run: it recycles the call records still in the
+// wait map or on the wire, zeroes every per-run table and drops every
+// reference to caller data, keeping grown storage for the next Reset.
+// Entries past a table's length are zero too, since each was zeroed
+// when last in use, so Reset only resizes. A fresh or scrubbed engine
+// has no job and nothing to scrub.
 func (e *Engine) scrub() {
-	e.job, e.x = nil, nil
-	e.obs = nil
-	e.ann = nil
-	e.opts = Options{}
-	clear(e.pq)
-	e.pq = e.pq[:0]
-	e.evSeq, e.now = 0, 0
-	for i := range e.hosts {
-		e.hosts[i] = hostState{}
+	if e.job == nil {
+		return
 	}
-	for w := range e.byWorker {
-		for _, st := range e.byWorker[w] {
-			*st = streamState{}
-			e.freeStreams = append(e.freeStreams, st)
-		}
-		e.byWorker[w] = e.byWorker[w][:0]
-		e.activeColls[w] = e.activeColls[w][:0]
-		clear(e.marks[w])
-		e.marks[w] = e.marks[w][:0]
-	}
-	clear(e.streams)
 	for _, g := range e.colls {
 		if g != nil {
 			e.recycleColl(g)
 		}
 	}
-	clear(e.colls)
-	e.cong = nil
-	e.inj = nil
-	for _, f := range e.flows {
-		if f.group != nil {
-			e.recycleColl(f.group)
-		}
-		f.group, f.links = nil, nil
-		f.active = false
-		e.freeFlows = append(e.freeFlows, f)
+	for _, g := range e.flows {
+		e.recycleColl(g)
 	}
+	e.job, e.x, e.obs, e.ann, e.cong, e.inj = nil, nil, nil, nil, nil, nil
+	e.opts = Options{}
+	e.evSeq, e.now = 0, 0
+	clear(e.pq)
 	clear(e.flows)
-	e.flows = e.flows[:0]
+	e.pq, e.flows = e.pq[:0], e.flows[:0]
+	clear(e.hosts)
+	clear(e.streams)
+	clear(e.events)
+	clear(e.colls)
+	for w := range e.byWorker {
+		clear(e.marks[w])
+		e.marks[w] = e.marks[w][:0]
+		e.byWorker[w] = e.byWorker[w][:0]
+		e.activeColls[w] = e.activeColls[w][:0]
+	}
 }
 
 // Reset rebinds the engine to a job, reusing all storage grown by
@@ -499,47 +507,24 @@ func (e *Engine) Reset(job *trace.Job, opts Options) {
 	e.rng = jitterSource{frac: opts.JitterFrac, seed: opts.Seed}
 
 	n := len(job.Workers)
-	if cap(e.hosts) < n {
-		e.hosts = make([]hostState, n)
-	}
-	e.hosts = e.hosts[:n]
+	e.hosts = resized(e.hosts, n)
 	for i, w := range job.Workers {
 		e.hosts[i] = hostState{w: i, ops: w.Ops, tail: w.TailGap, syncs: x.hostRow(i)}
 	}
-	e.byWorker = resizeGrid(e.byWorker, n)
-	e.activeColls = resizeGrid(e.activeColls, n)
-	e.marks = resizeGrid(e.marks, n)
+	e.byWorker = resized(e.byWorker, n)
+	e.activeColls = resized(e.activeColls, n)
+	e.marks = resized(e.marks, n)
 	e.pending = resized(e.pending, x.queued())
 	e.ivals = resized(e.ivals, x.queued())
-
-	e.streams = zeroed(e.streams, len(x.streamIDs))
-	e.events = zeroed(e.events, int(x.events))
-	e.evWaitStreams = zeroed(e.evWaitStreams, int(x.events))
-	e.evWaitHosts = zeroed(e.evWaitHosts, int(x.events))
-	e.colls = zeroed(e.colls, len(x.expected))
+	e.streams = resized(e.streams, len(x.streamIDs))
+	e.events = resized(e.events, int(x.events))
+	e.colls = resized(e.colls, len(x.expected))
 
 	e.inj = opts.Faults
-
 	e.cong = opts.Congestion
 	if e.cong != nil {
-		if cap(e.linkUse) < len(e.cong.Widths) {
-			e.linkUse = make([]int32, len(e.cong.Widths))
-		}
-		e.linkUse = e.linkUse[:len(e.cong.Widths)]
-		clear(e.linkUse)
+		e.linkUse = zeroed(e.linkUse, len(e.cong.Widths))
 	}
-}
-
-// resizeGrid sets the outer slice to n reusable empty rows.
-func resizeGrid[T any](g [][]T, n int) [][]T {
-	if cap(g) < n {
-		return make([][]T, n)
-	}
-	g = g[:n]
-	for i := range g {
-		g[i] = g[i][:0]
-	}
-	return g
 }
 
 // zeroed returns s resized to n zero entries, reusing its storage.
@@ -602,26 +587,18 @@ func (e *Engine) pop() simEvent {
 	return top
 }
 
-// stream returns the state of stream id on h's worker, creating it on
-// first touch so byWorker keeps creation order.
+// stream returns the state of stream id on h's worker, binding its
+// slot on first touch so byWorker keeps binding order.
 func (e *Engine) stream(h *hostState, id int64) *streamState {
 	if st := h.last; st != nil && st.id == id {
 		return st
 	}
 	slot := e.x.streamSlot(h.w, id)
-	st := e.streams[slot]
-	if st == nil {
-		if n := len(e.freeStreams); n > 0 {
-			st = e.freeStreams[n-1]
-			e.freeStreams[n-1] = nil
-			e.freeStreams = e.freeStreams[:n-1]
-		} else {
-			st = &streamState{}
-		}
+	st := &e.streams[slot]
+	if !st.bound {
 		lo, hi := e.x.queue(slot)
-		st.w, st.id, st.syncs = h.w, id, e.x.row(slot)
-		st.queue, st.ivals = e.pending[lo:lo:hi], e.ivals[lo:hi:hi]
-		e.streams[slot] = st
+		*st = streamState{bound: true, w: h.w, id: id, syncs: e.x.row(slot),
+			queue: e.pending[lo:lo:hi], ivals: e.ivals[lo:hi:hi]}
 		e.byWorker[h.w] = append(e.byWorker[h.w], st)
 	}
 	h.last = st
@@ -644,11 +621,11 @@ func (e *Engine) collGroup() *collGroup {
 	return &collGroup{}
 }
 
+// recycleColl zeroes a finished call's record but for its storage and
+// epoch, and pools it.
 func (e *Engine) recycleColl(g *collGroup) {
 	clear(g.arrived)
-	g.arrived = g.arrived[:0]
-	g.arriveAt = g.arriveAt[:0]
-	g.dur, g.expected = 0, 0
+	*g = collGroup{arrived: g.arrived[:0], arriveAt: g.arriveAt[:0], epoch: g.epoch}
 	e.freeColls = append(e.freeColls, g)
 }
 
@@ -702,9 +679,9 @@ func (e *Engine) Run(ctx context.Context) (*Report, error) {
 		case evCollDone:
 			e.collDone(ev.st, ev.arg, ev.t)
 		case evFlowStart:
-			e.flowStart(ev.flow, ev.arg)
+			e.flowStart(ev.coll, ev.arg)
 		case evFlowDone:
-			e.flowDone(ev.flow, ev.arg)
+			e.flowDone(ev.coll, ev.arg)
 		}
 	}
 	for i := range e.hosts {
@@ -804,13 +781,14 @@ func (e *Engine) runHost(h *hostState) {
 				h.pos++
 				continue
 			}
-			if ev := e.events[slot]; ev.done {
+			ev := &e.events[slot]
+			if ev.done {
 				h.t = max(h.t, ev.t)
 				h.pos++
 				continue
 			}
 			h.wait = waitEvent
-			e.evWaitHosts[slot] = h
+			ev.host = h
 			return
 		case trace.KindStreamSync:
 			st := e.stream(h, op.Stream)
@@ -909,7 +887,8 @@ func (e *Engine) kickStream(st *streamState) {
 				st.head++
 				continue
 			}
-			if ev := e.events[slot]; ev.done {
+			ev := &e.events[slot]
+			if ev.done {
 				st.head++
 				st.freeAt = max(start, ev.t)
 				continue
@@ -917,7 +896,13 @@ func (e *Engine) kickStream(st *streamState) {
 			st.stalledEv = true
 			st.waitSlot = slot
 			st.stallStart = start
-			e.parkStream(slot, st)
+			// Park the stream at the tail of the event's FIFO.
+			if ev.head == nil {
+				ev.head = st
+			} else {
+				ev.tail.nextWait = st
+			}
+			ev.tail = st
 			e.notifyDrain(st.w)
 			return
 		case trace.KindCollective:
@@ -965,17 +950,6 @@ func (e *Engine) kickStream(st *streamState) {
 	e.notifyDrain(st.w)
 }
 
-// parkStream appends the stream to the event slot's FIFO wait list.
-func (e *Engine) parkStream(slot int32, st *streamState) {
-	wl := &e.evWaitStreams[slot]
-	if wl.head == nil {
-		wl.head = st
-	} else {
-		wl.tail.nextWait = st
-	}
-	wl.tail = st
-}
-
 // annotated reads the overlay duration of op i of worker w.
 func (e *Engine) annotated(w int, i int32) int64 {
 	return int64(e.ann.Dur(w, int(i)))
@@ -1017,17 +991,25 @@ func (e *Engine) opEnd(st *streamState, epoch int64) {
 	e.notifyDrain(st.w)
 }
 
-// collDone completes a collective for one participant: the interval
-// [startAt, end) was its on-the-wire time.
+// collDone completes a collective off the congested wire for one
+// participant: the interval [startAt, end) was its on-the-wire time.
 func (e *Engine) collDone(st *streamState, startAt, end int64) {
 	if e.opts.CommContention > 0 {
 		e.dropActiveColl(st.w, startAt, end)
 	}
-	st.stalledCol = false
-	st.head++
-	st.freeAt = max(st.freeAt, end)
-	e.kickStream(st)
-	e.notifyDrain(st.w)
+	e.release(st, end)
+}
+
+// release ends participant p's stall in a call that finished at end
+// and lets its stream go on: the one way out of a collective, whether
+// the call ran at its annotated duration (collDone) or on a congested
+// wire (flowDone).
+func (e *Engine) release(p *streamState, end int64) {
+	p.stalledCol = false
+	p.head++
+	p.freeAt = max(p.freeAt, end)
+	e.kickStream(p)
+	e.notifyDrain(p.w)
 }
 
 // contentionExtra returns the added runtime for a kernel on worker w
@@ -1072,25 +1054,24 @@ func (e *Engine) stretchRunning(w int, cs, ce int64) {
 // completeEvent records an event completion and releases its waiters
 // (Algorithm 3, CudaEventWaitMap.ReleaseWaiters).
 func (e *Engine) completeEvent(slot int32, t int64) {
-	e.events[slot] = eventState{t: t, done: true}
-	if wl := e.evWaitStreams[slot]; wl.head != nil {
-		e.evWaitStreams[slot] = waitList{}
-		for st := wl.head; st != nil; {
-			next := st.nextWait
-			st.nextWait = nil
-			resume := max(st.stallStart, t)
-			st.stalledEv = false
-			st.head++
-			st.freeAt = max(st.freeAt, resume)
-			if e.obs != nil {
-				e.obs.StallEnd(st.w, st.id, StallEvent, st.stallStart, resume)
-			}
-			e.push(simEvent{t: resume, kind: evStreamKick, st: st})
-			st = next
+	ev := &e.events[slot]
+	ev.t, ev.done = t, true
+	for st := ev.head; st != nil; {
+		next := st.nextWait
+		st.nextWait = nil
+		resume := max(st.stallStart, t)
+		st.stalledEv = false
+		st.head++
+		st.freeAt = max(st.freeAt, resume)
+		if e.obs != nil {
+			e.obs.StallEnd(st.w, st.id, StallEvent, st.stallStart, resume)
 		}
+		e.push(simEvent{t: resume, kind: evStreamKick, st: st})
+		st = next
 	}
-	if h := e.evWaitHosts[slot]; h != nil {
-		e.evWaitHosts[slot] = nil
+	ev.head, ev.tail = nil, nil
+	if h := ev.host; h != nil {
+		ev.host = nil
 		resume := max(h.t, t)
 		h.wait = waitNone
 		h.t = resume
