@@ -1,6 +1,7 @@
 package estimator
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -78,6 +79,29 @@ func TestNearestGroupSizeRescaling(t *testing.T) {
 	ratio := float64(t8) / float64(t4)
 	if ratio < wantRatio*0.9 || ratio > wantRatio*1.1 {
 		t.Fatalf("8-rank rescale ratio %.3f, want ~%.3f", ratio, wantRatio)
+	}
+}
+
+func TestOppositeScopeRescaledByBandwidthRatio(t *testing.T) {
+	// Only an intra-node 4-rank curve is profiled, so a 2-rank call
+	// across nodes prices off it: rescaled by the volume factor and by
+	// how much slower the inter-node link is than NVLink.
+	cluster := hardware.DGXH100(2)
+	m := fitCurve(t, cluster, 4, []int{0, 1, 2, 3})
+	const bytes = 1 << 26
+	node := cluster.Node
+	ratio := node.GPU.NVLinkGBps / node.Inter.PerGPUGBps
+	if ratio <= 1 {
+		t.Fatalf("NVLink %v GB/s is not faster than the inter-node link %v GB/s", node.GPU.NVLinkGBps, node.Inter.PerGPUGBps)
+	}
+	rescale := algFactor("ncclAllReduce", 2) / algFactor("ncclAllReduce", 4)
+	want := float64(1000+bytes/100) * ratio * rescale
+	inter := m.Estimate("ncclAllReduce", bytes, []int{0, 8}, 2)
+	if math.Abs(float64(inter)-want) > 1 { // the estimate truncates to whole ns
+		t.Fatalf("inter-node estimate %v, want %v", inter, time.Duration(want))
+	}
+	if intra := m.Estimate("ncclAllReduce", bytes, []int{0, 1}, 2); inter <= intra {
+		t.Fatalf("inter-node estimate %v is not slower than the intra-node %v", inter, intra)
 	}
 }
 
