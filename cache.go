@@ -14,9 +14,10 @@ import (
 //
 // The cache is an explicit handle rather than hidden process state:
 // services can pre-train with Warm at startup, watch hit/miss/trained
-// counters through Stats, and drop stale suites with Evict or Purge
-// (for example after swapping the modeled hardware). Predictors use
-// DefaultEstimatorCache unless one is injected with
+// counters through Stats, and release the memory of suites they no
+// longer need with Evict or Purge (suites are keyed by the cluster's
+// fingerprint, so changed hardware never meets an old one).
+// Predictors use DefaultEstimatorCache unless one is injected with
 // WithEstimatorCache. All methods are safe for concurrent use.
 type EstimatorCache struct {
 	impl *core.SuiteCache
