@@ -14,8 +14,11 @@ const (
 
 // CollKey is the global matching identity of one collective call:
 // all participants of the same call produce the same key. For
-// point-to-point operations the key is directional (src, dst, per-pair
-// sequence); for group collectives A/B are unused.
+// point-to-point operations the key is directional (src, dst) and Seq
+// is the program's matching tag, which need not follow issue order:
+// under interleaved or dualpipe schedules a direction's k-th send and
+// k-th receive can carry different tags. For group collectives Seq is
+// the per-communicator call index and Src/Dst are unused.
 type CollKey struct {
 	Comm uint64
 	P2P  bool

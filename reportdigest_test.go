@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash"
 	"hash/fnv"
+	"slices"
 	"strings"
 	"testing"
 
@@ -144,33 +145,8 @@ func reportDigests(t *testing.T) []digestRow {
 
 	var rows []digestRow
 	run := func(name string, physical bool, set func(*core.Options)) *core.Report {
-		tl := sim.NewTimeline()
-		pipe := &core.Pipeline{Cluster: cluster, Opts: core.Options{NoDedup: true, Oracle: oracle, Breakdown: true, Observer: tl}}
-		if set != nil {
-			set(&pipe.Opts)
-		}
-		var rep *core.Report
-		var err error
-		if physical {
-			rep, err = pipe.Measure(ctx, c, oracle, flops, hardware.BF16)
-		} else {
-			rep, err = pipe.Simulate(ctx, c, flops, hardware.BF16)
-		}
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		h := fnv.New64a()
-		r := *rep
-		r.Stages, r.Stalls, r.Recovery = core.StageTimings{}, nil, nil
-		fmt.Fprintf(h, "%+v|", r)
-		if rep.Stalls != nil {
-			fmt.Fprintf(h, "stalls %+v|", *rep.Stalls)
-		}
-		if rep.Recovery != nil {
-			fmt.Fprintf(h, "recovery %+v|", *rep.Recovery)
-		}
-		hashTimeline(t, h, tl)
-		rows = append(rows, digestRow{"report/" + name, h.Sum64()})
+		row, rep := runDigest(t, name, cluster, c, flops, physical, set)
+		rows = append(rows, row)
 		return rep
 	}
 	plain := run("prediction", false, nil)
@@ -198,7 +174,115 @@ func reportDigests(t *testing.T) []digestRow {
 
 	rows = append(rows, truncatedDigest(t, c, oracle))
 	rows = append(rows, dominatedDigest(t, cluster, tiny, oracle, net))
+	// The grid's interleaved and dualpipe programs train tiny at a
+	// global batch of 16 too.
+	return append(rows, outOfOrderDigests(t, flops)...)
+}
+
+// runDigest runs c on cluster, oracle-priced with a stall breakdown
+// and a timeline attached, as a prediction or (physical) a
+// measurement, with the options set adjusts. It hashes every report
+// field, stage timings zeroed, then the stalls, the recovery and the
+// timeline.
+func runDigest(t *testing.T, name string, cluster hardware.Cluster, c *core.Capture, flops float64, physical bool, set func(*core.Options)) (digestRow, *core.Report) {
+	t.Helper()
+	ctx := context.Background()
+	oracle := core.DefaultOracle(cluster)
+	tl := sim.NewTimeline()
+	pipe := &core.Pipeline{Cluster: cluster, Opts: core.Options{NoDedup: true, Oracle: oracle, Breakdown: true, Observer: tl}}
+	if set != nil {
+		set(&pipe.Opts)
+	}
+	var rep *core.Report
+	var err error
+	if physical {
+		rep, err = pipe.Measure(ctx, c, oracle, flops, hardware.BF16)
+	} else {
+		rep, err = pipe.Simulate(ctx, c, flops, hardware.BF16)
+	}
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	h := fnv.New64a()
+	r := *rep
+	r.Stages, r.Stalls, r.Recovery = core.StageTimings{}, nil, nil
+	fmt.Fprintf(h, "%+v|", r)
+	if rep.Stalls != nil {
+		fmt.Fprintf(h, "stalls %+v|", *rep.Stalls)
+	}
+	if rep.Recovery != nil {
+		fmt.Fprintf(h, "recovery %+v|", *rep.Recovery)
+	}
+	hashTimeline(t, h, tl)
+	return digestRow{"report/" + name, h.Sum64()}, rep
+}
+
+// outOfOrderDigests hashes the prediction of the capture digest
+// grid's interleaved and dualpipe programs, captured without dedup.
+// In both, some point-to-point direction's calls match out of issue
+// order: a replay must pair a send with its receive by tag, and one
+// that paired them by issue order would change these rows.
+func outOfOrderDigests(t *testing.T, flops float64) []digestRow {
+	t.Helper()
+	var rows []digestRow
+	for _, dc := range captureDigestCases(t) {
+		name, ok := strings.CutPrefix(dc.name, "megatron/")
+		if !ok || name != "interleaved" && name != "dualpipe" {
+			continue
+		}
+		c, err := (&core.Pipeline{Cluster: dc.cluster, Opts: core.Options{NoDedup: true}}).Capture(context.Background(), dc.w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := outOfIssueOrder(c.Job)
+		if n == 0 {
+			t.Fatalf("%s: every group's calls carry the same tags in the same order on all its workers", dc.name)
+		}
+		t.Logf("%s: %d groups whose calls differ in order across workers", dc.name, n)
+		row, _ := runDigest(t, name, dc.cluster, c, flops, false, nil)
+		rows = append(rows, row)
+		c.Release()
+	}
+	if len(rows) != 2 {
+		t.Fatalf("%d out-of-order rows, want the grid's interleaved and dualpipe", len(rows))
+	}
 	return rows
+}
+
+// outOfIssueOrder counts the collective groups (a communicator, and
+// for point-to-point calls one direction of one pair) in which some
+// worker's k-th call carries a different tag from another worker's.
+func outOfIssueOrder(job *trace.Job) int {
+	tags := map[trace.CollKey]map[int][]int{}
+	for _, w := range job.Workers {
+		for i := range w.Ops {
+			op := &w.Ops[i]
+			if op.Kind != trace.KindCollective || op.Coll.Seq < 0 {
+				continue
+			}
+			k := trace.CollKeyOf(op)
+			k.Seq = 0
+			if tags[k] == nil {
+				tags[k] = map[int][]int{}
+			}
+			tags[k][w.Rank] = append(tags[k][w.Rank], op.Coll.Seq)
+		}
+	}
+	n := 0
+	for _, byWorker := range tags {
+		var first []int
+		for _, seqs := range byWorker {
+			if first == nil {
+				first = seqs
+				continue
+			}
+			if !slices.Equal(first[:min(len(first), len(seqs))], seqs[:min(len(first), len(seqs))]) {
+				n++
+				break
+			}
+		}
+	}
+	return n
 }
 
 // truncatedDigest hashes the report, stall breakdown and timeline of
