@@ -4,7 +4,7 @@ package maya_test
 // inference, annotation, capture, batch, search) for a before/after
 // row under -benchmem. The end-to-end benchmark is bench/ (see
 // bench/README.md); the paper's tables and figures are regenerated by
-// `go run ./cmd/maya-experiments -exp ID|all`.
+// `go run ./cmd/maya experiments -exp ID|all`.
 
 import (
 	"context"

@@ -58,6 +58,15 @@ func TestCaptureCacheReusesAcrossPredictCalls(t *testing.T) {
 	if f != s {
 		t.Errorf("cached prediction diverged:\nfirst:  %+v\nsecond: %+v", f, s)
 	}
+	// A measurement of the workload replays the same capture (maya
+	// predict -actual), so it too reports no capture stages.
+	actual, err := pred.MeasureActual(ctx, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := cc.Stats(); s.Misses != 1 || s.Hits != 2 || actual.Stages.Emulate != 0 || actual.Stages.Collate != 0 {
+		t.Fatalf("MeasureActual after Predict: stats %+v, stages %+v; want a hit and no capture stages", s, actual.Stages)
+	}
 
 	// A distinct recipe is a distinct key.
 	w2, err := maya.NewMegatron(maya.MegatronConfig{

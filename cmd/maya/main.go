@@ -1,25 +1,24 @@
 // Command maya predicts the performance of Megatron-LM training
-// recipes on a cluster, without GPUs. Ctrl-C cancels the in-flight
-// work cleanly, including estimator training.
+// recipes on a cluster, without GPUs, searches for the best recipe,
+// and regenerates the paper's tables and figures. Ctrl-C cancels the
+// in-flight work cleanly, including estimator training; an
+// interrupted search prints the best recipe found so far.
 //
 // The trace artifact is first-class: capture once, simulate many.
 //
 //	maya predict  -cluster 32xH100 -model gpt3-18.4b -batch 256 -tp 2 -pp 4 -micro 8
 //	maya capture  -cluster 32xH100 -model gpt3-18.4b -batch 256 -tp 2 -pp 4 -micro 8 -o job.mtrace
 //	maya simulate -trace job.mtrace
-//	maya simulate -trace job.mtrace -oracle
 //	maya simulate -trace job.mtrace -actual -flops 1.2e18
 //	maya simulate -trace job.mtrace -timeline run.json -breakdown
+//	maya search   -cluster 64xH100 -model gpt3-18.4b -batch 256 -algo cma -budget 400
+//	maya experiments -list
+//	maya experiments -exp fig7
+//	maya version
 //
-// -timeline records the simulated run at CUDA-API granularity and
-// writes a Chrome-trace JSON file: open it in chrome://tracing or
-// https://ui.perfetto.dev to see every kernel, collective, stall and
-// host stretch per worker and stream. -breakdown attributes each
-// worker's idle time (event waits, collective straggler waits,
-// host-bound stretches, pipeline bubbles) and prints the table.
-//
-// Bare flags (no verb) behave like "predict", preserving the old
-// interface.
+// -timeline writes the simulated run, every kernel, collective, stall
+// and host stretch, as Chrome-trace JSON (chrome://tracing, Perfetto);
+// -breakdown prints each worker's idle time by cause.
 package main
 
 import (
@@ -33,6 +32,7 @@ import (
 
 	"maya"
 	"maya/internal/buildinfo"
+	"maya/internal/experiments"
 	"maya/internal/models"
 )
 
@@ -40,13 +40,10 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
+	var verb string
 	args := os.Args[1:]
-	verb := "predict"
-	if len(args) > 0 && args[0] != "" && args[0][0] != '-' {
+	if len(args) > 0 {
 		verb, args = args[0], args[1:]
-	}
-	if len(args) > 0 && args[0] == "-version" {
-		verb = "version"
 	}
 	switch verb {
 	case "predict":
@@ -55,119 +52,153 @@ func main() {
 		runCapture(ctx, args)
 	case "simulate":
 		runSimulate(ctx, args)
-	case "version":
+	case "search":
+		runSearch(ctx, args)
+	case "experiments":
+		runExperiments(ctx, args)
+	case "version", "-version":
 		fmt.Println(buildinfo.Get())
 	default:
-		fmt.Fprintf(os.Stderr, "maya: unknown verb %q (have predict, capture, simulate, version)\n", verb)
-		os.Exit(2)
+		exitUsage("maya: unknown verb %q (have predict, capture, simulate, search, experiments, version)", verb)
 	}
 }
 
-// recipeFlags registers the workload/cluster flags shared by predict
-// and capture.
+// problemFlags name a training problem: the cluster and its fabric,
+// the model and the global batch. Predict, capture and search share
+// them.
+type problemFlags struct {
+	cluster, topology, model string
+	batch                    int
+}
+
+func addProblemFlags(fs *flag.FlagSet) *problemFlags {
+	f := &problemFlags{}
+	fs.StringVar(&f.cluster, "cluster", "32xH100", "cluster spec (e.g. 8xV100, 64xH100, 8xA40)")
+	addTopologyFlag(fs, &f.topology)
+	fs.StringVar(&f.model, "model", "gpt3-18.4b", "model preset (gpt3-1.3b/2.7b/18.4b/145.6b, llama2-7b, ...)")
+	fs.IntVar(&f.batch, "batch", 256, "global batch size (sequences)")
+	return f
+}
+
+// addTopologyFlag registers the network-fabric spec flag of every verb
+// that builds a predictor.
+func addTopologyFlag(fs *flag.FlagSet, spec *string) {
+	fs.StringVar(spec, "topology", "", "network fabric spec: auto (default), flat, rail, oversub:K, pods:K")
+}
+
+// resolve looks up the cluster and the model.
+func (f *problemFlags) resolve() (maya.Cluster, models.Transformer) {
+	cluster, err := maya.ClusterByName(f.cluster)
+	fatalIf(err)
+	mdl, err := models.ByName(f.model)
+	fatalIf(err)
+	return cluster, mdl
+}
+
+// recipeFlags are a problem plus the Megatron knobs that make it one
+// recipe; predict and capture share them.
 type recipeFlags struct {
-	cluster   *string
-	topology  *string
-	model     *string
-	batch     *int
-	tp        *int
-	pp        *int
-	micro     *int
-	virtual   *int
-	seqpar    *bool
-	recompute *bool
-	distopt   *bool
+	*problemFlags
+	cfg maya.MegatronConfig
 }
 
 func addRecipeFlags(fs *flag.FlagSet) *recipeFlags {
-	return &recipeFlags{
-		cluster:   fs.String("cluster", "32xH100", "cluster spec (e.g. 8xV100, 64xH100, 8xA40)"),
-		topology:  addTopologyFlag(fs),
-		model:     fs.String("model", "gpt3-18.4b", "model preset (gpt3-1.3b/2.7b/18.4b/145.6b, llama2-7b, ...)"),
-		batch:     fs.Int("batch", 256, "global batch size (sequences)"),
-		tp:        fs.Int("tp", 1, "tensor-parallel degree"),
-		pp:        fs.Int("pp", 1, "pipeline-parallel degree"),
-		micro:     fs.Int("micro", 1, "number of microbatches"),
-		virtual:   fs.Int("virtual", 1, "virtual pipeline stages (interleaving)"),
-		seqpar:    fs.Bool("seqpar", false, "sequence parallelism"),
-		recompute: fs.Bool("recompute", false, "activation recomputation"),
-		distopt:   fs.Bool("distopt", false, "distributed optimizer"),
-	}
-}
-
-// addTopologyFlag registers the network-fabric spec flag shared by
-// every verb that builds a predictor.
-func addTopologyFlag(fs *flag.FlagSet) *string {
-	return fs.String("topology", "", "network fabric spec: auto (default), flat, rail, oversub:K, pods:K")
+	r := &recipeFlags{problemFlags: addProblemFlags(fs)}
+	fs.IntVar(&r.cfg.TP, "tp", 1, "tensor-parallel degree")
+	fs.IntVar(&r.cfg.PP, "pp", 1, "pipeline-parallel degree")
+	fs.IntVar(&r.cfg.MicroBatches, "micro", 1, "number of microbatches")
+	fs.IntVar(&r.cfg.VirtualStages, "virtual", 1, "virtual pipeline stages (interleaving)")
+	fs.BoolVar(&r.cfg.SeqParallel, "seqpar", false, "sequence parallelism")
+	fs.BoolVar(&r.cfg.ActRecompute, "recompute", false, "activation recomputation")
+	fs.BoolVar(&r.cfg.DistOptimizer, "distopt", false, "distributed optimizer")
+	return r
 }
 
 // build turns the flags into a cluster, workload and model-FLOPs
 // count.
 func (r *recipeFlags) build() (maya.Cluster, maya.Workload, float64) {
-	cluster, err := maya.ClusterByName(*r.cluster)
-	fatalIf(err)
-	mdl, err := models.ByName(*r.model)
-	fatalIf(err)
-	cfg := maya.MegatronConfig{
-		Model: mdl, NGPUs: cluster.TotalGPUs(), GlobalBatch: *r.batch,
-		TP: *r.tp, PP: *r.pp, MicroBatches: *r.micro, VirtualStages: *r.virtual,
-		SeqParallel: *r.seqpar, ActRecompute: *r.recompute, DistOptimizer: *r.distopt,
-	}
+	cluster, mdl := r.resolve()
+	cfg := r.cfg
+	cfg.Model, cfg.NGPUs, cfg.GlobalBatch = mdl, cluster.TotalGPUs(), r.batch
 	w, err := maya.NewMegatron(cfg)
 	fatalIf(err)
-	return cluster, w, mdl.TrainFLOPsPerIter(*r.batch)
+	return cluster, w, mdl.TrainFLOPsPerIter(r.batch)
+}
+
+const congestionUsage = "resolve collectives against link-level contention (concurrent collectives sharing a fabric link split its bandwidth)"
+
+// runFlags are the simulated-run flags predict and simulate share.
+type runFlags struct {
+	congestion, breakdown bool
+	timeline              string
+	tl                    *maya.Timeline // set by options when -timeline names a file
+}
+
+func addRunFlags(fs *flag.FlagSet) *runFlags {
+	f := &runFlags{}
+	fs.BoolVar(&f.congestion, "congestion", false, congestionUsage)
+	fs.StringVar(&f.timeline, "timeline", "", "write the simulated run as Chrome-trace JSON to this file (chrome://tracing, Perfetto)")
+	fs.BoolVar(&f.breakdown, "breakdown", false, "attribute per-worker stall time (event/collective waits, host-bound, pipeline bubbles)")
+	return f
+}
+
+// options turns the flags into the run's PredictOptions.
+func (f *runFlags) options() []maya.PredictOption {
+	var opts []maya.PredictOption
+	if f.timeline != "" {
+		f.tl = maya.NewTimeline()
+		opts = append(opts, maya.WithTimeline(f.tl))
+	}
+	if f.breakdown {
+		opts = append(opts, maya.WithStallBreakdown())
+	}
+	if f.congestion {
+		opts = append(opts, maya.WithCongestion())
+	}
+	return opts
+}
+
+// writeTimeline exports the recorded timeline, if one was requested.
+func (f *runFlags) writeTimeline() {
+	if f.tl == nil {
+		return
+	}
+	out, err := os.Create(f.timeline)
+	fatalIf(err)
+	err = f.tl.WriteChromeTrace(out)
+	if cerr := out.Close(); err == nil {
+		err = cerr
+	}
+	fatalIf(err)
+	fmt.Fprintf(os.Stderr, "maya: wrote timeline %s (%d events); open in chrome://tracing or ui.perfetto.dev\n", f.timeline, f.tl.Len())
 }
 
 func runPredict(ctx context.Context, args []string) {
 	fs := flag.NewFlagSet("maya predict", flag.ExitOnError)
 	recipe := addRecipeFlags(fs)
 	actual := fs.Bool("actual", false, "also measure on the synthetic silicon (ground truth)")
-	congestion := fs.Bool("congestion", false, "resolve collectives against link-level contention (concurrent collectives sharing a fabric link split its bandwidth)")
-	timeline := fs.String("timeline", "", "write the simulated run as Chrome-trace JSON to this file (chrome://tracing, Perfetto)")
-	breakdown := fs.Bool("breakdown", false, "attribute per-worker stall time (event/collective waits, host-bound, pipeline bubbles)")
+	run := addRunFlags(fs)
 	asJSON := fs.Bool("json", false, "emit JSON")
 	fatalIf(fs.Parse(args))
 
 	cluster, w, flops := recipe.build()
 	fmt.Fprintf(os.Stderr, "maya: training estimators for %s (cached after first run)...\n", cluster.Name)
-	pred, err := maya.NewPredictor(cluster, maya.ProfileLLM, maya.WithTopology(*recipe.topology))
+	// The one-entry capture cache hands -actual the capture the
+	// prediction paid for.
+	pred, err := maya.NewPredictor(cluster, maya.ProfileLLM, maya.WithTopology(recipe.topology),
+		maya.WithCaptureCache(maya.NewCaptureCache(1)))
 	fatalIf(err)
-
-	// One capture serves both the prediction and the ground-truth
-	// measurement: -actual no longer re-pays emulation.
-	tr, err := pred.Capture(ctx, w)
+	rep, err := pred.Predict(ctx, w, append(run.options(), maya.WithModelFLOPs(flops))...)
 	fatalIf(err)
-	opts := []maya.PredictOption{maya.WithModelFLOPs(flops), maya.WithDType(maya.BF16)}
-	var tl *maya.Timeline
-	if *timeline != "" {
-		tl = maya.NewTimeline()
-		opts = append(opts, maya.WithTimeline(tl))
-	}
-	if *breakdown {
-		opts = append(opts, maya.WithStallBreakdown())
-	}
-	if *congestion {
-		opts = append(opts, maya.WithCongestion())
-	}
-	rep, err := pred.Simulate(ctx, tr, opts...)
-	fatalIf(err)
-	writeTimeline(tl, *timeline)
-	// The predicted report keeps the full stage breakdown: this run
-	// did pay the capture, once.
-	cs := tr.CaptureStages()
-	rep.Stages.Emulate, rep.Stages.Collate = cs.Emulate, cs.Collate
+	run.writeTimeline()
 
 	out := map[string]any{"predicted": rep}
 	if *actual {
-		act, err := pred.Simulate(ctx, tr, maya.WithPhysicalReplay(),
-			maya.WithModelFLOPs(flops), maya.WithDType(maya.BF16))
+		out["actual"], err = pred.MeasureActual(ctx, w, maya.WithModelFLOPs(flops))
 		fatalIf(err)
-		out["actual"] = act
 	}
 	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		fatalIf(enc.Encode(out))
+		printJSON(out)
 		return
 	}
 	fmt.Println(rep)
@@ -177,19 +208,10 @@ func runPredict(ctx context.Context, args []string) {
 	}
 }
 
-// writeTimeline exports a recorded timeline, if one was requested.
-func writeTimeline(tl *maya.Timeline, path string) {
-	if tl == nil {
-		return
-	}
-	f, err := os.Create(path)
-	fatalIf(err)
-	err = tl.WriteChromeTrace(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	fatalIf(err)
-	fmt.Fprintf(os.Stderr, "maya: wrote timeline %s (%d events); open in chrome://tracing or ui.perfetto.dev\n", path, tl.Len())
+func printJSON(v any) {
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	fatalIf(enc.Encode(v))
 }
 
 // printStalls renders the per-worker stall attribution, if present.
@@ -215,7 +237,7 @@ func runCapture(ctx context.Context, args []string) {
 
 	cluster, w, _ := recipe.build()
 	// Capture never trains estimators: it is pure emulate + collate.
-	popts := []maya.PredictorOption{maya.WithTopology(*recipe.topology)}
+	popts := []maya.PredictorOption{maya.WithTopology(recipe.topology)}
 	if *noDedup {
 		popts = append(popts, maya.WithoutDedup())
 	}
@@ -227,10 +249,8 @@ func runCapture(ctx context.Context, args []string) {
 	f, err := os.Create(*out)
 	fatalIf(err)
 	n, err := tr.WriteTo(f)
-	if err == nil {
-		err = f.Close()
-	} else {
-		f.Close()
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
 	fatalIf(err)
 	fmt.Fprintf(os.Stderr, "maya: wrote %s (%d bytes): %s\n", *out, n, tr)
@@ -241,27 +261,22 @@ func runSimulate(ctx context.Context, args []string) {
 	tracePath := fs.String("trace", "", "trace file written by `maya capture` (required)")
 	oracle := fs.Bool("oracle", false, "annotate with ground-truth kernel times (Table 3 oracle rows)")
 	netsim := fs.Bool("netsim", false, "model collectives with the hierarchical network simulator")
-	topology := addTopologyFlag(fs)
-	congestion := fs.Bool("congestion", false, "resolve collectives against link-level contention (concurrent collectives sharing a fabric link split its bandwidth)")
+	var topology string
+	addTopologyFlag(fs, &topology)
 	actual := fs.Bool("actual", false, "physical replay with ground truth (MeasureActual equivalent)")
 	faultsPath := fs.String("faults", "", "evaluate the fault scenario in this JSON plan (stragglers, fail-stops, resizes, checkpoint schedule); needs a trace captured with -no-dedup")
 	flops := fs.Float64("flops", 0, "per-iteration model FLOPs (enables MFU)")
-	timeline := fs.String("timeline", "", "write the simulated run as Chrome-trace JSON to this file (chrome://tracing, Perfetto)")
-	breakdown := fs.Bool("breakdown", false, "attribute per-worker stall time (event/collective waits, host-bound, pipeline bubbles)")
+	run := addRunFlags(fs)
 	asJSON := fs.Bool("json", false, "emit JSON")
 	fatalIf(fs.Parse(args))
 
-	if *tracePath == "" {
-		fmt.Fprintln(os.Stderr, "maya simulate: -trace is required")
-		os.Exit(2)
-	}
-	if *netsim && (*oracle || *actual) {
-		fmt.Fprintln(os.Stderr, "maya simulate: -netsim plugs into the learned estimators and cannot combine with -oracle or -actual (those annotate every collective with ground truth)")
-		os.Exit(2)
-	}
-	if *faultsPath != "" && *actual {
-		fmt.Fprintln(os.Stderr, "maya simulate: -faults applies to simulated predictions; -actual models the silicon, not operational faults")
-		os.Exit(2)
+	switch {
+	case *tracePath == "":
+		exitUsage("maya simulate: -trace is required")
+	case *netsim && (*oracle || *actual):
+		exitUsage("maya simulate: -netsim plugs into the learned estimators and cannot combine with -oracle or -actual (those annotate every collective with ground truth)")
+	case *faultsPath != "" && *actual:
+		exitUsage("maya simulate: -faults applies to simulated predictions; -actual models the silicon, not operational faults")
 	}
 	f, err := os.Open(*tracePath)
 	fatalIf(err)
@@ -272,14 +287,14 @@ func runSimulate(ctx context.Context, args []string) {
 
 	cluster, err := maya.ClusterByName(tr.Cluster())
 	fatalIf(err)
-	if *topology == "" {
+	if topology == "" {
 		// Default to the fabric the trace was captured under.
-		*topology = tr.Topology()
+		topology = tr.Topology()
 	}
-	pred, err := maya.NewPredictor(cluster, maya.ProfileLLM, maya.WithTopology(*topology))
+	pred, err := maya.NewPredictor(cluster, maya.ProfileLLM, maya.WithTopology(topology))
 	fatalIf(err)
 
-	opts := []maya.PredictOption{maya.WithModelFLOPs(*flops), maya.WithDType(maya.BF16)}
+	opts := append(run.options(), maya.WithModelFLOPs(*flops))
 	switch {
 	case *actual:
 		opts = append(opts, maya.WithPhysicalReplay())
@@ -291,17 +306,6 @@ func runSimulate(ctx context.Context, args []string) {
 	if *netsim {
 		opts = append(opts, maya.WithNetSim())
 	}
-	var tl *maya.Timeline
-	if *timeline != "" {
-		tl = maya.NewTimeline()
-		opts = append(opts, maya.WithTimeline(tl))
-	}
-	if *breakdown {
-		opts = append(opts, maya.WithStallBreakdown())
-	}
-	if *congestion {
-		opts = append(opts, maya.WithCongestion())
-	}
 	if *faultsPath != "" {
 		pf, err := os.Open(*faultsPath)
 		fatalIf(err)
@@ -312,12 +316,10 @@ func runSimulate(ctx context.Context, args []string) {
 	}
 	rep, err := pred.Simulate(ctx, tr, opts...)
 	fatalIf(err)
-	writeTimeline(tl, *timeline)
+	run.writeTimeline()
 
 	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		fatalIf(enc.Encode(rep))
+		printJSON(rep)
 		return
 	}
 	fmt.Println(rep)
@@ -353,6 +355,89 @@ func printRecovery(rep *maya.Report) {
 	}
 }
 
+// runSearch finds a cost-optimal recipe by black-box search over the
+// Megatron configuration space (seed 7), each candidate predicted.
+func runSearch(ctx context.Context, args []string) {
+	fs := flag.NewFlagSet("maya search", flag.ExitOnError)
+	problem := addProblemFlags(fs)
+	congestion := fs.Bool("congestion", false, congestionUsage)
+	algo := fs.String("algo", "cma", "cma | oneplusone | pso | twopointsde | random | grid")
+	budget := fs.Int("budget", 400, "sampled configurations budget")
+	parallel := fs.Int("parallel", 8, "concurrent trials")
+	noPrune := fs.Bool("no-prune", false, "disable fidelity-preserving pruning")
+	capCache := fs.Int("capture-cache", 256, "capture cache capacity (0 disables); optimizers that revisit topologies skip re-emulation")
+	fatalIf(fs.Parse(args))
+
+	cluster, mdl := problem.resolve()
+	fmt.Fprintf(os.Stderr, "maya search: %s on %s, algorithm=%s budget=%d\n", mdl.Name, cluster.Name, *algo, *budget)
+
+	popts := []maya.PredictorOption{maya.WithTopology(problem.topology)}
+	if *congestion {
+		popts = append(popts, maya.WithCongestion())
+	}
+	if *capCache > 0 {
+		popts = append(popts, maya.WithCaptureCache(maya.NewCaptureCache(*capCache)))
+	}
+	pred, err := maya.NewPredictor(cluster, maya.ProfileLLM, popts...)
+	fatalIf(err)
+
+	out, err := pred.FindRecipe(ctx, maya.SearchProblem{Model: mdl, Cluster: cluster, GlobalBatch: problem.batch},
+		maya.SearchOptions{Algorithm: *algo, Budget: *budget, Parallel: *parallel, DisablePruning: *noPrune, Seed: 7})
+	interrupted := errors.Is(err, context.Canceled) && out != nil && out.Best != nil
+	if interrupted {
+		fmt.Fprintln(os.Stderr, "maya search: interrupted; best recipe so far:")
+	} else {
+		fatalIf(err)
+	}
+
+	fmt.Printf("best recipe:   %s\n", out.Best.Knobs)
+	fmt.Printf("  iteration:   %v\n", out.Best.IterTime)
+	fmt.Printf("  MFU:         %.1f%%\n", out.Best.MFU*100)
+	fmt.Printf("  peak memory: %.1f GiB\n", float64(out.Best.PeakMem)/(1<<30))
+	fmt.Printf("trials: %d executed, %d oom-verdict, %d dominated, %d cached, %d pruned, %d invalid (%s in %v)\n",
+		out.Stats.Executed, out.Stats.Verdict, out.Stats.Dominated, out.Stats.Cached, out.Stats.Skipped,
+		out.Stats.Invalid, out.Stopped, out.Elapsed.Round(1e6))
+	if interrupted {
+		os.Exit(130)
+	}
+}
+
+// runExperiments regenerates the paper's tables and figures, one id or
+// all of them; MAYA_EXP_SCALE=full runs the paper-sized sweeps.
+func runExperiments(ctx context.Context, args []string) {
+	fs := flag.NewFlagSet("maya experiments", flag.ExitOnError)
+	exp := fs.String("exp", "all", "experiment id (see -list) or 'all'")
+	list := fs.Bool("list", false, "list experiment ids")
+	fatalIf(fs.Parse(args))
+
+	ids := experiments.IDs()
+	if *list {
+		for _, id := range ids {
+			fmt.Println(id)
+		}
+		return
+	}
+	if *exp != "all" {
+		ids = []string{*exp}
+	}
+	env := experiments.NewEnv(experiments.ScaleFromEnv())
+	for _, id := range ids {
+		t, err := experiments.Run(ctx, id, env)
+		if err != nil {
+			fatalIf(fmt.Errorf("%s: %w", id, err))
+		}
+		t.Render(os.Stdout)
+		fmt.Println()
+	}
+}
+
+// exitUsage reports a command-line mistake and exits 2, as flag parsing does.
+func exitUsage(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, format+"\n", args...)
+	os.Exit(2)
+}
+
+// fatalIf exits on err: 130 on a cancellation (Ctrl-C), 1 otherwise.
 func fatalIf(err error) {
 	if err != nil {
 		if errors.Is(err, context.Canceled) {

@@ -31,10 +31,9 @@ type CacheStats struct {
 
 // SuiteCache memoizes trained estimator suites per (cluster hardware,
 // profile kind). Profiling and forest training are the expensive part
-// of setup; a cache instance makes their reuse explicit and observable —
-// hit/miss/trained counters, eviction, pre-warming — instead of the
-// former unobservable process-global map. The zero value is not
-// usable; call NewSuiteCache.
+// of setup; a cache instance makes their reuse explicit and observable:
+// hit/miss/trained counters, eviction, pre-warming. The zero value is
+// not usable; call NewSuiteCache.
 type SuiteCache struct {
 	// suites is unbounded: there is one entry per (cluster, profile
 	// kind) a process ever asks for.

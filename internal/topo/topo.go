@@ -23,8 +23,7 @@ import (
 	"maya/internal/hardware"
 )
 
-// Effective-bandwidth derates shared by every consumer of the model
-// (previously scattered as inline literals across netsim).
+// Effective-bandwidth derates shared by every consumer of the model.
 const (
 	// NVSwitchDerate is achievable/peak NVLink bandwidth through an
 	// NVSwitch plane.

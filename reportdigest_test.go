@@ -145,7 +145,7 @@ func reportDigests(t *testing.T) []digestRow {
 
 	var rows []digestRow
 	run := func(name string, physical bool, set func(*core.Options)) *core.Report {
-		row, rep := runDigest(t, name, cluster, c, flops, physical, set)
+		row, rep := runDigest(t, name, cluster, oracle, c, flops, physical, set)
 		rows = append(rows, row)
 		return rep
 	}
@@ -179,15 +179,14 @@ func reportDigests(t *testing.T) []digestRow {
 	return append(rows, outOfOrderDigests(t, flops)...)
 }
 
-// runDigest runs c on cluster, oracle-priced with a stall breakdown
+// runDigest runs c on cluster, priced by oracle with a stall breakdown
 // and a timeline attached, as a prediction or (physical) a
 // measurement, with the options set adjusts. It hashes every report
 // field, stage timings zeroed, then the stalls, the recovery and the
 // timeline.
-func runDigest(t *testing.T, name string, cluster hardware.Cluster, c *core.Capture, flops float64, physical bool, set func(*core.Options)) (digestRow, *core.Report) {
+func runDigest(t *testing.T, name string, cluster hardware.Cluster, oracle *silicon.Oracle, c *core.Capture, flops float64, physical bool, set func(*core.Options)) (digestRow, *core.Report) {
 	t.Helper()
 	ctx := context.Background()
-	oracle := core.DefaultOracle(cluster)
 	tl := sim.NewTimeline()
 	pipe := &core.Pipeline{Cluster: cluster, Opts: core.Options{NoDedup: true, Oracle: oracle, Breakdown: true, Observer: tl}}
 	if set != nil {
@@ -239,7 +238,7 @@ func outOfOrderDigests(t *testing.T, flops float64) []digestRow {
 			t.Fatalf("%s: every group's calls carry the same tags in the same order on all its workers", dc.name)
 		}
 		t.Logf("%s: %d groups whose calls differ in order across workers", dc.name, n)
-		row, _ := runDigest(t, name, dc.cluster, c, flops, false, nil)
+		row, _ := runDigest(t, name, dc.cluster, core.DefaultOracle(dc.cluster), c, flops, false, nil)
 		rows = append(rows, row)
 		c.Release()
 	}
@@ -274,9 +273,7 @@ func outOfIssueOrder(job *trace.Job) int {
 		for _, seqs := range byWorker {
 			if first == nil {
 				first = seqs
-				continue
-			}
-			if !slices.Equal(first[:min(len(first), len(seqs))], seqs[:min(len(first), len(seqs))]) {
+			} else if m := min(len(first), len(seqs)); !slices.Equal(first[:m], seqs[:m]) {
 				n++
 				break
 			}
