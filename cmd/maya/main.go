@@ -182,7 +182,7 @@ func runPredict(ctx context.Context, args []string) {
 	fatalIf(fs.Parse(args))
 
 	cluster, w, flops := recipe.build()
-	fmt.Fprintf(os.Stderr, "maya: training estimators for %s (cached after first run)...\n", cluster.Name)
+	fmt.Fprintf(os.Stderr, "maya: training estimators for %s...\n", cluster.Name)
 	// The one-entry capture cache hands -actual the capture the
 	// prediction paid for.
 	pred, err := maya.NewPredictor(cluster, maya.ProfileLLM, maya.WithTopology(recipe.topology),
@@ -301,7 +301,7 @@ func runSimulate(ctx context.Context, args []string) {
 	case *oracle:
 		opts = append(opts, maya.WithOracleAnnotation())
 	default:
-		fmt.Fprintf(os.Stderr, "maya: training estimators for %s (cached after first run)...\n", cluster.Name)
+		fmt.Fprintf(os.Stderr, "maya: training estimators for %s...\n", cluster.Name)
 	}
 	if *netsim {
 		opts = append(opts, maya.WithNetSim())

@@ -157,6 +157,76 @@ func TestAllocBudgetIndex(t *testing.T) {
 // captures on one engine allocates: two reports, nothing per op.
 const maxAlternateBytes = 16 << 10
 
+// trialObjects bounds the objects a warm search trial allocates on a
+// held engine with a kept capture: the trial's workload, the run's
+// timing core and its iteration ends.
+const trialObjects = 49
+
+// TestAllocBudgetTrial pins that a warm search trial pays only for
+// what the search reads, on a trial of search-warm's problem (GPT-3
+// 18.4B, TP8×PP4 on 32 H100s, four simulated workers): beyond its
+// workload, the engine route and the iteration time it allocates
+// nothing — no core.Report, no busy slices — where a full report on
+// the same engine allocates both. Engine.Busy at steady state
+// allocates only its three result slices.
+func TestAllocBudgetTrial(t *testing.T) {
+	ctx := context.Background()
+	p := oraclePipeline(hardware.DGXH100(4), Options{SelectiveLaunch: true})
+	cfg := framework.MegatronConfig{
+		Model: models.GPT3_18_4B(), NGPUs: 32, GlobalBatch: 32, TP: 8, PP: 4, MicroBatches: 8, ActRecompute: true,
+	}
+	c, err := p.Capture(ctx, megatron(t, cfg))
+	if err != nil || c.OOM {
+		t.Fatalf("Capture: %v (oom %t)", err, c != nil && c.OOM)
+	}
+	c.Keep()
+	flops := cfg.Model.TrainFLOPsPerIter(cfg.GlobalBatch)
+	engine := sim.NewEngine()
+	eval := p.trialEvaluator(func(context.Context, workload.Workload) (*Capture, error) { return c, nil },
+		flops, engine, func(StageTimings) {})
+	trial := func() {
+		if res, err := eval(ctx, cfg, 0); err != nil || res.IterTime <= 0 {
+			t.Fatalf("trial: %+v, %v", res, err)
+		}
+	}
+	route := func() {
+		r, err := p.run(ctx, c, p.Opts.Oracle, false, engine, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.sr.IterTime()
+	}
+	full := func() {
+		if _, err := p.simulate(ctx, c, flops, hardware.BF16, engine, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	trial() // builds the plan and the capture's index
+	trialAllocs := testing.AllocsPerRun(5, trial)
+	workloadAllocs := testing.AllocsPerRun(5, func() { megatron(t, cfg) })
+	routeAllocs := testing.AllocsPerRun(5, route)
+	fullAllocs := testing.AllocsPerRun(5, full)
+	r, err := p.run(ctx, c, p.Opts.Oracle, false, engine, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	busyAllocs := testing.AllocsPerRun(5, func() { engine.Busy(r.sr) })
+	t.Logf("%d simulated workers: a warm trial allocates %.0f objects (its workload %.0f, the engine route %.0f, a full report %.0f); Busy allocates %.0f",
+		len(c.Job.Workers), trialAllocs, workloadAllocs, routeAllocs, fullAllocs, busyAllocs)
+	if trialAllocs > workloadAllocs+routeAllocs {
+		t.Errorf("a trial allocates %.0f objects beyond its workload and the engine route: a report or busy slices", trialAllocs-workloadAllocs-routeAllocs)
+	}
+	if fullAllocs < routeAllocs+4 {
+		t.Errorf("a full report allocates %.0f objects, the engine route %.0f: want the report and its three busy slices between them", fullAllocs, routeAllocs)
+	}
+	if trialAllocs > trialObjects {
+		t.Errorf("a warm trial allocates %.0f objects, want at most %d", trialAllocs, trialObjects)
+	}
+	if busyAllocs != 3 {
+		t.Errorf("Busy allocates %.0f objects at steady state, want only its three result slices", busyAllocs)
+	}
+}
+
 // captureAllocs returns the bytes one kept capture (Capture, then
 // Keep) allocates and the bytes its job retains.
 func captureAllocs(t *testing.T, p *Pipeline, w workload.Workload) (allocated, retained uint64) {

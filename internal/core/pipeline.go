@@ -264,16 +264,23 @@ func (p *Pipeline) Simulate(ctx context.Context, c *Capture, modelFLOPs float64,
 // simulated-clock horizon, returning a report with Truncated set (see
 // sim.Options.TimeLimit).
 func (p *Pipeline) simulate(ctx context.Context, c *Capture, modelFLOPs float64, dtype hardware.DType, e *sim.Engine, limit time.Duration) (*Report, error) {
-	var timer trace.Timer
-	switch {
-	case p.Opts.Oracle != nil:
-		timer = p.Opts.Oracle
-	case p.Suite != nil:
-		timer = p.Suite
-	default:
-		return nil, errors.New("core: Simulate needs a trained Suite or an Oracle")
+	timer, err := p.timer()
+	if err != nil {
+		return nil, err
 	}
 	return p.replay(ctx, c, timer, false, modelFLOPs, dtype, e, limit)
+}
+
+// timer is what prices a prediction's kernels: the ground-truth
+// oracle when Opts.Oracle is set, the learned suite otherwise.
+func (p *Pipeline) timer() (trace.Timer, error) {
+	switch {
+	case p.Opts.Oracle != nil:
+		return p.Opts.Oracle, nil
+	case p.Suite != nil:
+		return p.Suite, nil
+	}
+	return nil, errors.New("core: Simulate needs a trained Suite or an Oracle")
 }
 
 // Measure replays the capture against the silicon ground truth in
@@ -285,15 +292,85 @@ func (p *Pipeline) Measure(ctx context.Context, c *Capture, oracle *silicon.Orac
 	return p.replay(ctx, c, oracle, true, modelFLOPs, dtype, nil, 0)
 }
 
-// replay is the back half of every prediction and every measurement,
-// the only way from a capture into the engine: look up the capture's
-// plan for the timer (built on the first replay of the pair, beside
-// the index compile on the capture's first replay), hand the
+// engineRun is a replay's main run as the engine route leaves it.
+type engineRun struct {
+	// sr is the run's timing core: no busy unions yet.
+	sr *sim.Report
+	// opts are the options it ran with, which the fault walk's re-runs
+	// start from, and faults the plan the walk evaluates (nil on a
+	// physical replay).
+	opts   sim.Options
+	faults *faults.Plan
+	// bd is the stall-attribution observer, when the pipeline asks for
+	// a breakdown.
+	bd *sim.Breakdown
+	// estimate is the wait for the capture's plan, and simulate the
+	// cost of building the options and running the engine.
+	estimate, simulate time.Duration
+}
+
+// run is the one route from a capture into the engine: look up the
+// capture's plan for the timer (built on the first replay of the pair,
+// beside the index compile on the capture's first replay), hand the
 // engine the plan's overlay and the capture's compiled index — both
 // read in place, shared by every replay — build the run's options —
-// prediction, or the silicon's physical mode — run the engine (the
-// caller's, or one acquired for the call when e is nil), walk the
-// fault plan on the same engine, and fill the report.
+// prediction, or the silicon's physical mode — and run e once, no
+// further than limit when it is positive. The busy unions and the
+// fault walk are the report's (replay): a search trial reads the
+// timing core alone.
+func (p *Pipeline) run(ctx context.Context, c *Capture, timer trace.Timer, physical bool, e *sim.Engine, limit time.Duration) (engineRun, error) {
+	if err := ctx.Err(); err != nil {
+		return engineRun{}, err
+	}
+	t0 := time.Now()
+	plan, err := c.prepare(ctx, timer)
+	if err != nil {
+		return engineRun{}, err
+	}
+	r := engineRun{estimate: time.Since(t0), faults: p.Opts.Faults}
+
+	t0 = time.Now()
+	job := c.Job
+	obs := p.Opts.Observer
+	if p.Opts.Breakdown {
+		r.bd = sim.NewBreakdown()
+		obs = sim.Observers(obs, r.bd)
+	}
+	if physical {
+		// The silicon models contention its own way and knows no
+		// operational faults: the prediction-only options do not apply.
+		r.opts, r.faults = silicon.PhysicalOptions(p.Opts.Seed), nil
+	} else if p.Opts.Congestion != nil {
+		if r.opts.Congestion, err = c.congestionFor(ctx, p.Opts.Congestion); err != nil {
+			return engineRun{}, err
+		}
+	}
+	r.opts.Index, r.opts.Annotations = c.simIndex(), plan.Overlay()
+	r.opts.Observer, r.opts.TimeLimit = obs, limit
+	if r.faults != nil {
+		// Fault plans address world ranks: a deduplicated or
+		// selectively launched capture is missing potential victims.
+		if len(job.Workers) != c.TotalWorkers {
+			return engineRun{}, fmt.Errorf("core: fault scenarios need every rank simulated, capture of %s has %d of %d workers (capture with dedup disabled)",
+				c.Workload, len(job.Workers), c.TotalWorkers)
+		}
+		if r.opts.Faults, err = r.faults.Injection(job); err != nil {
+			return engineRun{}, err
+		}
+	}
+	e.Reset(job, r.opts)
+	if r.sr, err = e.Run(ctx); err != nil {
+		return engineRun{}, fmt.Errorf("core: simulating %s: %w", c.Workload, err)
+	}
+	r.simulate = time.Since(t0)
+	return r, nil
+}
+
+// replay is the back half of every prediction and every measurement:
+// the engine route (run), on the caller's engine or one acquired for
+// the call when e is nil, then the report for the user. The main run's
+// busy unions are taken before the fault walk re-runs the same engine,
+// and the walk's re-runs take none.
 func (p *Pipeline) replay(ctx context.Context, c *Capture, timer trace.Timer, physical bool, modelFLOPs float64, dtype hardware.DType, e *sim.Engine, limit time.Duration) (*Report, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -306,72 +383,36 @@ func (p *Pipeline) replay(ctx context.Context, c *Capture, timer trace.Timer, ph
 		e = sim.AcquireEngine()
 		defer e.Release()
 	}
-	t0 := time.Now()
-	plan, err := c.prepare(ctx, timer)
+	r, err := p.run(ctx, c, timer, physical, e, limit)
 	if err != nil {
 		return nil, err
 	}
-	rep.Stages.Estimate = time.Since(t0)
-
-	t0 = time.Now()
-	job := c.Job
-	obs := p.Opts.Observer
-	var bd *sim.Breakdown
-	if p.Opts.Breakdown {
-		bd = sim.NewBreakdown()
-		obs = sim.Observers(obs, bd)
-	}
-	simOpts := sim.Options{}
-	faultPlan := p.Opts.Faults
-	if physical {
-		// The silicon models contention its own way and knows no
-		// operational faults: the prediction-only options do not apply.
-		simOpts, faultPlan = silicon.PhysicalOptions(p.Opts.Seed), nil
-	} else if p.Opts.Congestion != nil {
-		if simOpts.Congestion, err = c.congestionFor(ctx, p.Opts.Congestion); err != nil {
-			return nil, err
-		}
-	}
-	simOpts.Index, simOpts.Annotations = c.simIndex(), plan.Overlay()
-	simOpts.Observer, simOpts.TimeLimit = obs, limit
-	if faultPlan != nil {
-		// Fault plans address world ranks: a deduplicated or
-		// selectively launched capture is missing potential victims.
-		if len(job.Workers) != c.TotalWorkers {
-			return nil, fmt.Errorf("core: fault scenarios need every rank simulated, capture of %s has %d of %d workers (capture with dedup disabled)",
-				c.Workload, len(job.Workers), c.TotalWorkers)
-		}
-		if simOpts.Faults, err = faultPlan.Injection(job); err != nil {
-			return nil, err
-		}
-	}
-	e.Reset(job, simOpts)
-	sr, err := e.Run(ctx)
-	if err != nil {
-		return nil, fmt.Errorf("core: simulating %s: %w", c.Workload, err)
-	}
-	if faultPlan != nil && !sr.Truncated {
+	t0 := time.Now()
+	sr := r.sr
+	e.Busy(sr)
+	if r.faults != nil && !sr.Truncated {
 		// The main run above is the straggler-perturbed baseline; the
 		// walk re-runs the job per failure (and once cleanly when
 		// stragglers skew the baseline) on the same engine, with no
 		// observer: the caller's observer saw exactly one run, the
 		// main one.
+		job, base := c.Job, r.opts
 		runner := func(rctx context.Context, inj *sim.Injection, robs sim.Observer) (*sim.Report, error) {
-			o := simOpts
+			o := base
 			o.Faults, o.Observer = inj, robs
 			e.Reset(job, o)
 			return e.Run(rctx)
 		}
-		if rep.Recovery, err = faults.Evaluate(ctx, faultPlan, job, sr, runner); err != nil {
+		if rep.Recovery, err = faults.Evaluate(ctx, r.faults, job, sr, runner); err != nil {
 			return nil, fmt.Errorf("core: fault scenario for %s: %w", c.Workload, err)
 		}
 	}
-	rep.Stages.Simulate = time.Since(t0)
+	rep.Stages.Estimate, rep.Stages.Simulate = r.estimate, r.simulate+time.Since(t0)
 
 	rep.Truncated = sr.Truncated
 	p.fill(rep, sr, modelFLOPs, dtype)
-	if bd != nil {
-		rep.Stalls = &StallProfile{Workers: bd.Result(sr)}
+	if r.bd != nil {
+		rep.Stalls = &StallProfile{Workers: r.bd.Result(sr)}
 	}
 	return rep, nil
 }
@@ -386,11 +427,18 @@ func (p *Pipeline) fill(rep *Report, sr *sim.Report, modelFLOPs float64, dtype h
 			rep.ExposedComm = sr.ExposedComm[i]
 		}
 	}
-	if modelFLOPs > 0 && rep.IterTime > 0 {
-		peak := p.Cluster.Node.GPU.PeakTFLOPS(dtype) * 1e12
-		avail := rep.IterTime.Seconds() * float64(rep.TotalWorkers) * peak
-		rep.MFU = modelFLOPs / avail
+	rep.MFU = p.mfu(rep.IterTime, rep.TotalWorkers, modelFLOPs, dtype)
+}
+
+// mfu is the model FLOPs utilization of an iteration of iter on
+// workers devices, or zero without model FLOPs or iteration time.
+func (p *Pipeline) mfu(iter time.Duration, workers int, modelFLOPs float64, dtype hardware.DType) float64 {
+	if modelFLOPs <= 0 || iter <= 0 {
+		return 0
 	}
+	peak := p.Cluster.Node.GPU.PeakTFLOPS(dtype) * 1e12
+	avail := iter.Seconds() * float64(workers) * peak
+	return modelFLOPs / avail
 }
 
 // emulate runs the workload's ranks through transparent emulators

@@ -42,9 +42,11 @@ func (p *Pipeline) Search(ctx context.Context, problem search.Problem, capture f
 // trialEvaluator is the pipeline as one search worker sees it: build
 // the trial's Megatron workload, obtain its capture, answer straight
 // from the capture's OOM verdict without estimating or simulating,
-// and otherwise replay on the worker's engine no further than the
-// generation's domination bound; then release the capture, which
-// recycles its recordings, or does nothing on a kept one.
+// and otherwise run the engine route on the worker's engine no further
+// than the generation's domination bound; then release the capture,
+// which recycles its recordings, or does nothing on a kept one. A
+// trial reads the iteration time off the run's timing core and builds
+// no report: the search reads no busy union and no fault walk.
 func (p *Pipeline) trialEvaluator(capture func(context.Context, workload.Workload) (*Capture, error), flops float64, e *sim.Engine, account func(StageTimings)) search.Evaluator {
 	return func(ctx context.Context, cfg framework.MegatronConfig, bound time.Duration) (search.EvalResult, error) {
 		w, err := framework.NewMegatron(cfg)
@@ -63,15 +65,20 @@ func (p *Pipeline) trialEvaluator(capture func(context.Context, workload.Workloa
 			account(stages)
 			return search.EvalResult{OOM: true, PeakMem: c.PeakMemBytes}, nil
 		}
-		rep, err := p.simulate(ctx, c, flops, hardware.BF16, e, bound)
+		timer, err := p.timer()
 		if err != nil {
 			return search.EvalResult{}, err
 		}
-		stages.Estimate, stages.Simulate = rep.Stages.Estimate, rep.Stages.Simulate
-		account(stages)
-		if rep.Truncated {
-			return search.EvalResult{Truncated: true, PeakMem: rep.PeakMemBytes}, nil
+		r, err := p.run(ctx, c, timer, false, e, bound)
+		if err != nil {
+			return search.EvalResult{}, err
 		}
-		return search.EvalResult{IterTime: rep.IterTime, MFU: rep.MFU, PeakMem: rep.PeakMemBytes}, nil
+		stages.Estimate, stages.Simulate = r.estimate, r.simulate
+		account(stages)
+		if r.sr.Truncated {
+			return search.EvalResult{Truncated: true, PeakMem: c.PeakMemBytes}, nil
+		}
+		iter := r.sr.IterTime()
+		return search.EvalResult{IterTime: iter, MFU: p.mfu(iter, c.TotalWorkers, flops, hardware.BF16), PeakMem: c.PeakMemBytes}, nil
 	}
 }

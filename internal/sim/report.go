@@ -14,7 +14,9 @@ type MarkAt struct {
 	At    time.Duration
 }
 
-// Report is the output of a simulation run.
+// Report is the output of a simulation run. Engine.Run fills its
+// timing core; only Engine.Busy fills the busy unions (ComputeBusy,
+// CommBusy, ExposedComm), as Run and RunPooled do.
 type Report struct {
 	// Truncated marks a run stopped at Options.TimeLimit before the
 	// trace drained: the report describes the event prefix up to the
@@ -35,6 +37,7 @@ type Report struct {
 	HostEnd []time.Duration
 	// Marks holds each worker's application annotations in order.
 	Marks [][]MarkAt
+
 	// ComputeBusy is, per worker, the union length of compute/memory
 	// op intervals.
 	ComputeBusy []time.Duration
@@ -46,42 +49,40 @@ type Report struct {
 	ExposedComm []time.Duration
 }
 
-// buildReport snapshots the run into a Report. Every slice is a deep
-// copy: a report never aliases engine storage, so resetting or
-// pooling the engine cannot mutate a caller's report.
+// buildReport snapshots the run's timing core into a Report. Every
+// slice is a deep copy: a report never aliases engine storage, so
+// resetting or pooling the engine cannot mutate a caller's report.
 func (e *Engine) buildReport() *Report {
 	n := len(e.hosts)
-	r := &Report{
-		HostEnd:     make([]time.Duration, n),
-		Marks:       make([][]MarkAt, n),
-		ComputeBusy: make([]time.Duration, n),
-		CommBusy:    make([]time.Duration, n),
-		ExposedComm: make([]time.Duration, n),
-	}
+	r := &Report{HostEnd: make([]time.Duration, n), Marks: make([][]MarkAt, n)}
 	for i := range e.hosts {
-		h := &e.hosts[i]
 		if len(e.marks[i]) > 0 {
 			r.Marks[i] = append([]MarkAt(nil), e.marks[i]...)
 		}
-		end := h.t
+		end := e.hosts[i].t
 		for _, st := range e.byWorker[i] {
 			end = max(end, st.freeAt)
 		}
 		r.HostEnd[i] = time.Duration(end)
-		if r.HostEnd[i] > r.Makespan {
-			r.Makespan = r.HostEnd[i]
-		}
+		r.Makespan = max(r.Makespan, r.HostEnd[i])
+	}
+	return r
+}
+
+// Busy fills r, the report Run just returned, with each worker's busy
+// unions, read from the run's streams: call it before the next Reset
+// or Release. At steady state it allocates only the three slices.
+func (e *Engine) Busy(r *Report) {
+	n := len(e.hosts)
+	r.ComputeBusy, r.CommBusy, r.ExposedComm = make([]time.Duration, n), make([]time.Duration, n), make([]time.Duration, n)
+	for i := range e.hosts {
 		runs := e.busy.runs[:0]
 		for _, st := range e.byWorker[i] {
 			runs = append(runs, st.busy())
 		}
 		e.busy.runs = runs
-		comp, comm, exposed := mergeBusy(runs, &e.busy)
-		r.ComputeBusy[i] = comp
-		r.CommBusy[i] = comm
-		r.ExposedComm[i] = exposed
+		r.ComputeBusy[i], r.CommBusy[i], r.ExposedComm[i] = mergeBusy(runs, &e.busy)
 	}
-	return r
 }
 
 // wedged returns, per worker, the earliest stall start over its

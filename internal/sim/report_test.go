@@ -18,8 +18,8 @@ func busyStats(ivs []interval, s *busyScratch) (compute, comm, exposed time.Dura
 	return mergeBusy(runs, s)
 }
 
-// sortedBusy is what buildReport computed before the merge: split the
-// intervals by class, sort and unionize each, and intersect.
+// sortedBusy is the busy unions computed without the k-way merge: split
+// the intervals by class, sort and unionize each, and intersect.
 func sortedBusy(ivs []interval) (compute, comm, exposed time.Duration) {
 	var comps, comms []interval
 	for _, iv := range ivs {

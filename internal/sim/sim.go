@@ -46,8 +46,8 @@
 // position, kind and enqueue time. So dispatch grows no slice, reads a
 // trace.Op only for an observer callback or a deadlock message
 // (durations come from the overlay by position), and the busy
-// intervals a report unions sit in the same windows, already in start
-// order per stream.
+// intervals Engine.Busy unions sit in the same windows, already in
+// start order per stream.
 //
 // A stream dispatches timed work in chains (see kickStream), the one
 // route whatever observer, fault injection or congestion is attached.
@@ -55,8 +55,10 @@
 // An Engine is reusable: Reset rebinds it to a new job while keeping
 // every slice and call record it has ever grown, and AcquireEngine
 // draws engines from a sync.Pool so back-to-back simulations reuse
-// storage instead of reallocating it. Reports never alias engine
-// storage — they are safe to keep after the engine is reset or pooled.
+// storage instead of reallocating it. Engine.Run returns a run's
+// timing core, and only Engine.Busy adds the busy unions, for the
+// callers that read them. Reports never alias engine storage — they
+// are safe to keep after the engine is reset or pooled.
 // An engine only reads what a run is given — the job, its Index, the
 // duration overlay — so one index and one overlay can back any number
 // of concurrent runs, each on its own engine.
@@ -161,11 +163,20 @@ type Options struct {
 // Run builds a fresh Engine per call, compiling the job unless opts
 // carries its Index: the reference the reused-engine paths are tested
 // against. Product code reaches the engine only through
-// core.Pipeline's replay, on an engine from AcquireEngine.
+// core.Pipeline's run, on an engine from AcquireEngine.
 func Run(ctx context.Context, job *trace.Job, opts Options) (*Report, error) {
 	e := NewEngine()
 	e.Reset(job, opts)
-	return e.Run(ctx)
+	return e.runBusy(ctx)
+}
+
+// runBusy is Run followed by Busy: the full report.
+func (e *Engine) runBusy(ctx context.Context) (*Report, error) {
+	r, err := e.Run(ctx)
+	if err == nil {
+		e.Busy(r)
+	}
+	return r, err
 }
 
 // enginePool is the process's one pool of engines.
@@ -193,7 +204,7 @@ func RunPooled(ctx context.Context, job *trace.Job, opts Options) (*Report, erro
 	e := AcquireEngine()
 	defer e.Release()
 	e.Reset(job, opts)
-	return e.Run(ctx)
+	return e.runBusy(ctx)
 }
 
 // ErrDeadlock marks a run that ended with a worker blocked for good: a
@@ -381,6 +392,7 @@ type eventState struct {
 //	e := NewEngine()
 //	e.Reset(job, opts)
 //	report, err := e.Run(ctx)
+//	e.Busy(report)         // only if the busy unions are read
 //	e.Reset(nextJob, opts) // storage from the first run is reused
 //	...
 //
@@ -424,7 +436,7 @@ type Engine struct {
 	pending []pendingOp
 	ivals   []interval
 	marks   [][]MarkAt
-	// busy is buildReport's reusable interval-merge scratch.
+	// busy is Busy's reusable interval-merge scratch.
 	busy busyScratch
 
 	rng jitterSource
@@ -635,7 +647,8 @@ func (e *Engine) recycleColl(g *collGroup) {
 const ctxCheckEvery = 1 << 13
 
 // Run executes the event loop for the job bound by the last Reset
-// and returns its report. Each Reset admits exactly one Run.
+// and returns its report, busy unions left to Busy. Each Reset
+// admits exactly one Run.
 func (e *Engine) Run(ctx context.Context) (*Report, error) {
 	if e.job == nil {
 		return nil, errors.New("sim: Engine.Run before Reset")

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"sync"
@@ -537,7 +538,7 @@ func TestEngineReuseMatchesFreshRuns(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		j := physicalFixture(t)
 		e.Reset(j, timing(j, opts))
-		got, err := e.Run(context.Background())
+		got, err := e.runBusy(context.Background())
 		if err != nil {
 			t.Fatalf("reused engine run %d: %v", i, err)
 		}
@@ -546,7 +547,7 @@ func TestEngineReuseMatchesFreshRuns(t *testing.T) {
 		}
 		j = physicalFixture(t)
 		e.Reset(j, timing(j, Options{}))
-		got2, err := e.Run(context.Background())
+		got2, err := e.runBusy(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -581,7 +582,7 @@ func TestEngineReuseMatchesFreshRuns(t *testing.T) {
 		for _, r := range runs {
 			want := mustRun(t, r.j, r.opts)
 			e.Reset(r.j, timing(r.j, r.opts))
-			got, err := e.Run(context.Background())
+			got, err := e.runBusy(context.Background())
 			if err != nil {
 				t.Fatalf("cycle %d, %s: %v", i, r.name, err)
 			}
@@ -593,6 +594,74 @@ func TestEngineReuseMatchesFreshRuns(t *testing.T) {
 					i, r.name, got.Truncated, len(e.flows))
 			}
 		}
+	}
+}
+
+// TestBusyMatchesRun runs every chain and fault fixture on one held
+// engine, Run then Busy, cycling through jobs of different sizes: the
+// report must equal Run's, on truncated and halted runs too, and
+// Engine.Run alone must leave the busy unions nil.
+func TestBusyMatchesRun(t *testing.T) {
+	type fixture struct {
+		name string
+		j    *trace.Job
+		opts Options
+	}
+	var fixtures []fixture
+	for seed := int64(0); seed < 25; seed++ {
+		j := chainFixture(t, seed)
+		half := mustRun(t, j, Options{}).Makespan / 2
+		fixtures = append(fixtures,
+			fixture{fmt.Sprintf("chain %d", seed), j, Options{}},
+			fixture{fmt.Sprintf("chain %d jitter", seed), j, Options{JitterFrac: 0.05, Seed: uint64(seed) + 1}},
+			fixture{fmt.Sprintf("chain %d truncated", seed), j, Options{TimeLimit: half}},
+		)
+	}
+	stop := func(w int, at time.Duration) *Injection {
+		return &Injection{FailStop: &FailStopAt{Worker: w, At: int64(at)}}
+	}
+	slow := func(from, until time.Duration, factor ...float64) *Injection {
+		return &Injection{Slowdown: []SlowWindow{{Factor: factor, From: int64(from), Until: int64(until)}}}
+	}
+	straggler, chained := stragglerJob(t), chainedJob(t)
+	congested, cong := congestedFixture(t)
+	fixtures = append(fixtures,
+		fixture{"straggler", straggler, Options{Faults: slow(0, 0, 1.3, 2.7)}},
+		fixture{"fail-stop mid-kernel", straggler, Options{Faults: stop(1, 5*time.Millisecond)}},
+		fixture{"fail-stop in a joined collective", straggler, Options{Faults: stop(1, 10500*time.Microsecond)}},
+		fixture{"fail-stop at 0", straggler, Options{Faults: stop(1, 0)}},
+		fixture{"fail-stop in a chain", chained, Options{Faults: stop(0, 25*time.Millisecond)}},
+		fixture{"window in a chain", chained, Options{Faults: slow(15*time.Millisecond, 35*time.Millisecond, 2)}},
+		fixture{"truncated congested", congested, Options{Congestion: cong, TimeLimit: 1500 * time.Microsecond}},
+		fixture{"physical", physicalFixture(t), Options{JitterFrac: 0.05, CommContention: 0.5, Seed: 1234}},
+	)
+	e := NewEngine()
+	var truncated, halted int
+	for cycle := range 2 {
+		for _, f := range fixtures {
+			want := mustRun(t, f.j, f.opts)
+			e.Reset(f.j, timing(f.j, f.opts))
+			got, err := e.Run(context.Background())
+			if err != nil {
+				t.Fatalf("cycle %d, %s: %v", cycle, f.name, err)
+			}
+			if got.ComputeBusy != nil || got.CommBusy != nil || got.ExposedComm != nil {
+				t.Fatalf("cycle %d, %s: Engine.Run filled the busy unions", cycle, f.name)
+			}
+			e.Busy(got)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("cycle %d, %s: Run then Busy diverged from Run:\n got %+v\nwant %+v", cycle, f.name, got, want)
+			}
+			if got.Truncated {
+				truncated++
+			}
+			if got.Halted {
+				halted++
+			}
+		}
+	}
+	if truncated == 0 || halted == 0 {
+		t.Fatalf("%d truncated and %d halted runs, want some of each", truncated, halted)
 	}
 }
 

@@ -129,7 +129,7 @@ func TestTruncatedReportCountsFiredCollectives(t *testing.T) {
 	}
 	reused := func(ctx context.Context, j *trace.Job, opts Options) (*Report, error) {
 		e.Reset(j, opts)
-		return e.Run(ctx)
+		return e.runBusy(ctx)
 	}
 	for _, run := range []func(context.Context, *trace.Job, Options) (*Report, error){Run, reused} {
 		r, err := run(context.Background(), j, timing(j, Options{TimeLimit: 2 * time.Millisecond}))

@@ -21,7 +21,7 @@ func runWedge(t *testing.T, j *trace.Job, opts Options) (*Report, []int64) {
 	t.Helper()
 	e := NewEngine()
 	e.Reset(j, timing(j, opts))
-	rep, err := e.Run(context.Background())
+	rep, err := e.runBusy(context.Background())
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
